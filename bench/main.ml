@@ -129,13 +129,22 @@ let sample_report =
 let micro () =
   section_header "micro" "bechamel micro-benchmarks of core primitives";
   let open Bechamel in
-  let compiled =
-    match Smart_lang.Requirement.compile sample_requirement with
-    | Ok p -> p
+  let fast =
+    match Smart_lang.Requirement.compile_fast sample_requirement with
+    | Ok fast -> fast
     | Error _ -> assert false
   in
-  let bindings name = Smart_proto.Report.variable sample_report name
-                      |> Option.map (fun f -> Smart_lang.Value.Num f) in
+  let row =
+    let db = Smart_core.Status_db.create () in
+    Smart_core.Status_db.update_sys db
+      { Smart_proto.Records.report = sample_report; updated_at = 1.0 };
+    match
+      Smart_core.Status_db.row_view db ~net_for:(fun _ -> None)
+        ~host:sample_report.Smart_proto.Report.host
+    with
+    | Some view -> view.Smart_core.Status_db.cols
+    | None -> assert false
+  in
   let encoded_record =
     Smart_proto.Records.encode_sys Smart_proto.Endian.Little
       { Smart_proto.Records.report = sample_report; updated_at = 1.0 }
@@ -152,8 +161,9 @@ let micro () =
       [
         Test.make ~name:"lang.compile" (Staged.stage (fun () ->
             Smart_lang.Requirement.compile sample_requirement));
-        Test.make ~name:"lang.evaluate" (Staged.stage (fun () ->
-            Smart_lang.Requirement.evaluate compiled ~lookup:bindings));
+        Test.make ~name:"lang.bytecode_run" (Staged.stage (fun () ->
+            Smart_lang.Bytecode.run fast.Smart_lang.Requirement.prog
+              fast.Smart_lang.Requirement.state row ~server:0));
         Test.make ~name:"proto.report_parse" (Staged.stage (fun () ->
             Smart_proto.Report.of_string report_string));
         Test.make ~name:"proto.record_decode" (Staged.stage (fun () ->

@@ -1,12 +1,12 @@
 (* The wizard's server-selection algorithm (§3.6.1, Fig 1.4).
 
-   Pure function from the status databases and a compiled requirement to
-   an ordered candidate list:
+   Pure function from the columnar status snapshot and a compiled
+   requirement to an ordered candidate list:
 
-   1. every live server record is evaluated against the requirement, with
-      the server-side variables bound from its system record, the
-      monitor_* variables from the network metrics toward it, and
-      host_security_level from the security database;
+   1. every row of the snapshot is evaluated against the requirement by
+      the bytecode interpreter, with the server-side variables read from
+      its system columns, the monitor_* variables from the network
+      columns and host_security_level from the security column;
    2. servers named by user_denied_hostN (by name or IP) are excluded
       outright — the Fig 1.4 blacklist;
    3. qualified servers named by user_preferred_hostN come first, in
@@ -17,166 +17,10 @@
       be modified to check multiple server reports for one requirement",
       Ch. 6: `order_by = host_memory_free` expresses "the servers with
       the largest memory".)
-   4. the list is cut to min(wanted, max_reply_servers). *)
+   4. the list is cut to min(wanted, max_reply_servers).
 
-let order_by_variable = "order_by"
-
-type server_view = {
-  record : Smart_proto.Records.sys_record;
-  net : Smart_proto.Records.net_entry option;
-  security_level : int option;
-}
-
-(* An immutable view of the status plane at one database generation.
-   The wizard builds it once per generation and reuses it for every
-   request until the data changes; [select] only reads it. *)
-type snapshot = {
-  generation : int;
-  views : server_view array;  (* scan order: sorted by host *)
-}
-
-let snapshot ?(generation = 0) views =
-  { generation; views = Array.of_list views }
-
-let snapshot_generation s = s.generation
-
-let snapshot_size s = Array.length s.views
-
-let snapshot_views s = Array.to_list s.views
-
-type verdict = {
-  host : string;
-  qualified : bool;
-  denied : bool;
-  preferred_rank : int option;  (* position in the preferred list *)
-  order_key : float option;     (* value of the order_by expression *)
-  faults : Smart_lang.Eval.fault list;
-}
-
-type result = {
-  selected : string list;  (* host names, best first *)
-  verdicts : verdict list; (* every server examined, in scan order *)
-}
-
-let binding_for (view : server_view) name : Smart_lang.Value.t option =
-  let num f = Some (Smart_lang.Value.Num f) in
-  match Smart_proto.Report.variable view.record.Smart_proto.Records.report name with
-  | Some f -> num f
-  | None ->
-    (match name with
-    | "monitor_network_delay" ->
-      Option.map
-        (fun e ->
-          Smart_lang.Value.Num
-            (Smart_util.Units.s_to_ms e.Smart_proto.Records.delay))
-        view.net
-    | "monitor_network_bw" ->
-      Option.map
-        (fun e ->
-          Smart_lang.Value.Num
-            (Smart_util.Units.bytes_per_sec_to_mbps
-               e.Smart_proto.Records.bandwidth))
-        view.net
-    | "host_security_level" ->
-      Option.map (fun l -> Smart_lang.Value.Num (float_of_int l))
-        view.security_level
-    | _ -> None)
-
-(* A denied/preferred entry matches a server by host name or IP. *)
-let matches (view : server_view) entry =
-  let report = view.record.Smart_proto.Records.report in
-  String.equal entry report.Smart_proto.Report.host
-  || String.equal entry report.Smart_proto.Report.ip
-
-let rank_in lst view =
-  let rec go i = function
-    | [] -> None
-    | entry :: rest -> if matches view entry then Some i else go (i + 1) rest
-  in
-  go 0 lst
-
-(* The per-server value of the requirement's last [order_by] assignment,
-   read from the statement results. *)
-let order_key_of (outcome : Smart_lang.Eval.outcome) (program : Smart_lang.Ast.program) =
-  let is_order_by (st : Smart_lang.Ast.statement) =
-    match st.Smart_lang.Ast.expr with
-    | Smart_lang.Ast.Assign (name, _) -> String.equal name order_by_variable
-    | Smart_lang.Ast.Number _ | Smart_lang.Ast.Netaddr _
-    | Smart_lang.Ast.Var _ | Smart_lang.Ast.Arith _ | Smart_lang.Ast.Cmp _
-    | Smart_lang.Ast.Logic _ | Smart_lang.Ast.Call _ | Smart_lang.Ast.Neg _
-    | Smart_lang.Ast.Paren _ ->
-      false
-  in
-  List.fold_left2
-    (fun acc st (res : Smart_lang.Eval.statement_result) ->
-      if is_order_by st then
-        match res.Smart_lang.Eval.value with
-        | Ok (Smart_lang.Value.Num f) -> Some f
-        | Ok (Smart_lang.Value.Addr _) | Error _ -> acc
-      else acc)
-    None program outcome.Smart_lang.Eval.statements
-
-let select ~(requirement : Smart_lang.Ast.program) ~(servers : snapshot)
-    ~wanted =
-  let verdicts =
-    Array.to_list
-      (Array.map
-         (fun view ->
-           let outcome =
-             Smart_lang.Requirement.evaluate requirement
-               ~lookup:(binding_for view)
-           in
-           let preferred, denied = Smart_lang.Requirement.host_lists outcome in
-           {
-             host =
-               view.record.Smart_proto.Records.report.Smart_proto.Report.host;
-             qualified = outcome.Smart_lang.Eval.qualified;
-             denied = List.exists (matches view) denied;
-             preferred_rank = rank_in preferred view;
-             order_key = order_key_of outcome requirement;
-             faults = outcome.Smart_lang.Eval.faults;
-           })
-         servers.views)
-  in
-  let eligible =
-    List.filter (fun v -> v.qualified && not v.denied) verdicts
-  in
-  let preferred, others =
-    List.partition (fun v -> v.preferred_rank <> None) eligible
-  in
-  let compare_rank a b =
-    match (a.preferred_rank, b.preferred_rank) with
-    | Some x, Some y -> Int.compare x y
-    | Some _, None -> -1
-    | None, Some _ -> 1
-    | None, None -> 0
-  in
-  let preferred = List.sort compare_rank preferred in
-  (* order_by ranks the non-preferred candidates, best (largest) first;
-     List.stable_sort keeps scan order among ties and when no key *)
-  let others =
-    if List.exists (fun v -> v.order_key <> None) others then
-      List.stable_sort
-        (fun a b ->
-          (* +. 0.0 collapses -0.0 onto 0.0, so keys IEEE-equal tie and
-             scan order decides — the property the heap path relies on *)
-          Float.compare
-            (Option.value ~default:neg_infinity b.order_key +. 0.0)
-            (Option.value ~default:neg_infinity a.order_key +. 0.0))
-        others
-    else others
-  in
-  let limit = min wanted Smart_proto.Ports.max_reply_servers in
-  let rec take n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | x :: rest -> x.host :: take (n - 1) rest
-  in
-  { selected = take limit (preferred @ others); verdicts }
-
-(* ------------------------------------------------------------------ *)
-(* Columnar fast path                                                   *)
-(* ------------------------------------------------------------------ *)
+   The test suites hold this to a list-based reference selection over
+   the tree-walking evaluator (test/oracle). *)
 
 module B = Smart_lang.Bytecode
 
@@ -217,17 +61,62 @@ let grown buf len =
     fresh
   end
 
+(* Row [row]'s standing under the compiled requirement: [ineligible]
+   when it fails the requirement or a user_denied_hostN names it, else
+   its preference rank (the position of the first user_preferred_hostN
+   naming it) or [unranked].  The denied/preferred lists are the
+   Addr-valued user parameters in assignment order, read off the uparam
+   log; an entry matches by host name or IP.  Leaves the row's order_by
+   key in the state. *)
+let ineligible = -2
+
+let unranked = -1
+
+let eligibility ~(fast : Smart_lang.Requirement.fast)
+    ~(view : Status_db.column_view) ~row =
+  let prog = fast.Smart_lang.Requirement.prog in
+  let st = fast.Smart_lang.Requirement.state in
+  B.run ~stop_unqualified:true prog st view.Status_db.cols ~server:row;
+  if not (B.qualified prog st) then ineligible
+  else begin
+    let host = view.Status_db.hosts.(row) in
+    let ip = view.Status_db.ips.(row) in
+    let denied = ref false in
+    let rank = ref unranked in
+    let pcount = ref 0 in
+    for k = 0 to st.B.ulog_len - 1 do
+      let tag = st.B.ulog_tag.(k) in
+      if tag >= 0 then begin
+        let entry = prog.B.pool.(tag) in
+        if st.B.ulog_slot.(k) < B.preferred_slots then begin
+          if
+            !rank < 0 && (String.equal entry host || String.equal entry ip)
+          then rank := !pcount;
+          incr pcount
+        end
+        else if
+          (not !denied) && (String.equal entry host || String.equal entry ip)
+        then denied := true
+      end
+    done;
+    if !denied then ineligible else !rank
+  end
+
+let qualifies ~fast ~view ~row = eligibility ~fast ~view ~row <> ineligible
+
 (* The shared scan of the columnar fast path: evaluate the compiled
    requirement over every row and sort the eligible hosts into the
-   scratch buffers.  Ordering replays the reference [select] exactly:
+   scratch buffers.  Ordering replays the reference selection's list
+   sorts exactly:
 
    - preferred hosts land in a rank-keyed min-heap whose insertion
      stamp breaks ties in scan order — [List.sort] on ranks is stable;
    - [order_by] candidates land in a min-heap keyed by the negated
      key (normalized by [+. 0.0] so -0.0 ties 0.0, as [Float.compare]
-     does after the same normalization in [select]); NaN keys, which
-     [Float.compare] orders below -infinity, stay in the [nans] stash
-     (scan order) for the caller to emit after every real key;
+     does after the same normalization in the reference sort); NaN
+     keys, which [Float.compare] orders below -infinity, stay in the
+     [nans] stash (scan order) for the caller to emit after every real
+     key;
    - without [order_by], eligible hosts fill [plain] in scan order. *)
 let scan scratch ~(fast : Smart_lang.Requirement.fast)
     ~(view : Status_db.column_view) =
@@ -270,55 +159,30 @@ let scan scratch ~(fast : Smart_lang.Requirement.fast)
     done
   | None ->
   for i = 0 to cols.B.n - 1 do
-    B.run ~stop_unqualified:true prog st cols ~server:i;
-    if B.qualified prog st then begin
+    let rank = eligibility ~fast ~view ~row:i in
+    if rank <> ineligible then begin
       let host = view.Status_db.hosts.(i) in
-      let ip = view.Status_db.ips.(i) in
-      (* blacklist and preference rank, read off the uparam log: the
-         denied/preferred lists are the Addr-valued user parameters in
-         assignment order, an entry matching by host name or IP *)
-      let denied = ref false in
-      let rank = ref (-1) in
-      let pcount = ref 0 in
-      for k = 0 to st.B.ulog_len - 1 do
-        let tag = st.B.ulog_tag.(k) in
-        if tag >= 0 then begin
-          let entry = prog.B.pool.(tag) in
-          if st.B.ulog_slot.(k) < B.preferred_slots then begin
-            if
-              !rank < 0
-              && (String.equal entry host || String.equal entry ip)
-            then rank := !pcount;
-            incr pcount
-          end
-          else if
-            (not !denied)
-            && (String.equal entry host || String.equal entry ip)
-          then denied := true
-        end
-      done;
-      if not !denied then
-        if !rank >= 0 then
-          Smart_util.Heap.push scratch.pref ~key:(float_of_int !rank) host
-        else if prog.B.has_order_by then
-          emit_ordered host
-            (if st.B.order_found then st.B.order_val else neg_infinity)
-        else emit_plain host
+      if rank >= 0 then
+        Smart_util.Heap.push scratch.pref ~key:(float_of_int rank) host
+      else if prog.B.has_order_by then
+        emit_ordered host
+          (if st.B.order_found then st.B.order_val else neg_infinity)
+      else emit_plain host
     end
   done)
 
-(* The reference [take] only stops on exactly 0, so a negative [wanted]
-   means "no cut" there; both drains replay that. *)
+(* The reference selection's [take] only stops on exactly 0, so a
+   negative [wanted] means "no cut" there; both drains replay that. *)
 let cut_limit wanted =
   let limit = min wanted Smart_proto.Ports.max_reply_servers in
   if limit < 0 then max_int else limit
 
-(* The bytecode twin of [select]: one pass over the columnar snapshot,
-   same answer (the test suite pins the two against each other with a
-   differential property).  NaN order keys are pushed after the scan
-   with key +infinity so they pop after every real key — including real
-   -infinity keys, whose earlier insertion stamps win the FIFO tie —
-   still in scan order. *)
+(* The flat wizard's answer: one pass over the columnar snapshot (the
+   test suite pins it to the reference selection with a differential
+   property).  NaN order keys are pushed after the scan with key
+   +infinity so they pop after every real key — including real -infinity
+   keys, whose earlier insertion stamps win the FIFO tie — still in scan
+   order. *)
 let select_columns scratch ~(fast : Smart_lang.Requirement.fast)
     ~(view : Status_db.column_view) ~wanted =
   let prog = fast.Smart_lang.Requirement.prog in

@@ -1,67 +1,23 @@
 (** Pure server-selection algorithm of the wizard (§3.6.1, Fig 1.4):
-    evaluate the requirement per server, exclude blacklisted hosts, order
-    preferred hosts first, cut to the requested count.
+    evaluate the compiled requirement over every row of the columnar
+    status snapshot, exclude blacklisted hosts, order preferred hosts
+    first, cut to the requested count.
 
     Extension (the paper's Ch. 6 "3 servers with largest memory"): a
     requirement assigning the temp variable [order_by] ranks the
     candidates by that expression's per-server value, descending, e.g.
     [order_by = host_memory_free]. *)
 
-(** Name of the ranking variable: "order_by". *)
-val order_by_variable : string
-
-type server_view = {
-  record : Smart_proto.Records.sys_record;  (** latest probe report *)
-  net : Smart_proto.Records.net_entry option;
-      (** network metrics toward this server *)
-  security_level : int option;
-      (** clearance from the security table, if any *)
-}
-
-(** Immutable view of the status plane at one database generation; the
-    unit [select] consumes.  The wizard memoizes it per generation. *)
-type snapshot
-
-(** Build a snapshot from views in scan order.  [generation] tags the
-    database version the views were derived from (0 for ad-hoc sets). *)
-val snapshot : ?generation:int -> server_view list -> snapshot
-
-(** Database generation the snapshot was built from. *)
-val snapshot_generation : snapshot -> int
-
-(** Number of server views in the snapshot. *)
-val snapshot_size : snapshot -> int
-
-(** The views, in the scan order they were given to [snapshot]. *)
-val snapshot_views : snapshot -> server_view list
-
-type verdict = {
-  host : string;
-  qualified : bool;
-  denied : bool;
-  preferred_rank : int option;
-  order_key : float option;  (** per-server value of [order_by] *)
-  faults : Smart_lang.Eval.fault list;
-}
-
-type result = {
-  selected : string list;  (** best candidates first *)
-  verdicts : verdict list; (** every server examined, in scan order *)
-}
-
-(** Requirement-variable binding for one server view (exposed for
-    tests). *)
-val binding_for : server_view -> string -> Smart_lang.Value.t option
-
-(** Evaluate [requirement] against every view in [servers] and pick the
-    best [wanted] candidates (denied hosts excluded, preferred hosts
-    first, then [order_by] rank).  Pure: same snapshot and program give
-    the same result. *)
-val select :
-  requirement:Smart_lang.Ast.program ->
-  servers:snapshot ->
-  wanted:int ->
-  result
+(** Does row [row] of [view] pass [fast]: every logical statement true,
+    and no [user_denied_hostN] naming the host (by name or IP)?  This is
+    the eligibility rule {!select_columns} applies to every row; the
+    session watcher uses it to re-check one held server against a
+    {!Status_db.row_view}.  Runs in [fast]'s preallocated state. *)
+val qualifies :
+  fast:Smart_lang.Requirement.fast ->
+  view:Status_db.column_view ->
+  row:int ->
+  bool
 
 (** Reusable buffers for {!select_columns} (heaps and string buffers);
     one per wizard. *)
@@ -69,11 +25,10 @@ type scratch
 
 val scratch : unit -> scratch
 
-(** The bytecode twin of {!select}: evaluate the compiled requirement
-    over the columnar snapshot in one pass and return the selected host
-    names.  Produces exactly {!select}'s [selected] list for equivalent
-    inputs (the test suite holds the two to a differential property);
-    skips the per-server diagnostics. *)
+(** Evaluate the compiled requirement over the columnar snapshot in one
+    pass and return the selected host names, best first.  The test suite
+    holds this to a list-based reference selection over the tree-walking
+    evaluator with a differential property. *)
 val select_columns :
   scratch ->
   fast:Smart_lang.Requirement.fast ->

@@ -1038,11 +1038,11 @@ type sess_driver = {
    [work_interval] (each occupying its connection for [work_duration]),
    and watches its held server every [check_interval]: a dead connection
    (crash, partition, keep-alive verdict) or — in flat deployments — a
-   database generation change under which re-selection excludes the host
-   triggers a mid-session migration.  Admission rejections and failed
-   migrations back off on [backoff].  Runs the engine to completion and
-   reports; with a generous [drain_timeout] every requeued item
-   completes and [work_lost] is zero. *)
+   database generation change after which the host's row no longer
+   qualifies triggers a mid-session migration.  Admission rejections and
+   failed migrations back off on [backoff].  Runs the engine to
+   completion and reports; with a generous [drain_timeout] every
+   requeued item completes and [work_lost] is zero. *)
 let run_sessions ?(wanted = 1) ?(option = Smart_proto.Wizard_msg.Accept_partial)
     ?(work_interval = 1.0) ?(work_duration = 0.4) ?(check_interval = 0.5)
     ?(keepalive_interval = 2.0) ?(request_timeout = 4.0)
@@ -1056,8 +1056,8 @@ let run_sessions ?(wanted = 1) ?(option = Smart_proto.Wizard_msg.Accept_partial)
       ~clock:vclock ()
   in
   let program =
-    match Smart_lang.Requirement.compile requirement with
-    | Ok p -> Some p
+    match Smart_lang.Requirement.compile_fast requirement with
+    | Ok fast -> Some fast
     | Error _ -> None
   in
   let start_at = vclock () in
@@ -1082,31 +1082,22 @@ let run_sessions ?(wanted = 1) ?(option = Smart_proto.Wizard_msg.Accept_partial)
     | Session.Connecting | Session.Established -> true)
     && reachable d (Session.conn_host c)
   in
-  (* Is the held server still what the wizard would pick?  Re-evaluate
-     the session's requirement against a one-host snapshot of the
-     wizard's live database — the exact views selection would use.  Only
-     meaningful in flat deployments (a federation root holds digests,
-     not records), so federated runs rely on the dead-connection path. *)
+  (* Is the held server still one the wizard could pick?  Re-check the
+     session's requirement against the host's row of the wizard's live
+     database, bound exactly as selection binds it; a one-row view
+     leaves the wizard's memoized snapshot alone.  Only meaningful in
+     flat deployments (a federation root holds digests, not records), so
+     federated runs rely on the dead-connection path. *)
   let still_qualified host =
     match (program, t.fed) with
     | None, _ | _, Some _ -> true
-    | Some prog, None ->
-      (match Status_db.find_sys t.db_wizard ~host with
+    | Some fast, None ->
+      (match
+         Status_db.row_view t.db_wizard ~host
+           ~net_for:(fun host -> Wizard.net_entry_for t.wizard ~host)
+       with
       | None -> false
-      | Some record ->
-        let view =
-          {
-            Selection.record;
-            net = Wizard.net_entry_for t.wizard ~host;
-            security_level = Status_db.security_level t.db_wizard ~host;
-          }
-        in
-        let r =
-          Selection.select ~requirement:prog
-            ~servers:(Selection.snapshot [ view ])
-            ~wanted:1
-        in
-        r.Selection.selected <> [])
+      | Some view -> Selection.qualifies ~fast ~view ~row:0)
   in
   let drivers =
     List.concat_map

@@ -173,9 +173,10 @@ type session_report = {
     until [duration] virtual seconds have passed, then drains.  A
     watcher per session checks every [check_interval]: a dead connection
     (crashed or partitioned server, keep-alive verdict), or — in flat
-    deployments — a status-generation change under which
-    {!Selection.select} no longer qualifies the held host, triggers a
-    mid-session migration ({!Session.begin_migration} …
+    deployments — a status-generation change after which the held host
+    fails {!Selection.qualifies} on its {!Status_db.row_view} (the
+    requirement compiled once, the row bound as selection binds it),
+    triggers a mid-session migration ({!Session.begin_migration} …
     {!Session.complete_migration}); in-flight items caught on the old
     connection are requeued and re-issued, never lost.  Admission
     rejections and failed migrations back off on [backoff].  Runs the

@@ -345,6 +345,20 @@ let columns t ~net_for =
     view
   | Some _ | None -> rebuild_columns t ~net_for
 
+(* One host's row, built fresh from the same fill functions a rebuild
+   uses, so it equals that host's row of [columns]; the memo is left
+   alone. *)
+let row_view t ~net_for ~host =
+  match Hashtbl.find_opt t.sys host with
+  | None -> None
+  | Some (r : Smart_proto.Records.sys_record) ->
+    let report = r.Smart_proto.Records.report in
+    let cols = B.create_columns 1 in
+    fill_sys_row cols ~row:0 report;
+    fill_net_row cols ~row:0 (net_for host);
+    fill_sec_row cols ~row:0 (security_level t ~host);
+    Some { cols; hosts = [| host |]; ips = [| report.Smart_proto.Report.ip |] }
+
 let columns_fresh t = t.cgen = t.generation && t.cview <> None
 
 (* Shard digest for the federation uplink: column ranges folded straight

@@ -86,6 +86,17 @@ val columns :
   net_for:(string -> Smart_proto.Records.net_entry option) ->
   column_view
 
+(** A one-row {!column_view} holding [host]'s current system record,
+    network entry ([net_for host]) and security level — the row
+    {!columns} would build for it — without touching the memoized
+    snapshot or its refresh bookkeeping.  [None] when [host] has no
+    system record. *)
+val row_view :
+  t ->
+  net_for:(string -> Smart_proto.Records.net_entry option) ->
+  host:string ->
+  column_view option
+
 (** Would {!columns} return the memoized view untouched?  Lets the
     caller skip tracing a snapshot phase that will do no work. *)
 val columns_fresh : t -> bool

@@ -1,15 +1,16 @@
 (* Flat register bytecode for the requirement language, and its
    allocation-free interpreter.
 
-   [Eval] stays the reference semantics; [Compile] translates a parsed
-   [Ast.program] into a [program] whose inner loop evaluates one server
-   per call against a columnar status snapshot ([columns]) without
-   allocating: registers are a pair of parallel arrays (a float value
-   plus an integer tag: [-1] for numbers, a string-pool index for
-   addresses), temps and user parameters live in fixed preallocated
-   slots, and statement results land in per-statement arrays.  Only the
-   fault path (which must reproduce [Eval]'s formatted messages exactly)
-   allocates.
+   The tree-walking evaluator the test suites keep as their oracle
+   ([Eval], test/oracle/eval.ml) defines the reference semantics;
+   [Compile] translates a parsed [Ast.program] into a [program] whose
+   inner loop evaluates one server per call against a columnar status
+   snapshot ([columns]) without allocating: registers are a pair of
+   parallel arrays (a float value plus an integer tag: [-1] for numbers,
+   a string-pool index for addresses), temps and user parameters live in
+   fixed preallocated slots, and statement results land in per-statement
+   arrays.  Only the fault path (which must reproduce [Eval]'s formatted
+   messages exactly) allocates.
 
    The string pool is deduplicated by content, so address equality in
    CMP is integer equality on pool indices.
@@ -883,35 +884,3 @@ let verify p =
   with
   | () -> Ok ()
   | exception Verify e -> Error e
-
-(* Reconstruct the reference evaluator's outcome from a finished run —
-   the diagnostic/differential-test path, free to allocate. *)
-let to_outcome p st : Eval.outcome =
-  let statements =
-    List.init (nstmts p) (fun s ->
-        let value =
-          match st.stag.(s) with
-          | -2 -> Error st.serr.(s)
-          | -1 -> Ok (Value.Num st.sval.(s))
-          | tag -> Ok (Value.Addr p.pool.(tag))
-        in
-        { Eval.line = p.stmt_line.(s); logical = p.stmt_logical.(s); value })
-  in
-  let faults =
-    List.filter_map
-      (fun (s : Eval.statement_result) ->
-        match s.Eval.value with
-        | Error message -> Some { Eval.line = s.Eval.line; message }
-        | Ok _ -> None)
-      statements
-  in
-  let uparams =
-    List.init st.ulog_len (fun k ->
-        let name = List.nth Vars.user_side st.ulog_slot.(k) in
-        let v =
-          if st.ulog_tag.(k) >= 0 then Value.Addr p.pool.(st.ulog_tag.(k))
-          else Value.Num st.ulog_val.(k)
-        in
-        (name, v))
-  in
-  { Eval.qualified = qualified p st; statements; uparams; faults }

@@ -5,10 +5,10 @@
     {!run} evaluates it against one server (one dense column index) of a
     {!columns} snapshot, writing every result into the preallocated
     {!state} — the steady-state path performs no allocation; only faults
-    (which reproduce {!Eval}'s messages byte-for-byte) allocate their
-    message.  [Eval] remains the reference semantics; the QCheck
-    differential property in the test suite pins the two against each
-    other. *)
+    (which reproduce the reference evaluator's messages byte-for-byte)
+    allocate their message.  The reference semantics is a tree-walking
+    evaluator kept with the tests (test/oracle/eval.ml); a QCheck
+    differential property pins the two against each other. *)
 
 type f64_matrix =
   (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array2.t
@@ -172,7 +172,3 @@ val verify_error_to_string : verify_error -> string
     its [?verify] debug flag; smartlint's "bytecode" rule runs it over
     the checked-in fixture programs. *)
 val verify : program -> (unit, verify_error) result
-
-(** Reconstruct the reference evaluator's outcome from a finished run
-    (diagnostics and differential tests; allocates freely). *)
-val to_outcome : program -> state -> Eval.outcome

@@ -5,8 +5,8 @@
     server-side variable or builtin, unknown function, read of a
     never-assigned temp) compile to FAULT instructions at the exact
     position where the reference evaluator would raise, so the bytecode
-    reproduces {!Eval}'s per-statement fault behaviour rather than
-    rejecting the program. *)
+    reproduces its per-statement fault behaviour rather than rejecting
+    the program. *)
 
 (** Compile a program.  Every output passes {!Bytecode.validate} (the
     operand-bounds walk the interpreter's unsafe accesses rely on);

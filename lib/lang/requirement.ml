@@ -1,5 +1,6 @@
-(* Front door of the requirement language: compile once, evaluate per
-   server, and extract the user-side host lists the wizard consumes. *)
+(* Front door of the requirement language: canonical cache keys,
+   parsing, and compilation to the bytecode form the wizard runs per
+   server. *)
 
 type compile_error = { line : int; col : int; message : string }
 
@@ -123,25 +124,6 @@ let compile_fast src : (fast, compile_error) result =
         state = Bytecode.make_state prog;
         sweep = Bytecode.sweep_of prog;
       }
-
-let evaluate program ~lookup = Eval.run ~lookup program
-
-(* Host strings mentioned by the user-side parameters.  Evaluation is run
-   once with empty server bindings: the preferred/denied assignments are
-   non-logical, so they do not depend on any particular server. *)
-let host_lists (outcome : Eval.outcome) =
-  let extract pred =
-    List.filter_map
-      (fun (name, v) ->
-        if pred name then
-          match v with
-          | Value.Addr host -> Some host
-          | Value.Num _ -> None
-        else None)
-      outcome.Eval.uparams
-  in
-  ( extract Vars.is_preferred_param,  (* preferred, in order *)
-    extract Vars.is_denied_param )
 
 (* The variable names a program reads that are neither server-side,
    user-side, built-in, nor locally assigned: candidates for typos.  Used

@@ -1,4 +1,5 @@
-(** Compile-and-evaluate front door of the requirement meta-language. *)
+(** Compile front door of the requirement meta-language: parsing,
+    canonical cache keys, and the wizard's bytecode form. *)
 
 type compile_error = { line : int; col : int; message : string }
 
@@ -36,13 +37,6 @@ type fast = {
 
 (** Parse and compile to bytecode in one step. *)
 val compile_fast : string -> (fast, compile_error) result
-
-(** Evaluate against one server's variable bindings. *)
-val evaluate : Ast.program -> lookup:Eval.binding -> Eval.outcome
-
-(** [(preferred, denied)] host strings collected from the user-side
-    parameters of an evaluation outcome. *)
-val host_lists : Eval.outcome -> string list * string list
 
 (** Free variables that no binding can supply — typo candidates. *)
 val unbound_variables : Ast.program -> string list

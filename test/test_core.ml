@@ -6,6 +6,7 @@
 module C = Smart_core
 module P = Smart_proto
 module H = Smart_host
+module O = Smart_oracle
 
 let report ?(host = "helene") ?(ip = "192.168.2.3") ?(cpu_free = 0.9)
     ?(load1 = 0.1) ?(mem_free = 100.0) ?(bogomips = 3394.76) () =
@@ -443,11 +444,14 @@ let test_receiver_update_hook () =
 let view ?host ?ip ?cpu_free ?load1 ?mem_free ?bogomips ?net ?security_level ()
     =
   {
-    C.Selection.record =
+    O.Selection.record =
       sys_record ?host ?ip ?cpu_free ?load1 ?mem_free ?bogomips ~at:0.0 ();
     net;
     security_level;
   }
+
+let view_host (v : O.Selection.server_view) =
+  v.O.Selection.record.P.Records.report.P.Report.host
 
 let compile src =
   match Smart_lang.Requirement.compile src with
@@ -455,11 +459,52 @@ let compile src =
   | Error e ->
     Alcotest.failf "compile: %a" Smart_lang.Requirement.pp_compile_error e
 
-(* Selection consumes immutable snapshots; wrap ad-hoc view lists. *)
+let compile_fast src =
+  match Smart_lang.Requirement.compile_fast src with
+  | Ok fast -> fast
+  | Error e ->
+    Alcotest.failf "compile: %a" Smart_lang.Requirement.pp_compile_error e
+
+(* The wizard's answer for ad-hoc views: load them into a status
+   database and run the columnar selection over it.  Fails unless the
+   reference selection over the same views, in the database's scan
+   order (sorted by host), picks the same hosts. *)
 let select ~requirement ~servers ~wanted =
-  C.Selection.select ~requirement
-    ~servers:(C.Selection.snapshot servers)
-    ~wanted
+  let db = C.Status_db.create () in
+  List.iter (fun v -> C.Status_db.update_sys db v.O.Selection.record) servers;
+  let clearances =
+    List.filter_map
+      (fun v ->
+        Option.map
+          (fun level -> { P.Records.host = view_host v; level })
+          v.O.Selection.security_level)
+      servers
+  in
+  if clearances <> [] then
+    C.Status_db.replace_sec db { P.Records.entries = clearances };
+  let view_of host =
+    List.find (fun v -> String.equal (view_host v) host) servers
+  in
+  let net_for host = (view_of host).O.Selection.net in
+  let got =
+    C.Selection.select_columns (C.Selection.scratch ())
+      ~fast:(compile_fast requirement)
+      ~view:(C.Status_db.columns db ~net_for)
+      ~wanted
+  in
+  let reference =
+    O.Selection.select ~requirement:(compile requirement)
+      ~servers:
+        (List.map
+           (fun (r : P.Records.sys_record) ->
+             view_of r.P.Records.report.P.Report.host)
+           (C.Status_db.sys_records db))
+      ~wanted
+  in
+  Alcotest.(check (list string))
+    "columnar selection agrees with the reference"
+    reference.O.Selection.selected got;
+  got
 
 let test_selection_filters () =
   let servers =
@@ -469,13 +514,16 @@ let test_selection_filters () =
       view ~host:"idle" ~ip:"1.0.0.3" ~cpu_free:0.99 ();
     ]
   in
-  let r =
-    select ~requirement:(compile "host_cpu_free > 0.9\n") ~servers
-      ~wanted:10
-  in
+  let r = select ~requirement:"host_cpu_free > 0.9\n" ~servers ~wanted:10 in
   Alcotest.(check (list string)) "only qualified, scan order"
-    [ "fast"; "idle" ] r.C.Selection.selected;
-  Alcotest.(check int) "verdicts for all" 3 (List.length r.C.Selection.verdicts)
+    [ "fast"; "idle" ] r;
+  let reference =
+    O.Selection.select
+      ~requirement:(compile "host_cpu_free > 0.9\n")
+      ~servers ~wanted:10
+  in
+  Alcotest.(check int) "verdicts for all" 3
+    (List.length reference.O.Selection.verdicts)
 
 let test_selection_wanted_limit () =
   let servers =
@@ -485,10 +533,8 @@ let test_selection_wanted_limit () =
           ~ip:(Printf.sprintf "1.0.0.%d" i)
           ())
   in
-  let r =
-    select ~requirement:(compile "100 > 0\n") ~servers ~wanted:2
-  in
-  Alcotest.(check int) "cut to wanted" 2 (List.length r.C.Selection.selected)
+  let r = select ~requirement:"100 > 0\n" ~servers ~wanted:2 in
+  Alcotest.(check int) "cut to wanted" 2 (List.length r)
 
 let test_selection_denied () =
   let servers =
@@ -499,19 +545,17 @@ let test_selection_denied () =
   in
   let r =
     select
-      ~requirement:(compile "user_denied_host1 = a\n100 > 0\n")
+      ~requirement:"user_denied_host1 = a\n100 > 0\n"
       ~servers ~wanted:10
   in
-  Alcotest.(check (list string)) "blacklist by name" [ "b" ]
-    r.C.Selection.selected;
+  Alcotest.(check (list string)) "blacklist by name" [ "b" ] r;
   (* denial also matches by IP *)
   let r2 =
     select
-      ~requirement:(compile "user_denied_host1 = 1.0.0.2\n100 > 0\n")
+      ~requirement:"user_denied_host1 = 1.0.0.2\n100 > 0\n"
       ~servers ~wanted:10
   in
-  Alcotest.(check (list string)) "blacklist by ip" [ "a" ]
-    r2.C.Selection.selected
+  Alcotest.(check (list string)) "blacklist by ip" [ "a" ] r2
 
 let test_selection_preferred_order () =
   let servers =
@@ -524,11 +568,11 @@ let test_selection_preferred_order () =
   let r =
     select
       ~requirement:
-        (compile "user_preferred_host1 = c\nuser_preferred_host2 = b\n100 > 0\n")
+        "user_preferred_host1 = c\nuser_preferred_host2 = b\n100 > 0\n"
       ~servers ~wanted:10
   in
   Alcotest.(check (list string)) "preferred first, in order"
-    [ "c"; "b"; "a" ] r.C.Selection.selected
+    [ "c"; "b"; "a" ] r
 
 let test_selection_preferred_must_qualify () =
   let servers =
@@ -540,11 +584,10 @@ let test_selection_preferred_must_qualify () =
   let r =
     select
       ~requirement:
-        (compile "user_preferred_host1 = slowpref\nhost_cpu_free > 0.9\n")
+        "user_preferred_host1 = slowpref\nhost_cpu_free > 0.9\n"
       ~servers ~wanted:10
   in
-  Alcotest.(check (list string)) "unqualified preferred excluded" [ "a" ]
-    r.C.Selection.selected
+  Alcotest.(check (list string)) "unqualified preferred excluded" [ "a" ] r
 
 let test_selection_monitor_bindings () =
   let net bw =
@@ -557,13 +600,9 @@ let test_selection_monitor_bindings () =
       view ~host:"unmeasured" ~ip:"1.0.0.3" ();
     ]
   in
-  let r =
-    select ~requirement:(compile "monitor_network_bw > 6\n")
-      ~servers ~wanted:10
-  in
+  let r = select ~requirement:"monitor_network_bw > 6\n" ~servers ~wanted:10 in
   (* unmeasured servers fail the bandwidth requirement (unbound -> false) *)
-  Alcotest.(check (list string)) "bandwidth filter" [ "fat" ]
-    r.C.Selection.selected
+  Alcotest.(check (list string)) "bandwidth filter" [ "fat" ] r
 
 let test_selection_security_binding () =
   let servers =
@@ -573,11 +612,10 @@ let test_selection_security_binding () =
     ]
   in
   let r =
-    select ~requirement:(compile "host_security_level >= 3\n")
+    select ~requirement:"host_security_level >= 3\n"
       ~servers ~wanted:10
   in
-  Alcotest.(check (list string)) "clearance filter" [ "sec5" ]
-    r.C.Selection.selected
+  Alcotest.(check (list string)) "clearance filter" [ "sec5" ] r
 
 let test_selection_order_by () =
   (* the Ch. 6 extension: "3 servers with largest memory" *)
@@ -591,40 +629,42 @@ let test_selection_order_by () =
   in
   let r =
     select
-      ~requirement:(compile "order_by = host_memory_free\n100 > 0\n")
+      ~requirement:"order_by = host_memory_free\n100 > 0\n"
       ~servers ~wanted:3
   in
   Alcotest.(check (list string)) "largest memory first"
-    [ "large"; "medium"; "small" ]
-    r.C.Selection.selected;
+    [ "large"; "medium"; "small" ] r;
   (* order_by composes with qualification and arbitrary expressions *)
   let r2 =
     select
       ~requirement:
-        (compile "host_memory_free > 5\norder_by = 0 - host_memory_free\n")
+        "host_memory_free > 5\norder_by = 0 - host_memory_free\n"
       ~servers ~wanted:2
   in
   Alcotest.(check (list string)) "smallest qualified first"
-    [ "small"; "medium" ]
-    r2.C.Selection.selected;
+    [ "small"; "medium" ] r2;
   (* preferred hosts still outrank the order_by key *)
   let r3 =
     select
       ~requirement:
-        (compile
-           "order_by = host_memory_free\nuser_preferred_host1 = tiny\n100 > 0\n")
+        "order_by = host_memory_free\nuser_preferred_host1 = tiny\n100 > 0\n"
       ~servers ~wanted:2
   in
   Alcotest.(check (list string)) "preferred beats ranking"
-    [ "tiny"; "large" ]
-    r3.C.Selection.selected;
-  (* without order_by, scan order is preserved (no behaviour change) *)
-  let r4 =
-    select ~requirement:(compile "100 > 0\n") ~servers ~wanted:4
+    [ "tiny"; "large" ] r3;
+  (* without order_by, scan order (the database's, by host name) is
+     preserved; these hosts' name order is not their memory order *)
+  let by_name =
+    [
+      view ~host:"a" ~ip:"1.0.0.1" ~mem_free:1.0 ();
+      view ~host:"b" ~ip:"1.0.0.2" ~mem_free:200.0 ();
+      view ~host:"c" ~ip:"1.0.0.3" ~mem_free:10.0 ();
+      view ~host:"d" ~ip:"1.0.0.4" ~mem_free:100.0 ();
+    ]
   in
+  let r4 = select ~requirement:"100 > 0\n" ~servers:by_name ~wanted:4 in
   Alcotest.(check (list string)) "scan order without order_by"
-    [ "small"; "large"; "medium"; "tiny" ]
-    r4.C.Selection.selected
+    [ "a"; "b"; "c"; "d" ] r4
 
 let test_selection_fig14_scenario () =
   (* Fig 1.4: 12 servers in 4 networks with delays 100/5/10/15 ms; the
@@ -661,18 +701,14 @@ let test_selection_fig14_scenario () =
      host_memory_free >= 100\n\
      user_denied_host1 = hacker.some.net\n"
   in
-  let r =
-    select ~requirement:(compile requirement) ~servers ~wanted:3
-  in
+  let r = select ~requirement ~servers ~wanted:3 in
   Alcotest.(check (list string)) "B2, C1, D1 as in Fig 1.4"
-    [ "b2"; "c1"; "d1" ] r.C.Selection.selected
+    [ "b2"; "c1"; "d1" ] r
 
 let test_selection_empty_and_limits () =
   (* no servers at all *)
-  let r =
-    select ~requirement:(compile "100 > 0\n") ~servers:[] ~wanted:5
-  in
-  Alcotest.(check (list string)) "empty pool" [] r.C.Selection.selected;
+  let r = select ~requirement:"100 > 0\n" ~servers:[] ~wanted:5 in
+  Alcotest.(check (list string)) "empty pool" [] r;
   (* more qualified servers than the 60-server reply bound *)
   let servers =
     List.init 70 (fun i ->
@@ -681,12 +717,10 @@ let test_selection_empty_and_limits () =
           ~ip:(Printf.sprintf "10.0.%d.%d" (i / 250) (i mod 250))
           ())
   in
-  let r2 =
-    select ~requirement:(compile "100 > 0\n") ~servers ~wanted:100
-  in
+  let r2 = select ~requirement:"100 > 0\n" ~servers ~wanted:100 in
   Alcotest.(check int) "capped at the Table 3.6 bound"
     P.Ports.max_reply_servers
-    (List.length r2.C.Selection.selected)
+    (List.length r2)
 
 (* ------------------------------------------------------------------ *)
 (* Differential: select_columns vs the reference select                 *)
@@ -840,14 +874,13 @@ let prop_select_columns_matches_select =
             (fun (r : P.Records.sys_record) ->
               let host = r.P.Records.report.P.Report.host in
               {
-                C.Selection.record = r;
+                O.Selection.record = r;
                 net = net_for host;
                 security_level = C.Status_db.security_level db ~host;
               })
             (C.Status_db.sys_records db)
         in
-        C.Selection.select ~requirement:(compile source)
-          ~servers:(C.Selection.snapshot views)
+        O.Selection.select ~requirement:(compile source) ~servers:views
           ~wanted
       in
       match Smart_lang.Requirement.compile_fast source with
@@ -858,7 +891,21 @@ let prop_select_columns_matches_select =
           C.Selection.select_columns (C.Selection.scratch ()) ~fast ~view
             ~wanted
         in
-        List.equal String.equal reference.C.Selection.selected got)
+        (* per host: the eligibility check over the full snapshot, over
+           the host's own one-row view, and the reference verdict *)
+        let host_agrees row (v : O.Selection.verdict) =
+          let expected = v.O.Selection.qualified && not v.O.Selection.denied in
+          let one_row =
+            match C.Status_db.row_view db ~net_for ~host:v.O.Selection.host with
+            | Some rv -> C.Selection.qualifies ~fast ~view:rv ~row:0
+            | None -> not expected
+          in
+          C.Selection.qualifies ~fast ~view ~row = expected
+          && one_row = expected
+        in
+        List.equal String.equal reference.O.Selection.selected got
+        && List.for_all Fun.id
+             (List.mapi host_agrees reference.O.Selection.verdicts))
 
 (* A second transmitter's snapshot must not clobber the first's servers
    on the mirror (per-transmitter ownership). *)
@@ -2921,6 +2968,55 @@ let run_session_chaos seed =
     Smart_util.Metrics.to_text (C.Simdriver.metrics d),
     C.Simdriver.trace_json d )
 
+(* A CPU hog, not a crash or partition, disqualifies the held server:
+   every connection stays up, so only the watcher's re-qualification
+   check can notice, and both sessions must migrate off it without
+   requeueing or losing work. *)
+let test_sim_session_requalify () =
+  let c = H.Cluster.create ~seed:11 () in
+  let spec name ip =
+    { (H.Testbed.spec_of_name "helene") with H.Machine.name; ip }
+  in
+  let add name ip = H.Cluster.add_machine c (spec name ip) in
+  let nodes =
+    [ add "wiz" "10.0.0.1"; add "cli" "10.0.0.2"; add "mon" "10.0.0.3" ]
+    @ List.init 3 (fun i ->
+          add (Printf.sprintf "s%d" (i + 1)) (Printf.sprintf "10.0.1.%d" (i + 1)))
+  in
+  let sw = H.Cluster.add_switch c ~name:"sw" ~ip:"10.0.0.254" in
+  List.iter
+    (fun n -> ignore (H.Cluster.link c ~a:n ~b:sw H.Testbed.lan_conf))
+    nodes;
+  let config =
+    { C.Simdriver.default_config with C.Simdriver.transmit_interval = 0.5 }
+  in
+  let d =
+    C.Simdriver.deploy ~config c ~monitor:"mon" ~wizard_host:"wiz"
+      ~servers:[ "s1"; "s2"; "s3" ]
+  in
+  C.Simdriver.settle ~duration:8.0 d;
+  let s1 = H.Cluster.machine c (H.Cluster.resolve_exn c "s1") in
+  ignore
+    (Smart_sim.Engine.schedule_at (H.Cluster.engine c)
+       ~time:(H.Cluster.now c +. 3.0)
+       (fun () ->
+         ignore
+           (H.Machine.add_workload s1 ~now:(H.Cluster.now c)
+              (H.Machine.cpu_hog ~demand:1.0))));
+  let r =
+    C.Simdriver.run_sessions d
+      ~clients:[ ("cli", 2) ]
+      ~requirement:"host_cpu_free > 0.5\n" ~work_interval:0.5 ~duration:12.0
+  in
+  Alcotest.(check int) "both sessions survived" 2 r.C.Simdriver.survived;
+  Alcotest.(check int) "both left the hogged server" 2
+    r.C.Simdriver.migrations;
+  Alcotest.(check int) "nothing requeued" 0 r.C.Simdriver.work_requeued;
+  Alcotest.(check int) "nothing lost" 0 r.C.Simdriver.work_lost;
+  Alcotest.(check int) "every issued item completed" r.C.Simdriver.work_issued
+    r.C.Simdriver.work_completed;
+  Alcotest.(check int) "items issued" 46 r.C.Simdriver.work_issued
+
 let test_sim_session_chaos () =
   let r, mtext, tjson = run_session_chaos 11 in
   Alcotest.(check int) "every session survived" r.C.Simdriver.sessions
@@ -3100,6 +3196,8 @@ let () =
             test_wizard_admission_reject_consumes_nothing;
           QCheck_alcotest.to_alcotest prop_admission_fairness;
           QCheck_alcotest.to_alcotest prop_session_pool_determinism;
+          Alcotest.test_case "cpu hog disqualifies held server" `Quick
+            test_sim_session_requalify;
           Alcotest.test_case "session chaos acceptance" `Slow
             test_sim_session_chaos;
         ] );

@@ -1,8 +1,10 @@
-(* Tests for the requirement meta-language: lexer (Fig 4.1), parser and
-   evaluator (Fig 4.2), variable taxonomy, and the thesis's documented
-   semantics (logic flag, conjunction of logical statements, faults). *)
+(* Tests for the requirement meta-language: lexer (Fig 4.1), parser,
+   the reference evaluator (Fig 4.2, test/oracle) and the bytecode held
+   to it, variable taxonomy, and the thesis's documented semantics
+   (logic flag, conjunction of logical statements, faults). *)
 
 module L = Smart_lang
+module O = Smart_oracle
 
 let tokens_of src =
   match L.Lexer.tokenize src with
@@ -15,12 +17,12 @@ let compile src =
   | Error e ->
     Alcotest.failf "compile error: %a" L.Requirement.pp_compile_error e
 
-let eval ?(lookup = fun _ -> None) src = L.Eval.run ~lookup (compile src)
+let eval ?(lookup = fun _ -> None) src = O.Eval.run ~lookup (compile src)
 
-let qualified ?lookup src = (eval ?lookup src).L.Eval.qualified
+let qualified ?lookup src = (eval ?lookup src).O.Eval.qualified
 
 let num_lookup bindings name =
-  Option.map (fun f -> L.Value.Num f) (List.assoc_opt name bindings)
+  Option.map (fun f -> O.Value.Num f) (List.assoc_opt name bindings)
 
 (* ------------------------------------------------------------------ *)
 (* Lexer                                                                *)
@@ -99,9 +101,9 @@ let test_lex_positions () =
 (* ------------------------------------------------------------------ *)
 
 let eval_expr src =
-  match (eval src).L.Eval.statements with
-  | [ { L.Eval.value = Ok (L.Value.Num f); _ } ] -> f
-  | [ { L.Eval.value = Error m; _ } ] -> Alcotest.failf "eval fault: %s" m
+  match (eval src).O.Eval.statements with
+  | [ { O.Eval.value = Ok (O.Value.Num f); _ } ] -> f
+  | [ { O.Eval.value = Error m; _ } ] -> Alcotest.failf "eval fault: %s" m
   | _ -> Alcotest.fail "expected one numeric statement"
 
 let check_eval name expected src =
@@ -193,7 +195,7 @@ let test_undefined_in_logical_is_false () =
 
 let test_undefined_fault_recorded () =
   let o = eval "no_such_thing < 10\n" in
-  Alcotest.(check int) "fault recorded" 1 (List.length o.L.Eval.faults)
+  Alcotest.(check int) "fault recorded" 1 (List.length o.O.Eval.faults)
 
 let test_division_by_zero () =
   Alcotest.(check bool)
@@ -201,12 +203,12 @@ let test_division_by_zero () =
     (qualified "1 / 0 < 5\n");
   let o = eval "x = 1 / 0\n" in
   Alcotest.(check bool)
-    "non-logical fault does not disqualify" true o.L.Eval.qualified;
-  Alcotest.(check int) "but is recorded" 1 (List.length o.L.Eval.faults)
+    "non-logical fault does not disqualify" true o.O.Eval.qualified;
+  Alcotest.(check int) "but is recorded" 1 (List.length o.O.Eval.faults)
 
 let test_assign_to_server_var_fault () =
   let o = eval "host_cpu_free = 1\n" in
-  Alcotest.(check int) "read-only server vars" 1 (List.length o.L.Eval.faults)
+  Alcotest.(check int) "read-only server vars" 1 (List.length o.O.Eval.faults)
 
 let test_server_binding () =
   let lookup =
@@ -232,7 +234,7 @@ let test_uparams_collected () =
       "user_denied_host1 = 137.132.90.182\n\
        user_preferred_host1 = sagit.ddns.comp.nus.edu.sg\n"
   in
-  let preferred, denied = L.Requirement.host_lists o in
+  let preferred, denied = O.Eval.host_lists o in
   Alcotest.(check (list string))
     "preferred" [ "sagit.ddns.comp.nus.edu.sg" ] preferred;
   Alcotest.(check (list string)) "denied" [ "137.132.90.182" ] denied
@@ -240,7 +242,7 @@ let test_uparams_collected () =
 let test_uparam_bare_hostname () =
   (* Table 5.5 style: a bare identifier names a host in address context *)
   let o = eval "user_denied_host1 = telesto\n" in
-  let _, denied = L.Requirement.host_lists o in
+  let _, denied = O.Eval.host_lists o in
   Alcotest.(check (list string)) "bare name becomes address" [ "telesto" ]
     denied
 
@@ -248,8 +250,8 @@ let test_uparam_assignment_inside_conjunction () =
   (* Table 5.5 writes (user_denied_host1 = telesto) && ... ; the
      assignment is truthy so it must not block qualification *)
   let o = eval "(user_denied_host1 = telesto) && (1 < 2)\n" in
-  Alcotest.(check bool) "qualifies" true o.L.Eval.qualified;
-  let _, denied = L.Requirement.host_lists o in
+  Alcotest.(check bool) "qualifies" true o.O.Eval.qualified;
+  let _, denied = O.Eval.host_lists o in
   Alcotest.(check (list string)) "denied collected" [ "telesto" ] denied
 
 let test_address_comparisons () =
@@ -285,9 +287,9 @@ let test_thesis_sample_requirement () =
         ("host_network_tbytesps", 2048.0);
       ]
   in
-  let o = L.Eval.run ~lookup (compile src) in
-  Alcotest.(check bool) "qualifies" true o.L.Eval.qualified;
-  let preferred, denied = L.Requirement.host_lists o in
+  let o = O.Eval.run ~lookup (compile src) in
+  Alcotest.(check bool) "qualifies" true o.O.Eval.qualified;
+  let preferred, denied = O.Eval.host_lists o in
   Alcotest.(check int) "one preferred" 1 (List.length preferred);
   Alcotest.(check int) "one denied" 1 (List.length denied)
 
@@ -353,18 +355,18 @@ let test_edge_numbers () =
 let test_edge_assignment_chain () =
   (* yacc: asgn is an expr, so a = b = 3 assigns both *)
   let o = eval "a = b = 3\na == 3 && b == 3\n" in
-  Alcotest.(check bool) "chained assignment" true o.L.Eval.qualified
+  Alcotest.(check bool) "chained assignment" true o.O.Eval.qualified
 
 let test_edge_assign_to_builtin () =
   let o = eval "sin = 4\n" in
   Alcotest.(check int) "builtins are not assignable" 1
-    (List.length o.L.Eval.faults)
+    (List.length o.O.Eval.faults)
 
 let test_edge_uparam_numeric_value_ignored () =
   (* assigning a number to a host parameter stores it, but host_lists
      only extracts addresses *)
   let o = eval "user_denied_host1 = 42\n" in
-  let preferred, denied = L.Requirement.host_lists o in
+  let preferred, denied = O.Eval.host_lists o in
   Alcotest.(check (list string)) "no bogus hosts" [] (preferred @ denied)
 
 let test_edge_deep_nesting () =
@@ -427,8 +429,8 @@ let gen_expr =
 let arbitrary_expr = QCheck.make ~print:(Fmt.str "%a" L.Ast.pp_expr) gen_expr
 
 let eval_value expr =
-  match (L.Eval.run [ { L.Ast.line = 1; expr } ]).L.Eval.statements with
-  | [ { L.Eval.value; _ } ] -> value
+  match (O.Eval.run [ { L.Ast.line = 1; expr } ]).O.Eval.statements with
+  | [ { O.Eval.value; _ } ] -> value
   | _ -> Error "no statement"
 
 let prop_pp_parse_roundtrip =
@@ -550,12 +552,12 @@ let lookup_of_env env name =
   | None -> None
   | Some c ->
     if c < L.Bytecode.sys_field_count then
-      Some (L.Value.Num env.sys_vals.(c))
+      Some (O.Value.Num env.sys_vals.(c))
     else if c = L.Bytecode.col_net_delay then
-      Option.map (fun (d, _) -> L.Value.Num d) env.net
+      Option.map (fun (d, _) -> O.Value.Num d) env.net
     else if c = L.Bytecode.col_net_bw then
-      Option.map (fun (_, b) -> L.Value.Num b) env.net
-    else Option.map (fun s -> L.Value.Num s) env.sec
+      Option.map (fun (_, b) -> O.Value.Num b) env.net
+    else Option.map (fun s -> O.Value.Num s) env.sec
 
 (* Expression generator exercising every construct the compiler
    translates: column variables (sometimes absent net/sec ones), temps
@@ -660,8 +662,8 @@ let float_eq a b = (Float.is_nan a && Float.is_nan b) || a = b
 
 let value_eq a b =
   match (a, b) with
-  | L.Value.Num x, L.Value.Num y -> float_eq x y
-  | L.Value.Addr x, L.Value.Addr y -> String.equal x y
+  | O.Value.Num x, O.Value.Num y -> float_eq x y
+  | O.Value.Addr x, O.Value.Addr y -> String.equal x y
   | _ -> false
 
 let result_eq a b =
@@ -670,11 +672,11 @@ let result_eq a b =
   | Error x, Error y -> String.equal x y
   | _ -> false
 
-let outcome_eq (a : L.Eval.outcome) (b : L.Eval.outcome) =
+let outcome_eq (a : O.Eval.outcome) (b : O.Eval.outcome) =
   a.qualified = b.qualified
   && List.length a.statements = List.length b.statements
   && List.for_all2
-       (fun (x : L.Eval.statement_result) (y : L.Eval.statement_result) ->
+       (fun (x : O.Eval.statement_result) (y : O.Eval.statement_result) ->
          x.line = y.line && x.logical = y.logical && result_eq x.value y.value)
        a.statements b.statements
   && List.length a.uparams = List.length b.uparams
@@ -683,7 +685,7 @@ let outcome_eq (a : L.Eval.outcome) (b : L.Eval.outcome) =
        a.uparams b.uparams
   && List.length a.faults = List.length b.faults
   && List.for_all2
-       (fun (x : L.Eval.fault) (y : L.Eval.fault) ->
+       (fun (x : O.Eval.fault) (y : O.Eval.fault) ->
          x.line = y.line && String.equal x.message y.message)
        a.faults b.faults
 
@@ -692,11 +694,11 @@ let prop_bytecode_matches_eval =
     ~name:"bytecode run agrees with Eval on random programs" ~count:1000
     arbitrary_diff_case
     (fun (prog_ast, env) ->
-      let reference = L.Eval.run ~lookup:(lookup_of_env env) prog_ast in
+      let reference = O.Eval.run ~lookup:(lookup_of_env env) prog_ast in
       let prog = L.Compile.program prog_ast in
       let state = L.Bytecode.make_state prog in
       L.Bytecode.run prog state (columns_of_env env) ~server:0;
-      outcome_eq reference (L.Bytecode.to_outcome prog state))
+      outcome_eq reference (O.Eval.of_bytecode prog state))
 
 (* The statement-major sweep plan against the scalar interpreter, over
    multi-server snapshots: qualification verdicts and order keys must
