@@ -1,4 +1,4 @@
-.PHONY: all build test bench lint check doc clean
+.PHONY: all build test bench lint check doc clean sim-identity
 
 all: build
 
@@ -22,6 +22,13 @@ bench:
 lint: build
 	dune exec tools/smartlint/main.exe -- --root . --strict \
 	  --json-out _build/smartlint.json
+
+# Byte-identity of every simulated output (determinism demos and the
+# seeded bench sections) between BASE and the working tree; see
+# tools/sim_identity.sh.  Not part of `check`: behaviour changes differ
+# on purpose.
+sim-identity:
+	tools/sim_identity.sh $(BASE)
 
 # API docs; CI keeps this warning-clean.
 doc:

@@ -7,18 +7,16 @@
    transmitter on its monitor machine; the receiver and the wizard run on
    the wizard machine.  In multi-group deployments the network monitors
    probe their peer monitors (one sequential mesh, Table 3.4) and the
-   wizard binds monitor_network_* per group. *)
+   wizard binds monitor_network_* per group.  One builder wires that
+   wizard machine and its groups (a site): a flat deployment is one site,
+   a federation one site per shard under a root. *)
 
 type component_stats = { mutable messages : int; mutable bytes : int }
 
 type group = {
   monitor_host : string;
   monitor_node : int;
-  servers : string list;
-  db : Status_db.t;
-  sysmon : Sysmon.t;
   netmon : Netmon.t;
-  secmon : Secmon.t;
   transmitter : Transmitter.t;
   down : bool ref;
       (* monitor-process outage (fault injection): the group's monitors
@@ -26,21 +24,17 @@ type group = {
 }
 
 (* One regional shard of a federated deployment: the mirror its groups'
-   transmitters feed, the wizard answering root subqueries from it, and
-   the transmitter shipping its digest up the tree. *)
+   transmitters feed and the wizard answering root subqueries from it. *)
 type fed_shard = {
   shard_host : string;
   shard_db : Status_db.t;
-  shard_receiver : Receiver.t;
   shard_wizard : Wizard.t;
-  uplink : Transmitter.t;
 }
 
 type federation = { root : Fed_root.t; fed_shards : fed_shard list }
 
 type t = {
   cluster : Smart_host.Cluster.t;
-  mode : Transmitter.mode;
   groups : group list;
   wizard_node : int;
   db_wizard : Status_db.t;
@@ -115,11 +109,23 @@ let perform t ~tag ~src_node ?(sport = 0) outputs =
              ~payload:data))
     outputs
 
-let node_name t id =
-  (Smart_net.Topology.node (Smart_host.Cluster.topology t.cluster) id)
+let node_name cluster id =
+  (Smart_net.Topology.node (Smart_host.Cluster.topology cluster) id)
     .Smart_net.Topology.name
 
+let sport_of pkt =
+  match pkt.Smart_net.Packet.proto with
+  | Smart_net.Packet.Udp { sport; _ } -> sport
+  | Smart_net.Packet.Icmp _ -> 0
+
 let now t = Smart_host.Cluster.now t.cluster
+
+(* A node is up unless its machine has failed (nodes without a machine,
+   such as routers, always are). *)
+let node_alive cluster node =
+  match Smart_host.Cluster.machine_opt cluster node with
+  | Some m -> not (Smart_host.Machine.failed m)
+  | None -> true
 
 (* A stream delivery is doomed when the destination is unresolvable, its
    machine has failed, or the routed path crosses a partitioned channel.
@@ -138,6 +144,22 @@ let stream_blocked cluster ~src_node ~host =
       List.exists Smart_net.Link.partitioned
         (Smart_net.Topology.path topo ~src:src_node ~dst))
 
+(* Route a transmitter's outputs from [src_node], reporting doomed
+   stream deliveries back to it (bounded resend queue + backoff) instead
+   of sending them into a black hole. *)
+let send_transmitter t ~tag ~src_node transmitter ~now outputs =
+  List.iter
+    (fun output ->
+      match output with
+      | Output.Stream { dst; data }
+        when stream_blocked t.cluster ~src_node ~host:dst.Output.host ->
+        Transmitter.note_send_failure transmitter ~now ~data
+      | Output.Stream _ ->
+        Transmitter.note_send_ok transmitter;
+        perform t ~tag ~src_node [ output ]
+      | Output.Udp _ -> perform t ~tag ~src_node [ output ])
+    outputs
+
 type config = {
   mode : Transmitter.mode;
   probe_interval : float;
@@ -145,25 +167,17 @@ type config = {
   transmit_interval : float;
   order : Smart_proto.Endian.order;
   security_log : string;
-  wizard_compile_cache : int;
   frame_crc : bool;
       (* CRC-32 trailers on transmitter frames; required for the
          receiver to detect injected stream corruption *)
   wizard_staleness : float;
       (* receiver silence before wizard replies are flagged degraded *)
-  fed_fanout_timeout : float;
-      (* federation root: seconds to wait for shard replies *)
-  fed_routing : bool;
-      (* federation root: skip shards whose digest proves them empty *)
   adaptive_probes : bool;
       (* probes self-schedule on Probe.report_interval (DESIGN.md §14) *)
   adaptive_quarantine : bool;
       (* sysmons tune the flap threshold from flap-score sketches *)
   adaptive_staleness : bool;
       (* wizards derive degraded mode from inter-update gap sketches *)
-  wizard_admission : Wizard.admission option;
-      (* per-client token-bucket admission control on the request port
-         (DESIGN.md §15); None leaves the port ungated *)
 }
 
 let default_config =
@@ -174,16 +188,16 @@ let default_config =
     transmit_interval = 2.0;
     order = Smart_proto.Endian.Little;
     security_log = "";
-    wizard_compile_cache = Wizard.default_compile_cache_capacity;
     frame_crc = false;
     wizard_staleness = Wizard.default_staleness_threshold;
-    fed_fanout_timeout = 1.0;
-    fed_routing = true;
     adaptive_probes = false;
     adaptive_quarantine = false;
     adaptive_staleness = false;
-    wizard_admission = None;
   }
+
+(* The packet-plane callbacks wired below reach the deployment record
+   through [t_ref], which is set once wiring is done. *)
+let the t_ref = match !t_ref with Some t -> t | None -> assert false
 
 (* Wire one group's probes, monitors and transmitter. *)
 let setup_group t_ref config cluster ~metrics ~trace ~wizard_host
@@ -240,29 +254,14 @@ let setup_group t_ref config cluster ~metrics ~trace ~wizard_host
       }
       db
   in
-  let the () = match !t_ref with Some t -> t | None -> assert false in
   let down = ref false in
   (* machine failure silences only the host's probe (the seed's
      fail_machine contract); the monitor processes stop when an outage
      is injected — Crash_node of a monitor host sets both *)
   let alive () = not !down in
-  (* Route transmitter outputs, reporting doomed stream deliveries back
-     to the transmitter (bounded resend queue + backoff) instead of
-     sending them into a black hole. *)
-  let send_transmitter ~now outputs =
-    List.iter
-      (fun output ->
-        match output with
-        | Output.Stream { dst; data }
-          when stream_blocked cluster ~src_node:monitor_node
-                 ~host:dst.Output.host ->
-          Transmitter.note_send_failure transmitter ~now ~data
-        | Output.Stream _ | Output.Udp _ ->
-          (match output with
-          | Output.Stream _ -> Transmitter.note_send_ok transmitter
-          | Output.Udp _ -> ());
-          perform (the ()) ~tag:"transmitter" ~src_node:monitor_node [ output ])
-      outputs
+  let send ~now outputs =
+    send_transmitter (the t_ref) ~tag:"transmitter" ~src_node:monitor_node
+      transmitter ~now outputs
   in
   Smart_net.Netstack.listen_udp stack ~node:monitor_node
     ~port:Smart_proto.Ports.sysmon (fun ~now pkt ->
@@ -271,7 +270,7 @@ let setup_group t_ref config cluster ~metrics ~trace ~wizard_host
   Smart_net.Netstack.listen_udp stack ~node:monitor_node
     ~port:Smart_proto.Ports.transmitter (fun ~now pkt ->
       if alive () then
-        send_transmitter ~now
+        send ~now
           (Transmitter.handle_pull transmitter
              ~data:pkt.Smart_net.Packet.payload));
   (* probes on every server of the group *)
@@ -297,7 +296,7 @@ let setup_group t_ref config cluster ~metrics ~trace ~wizard_host
           let snapshot = Smart_host.Procfs.snapshot_of_machine machine ~now in
           match Probe.tick probe ~now ~snapshot with
           | Ok (_report, outputs) ->
-            perform (the ()) ~tag:"probe" ~src_node:node
+            perform (the t_ref) ~tag:"probe" ~src_node:node
               ~sport:Smart_proto.Ports.probe outputs
           | Error _ -> ()
         end
@@ -345,38 +344,46 @@ let setup_group t_ref config cluster ~metrics ~trace ~wizard_host
     (Smart_sim.Engine.every engine ~period:config.transmit_interval
        ~start:(Smart_sim.Engine.now engine +. 0.2)
        (fun now ->
-         if alive () then
-           send_transmitter ~now (Transmitter.tick transmitter ~now)));
-  { monitor_host; monitor_node; servers; db; sysmon; netmon; secmon;
-    transmitter; down }
+         if alive () then send ~now (Transmitter.tick transmitter ~now)));
+  { monitor_host; monitor_node; netmon; transmitter; down }
 
-(* [deploy_groups cluster ~wizard_host ~groups] installs the stack for
-   several server groups: [(monitor_host, servers); ...].  The first
-   group is the wizard's local group. *)
-let deploy_groups ?(config = default_config) cluster ~wizard_host ~groups =
-  if groups = [] then invalid_arg "Simdriver.deploy_groups: no groups";
+(* The receiver port on [node]: each peer's stream bytes feed [receiver]
+   while the machine is up. *)
+let listen_receiver cluster ~node ~alive receiver =
+  Smart_net.Netstack.listen_udp (Smart_host.Cluster.stack cluster) ~node
+    ~port:Smart_proto.Ports.receiver (fun ~now:_ pkt ->
+      if alive () then
+        ignore
+          (Receiver.handle_stream receiver
+             ~from:(node_name cluster pkt.Smart_net.Packet.src)
+             pkt.Smart_net.Packet.payload))
+
+(* One wizard machine fed by its server groups: the groups' stacks, the
+   mirror their transmitters push into on [host], and the wizard
+   answering from it. *)
+type site = {
+  site_node : int;
+  site_alive : unit -> bool;
+  site_groups : group list;
+  site_db : Status_db.t;
+  site_receiver : Receiver.t;
+  site_wizard : Wizard.t;
+}
+
+(* Wire a site for [groups] ([(monitor_host, servers); ...], the first
+   being the wizard's local group).  A single group's network monitor
+   probes its servers directly; several form a mesh whose monitors probe
+   their peers (§3.3.3), and the wizard binds monitor_network_* per
+   group.  [shard_name] names the wizard within a federation. *)
+let build_site t_ref config cluster ~metrics ~trace ~shard_name ~host ~groups
+    =
   let engine = Smart_host.Cluster.engine cluster in
-  let stack = Smart_host.Cluster.stack cluster in
-  let resolve = Smart_host.Cluster.resolve_exn cluster in
-  let wizard_node = resolve wizard_host in
-  let metrics = Smart_util.Metrics.create () in
-  (* deployment-wide flight recorder on the virtual clock; always on:
-     recording is a ring write per span, far below the noise floor of a
-     simulated run, and every export stays seed-deterministic *)
-  let tracelog =
-    Smart_util.Tracelog.create ~capacity:65536
-      ~clock:(fun () -> Smart_sim.Engine.now engine)
-      ()
-  in
+  let node = Smart_host.Cluster.resolve_exn cluster host in
   let multi_group = List.length groups > 1 in
   let monitor_hosts = List.map fst groups in
-  let t_ref = ref None in
-  let the () = match !t_ref with Some t -> t | None -> assert false in
-  let group_states =
+  let site_groups =
     List.map
       (fun (monitor_host, servers) ->
-        (* flat deployments probe their servers directly; meshes probe
-           the peer monitors (§3.3.3) *)
         let netmon_targets =
           if multi_group then
             List.filter
@@ -384,15 +391,13 @@ let deploy_groups ?(config = default_config) cluster ~wizard_host ~groups =
               monitor_hosts
           else servers
         in
-        setup_group t_ref config cluster ~metrics ~trace:tracelog
-          ~wizard_host ~monitor_host ~servers ~netmon_targets)
+        setup_group t_ref config cluster ~metrics ~trace ~wizard_host:host
+          ~monitor_host ~servers ~netmon_targets)
       groups
   in
-  let db_wizard = Status_db.create () in
-  let receiver =
-    Receiver.create ~metrics ~trace:tracelog ~order:config.order db_wizard
-  in
-  let wizard_mode =
+  let db = Status_db.create () in
+  let receiver = Receiver.create ~metrics ~trace ~order:config.order db in
+  let mode =
     match config.mode with
     | Transmitter.Centralized -> Wizard.Centralized
     | Transmitter.Distributed ->
@@ -429,77 +434,93 @@ let deploy_groups ?(config = default_config) cluster ~wizard_host ~groups =
   let wizard =
     (* virtual clock: request latencies land in the histogram in
        simulated seconds, and the run stays deterministic *)
-    Wizard.create ~compile_cache_capacity:config.wizard_compile_cache ~metrics
-      ~trace:tracelog
+    Wizard.create ~metrics ~trace
       ~clock:(fun () -> Smart_sim.Engine.now engine)
       ~staleness_threshold:config.wizard_staleness ?staleness_policy
-      ?admission:config.wizard_admission
-      { Wizard.mode = wizard_mode; groups = wizard_groups }
-      db_wizard
+      ?shard_name
+      { Wizard.mode; groups = wizard_groups }
+      db
   in
   Receiver.set_update_hook receiver (Some (fun _ -> Wizard.note_update wizard));
-  let wizard_alive () =
-    match Smart_host.Cluster.machine_opt cluster wizard_node with
-    | Some m -> not (Smart_host.Machine.failed m)
-    | None -> true
-  in
-  Smart_net.Netstack.listen_udp stack ~node:wizard_node
-    ~port:Smart_proto.Ports.receiver (fun ~now:_ pkt ->
-      if wizard_alive () then begin
-        let t = the () in
-        let from = node_name t pkt.Smart_net.Packet.src in
-        ignore
-          (Receiver.handle_stream receiver ~from pkt.Smart_net.Packet.payload)
-      end);
-  Smart_net.Netstack.listen_udp stack ~node:wizard_node
+  let alive () = node_alive cluster node in
+  listen_receiver cluster ~node ~alive receiver;
+  {
+    site_node = node;
+    site_alive = alive;
+    site_groups;
+    site_db = db;
+    site_receiver = receiver;
+    site_wizard = wizard;
+  }
+
+(* The client port on [node]: the ordinary wizard port, where requests
+   go to [handle] (its outputs leave from [handle_sport]) and [tick]
+   runs every 50 ms.  The port doubles as the scrape endpoint, exactly
+   like the realnet daemons (OBSERVABILITY.md): a SMART-METRICS datagram
+   is answered with the deployment registry. *)
+let client_port t_ref cluster ~tag ~node ~alive ~handle ~handle_sport ~tick =
+  let engine = Smart_host.Cluster.engine cluster in
+  Smart_net.Netstack.listen_udp (Smart_host.Cluster.stack cluster) ~node
     ~port:Smart_proto.Ports.wizard (fun ~now pkt ->
-      if wizard_alive () then begin
-      let t = the () in
-      let sport =
-        match pkt.Smart_net.Packet.proto with
-        | Smart_net.Packet.Udp { sport; _ } -> sport
-        | Smart_net.Packet.Icmp _ -> 0
-      in
-      let from =
-        { Output.host = node_name t pkt.Smart_net.Packet.src; port = sport }
-      in
-      let outputs =
-        (* the wizard port doubles as the scrape endpoint, exactly like
-           the realnet daemons (OBSERVABILITY.md) *)
+      if alive () then begin
+        let t = the t_ref in
+        let from =
+          {
+            Output.host = node_name cluster pkt.Smart_net.Packet.src;
+            port = sport_of pkt;
+          }
+        in
         match
           Smart_proto.Metrics_msg.decode_request pkt.Smart_net.Packet.payload
         with
         | Some format ->
-          [
-            Output.udp ~host:from.Output.host ~port:from.Output.port
-              (Smart_proto.Metrics_msg.encode_reply format t.metrics);
-          ]
+          perform t ~tag ~src_node:node ~sport:Smart_proto.Ports.wizard
+            [
+              Output.udp ~host:from.Output.host ~port:from.Output.port
+                (Smart_proto.Metrics_msg.encode_reply format t.metrics);
+            ]
         | None ->
-          Wizard.handle_request wizard ~now ~from pkt.Smart_net.Packet.payload
-      in
-      perform t ~tag:"wizard" ~src_node:wizard_node
-        ~sport:Smart_proto.Ports.wizard outputs
+          perform t ~tag ~src_node:node ~sport:handle_sport
+            (handle ~now ~from pkt.Smart_net.Packet.payload)
       end);
   ignore
     (Smart_sim.Engine.every engine ~period:0.05
        ~start:(Smart_sim.Engine.now engine +. 0.05)
        (fun now ->
-         if wizard_alive () then begin
-           let t = the () in
-           let outputs = Wizard.tick wizard ~now in
-           perform t ~tag:"wizard" ~src_node:wizard_node
-             ~sport:Smart_proto.Ports.wizard outputs
-         end));
+         if alive () then
+           perform (the t_ref) ~tag ~src_node:node
+             ~sport:Smart_proto.Ports.wizard (tick ~now)))
+
+(* Wire a deployment: [wire] installs everything on the cluster, with
+   one metrics registry and one flight recorder (on the engine's virtual
+   clock) for all of it, and returns what answers clients: every group,
+   the client-facing node, its database, receiver and wizard, and the
+   federation state.  The client and fault-injection PRNGs split off the
+   cluster's after every group's. *)
+let deployment cluster wire =
+  let engine = Smart_host.Cluster.engine cluster in
+  let metrics = Smart_util.Metrics.create () in
+  (* deployment-wide flight recorder on the virtual clock; always on:
+     recording is a ring write per span, far below the noise floor of a
+     simulated run, and every export stays seed-deterministic *)
+  let tracelog =
+    Smart_util.Tracelog.create ~capacity:65536
+      ~clock:(fun () -> Smart_sim.Engine.now engine)
+      ()
+  in
+  let t_ref = ref None in
+  let groups, wizard_node, db_wizard, receiver, wizard, fed =
+    wire t_ref ~metrics ~trace:tracelog
+  in
   let t =
     {
       cluster;
-      mode = config.mode;
-      groups = group_states;
+      groups;
       wizard_node;
       db_wizard;
       receiver;
       wizard;
-      fed = None;
+      fed;
       client_rng = Smart_util.Prng.split (Smart_host.Cluster.rng cluster);
       metrics;
       tracelog;
@@ -516,19 +537,36 @@ let deploy_groups ?(config = default_config) cluster ~wizard_host ~groups =
   t_ref := Some t;
   t
 
+(* [deploy_groups cluster ~wizard_host ~groups] installs the stack for
+   several server groups: [(monitor_host, servers); ...].  The first
+   group is the wizard's local group. *)
+let deploy_groups ?(config = default_config) cluster ~wizard_host ~groups =
+  if groups = [] then invalid_arg "Simdriver.deploy_groups: no groups";
+  deployment cluster (fun t_ref ~metrics ~trace ->
+      let s =
+        build_site t_ref config cluster ~metrics ~trace ~shard_name:None
+          ~host:wizard_host ~groups
+      in
+      let wizard = s.site_wizard in
+      client_port t_ref cluster ~tag:"wizard" ~node:s.site_node
+        ~alive:s.site_alive ~handle:(Wizard.handle_request wizard)
+        ~handle_sport:Smart_proto.Ports.wizard ~tick:(Wizard.tick wizard);
+      (s.site_groups, s.site_node, s.site_db, s.site_receiver, wizard, None))
+
 (* Single-group deployment (Fig 3.1): monitors + transmitter on
    [monitor], receiver + wizard on [wizard_host], probes on [servers]. *)
 let deploy ?config cluster ~monitor ~wizard_host ~servers =
   deploy_groups ?config cluster ~wizard_host ~groups:[ (monitor, servers) ]
 
-(* Federated deployment (DESIGN.md §13): every shard is a complete
-   Fig 3.1 stack — its groups' monitors and transmitters feed a mirror
-   on the shard host, where a regional wizard answers root subqueries on
-   the federation port — plus a digest uplink shipping the shard's
-   column ranges to the root host every transmit interval.  The root
-   host runs a receiver (digests only) and the {!Fed_root}, which
-   listens for clients on the ordinary wizard port, so {!request}
-   drives a federated deployment unchanged.
+(* Federated deployment (DESIGN.md §13): every shard is one site — its
+   groups' monitors and transmitters feed a mirror on the shard host,
+   where a regional wizard answers root subqueries on the federation
+   port — plus a digest uplink shipping the shard's column ranges to the
+   root host every transmit interval.  The root host runs a receiver
+   (digests only) and the {!Fed_root}, which listens for clients on the
+   ordinary wizard port, so {!request} drives a federated deployment
+   unchanged.  The root waits 1 s for shard replies and skips shards
+   whose digest proves them empty.
 
    Groups always run centralized here: the regional wizard answers
    subqueries immediately from its mirror, so passive (pull-driven)
@@ -538,265 +576,113 @@ let deploy_federation ?(config = default_config) cluster ~root_host ~shards =
   let config = { config with mode = Transmitter.Centralized } in
   let engine = Smart_host.Cluster.engine cluster in
   let stack = Smart_host.Cluster.stack cluster in
-  let resolve = Smart_host.Cluster.resolve_exn cluster in
-  let root_node = resolve root_host in
-  let metrics = Smart_util.Metrics.create () in
-  let tracelog =
-    Smart_util.Tracelog.create ~capacity:65536
-      ~clock:(fun () -> Smart_sim.Engine.now engine)
-      ()
-  in
-  let vclock () = Smart_sim.Engine.now engine in
-  let t_ref = ref None in
-  let the () = match !t_ref with Some t -> t | None -> assert false in
-  let sport_of pkt =
-    match pkt.Smart_net.Packet.proto with
-    | Smart_net.Packet.Udp { sport; _ } -> sport
-    | Smart_net.Packet.Icmp _ -> 0
-  in
-  let alive node () =
-    match Smart_host.Cluster.machine_opt cluster node with
-    | Some m -> not (Smart_host.Machine.failed m)
-    | None -> true
-  in
-  let build_shard (shard_host, groups) =
-    if groups = [] then
-      invalid_arg "Simdriver.deploy_federation: shard with no groups";
-    let monitor_hosts = List.map fst groups in
-    let multi_group = List.length groups > 1 in
-    let group_states =
-      List.map
-        (fun (monitor_host, servers) ->
-          let netmon_targets =
-            if multi_group then
-              List.filter
-                (fun m -> not (String.equal m monitor_host))
-                monitor_hosts
-            else servers
-          in
-          setup_group t_ref config cluster ~metrics ~trace:tracelog
-            ~wizard_host:shard_host ~monitor_host ~servers ~netmon_targets)
-        groups
-    in
-    let shard_db = Status_db.create () in
-    let shard_receiver =
-      Receiver.create ~metrics ~trace:tracelog ~order:config.order shard_db
-    in
-    let wizard_groups =
-      if not multi_group then None
-      else begin
-        let table = Hashtbl.create 32 in
-        List.iter
-          (fun (monitor_host, servers) ->
-            List.iter (fun s -> Hashtbl.replace table s monitor_host) servers)
-          groups;
-        Some
-          {
-            Wizard.local_monitor = List.hd monitor_hosts;
-            group_of = (fun host -> Hashtbl.find_opt table host);
-            local_entry = Wizard.default_local_entry;
-          }
-      end
-    in
-    let staleness_policy =
-      if config.adaptive_staleness then Some Wizard.default_staleness_policy
-      else None
-    in
-    let shard_wizard =
-      Wizard.create ~compile_cache_capacity:config.wizard_compile_cache
-        ~metrics ~trace:tracelog ~clock:vclock
-        ~staleness_threshold:config.wizard_staleness ?staleness_policy
-        ?admission:config.wizard_admission ~shard_name:shard_host
-        { Wizard.mode = Wizard.Centralized; groups = wizard_groups }
-        shard_db
-    in
-    Receiver.set_update_hook shard_receiver
-      (Some (fun _ -> Wizard.note_update shard_wizard));
-    let shard_node = resolve shard_host in
-    let shard_alive = alive shard_node in
-    Smart_net.Netstack.listen_udp stack ~node:shard_node
-      ~port:Smart_proto.Ports.receiver (fun ~now:_ pkt ->
-        if shard_alive () then begin
-          let t = the () in
-          let from = node_name t pkt.Smart_net.Packet.src in
-          ignore
-            (Receiver.handle_stream shard_receiver ~from
-               pkt.Smart_net.Packet.payload)
-        end);
-    Smart_net.Netstack.listen_udp stack ~node:shard_node
-      ~port:Smart_proto.Ports.fed (fun ~now:_ pkt ->
-        if shard_alive () then begin
-          let t = the () in
-          let from =
-            {
-              Output.host = node_name t pkt.Smart_net.Packet.src;
-              port = sport_of pkt;
-            }
-          in
-          let outputs =
-            Wizard.handle_subquery shard_wizard ~from
-              pkt.Smart_net.Packet.payload
-          in
-          perform t ~tag:"fed_shard" ~src_node:shard_node
-            ~sport:Smart_proto.Ports.fed outputs
-        end);
-    (* digest uplink: one Digest_db frame per transmit interval, built
-       with the shard wizard's own network bindings so the advertised
-       ranges cover exactly the values subqueries compare.  The same
-       pushes carry the shard wizard's latency sketch once it has
-       observations, so the root can serve deployment-wide quantiles. *)
-    let uplink =
-      Transmitter.create ~metrics ~trace:tracelog ~crc:config.frame_crc
-        ~summary:(fun () ->
-          Status_db.summary shard_db ~shard:shard_host ~net_for:(fun host ->
-              Wizard.net_entry_for shard_wizard ~host))
-        ~sketches:(fun () ->
-          let sketch = Wizard.latency_sketch shard_wizard in
-          if Smart_util.Sketch.count sketch = 0 then []
-          else [ (Fed_root.latency_metric, sketch) ])
-        ~sketch_source:shard_host ~monitor_name:shard_host
-        {
-          Transmitter.mode = Transmitter.Centralized;
-          order = config.order;
-          receiver =
-            { Output.host = root_host; port = Smart_proto.Ports.receiver };
-        }
-        shard_db
-    in
-    let send_uplink ~now outputs =
-      List.iter
-        (fun output ->
-          match output with
-          | Output.Stream { dst; data }
-            when stream_blocked cluster ~src_node:shard_node
-                   ~host:dst.Output.host ->
-            Transmitter.note_send_failure uplink ~now ~data
-          | Output.Stream _ | Output.Udp _ ->
-            (match output with
-            | Output.Stream _ -> Transmitter.note_send_ok uplink
-            | Output.Udp _ -> ());
-            perform (the ()) ~tag:"fed_uplink" ~src_node:shard_node [ output ])
-        outputs
-    in
-    ignore
-      (Smart_sim.Engine.every engine ~period:config.transmit_interval
-         ~start:(Smart_sim.Engine.now engine +. 0.3)
-         (fun now ->
-           if shard_alive () then send_uplink ~now (Transmitter.tick uplink ~now)));
-    ({ shard_host; shard_db; shard_receiver; shard_wizard; uplink },
-     group_states)
-  in
-  let built = List.map build_shard shards in
-  let fed_shards = List.map fst built in
-  let all_groups = List.concat_map snd built in
-  let db_root = Status_db.create () in
-  let root_receiver =
-    Receiver.create ~metrics ~trace:tracelog ~order:config.order db_root
-  in
-  let root =
-    Fed_root.create ~metrics ~clock:vclock ~trace:tracelog
-      {
-        Fed_root.shards =
-          List.map
-            (fun s ->
-              {
-                Fed_root.name = s.shard_host;
-                addr =
-                  { Output.host = s.shard_host; port = Smart_proto.Ports.fed };
-              })
-            fed_shards;
-        fanout_timeout = config.fed_fanout_timeout;
-        routing = config.fed_routing;
-      }
-  in
-  Receiver.set_digest_hook root_receiver (Some (Fed_root.note_digest root));
-  Receiver.set_sketch_hook root_receiver (Some (Fed_root.note_sketches root));
-  let root_alive = alive root_node in
-  Smart_net.Netstack.listen_udp stack ~node:root_node
-    ~port:Smart_proto.Ports.receiver (fun ~now:_ pkt ->
-      if root_alive () then begin
-        let t = the () in
-        let from = node_name t pkt.Smart_net.Packet.src in
-        ignore
-          (Receiver.handle_stream root_receiver ~from
-             pkt.Smart_net.Packet.payload)
-      end);
-  (* clients on the ordinary wizard port; subqueries leave from the
-     federation port so shard replies come back there.  The port doubles
-     as the scrape endpoint: a SMART-METRICS datagram is answered with
-     the deployment registry — including the
-     federation.fed_latency_p{50,95,99}_s gauges the root keeps fresh
-     from merged shard sketches. *)
-  Smart_net.Netstack.listen_udp stack ~node:root_node
-    ~port:Smart_proto.Ports.wizard (fun ~now pkt ->
-      if root_alive () then begin
-        let t = the () in
-        let from =
-          {
-            Output.host = node_name t pkt.Smart_net.Packet.src;
-            port = sport_of pkt;
-          }
+  let root_node = Smart_host.Cluster.resolve_exn cluster root_host in
+  deployment cluster (fun t_ref ~metrics ~trace ->
+      let shard (shard_host, groups) =
+        if groups = [] then
+          invalid_arg "Simdriver.deploy_federation: shard with no groups";
+        let s =
+          build_site t_ref config cluster ~metrics ~trace
+            ~shard_name:(Some shard_host) ~host:shard_host ~groups
         in
-        match
-          Smart_proto.Metrics_msg.decode_request pkt.Smart_net.Packet.payload
-        with
-        | Some format ->
-          perform t ~tag:"fed_root" ~src_node:root_node
-            ~sport:Smart_proto.Ports.wizard
-            [
-              Output.udp ~host:from.Output.host ~port:from.Output.port
-                (Smart_proto.Metrics_msg.encode_reply format t.metrics);
-            ]
-        | None ->
-          let outputs =
-            Fed_root.handle_request root ~now ~from pkt.Smart_net.Packet.payload
-          in
-          perform t ~tag:"fed_root" ~src_node:root_node
-            ~sport:Smart_proto.Ports.fed outputs
-      end);
-  Smart_net.Netstack.listen_udp stack ~node:root_node
-    ~port:Smart_proto.Ports.fed (fun ~now:_ pkt ->
-      if root_alive () then begin
-        let t = the () in
-        let outputs = Fed_root.handle_reply root pkt.Smart_net.Packet.payload in
-        perform t ~tag:"fed_root" ~src_node:root_node
-          ~sport:Smart_proto.Ports.wizard outputs
-      end);
-  ignore
-    (Smart_sim.Engine.every engine ~period:0.05
-       ~start:(Smart_sim.Engine.now engine +. 0.05)
-       (fun now ->
-         if root_alive () then begin
-           let t = the () in
-           let outputs = Fed_root.tick root ~now in
-           perform t ~tag:"fed_root" ~src_node:root_node
-             ~sport:Smart_proto.Ports.wizard outputs
-         end));
-  let t =
-    {
-      cluster;
-      mode = config.mode;
-      groups = all_groups;
-      wizard_node = root_node;
-      db_wizard = db_root;
-      receiver = root_receiver;
-      wizard = (List.hd fed_shards).shard_wizard;
-      fed = Some { root; fed_shards };
-      client_rng = Smart_util.Prng.split (Smart_host.Cluster.rng cluster);
-      metrics;
-      tracelog;
-      traffic = Hashtbl.create 8;
-      next_client_port = 45000;
-      corrupt_rate = 0.0;
-      corrupt_rng = Smart_util.Prng.split (Smart_host.Cluster.rng cluster);
-      corrupted_total =
-        Smart_util.Metrics.counter metrics
-          ~help:"stream payloads corrupted in flight by fault injection"
-          "faults.corrupted_messages_total";
-    }
-  in
-  t_ref := Some t;
-  t
+        Smart_net.Netstack.listen_udp stack ~node:s.site_node
+          ~port:Smart_proto.Ports.fed (fun ~now:_ pkt ->
+            if s.site_alive () then begin
+              let from =
+                {
+                  Output.host = node_name cluster pkt.Smart_net.Packet.src;
+                  port = sport_of pkt;
+                }
+              in
+              perform (the t_ref) ~tag:"fed_shard" ~src_node:s.site_node
+                ~sport:Smart_proto.Ports.fed
+                (Wizard.handle_subquery s.site_wizard ~from
+                   pkt.Smart_net.Packet.payload)
+            end);
+        (* digest uplink: one Digest_db frame per transmit interval,
+           built with the shard wizard's own network bindings so the
+           advertised ranges cover exactly the values subqueries
+           compare.  The same pushes carry the shard wizard's latency
+           sketch once it has observations, so the root can serve
+           deployment-wide quantiles. *)
+        let uplink =
+          Transmitter.create ~metrics ~trace ~crc:config.frame_crc
+            ~summary:(fun () ->
+              Status_db.summary s.site_db ~shard:shard_host
+                ~net_for:(fun host -> Wizard.net_entry_for s.site_wizard ~host))
+            ~sketches:(fun () ->
+              let sketch = Wizard.latency_sketch s.site_wizard in
+              if Smart_util.Sketch.count sketch = 0 then []
+              else [ (Fed_root.latency_metric, sketch) ])
+            ~sketch_source:shard_host ~monitor_name:shard_host
+            {
+              Transmitter.mode = Transmitter.Centralized;
+              order = config.order;
+              receiver =
+                { Output.host = root_host; port = Smart_proto.Ports.receiver };
+            }
+            s.site_db
+        in
+        ignore
+          (Smart_sim.Engine.every engine ~period:config.transmit_interval
+             ~start:(Smart_sim.Engine.now engine +. 0.3)
+             (fun now ->
+               if s.site_alive () then
+                 send_transmitter (the t_ref) ~tag:"fed_uplink"
+                   ~src_node:s.site_node uplink ~now
+                   (Transmitter.tick uplink ~now)));
+        (s, { shard_host; shard_db = s.site_db; shard_wizard = s.site_wizard })
+      in
+      let sites, fed_shards = List.split (List.map shard shards) in
+      let db_root = Status_db.create () in
+      let root_receiver =
+        Receiver.create ~metrics ~trace ~order:config.order db_root
+      in
+      let root =
+        Fed_root.create ~metrics
+          ~clock:(fun () -> Smart_sim.Engine.now engine)
+          ~trace
+          {
+            Fed_root.shards =
+              List.map
+                (fun s ->
+                  {
+                    Fed_root.name = s.shard_host;
+                    addr =
+                      {
+                        Output.host = s.shard_host;
+                        port = Smart_proto.Ports.fed;
+                      };
+                  })
+                fed_shards;
+            fanout_timeout = 1.0;
+            routing = true;
+          }
+      in
+      Receiver.set_digest_hook root_receiver (Some (Fed_root.note_digest root));
+      Receiver.set_sketch_hook root_receiver
+        (Some (Fed_root.note_sketches root));
+      let alive () = node_alive cluster root_node in
+      listen_receiver cluster ~node:root_node ~alive root_receiver;
+      (* subqueries leave from the federation port, so shard replies come
+         back there; the client port's scrapes include the
+         federation.fed_latency_p{50,95,99}_s gauges the root keeps fresh
+         from merged shard sketches *)
+      Smart_net.Netstack.listen_udp stack ~node:root_node
+        ~port:Smart_proto.Ports.fed (fun ~now:_ pkt ->
+          if alive () then
+            perform (the t_ref) ~tag:"fed_root" ~src_node:root_node
+              ~sport:Smart_proto.Ports.wizard
+              (Fed_root.handle_reply root pkt.Smart_net.Packet.payload));
+      client_port t_ref cluster ~tag:"fed_root" ~node:root_node ~alive
+        ~handle:(Fed_root.handle_request root)
+        ~handle_sport:Smart_proto.Ports.fed ~tick:(Fed_root.tick root);
+      ( List.concat_map (fun s -> s.site_groups) sites,
+        root_node,
+        db_root,
+        root_receiver,
+        (List.hd sites).site_wizard,
+        Some { root; fed_shards } ))
 
 let federation t = t.fed
 
@@ -850,6 +736,29 @@ let all_netmon_records t =
     (fun g -> Status_db.find_net t.db_wizard ~monitor:g.monitor_host)
     t.groups
 
+(* A client socket on host [client]: a fresh reply port whose datagrams
+   go to [on_reply], and [send], which addresses the wizard (or
+   federation root) port and counts under "client" in the traffic
+   stats.  Returns [(send, close)]; [close] stops listening. *)
+let client_endpoint t ~client on_reply =
+  let stack = Smart_host.Cluster.stack t.cluster in
+  let client_node = Smart_host.Cluster.resolve_exn t.cluster client in
+  let reply_port = t.next_client_port in
+  t.next_client_port <- t.next_client_port + 1;
+  Smart_net.Netstack.listen_udp stack ~node:client_node ~port:reply_port
+    (fun ~now:_ pkt -> on_reply pkt.Smart_net.Packet.payload);
+  let send data =
+    let s = stats_for t "client" in
+    s.messages <- s.messages + 1;
+    s.bytes <- s.bytes + String.length data;
+    ignore
+      (Smart_net.Netstack.send_udp stack ~src:client_node ~dst:t.wizard_node
+         ~sport:reply_port ~dport:Smart_proto.Ports.wizard
+         ~size:(String.length data) ~payload:data)
+  in
+  (send, fun () ->
+    Smart_net.Netstack.unlisten_udp stack ~node:client_node ~port:reply_port)
+
 (* One smart-socket request from [client] (a host name); drives the
    simulation until the reply arrives or [timeout] virtual seconds pass.
 
@@ -864,30 +773,17 @@ let request ?(option = Smart_proto.Wizard_msg.Accept_partial) ?(timeout = 5.0)
     ~requirement =
   if attempts <= 0 then invalid_arg "Simdriver.request: attempts must be positive";
   let engine = Smart_host.Cluster.engine t.cluster in
-  let stack = Smart_host.Cluster.stack t.cluster in
-  let client_node = Smart_host.Cluster.resolve_exn t.cluster client in
   let client_lib =
     Client.create ~metrics:t.metrics ~trace:t.tracelog ~rng:t.client_rng ()
   in
   let req = Client.make_request client_lib ~wanted ~option ~requirement in
-  let reply_port = t.next_client_port in
-  t.next_client_port <- t.next_client_port + 1;
   let reply = ref None in
-  Smart_net.Netstack.listen_udp stack ~node:client_node ~port:reply_port
-    (fun ~now:_ pkt ->
-      let data = pkt.Smart_net.Packet.payload in
-      if not (Client.is_duplicate_reply client_lib data) then
-        reply := Some data);
-  let data = Smart_proto.Wizard_msg.encode_request req in
-  let send () =
-    let s = stats_for t "client" in
-    s.messages <- s.messages + 1;
-    s.bytes <- s.bytes + String.length data;
-    ignore
-      (Smart_net.Netstack.send_udp stack ~src:client_node ~dst:t.wizard_node
-         ~sport:reply_port ~dport:Smart_proto.Ports.wizard
-         ~size:(String.length data) ~payload:data)
+  let send, close =
+    client_endpoint t ~client (fun data ->
+        if not (Client.is_duplicate_reply client_lib data) then
+          reply := Some data)
   in
+  let data = Smart_proto.Wizard_msg.encode_request req in
   let boff =
     Smart_util.Backoff.create ~rng:(Smart_util.Prng.split t.client_rng) backoff
   in
@@ -896,7 +792,7 @@ let request ?(option = Smart_proto.Wizard_msg.Accept_partial) ?(timeout = 5.0)
   let rec attempt () =
     incr used;
     if !used > 1 then Client.note_retry client_lib;
-    send ();
+    send data;
     let wait = Smart_util.Backoff.next boff in
     let attempt_deadline =
       Float.min deadline (Smart_sim.Engine.now engine +. wait)
@@ -914,7 +810,7 @@ let request ?(option = Smart_proto.Wizard_msg.Accept_partial) ?(timeout = 5.0)
     ignore
       (Smart_measure.Runner.run_until engine ~deadline (fun () ->
            !reply <> None));
-  Smart_net.Netstack.unlisten_udp stack ~node:client_node ~port:reply_port;
+  close ();
   Client.note_attempts client_lib !used;
   match !reply with
   | None -> Error Client.Timeout
@@ -934,16 +830,13 @@ let async_request ?(option = Smart_proto.Wizard_msg.Accept_partial)
   if attempts <= 0 then
     invalid_arg "Simdriver.async_request: attempts must be positive";
   let engine = Smart_host.Cluster.engine t.cluster in
-  let stack = Smart_host.Cluster.stack t.cluster in
-  let client_node = Smart_host.Cluster.resolve_exn t.cluster client in
   let client_lib =
     Client.create ~metrics:t.metrics ~trace:t.tracelog ~rng:t.client_rng ()
   in
   let req = Client.make_request client_lib ~wanted ~option ~requirement in
-  let reply_port = t.next_client_port in
-  t.next_client_port <- t.next_client_port + 1;
   let completed = ref false in
   let used = ref 0 in
+  let close = ref ignore in
   let finish result =
     if not !completed then begin
       completed := true;
@@ -952,26 +845,17 @@ let async_request ?(option = Smart_proto.Wizard_msg.Accept_partial)
          dispatch that may be delivering to this very port *)
       ignore
         (Smart_sim.Engine.schedule_after engine ~delay:1e-9 (fun () ->
-             Smart_net.Netstack.unlisten_udp stack ~node:client_node
-               ~port:reply_port));
+             !close ()));
       on_result result
     end
   in
-  Smart_net.Netstack.listen_udp stack ~node:client_node ~port:reply_port
-    (fun ~now:_ pkt ->
-      let data = pkt.Smart_net.Packet.payload in
-      if (not !completed) && not (Client.is_duplicate_reply client_lib data)
-      then finish (Client.check_reply client_lib req data));
-  let data = Smart_proto.Wizard_msg.encode_request req in
-  let send () =
-    let s = stats_for t "client" in
-    s.messages <- s.messages + 1;
-    s.bytes <- s.bytes + String.length data;
-    ignore
-      (Smart_net.Netstack.send_udp stack ~src:client_node ~dst:t.wizard_node
-         ~sport:reply_port ~dport:Smart_proto.Ports.wizard
-         ~size:(String.length data) ~payload:data)
+  let send, close_port =
+    client_endpoint t ~client (fun data ->
+        if (not !completed) && not (Client.is_duplicate_reply client_lib data)
+        then finish (Client.check_reply client_lib req data))
   in
+  close := close_port;
+  let data = Smart_proto.Wizard_msg.encode_request req in
   let boff =
     Smart_util.Backoff.create ~rng:(Smart_util.Prng.split t.client_rng) backoff
   in
@@ -988,7 +872,7 @@ let async_request ?(option = Smart_proto.Wizard_msg.Accept_partial)
       else begin
         incr used;
         if !used > 1 then Client.note_retry client_lib;
-        send ();
+        send data;
         let wait = Smart_util.Backoff.next boff in
         let delay = Float.min wait (deadline -. now) +. 1e-9 in
         ignore (Smart_sim.Engine.schedule_after engine ~delay attempt)
@@ -1067,10 +951,7 @@ let run_sessions ?(wanted = 1) ?(option = Smart_proto.Wizard_msg.Accept_partial)
   let host_alive host =
     match Smart_host.Cluster.resolve t.cluster host with
     | None -> false
-    | Some node ->
-      (match Smart_host.Cluster.machine_opt t.cluster node with
-      | Some m -> not (Smart_host.Machine.failed m)
-      | None -> true)
+    | Some node -> node_alive t.cluster node
   in
   let reachable d host =
     host_alive host
@@ -1367,26 +1248,16 @@ let run_sessions ?(wanted = 1) ?(option = Smart_proto.Wizard_msg.Accept_partial)
 let scrape_metrics ?(format = Smart_proto.Metrics_msg.Text) ?(timeout = 2.0) t
     ~client =
   let engine = Smart_host.Cluster.engine t.cluster in
-  let stack = Smart_host.Cluster.stack t.cluster in
-  let client_node = Smart_host.Cluster.resolve_exn t.cluster client in
-  let reply_port = t.next_client_port in
-  t.next_client_port <- t.next_client_port + 1;
   let reply = ref None in
-  Smart_net.Netstack.listen_udp stack ~node:client_node ~port:reply_port
-    (fun ~now:_ pkt -> reply := Some pkt.Smart_net.Packet.payload);
-  let data = Smart_proto.Metrics_msg.encode_request format in
-  let s = stats_for t "client" in
-  s.messages <- s.messages + 1;
-  s.bytes <- s.bytes + String.length data;
-  ignore
-    (Smart_net.Netstack.send_udp stack ~src:client_node ~dst:t.wizard_node
-       ~sport:reply_port ~dport:Smart_proto.Ports.wizard
-       ~size:(String.length data) ~payload:data);
+  let send, close =
+    client_endpoint t ~client (fun data -> reply := Some data)
+  in
+  send (Smart_proto.Metrics_msg.encode_request format);
   ignore
     (Smart_measure.Runner.run_until engine
        ~deadline:(Smart_sim.Engine.now engine +. timeout)
        (fun () -> !reply <> None));
-  Smart_net.Netstack.unlisten_udp stack ~node:client_node ~port:reply_port;
+  close ();
   match !reply with
   | Some dump -> Ok dump
   | None -> Error "scrape timed out"
@@ -1474,19 +1345,9 @@ let traffic_stats t tag =
 
 let db_wizard t = t.db_wizard
 
-let db_monitor t = (List.hd t.groups).db
-
-let wizard_component t = t.wizard
-
 let receiver_component t = t.receiver
 
-let transmitter_component t = (List.hd t.groups).transmitter
-
-let sysmon_component t = (List.hd t.groups).sysmon
-
 let group_count t = List.length t.groups
-
-let cluster t = t.cluster
 
 let metrics t = t.metrics
 

@@ -12,19 +12,11 @@ type config = {
   transmit_interval : float;
   order : Smart_proto.Endian.order;
   security_log : string;  (** "" for no security data *)
-  wizard_compile_cache : int;
-      (** wizard requirement compile-cache capacity; 0 disables *)
   frame_crc : bool;
       (** CRC-32 trailers on transmitter frames, letting the receiver
           detect (and resync past) injected stream corruption *)
   wizard_staleness : float;
       (** receiver silence before the wizard flags replies degraded *)
-  fed_fanout_timeout : float;
-      (** federation root: seconds a request waits for shard replies
-          before answering degraded with what arrived *)
-  fed_routing : bool;
-      (** federation root: skip shards whose digest proves the
-          requirement unsatisfiable *)
   adaptive_probes : bool;
       (** arm {!Probe.adaptive}: probes self-schedule on their effective
           report interval instead of the fixed [probe_interval] cadence *)
@@ -34,15 +26,14 @@ type config = {
   adaptive_staleness : bool;
       (** arm {!Wizard.staleness_policy}: degraded mode tracks the
           observed inter-update gap distribution *)
-  wizard_admission : Wizard.admission option;
-      (** arm {!Wizard.admission}: per-client token buckets gate the
-          request port (DESIGN.md §15); [None] leaves it ungated *)
 }
 
 (** Centralized, 2 s probe and transmit intervals, UDP reports,
-    little-endian records, no frame CRC, no staleness degradation,
-    1 s federation fan-out timeout with digest routing on, all three
-    adaptive control loops off, admission control off. *)
+    little-endian records, no frame CRC, no staleness degradation, all
+    three adaptive control loops off.  Simulated wizards keep the
+    default compile cache ({!Wizard.default_compile_cache_capacity})
+    and never gate requests with admission control; a federation root
+    always waits 1 s for shard replies and routes on digests. *)
 val default_config : config
 
 (** [deploy cluster ~monitor ~wizard_host ~servers] installs a
@@ -68,32 +59,28 @@ val deploy_groups :
   groups:(string * string list) list ->
   t
 
-(** One regional shard of a federated deployment (exposed for tests and
-    the federation bench). *)
+(** One regional shard of a federated deployment (exposed for tests). *)
 type fed_shard = {
   shard_host : string;  (** runs the shard mirror + regional wizard *)
   shard_db : Status_db.t;  (** the mirror subqueries are answered from *)
-  shard_receiver : Receiver.t;
   shard_wizard : Wizard.t;
-  uplink : Transmitter.t;
-      (** digest + sketch uplink to the root: every push ships the
-          shard's column ranges, plus the shard wizard's latency sketch
-          under {!Fed_root.latency_metric} once it has observations *)
 }
 
 type federation = { root : Fed_root.t; fed_shards : fed_shard list }
 
 (** Federated deployment (DESIGN.md §13): an aggregation tree.  Each
-    shard [(shard_host, groups)] is a complete {!deploy_groups}-style
-    stack whose transmitters feed a mirror on [shard_host], where a
-    regional wizard answers root subqueries on the federation port
-    ({!Smart_proto.Ports.fed}); a digest uplink on [shard_host] ships
-    the shard's column ranges to [root_host] every transmit interval.
-    [root_host] runs the {!Fed_root}, listening for clients on the
-    ordinary wizard port — {!request} drives a federated deployment
-    unchanged.  Groups always run centralized (a passive transmitter
-    would never be pulled); [fed_fanout_timeout] and [fed_routing] in
-    [config] shape the root. *)
+    shard [(shard_host, groups)] is wired by the same code as a
+    {!deploy_groups} stack: its transmitters feed a mirror on
+    [shard_host], where a regional wizard answers root subqueries on
+    the federation port ({!Smart_proto.Ports.fed}).  A digest uplink on
+    [shard_host] ships the shard's column ranges to [root_host] every
+    transmit interval, plus the shard wizard's latency sketch under
+    {!Fed_root.latency_metric} once it has observations.  [root_host]
+    runs the {!Fed_root}, listening for clients on the ordinary wizard
+    port — {!request} drives a federated deployment unchanged.  The
+    root waits 1 s for shard replies and skips shards whose digest
+    proves the requirement unsatisfiable.  Groups always run
+    centralized (a passive transmitter would never be pulled). *)
 val deploy_federation :
   ?config:config ->
   Smart_host.Cluster.t ->
@@ -250,21 +237,9 @@ val traffic_stats : t -> string -> int * int
 
 val db_wizard : t -> Status_db.t
 
-(** The first (local) group's monitor-side database. *)
-val db_monitor : t -> Status_db.t
-
-val wizard_component : t -> Wizard.t
-
 val receiver_component : t -> Receiver.t
 
-(** The first (local) group's transmitter. *)
-val transmitter_component : t -> Transmitter.t
-
-val sysmon_component : t -> Sysmon.t
-
 val group_count : t -> int
-
-val cluster : t -> Smart_host.Cluster.t
 
 (** The deployment-wide metrics registry: every component of every group
     (and the client library used by [request]) registers its instruments

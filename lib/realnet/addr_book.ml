@@ -28,16 +28,16 @@ let resolve t ~host ~port =
   match Hashtbl.find_opt t.entries host with
   | Some { addr; port_shift } -> Some (Unix.ADDR_INET (addr, port + port_shift))
   | None ->
-    (* fall back to the system resolver, shift 0 *)
-    (match Unix.getaddrinfo host "" [ Unix.AI_FAMILY Unix.PF_INET ] with
-    | { Unix.ai_addr = Unix.ADDR_INET (addr, _); _ } :: _ ->
-      Some (Unix.ADDR_INET (addr, port))
-    | _ | (exception _) -> None)
-
-let port_shift t ~host =
-  match Hashtbl.find_opt t.entries host with
-  | Some { port_shift; _ } -> port_shift
-  | None -> 0
+    (* an IP literal names itself, as the system resolver would answer
+       (the wizard daemon addresses requesters this way); anything else
+       goes to the resolver, shift 0 *)
+    (match Unix.inet_addr_of_string host with
+    | addr -> Some (Unix.ADDR_INET (addr, port))
+    | exception Failure _ ->
+      (match Unix.getaddrinfo host "" [ Unix.AI_FAMILY Unix.PF_INET ] with
+      | { Unix.ai_addr = Unix.ADDR_INET (addr, _); _ } :: _ ->
+        Some (Unix.ADDR_INET (addr, port))
+      | _ | (exception _) -> None))
 
 (* Reverse lookup of a sockaddr to a registered host name, used to tag
    incoming transmitter streams. *)
@@ -56,3 +56,8 @@ let host_of_sockaddr t sockaddr =
           else None)
       t.entries None
   | Unix.ADDR_UNIX _ -> None
+
+let port_shift t ~host =
+  match Hashtbl.find_opt t.entries host with
+  | Some { port_shift; _ } -> port_shift
+  | None -> 0

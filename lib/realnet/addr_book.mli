@@ -16,8 +16,9 @@ val register :
     the shift. *)
 val register_loopback : t -> host:string -> int
 
-(** Resolve to a sockaddr; unregistered hosts go through the system
-    resolver with shift 0. *)
+(** Resolve to a sockaddr; an unregistered IP literal resolves to
+    itself and other unregistered hosts go through the system resolver,
+    both with shift 0. *)
 val resolve : t -> host:string -> port:int -> Unix.sockaddr option
 
 (** Shift of a registered host (0 when unknown). *)

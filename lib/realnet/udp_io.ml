@@ -43,8 +43,7 @@ let start t handler =
 let send t ~to_ data =
   try
     ignore
-      (Unix.sendto t.socket (Bytes.of_string data) 0 (String.length data) []
-         to_);
+      (Unix.sendto_substring t.socket data 0 (String.length data) [] to_);
     true
   with Unix.Unix_error (_, _, _) -> false
 
@@ -61,14 +60,23 @@ let stop t =
   end;
   try Unix.close t.socket with Unix.Unix_error (_, _, _) -> ()
 
+(* One receive buffer for the whole process, allocated when the module
+   initialises.  Client sockets live for one call, so a buffer per
+   socket (or per call) would cost a 64 KB major-heap allocation every
+   time; client threads may receive concurrently, so [recv_lock] guards
+   it across [recvfrom] and the copy out. *)
+let recv_buf = Bytes.create max_datagram
+
+let recv_lock = Mutex.create ()
+
 (* Blocking receive with timeout on a one-shot socket (client side). *)
 let recv_timeout t ~timeout =
   let readable, _, _ = Unix.select [ t.socket ] [] [] timeout in
   match readable with
   | [] -> None
   | _ ->
-    let buf = Bytes.create max_datagram in
-    (match Unix.recvfrom t.socket buf 0 max_datagram [] with
-    | n, from when n > 0 -> Some (from, Bytes.sub_string buf 0 n)
-    | _ -> None
-    | exception Unix.Unix_error (_, _, _) -> None)
+    Mutex.protect recv_lock (fun () ->
+        match Unix.recvfrom t.socket recv_buf 0 max_datagram [] with
+        | n, from when n > 0 -> Some (from, Bytes.sub_string recv_buf 0 n)
+        | _ -> None
+        | exception Unix.Unix_error (_, _, _) -> None)

@@ -21,5 +21,8 @@ val send : t -> to_:Unix.sockaddr -> string -> bool
 val stop : t -> unit
 
 (** Blocking receive with timeout, for one-shot client sockets that have
-    not been [start]ed. *)
+    not been [start]ed.  Every call reads into one process-wide 64 KB
+    buffer, allocated once when the module initialises; a mutex holds it
+    only across the [recvfrom] and the copy of the datagram out, so
+    concurrent client threads take turns there and nowhere else. *)
 val recv_timeout : t -> timeout:float -> (Unix.sockaddr * string) option

@@ -7,7 +7,8 @@ type config = {
   mode : Smart_core.Wizard.mode;
   staleness_threshold : float;  (* receiver silence before degraded replies *)
   admission : Smart_core.Wizard.admission option;
-      (* per-client token buckets on the request port; None = ungated *)
+      (* per-requester-IP token buckets on the request port; None =
+         ungated *)
 }
 
 type t = {
@@ -24,12 +25,7 @@ type t = {
   mutable running : bool;
   mutable threads : Thread.t list;
   mutex : Mutex.t;  (* guards receiver/wizard/db across threads *)
-  pending_addrs : (int, Unix.sockaddr) Hashtbl.t;  (* seq -> requester *)
 }
-
-(* The wizard component addresses replies symbolically; this marker routes
-   them back to the requesting sockaddr. *)
-let reply_marker = "@reply"
 
 let create book (config : config) =
   let db = Smart_core.Status_db.create () in
@@ -71,7 +67,6 @@ let create book (config : config) =
     running = false;
     threads = [];
     mutex = Mutex.create ();
-    pending_addrs = Hashtbl.create 8;
   }
 
 let locked t f =
@@ -102,28 +97,15 @@ let serve_connection t client peer =
   locked t (fun () -> Smart_core.Receiver.forget_source t.receiver ~from:tag);
   (try Unix.close client with Unix.Unix_error (_, _, _) -> ())
 
-(* Replies addressed to the marker are routed to the sockaddr remembered
-   for their sequence number (deferred distributed-mode replies included);
-   everything else (pull requests) resolves through the address book. *)
-let dispatch t outputs =
-  List.iter
-    (fun output ->
-      match output with
-      | Smart_core.Output.Udp { dst; data }
-        when String.equal dst.Smart_core.Output.host reply_marker ->
-        (match Smart_proto.Wizard_msg.decode_reply data with
-        | Ok reply ->
-          (match
-             Hashtbl.find_opt t.pending_addrs reply.Smart_proto.Wizard_msg.seq
-           with
-          | Some requester ->
-            Hashtbl.remove t.pending_addrs reply.Smart_proto.Wizard_msg.seq;
-            ignore (Udp_io.send t.out_socket ~to_:requester data)
-          | None -> ())
-        | Error _ -> ())
-      | Smart_core.Output.Udp _ | Smart_core.Output.Stream _ ->
-        Perform.outputs t.book ~udp:t.out_socket [ output ])
-    outputs
+(* How the wizard sees a requester: its IP literal and port, so
+   admission buckets key on the requester's IP.  The address book
+   resolves the literal to itself, so replies (deferred distributed-mode
+   ones included) go out through [Perform] like the pull requests to
+   transmitters. *)
+let requester = function
+  | Unix.ADDR_INET (addr, port) ->
+    { Smart_core.Output.host = Unix.string_of_inet_addr addr; port }
+  | Unix.ADDR_UNIX path -> { Smart_core.Output.host = path; port = 0 }
 
 let start t =
   if t.running then invalid_arg "Wizard_daemon.start: already running";
@@ -154,19 +136,12 @@ let start t =
              (Smart_proto.Trace_msg.encode_reply format t.tracelog))
       | None ->
       if not (String.equal data "") then begin
-        (match Smart_proto.Wizard_msg.decode_request data with
-        | Ok request ->
-          Hashtbl.replace t.pending_addrs request.Smart_proto.Wizard_msg.seq
-            from
-        | Error _ -> ());
         let outputs =
           locked t (fun () ->
               Smart_core.Wizard.handle_request t.wizard
-                ~now:(Unix.gettimeofday ())
-                ~from:{ Smart_core.Output.host = reply_marker; port = 0 }
-                data)
+                ~now:(Unix.gettimeofday ()) ~from:(requester from) data)
         in
-        dispatch t outputs
+        Perform.outputs t.book ~udp:t.out_socket outputs
       end);
   (* distributed-mode pending flush *)
   let tick_loop () =
@@ -175,7 +150,7 @@ let start t =
         locked t (fun () ->
             Smart_core.Wizard.tick t.wizard ~now:(Unix.gettimeofday ()))
       in
-      dispatch t outputs;
+      Perform.outputs t.book ~udp:t.out_socket outputs;
       Thread.delay 0.05
     done
   in

@@ -8,10 +8,10 @@ type config = {
       (** receiver silence (wall-clock seconds) before replies carry the
           degraded flag; [infinity] never degrades *)
   admission : Smart_core.Wizard.admission option;
-      (** arm {!Smart_core.Wizard.admission}: per-client token buckets
-          gate the request port, shedding sustained overload fairly
-          (delayed requests are released by the daemon's tick loop);
-          [None] leaves the port ungated *)
+      (** arm {!Smart_core.Wizard.admission}: token buckets keyed on each
+          requester's IP address gate the request port, shedding
+          sustained overload fairly (delayed requests are released by
+          the daemon's tick loop); [None] leaves the port ungated *)
 }
 
 type t

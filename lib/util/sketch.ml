@@ -37,6 +37,67 @@ let buf_push b v =
   b.data.(b.len) <- v;
   b.len <- b.len + 1
 
+(* Float.compare on float-typed arguments compiles to an unboxed call,
+   so comparing two array elements allocates nothing. *)
+let[@inline] lt (x : float) y = Float.compare x y < 0
+
+(* The child of node [i] of the ternary heap [a.(0 .. n-1)] holding the
+   largest value (the first of equals), or -1 when [i] is a leaf. *)
+let maxson (a : float array) n i =
+  let c = i + i + i + 1 in
+  if c + 2 < n then begin
+    let x = if lt a.(c) a.(c + 1) then c + 1 else c in
+    if lt a.(x) a.(c + 2) then c + 2 else x
+  end
+  else if c + 1 < n && lt a.(c) a.(c + 1) then c + 1
+  else if c < n then c
+  else -1
+
+(* Move the hole at node [i] down along the largest children to a leaf
+   of [a.(0 .. n-1)]; returns that leaf. *)
+let bubble (a : float array) n i =
+  let i = ref i and j = ref (maxson a n i) in
+  while !j >= 0 do
+    a.(!i) <- a.(!j);
+    i := !j;
+    j := maxson a n !j
+  done;
+  !i
+
+(* The stdlib's [Array.sort] heap sort, step for step, specialised to
+   floats so that no element read is boxed and with its [Bottom]
+   exception turned into a -1 child.  Same algorithm, same comparisons,
+   hence the same permutation as [Array.sort Float.compare]. *)
+let sort_prefix (a : float array) l =
+  for i = ((l + 1) / 3) - 1 downto 0 do
+    (* sift a.(i) down *)
+    let e = a.(i) in
+    let k = ref i and j = ref (maxson a l i) in
+    while !j >= 0 && lt e a.(!j) do
+      a.(!k) <- a.(!j);
+      k := !j;
+      j := maxson a l !j
+    done;
+    a.(!k) <- e
+  done;
+  for n = l - 1 downto 2 do
+    (* move the maximum behind the heap, then sift the displaced
+       element up from the leaf the hole fell to *)
+    let e = a.(n) in
+    a.(n) <- a.(0);
+    let k = ref (bubble a n 0) in
+    while !k > 0 && lt a.((!k - 1) / 3) e do
+      a.(!k) <- a.((!k - 1) / 3);
+      k := (!k - 1) / 3
+    done;
+    a.(!k) <- e
+  done;
+  if l > 1 then begin
+    let e = a.(1) in
+    a.(1) <- a.(0);
+    a.(0) <- e
+  end
+
 let check_k k =
   if k < 8 || k mod 2 <> 0 then
     invalid_arg "Sketch.create: k must be even and >= 8"
@@ -70,18 +131,17 @@ let level t l =
    leftover, cascade if the next level fills past k in turn. *)
 let rec compact t l =
   let b = t.levels.(l) in
-  let sorted = Array.sub b.data 0 b.len in
-  Array.sort Float.compare sorted;
+  sort_prefix b.data b.len;
   let pairs = b.len land lnot 1 in
   let offset = if Prng.bool t.rng then 1 else 0 in
   let next = level t (l + 1) in
   let i = ref offset in
   while !i < pairs do
-    buf_push next sorted.(!i);
+    buf_push next b.data.(!i);
     i := !i + 2
   done;
   if b.len land 1 = 1 then begin
-    b.data.(0) <- sorted.(b.len - 1);
+    b.data.(0) <- b.data.(b.len - 1);
     b.len <- 1
   end
   else b.len <- 0;
@@ -118,7 +178,7 @@ let merge a b =
           else [||]
         in
         let data = Array.append (take a) (take b) in
-        Array.sort Float.compare data;
+        sort_prefix data (Array.length data);
         { data; len = Array.length data })
   in
   let join f x y =
@@ -137,7 +197,7 @@ let merge a b =
 let sorted_level t l =
   let b = t.levels.(l) in
   let a = Array.sub b.data 0 b.len in
-  Array.sort Float.compare a;
+  sort_prefix a b.len;
   a
 
 let equal a b =

@@ -132,3 +132,10 @@ val of_parts :
 (** Hard cap on the number of levels accepted by {!of_parts} (48 —
     unreachable by honest sketches, which need [2^48] observations). *)
 val max_levels : int
+
+(** [sort_prefix a n] sorts [a.(0 .. n-1)] in place into exactly the
+    order [Array.sort Float.compare] gives (the stdlib's heap sort,
+    specialised to floats so it boxes nothing), leaving [a.(n ..)]
+    alone.  Compaction and merge sort with it; exposed so a property
+    test can pin the permutation. *)
+val sort_prefix : float array -> int -> unit

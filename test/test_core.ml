@@ -2244,6 +2244,74 @@ let test_sim_federation_determinism () =
   Alcotest.(check string) "metrics byte-identical" m1 m2;
   Alcotest.(check string) "trace byte-identical" t1 t2
 
+(* The same cluster, deployed once flat under a wizard on "site" and
+   once as a one-shard federation whose shard lives on "site": the site
+   builder wires both, so the two must answer alike.  Servers are
+   heterogeneous testbed machines in two groups; only host_* variables
+   are asked, since the shard's uplink traffic can move network
+   measurements. *)
+let site_world seed =
+  let c = H.Cluster.create ~seed () in
+  let helene name ip =
+    { (H.Testbed.spec_of_name "helene") with H.Machine.name; ip }
+  in
+  let nodes =
+    List.map (H.Cluster.add_machine c)
+      ([
+         helene "root" "10.0.0.1";
+         helene "cli" "10.0.0.2";
+         helene "site" "10.0.0.3";
+         helene "mon-a" "10.1.0.1";
+         helene "mon-b" "10.2.0.1";
+       ]
+      @ List.map H.Testbed.spec_of_name
+          [ "dalmatian"; "sagit"; "pandora-x"; "telesto"; "dione"; "mimas" ])
+  in
+  let sw = H.Cluster.add_switch c ~name:"sw" ~ip:"10.0.0.254" in
+  List.iter
+    (fun n -> ignore (H.Cluster.link c ~a:n ~b:sw H.Testbed.lan_conf))
+    nodes;
+  c
+
+let test_sim_flat_and_shard_sites_agree () =
+  let groups =
+    [
+      ("mon-a", [ "dalmatian"; "sagit"; "pandora-x" ]);
+      ("mon-b", [ "telesto"; "dione"; "mimas" ]);
+    ]
+  in
+  let flat =
+    C.Simdriver.deploy_groups (site_world 23) ~wizard_host:"site" ~groups
+  in
+  let fed =
+    C.Simdriver.deploy_federation (site_world 23) ~root_host:"root"
+      ~shards:[ ("site", groups) ]
+  in
+  C.Simdriver.settle ~duration:8.0 flat;
+  C.Simdriver.settle ~duration:8.0 fed;
+  let ask d requirement wanted =
+    match C.Simdriver.request d ~client:"cli" ~wanted ~requirement with
+    | Ok servers -> servers
+    | Error e ->
+      Alcotest.failf "%S x%d failed: %a" requirement wanted C.Client.pp_error e
+  in
+  List.iter
+    (fun requirement ->
+      List.iter
+        (fun wanted ->
+          let expected = ask flat requirement wanted in
+          Alcotest.(check bool) "flat answer non-empty" true (expected <> []);
+          Alcotest.(check (list string))
+            (Printf.sprintf "%S x%d" requirement wanted)
+            expected (ask fed requirement wanted))
+        [ 1; 3; 6 ])
+    [
+      "host_cpu_free > 0.1\n";
+      "host_cpu_bogomips > 3300\n";
+      "host_memory_total > 200\norder_by = host_cpu_bogomips\n";
+      "order_by = host_memory_total\n";
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Sketch plane and control loops (DESIGN.md §14)                       *)
 (* ------------------------------------------------------------------ *)
@@ -3169,6 +3237,8 @@ let () =
             test_sim_federation_partial;
           Alcotest.test_case "same-seed determinism" `Slow
             test_sim_federation_determinism;
+          Alcotest.test_case "flat and shard sites answer alike" `Quick
+            test_sim_flat_and_shard_sites_agree;
           QCheck_alcotest.to_alcotest prop_fed_root_quantiles_track_union;
           Alcotest.test_case "latest sketch batch wins" `Quick
             test_fed_root_latest_batch_wins;

@@ -406,6 +406,68 @@ let test_distributed_mode_real () =
         Alcotest.failf "distributed request failed: %a"
           Smart_core.Client.pp_error e)
 
+(* Admission buckets key on the requester's IP address: with one token
+   per requester and practically no refill, a second request from
+   127.0.0.1 is shed while 127.0.0.2 still gets its first one through.
+   Each request leaves from a socket bound to the given address. *)
+let test_admission_per_requester_ip () =
+  let book = R.Addr_book.create () in
+  ignore (R.Addr_book.register_loopback book ~host:"wiz");
+  let wizard =
+    R.Wizard_daemon.create book
+      {
+        R.Wizard_daemon.host = "wiz";
+        mode = Smart_core.Wizard.Centralized;
+        staleness_threshold = infinity;
+        admission =
+          Some
+            {
+              Smart_core.Wizard.rate = 0.001;
+              burst = 1.;
+              max_delay = 0.;
+              max_clients = 16;
+            };
+      }
+  in
+  R.Wizard_daemon.start wizard;
+  Fun.protect
+    ~finally:(fun () -> R.Wizard_daemon.stop wizard)
+    (fun () ->
+      let to_ =
+        match
+          R.Addr_book.resolve book ~host:"wiz" ~port:Smart_proto.Ports.wizard
+        with
+        | Some addr -> addr
+        | None -> Alcotest.fail "wizard unresolvable"
+      in
+      let client =
+        Smart_core.Client.create ~rng:(Smart_util.Prng.create ~seed:5) ()
+      in
+      let rejected ip =
+        let socket = R.Udp_io.bind_port ~addr:(Unix.inet_addr_of_string ip) 0 in
+        Fun.protect
+          ~finally:(fun () -> R.Udp_io.stop socket)
+          (fun () ->
+            let request =
+              Smart_core.Client.make_request client ~wanted:1
+                ~option:Smart_proto.Wizard_msg.Accept_partial
+                ~requirement:"host_memory_total > 1\n"
+            in
+            ignore
+              (R.Udp_io.send socket ~to_
+                 (Smart_proto.Wizard_msg.encode_request request));
+            match R.Udp_io.recv_timeout socket ~timeout:5.0 with
+            | None -> Alcotest.failf "no reply to %s" ip
+            | Some (_, data) ->
+              (match Smart_proto.Wizard_msg.decode_reply data with
+              | Ok reply -> reply.Smart_proto.Wizard_msg.rejected
+              | Error e -> Alcotest.failf "bad reply to %s: %s" ip e))
+      in
+      Alcotest.(check bool) "127.0.0.1 admitted" false (rejected "127.0.0.1");
+      Alcotest.(check bool) "127.0.0.1 again rejected" true
+        (rejected "127.0.0.1");
+      Alcotest.(check bool) "127.0.0.2 admitted" false (rejected "127.0.0.2"))
+
 (* One daemon of each kind answers the SMART-METRICS magic on its
    existing socket (wizard request port, transmitter pull port, probe
    echo port) with its own registry dump. *)
@@ -534,6 +596,8 @@ let () =
           Alcotest.test_case "fd leak regression" `Slow
             test_fd_leak_regression;
           Alcotest.test_case "distributed mode" `Slow test_distributed_mode_real;
+          Alcotest.test_case "admission per requester ip" `Slow
+            test_admission_per_requester_ip;
           Alcotest.test_case "metrics scrape" `Slow test_metrics_scrape_real;
           Alcotest.test_case "trace scrape" `Slow test_trace_scrape_real;
         ] );

@@ -897,12 +897,47 @@ let prop_sketch_tracks_exact_percentile =
       let s = sketch_of ~k:8 ~seed:8 values in
       List.for_all (sketch_rank_ok values s) [ 0.1; 0.5; 0.9; 0.99 ])
 
+(* Compaction sorts with [Sketch.sort_prefix]; pin it to the exact
+   permutation [Array.sort Float.compare] gives.  Drawing mostly from a
+   small pool makes duplicates common, and -0.0 beside 0.0 (equal under
+   Float.compare, distinct in bits) shows where each one lands. *)
+let prop_sketch_sort_matches_stdlib =
+  let value =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, oneofa [| -0.0; 0.0; 1.0; -1.0; 0.5; Float.nan |]);
+          (1, float_range (-4.0) 4.0);
+        ])
+  in
+  let gen =
+    QCheck.Gen.(
+      array_size (int_range 0 300) value >>= fun a ->
+      int_range 0 (Array.length a) >|= fun n -> (a, n))
+  in
+  let print (a, n) =
+    Printf.sprintf "n=%d [%s]" n
+      (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") a)))
+  in
+  QCheck.Test.make
+    ~name:"sketch sort_prefix permutes exactly like Array.sort Float.compare"
+    ~count:500 (QCheck.make ~print gen)
+    (fun (a, n) ->
+      let bits x = Array.map Int64.bits_of_float x in
+      let len = Array.length a in
+      let expected = Array.sub a 0 n in
+      Array.sort Float.compare expected;
+      let got = Array.copy a in
+      Sk.sort_prefix got n;
+      bits (Array.sub got 0 n) = bits expected
+      && bits (Array.sub got n (len - n)) = bits (Array.sub a n (len - n)))
+
 let qsuite = List.map QCheck_alcotest.to_alcotest
     [ prop_heap_sorted; prop_heap_length; prop_percentile_bounds;
       prop_crc32_detects_byte_flips;
       prop_sketch_merge_commutes; prop_sketch_merge_associates;
       prop_sketch_merge_identity; prop_sketch_merge_matches_union;
-      prop_sketch_tracks_exact_percentile ]
+      prop_sketch_tracks_exact_percentile; prop_sketch_sort_matches_stdlib ]
 
 let () =
   Alcotest.run "smart_util"
