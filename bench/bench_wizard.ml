@@ -14,8 +14,14 @@
      attached, so the cost of the trace plane shows up as a ratio
      against the untraced warm run.
 
+   A fourth figure prices the status write path: the words one full
+   snapshot push of the plane costs the receiver, per server.
+
    Results go to stdout and to BENCH_wizard.json for trend tracking
-   across PRs. *)
+   across PRs.  Words are minor-heap words plus words allocated directly
+   on the major heap (blocks too large for the minor heap): neither
+   depends on the host, so CI compares them against the committed file,
+   unlike the wall-clock rates. *)
 
 module C = Smart_core
 module P = Smart_proto
@@ -108,8 +114,17 @@ let churn_records =
   Array.init servers (fun i ->
       { P.Records.report = report i; updated_at = 100.0 })
 
-(* Requests/sec plus minor-heap words allocated per request over a
-   fixed wall-time budget.  [churn] injects one status write before
+(* Words allocated so far: minor plus direct major.  [Gc.counters]'
+   major words count promotions too, which the minor figure already
+   holds, so they are subtracted.  The minor part comes from
+   [Gc.minor_words]: on OCaml 5.1 the minor figure of [Gc.counters]
+   undercounts the words of the current minor heap. *)
+let words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+(* Requests/sec plus words allocated per request over a fixed wall-time
+   budget.  [churn] injects one status write before
    every request, invalidating the snapshot the way a pre-index wizard
    rebuilt it unconditionally; its cost is charged to the cold number
    on purpose — that IS the cold path. *)
@@ -119,17 +134,17 @@ let measure ~churn ~budget wizard db =
   let t0 = Unix.gettimeofday () in
   let deadline = t0 +. budget in
   let iterations = ref 0 in
-  let minor0 = Gc.minor_words () in
+  let words0 = words () in
   while Unix.gettimeofday () < deadline do
     if churn then
       C.Status_db.update_sys db churn_records.(!iterations mod servers);
     ignore (C.Wizard.handle_request wizard ~now:1.0 ~from encoded_request);
     incr iterations
   done;
-  let minor1 = Gc.minor_words () in
+  let words1 = words () in
   let elapsed = Unix.gettimeofday () -. t0 in
   ( float_of_int !iterations /. elapsed,
-    (minor1 -. minor0) /. float_of_int (max 1 !iterations) )
+    (words1 -. words0) /. float_of_int (max 1 !iterations) )
 
 (* Drift-resistant A/B for the warm-vs-traced comparison: the two
    configurations alternate short slices of the shared budget, so a
@@ -140,7 +155,7 @@ let measure ~churn ~budget wizard db =
 type ab_acc = {
   mutable ab_iters : int;
   mutable ab_elapsed : float;
-  mutable ab_minor : float;
+  mutable ab_words : float;
 }
 
 let measure_ab ~budget wizard_a wizard_b =
@@ -149,7 +164,7 @@ let measure_ab ~budget wizard_a wizard_b =
   let slices = 8 in
   let slice = budget /. float_of_int (2 * slices) in
   let run wizard acc =
-    let minor0 = Gc.minor_words () in
+    let words0 = words () in
     let t0 = Unix.gettimeofday () in
     let deadline = t0 +. slice in
     let n = ref 0 in
@@ -159,23 +174,55 @@ let measure_ab ~budget wizard_a wizard_b =
     done;
     acc.ab_iters <- acc.ab_iters + !n;
     acc.ab_elapsed <- acc.ab_elapsed +. (Unix.gettimeofday () -. t0);
-    acc.ab_minor <- acc.ab_minor +. (Gc.minor_words () -. minor0)
+    acc.ab_words <- acc.ab_words +. (words () -. words0)
   in
-  let a = { ab_iters = 0; ab_elapsed = 0.0; ab_minor = 0.0 } in
-  let b = { ab_iters = 0; ab_elapsed = 0.0; ab_minor = 0.0 } in
+  let a = { ab_iters = 0; ab_elapsed = 0.0; ab_words = 0.0 } in
+  let b = { ab_iters = 0; ab_elapsed = 0.0; ab_words = 0.0 } in
   for _ = 1 to slices do
     run wizard_a a;
     run wizard_b b
   done;
   let finish acc =
     ( float_of_int acc.ab_iters /. acc.ab_elapsed,
-      acc.ab_minor /. float_of_int (max 1 acc.ab_iters) )
+      acc.ab_words /. float_of_int (max 1 acc.ab_iters) )
   in
   (finish a, finish b)
 
-(* JSON-safe float: the P² estimators only go non-finite when empty, but
-   a crash-proof dump beats a clever one. *)
+(* JSON-safe float: a histogram quantile is only non-finite (nan) while
+   the histogram is empty, but a crash-proof dump beats a clever one. *)
 let json_float x = if Float.is_finite x then Printf.sprintf "%.9f" x else "null"
+
+(* Words one full snapshot push of the plane costs, per server: the
+   Sys, Net and Sec frames of one monitor's transmitter, encoded up
+   front, decoded and committed by [Receiver.handle_stream] into a
+   mirror that already holds the plane (the steady-state push). *)
+let push_words_per_server () =
+  let order = P.Endian.Little in
+  let source = C.Status_db.create () in
+  populate source;
+  let tx =
+    C.Transmitter.create ~monitor_name:(monitor_of 0)
+      {
+        C.Transmitter.mode = C.Transmitter.Centralized;
+        order;
+        receiver = { C.Output.host = "wizard"; port = P.Ports.receiver };
+      }
+      source
+  in
+  let push =
+    String.concat ""
+      (List.map (P.Frame.encode order) (C.Transmitter.snapshot_frames tx))
+  in
+  let rx = C.Receiver.create ~order (C.Status_db.create ()) in
+  let feed () =
+    match C.Receiver.handle_stream rx ~from:(monitor_of 0) push with
+    | Ok () -> ()
+    | Error e -> failwith ("push_words_per_server: " ^ e)
+  in
+  feed ();
+  let words0 = words () in
+  feed ();
+  (words () -. words0) /. float_of_int servers
 
 (* ------------------------------------------------------------------ *)
 (* Lossy-plane run: the same request path driven end-to-end through the
@@ -274,9 +321,10 @@ let run () =
   let traced_wizard, _traced_db =
     mk ~trace ~capacity:C.Wizard.default_compile_cache_capacity ()
   in
-  let (warm_rps, warm_allocs), (traced_rps, _) =
+  let (warm_rps, warm_allocs), (traced_rps, traced_allocs) =
     measure_ab ~budget warm_wizard traced_wizard
   in
+  let push_words = push_words_per_server () in
   let trace_overhead = (warm_rps -. traced_rps) /. warm_rps in
   let speedup = warm_rps /. cold_rps in
   let hits, misses = C.Wizard.compile_cache_stats warm_wizard in
@@ -331,8 +379,10 @@ let run () =
   Fmt.pr "tracing overhead: %.1f%% (%d spans recorded)@."
     (100.0 *. trace_overhead)
     (Smart_util.Tracelog.total_recorded trace);
-  Fmt.pr "allocation: cold %.0f minor words/request, warm %.0f@."
-    cold_allocs warm_allocs;
+  Fmt.pr
+    "allocation (minor + direct major words): cold %.0f/request, warm %.0f, \
+     warm traced %.0f; snapshot push %.0f/server@."
+    cold_allocs warm_allocs traced_allocs push_words;
   let success_rate, lossy_retries, retry_p95 = lossy_run () in
   Fmt.pr
     "lossy plane (%.0f%% datagram loss, %d requests): success rate %.3f, \
@@ -362,6 +412,8 @@ let run () =
     \  \"trace_overhead_spans_recorded\": %d,\n\
     \  \"cold_allocs_per_req\": %.1f,\n\
     \  \"warm_allocs_per_req\": %.1f,\n\
+    \  \"warm_traced_allocs_per_req\": %.1f,\n\
+    \  \"push_words_per_server\": %.1f,\n\
     \  \"warm_compile_cache_hits\": %d,\n\
     \  \"warm_compile_cache_misses\": %d,\n\
     \  \"warm_result_cache_hits\": %d,\n\
@@ -386,7 +438,7 @@ let run () =
     (json_float traced_lat.Smart_util.Metrics.p99)
     trace_overhead
     (Smart_util.Tracelog.total_recorded trace)
-    cold_allocs warm_allocs
+    cold_allocs warm_allocs traced_allocs push_words
     hits misses rhits rmisses
     (C.Wizard.snapshot_rebuilds warm_wizard)
     lossy_loss lossy_requests success_rate lossy_retries

@@ -33,7 +33,7 @@ type t = {
          three database snapshots (a regional wizard feeding the
          federation root) *)
   sketches : (unit -> (string * Smart_util.Sketch.t) list) option;
-      (* mergeable quantile sketches riding the same uplink as one
+      (* quantile sketches riding the same uplink as one
          Sketch_db frame per push when non-empty *)
   sketch_source : string;
       (* shard/monitor name stamped into the Sketch_db payload *)

@@ -47,7 +47,7 @@ type t
     callback returns a non-empty batch also ships one [Sketch_db] frame
     holding it, stamped with [sketch_source] (the shard name; default
     [""]) and counted in [transmitter.sketch_pushes_total] — how a
-    shard feeds the root the mergeable latency distributions that
+    shard feeds the root the latency distributions it can merge, which
     digests cannot carry. *)
 val create :
   ?metrics:Smart_util.Metrics.t ->

@@ -140,10 +140,12 @@ type t = {
   gap_sketch : Smart_util.Sketch.t;
       (* inter-update gaps observed by [note_update] *)
   latency_sketch : Smart_util.Sketch.t;
-      (* per-instance mergeable view of request latency, shipped up the
-         federation uplink.  Deliberately NOT the registry histogram's
-         backing: shard wizards share one deployment registry, and the
-         root must merge per-shard distributions, not one shared one. *)
+      (* per-instance subquery latency, shipped up the federation
+         uplink.  Deliberately NOT the registry histogram's sketch:
+         shard wizards share one deployment registry, and the root must
+         merge per-shard distributions, not one shared one.  Only
+         subqueries feed it, since only shards ship it and shards only
+         answer subqueries. *)
   trace : Smart_util.Tracelog.t;
   requests_total : Metrics.Counter.t;
   compile_errors_total : Metrics.Counter.t;
@@ -515,10 +517,7 @@ let process t ?batch (request : Smart_proto.Wizard_msg.request) ~from =
   in
   let finished = t.clock () in
   Smart_util.Tracelog.finish t.trace ~at:finished span;
-  let elapsed = finished -. started in
-  Metrics.Histogram.observe t.request_latency elapsed;
-  if Float.is_finite elapsed then
-    Smart_util.Sketch.observe t.latency_sketch elapsed;
+  Metrics.Histogram.observe t.request_latency (finished -. started);
   outputs
 
 (* Dispatch an admitted request into the answering machinery. *)

@@ -196,7 +196,7 @@ val snapshot_refreshes : t -> int
 val batched_requests : t -> int
 
 (** The [wizard.request_latency_seconds] histogram in one read:
-    count/sum/min/max plus incremental p50/p95/p99 estimates. *)
+    count/sum/min/max plus nearest-rank p50/p95/p99. *)
 val request_latency_summary : t -> Smart_util.Metrics.histogram_summary
 
 (** Replies served with the degraded (stale snapshot) flag set. *)
@@ -218,11 +218,12 @@ val subqueries_handled : t -> int
 (** Server list of the most recent successful selection. *)
 val last_result : t -> string list option
 
-(** This wizard's private mergeable view of
-    [wizard.request_latency_seconds]: every request and subquery latency
-    observed by this instance (the registry histogram may be shared
-    across shard wizards in simulation; this sketch never is).  Ship it
-    up the federation uplink under {!Fed_root.latency_metric} via the
+(** This wizard's private sketch of its {!handle_subquery} latencies
+    (the registry's [wizard.request_latency_seconds] may be shared
+    across shard wizards in simulation; this sketch never is).  Requests
+    answered by {!handle_request} do not feed it: only federation shards
+    ship it, and shards answer only subqueries.  Ship it up the
+    federation uplink under {!Fed_root.latency_metric} via the
     transmitter's [sketches] callback. *)
 val latency_sketch : t -> Smart_util.Sketch.t
 

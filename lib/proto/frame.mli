@@ -10,7 +10,7 @@
 (** [Digest_db] (type code 4) carries a {!Digest} — the federation's
     per-shard summary shipped up the aggregation tree instead of whole
     databases; [Sketch_db] (type code 5) carries a {!Sketch_msg} batch
-    of mergeable quantile sketches riding the same uplink; the first
+    of quantile sketches riding the same uplink; the first
     three codes are the original §3.5.1 payloads. *)
 type payload_type = Sys_db | Net_db | Sec_db | Digest_db | Sketch_db
 

@@ -1,10 +1,9 @@
-(** Wire codec for a shard's batch of mergeable quantile sketches — the
+(** Wire codec for a shard's batch of quantile sketches — the
     federation's [Frame.Sketch_db] payload (type code 5).
 
-    A shard periodically ships every mergeable histogram backing
-    ({!Smart_util.Metrics.sketches}, plus the wizard's private request-
-    latency sketch) up the same transmitter uplink that carries
-    digests; the root merges same-named sketches across shards into
+    A shard periodically ships named sketches (today its wizard's
+    private subquery-latency sketch) up the same transmitter uplink
+    that carries digests; the root merges same-named sketches across shards into
     deployment-wide quantiles (DESIGN.md §14, OBSERVABILITY.md).
 
     The encoding round-trips the sketch exactly, including its PRNG

@@ -10,13 +10,19 @@ let encode_request = function
   | Text -> request_magic ^ " text"
   | Json -> request_magic ^ " json"
 
+(* Whether [data] begins with [request_magic], compared in place from
+   byte [i] on: daemons test every datagram they receive, so a miss
+   must not allocate. *)
+let rec has_magic data i =
+  i = String.length request_magic
+  || i < String.length data
+     && Char.equal data.[i] request_magic.[i]
+     && has_magic data (i + 1)
+
 let decode_request data =
-  let magic_len = String.length request_magic in
-  if
-    String.length data < magic_len
-    || not (String.equal (String.sub data 0 magic_len) request_magic)
-  then None
+  if not (has_magic data 0) then None
   else
+    let magic_len = String.length request_magic in
     match
       String.trim (String.sub data magic_len (String.length data - magic_len))
     with

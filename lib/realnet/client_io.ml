@@ -67,11 +67,10 @@ let request_servers ?(option = Smart_proto.Wizard_msg.Accept_partial)
         in
         attempt retries)
 
-(* One metrics scrape: magic datagram out, rendered dump back.  [port]
-   picks the daemon — wizard request port, transmitter pull port or probe
-   echo port all answer. *)
-let scrape_metrics ?(timeout = 2.0) ?(format = Smart_proto.Metrics_msg.Text)
-    book ~host ~port () =
+(* One scrape: the [request] magic datagram out, the rendered dump
+   back.  [port] picks the daemon — wizard request port, transmitter
+   pull port or probe echo port all answer both kinds. *)
+let scrape ~timeout book ~host ~port request =
   match Addr_book.resolve book ~host ~port with
   | None -> Error (Printf.sprintf "unknown host %s" host)
   | Some addr ->
@@ -79,36 +78,20 @@ let scrape_metrics ?(timeout = 2.0) ?(format = Smart_proto.Metrics_msg.Text)
     Fun.protect
       ~finally:(fun () -> Udp_io.stop socket)
       (fun () ->
-        if
-          not
-            (Udp_io.send socket ~to_:addr
-               (Smart_proto.Metrics_msg.encode_request format))
-        then Error "send failed"
+        if not (Udp_io.send socket ~to_:addr request) then Error "send failed"
         else
           match Udp_io.recv_timeout socket ~timeout with
           | Some (_, dump) -> Ok dump
           | None -> Error "scrape timed out")
 
-(* One flight-recorder scrape, the trace-plane twin of
-   [scrape_metrics]: SMART-TRACE magic out, span dump back. *)
+let scrape_metrics ?(timeout = 2.0) ?(format = Smart_proto.Metrics_msg.Text)
+    book ~host ~port () =
+  scrape ~timeout book ~host ~port
+    (Smart_proto.Metrics_msg.encode_request format)
+
 let scrape_trace ?(timeout = 2.0) ?(format = Smart_proto.Trace_msg.Text)
     book ~host ~port () =
-  match Addr_book.resolve book ~host ~port with
-  | None -> Error (Printf.sprintf "unknown host %s" host)
-  | Some addr ->
-    let socket = Udp_io.bind_port 0 in
-    Fun.protect
-      ~finally:(fun () -> Udp_io.stop socket)
-      (fun () ->
-        if
-          not
-            (Udp_io.send socket ~to_:addr
-               (Smart_proto.Trace_msg.encode_request format))
-        then Error "send failed"
-        else
-          match Udp_io.recv_timeout socket ~timeout with
-          | Some (_, dump) -> Ok dump
-          | None -> Error "scrape timed out")
+  scrape ~timeout book ~host ~port (Smart_proto.Trace_msg.encode_request format)
 
 (* Connect one TCP socket to a candidate's service port.  The optional
    [connect_timeout] bounds the handshake with a non-blocking connect:

@@ -152,20 +152,13 @@ let start t =
           (Smart_core.Sysmon.handle_report t.sysmon
              ~now:(Unix.gettimeofday ()) data));
   Udp_io.start t.pull_socket (fun ~from data ->
-      match Smart_proto.Metrics_msg.decode_request data with
-      | Some format ->
-        ignore
-          (Udp_io.send t.pull_socket ~to_:from
-             (Smart_proto.Metrics_msg.encode_reply format t.metrics))
-      | None ->
-      match Smart_proto.Trace_msg.decode_request data with
-      | Some format ->
-        ignore
-          (Udp_io.send t.pull_socket ~to_:from
-             (Smart_proto.Trace_msg.encode_reply format t.tracelog))
-      | None ->
-        let outputs = Smart_core.Transmitter.handle_pull t.transmitter ~data in
-        perform_transmits t outputs);
+      if
+        not
+          (Udp_io.answer_scrape t.pull_socket ~metrics:t.metrics
+             ~trace:t.tracelog ~from data)
+      then
+        perform_transmits t
+          (Smart_core.Transmitter.handle_pull t.transmitter ~data));
   let transmit_loop () =
     while t.running do
       let now = Unix.gettimeofday () in

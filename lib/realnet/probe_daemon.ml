@@ -92,18 +92,11 @@ let start t =
   (* echo responder: bounce every datagram back to its sender (metrics
      scrapes answered with the registry dump instead) *)
   Udp_io.start t.echo (fun ~from data ->
-      match Smart_proto.Metrics_msg.decode_request data with
-      | Some format ->
-        ignore
-          (Udp_io.send t.echo ~to_:from
-             (Smart_proto.Metrics_msg.encode_reply format t.metrics))
-      | None ->
-      match Smart_proto.Trace_msg.decode_request data with
-      | Some format ->
-        ignore
-          (Udp_io.send t.echo ~to_:from
-             (Smart_proto.Trace_msg.encode_reply format t.tracelog))
-      | None -> ignore (Udp_io.send t.echo ~to_:from data));
+      if
+        not
+          (Udp_io.answer_scrape t.echo ~metrics:t.metrics ~trace:t.tracelog
+             ~from data)
+      then ignore (Udp_io.send t.echo ~to_:from data));
   let loop () =
     while t.running do
       tick_once t;

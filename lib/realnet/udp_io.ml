@@ -47,6 +47,20 @@ let send t ~to_ data =
     true
   with Unix.Unix_error (_, _, _) -> false
 
+let answer_scrape t ~metrics ~trace ~from data =
+  match Smart_proto.Metrics_msg.decode_request data with
+  | Some format ->
+    ignore
+      (send t ~to_:from (Smart_proto.Metrics_msg.encode_reply format metrics));
+    true
+  | None ->
+    (match Smart_proto.Trace_msg.decode_request data with
+    | Some format ->
+      ignore
+        (send t ~to_:from (Smart_proto.Trace_msg.encode_reply format trace));
+      true
+    | None -> false)
+
 let stop t =
   if t.running then begin
     t.running <- false;

@@ -17,6 +17,20 @@ val start : t -> (from:Unix.sockaddr -> string -> unit) -> unit
 (** Send one datagram; [false] on failure. *)
 val send : t -> to_:Unix.sockaddr -> string -> bool
 
+(** Answer a scrape arriving on a daemon socket: when [data] is a
+    [Smart_proto.Metrics_msg] or [Smart_proto.Trace_msg] request, reply
+    to [from] with the rendered [metrics] registry or [trace] flight
+    recorder and return [true].  Otherwise return [false] without
+    allocating, so a daemon can run it on every datagram before its own
+    handling. *)
+val answer_scrape :
+  t ->
+  metrics:Smart_util.Metrics.t ->
+  trace:Smart_util.Tracelog.t ->
+  from:Unix.sockaddr ->
+  string ->
+  bool
+
 (** Stop the receive loop (if any) and close the socket. *)
 val stop : t -> unit
 

@@ -123,19 +123,12 @@ let start t =
   in
   (* request loop *)
   Udp_io.start t.request_socket (fun ~from data ->
-      match Smart_proto.Metrics_msg.decode_request data with
-      | Some format ->
-        ignore
-          (Udp_io.send t.request_socket ~to_:from
-             (Smart_proto.Metrics_msg.encode_reply format t.metrics))
-      | None ->
-      match Smart_proto.Trace_msg.decode_request data with
-      | Some format ->
-        ignore
-          (Udp_io.send t.request_socket ~to_:from
-             (Smart_proto.Trace_msg.encode_reply format t.tracelog))
-      | None ->
-      if not (String.equal data "") then begin
+      if
+        (not
+           (Udp_io.answer_scrape t.request_socket ~metrics:t.metrics
+              ~trace:t.tracelog ~from data))
+        && not (String.equal data "")
+      then begin
         let outputs =
           locked t (fun () ->
               Smart_core.Wizard.handle_request t.wizard

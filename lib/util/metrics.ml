@@ -1,94 +1,11 @@
-(* Self-instrumentation registry: counters, gauges and bounded
-   histograms with P² incremental quantile estimates (Jain & Chlamtac,
-   CACM 1985) — O(1) memory per tracked quantile, no sample buffer, so
-   a component can observe every request forever.
+(* Self-instrumentation registry: counters, gauges and histograms
+   backed by the quantile sketch ({!Sketch}), whose memory grows with
+   the logarithm of the observation count, so a component can observe
+   every request forever.
 
    The registry is deliberately dependency-free and driver-agnostic:
    the simulation driver reads it synchronously, the realnet daemons
    dump it into a UDP reply, the bench writes it to JSON. *)
-
-(* ------------------------------------------------------------------ *)
-(* P² single-quantile estimator                                         *)
-(* ------------------------------------------------------------------ *)
-
-(* Five markers track the running min, the p/2, p and (1+p)/2 quantile
-   estimates and the running max; marker heights are nudged toward
-   their desired positions with a piecewise-parabolic interpolation.
-   The caller seeds it with the first five observations sorted. *)
-module P2 = struct
-  type t = {
-    q : float array;        (* marker heights *)
-    pos : int array;        (* actual marker positions, 1-based *)
-    desired : float array;  (* desired marker positions *)
-    inc : float array;      (* desired-position increments *)
-  }
-
-  let create p =
-    {
-      q = Array.make 5 0.0;
-      pos = [| 1; 2; 3; 4; 5 |];
-      desired = [| 1.0; 1.0 +. (2.0 *. p); 1.0 +. (4.0 *. p);
-                   3.0 +. (2.0 *. p); 5.0 |];
-      inc = [| 0.0; p /. 2.0; p; (1.0 +. p) /. 2.0; 1.0 |];
-    }
-
-  let init t sorted5 = Array.blit sorted5 0 t.q 0 5
-
-  let parabolic t i s =
-    let q = t.q and pos = t.pos in
-    let fp i = float_of_int pos.(i) in
-    q.(i)
-    +. s /. (fp (i + 1) -. fp (i - 1))
-       *. (((fp i -. fp (i - 1) +. s) *. (q.(i + 1) -. q.(i))
-            /. (fp (i + 1) -. fp i))
-           +. ((fp (i + 1) -. fp i -. s) *. (q.(i) -. q.(i - 1))
-               /. (fp i -. fp (i - 1))))
-
-  let linear t i s =
-    let q = t.q and pos = t.pos in
-    q.(i) +. (float_of_int s *. (q.(i + s) -. q.(i))
-              /. float_of_int (pos.(i + s) - pos.(i)))
-
-  (* One observation past the first five. *)
-  let observe t x =
-    let q = t.q and pos = t.pos in
-    let cell =
-      if x < q.(0) then begin
-        q.(0) <- x;
-        0
-      end
-      else if x >= q.(4) then begin
-        q.(4) <- x;
-        3
-      end
-      else begin
-        let rec find i = if x < q.(i + 1) then i else find (i + 1) in
-        find 0
-      end
-    in
-    for i = cell + 1 to 4 do
-      pos.(i) <- pos.(i) + 1
-    done;
-    for i = 0 to 4 do
-      t.desired.(i) <- t.desired.(i) +. t.inc.(i)
-    done;
-    for i = 1 to 3 do
-      let d = t.desired.(i) -. float_of_int pos.(i) in
-      if
-        (d >= 1.0 && pos.(i + 1) - pos.(i) > 1)
-        || (d <= -1.0 && pos.(i - 1) - pos.(i) < -1)
-      then begin
-        let s = if d >= 0.0 then 1 else -1 in
-        let candidate = parabolic t i (float_of_int s) in
-        if q.(i - 1) < candidate && candidate < q.(i + 1) then
-          q.(i) <- candidate
-        else q.(i) <- linear t i s;
-        pos.(i) <- pos.(i) + s
-      end
-    done
-
-  let estimate t = t.q.(2)
-end
 
 (* ------------------------------------------------------------------ *)
 (* Instruments                                                          *)
@@ -118,90 +35,29 @@ module Gauge = struct
   let value t = t.v
 end
 
-(* Linear interpolation on the sorted sample, matching
-   [Stats.percentile] so the "exact while small" regime agrees with the
-   offline toolkit. *)
-let percentile_of_sorted sorted ~p =
-  let n = Array.length sorted in
-  let rank = p *. float_of_int (n - 1) in
-  let lo = int_of_float (Float.floor rank) in
-  let hi = int_of_float (Float.ceil rank) in
-  if lo = hi then sorted.(lo)
-  else begin
-    let w = rank -. float_of_int lo in
-    (sorted.(lo) *. (1.0 -. w)) +. (sorted.(hi) *. w)
-  end
-
+(* A running sum beside one sketch: count, extremes and every quantile
+   are the sketch's, so the whole registry shares one set of quantile
+   semantics with the federation's merged views.  The sketch rejects
+   non-finite values, so the histogram drops them before either field
+   moves. *)
 module Histogram = struct
-  type t = {
-    mutable n : int;
-    mutable sum : float;
-    mutable minv : float;
-    mutable maxv : float;
-    first : float array;  (* the first five observations, unsorted *)
-    q50 : P2.t;
-    q95 : P2.t;
-    q99 : P2.t;
-    mutable sketch : Sketch.t option;
-        (* mergeable backing for federated aggregation; the P² markers
-           above stay the cheap local view *)
-  }
+  (* the sum sits in an all-float record, which stores it unboxed, so
+     adding to it allocates nothing *)
+  type total = { mutable sum : float }
 
-  let make ?sketch () =
-    {
-      n = 0;
-      sum = 0.0;
-      minv = Float.nan;
-      maxv = Float.nan;
-      first = Array.make 5 0.0;
-      q50 = P2.create 0.5;
-      q95 = P2.create 0.95;
-      q99 = P2.create 0.99;
-      sketch;
-    }
-
-  let sketch t = t.sketch
+  type t = { total : total; sketch : Sketch.t }
 
   let observe t x =
-    if t.n < 5 then t.first.(t.n) <- x;
-    t.n <- t.n + 1;
-    t.sum <- t.sum +. x;
-    t.minv <- (if t.n = 1 then x else Float.min t.minv x);
-    t.maxv <- (if t.n = 1 then x else Float.max t.maxv x);
-    (match t.sketch with
-    | Some s when Float.is_finite x -> Sketch.observe s x
-    | Some _ | None -> ());
-    if t.n = 5 then begin
-      let sorted = Array.copy t.first in
-      Array.sort Float.compare sorted;
-      P2.init t.q50 sorted;
-      P2.init t.q95 sorted;
-      P2.init t.q99 sorted
-    end
-    else if t.n > 5 then begin
-      P2.observe t.q50 x;
-      P2.observe t.q95 x;
-      P2.observe t.q99 x
+    if Float.is_finite x then begin
+      t.total.sum <- t.total.sum +. x;
+      Sketch.observe t.sketch x
     end
 
-  let count t = t.n
+  let count t = Sketch.count t.sketch
 
-  let sum t = t.sum
+  let sum t = t.total.sum
 
-  let quantile t p =
-    let estimator =
-      if p = 0.5 then t.q50
-      else if p = 0.95 then t.q95
-      else if p = 0.99 then t.q99
-      else invalid_arg "Metrics.Histogram.quantile: tracked p are 0.5/0.95/0.99"
-    in
-    if t.n = 0 then Float.nan
-    else if t.n <= 5 then begin
-      let sorted = Array.sub t.first 0 t.n in
-      Array.sort Float.compare sorted;
-      percentile_of_sorted sorted ~p
-    end
-    else P2.estimate estimator
+  let quantile t p = Sketch.quantile t.sketch p
 end
 
 type histogram_summary = {
@@ -216,10 +72,10 @@ type histogram_summary = {
 
 let histogram_summary (h : Histogram.t) =
   {
-    count = h.Histogram.n;
-    sum = h.Histogram.sum;
-    min = h.Histogram.minv;
-    max = h.Histogram.maxv;
+    count = Histogram.count h;
+    sum = Histogram.sum h;
+    min = Sketch.min_value h.Histogram.sketch;
+    max = Sketch.max_value h.Histogram.sketch;
     p50 = Histogram.quantile h 0.5;
     p95 = Histogram.quantile h 0.95;
     p99 = Histogram.quantile h 0.99;
@@ -278,36 +134,12 @@ let gauge t ?help name =
    [Hashtbl.hash] is banned by the determinism lint). *)
 let sketch_for name = Sketch.create ~rng:(Prng.create ~seed:(Crc32.string name)) ()
 
-let histogram t ?help ?(mergeable = false) name =
-  let h =
-    register t ?help name ~wanted:"histogram"
-      ~make:(fun () ->
-        let sketch = if mergeable then Some (sketch_for name) else None in
-        let h = Histogram.make ?sketch () in
-        (h, Histogram_m h))
-      ~extract:(function
-        | Histogram_m h -> Some h
-        | Counter_m _ | Gauge_m _ -> None)
-  in
-  (* get-or-create upgrade: if any registration asks for a mergeable
-     backing the histogram keeps one from that point on, so the outcome
-     does not depend on which component registered first *)
-  (match Histogram.sketch h with
-  | None when mergeable -> h.Histogram.sketch <- Some (sketch_for name)
-  | Some _ | None -> ());
-  h
-
-let sketches t =
-  Hashtbl.fold
-    (fun name { metric; _ } acc ->
-      match metric with
-      | Histogram_m h ->
-        (match Histogram.sketch h with
-        | Some s -> (name, s) :: acc
-        | None -> acc)
-      | Counter_m _ | Gauge_m _ -> acc)
-    t.table []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+let histogram t ?help name =
+  register t ?help name ~wanted:"histogram"
+    ~make:(fun () ->
+      let h = { Histogram.total = { sum = 0.0 }; sketch = sketch_for name } in
+      (h, Histogram_m h))
+    ~extract:(function Histogram_m h -> Some h | Counter_m _ | Gauge_m _ -> None)
 
 type value =
   | Counter of int

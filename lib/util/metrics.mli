@@ -1,7 +1,6 @@
 (** Self-instrumentation registry for the monitoring system itself:
-    named counters, gauges and bounded histograms with incremental
-    quantile estimates (p50/p95/p99, the P² algorithm — O(1) memory per
-    tracked quantile).
+    named counters, gauges and histograms whose quantiles come from the
+    quantile {!Sketch} the federation merges.
 
     Every sans-IO component registers its instruments against a registry
     handed in at creation time, so the same instrumentation is read
@@ -39,28 +38,38 @@ module Gauge : sig
   val value : t -> float
 end
 
-(** Bounded-memory distribution tracker: count, sum, min, max, and three
-    P² quantile estimators (p50, p95, p99).  With five or fewer
-    observations the quantiles are exact (linear interpolation on the
-    sorted sample, matching {!Stats.percentile}); beyond that the P²
-    markers take over. *)
+(** Distribution tracker: a running sum plus one {!Sketch} (default
+    [k = 256], seeded from the metric name), which supplies the count,
+    the extremes and every quantile.
+
+    {b Semantics.}  {!Histogram.quantile}[ h p] is the nearest rank:
+    with [n] observations sorted as [s], the answer is
+    [s.(max 0 (ceil (p *. n) - 1))].  It is exact for the first 255
+    observations, until the sketch first compacts; after that it is a
+    retained observed value whose rank lies within the sketch's
+    {!Sketch.err_weight} of the target.  There is no interpolation, so
+    a quantile is always a value that was observed.
+
+    {b Non-finite input.}  [nan], [infinity] and [neg_infinity] are
+    ignored: count, sum, extremes and quantiles do not move.
+
+    {b Memory.}  O(k·log2(n/k)) floats after [n] observations: 14
+    levels and about 28 KB in all after 1.5M. *)
 module Histogram : sig
   type t
 
+  (** Fold one observation in; non-finite values are ignored. *)
   val observe : t -> float -> unit
 
   val count : t -> int
 
+  (** Exact sum of the finite observations. *)
   val sum : t -> float
 
-  (** Estimate for [p] in {0.5, 0.95, 0.99}; [Float.nan] while empty.
-      Raises [Invalid_argument] for any other [p]. *)
+  (** Nearest-rank estimate for any [p] in [[0, 1]] (see above);
+      [Float.nan] while empty.  Raises [Invalid_argument] for [p]
+      outside [[0, 1]]. *)
   val quantile : t -> float -> float
-
-  (** The mergeable backing, when the histogram was registered with
-      [~mergeable:true].  Non-finite observations are skipped by the
-      sketch (the P² view still folds them in). *)
-  val sketch : t -> Sketch.t option
 end
 
 (** Everything a histogram exposes, in one read. *)
@@ -92,17 +101,11 @@ val counter : t -> ?help:string -> string -> Counter.t
 
 val gauge : t -> ?help:string -> string -> Gauge.t
 
-(** [histogram t ?mergeable name]: with [~mergeable:true] the histogram
-    also feeds a {!Sketch} (deterministically seeded from [name] via
-    CRC-32), the backing a federated root can {!Sketch.merge} across
-    processes; the P² markers remain the cheap local view.  If any
-    registration of [name] asks for a mergeable backing the histogram
-    keeps one from that point on. *)
-val histogram : t -> ?help:string -> ?mergeable:bool -> string -> Histogram.t
-
-(** Every histogram's mergeable backing, sorted by metric name — what a
-    shard ships up its uplink (see {!Sketch}). *)
-val sketches : t -> (string * Sketch.t) list
+(** [histogram t name]: the histogram registered under [name],
+    created on first use with its sketch's PRNG seeded from the CRC-32
+    of [name], so same-seed runs stay byte-identical whatever the
+    registration order. *)
+val histogram : t -> ?help:string -> string -> Histogram.t
 
 (** Current readings of every registered metric, sorted by name — the
     stable view tests and experiments assert on. *)

@@ -1,12 +1,13 @@
-(** Deterministic mergeable quantile sketch (MRL/KLL-style compacting
-    buffers).
+(** Deterministic quantile sketch with an exact merge (MRL/KLL-style
+    compacting buffers).
 
-    The P² histograms ({!Metrics.Histogram}) are per-process and cannot
-    be combined, so a federated deployment cannot answer "what is the
-    deployment-wide p99?".  This sketch can: it keeps a bounded number
-    of retained observations organised in levels, where level [l] holds
-    items that each stand for [2^l] original observations, and
-    {!merge} is an exact commutative monoid over sketches.
+    The repo's one quantile estimator: every {!Metrics.Histogram} is a
+    running sum over one of these, and a federated deployment answers
+    "what is the deployment-wide p99?" by merging them.  It keeps a
+    bounded number of retained observations organised in levels, where
+    level [l] holds items that each stand for [2^l] original
+    observations, and {!merge} is an exact commutative monoid over
+    sketches.
 
     {2 Structure}
 

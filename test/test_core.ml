@@ -2557,14 +2557,27 @@ let test_wizard_adaptive_staleness () =
     (Smart_util.Metrics.counter_value m "wizard.staleness_adaptations_total");
   Alcotest.(check (float 1e-9)) "gauge mirrors the threshold" 300.0
     (Smart_util.Metrics.gauge_value m "wizard.staleness_threshold_seconds");
-  (* the private latency sketch sees every answered request *)
+  (* the private latency sketch is the shard uplink's: subqueries feed
+     it, requests on the client port do not *)
   C.Status_db.update_sys db
     (sys_record ~host:"a" ~ip:"1.0.0.1" ~cpu_free:0.9 ~at:!now ());
   ignore
     (C.Wizard.handle_request wizard ~now:!now
        ~from:{ C.Output.host = "c"; port = 1 }
        (P.Wizard_msg.encode_request (client_request "host_cpu_free > 0.5\n")));
-  Alcotest.(check int) "latency sketch fed per request" 1
+  Alcotest.(check int) "a request leaves the latency sketch empty" 0
+    (Sk.count (C.Wizard.latency_sketch wizard));
+  ignore
+    (C.Wizard.handle_subquery wizard
+       ~from:{ C.Output.host = "root"; port = 1 }
+       (P.Fed_msg.encode_query
+          {
+            P.Fed_msg.seq = 1;
+            wanted = 1;
+            requirement = "host_cpu_free > 0.5\n";
+            trace = Smart_util.Tracelog.root;
+          }));
+  Alcotest.(check int) "a subquery feeds the latency sketch" 1
     (Sk.count (C.Wizard.latency_sketch wizard))
 
 (* Same seed, all three control loops armed: the closed loops must not

@@ -1176,6 +1176,139 @@ let prop_sketch_msg_roundtrip =
              batch.P.Sketch_msg.entries d.P.Sketch_msg.entries
         && String.equal wire (P.Sketch_msg.encode order d))
 
+(* ------------------------------------------------------------------ *)
+(* Decoders never raise                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Every wire decoder beside one valid encoding of its input (both byte
+   orders where the format has one).  Running a decoder returns unit
+   whatever it decided — [Ok], [Error], [Some] or [None] — so the only
+   way to fail is to raise. *)
+let wire_decoders =
+  let ordered name encode decode =
+    List.map
+      (fun (order, tag) -> (name ^ " " ^ tag, encode order, decode order))
+      [ (P.Endian.Little, "LE"); (P.Endian.Big, "BE") ]
+  in
+  let ok_or_error r = ignore (r : (_, string) result) in
+  [
+    ( "wizard request",
+      P.Wizard_msg.encode_request
+        {
+          P.Wizard_msg.seq = 0x01020304;
+          server_num = 5;
+          option = P.Wizard_msg.Strict;
+          requirement = "host_cpu_free > 0.5\norder_by = host_memory_free\n";
+          trace = ctx;
+        },
+      fun s -> ok_or_error (P.Wizard_msg.decode_request s) );
+    ( "wizard reply",
+      P.Wizard_msg.encode_reply
+        {
+          P.Wizard_msg.seq = 9;
+          servers = [ "alpha"; "10.0.0.2" ];
+          degraded = true;
+          rejected = false;
+        },
+      fun s -> ok_or_error (P.Wizard_msg.decode_reply s) );
+    ( "fed query",
+      P.Fed_msg.encode_query
+        {
+          P.Fed_msg.seq = 3;
+          wanted = 4;
+          requirement = "host_cpu_free > 0.5\n";
+          trace = ctx;
+        },
+      fun s -> ok_or_error (P.Fed_msg.decode_query s) );
+    ( "fed reply",
+      P.Fed_msg.encode_reply
+        {
+          P.Fed_msg.seq = 3;
+          shard = "region-a";
+          generation = 12;
+          degraded = false;
+          candidates =
+            [
+              { P.Fed_msg.host = "alpha"; rank = 0; key = 1.5 };
+              { P.Fed_msg.host = "beta"; rank = -1; key = Float.nan };
+            ];
+        },
+      fun s -> ok_or_error (P.Fed_msg.decode_reply s) );
+    ( "report decode",
+      P.Report.to_string ~trace:ctx sample_report,
+      fun s -> ok_or_error (P.Report.decode s) );
+    ( "report of_string",
+      P.Report.to_string sample_report,
+      fun s -> ok_or_error (P.Report.of_string s) );
+    ( "metrics scrape",
+      P.Metrics_msg.encode_request P.Metrics_msg.Json,
+      fun s -> ignore (P.Metrics_msg.decode_request s : _ option) );
+    ( "trace scrape",
+      P.Trace_msg.encode_request P.Trace_msg.Json,
+      fun s -> ignore (P.Trace_msg.decode_request s : _ option) );
+  ]
+  @ ordered "digest"
+      (fun order -> P.Digest.encode order sample_digest)
+      (fun order s -> ok_or_error (P.Digest.decode order s))
+  @ ordered "sketch batch"
+      (fun order -> P.Sketch_msg.encode order sample_sketch_batch)
+      (fun order s -> ok_or_error (P.Sketch_msg.decode order s))
+  @ ordered "sys record"
+      (fun order -> P.Records.encode_sys order sys_record)
+      (fun order s -> ok_or_error (P.Records.decode_sys order s ~pos:0))
+  @ ordered "net record"
+      (fun order -> P.Records.encode_net order net_record)
+      (fun order s -> ok_or_error (P.Records.decode_net order s))
+  @ ordered "sec record"
+      (fun order ->
+        P.Records.encode_sec order
+          {
+            P.Records.entries =
+              [
+                { P.Records.host = "alpha"; level = 5 };
+                { P.Records.host = "beta"; level = 0 };
+              ];
+          })
+      (fun order s -> ok_or_error (P.Records.decode_sec order s))
+
+(* A valid encoding with 1-4 bytes flipped, cut short, or extended by
+   up to 16 arbitrary bytes. *)
+let mutated valid =
+  let open QCheck.Gen in
+  let n = String.length valid in
+  let flip =
+    int_range 1 4 >>= fun k ->
+    list_repeat k (pair (int_bound (n - 1)) (int_range 1 255)) >|= fun flips ->
+    let b = Bytes.of_string valid in
+    List.iter
+      (fun (i, x) ->
+        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor x)))
+      flips;
+    Bytes.to_string b
+  in
+  let truncate = int_bound (n - 1) >|= fun cut -> String.sub valid 0 cut in
+  let extend =
+    string_size ~gen:char (int_range 1 16) >|= fun tail -> valid ^ tail
+  in
+  oneof [ flip; truncate; extend ]
+
+let decoder_input_arb =
+  let gen =
+    let open QCheck.Gen in
+    oneofl wire_decoders >>= fun ((_, valid, _) as decoder) ->
+    frequency
+      [ (1, string_size ~gen:char (int_range 0 128)); (3, mutated valid) ]
+    >|= fun input -> (decoder, input)
+  in
+  QCheck.make gen ~print:(fun ((name, _, _), input) ->
+      Printf.sprintf "%s on %S" name input)
+
+let prop_decoders_never_raise =
+  QCheck.Test.make ~name:"every wire decoder is total on hostile bytes"
+    ~count:5000 decoder_input_arb (fun ((_, _, decode), input) ->
+      decode input;
+      true)
+
 let () =
   Alcotest.run "smart_proto"
     [
@@ -1276,5 +1409,6 @@ let () =
             prop_digest_roundtrip;
             prop_fed_reply_roundtrip;
             prop_sketch_msg_roundtrip;
+            prop_decoders_never_raise;
           ] );
     ]

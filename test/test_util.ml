@@ -388,32 +388,79 @@ let test_metrics_get_or_create () =
        false
      with Invalid_argument _ -> true)
 
-let test_metrics_histogram_exact_small () =
-  let r = M.create () in
-  let h = M.histogram r "lat" in
+(* Nearest rank on the sorted sample: the histogram's quantile
+   semantics, exact while the sketch has not compacted (n <= 255). *)
+let nearest_rank sorted p =
+  let n = Array.length sorted in
+  sorted.(max 0 (int_of_float (Float.ceil (p *. float_of_int n)) - 1))
+
+let histogram_values_arb =
+  QCheck.(
+    make
+      ~print:Print.(list float)
+      ~shrink:Shrink.list
+      Gen.(
+        list_size (int_range 1 255)
+          (oneof
+             [ float_range (-1e3) 1e3; map float_of_int (int_range (-3) 3) ])))
+
+let prop_histogram_exact_nearest_rank =
+  QCheck.Test.make
+    ~name:"histogram is the exact nearest rank up to 255 values" ~count:300
+    QCheck.(pair histogram_values_arb (float_range 0.0 1.0))
+    (fun (values, p) ->
+      QCheck.assume (values <> []);
+      let h = M.histogram (M.create ()) "lat" in
+      List.iter (M.Histogram.observe h) values;
+      let sorted = Array.of_list values in
+      Array.sort Float.compare sorted;
+      let n = Array.length sorted in
+      let sum = List.fold_left ( +. ) 0.0 values in
+      let s = M.histogram_summary h in
+      List.for_all
+        (fun p -> Float.equal (M.Histogram.quantile h p) (nearest_rank sorted p))
+        [ 0.5; 0.95; 0.99; p ]
+      && M.Histogram.count h = n
+      && Float.equal (M.Histogram.sum h) sum
+      && s.M.count = n
+      && Float.equal s.M.sum sum
+      && Float.equal s.M.min sorted.(0)
+      && Float.equal s.M.max sorted.(n - 1)
+      && Float.equal s.M.p50 (nearest_rank sorted 0.5)
+      && Float.equal s.M.p95 (nearest_rank sorted 0.95)
+      && Float.equal s.M.p99 (nearest_rank sorted 0.99))
+
+let test_metrics_histogram_non_finite () =
+  let h = M.histogram (M.create ()) "lat" in
   Alcotest.(check bool) "empty quantile is nan" true
     (Float.is_nan (M.Histogram.quantile h 0.5));
+  let s = M.histogram_summary h in
+  Alcotest.(check bool) "empty summary min/max/p99 are nan" true
+    (Float.is_nan s.M.min && Float.is_nan s.M.max && Float.is_nan s.M.p99);
   List.iter (M.Histogram.observe h) [ 4.0; 1.0; 3.0; 2.0 ];
-  (* n <= 5: exact linear interpolation, identical to Stats.percentile *)
-  check_float "p50 exact"
-    (Smart_util.Stats.percentile [| 1.; 2.; 3.; 4. |] ~p:50.0)
-    (M.Histogram.quantile h 0.5);
-  check_float "p95 exact"
-    (Smart_util.Stats.percentile [| 1.; 2.; 3.; 4. |] ~p:95.0)
-    (M.Histogram.quantile h 0.95);
-  Alcotest.(check int) "count" 4 (M.Histogram.count h);
-  check_float "sum" 10.0 (M.Histogram.sum h);
-  Alcotest.(check bool) "other p rejected" true
-    (try
-       ignore (M.Histogram.quantile h 0.25);
-       false
-     with Invalid_argument _ -> true)
+  let before = M.histogram_summary h in
+  List.iter (M.Histogram.observe h)
+    [ Float.nan; Float.infinity; Float.neg_infinity ];
+  let after = M.histogram_summary h in
+  Alcotest.(check int) "count unchanged" 4 after.M.count;
+  check_float "sum unchanged" 10.0 after.M.sum;
+  Alcotest.(check bool) "summary unchanged" true (before = after);
+  List.iter
+    (fun p ->
+      Alcotest.(check bool)
+        (Printf.sprintf "p = %g rejected" p)
+        true
+        (try
+           ignore (M.Histogram.quantile h p);
+           false
+         with Invalid_argument _ -> true))
+    [ -0.01; 1.01; Float.nan ]
 
-let test_metrics_histogram_p2_estimates () =
+let test_metrics_histogram_permutation () =
   let r = M.create () in
   let h = M.histogram r "lat" in
-  (* a deterministic non-monotone pass over 1..1000: the P² markers must
-     land near the true quantiles of the uniform sample *)
+  (* a deterministic non-monotone pass over 1..1000, past the sketch's
+     first compaction: every quantile lands near its nearest rank *)
   let n = 1000 in
   for i = 0 to n - 1 do
     M.Histogram.observe h (float_of_int (((i * 617) mod n) + 1))
@@ -428,9 +475,9 @@ let test_metrics_histogram_p2_estimates () =
       true
       (Float.abs (got -. expected) <= tolerance)
   in
-  within "p50" 500.5 25.0 s.M.p50;
-  within "p95" 950.95 25.0 s.M.p95;
-  within "p99" 990.99 25.0 s.M.p99
+  within "p50" 500.0 25.0 s.M.p50;
+  within "p95" 950.0 25.0 s.M.p95;
+  within "p99" 990.0 25.0 s.M.p99
 
 let test_metrics_snapshot_and_render () =
   let r = M.create () in
@@ -822,33 +869,6 @@ let test_sketch_of_parts () =
     (Sk.of_parts ~k:8 ~err_weight:0 ~min_value:0.0 ~max_value:1.0
        ~rng_state:0L [ [| 2.0 |] ])
 
-let test_metrics_mergeable_histogram () =
-  let m = M.create () in
-  let plain = M.histogram m "wizard.plain_seconds" in
-  let merge =
-    M.histogram m ~mergeable:true "wizard.request_latency_seconds"
-  in
-  for i = 1 to 20 do
-    M.Histogram.observe plain 1.0;
-    M.Histogram.observe merge (float_of_int i)
-  done;
-  Alcotest.(check bool) "plain histogram has no sketch" true
-    (Option.is_none (M.Histogram.sketch plain));
-  (match M.sketches m with
-  | [ (name, s) ] ->
-    Alcotest.(check string) "only the mergeable one is listed"
-      "wizard.request_latency_seconds" name;
-    Alcotest.(check int) "sketch saw every observation" 20 (Sk.count s)
-  | l -> Alcotest.failf "expected one mergeable backing, got %d" (List.length l));
-  (* re-requesting the same histogram as mergeable keeps one backing *)
-  let again =
-    M.histogram m ~mergeable:true "wizard.request_latency_seconds"
-  in
-  M.Histogram.observe again 99.0;
-  match M.sketches m with
-  | [ (_, s) ] -> Alcotest.(check int) "still one backing" 21 (Sk.count s)
-  | l -> Alcotest.failf "expected one backing, got %d" (List.length l)
-
 let sketch_values_arb =
   QCheck.(list_of_size Gen.(int_range 0 300) (float_range (-1e3) 1e3))
 
@@ -937,7 +957,8 @@ let qsuite = List.map QCheck_alcotest.to_alcotest
       prop_crc32_detects_byte_flips;
       prop_sketch_merge_commutes; prop_sketch_merge_associates;
       prop_sketch_merge_identity; prop_sketch_merge_matches_union;
-      prop_sketch_tracks_exact_percentile; prop_sketch_sort_matches_stdlib ]
+      prop_sketch_tracks_exact_percentile; prop_sketch_sort_matches_stdlib;
+      prop_histogram_exact_nearest_rank ]
 
 let () =
   Alcotest.run "smart_util"
@@ -1018,10 +1039,10 @@ let () =
             test_metrics_counter_gauge;
           Alcotest.test_case "get-or-create aggregation" `Quick
             test_metrics_get_or_create;
-          Alcotest.test_case "histogram exact below 6" `Quick
-            test_metrics_histogram_exact_small;
-          Alcotest.test_case "histogram P2 estimates" `Quick
-            test_metrics_histogram_p2_estimates;
+          Alcotest.test_case "histogram ignores non-finite" `Quick
+            test_metrics_histogram_non_finite;
+          Alcotest.test_case "histogram 1..1000 permutation" `Quick
+            test_metrics_histogram_permutation;
           Alcotest.test_case "snapshot and rendering" `Quick
             test_metrics_snapshot_and_render;
           Alcotest.test_case "json escaping" `Quick test_metrics_json_escape;
@@ -1044,8 +1065,6 @@ let () =
             test_sketch_compaction_bounds;
           Alcotest.test_case "rejects bad input" `Quick test_sketch_rejects;
           Alcotest.test_case "of_parts validation" `Quick test_sketch_of_parts;
-          Alcotest.test_case "mergeable histogram backing" `Quick
-            test_metrics_mergeable_histogram;
         ] );
       ("properties", qsuite);
     ]
