@@ -15,7 +15,9 @@
      against the untraced warm run.
 
    A fourth figure prices the status write path: the words one full
-   snapshot push of the plane costs the receiver, per server.
+   snapshot push of the plane costs the receiver, per server, and the
+   snapshot rebuilds the push forces on the wizard (none: it changed no
+   host).
 
    Results go to stdout and to BENCH_wizard.json for trend tracking
    across PRs.  Words are minor-heap words plus words allocated directly
@@ -195,8 +197,11 @@ let json_float x = if Float.is_finite x then Printf.sprintf "%.9f" x else "null"
 (* Words one full snapshot push of the plane costs, per server: the
    Sys, Net and Sec frames of one monitor's transmitter, encoded up
    front, decoded and committed by [Receiver.handle_stream] into a
-   mirror that already holds the plane (the steady-state push). *)
-let push_words_per_server () =
+   mirror that already holds the plane (the steady-state push).  A
+   wizard over the mirror then reads the snapshot; the push changed no
+   host, so that read must refresh it, not rebuild it.  Returns the
+   words per server and the rebuilds the read caused. *)
+let push_cost () =
   let order = P.Endian.Little in
   let source = C.Status_db.create () in
   populate source;
@@ -213,16 +218,28 @@ let push_words_per_server () =
     String.concat ""
       (List.map (P.Frame.encode order) (C.Transmitter.snapshot_frames tx))
   in
-  let rx = C.Receiver.create ~order (C.Status_db.create ()) in
+  let mirror = C.Status_db.create () in
+  let rx = C.Receiver.create ~order mirror in
+  let wizard =
+    C.Wizard.create { C.Wizard.mode = C.Wizard.Centralized; groups = None }
+      mirror
+  in
   let feed () =
     match C.Receiver.handle_stream rx ~from:(monitor_of 0) push with
     | Ok () -> ()
-    | Error e -> failwith ("push_words_per_server: " ^ e)
+    | Error e -> failwith ("push_cost: " ^ e)
+  in
+  let read_snapshot () =
+    ignore (C.Wizard.handle_request wizard ~now:0.0 ~from encoded_request)
   in
   feed ();
+  read_snapshot ();
   let words0 = words () in
   feed ();
-  (words () -. words0) /. float_of_int servers
+  let words_per_server = (words () -. words0) /. float_of_int servers in
+  let rebuilds0 = C.Wizard.snapshot_rebuilds wizard in
+  read_snapshot ();
+  (words_per_server, C.Wizard.snapshot_rebuilds wizard - rebuilds0)
 
 (* ------------------------------------------------------------------ *)
 (* Lossy-plane run: the same request path driven end-to-end through the
@@ -324,7 +341,7 @@ let run () =
   let (warm_rps, warm_allocs), (traced_rps, traced_allocs) =
     measure_ab ~budget warm_wizard traced_wizard
   in
-  let push_words = push_words_per_server () in
+  let push_words, push_rebuilds = push_cost () in
   let trace_overhead = (warm_rps -. traced_rps) /. warm_rps in
   let speedup = warm_rps /. cold_rps in
   let hits, misses = C.Wizard.compile_cache_stats warm_wizard in
@@ -381,8 +398,8 @@ let run () =
     (Smart_util.Tracelog.total_recorded trace);
   Fmt.pr
     "allocation (minor + direct major words): cold %.0f/request, warm %.0f, \
-     warm traced %.0f; snapshot push %.0f/server@."
-    cold_allocs warm_allocs traced_allocs push_words;
+     warm traced %.0f; snapshot push %.0f/server (%d snapshot rebuilds)@."
+    cold_allocs warm_allocs traced_allocs push_words push_rebuilds;
   let success_rate, lossy_retries, retry_p95 = lossy_run () in
   Fmt.pr
     "lossy plane (%.0f%% datagram loss, %d requests): success rate %.3f, \
@@ -414,6 +431,7 @@ let run () =
     \  \"warm_allocs_per_req\": %.1f,\n\
     \  \"warm_traced_allocs_per_req\": %.1f,\n\
     \  \"push_words_per_server\": %.1f,\n\
+    \  \"push_snapshot_rebuilds\": %d,\n\
     \  \"warm_compile_cache_hits\": %d,\n\
     \  \"warm_compile_cache_misses\": %d,\n\
     \  \"warm_result_cache_hits\": %d,\n\
@@ -438,7 +456,7 @@ let run () =
     (json_float traced_lat.Smart_util.Metrics.p99)
     trace_overhead
     (Smart_util.Tracelog.total_recorded trace)
-    cold_allocs warm_allocs traced_allocs push_words
+    cold_allocs warm_allocs traced_allocs push_words push_rebuilds
     hits misses rhits rmisses
     (C.Wizard.snapshot_rebuilds warm_wizard)
     lossy_loss lossy_requests success_rate lossy_retries

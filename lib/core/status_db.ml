@@ -12,13 +12,15 @@
    - a peer -> (monitor, entry) secondary index is maintained
      incrementally by [update_net], making [net_entry_for] an O(1)
      lookup instead of a scan over every monitor's entry list;
-   - the sorted [sys_records] list is computed once per generation and
-     reused (physically equal) until the next write;
+   - the sorted [sys_records] list is computed at most once per
+     generation; every write drops it, so the memo never holds records
+     a later write superseded;
    - a columnar snapshot ([columns]) of the whole status plane — the
-     structure-of-arrays the wizard's bytecode interpreter scans — is
-     maintained incrementally: an in-place system update dirties only
-     its own row, and a full rebuild happens only on membership, network
-     or security changes. *)
+     structure-of-arrays the wizard's bytecode interpreter scans — has
+     one row per system host, so only a host joining or leaving
+     rebuilds it.  Every other write refreshes it in place: a system
+     update rewrites its own row (values and IP), and a network or
+     security write re-fills that table's columns on every row. *)
 
 type column_view = {
   cols : Smart_lang.Bytecode.columns;
@@ -28,7 +30,7 @@ type column_view = {
 
 (* What the last [columns] call did, for the wizard's rebuild counter
    and the bench's refresh accounting. *)
-type refresh = Cached | Refreshed of int | Rebuilt
+type refresh = Cached | Refreshed | Rebuilt
 
 type t = {
   sys : (string, Smart_proto.Records.sys_record) Hashtbl.t;  (* by host *)
@@ -38,8 +40,9 @@ type t = {
     (string, (string * Smart_proto.Records.net_entry) list) Hashtbl.t;
       (* target peer -> entries about it, tagged by reporting monitor *)
   mutable generation : int;
-  mutable sys_cache : (int * Smart_proto.Records.sys_record list) option;
-      (* (generation, sorted records) of the last [sys_records] call *)
+  mutable sys_cache : Smart_proto.Records.sys_record list option;
+      (* sorted records of the last [sys_records] call; every write
+         clears it *)
   mutable last_trace : Smart_util.Tracelog.ctx;
       (* context of the ingest that last wrote the system table; the
          transmitter parents its push spans here so the monitor-side
@@ -48,10 +51,12 @@ type t = {
   mutable cview : column_view option;
   mutable cgen : int;  (* generation [cview] matches; -1 = never built *)
   crow : (string, int) Hashtbl.t;  (* host -> dense row of [cview] *)
-  cdirty : (string, unit) Hashtbl.t;  (* hosts updated in place since *)
-  mutable cstructural : bool;
-      (* membership / network / security changed: next [columns] call
-         must rebuild rather than refresh rows *)
+  mutable cdirty : bool array;  (* row -> system record rewritten since *)
+  mutable cmembership : bool;
+      (* a system host joined or left: the next [columns] call must
+         rebuild rather than refresh rows *)
+  mutable cnet : bool;  (* network table written since [cgen] *)
+  mutable csec : bool;  (* security table written since [cgen] *)
   mutable clast : refresh;
 }
 
@@ -67,8 +72,10 @@ let create () =
     cview = None;
     cgen = -1;
     crow = Hashtbl.create 32;
-    cdirty = Hashtbl.create 16;
-    cstructural = true;
+    cdirty = [||];
+    cmembership = true;
+    cnet = false;
+    csec = false;
     clast = Rebuilt;
   }
 
@@ -78,18 +85,18 @@ let last_trace t = t.last_trace
 
 let generation t = t.generation
 
-let bump t = t.generation <- t.generation + 1
+let bump t =
+  t.generation <- t.generation + 1;
+  t.sys_cache <- None
 
-(* Columnar-snapshot bookkeeping: an in-place update of a known host
-   dirties one row; anything else (new host, removal, network or
-   security write) forces a rebuild. *)
+(* Columnar-snapshot bookkeeping: while the host set matches the
+   snapshot's rows, [crow] holds exactly the hosts of [sys], so a host
+   it does not know is joining and forces a rebuild; a known host's
+   update dirties its row. *)
 let note_sys_write t ~host =
-  if Hashtbl.mem t.sys host then begin
-    if not t.cstructural then Hashtbl.replace t.cdirty host ()
-  end
-  else t.cstructural <- true
-
-let note_structural t = t.cstructural <- true
+  match Hashtbl.find_opt t.crow host with
+  | Some row -> if not t.cmembership then t.cdirty.(row) <- true
+  | None -> t.cmembership <- true
 
 let update_sys t (record : Smart_proto.Records.sys_record) =
   let host =
@@ -120,15 +127,15 @@ let find_sys t ~host = Hashtbl.find_opt t.sys host
 
 let sys_records t =
   match t.sys_cache with
-  | Some (g, records) when g = t.generation -> records
-  | _ ->
+  | Some records -> records
+  | None ->
     let records =
       Hashtbl.fold (fun _ r acc -> r :: acc) t.sys []
       |> List.sort (fun a b ->
              String.compare a.Smart_proto.Records.report.Smart_proto.Report.host
                b.Smart_proto.Records.report.Smart_proto.Report.host)
     in
-    t.sys_cache <- Some (t.generation, records);
+    t.sys_cache <- Some records;
     records
 
 (* Drop servers whose probe has stopped reporting (§3.2.2): records older
@@ -146,7 +153,7 @@ let sweep_sys_expired t ~now ~max_age =
   in
   List.iter (Hashtbl.remove t.sys) stale;
   if stale <> [] then begin
-    note_structural t;
+    t.cmembership <- true;
     bump t
   end;
   stale
@@ -185,7 +192,7 @@ let update_net t (record : Smart_proto.Records.net_record) =
   | None -> ());
   Hashtbl.replace t.net monitor record;
   index_net t ~monitor record;
-  note_structural t;
+  t.cnet <- true;
   bump t
 
 let find_net t ~monitor = Hashtbl.find_opt t.net monitor
@@ -223,7 +230,7 @@ let replace_sec t (record : Smart_proto.Records.sec_record) =
       Hashtbl.replace t.sec e.Smart_proto.Records.host
         e.Smart_proto.Records.level)
     record.Smart_proto.Records.entries;
-  note_structural t;
+  t.csec <- true;
   bump t
 
 let security_level t ~host = Hashtbl.find_opt t.sec host
@@ -303,46 +310,52 @@ let rebuild_columns t ~net_for =
   let view = { cols; hosts; ips } in
   t.cview <- Some view;
   t.clast <- Rebuilt;
-  Hashtbl.reset t.cdirty;
-  t.cstructural <- false;
+  t.cdirty <- Array.make n false;
+  t.cmembership <- false;
+  t.cnet <- false;
+  t.csec <- false;
+  t.cgen <- t.generation;
+  view
+
+(* Same host set as [view]: rewrite the dirty system rows, IP included,
+   and re-fill the network or security columns of every row if that
+   table was written.  A whole table, because one network record can
+   feed many rows (the wizard's grouped lookup resolves every server of
+   a remote group through the local monitor's entry for that group). *)
+let refresh_columns t view ~net_for =
+  for row = 0 to Array.length view.hosts - 1 do
+    let host = view.hosts.(row) in
+    if t.cdirty.(row) then begin
+      t.cdirty.(row) <- false;
+      match Hashtbl.find_opt t.sys host with
+      | Some (r : Smart_proto.Records.sys_record) ->
+        let report = r.Smart_proto.Records.report in
+        fill_sys_row view.cols ~row report;
+        view.ips.(row) <- report.Smart_proto.Report.ip
+      | None -> ()
+    end;
+    if t.cnet then fill_net_row view.cols ~row (net_for host);
+    if t.csec then fill_sec_row view.cols ~row (security_level t ~host)
+  done;
+  t.clast <- Refreshed;
+  t.cnet <- false;
+  t.csec <- false;
   t.cgen <- t.generation;
   view
 
 (* The columnar snapshot at the current generation.  Three speeds:
-   unchanged data returns the memoized view untouched; in-place system
-   updates refresh just the dirty rows; membership/network/security
-   changes rebuild from scratch.  [net_for] resolves the network metrics
-   toward a host (the wizard's group-aware lookup) and is only consulted
-   on rebuilds — its answers must only change when the generation does,
-   which holds because it reads this same database. *)
+   unchanged data returns the memoized view untouched; a write that
+   kept the system host set refreshes the view in place; a host joining
+   or leaving rebuilds it from scratch.  [net_for] resolves the network
+   metrics toward a host (the wizard's group-aware lookup); it is
+   consulted on rebuilds and after network writes, so its answers must
+   depend only on the host and this database's network table. *)
 let columns t ~net_for =
   match t.cview with
   | Some view when t.cgen = t.generation ->
     t.clast <- Cached;
     view
-  | Some view
-    when (not t.cstructural)
-         && Hashtbl.length t.sys = Array.length view.hosts
-         && Hashtbl.fold (fun h () acc -> acc && Hashtbl.mem t.crow h)
-              t.cdirty true ->
-    (* deterministic row-refresh order, and no Hashtbl.iter while the
-       loop writes other tables *)
-    let dirty =
-      List.sort String.compare
-        (Hashtbl.fold (fun h () acc -> h :: acc) t.cdirty [])
-    in
-    List.iter
-      (fun host ->
-        match Hashtbl.find_opt t.sys host with
-        | Some (r : Smart_proto.Records.sys_record) ->
-          fill_sys_row view.cols ~row:(Hashtbl.find t.crow host)
-            r.Smart_proto.Records.report
-        | None -> ())
-      dirty;
-    t.clast <- Refreshed (List.length dirty);
-    Hashtbl.reset t.cdirty;
-    t.cgen <- t.generation;
-    view
+  | Some view when not t.cmembership -> refresh_columns t view ~net_for
   | Some _ | None -> rebuild_columns t ~net_for
 
 (* One host's row, built fresh from the same fill functions a rebuild
@@ -414,6 +427,6 @@ let sys_count t = Hashtbl.length t.sys
 let remove_sys t ~host =
   if Hashtbl.mem t.sys host then begin
     Hashtbl.remove t.sys host;
-    note_structural t;
+    t.cmembership <- true;
     bump t
   end

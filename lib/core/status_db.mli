@@ -6,7 +6,10 @@
     generation counter (sweeps bump it only when something was actually
     removed), so readers can memoize derived views and rebuild them only
     when the data really changed.  Network entries are additionally kept
-    in a peer-keyed secondary index, making per-target lookups O(1). *)
+    in a peer-keyed secondary index, making per-target lookups O(1).
+    The columnar snapshot ({!columns}) has one row per system host and
+    is rebuilt only when that host set changes; every other write
+    refreshes it in place. *)
 
 type t
 
@@ -19,9 +22,10 @@ type column_view = {
   ips : string array;
 }
 
-(** What the last {!columns} call did: served the memoized view, wrote
-    [n] dirty rows in place, or rebuilt from scratch. *)
-type refresh = Cached | Refreshed of int | Rebuilt
+(** What the last {!columns} call did: served the memoized view,
+    refreshed it in place (same system host set), or rebuilt it from
+    scratch (a system host joined or left). *)
+type refresh = Cached | Refreshed | Rebuilt
 
 val create : unit -> t
 
@@ -39,7 +43,8 @@ val find_sys : t -> host:string -> Smart_proto.Records.sys_record option
 
 (** All system records, sorted by host name (the wizard's scan order).
     Cached per generation: repeated calls on an unchanged database
-    return the same (physically equal) list. *)
+    return the same (physically equal) list, and every write drops the
+    cache. *)
 val sys_records : t -> Smart_proto.Records.sys_record list
 
 (** Remove records older than [max_age]; returns how many were dropped. *)
@@ -50,6 +55,9 @@ val sweep_sys : t -> now:float -> max_age:float -> int
     quarantine — know exactly who went quiet. *)
 val sweep_sys_expired : t -> now:float -> max_age:float -> string list
 
+(** Store [monitor]'s record, replacing its previous one.  The columnar
+    snapshot keeps its rows: the next {!columns} call re-fills the
+    network columns of every row. *)
 val update_net : t -> Smart_proto.Records.net_record -> unit
 
 val find_net : t -> monitor:string -> Smart_proto.Records.net_record option
@@ -62,7 +70,9 @@ val net_records : t -> Smart_proto.Records.net_record list
     insertion order. *)
 val net_entry_for : t -> target:string -> Smart_proto.Records.net_entry option
 
-(** Replace the whole security table. *)
+(** Replace the whole security table.  The columnar snapshot keeps its
+    rows: the next {!columns} call re-fills the security columns of
+    every row. *)
 val replace_sec : t -> Smart_proto.Records.sec_record -> unit
 
 val security_level : t -> host:string -> int option
@@ -75,12 +85,15 @@ val sys_count : t -> int
     Bumps the generation only if the host was present. *)
 val remove_sys : t -> host:string -> unit
 
-(** The columnar snapshot at the current generation, memoized.  In-place
-    system updates refresh only their own rows; membership, network or
-    security changes trigger a full rebuild.  [net_for] resolves the
-    network metrics toward a server host (consulted on rebuilds only; it
-    must be a pure function of this database's contents, which the
-    wizard's group-aware lookup is). *)
+(** The columnar snapshot at the current generation, memoized.  Its rows
+    are the system hosts, so only a host joining or leaving rebuilds it.
+    Otherwise it is refreshed in place: a system update rewrites its own
+    row (values and IP), and a network or security write re-fills that
+    table's columns on every row.  [net_for] resolves the network
+    metrics toward a server host; it is consulted on rebuilds and after
+    network writes, so its answers must depend only on the host and
+    this database's network table (the wizard's group-aware lookup
+    does).  A refreshed view equals the one a rebuild would produce. *)
 val columns :
   t ->
   net_for:(string -> Smart_proto.Records.net_entry option) ->

@@ -13,9 +13,9 @@
      keyed by the token-canonical source, so repeated requests skip the
      front end entirely and reuse one preallocated interpreter state;
    - the status databases maintain a structure-of-arrays snapshot
-     ([Status_db.columns]) memoized on the generation — in-place system
-     updates refresh single rows, only membership/network/security
-     changes rebuild it;
+     ([Status_db.columns]) memoized on the generation — writes refresh
+     it in place, and only a system host joining or leaving rebuilds
+     it;
    - selection is one bytecode pass over that snapshot
      ([Selection.select_columns]) reusing a per-wizard scratch;
    - whole selection results are memoized in a second LRU keyed by
@@ -378,7 +378,7 @@ let server_columns t ~parent =
     let view = Status_db.columns t.db ~net_for:(net_lookup t) in
     (match Status_db.last_refresh t.db with
     | Status_db.Rebuilt -> Metrics.Counter.incr t.snapshot_rebuilds_total
-    | Status_db.Refreshed _ ->
+    | Status_db.Refreshed ->
       Metrics.Counter.incr t.snapshot_refreshes_total
     | Status_db.Cached -> ());
     Smart_util.Tracelog.finish t.trace span;

@@ -109,15 +109,14 @@ let decode order s =
   let len = String.length s in
   if len < 2 then Error "digest: truncated"
   else begin
-    let b = Bytes.of_string s in
-    let shard_len = Endian.get_u16 order b ~pos:0 in
+    let shard_len = Endian.get_u16 order s ~pos:0 in
     if len < 2 + shard_len + 10 then Error "digest: truncated header"
     else begin
       let shard = String.sub s 2 shard_len in
       let pos = 2 + shard_len in
-      let generation = Endian.get_u32 order b ~pos in
-      let servers = Endian.get_u32 order b ~pos:(pos + 4) in
-      let nsys = Endian.get_u16 order b ~pos:(pos + 8) in
+      let generation = Endian.get_u32 order s ~pos in
+      let servers = Endian.get_u32 order s ~pos:(pos + 4) in
+      let nsys = Endian.get_u16 order s ~pos:(pos + 8) in
       let head = pos + 10 in
       if len <> head + ((nsys + 3) * stat_size) then
         Error "digest: truncated stats"
@@ -125,9 +124,9 @@ let decode order s =
         let read i =
           let pos = head + (i * stat_size) in
           {
-            present = Endian.get_u32 order b ~pos;
-            lo = Endian.get_f64 order b ~pos:(pos + 4);
-            hi = Endian.get_f64 order b ~pos:(pos + 12);
+            present = Endian.get_u32 order s ~pos;
+            lo = Endian.get_f64 order s ~pos:(pos + 4);
+            hi = Endian.get_f64 order s ~pos:(pos + 12);
           }
         in
         Ok

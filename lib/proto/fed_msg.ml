@@ -52,10 +52,9 @@ let decode_query s =
   else if not (String.equal (String.sub s 0 4) query_magic) then
     Error "fed query: bad magic"
   else begin
-    let b = Bytes.of_string s in
-    let seq = Endian.get_u32 order b ~pos:4 in
-    let wanted = Endian.get_u16 order b ~pos:8 in
-    let flags = Endian.get_u16 order b ~pos:10 in
+    let seq = Endian.get_u32 order s ~pos:4 in
+    let wanted = Endian.get_u16 order s ~pos:8 in
+    let flags = Endian.get_u16 order s ~pos:10 in
     if flags land lnot ctx_flag <> 0 then Error "fed query: unknown flags"
     else begin
       let traced = flags land ctx_flag <> 0 in
@@ -65,8 +64,8 @@ let decode_query s =
         let trace =
           if traced then
             {
-              Smart_util.Tracelog.trace_id = Endian.get_u32 order b ~pos:12;
-              span_id = Endian.get_u32 order b ~pos:16;
+              Smart_util.Tracelog.trace_id = Endian.get_u32 order s ~pos:12;
+              span_id = Endian.get_u32 order s ~pos:16;
             }
           else Smart_util.Tracelog.root
         in
@@ -136,19 +135,18 @@ let decode_reply s =
   else if not (String.equal (String.sub s 0 4) result_magic) then
     Error "fed result: bad magic"
   else begin
-    let b = Bytes.of_string s in
-    let seq = Endian.get_u32 order b ~pos:4 in
-    let flags = Endian.get_u16 order b ~pos:8 in
+    let seq = Endian.get_u32 order s ~pos:4 in
+    let flags = Endian.get_u16 order s ~pos:8 in
     if flags land lnot degraded_flag <> 0 then Error "fed result: unknown flags"
     else begin
       let degraded = flags land degraded_flag <> 0 in
-      let generation = Endian.get_u32 order b ~pos:10 in
+      let generation = Endian.get_u32 order s ~pos:10 in
       let shard_len = Char.code s.[14] in
       if String.length s < 15 + shard_len + 2 then
         Error "fed result: truncated shard name"
       else begin
         let shard = String.sub s 15 shard_len in
-        let count = Endian.get_u16 order b ~pos:(15 + shard_len) in
+        let count = Endian.get_u16 order s ~pos:(15 + shard_len) in
         let rec read pos n acc =
           if n = 0 then Ok (List.rev acc)
           else if pos >= String.length s then
@@ -159,8 +157,8 @@ let decode_reply s =
               Error "fed result: truncated candidate"
             else begin
               let host = String.sub s (pos + 1) len in
-              let rank = Endian.get_u16 order b ~pos:(pos + 1 + len) in
-              let key = Endian.get_f64 order b ~pos:(pos + 1 + len + 2) in
+              let rank = Endian.get_u16 order s ~pos:(pos + 1 + len) in
+              let key = Endian.get_f64 order s ~pos:(pos + 1 + len + 2) in
               read
                 (pos + 1 + len + 10)
                 (n - 1)

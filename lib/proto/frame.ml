@@ -110,9 +110,8 @@ let decode_one order ?(pos = 0) s =
   else if len < header_size then
     Error (Truncated { need = header_size; have = len })
   else begin
-    let b = Bytes.unsafe_of_string s in
-    let code = Endian.get_u32 order b ~pos in
-    let size = Endian.get_u32 order b ~pos:(pos + 4) in
+    let code = Endian.get_u32 order s ~pos in
+    let size = Endian.get_u32 order s ~pos:(pos + 4) in
     let crc = code land crc_code_offset <> 0 in
     let traced = (code land lnot crc_code_offset) >= traced_code_offset in
     let base_code =
@@ -133,8 +132,8 @@ let decode_one order ?(pos = 0) s =
             if traced then
               {
                 Smart_util.Tracelog.trace_id =
-                  Endian.get_u32 order b ~pos:(pos + 8);
-                span_id = Endian.get_u32 order b ~pos:(pos + 12);
+                  Endian.get_u32 order s ~pos:(pos + 8);
+                span_id = Endian.get_u32 order s ~pos:(pos + 12);
               }
             else Smart_util.Tracelog.root
           in
@@ -146,7 +145,7 @@ let decode_one order ?(pos = 0) s =
           let expected =
             Smart_util.Crc32.substring s ~pos ~len:(pre + size)
           in
-          let got = Endian.get_u32 order b ~pos:(pos + pre + size) in
+          let got = Endian.get_u32 order s ~pos:(pos + pre + size) in
           if expected = got then ok ()
           else Error (Crc_mismatch { expected; got })
         end

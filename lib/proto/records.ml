@@ -46,12 +46,11 @@ let decode_sys order s ~pos =
   if pos + sys_record_size > String.length s then
     Error "sys_record: truncated"
   else begin
-    let b = Bytes.of_string s in
-    let host = Endian.get_string b ~pos ~width:host_width in
-    let ip = Endian.get_string b ~pos:(pos + host_width) ~width:ip_width in
-    let updated_at = Endian.get_f64 order b ~pos:(pos + host_width + ip_width) in
+    let host = Endian.get_string s ~pos ~width:host_width in
+    let ip = Endian.get_string s ~pos:(pos + host_width) ~width:ip_width in
+    let updated_at = Endian.get_f64 order s ~pos:(pos + host_width + ip_width) in
     let base = pos + host_width + ip_width + 8 in
-    let f i = Endian.get_f64 order b ~pos:(base + (8 * i)) in
+    let f i = Endian.get_f64 order s ~pos:(base + (8 * i)) in
     Ok
       {
         report =
@@ -105,19 +104,18 @@ let decode_net order s =
   let len = String.length s in
   if len < host_width + 4 then Error "net_record: truncated header"
   else begin
-    let b = Bytes.of_string s in
-    let monitor = Endian.get_string b ~pos:0 ~width:host_width in
-    let n = Endian.get_u32 order b ~pos:host_width in
+    let monitor = Endian.get_string s ~pos:0 ~width:host_width in
+    let n = Endian.get_u32 order s ~pos:host_width in
     if len < host_width + 4 + (n * net_entry_size) then
       Error "net_record: truncated entries"
     else begin
       let entry i =
         let base = host_width + 4 + (i * net_entry_size) in
         {
-          peer = Endian.get_string b ~pos:base ~width:host_width;
-          delay = Endian.get_f64 order b ~pos:(base + host_width);
-          bandwidth = Endian.get_f64 order b ~pos:(base + host_width + 8);
-          measured_at = Endian.get_f64 order b ~pos:(base + host_width + 16);
+          peer = Endian.get_string s ~pos:base ~width:host_width;
+          delay = Endian.get_f64 order s ~pos:(base + host_width);
+          bandwidth = Endian.get_f64 order s ~pos:(base + host_width + 8);
+          measured_at = Endian.get_f64 order s ~pos:(base + host_width + 16);
         }
       in
       Ok { monitor; entries = List.init n entry }
@@ -150,15 +148,14 @@ let decode_sec order s =
   let len = String.length s in
   if len < 4 then Error "sec_record: truncated header"
   else begin
-    let b = Bytes.of_string s in
-    let n = Endian.get_u32 order b ~pos:0 in
+    let n = Endian.get_u32 order s ~pos:0 in
     if len < 4 + (n * sec_entry_size) then Error "sec_record: truncated"
     else begin
       let entry i =
         let base = 4 + (i * sec_entry_size) in
         {
-          host = Endian.get_string b ~pos:base ~width:host_width;
-          level = Endian.get_u32 order b ~pos:(base + host_width);
+          host = Endian.get_string s ~pos:base ~width:host_width;
+          level = Endian.get_u32 order s ~pos:(base + host_width);
         }
       in
       Ok { entries = List.init n entry }

@@ -71,7 +71,6 @@ let encode order t =
 
 let decode order s =
   let len = String.length s in
-  let b = Bytes.unsafe_of_string s in
   let pos = ref 0 in
   let error = ref None in
   let fail e = if Option.is_none !error then error := Some e in
@@ -84,7 +83,7 @@ let decode order s =
   in
   let u16 () =
     if need 2 then begin
-      let v = Endian.get_u16 order b ~pos:!pos in
+      let v = Endian.get_u16 order s ~pos:!pos in
       pos := !pos + 2;
       v
     end
@@ -92,7 +91,7 @@ let decode order s =
   in
   let u32 () =
     if need 4 then begin
-      let v = Endian.get_u32 order b ~pos:!pos in
+      let v = Endian.get_u32 order s ~pos:!pos in
       pos := !pos + 4;
       v
     end
@@ -100,7 +99,7 @@ let decode order s =
   in
   let i64 () =
     if need 8 then begin
-      let v = Endian.get_i64 order b ~pos:!pos in
+      let v = Endian.get_i64 order s ~pos:!pos in
       pos := !pos + 8;
       v
     end
@@ -108,7 +107,7 @@ let decode order s =
   in
   let f64 () =
     if need 8 then begin
-      let v = Endian.get_f64 order b ~pos:!pos in
+      let v = Endian.get_f64 order s ~pos:!pos in
       pos := !pos + 8;
       v
     end

@@ -55,10 +55,9 @@ let encode_request r =
 let decode_request s =
   if String.length s < 8 then Error "request: truncated"
   else begin
-    let b = Bytes.of_string s in
-    let seq = Endian.get_u32 order b ~pos:0 in
-    let server_num = Endian.get_u16 order b ~pos:4 in
-    let code = Endian.get_u16 order b ~pos:6 in
+    let seq = Endian.get_u32 order s ~pos:0 in
+    let server_num = Endian.get_u16 order s ~pos:4 in
+    let code = Endian.get_u16 order s ~pos:6 in
     let traced = code land ctx_flag <> 0 in
     if code land lnot (1 lor ctx_flag) <> 0 then
       Error "request: unknown option code"
@@ -71,8 +70,8 @@ let decode_request s =
         let trace =
           if traced then
             {
-              Smart_util.Tracelog.trace_id = Endian.get_u32 order b ~pos:8;
-              span_id = Endian.get_u32 order b ~pos:12;
+              Smart_util.Tracelog.trace_id = Endian.get_u32 order s ~pos:8;
+              span_id = Endian.get_u32 order s ~pos:12;
             }
           else Smart_util.Tracelog.root
         in
@@ -126,9 +125,8 @@ let encode_reply r =
 let decode_reply s =
   if String.length s < 6 then Error "reply: truncated"
   else begin
-    let b = Bytes.of_string s in
-    let seq = Endian.get_u32 order b ~pos:0 in
-    let word = Endian.get_u16 order b ~pos:4 in
+    let seq = Endian.get_u32 order s ~pos:0 in
+    let word = Endian.get_u16 order s ~pos:4 in
     let degraded = word land degraded_flag <> 0 in
     let rejected = word land rejected_flag <> 0 in
     let count = word land lnot (degraded_flag lor rejected_flag) in

@@ -200,6 +200,212 @@ let test_db_net_entry_deterministic () =
   Alcotest.(check bool) "dropped peer unindexed" true
     (C.Status_db.net_entry_for db ~target:"peer" = None)
 
+(* The columnar snapshot is refreshed in place for every write that
+   keeps the system host set, and rebuilt only when a host joins or
+   leaves.  The property drives generated write sequences through one
+   database, reading [columns] after each step, and compares every
+   column, [hosts] and [ips] with those of a fresh database holding the
+   same state.  A step batches one to three writes, so one refresh can
+   combine dirty system rows with network and security re-fills, as a
+   transmitter push does. *)
+type db_write =
+  | W_sys of (int * int * int) list  (* one batch: host, IP variant, value *)
+  | W_leave of int
+  | W_sweep of int  (* max age, in writes *)
+  | W_net of int * (int * int) list  (* monitor, (peer, value) entries *)
+  | W_sec of (int * int) list  (* host, level *)
+
+let db_hosts = 6
+let db_monitors = 3
+let db_host i = Printf.sprintf "h%d" i
+let db_monitor i = Printf.sprintf "m%d" i
+
+(* peers 0-5 are servers, 6-8 the group monitors *)
+let db_peer i = if i < db_hosts then db_host i else db_monitor (i - db_hosts)
+
+let pp_db_write = function
+  | W_sys batch ->
+    "sys "
+    ^ String.concat ","
+        (List.map (fun (h, v, x) -> Printf.sprintf "h%d/ip%d/%d" h v x) batch)
+  | W_leave h -> Printf.sprintf "leave h%d" h
+  | W_sweep age -> Printf.sprintf "sweep %d" age
+  | W_net (m, entries) ->
+    Printf.sprintf "net m%d %s" m
+      (String.concat ","
+         (List.map (fun (p, x) -> Printf.sprintf "%s/%d" (db_peer p) x) entries))
+  | W_sec entries ->
+    "sec "
+    ^ String.concat ","
+        (List.map (fun (h, l) -> Printf.sprintf "h%d/%d" h l) entries)
+
+let gen_db_write =
+  QCheck.Gen.(
+    let host = int_range 0 (db_hosts - 1) in
+    frequency
+      [
+        ( 4,
+          map
+            (fun batch -> W_sys batch)
+            (list_size (int_range 1 4)
+               (triple host (int_range 0 1) (int_range 0 3))) );
+        (1, map (fun h -> W_leave h) host);
+        (1, map (fun age -> W_sweep age) (int_range 0 8));
+        ( 2,
+          map2
+            (fun m entries -> W_net (m, entries))
+            (int_range 0 (db_monitors - 1))
+            (list_size (int_range 0 4)
+               (pair (int_range 0 (db_hosts + db_monitors - 1)) (int_range 0 3)))
+        );
+        ( 2,
+          map
+            (fun entries -> W_sec entries)
+            (list_size (int_range 0 4) (pair host (int_range 0 4))) );
+      ])
+
+let arbitrary_db_steps =
+  QCheck.make
+    ~print:(fun steps ->
+      String.concat "\n"
+        (List.map
+           (fun step -> String.concat "; " (List.map pp_db_write step))
+           steps))
+    QCheck.Gen.(
+      list_size (int_range 1 12) (list_size (int_range 1 3) gen_db_write))
+
+(* The same state in a database that never built a snapshot. *)
+let fresh_copy db =
+  let copy = C.Status_db.create () in
+  C.Status_db.update_sys_many copy (C.Status_db.sys_records db);
+  List.iter (C.Status_db.update_net copy) (C.Status_db.net_records db);
+  C.Status_db.replace_sec copy (C.Status_db.sec_record db);
+  copy
+
+let same_view (a : C.Status_db.column_view) (b : C.Status_db.column_view) =
+  let module B = Smart_lang.Bytecode in
+  let ca = a.C.Status_db.cols and cb = b.C.Status_db.cols in
+  let n = ca.B.n in
+  let floats x y =
+    let ok = ref true in
+    for row = 0 to n - 1 do
+      if not (Float.equal (Bigarray.Array1.get x row) (Bigarray.Array1.get y row))
+      then ok := false
+    done;
+    !ok
+  in
+  let flags x y =
+    let ok = ref true in
+    for row = 0 to n - 1 do
+      if Bigarray.Array1.get x row <> Bigarray.Array1.get y row then ok := false
+    done;
+    !ok
+  in
+  let sys_ok = ref true in
+  for field = 0 to B.sys_field_count - 1 do
+    for row = 0 to n - 1 do
+      if
+        not
+          (Float.equal
+             (Bigarray.Array2.get ca.B.sys field row)
+             (Bigarray.Array2.get cb.B.sys field row))
+      then sys_ok := false
+    done
+  done;
+  n = cb.B.n
+  && Array.for_all2 String.equal a.C.Status_db.hosts b.C.Status_db.hosts
+  && Array.for_all2 String.equal a.C.Status_db.ips b.C.Status_db.ips
+  && !sys_ok
+  && floats ca.B.net_delay cb.B.net_delay
+  && floats ca.B.net_bw cb.B.net_bw
+  && flags ca.B.has_net cb.B.has_net
+  && floats ca.B.sec_level cb.B.sec_level
+  && flags ca.B.has_sec cb.B.has_sec
+
+(* h0-h1 sit in the wizard's own group (m0), h2-h3 behind m1, h4 behind
+   m2; h5 has no group and falls back to the direct lookup. *)
+let db_groups =
+  {
+    C.Wizard.local_monitor = db_monitor 0;
+    group_of =
+      (fun host ->
+        match host with
+        | "h0" | "h1" -> Some (db_monitor 0)
+        | "h2" | "h3" -> Some (db_monitor 1)
+        | "h4" -> Some (db_monitor 2)
+        | _ -> None);
+    local_entry = C.Wizard.default_local_entry;
+  }
+
+let apply_db_write db ~clock write =
+  incr clock;
+  let now = float_of_int !clock in
+  match write with
+  | W_sys batch ->
+    C.Status_db.update_sys_many db
+      (List.map
+         (fun (h, v, x) ->
+           sys_record ~host:(db_host h)
+             ~ip:(Printf.sprintf "10.%d.0.%d" v h)
+             ~cpu_free:(0.25 *. float_of_int x)
+             ~mem_free:(float_of_int (50 * x))
+             ~at:now ())
+         batch)
+  | W_leave h -> C.Status_db.remove_sys db ~host:(db_host h)
+  | W_sweep age ->
+    ignore
+      (C.Status_db.sweep_sys_expired db ~now ~max_age:(float_of_int age))
+  | W_net (m, entries) ->
+    C.Status_db.update_net db
+      {
+        P.Records.monitor = db_monitor m;
+        entries =
+          List.map
+            (fun (p, x) ->
+              net_entry
+                ~delay:(0.001 *. float_of_int (x + 1))
+                ~bandwidth:(1e5 *. float_of_int (x + 1))
+                ~measured_at:(float_of_int x) (db_peer p))
+            entries;
+      }
+  | W_sec entries ->
+    C.Status_db.replace_sec db
+      {
+        P.Records.entries =
+          List.map (fun (h, level) -> { P.Records.host = db_host h; level }) entries;
+      }
+
+let prop_refresh_matches_rebuild ~name ~groups =
+  QCheck.Test.make ~name ~count:300 arbitrary_db_steps (fun steps ->
+      let net_for db =
+        match groups with
+        | None -> fun host -> C.Status_db.net_entry_for db ~target:host
+        | Some groups ->
+          let wizard =
+            C.Wizard.create
+              { C.Wizard.mode = C.Wizard.Centralized; groups = Some groups }
+              db
+          in
+          fun host -> C.Wizard.net_entry_for wizard ~host
+      in
+      let db = C.Status_db.create () in
+      let lookup = net_for db in
+      let clock = ref 0 in
+      List.for_all
+        (fun step ->
+          List.iter (apply_db_write db ~clock) step;
+          let view = C.Status_db.columns db ~net_for:lookup in
+          let copy = fresh_copy db in
+          same_view view (C.Status_db.columns copy ~net_for:(net_for copy)))
+        steps)
+
+let prop_refresh_matches_rebuild_flat =
+  prop_refresh_matches_rebuild ~name:"refresh = rebuild (flat)" ~groups:None
+
+let prop_refresh_matches_rebuild_grouped =
+  prop_refresh_matches_rebuild ~name:"refresh = rebuild (groups)"
+    ~groups:(Some db_groups)
+
 (* ------------------------------------------------------------------ *)
 (* Probe                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -938,6 +1144,67 @@ let test_receiver_multi_transmitter_ownership () =
   Alcotest.(check bool) "a2 gone" true
     (C.Status_db.find_sys db ~host:"a2" = None)
 
+(* Words allocated so far: minor plus words allocated directly on the
+   major heap ([Gc.counters]' major words minus promotions), counted as
+   bench/bench_wizard.ml counts them.  Blocks too large for the minor
+   heap, such as a copy of a whole frame payload, only show up in the
+   direct-major part. *)
+let allocated_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+(* Words per server of one steady-state push of [n] servers (Sys, Net
+   and Sec frames into a mirror that already holds them). *)
+let push_words_per_server n =
+  let order = P.Endian.Little in
+  let host i = Printf.sprintf "s%04d" i in
+  let source = C.Status_db.create () in
+  C.Status_db.update_sys_many source
+    (List.init n (fun i ->
+         sys_record ~host:(host i)
+           ~ip:(Printf.sprintf "10.%d.%d.%d" (i / 65536) (i / 256 mod 256) (i mod 256))
+           ~at:1.0 ()));
+  C.Status_db.update_net source
+    { P.Records.monitor = "mon"; entries = List.init n (fun i -> net_entry (host i)) };
+  C.Status_db.replace_sec source
+    {
+      P.Records.entries =
+        List.init n (fun i -> { P.Records.host = host i; level = i mod 5 });
+    };
+  let tx =
+    C.Transmitter.create ~monitor_name:"mon"
+      {
+        C.Transmitter.mode = C.Transmitter.Centralized;
+        order;
+        receiver = { C.Output.host = "wiz"; port = P.Ports.receiver };
+      }
+      source
+  in
+  let push =
+    String.concat ""
+      (List.map (P.Frame.encode order) (C.Transmitter.snapshot_frames tx))
+  in
+  let rx = C.Receiver.create ~order (C.Status_db.create ()) in
+  let feed () =
+    match C.Receiver.handle_stream rx ~from:"mon" push with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "push of %d servers: %s" n e
+  in
+  feed ();
+  let before = allocated_words () in
+  feed ();
+  (allocated_words () -. before) /. float_of_int n
+
+(* A push costs O(servers): per-server words at 4,000 servers stay
+   within 1.5x of those at 250.  Decoding that copied the frame payload
+   once per record would grow them with the push. *)
+let test_receiver_push_linear () =
+  let small = push_words_per_server 250 in
+  let large = push_words_per_server 4000 in
+  if large > 1.5 *. small || small > 1.5 *. large then
+    Alcotest.failf "words per server: %.1f at 250 servers, %.1f at 4,000" small
+      large
+
 (* ------------------------------------------------------------------ *)
 (* Wizard + Client protocol (no network)                                *)
 (* ------------------------------------------------------------------ *)
@@ -1143,6 +1410,102 @@ let test_wizard_result_cache_and_snapshot () =
   ignore (ask wizard ~wanted:2 requirement);
   Alcotest.(check int) "then memoized again" 2
     (C.Wizard.snapshot_rebuilds wizard)
+
+(* A host that re-reports under a new IP keeps its snapshot row, and
+   the in-place refresh must carry the IP along: user_denied_hostN
+   matches by IP through the snapshot. *)
+let test_wizard_denies_new_ip () =
+  let db = C.Status_db.create () in
+  C.Status_db.update_sys db (sys_record ~host:"a" ~ip:"1.0.0.1" ~at:0.0 ());
+  C.Status_db.update_sys db (sys_record ~host:"b" ~ip:"1.0.0.2" ~at:0.0 ());
+  let wizard =
+    C.Wizard.create { C.Wizard.mode = C.Wizard.Centralized; groups = None } db
+  in
+  Alcotest.(check (list string)) "both qualify" [ "a"; "b" ]
+    (ask wizard ~wanted:2 "100 > 0\n");
+  C.Status_db.update_sys db (sys_record ~host:"a" ~ip:"9.9.9.9" ~at:1.0 ());
+  Alcotest.(check (list string)) "denied by its new IP" [ "b" ]
+    (ask wizard ~wanted:2 "user_denied_host1 = 9.9.9.9\n100 > 0\n");
+  Alcotest.(check (pair int int)) "one rebuild, then a refresh" (1, 1)
+    (C.Wizard.snapshot_rebuilds wizard, C.Wizard.snapshot_refreshes wizard)
+
+(* A transmitter push that changes values but no host refreshes the
+   wizard's snapshot instead of rebuilding it, and the answer follows
+   the new values of all three tables: after the push [a] is busy, [b]
+   has the widest link and [d] lost its clearance. *)
+let test_wizard_value_push_refreshes () =
+  let source = C.Status_db.create () in
+  let load ~after =
+    C.Status_db.update_sys_many source
+      (List.mapi
+         (fun i host ->
+           sys_record ~host ~ip:(Printf.sprintf "1.0.0.%d" i)
+             ~cpu_free:(if after && String.equal host "a" then 0.1 else 0.9)
+             ~at:1.0 ())
+         [ "a"; "b"; "c"; "d" ]);
+    C.Status_db.update_net source
+      {
+        P.Records.monitor = "mon";
+        entries =
+          [
+            net_entry ~bandwidth:1e6 "a";
+            net_entry ~bandwidth:(if after then 4e6 else 2e6) "b";
+            net_entry ~bandwidth:3e6 "c";
+            net_entry ~bandwidth:5e5 "d";
+          ];
+      };
+    C.Status_db.replace_sec source
+      {
+        P.Records.entries =
+          List.map
+            (fun host ->
+              { P.Records.host;
+                level = (if after && String.equal host "d" then 1 else 2) })
+            [ "a"; "b"; "c"; "d" ];
+      }
+  in
+  let tx =
+    C.Transmitter.create ~monitor_name:"mon"
+      {
+        C.Transmitter.mode = C.Transmitter.Centralized;
+        order = P.Endian.Little;
+        receiver = { C.Output.host = "wiz"; port = P.Ports.receiver };
+      }
+      source
+  in
+  let mirror = C.Status_db.create () in
+  let rx = C.Receiver.create ~order:P.Endian.Little mirror in
+  let wizard =
+    C.Wizard.create { C.Wizard.mode = C.Wizard.Centralized; groups = None }
+      mirror
+  in
+  let push () =
+    let data =
+      String.concat ""
+        (List.map (P.Frame.encode P.Endian.Little)
+           (C.Transmitter.snapshot_frames tx))
+    in
+    match C.Receiver.handle_stream rx ~from:"mon" data with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "push: %s" e
+  in
+  let requirement =
+    "host_cpu_free > 0.5\nhost_security_level >= 2\n\
+     order_by = monitor_network_bw\n"
+  in
+  load ~after:false;
+  push ();
+  Alcotest.(check (list string)) "before" [ "c"; "b"; "a"; "d" ]
+    (ask wizard ~wanted:4 requirement);
+  let rebuilds = C.Wizard.snapshot_rebuilds wizard in
+  let refreshes = C.Wizard.snapshot_refreshes wizard in
+  load ~after:true;
+  push ();
+  Alcotest.(check (list string)) "after" [ "b"; "c" ]
+    (ask wizard ~wanted:4 requirement);
+  Alcotest.(check int) "no rebuild" rebuilds (C.Wizard.snapshot_rebuilds wizard);
+  Alcotest.(check int) "one refresh" (refreshes + 1)
+    (C.Wizard.snapshot_refreshes wizard)
 
 (* ------------------------------------------------------------------ *)
 (* Client                                                               *)
@@ -3133,6 +3496,8 @@ let () =
             test_db_sys_records_cached;
           Alcotest.test_case "net entry determinism" `Quick
             test_db_net_entry_deterministic;
+          QCheck_alcotest.to_alcotest prop_refresh_matches_rebuild_flat;
+          QCheck_alcotest.to_alcotest prop_refresh_matches_rebuild_grouped;
         ] );
       ( "probe",
         [
@@ -3165,6 +3530,8 @@ let () =
           Alcotest.test_case "update hook" `Quick test_receiver_update_hook;
           Alcotest.test_case "multi-transmitter ownership" `Quick
             test_receiver_multi_transmitter_ownership;
+          Alcotest.test_case "push cost linear in size" `Quick
+            test_receiver_push_linear;
           Alcotest.test_case "resend queue + backoff" `Quick
             test_transmitter_resend_backoff;
         ] );
@@ -3197,6 +3564,10 @@ let () =
           Alcotest.test_case "distributed pull flow" `Quick
             test_wizard_distributed_pull_flow;
           Alcotest.test_case "compile cache" `Quick test_wizard_compile_cache;
+          Alcotest.test_case "denies a host by its new IP" `Quick
+            test_wizard_denies_new_ip;
+          Alcotest.test_case "value-only push refreshes" `Quick
+            test_wizard_value_push_refreshes;
           Alcotest.test_case "result cache + snapshot" `Quick
             test_wizard_result_cache_and_snapshot;
           Alcotest.test_case "distributed deadline" `Quick

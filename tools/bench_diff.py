@@ -36,6 +36,7 @@ WIZARD_EXACT = (
     "warm_compile_cache_misses",
     "warm_result_cache_misses",
     "warm_snapshot_rebuilds",
+    "push_snapshot_rebuilds",
     "lossy_requests",
     "request_success_rate",
     "lossy_retries_total",
