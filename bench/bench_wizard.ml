@@ -17,7 +17,9 @@
    A fourth figure prices the status write path: the words one full
    snapshot push of the plane costs the receiver, per server, and the
    snapshot rebuilds the push forces on the wizard (none: it changed no
-   host).
+   host).  A fifth prices the cold scan at scale: the words one
+   [Selection.select_columns] call allocates over a 2,000-server plane,
+   averaged over one requirement per scan path.
 
    Results go to stdout and to BENCH_wizard.json for trend tracking
    across PRs.  Words are minor-heap words plus words allocated directly
@@ -241,6 +243,74 @@ let push_cost () =
   read_snapshot ();
   (words_per_server, C.Wizard.snapshot_rebuilds wizard - rebuilds0)
 
+(* The cold scan at scale: one requirement per scan path — the sweep
+   plan without and with order_by, the plan with constant host lists,
+   and the interpreter (a computed order key and a host named through a
+   bound temp) — each selecting 10 servers from a 2,000-server plane
+   built from the same reports as the 60-server one. *)
+let select_servers = 2000
+
+let select_shapes =
+  [|
+    "host_cpu_free > 0.2\nhost_memory_free > 10\nmonitor_network_bw > 1\n";
+    requirement;
+    "user_preferred_host1 = srv42\nhost_cpu_free > 0.2\n\
+     user_denied_host1 = 10.9.0.3\nuser_preferred_host2 = srv07\n";
+    "host_cpu_free > 0.2\nt = host_memory_free + 4 * host_cpu_free\n\
+     order_by = t\nuser_preferred_host1 = t\n";
+  |]
+
+(* Words per [select_columns] call for each shape, after one call that
+   sizes the scratch; a fixed call count, so the figure does not depend
+   on the budget. *)
+let select_words () =
+  let db = C.Status_db.create () in
+  for i = 0 to select_servers - 1 do
+    C.Status_db.update_sys db
+      { P.Records.report = report i; updated_at = 100.0 }
+  done;
+  C.Status_db.update_net db
+    {
+      P.Records.monitor = monitor_of 0;
+      entries =
+        List.init select_servers (fun i ->
+            {
+              P.Records.peer = host_of i;
+              delay = 0.001;
+              bandwidth = 10e6 +. (1e5 *. float_of_int (i mod 7));
+              measured_at = 50.0;
+            });
+    };
+  C.Status_db.replace_sec db
+    {
+      P.Records.entries =
+        List.init select_servers (fun i ->
+            { P.Records.host = host_of i; level = 1 + (i mod 5) });
+    };
+  let view =
+    C.Status_db.columns db ~net_for:(fun host ->
+        C.Status_db.net_entry_for db ~target:host)
+  in
+  let scratch = C.Selection.scratch () in
+  Array.map
+    (fun source ->
+      let fast =
+        match Smart_lang.Requirement.compile_fast source with
+        | Ok fast -> fast
+        | Error _ -> failwith ("select_words: " ^ source)
+      in
+      let select () =
+        C.Selection.select_columns scratch ~fast ~view ~wanted:10
+      in
+      ignore (select ());
+      let calls = 200 in
+      let words0 = words () in
+      for _ = 1 to calls do
+        ignore (Sys.opaque_identity (select ()))
+      done;
+      (words () -. words0) /. float_of_int calls)
+    select_shapes
+
 (* ------------------------------------------------------------------ *)
 (* Lossy-plane run: the same request path driven end-to-end through the
    simulator with 25% datagram loss on the client's link, so every
@@ -342,6 +412,11 @@ let run () =
     measure_ab ~budget warm_wizard traced_wizard
   in
   let push_words, push_rebuilds = push_cost () in
+  let shape_words = select_words () in
+  let select_words_2000 =
+    Array.fold_left ( +. ) 0.0 shape_words
+    /. float_of_int (Array.length shape_words)
+  in
   let trace_overhead = (warm_rps -. traced_rps) /. warm_rps in
   let speedup = warm_rps /. cold_rps in
   let hits, misses = C.Wizard.compile_cache_stats warm_wizard in
@@ -400,6 +475,11 @@ let run () =
     "allocation (minor + direct major words): cold %.0f/request, warm %.0f, \
      warm traced %.0f; snapshot push %.0f/server (%d snapshot rebuilds)@."
     cold_allocs warm_allocs traced_allocs push_words push_rebuilds;
+  Fmt.pr
+    "selection over %d servers (words per call, wanted 10): sweep %.0f, \
+     sweep + order_by %.0f, host lists %.0f, interpreter %.0f; mean %.1f@."
+    select_servers shape_words.(0) shape_words.(1) shape_words.(2)
+    shape_words.(3) select_words_2000;
   let success_rate, lossy_retries, retry_p95 = lossy_run () in
   Fmt.pr
     "lossy plane (%.0f%% datagram loss, %d requests): success rate %.3f, \
@@ -432,6 +512,7 @@ let run () =
     \  \"warm_traced_allocs_per_req\": %.1f,\n\
     \  \"push_words_per_server\": %.1f,\n\
     \  \"push_snapshot_rebuilds\": %d,\n\
+    \  \"select_words_2000\": %.1f,\n\
     \  \"warm_compile_cache_hits\": %d,\n\
     \  \"warm_compile_cache_misses\": %d,\n\
     \  \"warm_result_cache_hits\": %d,\n\
@@ -457,7 +538,7 @@ let run () =
     trace_overhead
     (Smart_util.Tracelog.total_recorded trace)
     cold_allocs warm_allocs traced_allocs push_words push_rebuilds
-    hits misses rhits rmisses
+    select_words_2000 hits misses rhits rmisses
     (C.Wizard.snapshot_rebuilds warm_wizard)
     lossy_loss lossy_requests success_rate lossy_retries
     (json_float retry_p95);

@@ -19,202 +19,278 @@
       the largest memory".)
    4. the list is cut to min(wanted, max_reply_servers).
 
+   The scan is cut-aware: it keeps only what the reply can use.  Each
+   eligible row goes into one of two bounded top-[limit] buffers, one
+   for preferred hosts keyed by rank and one for the rest keyed by
+   order_by, so a row costs no allocation and no buffer grows past the
+   cut.  Without order_by and preferred hosts, scan order alone ranks
+   the rest, and the scan stops at the [limit]-th eligible row.  A
+   requirement in the statement-major sweep shape ([Bytecode.sweep_of]:
+   compares, one order_by column, constant host lists) is evaluated
+   column-at-a-time, and its constant host lists are checked against
+   qualified rows only; every other requirement runs on the interpreter
+   row by row.
+
    The test suites hold this to a list-based reference selection over
    the tree-walking evaluator (test/oracle). *)
 
 module B = Smart_lang.Bytecode
 
-(* Reusable buffers for [select_columns]: two rank heaps plus two
-   growable string buffers.  One scratch per wizard; reusing it keeps
-   the per-request allocation down to the heap tuples and the reply
-   list itself. *)
-type scratch = {
-  pref : string Smart_util.Heap.t;
-      (* eligible preferred hosts, keyed by preference rank *)
-  ranked : string Smart_util.Heap.t;
-      (* eligible others under order_by, keyed by negated order key *)
-  mutable plain : string array;  (* eligible others, scan order *)
-  mutable plain_len : int;
-  mutable nans : string array;   (* NaN order keys, scan order *)
-  mutable nan_len : int;
-  mutable qbuf : Bytes.t;        (* sweep plan: per-server verdicts *)
-  mutable obuf : float array;    (* sweep plan: per-server order keys *)
+(* ------------------------------------------------------------------ *)
+(* Bounded top-k buffer                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* The best [cap] snapshot rows offered so far.  Rows rank by key
+   descending, NaN after every real key, and ties go to the earlier row
+   (rows are scan order), which replays the reference selection's
+   stable sorts; [Float.compare] already ties -0.0 with 0.0 and orders
+   NaN below every real key.  Keys live in a row-indexed float array
+   that the caller fills before [offer], so no float crosses a function
+   boundary boxed.  The rows form a binary heap with the worst at the
+   root: a full buffer rejects a row with one comparison and admits one
+   in O(log cap), and [pop] hands rows back worst first, so consing
+   them builds a best-first list. *)
+type top = {
+  mutable keys : float array;  (* key of row r, indexed by row *)
+  mutable heap : int array;    (* rows; heap.(0) ranks last *)
+  mutable len : int;
+  mutable cap : int;
 }
 
-let scratch () =
-  {
-    pref = Smart_util.Heap.create ();
-    ranked = Smart_util.Heap.create ();
-    plain = Array.make 64 "";
-    plain_len = 0;
-    nans = Array.make 16 "";
-    nan_len = 0;
-    qbuf = Bytes.make 64 '\000';
-    obuf = Array.make 64 0.0;
-  }
+let top () = { keys = [||]; heap = [||]; len = 0; cap = 0 }
 
-let grown buf len =
-  if len < Array.length buf then buf
-  else begin
-    let fresh = Array.make (2 * Array.length buf) "" in
-    Array.blit buf 0 fresh 0 len;
-    fresh
+(* Empty [t] for a scan of [n] rows that keeps at most [cap]. *)
+let reset t ~n ~cap =
+  if Array.length t.keys < n then t.keys <- Array.make (2 * n) 0.0;
+  let cap = min cap n in
+  if Array.length t.heap < cap then t.heap <- Array.make (2 * cap) 0;
+  t.len <- 0;
+  t.cap <- cap
+
+(* Does row [a] rank before row [b]? *)
+let before keys a b =
+  let c = Float.compare keys.(a) keys.(b) in
+  c > 0 || (c = 0 && a < b)
+
+(* Put [r] at the root of the [t.len] heap rows and sift it down past
+   every child that ranks after it. *)
+let sift_down t r =
+  let keys = t.keys and heap = t.heap and len = t.len in
+  let i = ref 0 in
+  let sifting = ref true in
+  while !sifting do
+    let l = (2 * !i) + 1 in
+    if l >= len then sifting := false
+    else begin
+      let worse =
+        if l + 1 < len && before keys heap.(l) heap.(l + 1) then l + 1 else l
+      in
+      if before keys r heap.(worse) then begin
+        heap.(!i) <- heap.(worse);
+        i := worse
+      end
+      else sifting := false
+    end
+  done;
+  heap.(!i) <- r
+
+(* Offer row [r], its key already in [t.keys]. *)
+let offer t r =
+  if t.len < t.cap then begin
+    let keys = t.keys and heap = t.heap in
+    let i = ref t.len in
+    t.len <- t.len + 1;
+    while !i > 0 && before keys heap.((!i - 1) / 2) r do
+      heap.(!i) <- heap.((!i - 1) / 2);
+      i := (!i - 1) / 2
+    done;
+    heap.(!i) <- r
   end
+  else if t.len > 0 && before t.keys r t.heap.(0) then sift_down t r
 
-(* Row [row]'s standing under the compiled requirement: [ineligible]
-   when it fails the requirement or a user_denied_hostN names it, else
-   its preference rank (the position of the first user_preferred_hostN
-   naming it) or [unranked].  The denied/preferred lists are the
-   Addr-valued user parameters in assignment order, read off the uparam
-   log; an entry matches by host name or IP.  Leaves the row's order_by
-   key in the state. *)
+(* Remove and return the worst row. *)
+let pop t =
+  let worst = t.heap.(0) in
+  t.len <- t.len - 1;
+  if t.len > 0 then sift_down t t.heap.(t.len);
+  worst
+
+(* Reusable buffers for [select_columns]: the preferred hosts' buffer
+   (keyed by negated preference rank), the buffer of every other
+   eligible row (keyed by order_by key, or all [neg_infinity] so scan
+   order alone ranks them; its key array doubles as the sweep plan's
+   order output) and the sweep plan's verdict bytes.  One scratch per
+   wizard; a scan allocates only when the snapshot outgrows them. *)
+type scratch = {
+  pref : top;
+  rest : top;
+  mutable qbuf : Bytes.t;
+}
+
+let scratch () = { pref = top (); rest = top (); qbuf = Bytes.empty }
+
+(* ------------------------------------------------------------------ *)
+(* Eligibility                                                          *)
+(* ------------------------------------------------------------------ *)
+
 let ineligible = -2
 
 let unranked = -1
 
+(* A qualified row's standing under the host lists: [ineligible] when a
+   user_denied_hostN names it, else its preference rank (the position
+   of the first user_preferred_hostN naming it among the preferred
+   entries) or [unranked].  The lists are the address-valued entries of
+   a uparam log in assignment order — the interpreter's per-row log or a
+   sweep plan's constant one; an entry matches by host name or IP. *)
+let standing pool ~slots ~tags ~len ~host ~ip =
+  let denied = ref false in
+  let rank = ref unranked in
+  let pcount = ref 0 in
+  for k = 0 to len - 1 do
+    let tag = tags.(k) in
+    if tag >= 0 then begin
+      let entry = pool.(tag) in
+      if slots.(k) < B.preferred_slots then begin
+        if !rank < 0 && (String.equal entry host || String.equal entry ip)
+        then rank := !pcount;
+        incr pcount
+      end
+      else if
+        (not !denied) && (String.equal entry host || String.equal entry ip)
+      then denied := true
+    end
+  done;
+  if !denied then ineligible else !rank
+
+(* Row [row]'s standing under the compiled requirement, by the
+   interpreter: [ineligible] when it fails the requirement, else its
+   standing under the uparam log the run left.  Leaves the row's
+   order_by key in the state. *)
 let eligibility ~(fast : Smart_lang.Requirement.fast)
     ~(view : Status_db.column_view) ~row =
   let prog = fast.Smart_lang.Requirement.prog in
   let st = fast.Smart_lang.Requirement.state in
   B.run ~stop_unqualified:true prog st view.Status_db.cols ~server:row;
   if not (B.qualified prog st) then ineligible
-  else begin
-    let host = view.Status_db.hosts.(row) in
-    let ip = view.Status_db.ips.(row) in
-    let denied = ref false in
-    let rank = ref unranked in
-    let pcount = ref 0 in
-    for k = 0 to st.B.ulog_len - 1 do
-      let tag = st.B.ulog_tag.(k) in
-      if tag >= 0 then begin
-        let entry = prog.B.pool.(tag) in
-        if st.B.ulog_slot.(k) < B.preferred_slots then begin
-          if
-            !rank < 0 && (String.equal entry host || String.equal entry ip)
-          then rank := !pcount;
-          incr pcount
-        end
-        else if
-          (not !denied) && (String.equal entry host || String.equal entry ip)
-        then denied := true
-      end
-    done;
-    if !denied then ineligible else !rank
-  end
+  else
+    standing prog.B.pool ~slots:st.B.ulog_slot ~tags:st.B.ulog_tag
+      ~len:st.B.ulog_len ~host:view.Status_db.hosts.(row)
+      ~ip:view.Status_db.ips.(row)
 
 let qualifies ~fast ~view ~row = eligibility ~fast ~view ~row <> ineligible
 
-(* The shared scan of the columnar fast path: evaluate the compiled
-   requirement over every row and sort the eligible hosts into the
-   scratch buffers.  Ordering replays the reference selection's list
-   sorts exactly:
+(* ------------------------------------------------------------------ *)
+(* The cut-aware scan                                                   *)
+(* ------------------------------------------------------------------ *)
 
-   - preferred hosts land in a rank-keyed min-heap whose insertion
-     stamp breaks ties in scan order — [List.sort] on ranks is stable;
-   - [order_by] candidates land in a min-heap keyed by the negated
-     key (normalized by [+. 0.0] so -0.0 ties 0.0, as [Float.compare]
-     does after the same normalization in the reference sort); NaN
-     keys, which [Float.compare] orders below -infinity, stay in the
-     [nans] stash (scan order) for the caller to emit after every real
-     key;
-   - without [order_by], eligible hosts fill [plain] in scan order. *)
+(* Rows an early-stopping sweep evaluates at a time: few enough that
+   stopping at the cut wastes little, enough that each block still runs
+   the plan's per-column loops. *)
+let sweep_block = 64
+
+(* File eligible row [r] of standing [rank]; an unranked row's key must
+   already be in [scratch.rest.keys]. *)
+let place scratch rank r =
+  if rank >= 0 then begin
+    scratch.pref.keys.(r) <- -.float_of_int rank;
+    offer scratch.pref r
+  end
+  else offer scratch.rest r
+
+(* The shared scan: evaluate the compiled requirement over the snapshot
+   and file every eligible row into the two top-[limit] buffers.  When
+   scan order alone ranks the answer — no order_by and no preferred
+   host, or nothing wanted — it is the first [limit] eligible rows, so
+   the scan stops there.  The sweep plan then runs block by block. *)
 let scan scratch ~(fast : Smart_lang.Requirement.fast)
-    ~(view : Status_db.column_view) =
+    ~(view : Status_db.column_view) ~limit =
   let prog = fast.Smart_lang.Requirement.prog in
-  let st = fast.Smart_lang.Requirement.state in
   let cols = view.Status_db.cols in
-  Smart_util.Heap.clear scratch.pref;
-  Smart_util.Heap.clear scratch.ranked;
-  scratch.plain_len <- 0;
-  scratch.nan_len <- 0;
-  let emit_ordered host key =
-    if Float.is_nan key then begin
-      scratch.nans <- grown scratch.nans scratch.nan_len;
-      scratch.nans.(scratch.nan_len) <- host;
-      scratch.nan_len <- scratch.nan_len + 1
-    end
-    else Smart_util.Heap.push scratch.ranked ~key:(-.(key +. 0.0)) host
+  let n = cols.B.n in
+  let rest = scratch.rest in
+  reset scratch.pref ~n ~cap:limit;
+  reset rest ~n ~cap:limit;
+  let ordered = prog.B.has_order_by in
+  let early =
+    limit = 0 || ((not ordered) && not fast.Smart_lang.Requirement.prefers)
   in
-  let emit_plain host =
-    scratch.plain <- grown scratch.plain scratch.plain_len;
-    scratch.plain.(scratch.plain_len) <- host;
-    scratch.plain_len <- scratch.plain_len + 1
-  in
-  (match fast.Smart_lang.Requirement.sweep with
+  match fast.Smart_lang.Requirement.sweep with
   | Some sw ->
-    (* statement-major plan: all verdicts and order keys in one
-       column-at-a-time pass, then a straight emit loop (the plan rules
-       out user parameters, so no blacklist/preference scan) *)
-    if Bytes.length scratch.qbuf < cols.B.n then begin
-      scratch.qbuf <- Bytes.make (2 * cols.B.n) '\000';
-      scratch.obuf <- Array.make (2 * cols.B.n) 0.0
-    end;
-    B.run_sweep sw cols ~qualified:scratch.qbuf ~order:scratch.obuf;
-    let ordered = prog.B.has_order_by in
-    for i = 0 to cols.B.n - 1 do
-      if Bytes.get scratch.qbuf i <> '\000' then
-        if ordered then
-          emit_ordered view.Status_db.hosts.(i) scratch.obuf.(i)
-        else emit_plain view.Status_db.hosts.(i)
+    if Bytes.length scratch.qbuf < n then
+      scratch.qbuf <- Bytes.make (2 * n) '\000';
+    let qbuf = scratch.qbuf in
+    let log = B.sweep_hosts sw in
+    let nlog = Array.length log.B.slots in
+    let block = if early then sweep_block else n in
+    let lo = ref 0 in
+    while !lo < n && not (early && rest.len >= limit) do
+      let hi = min n (!lo + block) in
+      B.run_sweep sw cols ~lo:!lo ~hi ~qualified:qbuf ~order:rest.keys;
+      let r = ref !lo in
+      while !r < hi && not (early && rest.len >= limit) do
+        if Bytes.get qbuf !r <> '\000' then begin
+          let rank =
+            if nlog = 0 then unranked
+            else
+              standing prog.B.pool ~slots:log.B.slots ~tags:log.B.tags
+                ~len:nlog ~host:view.Status_db.hosts.(!r)
+                ~ip:view.Status_db.ips.(!r)
+          in
+          if rank <> ineligible then begin
+            if not ordered then rest.keys.(!r) <- neg_infinity;
+            place scratch rank !r
+          end
+        end;
+        incr r
+      done;
+      lo := hi
     done
   | None ->
-  for i = 0 to cols.B.n - 1 do
-    let rank = eligibility ~fast ~view ~row:i in
-    if rank <> ineligible then begin
-      let host = view.Status_db.hosts.(i) in
-      if rank >= 0 then
-        Smart_util.Heap.push scratch.pref ~key:(float_of_int rank) host
-      else if prog.B.has_order_by then
-        emit_ordered host
-          (if st.B.order_found then st.B.order_val else neg_infinity)
-      else emit_plain host
-    end
-  done)
+    let st = fast.Smart_lang.Requirement.state in
+    let r = ref 0 in
+    while !r < n && not (early && rest.len >= limit) do
+      let rank = eligibility ~fast ~view ~row:!r in
+      if rank <> ineligible then begin
+        rest.keys.(!r) <-
+          (if st.B.order_found then st.B.order_val.(0) else neg_infinity);
+        place scratch rank !r
+      end;
+      incr r
+    done
 
 (* The reference selection's [take] only stops on exactly 0, so a
-   negative [wanted] means "no cut" there; both drains replay that. *)
+   negative [wanted] means "no cut" there; the scan replays that. *)
 let cut_limit wanted =
   let limit = min wanted Smart_proto.Ports.max_reply_servers in
   if limit < 0 then max_int else limit
 
-(* The flat wizard's answer: one pass over the columnar snapshot (the
-   test suite pins it to the reference selection with a differential
-   property).  NaN order keys are pushed after the scan with key
-   +infinity so they pop after every real key — including real -infinity
-   keys, whose earlier insertion stamps win the FIFO tie — still in scan
-   order. *)
+(* Drop the rest's worst rows until the two buffers hold [limit] rows
+   between them: preferred hosts come first. *)
+let trim scratch ~limit =
+  while scratch.rest.len > limit - scratch.pref.len do
+    ignore (pop scratch.rest)
+  done
+
+(* The flat wizard's answer: one cut-aware pass over the columnar
+   snapshot (the test suite pins it to the reference selection with a
+   differential property).  Popping worst first and consing yields
+   each buffer best first, the rest's rows consed before the
+   preferred hosts'. *)
 let select_columns scratch ~(fast : Smart_lang.Requirement.fast)
     ~(view : Status_db.column_view) ~wanted =
-  let prog = fast.Smart_lang.Requirement.prog in
-  scan scratch ~fast ~view;
-  for k = 0 to scratch.nan_len - 1 do
-    Smart_util.Heap.push scratch.ranked ~key:infinity scratch.nans.(k)
-  done;
   let limit = cut_limit wanted in
-  let selected = ref [] in
-  let count = ref 0 in
-  let take host =
-    selected := host :: !selected;
-    incr count
-  in
-  let rec drain heap =
-    if !count < limit then
-      match Smart_util.Heap.pop heap with
-      | Some (_, host) ->
-        take host;
-        drain heap
-      | None -> ()
-  in
-  drain scratch.pref;
-  if prog.B.has_order_by then drain scratch.ranked
-  else begin
-    let k = ref 0 in
-    while !count < limit && !k < scratch.plain_len do
-      take scratch.plain.(!k);
-      incr k
-    done
-  end;
-  List.rev !selected
+  scan scratch ~fast ~view ~limit;
+  trim scratch ~limit;
+  let hosts = view.Status_db.hosts in
+  let out = ref [] in
+  while scratch.rest.len > 0 do
+    out := hosts.(pop scratch.rest) :: !out
+  done;
+  while scratch.pref.len > 0 do
+    out := hosts.(pop scratch.pref) :: !out
+  done;
+  !out
 
 (* ------------------------------------------------------------------ *)
 (* Federation: scored selection and deterministic cross-shard merge     *)
@@ -223,67 +299,43 @@ let select_columns scratch ~(fast : Smart_lang.Requirement.fast)
 (* A shard wizard's answer to a root subquery: the same scan, but each
    candidate keeps the ordering information the root needs to merge
    per-shard lists into exactly the flat ranking — preference rank for
-   preferred hosts, the order_by key for the rest.  The drain order is
+   preferred hosts, the order_by key for the rest.  The list order is
    the shard-local selection order, i.e. the restriction of the global
    candidate order to this shard, which is what makes merging per-shard
    prefixes exact (see [merge_candidates]).
 
-   Key recovery: the ranked heap stores the negated normalized key, so
-   popping gives it back with [-0.0] already collapsed; NaN keys live in
-   the scan-order stash and are emitted last with an honest NaN key so
-   the root can order them after every real key, as [Float.compare]
-   does. *)
+   Keys go out normalized by [+. 0.0], so -0.0 travels as 0.0, and a NaN
+   key as [Float.nan] whatever its payload, so the root orders it after
+   every real key, as [Float.compare] does. *)
 let select_scored scratch ~(fast : Smart_lang.Requirement.fast)
     ~(view : Status_db.column_view) ~wanted =
-  let prog = fast.Smart_lang.Requirement.prog in
-  scan scratch ~fast ~view;
   let limit = cut_limit wanted in
+  scan scratch ~fast ~view ~limit;
+  trim scratch ~limit;
+  let hosts = view.Status_db.hosts in
   let out = ref [] in
-  let count = ref 0 in
-  let take c =
-    out := c :: !out;
-    incr count
-  in
-  let rec drain_pref () =
-    if !count < limit then
-      match Smart_util.Heap.pop scratch.pref with
-      | Some (rank, host) ->
-        take
-          {
-            Smart_proto.Fed_msg.host;
-            rank = int_of_float rank;
-            key = neg_infinity;
-          };
-        drain_pref ()
-      | None -> ()
-  in
-  drain_pref ();
-  if prog.B.has_order_by then begin
-    let rec drain_ranked () =
-      if !count < limit then
-        match Smart_util.Heap.pop scratch.ranked with
-        | Some (negkey, host) ->
-          take { Smart_proto.Fed_msg.host; rank = -1; key = -.negkey };
-          drain_ranked ()
-        | None -> ()
-    in
-    drain_ranked ();
-    let k = ref 0 in
-    while !count < limit && !k < scratch.nan_len do
-      take { Smart_proto.Fed_msg.host = scratch.nans.(!k); rank = -1;
-             key = Float.nan };
-      incr k
-    done
-  end
-  else begin
-    let k = ref 0 in
-    while !count < limit && !k < scratch.plain_len do
-      take { Smart_proto.Fed_msg.host = scratch.plain.(!k); rank = -1;
-             key = neg_infinity };
-      incr k
-    done
-  end;
-  List.rev !out
+  while scratch.rest.len > 0 do
+    let r = pop scratch.rest in
+    let key = scratch.rest.keys.(r) in
+    out :=
+      {
+        Smart_proto.Fed_msg.host = hosts.(r);
+        rank = -1;
+        key = (if Float.is_nan key then Float.nan else key +. 0.0);
+      }
+      :: !out
+  done;
+  while scratch.pref.len > 0 do
+    let r = pop scratch.pref in
+    out :=
+      {
+        Smart_proto.Fed_msg.host = hosts.(r);
+        rank = int_of_float (-.scratch.pref.keys.(r));
+        key = neg_infinity;
+      }
+      :: !out
+  done;
+  !out
 
 (* Total order over candidates, identical to the flat wizard's ranking:
    preferred hosts first by preference rank, then the rest by order_by

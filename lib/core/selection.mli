@@ -1,7 +1,12 @@
 (** Pure server-selection algorithm of the wizard (§3.6.1, Fig 1.4):
-    evaluate the compiled requirement over every row of the columnar
+    evaluate the compiled requirement over the rows of the columnar
     status snapshot, exclude blacklisted hosts, order preferred hosts
     first, cut to the requested count.
+
+    The scan is cut-aware.  Eligible rows go into bounded top-[k]
+    buffers, [k] the cut, so a scan allocates nothing per row.  A
+    requirement with neither [order_by] nor a preferred host is answered
+    by its first [k] eligible rows, and the scan stops there.
 
     Extension (the paper's Ch. 6 "3 servers with largest memory"): a
     requirement assigning the temp variable [order_by] ranks the
@@ -19,16 +24,19 @@ val qualifies :
   row:int ->
   bool
 
-(** Reusable buffers for {!select_columns} (heaps and string buffers);
-    one per wizard. *)
+(** Reusable buffers for {!select_columns}: the two bounded top-[k]
+    row buffers and the sweep plan's verdict bytes, grown only when the
+    snapshot outgrows them.  One per wizard. *)
 type scratch
 
 val scratch : unit -> scratch
 
 (** Evaluate the compiled requirement over the columnar snapshot in one
-    pass and return the selected host names, best first.  The test suite
-    holds this to a list-based reference selection over the tree-walking
-    evaluator with a differential property. *)
+    cut-aware pass and return the selected host names, best first.  Past
+    the reply itself, a call allocates nothing that grows with the
+    snapshot.  The test suite holds this to a list-based reference
+    selection over the tree-walking evaluator with a differential
+    property. *)
 val select_columns :
   scratch ->
   fast:Smart_lang.Requirement.fast ->
@@ -39,7 +47,7 @@ val select_columns :
 (** {1 Federation}
 
     A regional (shard) wizard answers a root subquery with
-    {!select_scored}: the same one-pass columnar scan as
+    {!select_scored}: the same cut-aware columnar scan as
     {!select_columns}, but each candidate carries the ordering
     information the root needs — the preference rank for preferred
     hosts, the [order_by] key for the rest (NaN when the ranking

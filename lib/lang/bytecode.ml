@@ -12,6 +12,16 @@
    arrays.  Only the fault path (which must reproduce [Eval]'s formatted
    messages exactly) allocates.
 
+   Keeping that promise takes care with floats.  Without flambda a
+   float passed to or returned from a function that is not inlined is
+   boxed, and dune's dev profile compiles with [-opaque], so every call
+   into another module counts.  Floats therefore stay in float arrays
+   (registers, temps, the one-cell [order_val]) or in [@inline] helpers
+   ([read_col], [cmp_holds], [truthy]); [exec] and [run] are top-level
+   recursive functions, so no per-instruction or per-server closure is
+   built.  A float field of the mixed [state] record would box on every
+   write.
+
    The string pool is deduplicated by content, so address equality in
    CMP is integer equality on pool indices.
 
@@ -162,7 +172,7 @@ type state = {
   serr : string array;
   mutable ok : bool;          (* all logical statements truthy so far *)
   mutable order_found : bool; (* last numeric [order_by] result, if any *)
-  mutable order_val : float;
+  order_val : float array;    (* one cell: the key, stored unboxed *)
 }
 
 let no_error = ""
@@ -190,7 +200,7 @@ let make_state p =
     serr = Array.make (max (nstmts p) 1) no_error;
     ok = true;
     order_found = false;
-    order_val = 0.0;
+    order_val = [| 0.0 |];
   }
 
 exception Fault of string
@@ -213,7 +223,7 @@ let fault_addr_order = "addresses cannot be ordered"
 
 let fault_mixed_order = "cannot order a number against an address"
 
-let truthy pool tag v =
+let[@inline] truthy pool tag v =
   if tag >= 0 then String.length (Array.unsafe_get pool tag) > 0
   else v <> 0.0
 
@@ -226,8 +236,9 @@ let truthy pool tag v =
    ([0 <= server < c.n], every column id static), so the reads use the
    unsafe accessors; this module is the single allowlisted home of
    Bigarray.*unsafe_* and of the Array.unsafe accessors on validated
-   operands (see the smartlint rule). *)
-let read_col (c : columns) ~server col pool pmsg =
+   operands (see the smartlint rule).  Inlined, so the value never
+   leaves a register boxed. *)
+let[@inline] read_col (c : columns) ~server col pool pmsg =
   if col < sys_field_count then Bigarray.Array2.unsafe_get c.sys col server
   else if col = col_net_delay then begin
     if Bigarray.Array1.unsafe_get c.has_net server = 0 then
@@ -245,14 +256,20 @@ let read_col (c : columns) ~server col pool pmsg =
     Bigarray.Array1.unsafe_get c.sec_level server
   end
 
-let cmp_holds sub (x : float) (y : float) =
-  match sub with
-  | 0 -> x < y
-  | 1 -> x <= y
-  | 2 -> x > y
-  | 3 -> x >= y
-  | 4 -> x = y
-  | _ -> x <> y
+(* Comparison sub-opcode [sub] on two numbers.  An if-chain, commonest
+   first, not a [match]: the sweep runs this once per server per
+   compare, and the jump table a [match] compiles to costs more than
+   the compare itself. *)
+let[@inline] cmp_holds sub (x : float) (y : float) =
+  if sub = 2 then x > y
+  else if sub = 0 then x < y
+  else if sub = 3 then x >= y
+  else if sub = 1 then x <= y
+  else if sub = 4 then x = y
+  else x <> y
+
+(* Operand [k] of the instruction at [pc]. *)
+let[@inline] arg code pc k = Array.unsafe_get code (pc + k)
 
 (* One statement slice over one server, tail-recursively so the program
    counter lives in a register.  Operand indices were validated by
@@ -261,78 +278,80 @@ let cmp_holds sub (x : float) (y : float) =
 let rec exec p st (c : columns) ~server code pc stop =
   if pc < stop then begin
     let rtag = st.rtag and rval = st.rval in
-    let arg k = Array.unsafe_get code (pc + k) in
     match Array.unsafe_get code pc with
     | 0 (* CONST *) ->
-      let dst = arg 1 in
+      let dst = arg code pc 1 in
       Array.unsafe_set rtag dst (-1);
-      Array.unsafe_set rval dst (Array.unsafe_get p.consts (arg 2));
+      Array.unsafe_set rval dst (Array.unsafe_get p.consts (arg code pc 2));
       exec p st c ~server code (pc + 3) stop
     | 1 (* ADDR *) ->
-      Array.unsafe_set rtag (arg 1) (arg 2);
+      Array.unsafe_set rtag (arg code pc 1) (arg code pc 2);
       exec p st c ~server code (pc + 3) stop
     | 2 (* LOAD *) ->
-      let dst = arg 1 in
-      let v = read_col c ~server (arg 2) p.pool (arg 3) in
+      let dst = arg code pc 1 in
+      let v = read_col c ~server (arg code pc 2) p.pool (arg code pc 3) in
       Array.unsafe_set rtag dst (-1);
       Array.unsafe_set rval dst v;
       exec p st c ~server code (pc + 4) stop
     | 3 (* NUMCHK *) ->
-      let r = arg 1 in
+      let r = arg code pc 1 in
       let tag = Array.unsafe_get rtag r in
       if tag >= 0 then fault_addr_numeric p.pool.(tag);
       exec p st c ~server code (pc + 2) stop
     | 4 (* ADD *) ->
-      let dst = arg 1 in
+      let dst = arg code pc 1 in
       Array.unsafe_set rtag dst (-1);
       Array.unsafe_set rval dst
-        (Array.unsafe_get rval (arg 2) +. Array.unsafe_get rval (arg 3));
+        (Array.unsafe_get rval (arg code pc 2)
+        +. Array.unsafe_get rval (arg code pc 3));
       exec p st c ~server code (pc + 4) stop
     | 5 (* SUB *) ->
-      let dst = arg 1 in
+      let dst = arg code pc 1 in
       Array.unsafe_set rtag dst (-1);
       Array.unsafe_set rval dst
-        (Array.unsafe_get rval (arg 2) -. Array.unsafe_get rval (arg 3));
+        (Array.unsafe_get rval (arg code pc 2)
+        -. Array.unsafe_get rval (arg code pc 3));
       exec p st c ~server code (pc + 4) stop
     | 6 (* MUL *) ->
-      let dst = arg 1 in
+      let dst = arg code pc 1 in
       Array.unsafe_set rtag dst (-1);
       Array.unsafe_set rval dst
-        (Array.unsafe_get rval (arg 2) *. Array.unsafe_get rval (arg 3));
+        (Array.unsafe_get rval (arg code pc 2)
+        *. Array.unsafe_get rval (arg code pc 3));
       exec p st c ~server code (pc + 4) stop
     | 7 (* DIV *) ->
-      let dst = arg 1 in
-      let y = Array.unsafe_get rval (arg 3) in
+      let dst = arg code pc 1 in
+      let y = Array.unsafe_get rval (arg code pc 3) in
       if y = 0.0 then fault_static fault_div;
       Array.unsafe_set rtag dst (-1);
-      Array.unsafe_set rval dst (Array.unsafe_get rval (arg 2) /. y);
+      Array.unsafe_set rval dst (Array.unsafe_get rval (arg code pc 2) /. y);
       exec p st c ~server code (pc + 4) stop
     | 8 (* POW *) ->
-      let dst = arg 1 in
-      let x = Array.unsafe_get rval (arg 2)
-      and y = Array.unsafe_get rval (arg 3) in
+      let dst = arg code pc 1 in
+      let x = Array.unsafe_get rval (arg code pc 2)
+      and y = Array.unsafe_get rval (arg code pc 3) in
       let r = x ** y in
       if Float.is_nan r then fault_pow x y;
       Array.unsafe_set rtag dst (-1);
       Array.unsafe_set rval dst r;
       exec p st c ~server code (pc + 4) stop
     | 9 (* NEG *) ->
-      let dst = arg 1 in
+      let dst = arg code pc 1 in
       Array.unsafe_set rtag dst (-1);
-      Array.unsafe_set rval dst (-.Array.unsafe_get rval (arg 2));
+      Array.unsafe_set rval dst (-.Array.unsafe_get rval (arg code pc 2));
       exec p st c ~server code (pc + 3) stop
     | 10 (* CALL *) ->
-      let dst = arg 1 in
-      let v = Array.unsafe_get rval (arg 4) in
-      let r = (Array.unsafe_get p.fns (arg 2)) v in
-      if Float.is_nan r then fault_call p.pool.(arg 3) v;
+      let dst = arg code pc 1 in
+      let v = Array.unsafe_get rval (arg code pc 4) in
+      let r = (Array.unsafe_get p.fns (arg code pc 2)) v in
+      if Float.is_nan r then fault_call p.pool.(arg code pc 3) v;
       Array.unsafe_set rtag dst (-1);
       Array.unsafe_set rval dst r;
       exec p st c ~server code (pc + 5) stop
     | 11 (* CMP *) ->
-      let dst = arg 1 in
-      let sub = arg 2 in
-      let a = arg 3 and b = arg 4 in
+      let dst = arg code pc 1 in
+      let sub = arg code pc 2 in
+      let a = arg code pc 3 and b = arg code pc 4 in
       let ta = Array.unsafe_get rtag a and tb = Array.unsafe_get rtag b in
       let r =
         if ta < 0 && tb < 0 then
@@ -356,45 +375,47 @@ let rec exec p st (c : columns) ~server code pc stop =
       Array.unsafe_set rval dst r;
       exec p st c ~server code (pc + 5) stop
     | 12 (* AND *) ->
-      let dst = arg 1 in
-      let a = arg 2 and b = arg 3 in
+      let dst = arg code pc 1 in
+      let a = arg code pc 2 and b = arg code pc 3 in
       let x = truthy p.pool (Array.unsafe_get rtag a) (Array.unsafe_get rval a) in
       let y = truthy p.pool (Array.unsafe_get rtag b) (Array.unsafe_get rval b) in
       Array.unsafe_set rtag dst (-1);
       Array.unsafe_set rval dst (if x && y then 1.0 else 0.0);
       exec p st c ~server code (pc + 4) stop
     | 13 (* OR *) ->
-      let dst = arg 1 in
-      let a = arg 2 and b = arg 3 in
+      let dst = arg code pc 1 in
+      let a = arg code pc 2 and b = arg code pc 3 in
       let x = truthy p.pool (Array.unsafe_get rtag a) (Array.unsafe_get rval a) in
       let y = truthy p.pool (Array.unsafe_get rtag b) (Array.unsafe_get rval b) in
       Array.unsafe_set rtag dst (-1);
       Array.unsafe_set rval dst (if x || y then 1.0 else 0.0);
       exec p st c ~server code (pc + 4) stop
     | 14 (* LOADT *) ->
-      let dst = arg 1 in
-      let t = arg 2 in
-      if not (Array.unsafe_get st.tinit t) then fault_static p.pool.(arg 3);
+      let dst = arg code pc 1 in
+      let t = arg code pc 2 in
+      if not (Array.unsafe_get st.tinit t) then
+        fault_static p.pool.(arg code pc 3);
       Array.unsafe_set rtag dst (Array.unsafe_get st.tval_tag t);
       Array.unsafe_set rval dst (Array.unsafe_get st.tval t);
       exec p st c ~server code (pc + 4) stop
     | 15 (* STORET *) ->
-      let t = arg 1 in
-      let src = arg 2 in
+      let t = arg code pc 1 in
+      let src = arg code pc 2 in
       Array.unsafe_set st.tval_tag t (Array.unsafe_get rtag src);
       Array.unsafe_set st.tval t (Array.unsafe_get rval src);
       Array.unsafe_set st.tinit t true;
       exec p st c ~server code (pc + 3) stop
     | 16 (* GETU *) ->
-      let dst = arg 1 in
-      let u = arg 2 in
-      if not (Array.unsafe_get st.uset u) then fault_static p.pool.(arg 3);
+      let dst = arg code pc 1 in
+      let u = arg code pc 2 in
+      if not (Array.unsafe_get st.uset u) then
+        fault_static p.pool.(arg code pc 3);
       Array.unsafe_set rtag dst (Array.unsafe_get st.uval_tag u);
       Array.unsafe_set rval dst (Array.unsafe_get st.uval u);
       exec p st c ~server code (pc + 4) stop
     | 17 (* SETU *) ->
-      let u = arg 1 in
-      let src = arg 2 in
+      let u = arg code pc 1 in
+      let src = arg code pc 2 in
       let tag = Array.unsafe_get rtag src and v = Array.unsafe_get rval src in
       Array.unsafe_set st.uval_tag u tag;
       Array.unsafe_set st.uval u v;
@@ -406,23 +427,52 @@ let rec exec p st (c : columns) ~server code pc stop =
       st.ulog_len <- k + 1;
       exec p st c ~server code (pc + 3) stop
     | 18 (* UVAR *) ->
-      let dst = arg 1 in
-      let t = arg 2 in
+      let dst = arg code pc 1 in
+      let t = arg code pc 2 in
       if Array.unsafe_get st.tinit t then begin
         Array.unsafe_set rtag dst (Array.unsafe_get st.tval_tag t);
         Array.unsafe_set rval dst (Array.unsafe_get st.tval t)
       end
-      else Array.unsafe_set rtag dst (arg 3);
+      else Array.unsafe_set rtag dst (arg code pc 3);
       exec p st c ~server code (pc + 4) stop
-    | 19 (* FAULT *) -> fault_static p.pool.(arg 1)
+    | 19 (* FAULT *) -> fault_static p.pool.(arg code pc 1)
     | 20 (* CMPC *) ->
-      let dst = arg 1 in
-      let v = read_col c ~server (arg 3) p.pool (arg 4) in
-      let y = Array.unsafe_get p.consts (arg 5) in
+      let dst = arg code pc 1 in
+      let v = read_col c ~server (arg code pc 3) p.pool (arg code pc 4) in
+      let y = Array.unsafe_get p.consts (arg code pc 5) in
       Array.unsafe_set rtag dst (-1);
-      Array.unsafe_set rval dst (if cmp_holds (arg 2) v y then 1.0 else 0.0);
+      Array.unsafe_set rval dst
+        (if cmp_holds (arg code pc 2) v y then 1.0 else 0.0);
       exec p st c ~server code (pc + 6) stop
     | op -> invalid_arg (Printf.sprintf "Bytecode.run: bad opcode %d" op)
+  end
+
+(* Statements [s..] of one run, recording each result. *)
+let rec run_from p st (c : columns) ~server ~stop_unqualified s =
+  if s < nstmts p then begin
+    (match
+       exec p st c ~server p.code
+         (Array.unsafe_get p.stmt_start s)
+         (Array.unsafe_get p.stmt_stop s)
+     with
+    | () ->
+      let r = Array.unsafe_get p.stmt_reg s in
+      let tag = Array.unsafe_get st.rtag r in
+      let v = Array.unsafe_get st.rval r in
+      Array.unsafe_set st.stag s tag;
+      Array.unsafe_set st.sval s v;
+      if Array.unsafe_get p.stmt_logical s && not (truthy p.pool tag v) then
+        st.ok <- false;
+      if Array.unsafe_get p.stmt_order_by s && tag = -1 then begin
+        st.order_found <- true;
+        Array.unsafe_set st.order_val 0 v
+      end
+    | exception Fault m ->
+      Array.unsafe_set st.stag s (-2);
+      st.serr.(s) <- m;
+      if Array.unsafe_get p.stmt_logical s then st.ok <- false);
+    if not (stop_unqualified && not st.ok) then
+      run_from p st c ~server ~stop_unqualified (s + 1)
   end
 
 (* [stop_unqualified] lets the selection scan abandon a server at its
@@ -438,36 +488,7 @@ let run ?(stop_unqualified = false) p st (c : columns) ~server =
   st.ulog_len <- 0;
   st.ok <- true;
   st.order_found <- false;
-  let code = p.code in
-  let n = nstmts p in
-  let pool = p.pool in
-  let rec go s =
-    if s < n then begin
-      (match
-         exec p st c ~server code
-           (Array.unsafe_get p.stmt_start s)
-           (Array.unsafe_get p.stmt_stop s)
-       with
-      | () ->
-        let r = Array.unsafe_get p.stmt_reg s in
-        let tag = Array.unsafe_get st.rtag r in
-        let v = Array.unsafe_get st.rval r in
-        Array.unsafe_set st.stag s tag;
-        Array.unsafe_set st.sval s v;
-        if Array.unsafe_get p.stmt_logical s && not (truthy pool tag v) then
-          st.ok <- false;
-        if Array.unsafe_get p.stmt_order_by s && tag = -1 then begin
-          st.order_found <- true;
-          st.order_val <- v
-        end
-      | exception Fault m ->
-        Array.unsafe_set st.stag s (-2);
-        st.serr.(s) <- m;
-        if Array.unsafe_get p.stmt_logical s then st.ok <- false);
-      if not (stop_unqualified && not st.ok) then go (s + 1)
-    end
-  in
-  go 0
+  run_from p st c ~server ~stop_unqualified 0
 
 (* ------------------------------------------------------------------ *)
 (* Reading the results of a run                                        *)
@@ -482,123 +503,184 @@ let qualified _p st = st.ok
 (* Statement-major sweep plan                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* Width in code cells of an instruction with opcode [op]; 0 for an
+   unknown opcode. *)
+let op_width = function
+  | 3 | 19 -> 2
+  | 0 | 1 | 9 | 15 | 17 -> 3
+  | 2 | 4 | 5 | 6 | 7 | 8 | 12 | 13 | 14 | 16 | 18 -> 4
+  | 10 | 11 -> 5
+  | 20 -> 6
+  | _ -> 0
+
+(* Does the code assign some user_preferred_hostN (a SETU below
+   [preferred_slots])?  Then a later server can outrank an earlier one,
+   so a scan cannot stop at its cut. *)
+let sets_preferred p =
+  let code = p.code in
+  let rec scan pc =
+    pc < Array.length code
+    &&
+    let op = code.(pc) in
+    let width = op_width op in
+    width > 0
+    && pc + width <= Array.length code
+    && ((op = 17 && code.(pc + 1) < preferred_slots) || scan (pc + width))
+  in
+  scan 0
+
 (* The dominant requirement shape — a conjunction of column-vs-constant
-   compares plus at most one [order_by = <column>] — admits a much
-   better evaluation order than server-at-a-time: sweep each compare
-   down its whole column, clearing a per-server qualification byte, then
-   read the order column directly.  No register file, no per-statement
-   dispatch, no per-server teardown.
+   compares, at most one [order_by = <column>], and constant host lists
+   ([user_preferred_hostN = <host>], [user_denied_hostN = <host>]) —
+   admits a much better evaluation order than server-at-a-time: sweep
+   each compare down its whole column, clearing a per-server
+   qualification byte, then read the order column directly.  No register
+   file, no per-statement dispatch, no per-server teardown.
+
+   A host-list statement compiles to [ADDR r a; SETU u r]: it cannot
+   fault and logs the same entry on every server, so the plan records
+   the log once, as (slot, pool index) pairs in program order, and the
+   caller replays it against each qualified server's name and IP.
 
    The plan is only equivalent when nothing else observes evaluation:
-   no user parameters (their log feeds the blacklist scan) and no other
-   statement kinds.  [sweep_of] returns [None] for everything else and
-   the caller falls back to [run]. *)
+   no temp or user-parameter reads and no other statement kinds.
+   [sweep_of] returns [None] for everything else and the caller falls
+   back to [run]. *)
+type host_log = { slots : int array; tags : int array }
+
 type sweep = {
   sw_sub : int array;      (* comparison sub-opcode per compare *)
   sw_col : int array;      (* column id per compare *)
   sw_const : float array;  (* right-hand constant per compare *)
   sw_ncmp : int;
   sw_order_col : int;      (* order_by column, -1 when absent *)
+  sw_hosts : host_log;     (* the constant uparam log *)
 }
 
-let sweep_of p =
-  if p.nulog > 0 || p.has_uparams then None
-  else begin
-    let n = nstmts p in
-    let sub = Array.make (max n 1) 0 in
-    let col = Array.make (max n 1) 0 in
-    let konst = Array.make (max n 1) 0.0 in
-    let ncmp = ref 0 in
-    let order_col = ref (-1) in
-    let orders = ref 0 in
-    let simple = ref true in
-    for s = 0 to n - 1 do
-      let start = p.stmt_start.(s) in
-      let len = p.stmt_stop.(s) - start in
-      if p.stmt_logical.(s) && len = 6 && p.code.(start) = 20 then begin
-        (* CMPC dst sub col pmsg cidx *)
-        sub.(!ncmp) <- p.code.(start + 2);
-        col.(!ncmp) <- p.code.(start + 3);
-        konst.(!ncmp) <- p.consts.(p.code.(start + 5));
-        incr ncmp
-      end
-      else if
-        p.stmt_order_by.(s)
-        && (not p.stmt_logical.(s))
-        && len = 7
-        && p.code.(start) = 2 (* LOAD *)
-        && p.code.(start + 4) = 15 (* STORET *)
-      then begin
-        order_col := p.code.(start + 2);
-        incr orders
-      end
-      else simple := false
-    done;
-    (* two order_by statements fall back: the interpreter keeps the last
-       one that produced a number, which a single-column plan cannot *)
-    if !simple && !orders <= 1 then
-      Some
-        {
-          sw_sub = sub;
-          sw_col = col;
-          sw_const = konst;
-          sw_ncmp = !ncmp;
-          sw_order_col = !order_col;
-        }
-    else None
-  end
+let sweep_hosts sw = sw.sw_hosts
 
-(* One pass per compare down the whole column: [qualified] ends '\001'
-   for servers every logical statement accepted ('\000' otherwise, with
-   absent monitor/security data counting as a failed compare — the
-   fault-means-false rule), and [order] receives the order_by key per
-   server, [neg_infinity] where its column has no data (the "order key
-   not found" value).  Both buffers must hold at least [c.n] slots;
-   entries past the qualification bound are untouched. *)
-let run_sweep sw (c : columns) ~(qualified : Bytes.t) ~(order : float array) =
-  let n = c.n in
-  Bytes.fill qualified 0 n '\001';
+let sweep_of p =
+  let code = p.code in
+  let n = nstmts p in
+  let sub = Array.make (max n 1) 0 in
+  let col = Array.make (max n 1) 0 in
+  let konst = Array.make (max n 1) 0.0 in
+  let slots = Array.make n 0 in
+  let tags = Array.make n 0 in
+  let ncmp = ref 0 in
+  let nhosts = ref 0 in
+  let order_col = ref (-1) in
+  let orders = ref 0 in
+  let simple = ref true in
+  for s = 0 to n - 1 do
+    let start = p.stmt_start.(s) in
+    let len = p.stmt_stop.(s) - start in
+    if p.stmt_logical.(s) && len = 6 && code.(start) = 20 then begin
+      (* CMPC dst sub col pmsg cidx *)
+      sub.(!ncmp) <- code.(start + 2);
+      col.(!ncmp) <- code.(start + 3);
+      konst.(!ncmp) <- p.consts.(code.(start + 5));
+      incr ncmp
+    end
+    else if
+      p.stmt_order_by.(s)
+      && (not p.stmt_logical.(s))
+      && len = 7
+      && code.(start) = 2 (* LOAD *)
+      && code.(start + 4) = 15 (* STORET *)
+    then begin
+      order_col := code.(start + 2);
+      incr orders
+    end
+    else if
+      (not p.stmt_logical.(s))
+      && len = 6
+      && code.(start) = 1 (* ADDR r a *)
+      && code.(start + 3) = 17 (* SETU u r *)
+      && code.(start + 5) = code.(start + 1)
+    then begin
+      slots.(!nhosts) <- code.(start + 4);
+      tags.(!nhosts) <- code.(start + 2);
+      incr nhosts
+    end
+    else simple := false
+  done;
+  (* two order_by statements fall back: the interpreter keeps the last
+     one that produced a number, which a single-column plan cannot *)
+  if !simple && !orders <= 1 then
+    Some
+      {
+        sw_sub = sub;
+        sw_col = col;
+        sw_const = konst;
+        sw_ncmp = !ncmp;
+        sw_order_col = !order_col;
+        sw_hosts =
+          { slots = Array.sub slots 0 !nhosts; tags = Array.sub tags 0 !nhosts };
+      }
+  else None
+
+(* Clear verdict byte [s] unless [ok], without a branch on [ok]: the
+   sweep's compares fall either way at random across servers, so a
+   branch would be mispredicted about as often as it is taken. *)
+let[@inline] keep_if (qualified : Bytes.t) s ok =
+  Bytes.unsafe_set qualified s
+    (Char.unsafe_chr (Char.code (Bytes.unsafe_get qualified s) land Bool.to_int ok))
+
+(* Rows [lo, hi), one pass per compare down the column: [qualified]
+   ends '\001' for servers every logical statement accepted ('\000'
+   otherwise, with absent monitor/security data counting as a failed
+   compare — the fault-means-false rule), and [order] receives the
+   order_by key per server, [neg_infinity] where its column has no data
+   (the "order key not found" value).  Only the range is written, so a
+   caller can sweep a snapshot block by block and stop early. *)
+let run_sweep sw (c : columns) ~lo ~hi ~(qualified : Bytes.t)
+    ~(order : float array) =
+  if
+    lo < 0 || hi < lo || hi > c.n
+    || hi > Bytes.length qualified
+    || hi > Array.length order
+  then invalid_arg "Bytecode.run_sweep: row range out of bounds";
+  Bytes.fill qualified lo (hi - lo) '\001';
   for k = 0 to sw.sw_ncmp - 1 do
     let sub = Array.unsafe_get sw.sw_sub k in
     let col = Array.unsafe_get sw.sw_col k in
     let y = Array.unsafe_get sw.sw_const k in
     if col < sys_field_count then
-      for s = 0 to n - 1 do
-        if not (cmp_holds sub (Bigarray.Array2.unsafe_get c.sys col s) y)
-        then Bytes.unsafe_set qualified s '\000'
+      for s = lo to hi - 1 do
+        keep_if qualified s
+          (cmp_holds sub (Bigarray.Array2.unsafe_get c.sys col s) y)
       done
     else if col = col_sec_level then
-      for s = 0 to n - 1 do
-        if
-          Bigarray.Array1.unsafe_get c.has_sec s = 0
-          || not (cmp_holds sub (Bigarray.Array1.unsafe_get c.sec_level s) y)
-        then Bytes.unsafe_set qualified s '\000'
+      for s = lo to hi - 1 do
+        keep_if qualified s
+          (Bigarray.Array1.unsafe_get c.has_sec s <> 0
+          && cmp_holds sub (Bigarray.Array1.unsafe_get c.sec_level s) y)
       done
     else begin
       let data = if col = col_net_delay then c.net_delay else c.net_bw in
-      for s = 0 to n - 1 do
-        if
-          Bigarray.Array1.unsafe_get c.has_net s = 0
-          || not (cmp_holds sub (Bigarray.Array1.unsafe_get data s) y)
-        then Bytes.unsafe_set qualified s '\000'
+      for s = lo to hi - 1 do
+        keep_if qualified s
+          (Bigarray.Array1.unsafe_get c.has_net s <> 0
+          && cmp_holds sub (Bigarray.Array1.unsafe_get data s) y)
       done
     end
   done;
   let col = sw.sw_order_col in
   if col >= 0 then
     if col < sys_field_count then
-      for s = 0 to n - 1 do
+      for s = lo to hi - 1 do
         Array.unsafe_set order s (Bigarray.Array2.unsafe_get c.sys col s)
       done
     else if col = col_sec_level then
-      for s = 0 to n - 1 do
+      for s = lo to hi - 1 do
         Array.unsafe_set order s
           (if Bigarray.Array1.unsafe_get c.has_sec s = 0 then neg_infinity
            else Bigarray.Array1.unsafe_get c.sec_level s)
       done
     else begin
       let data = if col = col_net_delay then c.net_delay else c.net_bw in
-      for s = 0 to n - 1 do
+      for s = lo to hi - 1 do
         Array.unsafe_set order s
           (if Bigarray.Array1.unsafe_get c.has_net s = 0 then neg_infinity
            else Bigarray.Array1.unsafe_get data s)
@@ -838,34 +920,50 @@ let dataflow p =
     scan ~stmt:s p.stmt_start.(s) p.stmt_stop.(s)
   done
 
-(* Sweep-plan precondition: [run_sweep] observes nothing but the CMPC
-   compares and the order column, so a program that [sweep_of] admits
-   must carry no temp *reads* (LOADT/UVAR) and no user-parameter traffic
-   (GETU/SETU — the SETU log feeds the blacklist scan) — their effects
-   would be silently dropped by the plan.  Write-only STORETs are fine:
-   the admitted [order_by = <column>] shape stores a temp nothing
+(* Sweep-plan precondition: of a program [sweep_of] admits, only the
+   CMPC compares, the order column and the constant host log are ever
+   evaluated ([run_sweep] plus the caller's replay of [sweep_hosts]).
+   So the program must carry exactly that traffic and nothing the plan
+   would drop: no temp reads (LOADT, UVAR), no user-parameter reads
+   (GETU), and every SETU must close its own statement
+   [ADDR r a; SETU u r], logging the address the plan recorded.  The
+   walk covers the whole code array, not only the statement slices, so
+   nothing hides between them.  Write-only STORETs are fine: the
+   admitted [order_by = <column>] shape stores a temp nothing
    observes. *)
 let sweep_preconditions p =
   match sweep_of p with
   | None -> ()
   | Some _ ->
+    let code = p.code in
+    let closes_own_addr pc =
+      pc >= 3
+      && code.(pc - 3) = 1
+      && code.(pc - 2) = code.(pc + 2)
+      &&
+      let own = ref false in
+      for s = 0 to nstmts p - 1 do
+        if p.stmt_start.(s) = pc - 3 && p.stmt_stop.(s) = pc + 3 then
+          own := true
+      done;
+      !own
+    in
     let rec scan pc =
-      if pc < Array.length p.code then begin
-        let op = p.code.(pc) in
-        if op = 14 || op = 16 || op = 17 || op = 18 then
+      if pc < Array.length code then begin
+        let op = code.(pc) in
+        let width = op_width op in
+        if width = 0 then vfail ~stmt:(-1) ~pc "bad opcode %d" op;
+        if pc + width > Array.length code then
+          vfail ~stmt:(-1) ~pc "truncated instruction";
+        if op = 14 || op = 16 || op = 18 then
           vfail ~stmt:(-1) ~pc
-            "sweep plan admitted a program with temp reads or \
-             user-parameter traffic (opcode %d)"
+            "sweep plan admitted a program that reads a temp or user \
+             parameter (opcode %d)"
             op;
-        let width =
-          match op with
-          | 3 | 19 -> 2
-          | 0 | 1 | 9 | 15 | 17 -> 3
-          | 2 | 4 | 5 | 6 | 7 | 8 | 12 | 13 | 14 | 16 | 18 -> 4
-          | 10 | 11 -> 5
-          | 20 -> 6
-          | op -> vfail ~stmt:(-1) ~pc "bad opcode %d" op
-        in
+        if op = 17 && not (closes_own_addr pc) then
+          vfail ~stmt:(-1) ~pc
+            "sweep plan admitted a SETU that does not log its own \
+             statement's ADDR";
         scan (pc + width)
       end
     in

@@ -83,7 +83,8 @@ type program = {
     and requests.  Register/statement tags: [-1] number, [>= 0] address
     (pool index); statement tags add [-2] fault (message in [serr]).
     [ulog_*] log every user-parameter assignment in execution order
-    (the preferred/denied host lists). *)
+    (the preferred/denied host lists).  [order_val] is one cell, so the
+    key is stored unboxed. *)
 type state = {
   rtag : int array;
   rval : float array;
@@ -102,7 +103,7 @@ type state = {
   serr : string array;
   mutable ok : bool;
   mutable order_found : bool;
-  mutable order_val : float;
+  order_val : float array;
 }
 
 val make_state : program -> state
@@ -115,7 +116,7 @@ val nstmts : program -> int
     statement, never raised.  Alongside the per-statement results, a run
     leaves the qualification verdict in [state.ok] and the [order_by]
     key (the last such assignment that produced a number) in
-    [state.order_found] / [state.order_val].  [stop_unqualified]
+    [state.order_found] / [state.order_val.(0)].  [stop_unqualified]
     (default false) abandons the remaining statements as soon as a
     logical statement comes out false — the selection scan's mode; the
     per-statement results past that point are then stale, but [ok] is
@@ -131,23 +132,52 @@ val run :
     logical statements counting as false)?  Reads [state.ok]. *)
 val qualified : program -> state -> bool
 
+(** Does the program assign some [user_preferred_hostN]?  Then a later
+    server can outrank an earlier one, and a selection scan cannot stop
+    at its cut. *)
+val sets_preferred : program -> bool
+
 (** Statement-major plan for the dominant requirement shape: a
-    conjunction of fused column-vs-constant compares plus at most one
-    [order_by = <column>], with no user parameters.  Evaluating such a
-    program column-at-a-time over every server beats the interpreter's
+    conjunction of fused column-vs-constant compares, at most one
+    [order_by = <column>], and constant host lists
+    ([user_preferred_hostN = <host>], [user_denied_hostN = <host>],
+    compiled to [ADDR r a; SETU u r]).  Evaluating such a program
+    column-at-a-time over every server beats the interpreter's
     server-at-a-time loop by a wide margin. *)
 type sweep
 
 (** The sweep plan of a program, or [None] when any statement falls
-    outside the shape (the caller then uses {!run}). *)
+    outside the shape — temp or user-parameter reads ([LOADT], [UVAR],
+    [GETU]), a host named through a temp, arithmetic, two [order_by]
+    lines — and the caller uses {!run}. *)
 val sweep_of : program -> sweep option
 
-(** Evaluate the plan over all servers at once: [qualified.[s]] ends
-    ['\001'] iff server [s] qualifies, and [order.(s)] gets the
-    order_by key ([neg_infinity] where its column has no data).  Both
-    buffers must hold at least [n] slots.  Agrees with {!run} +
-    {!qualified} / [order_found]/[order_val] on every server. *)
-val run_sweep : sweep -> columns -> qualified:Bytes.t -> order:float array -> unit
+(** The plan's constant host lists: [slots.(k)] and [tags.(k)] are the
+    user-parameter slot and pool index of the [k]-th host-list
+    statement, in program order.  This is the [ulog_slot] / [ulog_tag]
+    log {!run} leaves on every server that completes, so the caller
+    checks the deny and preference lists against qualified servers
+    only. *)
+type host_log = { slots : int array; tags : int array }
+
+val sweep_hosts : sweep -> host_log
+
+(** Evaluate the plan over servers [lo] to [hi - 1]: [qualified.[s]]
+    ends ['\001'] iff server [s] passes every compare, and [order.(s)]
+    gets the order_by key ([neg_infinity] where its column has no
+    data).  Entries outside the range are untouched, so a scan can
+    sweep block by block and stop at its cut.  Raises
+    [Invalid_argument] unless [0 <= lo <= hi <= n] and both buffers
+    hold [hi] slots.  Agrees with {!run} + {!qualified} /
+    [order_found]/[order_val] on every server. *)
+val run_sweep :
+  sweep ->
+  columns ->
+  lo:int ->
+  hi:int ->
+  qualified:Bytes.t ->
+  order:float array ->
+  unit
 
 (** Check every operand of every instruction against the program's
     declared sizes; raises [Invalid_argument] on the first violation.
@@ -167,8 +197,10 @@ val verify_error_to_string : verify_error -> string
     the judgment that makes {!Compile}'s NUMCHK elision safe — result
     register coverage on non-faulting paths, dead code after an
     unconditional FAULT carrying no obligations) and the sweep-plan
-    precondition (a {!sweep_of}-admitted program performs no temp reads
-    and no user-parameter traffic).  {!Compile.program} runs this behind
-    its [?verify] debug flag; smartlint's "bytecode" rule runs it over
-    the checked-in fixture programs. *)
+    precondition (a {!sweep_of}-admitted program reads no temp or user
+    parameter, and each of its SETUs logs the address its own
+    statement's [ADDR] loaded, the entry {!sweep_hosts} carries).
+    {!Compile.program} runs this behind its [?verify] debug flag;
+    smartlint's "bytecode" rule runs it over the checked-in fixture
+    programs. *)
 val verify : program -> (unit, verify_error) result

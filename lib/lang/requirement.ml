@@ -106,11 +106,15 @@ let compile src : (Ast.program, compile_error) result =
 
 (* The wizard's hot-path form: parsed, compiled to bytecode, with a
    preallocated interpreter state that selection reuses across servers
-   and requests (the wizard caches [fast] values in its compile LRU). *)
+   and requests (the wizard caches [fast] values in its compile LRU),
+   the sweep plan when the program has that shape, and whether it names
+   preferred hosts — the one thing besides [order_by] that keeps a scan
+   from stopping at its cut. *)
 type fast = {
   prog : Bytecode.program;
   state : Bytecode.state;
   sweep : Bytecode.sweep option;
+  prefers : bool;
 }
 
 let compile_fast src : (fast, compile_error) result =
@@ -123,6 +127,7 @@ let compile_fast src : (fast, compile_error) result =
         prog;
         state = Bytecode.make_state prog;
         sweep = Bytecode.sweep_of prog;
+        prefers = Bytecode.sets_preferred prog;
       }
 
 (* The variable names a program reads that are neither server-side,

@@ -26,13 +26,16 @@ val canonical : string -> string
 val compile : string -> (Ast.program, compile_error) result
 
 (** A requirement in the wizard's hot-path form: bytecode plus the
-    preallocated interpreter state selection reuses across servers, and
-    the statement-major {!Bytecode.sweep} plan when the program fits
-    that shape. *)
+    preallocated interpreter state selection reuses across servers, the
+    statement-major {!Bytecode.sweep} plan when the program fits that
+    shape, and whether it assigns a [user_preferred_hostN]
+    ({!Bytecode.sets_preferred}): without that and without [order_by],
+    a selection scan stops at its cut. *)
 type fast = {
   prog : Bytecode.program;
   state : Bytecode.state;
   sweep : Bytecode.sweep option;
+  prefers : bool;
 }
 
 (** Parse and compile to bytecode in one step. *)

@@ -928,15 +928,45 @@ let test_selection_empty_and_limits () =
     P.Ports.max_reply_servers
     (List.length r2)
 
+(* A scan without order_by or preferred hosts stops at its cut, running
+   the sweep plan 64 rows at a time: eligible rows spread across blocks
+   must still come out as the reference selects them, deny lists and
+   "no cut" included, and a preferred host late in the scan must still
+   come first. *)
+let test_selection_cut_across_blocks () =
+  let servers =
+    List.init 300 (fun i ->
+        view
+          ~host:(Printf.sprintf "s%04d" i)
+          ~ip:(Printf.sprintf "10.2.%d.%d" (i / 250) (i mod 250))
+          ~cpu_free:(if i mod 70 = 69 then 0.9 else 0.1)
+          ())
+  in
+  let check name expected requirement wanted =
+    Alcotest.(check (list string)) name expected
+      (select ~requirement ~servers ~wanted)
+  in
+  check "first three" [ "s0069"; "s0139"; "s0209" ] "host_cpu_free > 0.5\n" 3;
+  check "denied skipped" [ "s0069"; "s0209"; "s0279" ]
+    "host_cpu_free > 0.5\nuser_denied_host1 = 10.2.0.139\n" 3;
+  check "no cut" [ "s0069"; "s0139"; "s0209"; "s0279" ]
+    "host_cpu_free > 0.5\n" (-1);
+  check "late preferred first" [ "s0279"; "s0069" ]
+    "host_cpu_free > 0.5\nuser_preferred_host1 = s0279\n" 2
+
 (* ------------------------------------------------------------------ *)
 (* Differential: select_columns vs the reference select                 *)
 (* ------------------------------------------------------------------ *)
 
 (* Random status databases and requirement texts: the columnar
    selection must reproduce the reference [select]'s chosen hosts
-   exactly, across both the statement-major sweep shape (plain
-   column-vs-constant conjunctions) and the general interpreter path
-   (temps, arithmetic order keys, preferred/denied parameters). *)
+   exactly, across both the statement-major sweep shape (column-vs-
+   constant conjunctions, one order column, constant host lists) and
+   the general interpreter path (temps, arithmetic order keys, a host
+   named through a bound temp).  Up to 48 servers and [wanted] from -1
+   (no cut) to 70 (past the 60-server reply bound) make the cut bind
+   often, and the bogomips column, an order key, carries NaN, -0.0 and
+   0.0 to exercise the ranking's NaN rule and its ties. *)
 
 type diff_server = {
   ds_cpu_free : float;
@@ -952,7 +982,15 @@ let gen_diff_server =
     let* k = int_range 0 4 in
     let* load1 = map float_of_int (int_range 0 2) in
     let* mem_free = map (fun m -> float_of_int (50 * m)) (int_range 0 4) in
-    let* bogomips = map (fun b -> float_of_int (1000 * b)) (int_range 1 4) in
+    let* bogomips =
+      frequency
+        [
+          (6, map (fun b -> float_of_int (1000 * b)) (int_range 1 4));
+          (1, return Float.nan);
+          (1, return (-0.0));
+          (1, return 0.0);
+        ]
+    in
     let* net =
       opt
         (map2
@@ -995,26 +1033,36 @@ let gen_diff_requirement =
           "order_by = host_memory_free + 4 * host_cpu_free";
         ]
     in
+    (* hosts by IP and by name; s2 is also a temp in one chunk below *)
     let param_line =
       map2
-        (fun which ip -> Printf.sprintf "%s = %s" which ip)
+        (fun which host -> Printf.sprintf "%s = %s" which host)
         (oneofl
-           [ "user_preferred_host1"; "user_preferred_host2"; "user_denied_host1" ])
-        (oneofl [ "10.0.0.1"; "10.0.0.2"; "10.0.0.3"; "10.0.0.9" ])
+           [
+             "user_preferred_host1"; "user_preferred_host2";
+             "user_preferred_host3"; "user_denied_host1"; "user_denied_host2";
+           ])
+        (oneofl
+           [
+             "10.0.0.1"; "10.0.0.2"; "10.0.0.3"; "10.0.0.9"; "10.0.0.17";
+             "10.0.0.40"; "10.0.0.99"; "s1"; "s2"; "s4"; "s17"; "s33"; "s48";
+           ])
     in
     let chunk =
       frequency
         [
           (4, cmp_line);
           (1, order_line);
-          (1, param_line);
+          (1, return "order_by = host_cpu_bogomips");
+          (2, param_line);
           (1, return "t = host_cpu_free * 2\nt > 0.5");
+          (1, return "s2 = 1\nuser_preferred_host1 = s2");
           (1, return "100 > 0");
         ]
     in
     map
       (fun chunks -> String.concat "\n" chunks ^ "\n")
-      (list_size (int_range 1 4) chunk))
+      (list_size (int_range 1 5) chunk))
 
 let arbitrary_selection_case =
   QCheck.make
@@ -1023,8 +1071,8 @@ let arbitrary_selection_case =
         source)
     QCheck.Gen.(
       triple
-        (array_size (int_range 1 6) gen_diff_server)
-        gen_diff_requirement (int_range (-1) 5))
+        (array_size (int_range 1 48) gen_diff_server)
+        gen_diff_requirement (int_range (-1) 70))
 
 let prop_select_columns_matches_select =
   QCheck.Test.make
@@ -1204,6 +1252,95 @@ let test_receiver_push_linear () =
   if large > 1.5 *. small || small > 1.5 *. large then
     Alcotest.failf "words per server: %.1f at 250 servers, %.1f at 4,000" small
       large
+
+(* A deterministic plane of [n] servers s0000.. with system, network
+   and security data for every one; about half pass [host_cpu_free >
+   0.35], so the first ten eligible rows come early in the scan. *)
+let scaling_plane n =
+  let db = C.Status_db.create () in
+  let host i = Printf.sprintf "s%04d" i in
+  for i = 0 to n - 1 do
+    C.Status_db.update_sys db
+      (sys_record ~host:(host i)
+         ~ip:(Printf.sprintf "10.1.%d.%d" (i / 250) (i mod 250))
+         ~cpu_free:(0.1 +. (0.1 *. float_of_int (i * 7 mod 9)))
+         ~mem_free:(100.0 +. float_of_int (i * 37 mod 400))
+         ~at:1.0 ())
+  done;
+  C.Status_db.update_net db
+    {
+      P.Records.monitor = "mon";
+      entries =
+        List.init n (fun i ->
+            {
+              P.Records.peer = host i;
+              delay = 0.001 +. (0.0001 *. float_of_int (i mod 7));
+              bandwidth = 10e6 +. (1e5 *. float_of_int (i mod 13));
+              measured_at = 1.0;
+            });
+    };
+  C.Status_db.replace_sec db
+    {
+      P.Records.entries =
+        List.init n (fun i -> { P.Records.host = host i; level = 1 + (i mod 5) });
+    };
+  db
+
+(* One requirement per scan path: the sweep plan without and with
+   order_by, the plan with constant host lists, and the interpreter (a
+   computed order key and a host named through a bound temp). *)
+let scaling_shapes =
+  [
+    ( "sweep",
+      "host_cpu_free > 0.35\nhost_memory_free > 50\nmonitor_network_bw > 1\n" );
+    ( "sweep + order_by",
+      "host_cpu_free > 0.35\nhost_security_level >= 1\n\
+       order_by = host_memory_free\n" );
+    ( "host lists",
+      "user_preferred_host1 = s0042\nhost_cpu_free > 0.35\n\
+       user_denied_host1 = 10.1.0.3\nuser_preferred_host2 = s0007\n" );
+    ( "interpreter",
+      "host_cpu_free > 0.35\nt = host_memory_free + 4 * host_cpu_free\n\
+       order_by = t\nuser_preferred_host1 = t\n" );
+  ]
+
+(* Minor plus direct-major words per [select_columns] call, wanted 10,
+   after one call that sizes the scratch. *)
+let select_words db source =
+  let view =
+    C.Status_db.columns db ~net_for:(fun host ->
+        C.Status_db.net_entry_for db ~target:host)
+  in
+  let fast =
+    match Smart_lang.Requirement.compile_fast source with
+    | Ok fast -> fast
+    | Error _ -> Alcotest.failf "does not compile: %S" source
+  in
+  let scratch = C.Selection.scratch () in
+  let select () = C.Selection.select_columns scratch ~fast ~view ~wanted:10 in
+  if List.length (select ()) <> 10 then
+    Alcotest.failf "fewer than 10 servers for %S" source;
+  let calls = 50 in
+  let before = allocated_words () in
+  for _ = 1 to calls do
+    ignore (Sys.opaque_identity (select ()))
+  done;
+  (allocated_words () -. before) /. float_of_int calls
+
+(* A selection's allocation does not grow with the snapshot: on every
+   scan path, words per call at 2,000 servers stay within 2x of those at
+   60.  Boxing a float per compare or a heap entry per eligible row
+   would grow them with the server count. *)
+let test_selection_words_flat_in_size () =
+  let small = scaling_plane 60 and large = scaling_plane 2000 in
+  List.iter
+    (fun (shape, source) ->
+      let w60 = select_words small source in
+      let w2000 = select_words large source in
+      if w2000 > 2.0 *. w60 then
+        Alcotest.failf "%s: %.1f words per call at 2,000 servers, %.1f at 60"
+          shape w2000 w60)
+    scaling_shapes
 
 (* ------------------------------------------------------------------ *)
 (* Wizard + Client protocol (no network)                                *)
@@ -3551,9 +3688,13 @@ let () =
           Alcotest.test_case "order_by ranking" `Quick test_selection_order_by;
           Alcotest.test_case "empty pool and 60-cap" `Quick
             test_selection_empty_and_limits;
+          Alcotest.test_case "cut across sweep blocks" `Quick
+            test_selection_cut_across_blocks;
           Alcotest.test_case "Fig 1.4 scenario" `Quick
             test_selection_fig14_scenario;
           QCheck_alcotest.to_alcotest prop_select_columns_matches_select;
+          Alcotest.test_case "words flat in server count" `Quick
+            test_selection_words_flat_in_size;
         ] );
       ( "wizard",
         [

@@ -703,7 +703,9 @@ let prop_bytecode_matches_eval =
 (* The statement-major sweep plan against the scalar interpreter, over
    multi-server snapshots: qualification verdicts and order keys must
    agree on every server, including servers whose net/sec columns have
-   no data. *)
+   no data, whether the plan runs in one pass or block by block; and on
+   every qualified server the plan's constant host log must be the
+   uparam log the interpreter left. *)
 let sweep_cols =
   [|
     "host_cpu_free";
@@ -725,13 +727,34 @@ let gen_sweep_program =
     let order_stmt =
       map (fun v -> L.Ast.Assign ("order_by", L.Ast.Var v)) (oneofa sweep_cols)
     in
-    map2
-      (fun cmps order ->
+    (* a host by name or by IP, preferred or denied *)
+    let host_stmt =
+      map2
+        (fun param host -> L.Ast.Assign (param, host))
+        (oneofl
+           [ "user_preferred_host1"; "user_preferred_host3"; "user_denied_host1";
+             "user_denied_host2" ])
+        (oneofl
+           [ L.Ast.Var "alpha"; L.Ast.Var "beta"; L.Ast.Netaddr "10.0.0.1";
+             L.Ast.Netaddr "10.0.0.2" ])
+    in
+    map3
+      (fun cmps order hosts ->
+        (* host lines go before, between or after the compares *)
+        let mixed =
+          List.fold_left
+            (fun acc (at, h) ->
+              let at = at mod (List.length acc + 1) in
+              List.filteri (fun i _ -> i < at) acc
+              @ (h :: List.filteri (fun i _ -> i >= at) acc))
+            cmps hosts
+        in
         List.mapi
           (fun i expr -> { L.Ast.line = i + 1; expr })
-          (cmps @ Option.to_list order))
+          (mixed @ Option.to_list order))
       (list_size (int_range 1 4) cmp_stmt)
-      (opt order_stmt))
+      (opt order_stmt)
+      (list_size (int_range 0 3) (pair nat host_stmt)))
 
 let columns_of_envs envs =
   let n = Array.length envs in
@@ -762,17 +785,19 @@ let columns_of_envs envs =
 
 let arbitrary_sweep_case =
   QCheck.make
-    ~print:(fun (prog, envs) ->
-      Fmt.str "%s@.%d servers" (L.Ast.program_to_string prog)
-        (Array.length envs))
+    ~print:(fun (prog, envs, block) ->
+      Fmt.str "%s@.%d servers, blocks of %d" (L.Ast.program_to_string prog)
+        (Array.length envs) block)
     QCheck.Gen.(
-      pair gen_sweep_program (array_size (int_range 1 8) gen_env))
+      triple gen_sweep_program
+        (array_size (int_range 1 8) gen_env)
+        (int_range 1 8))
 
 let prop_sweep_matches_run =
   QCheck.Test.make
     ~name:"sweep plan agrees with the interpreter on every server"
     ~count:500 arbitrary_sweep_case
-    (fun (prog_ast, envs) ->
+    (fun (prog_ast, envs, block) ->
       let prog = L.Compile.program prog_ast in
       match L.Bytecode.sweep_of prog with
       | None ->
@@ -782,17 +807,39 @@ let prop_sweep_matches_run =
         let cols = columns_of_envs envs in
         let qualified = Bytes.make n '\000' in
         let order = Array.make n 0.0 in
-        L.Bytecode.run_sweep sw cols ~qualified ~order;
+        L.Bytecode.run_sweep sw cols ~lo:0 ~hi:n ~qualified ~order;
+        let bqualified = Bytes.make n '\000' in
+        let border = Array.make n 0.0 in
+        let lo = ref 0 in
+        while !lo < n do
+          let hi = min n (!lo + block) in
+          L.Bytecode.run_sweep sw cols ~lo:!lo ~hi ~qualified:bqualified
+            ~order:border;
+          lo := hi
+        done;
+        let log = L.Bytecode.sweep_hosts sw in
         let state = L.Bytecode.make_state prog in
+        let log_agrees () =
+          state.L.Bytecode.ulog_len = Array.length log.L.Bytecode.slots
+          && List.for_all
+               (fun k ->
+                 state.L.Bytecode.ulog_slot.(k) = log.L.Bytecode.slots.(k)
+                 && state.L.Bytecode.ulog_tag.(k) = log.L.Bytecode.tags.(k))
+               (List.init state.L.Bytecode.ulog_len Fun.id)
+        in
         let agree s =
           L.Bytecode.run prog state cols ~server:s;
           let ref_ok = L.Bytecode.qualified prog state in
           let ref_key =
-            if state.L.Bytecode.order_found then state.L.Bytecode.order_val
+            if state.L.Bytecode.order_found then
+              state.L.Bytecode.order_val.(0)
             else Float.neg_infinity
           in
           ref_ok = (Bytes.get qualified s <> '\000')
-          && ((not prog.L.Bytecode.has_order_by) || float_eq ref_key order.(s))
+          && Bytes.get qualified s = Bytes.get bqualified s
+          && ((not prog.L.Bytecode.has_order_by)
+             || (float_eq ref_key order.(s) && float_eq ref_key border.(s)))
+          && ((not ref_ok) || log_agrees ())
         in
         let ok = ref true in
         for s = 0 to n - 1 do
@@ -885,6 +932,72 @@ let test_verify_rejects_handmade () =
   | Error e ->
     Alcotest.failf "well-formed program rejected: %s"
       (L.Bytecode.verify_error_to_string e)
+
+(* The sweep precondition, one refused shape per case.  Each program is
+   a CMPC statement [sweep_of] admits plus one instruction outside every
+   statement slice, where the structural and dataflow passes never look
+   and the plan would drop it: the whole-code walk must refuse it. *)
+let sweep_admitted extra =
+  let cmpc = [| 20; 0; 2; 0; 0; 0 |] (* host_cpu_free > 1 *) in
+  {
+    (mk_broken_prog ~pool:[| "undefined variable host_cpu_free"; "alpha" |]
+       ~ntemps:1 ~stmt_reg:0 (Array.append cmpc extra))
+    with
+    L.Bytecode.stmt_stop = [| 6 |];
+  }
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec at i = i + m <= n && (String.equal (String.sub s i m) sub || at (i + 1)) in
+  at 0
+
+let expect_sweep_refusal name extra =
+  let p = sweep_admitted extra in
+  if L.Bytecode.sweep_of p = None then
+    Alcotest.failf "%s: the plan should admit the program" name;
+  match L.Bytecode.verify p with
+  | Error e when contains e.L.Bytecode.reason "sweep plan" -> ()
+  | Error e ->
+    Alcotest.failf "%s: refused for another reason: %s" name
+      (L.Bytecode.verify_error_to_string e)
+  | Ok () -> Alcotest.failf "%s: verifier accepted dropped traffic" name
+
+let test_verify_sweep_preconditions () =
+  (match L.Bytecode.verify (sweep_admitted [||]) with
+  | Ok () -> ()
+  | Error e ->
+    Alcotest.failf "bare plan rejected: %s" (L.Bytecode.verify_error_to_string e));
+  expect_sweep_refusal "GETU" [| 16; 0; 0; 0 |];
+  expect_sweep_refusal "LOADT" [| 14; 0; 0; 0 |];
+  expect_sweep_refusal "UVAR" [| 18; 0; 0; 1 |];
+  (* SETU logging the CMPC's verdict register, not an ADDR of its own *)
+  expect_sweep_refusal "foreign SETU" [| 17; 5; 0 |];
+  let compiled src = L.Compile.program ~verify:true (compile src) in
+  (* constant host lists ride the plan, and verify *)
+  let hosts =
+    compiled
+      "host_cpu_free > 0.5\nuser_denied_host1 = 10.0.0.7\n\
+       user_preferred_host2 = alpha\n"
+  in
+  (match L.Bytecode.sweep_of hosts with
+  | None -> Alcotest.fail "constant host lists fell off the plan"
+  | Some sw ->
+    let log = L.Bytecode.sweep_hosts sw in
+    Alcotest.(check (array int)) "slots" [| 5; 1 |] log.L.Bytecode.slots;
+    Alcotest.(check (list string)) "entries" [ "10.0.0.7"; "alpha" ]
+      (List.map
+         (fun t -> hosts.L.Bytecode.pool.(t))
+         (Array.to_list log.L.Bytecode.tags)));
+  (* a host named through a bound temp (UVAR) or a user parameter read
+     (GETU) keeps the interpreter *)
+  List.iter
+    (fun src ->
+      if L.Bytecode.sweep_of (compiled src) <> None then
+        Alcotest.failf "plan admitted %S" src)
+    [
+      "host_cpu_free > 0.5\ns2 = 1\nuser_preferred_host1 = s2\n";
+      "user_preferred_host1 = alpha\nx = user_preferred_host1\n";
+    ]
 
 let () =
   Alcotest.run "smart_lang"
@@ -980,6 +1093,8 @@ let () =
         [
           Alcotest.test_case "rejects hand-corrupted programs" `Quick
             test_verify_rejects_handmade;
+          Alcotest.test_case "sweep plan drops no traffic" `Quick
+            test_verify_sweep_preconditions;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -29,6 +29,7 @@ WIZARD_WORDS = (
     "warm_allocs_per_req",
     "warm_traced_allocs_per_req",
     "push_words_per_server",
+    "select_words_2000",
 )
 
 WIZARD_EXACT = (
