@@ -15,9 +15,11 @@
      against the untraced warm run.
 
    A fourth figure prices the status write path: the words one full
-   snapshot push of the plane costs the receiver, per server, and the
-   snapshot rebuilds the push forces on the wizard (none: it changed no
-   host).  A fifth prices the cold scan at scale: the words one
+   snapshot push of the plane costs the receiver, per server, the
+   generation steps it causes (two: its security frame repeats the
+   table the mirror holds, so it is skipped), and the snapshot rebuilds
+   the push forces on the wizard (none: it changed no host).  A fifth
+   prices the cold scan at scale: the words one
    [Selection.select_columns] call allocates over a 2,000-server plane,
    averaged over one requirement per scan path.
 
@@ -202,7 +204,8 @@ let json_float x = if Float.is_finite x then Printf.sprintf "%.9f" x else "null"
    mirror that already holds the plane (the steady-state push).  A
    wizard over the mirror then reads the snapshot; the push changed no
    host, so that read must refresh it, not rebuild it.  Returns the
-   words per server and the rebuilds the read caused. *)
+   words per server, the generation steps of the push and the rebuilds
+   the read caused. *)
 let push_cost () =
   let order = P.Endian.Little in
   let source = C.Status_db.create () in
@@ -236,12 +239,14 @@ let push_cost () =
   in
   feed ();
   read_snapshot ();
+  let generation0 = C.Status_db.generation mirror in
   let words0 = words () in
   feed ();
   let words_per_server = (words () -. words0) /. float_of_int servers in
+  let generations = C.Status_db.generation mirror - generation0 in
   let rebuilds0 = C.Wizard.snapshot_rebuilds wizard in
   read_snapshot ();
-  (words_per_server, C.Wizard.snapshot_rebuilds wizard - rebuilds0)
+  (words_per_server, generations, C.Wizard.snapshot_rebuilds wizard - rebuilds0)
 
 (* The cold scan at scale: one requirement per scan path — the sweep
    plan without and with order_by, the plan with constant host lists,
@@ -411,7 +416,7 @@ let run () =
   let (warm_rps, warm_allocs), (traced_rps, traced_allocs) =
     measure_ab ~budget warm_wizard traced_wizard
   in
-  let push_words, push_rebuilds = push_cost () in
+  let push_words, push_generations, push_rebuilds = push_cost () in
   let shape_words = select_words () in
   let select_words_2000 =
     Array.fold_left ( +. ) 0.0 shape_words
@@ -473,8 +478,10 @@ let run () =
     (Smart_util.Tracelog.total_recorded trace);
   Fmt.pr
     "allocation (minor + direct major words): cold %.0f/request, warm %.0f, \
-     warm traced %.0f; snapshot push %.0f/server (%d snapshot rebuilds)@."
-    cold_allocs warm_allocs traced_allocs push_words push_rebuilds;
+     warm traced %.0f; snapshot push %.0f/server (%d generations, %d \
+     snapshot rebuilds)@."
+    cold_allocs warm_allocs traced_allocs push_words push_generations
+    push_rebuilds;
   Fmt.pr
     "selection over %d servers (words per call, wanted 10): sweep %.0f, \
      sweep + order_by %.0f, host lists %.0f, interpreter %.0f; mean %.1f@."
@@ -511,6 +518,7 @@ let run () =
     \  \"warm_allocs_per_req\": %.1f,\n\
     \  \"warm_traced_allocs_per_req\": %.1f,\n\
     \  \"push_words_per_server\": %.1f,\n\
+    \  \"push_generations\": %d,\n\
     \  \"push_snapshot_rebuilds\": %d,\n\
     \  \"select_words_2000\": %.1f,\n\
     \  \"warm_compile_cache_hits\": %d,\n\
@@ -537,8 +545,8 @@ let run () =
     (json_float traced_lat.Smart_util.Metrics.p99)
     trace_overhead
     (Smart_util.Tracelog.total_recorded trace)
-    cold_allocs warm_allocs traced_allocs push_words push_rebuilds
-    select_words_2000 hits misses rhits rmisses
+    cold_allocs warm_allocs traced_allocs push_words push_generations
+    push_rebuilds select_words_2000 hits misses rhits rmisses
     (C.Wizard.snapshot_rebuilds warm_wizard)
     lossy_loss lossy_requests success_rate lossy_retries
     (json_float retry_p95);

@@ -1,6 +1,14 @@
 (* The receiver (§3.5.2): reassembles transmitter frames from the stream
    and mirrors them into the wizard-side databases, so the wizard can use
-   the contents "as if they were generated locally". *)
+   the contents "as if they were generated locally".
+
+   A push pays for what it changes.  Every monitor group's transmitter
+   ships the same whole security table, so a security frame that
+   repeats the last one applied, byte for byte, with no security change
+   landing on the database since, is not decoded or written: the table
+   already holds what it carries.  It still counts as applied (frame
+   metrics, span, update hook).  A system snapshot naming the same hosts
+   as its source's previous one skips the ownership diff. *)
 
 module Metrics = Smart_util.Metrics
 
@@ -23,6 +31,9 @@ type t = {
       (* transmitter -> hosts its last Sys_db snapshot covered; hosts
          that disappear from a snapshot (expired on the monitor side)
          are dropped from the mirror *)
+  mutable last_sec : (string * int) option;
+      (* payload of the last Sec_db frame applied, and the database's
+         [Status_db.sec_changes] right after it *)
   mutable current_from : string;
   frames_total : Metrics.Counter.t;
   frames_bytes : Metrics.Counter.t;
@@ -45,6 +56,7 @@ let create ?(metrics = Metrics.create ())
     trace;
     decoders = Hashtbl.create 4;
     owned_hosts = Hashtbl.create 4;
+    last_sec = None;
     current_from = "";
     frames_total =
       Metrics.counter metrics ~help:"frames applied to the mirror"
@@ -107,6 +119,17 @@ let decoder_for t ~from =
     Metrics.Gauge.set t.transmitters (float_of_int (Hashtbl.length t.decoders));
     s
 
+let record_host (r : Smart_proto.Records.sys_record) =
+  r.Smart_proto.Records.report.Smart_proto.Report.host
+
+(* Does the snapshot name exactly [hosts], in order? *)
+let rec same_hosts records hosts =
+  match (records, hosts) with
+  | [], [] -> true
+  | r :: records, h :: hosts ->
+    String.equal (record_host r) h && same_hosts records hosts
+  | _ -> false
+
 (* Frames from a traced push carry the push span's context; the frame
    span adopts it, tying this mirror write to the monitor-side trace
    across the TCP hop. *)
@@ -119,11 +142,14 @@ let apply_frame t (frame : Smart_proto.Frame.frame) =
   let result =
     match frame.Smart_proto.Frame.payload_type with
     | Smart_proto.Frame.Sys_db ->
-      (* the payload is a concatenation of fixed-size sys records; hosts
-         owned by this transmitter that are absent from the snapshot have
-         expired on the monitor side and leave the mirror too.  The whole
-         snapshot is committed as one batched write (one db generation),
-         and the absence diff runs through a set, not nested lists. *)
+      (* the payload is a concatenation of fixed-size sys records (a
+         partial one rejects the whole frame); hosts owned by this
+         transmitter that are absent from the snapshot have expired on
+         the monitor side and leave the mirror too.  The whole snapshot
+         is committed as one batched write (one db generation).  A
+         snapshot naming the same hosts as the previous one expired
+         none; otherwise the absence diff runs through a set, not nested
+         lists. *)
       let data = frame.Smart_proto.Frame.data in
       let size = Smart_proto.Records.sys_record_size in
       let n = String.length data / size in
@@ -134,7 +160,15 @@ let apply_frame t (frame : Smart_proto.Frame.frame) =
           | Ok record -> load (i + 1) (record :: records)
           | Error m -> Error m
       in
-      (match load 0 [] with
+      let loaded =
+        if String.length data mod size <> 0 then
+          Error
+            (Printf.sprintf
+               "sys_db: %d bytes are not a whole number of %d-byte records"
+               (String.length data) size)
+        else load 0 []
+      in
+      (match loaded with
       | Error m -> Error m
       | Ok records ->
         let commit =
@@ -143,24 +177,21 @@ let apply_frame t (frame : Smart_proto.Frame.frame) =
         in
         Status_db.update_sys_many t.db records;
         Smart_util.Tracelog.finish t.trace commit;
-        let hosts =
-          List.map
-            (fun (r : Smart_proto.Records.sys_record) ->
-              r.Smart_proto.Records.report.Smart_proto.Report.host)
-            records
-        in
-        let covered = Hashtbl.create (max 8 (List.length hosts)) in
-        List.iter (fun h -> Hashtbl.replace covered h ()) hosts;
         let previous =
           Option.value ~default:[]
             (Hashtbl.find_opt t.owned_hosts t.current_from)
         in
-        List.iter
-          (fun host ->
-            if not (Hashtbl.mem covered host) then
-              Status_db.remove_sys t.db ~host)
-          previous;
-        Hashtbl.replace t.owned_hosts t.current_from hosts;
+        if not (same_hosts records previous) then begin
+          let hosts = List.map record_host records in
+          let covered = Hashtbl.create (max 8 n) in
+          List.iter (fun h -> Hashtbl.replace covered h ()) hosts;
+          List.iter
+            (fun host ->
+              if not (Hashtbl.mem covered host) then
+                Status_db.remove_sys t.db ~host)
+            previous;
+          Hashtbl.replace t.owned_hosts t.current_from hosts
+        end;
         Ok ())
     | Smart_proto.Frame.Net_db ->
       (match Smart_proto.Records.decode_net t.order frame.Smart_proto.Frame.data with
@@ -169,11 +200,18 @@ let apply_frame t (frame : Smart_proto.Frame.frame) =
         Ok ()
       | Error m -> Error m)
     | Smart_proto.Frame.Sec_db ->
-      (match Smart_proto.Records.decode_sec t.order frame.Smart_proto.Frame.data with
-      | Ok record ->
-        Status_db.replace_sec t.db record;
+      let data = frame.Smart_proto.Frame.data in
+      (match t.last_sec with
+      | Some (applied, changes)
+        when changes = Status_db.sec_changes t.db && String.equal applied data ->
         Ok ()
-      | Error m -> Error m)
+      | Some _ | None ->
+        (match Smart_proto.Records.decode_sec t.order data with
+        | Ok record ->
+          Status_db.replace_sec t.db record;
+          t.last_sec <- Some (data, Status_db.sec_changes t.db);
+          Ok ()
+        | Error m -> Error m))
     | Smart_proto.Frame.Digest_db ->
       (match Smart_proto.Digest.decode t.order frame.Smart_proto.Frame.data with
       | Ok digest ->

@@ -1,5 +1,12 @@
 (** The receiver (§3.5.2): reassembles transmitter frames from reliable
-    streams and mirrors them into the wizard-side databases. *)
+    streams and mirrors them into the wizard-side databases.
+
+    A [Sec_db] frame whose payload repeats, byte for byte, the last one
+    this receiver applied is skipped when no security change
+    ({!Status_db.sec_changes}) landed on the database since: the table
+    already holds what it carries.  A skipped frame still counts as
+    applied — in [receiver.frames_total] and [receiver.frames_bytes],
+    with its [receiver.frame] span and an update-hook call. *)
 
 type t
 
@@ -17,8 +24,9 @@ val create :
   Status_db.t ->
   t
 
-(** Notification hook fired after every successfully applied frame (used
-    by the distributed-mode wizard to detect fresh data). *)
+(** Notification hook fired after every successfully applied frame,
+    skipped repeats included (used by the distributed-mode wizard to
+    detect fresh data). *)
 val set_update_hook : t -> (Smart_proto.Frame.payload_type -> unit) option -> unit
 
 (** Hook receiving every decoded [Digest_db] payload — the federation
@@ -39,7 +47,9 @@ val set_sketch_hook : t -> (Smart_proto.Sketch_msg.t -> unit) option -> unit
     past them (metered by [receiver.resyncs_total] and
     [receiver.corrupt_bytes_total]) and every decodable frame is
     applied.  [Error] reports the first record-level decode failure of
-    the batch, after the rest has still been applied. *)
+    the batch, after the rest has still been applied.  A frame that
+    fails writes nothing, and a [Sys_db] payload that is not a whole
+    number of records fails (an empty one is valid: no hosts). *)
 val handle_stream : t -> from:string -> string -> (unit, string) result
 
 (** Discard the stream state of source [from] (call when its connection

@@ -15,12 +15,18 @@
    - the sorted [sys_records] list is computed at most once per
      generation; every write drops it, so the memo never holds records
      a later write superseded;
+   - [replace_sec] diffs the incoming security table against the
+     stored one: an identical table is a no-op (no generation bump), a
+     changed one touches only the hosts whose level changed, appeared or
+     vanished, and [sec_changes] counts the writes that changed it, so
+     the receiver can skip a security frame it has already applied;
    - a columnar snapshot ([columns]) of the whole status plane — the
      structure-of-arrays the wizard's bytecode interpreter scans — has
      one row per system host, so only a host joining or leaving
-     rebuilds it.  Every other write refreshes it in place: a system
-     update rewrites its own row (values and IP), and a network or
-     security write re-fills that table's columns on every row. *)
+     rebuilds it.  Every other write refreshes it in place: a system or
+     security write dirties the rows it changed (a dirty row is
+     rewritten whole: values, IP and security level), and a network
+     write re-fills the network columns of every row. *)
 
 type column_view = {
   cols : Smart_lang.Bytecode.columns;
@@ -36,6 +42,7 @@ type t = {
   sys : (string, Smart_proto.Records.sys_record) Hashtbl.t;  (* by host *)
   net : (string, Smart_proto.Records.net_record) Hashtbl.t;  (* by monitor *)
   sec : (string, int) Hashtbl.t;                             (* host -> level *)
+  mutable sec_changes : int;  (* [replace_sec] calls that changed the table *)
   peer_index :
     (string, (string * Smart_proto.Records.net_entry) list) Hashtbl.t;
       (* target peer -> entries about it, tagged by reporting monitor *)
@@ -51,12 +58,12 @@ type t = {
   mutable cview : column_view option;
   mutable cgen : int;  (* generation [cview] matches; -1 = never built *)
   crow : (string, int) Hashtbl.t;  (* host -> dense row of [cview] *)
-  mutable cdirty : bool array;  (* row -> system record rewritten since *)
+  mutable cdirty : bool array;
+      (* row -> system record or security level rewritten since *)
   mutable cmembership : bool;
       (* a system host joined or left: the next [columns] call must
          rebuild rather than refresh rows *)
   mutable cnet : bool;  (* network table written since [cgen] *)
-  mutable csec : bool;  (* security table written since [cgen] *)
   mutable clast : refresh;
 }
 
@@ -65,6 +72,7 @@ let create () =
     sys = Hashtbl.create 32;
     net = Hashtbl.create 8;
     sec = Hashtbl.create 32;
+    sec_changes = 0;
     peer_index = Hashtbl.create 64;
     generation = 0;
     sys_cache = None;
@@ -75,7 +83,6 @@ let create () =
     cdirty = [||];
     cmembership = true;
     cnet = false;
-    csec = false;
     clast = Rebuilt;
   }
 
@@ -92,11 +99,19 @@ let bump t =
 (* Columnar-snapshot bookkeeping: while the host set matches the
    snapshot's rows, [crow] holds exactly the hosts of [sys], so a host
    it does not know is joining and forces a rebuild; a known host's
-   update dirties its row. *)
+   update dirties its row.  A security write never changes the host
+   set: it dirties the row of a host that has one, and nothing while a
+   rebuild is due. *)
 let note_sys_write t ~host =
   match Hashtbl.find_opt t.crow host with
   | Some row -> if not t.cmembership then t.cdirty.(row) <- true
   | None -> t.cmembership <- true
+
+let note_sec_write t ~host =
+  if not t.cmembership then
+    match Hashtbl.find_opt t.crow host with
+    | Some row -> t.cdirty.(row) <- true
+    | None -> ()
 
 let update_sys t (record : Smart_proto.Records.sys_record) =
   let host =
@@ -223,15 +238,48 @@ let net_entry_for t ~target =
     | [] -> None
     | first :: rest -> Some (snd (List.fold_left better first rest)))
 
+(* Store the incoming table as a diff against the stored one, in place.
+   The incoming entries are indexed first, so a host's level is that of
+   its last entry; then each host whose level changed or appeared is
+   written, and the stored hosts the table no longer names are dropped.
+   Only those hosts dirty their rows, and only a table that changed
+   moves the generation. *)
 let replace_sec t (record : Smart_proto.Records.sec_record) =
-  Hashtbl.reset t.sec;
+  let entries = record.Smart_proto.Records.entries in
+  let incoming = Hashtbl.create (max 32 (List.length entries)) in
   List.iter
-    (fun e ->
-      Hashtbl.replace t.sec e.Smart_proto.Records.host
-        e.Smart_proto.Records.level)
-    record.Smart_proto.Records.entries;
-  t.csec <- true;
-  bump t
+    (fun { Smart_proto.Records.host; level } ->
+      Hashtbl.replace incoming host level)
+    entries;
+  let changed = ref false in
+  let touch host =
+    changed := true;
+    note_sec_write t ~host
+  in
+  List.iter
+    (fun { Smart_proto.Records.host; _ } ->
+      let level = Hashtbl.find incoming host in
+      match Hashtbl.find_opt t.sec host with
+      | Some stored when stored = level -> ()
+      | Some _ | None ->
+        Hashtbl.replace t.sec host level;
+        touch host)
+    entries;
+  if Hashtbl.length t.sec > Hashtbl.length incoming then
+    Hashtbl.filter_map_inplace
+      (fun host level ->
+        if Hashtbl.mem incoming host then Some level
+        else begin
+          touch host;
+          None
+        end)
+      t.sec;
+  if !changed then begin
+    t.sec_changes <- t.sec_changes + 1;
+    bump t
+  end
+
+let sec_changes t = t.sec_changes
 
 let security_level t ~host = Hashtbl.find_opt t.sec host
 
@@ -281,12 +329,13 @@ let fill_net_row (cols : B.columns) ~row entry =
     Bigarray.Array1.set cols.B.net_bw row 0.0;
     Bigarray.Array1.set cols.B.has_net row 0
 
-let fill_sec_row (cols : B.columns) ~row level =
-  match level with
-  | Some l ->
-    Bigarray.Array1.set cols.B.sec_level row (float_of_int l);
+(* Looked up with [Hashtbl.find], so filling a row allocates no option. *)
+let fill_sec_row t (cols : B.columns) ~row ~host =
+  match Hashtbl.find t.sec host with
+  | level ->
+    Bigarray.Array1.set cols.B.sec_level row (float_of_int level);
     Bigarray.Array1.set cols.B.has_sec row 1
-  | None ->
+  | exception Not_found ->
     Bigarray.Array1.set cols.B.sec_level row 0.0;
     Bigarray.Array1.set cols.B.has_sec row 0
 
@@ -305,7 +354,7 @@ let rebuild_columns t ~net_for =
       Hashtbl.replace t.crow host row;
       fill_sys_row cols ~row report;
       fill_net_row cols ~row (net_for host);
-      fill_sec_row cols ~row (security_level t ~host))
+      fill_sec_row t cols ~row ~host)
     records;
   let view = { cols; hosts; ips } in
   t.cview <- Some view;
@@ -313,33 +362,32 @@ let rebuild_columns t ~net_for =
   t.cdirty <- Array.make n false;
   t.cmembership <- false;
   t.cnet <- false;
-  t.csec <- false;
   t.cgen <- t.generation;
   view
 
-(* Same host set as [view]: rewrite the dirty system rows, IP included,
-   and re-fill the network or security columns of every row if that
-   table was written.  A whole table, because one network record can
-   feed many rows (the wizard's grouped lookup resolves every server of
-   a remote group through the local monitor's entry for that group). *)
+(* Same host set as [view]: rewrite the dirty rows (system values, IP
+   and security level), and re-fill the network columns of every row if
+   the network table was written.  A whole table, because one network
+   record can feed many rows (the wizard's grouped lookup resolves every
+   server of a remote group through the local monitor's entry for that
+   group). *)
 let refresh_columns t view ~net_for =
   for row = 0 to Array.length view.hosts - 1 do
     let host = view.hosts.(row) in
     if t.cdirty.(row) then begin
       t.cdirty.(row) <- false;
-      match Hashtbl.find_opt t.sys host with
+      (match Hashtbl.find_opt t.sys host with
       | Some (r : Smart_proto.Records.sys_record) ->
         let report = r.Smart_proto.Records.report in
         fill_sys_row view.cols ~row report;
         view.ips.(row) <- report.Smart_proto.Report.ip
-      | None -> ()
+      | None -> ());
+      fill_sec_row t view.cols ~row ~host
     end;
-    if t.cnet then fill_net_row view.cols ~row (net_for host);
-    if t.csec then fill_sec_row view.cols ~row (security_level t ~host)
+    if t.cnet then fill_net_row view.cols ~row (net_for host)
   done;
   t.clast <- Refreshed;
   t.cnet <- false;
-  t.csec <- false;
   t.cgen <- t.generation;
   view
 
@@ -369,7 +417,7 @@ let row_view t ~net_for ~host =
     let cols = B.create_columns 1 in
     fill_sys_row cols ~row:0 report;
     fill_net_row cols ~row:0 (net_for host);
-    fill_sec_row cols ~row:0 (security_level t ~host);
+    fill_sec_row t cols ~row:0 ~host;
     Some { cols; hosts = [| host |]; ips = [| report.Smart_proto.Report.ip |] }
 
 let columns_fresh t = t.cgen = t.generation && t.cview <> None

@@ -9,7 +9,9 @@
     in a peer-keyed secondary index, making per-target lookups O(1).
     The columnar snapshot ({!columns}) has one row per system host and
     is rebuilt only when that host set changes; every other write
-    refreshes it in place. *)
+    refreshes it in place.  The security table is stored as a diff
+    ({!replace_sec}): an identical table costs no generation and no
+    refresh. *)
 
 type t
 
@@ -70,10 +72,20 @@ val net_records : t -> Smart_proto.Records.net_record list
     insertion order. *)
 val net_entry_for : t -> target:string -> Smart_proto.Records.net_entry option
 
-(** Replace the whole security table.  The columnar snapshot keeps its
-    rows: the next {!columns} call re-fills the security columns of
-    every row. *)
+(** Replace the whole security table.  When a host has several entries,
+    the last one wins.  The incoming table is diffed against the stored
+    one: an identical table is a no-op (the generation does not move and
+    the columnar snapshot stays fresh); otherwise the generation moves
+    once, {!sec_changes} grows by one, and only the rows of hosts whose
+    level changed, appeared or vanished are rewritten by the next
+    {!columns} call. *)
 val replace_sec : t -> Smart_proto.Records.sec_record -> unit
+
+(** How many {!replace_sec} calls changed the security table.  Equal
+    counts guarantee the same security table, so the receiver can skip
+    a byte-identical security frame when no change landed since it
+    applied the previous one. *)
+val sec_changes : t -> int
 
 val security_level : t -> host:string -> int option
 
@@ -88,8 +100,9 @@ val remove_sys : t -> host:string -> unit
 (** The columnar snapshot at the current generation, memoized.  Its rows
     are the system hosts, so only a host joining or leaving rebuilds it.
     Otherwise it is refreshed in place: a system update rewrites its own
-    row (values and IP), and a network or security write re-fills that
-    table's columns on every row.  [net_for] resolves the network
+    row (values and IP), a security write rewrites the rows whose level
+    it changed, added or removed, and a network write re-fills the
+    network columns of every row.  [net_for] resolves the network
     metrics toward a server host; it is consulted on rebuilds and after
     network writes, so its answers must depend only on the host and
     this database's network table (the wizard's group-aware lookup

@@ -109,6 +109,16 @@ let test_db_generation () =
     { P.Records.entries = [ { P.Records.host = "a"; level = 1 } ] };
   Alcotest.(check bool) "sec write bumps" true (C.Status_db.generation db > g2);
   let g3 = C.Status_db.generation db in
+  (* re-storing the same security table changes nothing *)
+  ignore
+    (C.Status_db.columns db ~net_for:(fun target ->
+         C.Status_db.net_entry_for db ~target));
+  C.Status_db.replace_sec db
+    { P.Records.entries = [ { P.Records.host = "a"; level = 1 } ] };
+  Alcotest.(check int) "identical sec write keeps generation" g3
+    (C.Status_db.generation db);
+  Alcotest.(check bool) "identical sec write keeps the snapshot fresh" true
+    (C.Status_db.columns_fresh db);
   (* removing an absent host must not move the generation *)
   C.Status_db.remove_sys db ~host:"nobody";
   Alcotest.(check int) "no-op remove keeps generation" g3
@@ -1191,6 +1201,197 @@ let test_receiver_multi_transmitter_ownership () =
     (C.Status_db.find_sys db ~host:"b1" <> None);
   Alcotest.(check bool) "a2 gone" true
     (C.Status_db.find_sys db ~host:"a2" = None)
+
+(* A Sys_db payload that ends inside a record is rejected whole: it
+   counts as a decode error and writes nothing, so the host its last,
+   partial record named stays mirrored.  An empty payload is valid: the
+   source owns no hosts any more. *)
+let test_receiver_rejects_partial_sys () =
+  let order = P.Endian.Little in
+  let db = C.Status_db.create () in
+  let rx = C.Receiver.create ~order db in
+  let snapshot ~cpu_free hosts =
+    String.concat ""
+      (List.map
+         (fun h ->
+           P.Records.encode_sys order
+             (sys_record ~host:h ~ip:("10.0.0." ^ h) ~cpu_free ~at:1.0 ()))
+         hosts)
+  in
+  let feed data =
+    C.Receiver.handle_stream rx ~from:"mon"
+      (P.Frame.encode order
+         {
+           P.Frame.payload_type = P.Frame.Sys_db;
+           data;
+           trace = Smart_util.Tracelog.root;
+         })
+  in
+  let ok = function Ok () -> () | Error e -> Alcotest.failf "stream: %s" e in
+  ok (feed (snapshot ~cpu_free:0.9 [ "a"; "b"; "c" ]));
+  let full = snapshot ~cpu_free:0.1 [ "a"; "b"; "c" ] in
+  (match feed (String.sub full 0 (String.length full - 100)) with
+  | Ok () -> Alcotest.fail "a truncated snapshot was accepted"
+  | Error _ -> ());
+  Alcotest.(check int) "one decode error" 1 (C.Receiver.decode_errors rx);
+  Alcotest.(check int) "one frame applied" 1 (C.Receiver.frames_handled rx);
+  Alcotest.(check (list string)) "c still mirrored" [ "a"; "b"; "c" ]
+    (List.map
+       (fun r -> r.P.Records.report.P.Report.host)
+       (C.Status_db.sys_records db));
+  (match C.Status_db.find_sys db ~host:"a" with
+  | Some r ->
+    Alcotest.(check (float 1e-9)) "nothing written" 0.9
+      r.P.Records.report.P.Report.cpu_free
+  | None -> Alcotest.fail "a missing");
+  ok (feed "");
+  Alcotest.(check int) "an empty snapshot owns no hosts" 0
+    (C.Status_db.sys_count db)
+
+(* Pushes through the receiver against direct writes.  Up to three
+   sources push Sys, Net and Sec frames; security tables come from a
+   small pool, so a push often repeats the table the mirror already
+   holds, and direct [replace_sec] writes on the mirror land between
+   pushes.  A twin database is fed the same records by direct writes,
+   under the receiver's ownership rule (a host missing from its
+   source's new snapshot leaves).  After every step the mirror holds
+   the twin's tables, its columnar snapshot equals a rebuild of the
+   twin's, and the update hook has fired once per frame, skipped or
+   not. *)
+type rx_step =
+  | Rx_push of int * (int * int) list * int
+      (* source, (host, value) snapshot, security table *)
+  | Rx_direct_sec of int  (* security table written to the mirror *)
+
+(* Tables 0 and 1 differ in bytes, not in content (a duplicate host,
+   last entry winning); 2 changes one level, drops one host and adds
+   one; 3 is empty. *)
+let rx_sec_pool =
+  [|
+    [ (0, 1); (1, 2); (2, 3) ];
+    [ (0, 1); (1, 4); (2, 3); (1, 2) ];
+    [ (0, 1); (1, 3); (4, 0) ];
+    [];
+  |]
+
+let rx_sec_table i =
+  {
+    P.Records.entries =
+      List.map
+        (fun (h, level) -> { P.Records.host = db_host h; level })
+        rx_sec_pool.(i);
+  }
+
+let rx_source i = Printf.sprintf "src%d" i
+
+let pp_rx_step = function
+  | Rx_push (src, snapshot, sec) ->
+    Printf.sprintf "push %s [%s] sec%d" (rx_source src)
+      (String.concat ","
+         (List.map (fun (h, x) -> Printf.sprintf "h%d/%d" h x) snapshot))
+      sec
+  | Rx_direct_sec sec -> Printf.sprintf "direct sec%d" sec
+
+let arbitrary_rx_steps =
+  let sec = QCheck.Gen.int_range 0 (Array.length rx_sec_pool - 1) in
+  let step =
+    QCheck.Gen.(
+      frequency
+        [
+          ( 3,
+            map3
+              (fun src snapshot sec -> Rx_push (src, snapshot, sec))
+              (int_range 0 2)
+              (list_size (int_range 0 4)
+                 (pair (int_range 0 (db_hosts - 1)) (int_range 0 3)))
+              sec );
+          (1, map (fun sec -> Rx_direct_sec sec) sec);
+        ])
+  in
+  QCheck.make
+    ~print:(fun steps -> String.concat "\n" (List.map pp_rx_step steps))
+    ~shrink:QCheck.Shrink.list
+    QCheck.Gen.(list_size (int_range 1 15) step)
+
+let prop_receiver_matches_direct_writes =
+  QCheck.Test.make ~name:"receiver pushes = direct writes" ~count:300
+    arbitrary_rx_steps (fun steps ->
+      let order = P.Endian.Little in
+      let mirror = C.Status_db.create () in
+      let twin = C.Status_db.create () in
+      let rx = C.Receiver.create ~order mirror in
+      let hooks = ref 0 and frames = ref 0 in
+      C.Receiver.set_update_hook rx (Some (fun _ -> incr hooks));
+      let owned = Hashtbl.create 4 in
+      let clock = ref 0 in
+      let net_for db target = C.Status_db.net_entry_for db ~target in
+      let step = function
+        | Rx_push (src, snapshot, sec) ->
+          incr clock;
+          let at = float_of_int !clock in
+          let records =
+            List.map
+              (fun (h, x) ->
+                sys_record ~host:(db_host h)
+                  ~ip:(Printf.sprintf "10.%d.0.%d" x h)
+                  ~cpu_free:(0.25 *. float_of_int x) ~at ())
+              snapshot
+          in
+          let net =
+            {
+              P.Records.monitor = rx_source src;
+              entries =
+                List.map
+                  (fun (h, x) ->
+                    net_entry
+                      ~bandwidth:(1e5 *. float_of_int (x + 1))
+                      ~measured_at:at (db_host h))
+                  snapshot;
+            }
+          in
+          let frame payload_type data =
+            P.Frame.encode order
+              { P.Frame.payload_type; data; trace = Smart_util.Tracelog.root }
+          in
+          let push =
+            frame P.Frame.Sys_db
+              (String.concat "" (List.map (P.Records.encode_sys order) records))
+            ^ frame P.Frame.Net_db (P.Records.encode_net order net)
+            ^ frame P.Frame.Sec_db (P.Records.encode_sec order (rx_sec_table sec))
+          in
+          (match C.Receiver.handle_stream rx ~from:(rx_source src) push with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "push: %s" e);
+          frames := !frames + 3;
+          let hosts =
+            List.map (fun r -> r.P.Records.report.P.Report.host) records
+          in
+          C.Status_db.update_sys_many twin records;
+          List.iter
+            (fun host ->
+              if not (List.mem host hosts) then
+                C.Status_db.remove_sys twin ~host)
+            (Option.value ~default:[] (Hashtbl.find_opt owned src));
+          Hashtbl.replace owned src hosts;
+          C.Status_db.update_net twin net;
+          C.Status_db.replace_sec twin (rx_sec_table sec)
+        | Rx_direct_sec sec ->
+          C.Status_db.replace_sec mirror (rx_sec_table sec);
+          C.Status_db.replace_sec twin (rx_sec_table sec)
+      in
+      List.for_all
+        (fun s ->
+          step s;
+          let view = C.Status_db.columns mirror ~net_for:(net_for mirror) in
+          let rebuilt = fresh_copy twin in
+          C.Status_db.sys_records mirror = C.Status_db.sys_records twin
+          && C.Status_db.net_records mirror = C.Status_db.net_records twin
+          && C.Status_db.sec_record mirror = C.Status_db.sec_record twin
+          && same_view view
+               (C.Status_db.columns rebuilt ~net_for:(net_for rebuilt))
+          && !hooks = !frames
+          && C.Receiver.frames_handled rx = !frames)
+        steps)
 
 (* Words allocated so far: minor plus words allocated directly on the
    major heap ([Gc.counters]' major words minus promotions), counted as
@@ -3667,6 +3868,9 @@ let () =
           Alcotest.test_case "update hook" `Quick test_receiver_update_hook;
           Alcotest.test_case "multi-transmitter ownership" `Quick
             test_receiver_multi_transmitter_ownership;
+          Alcotest.test_case "partial sys record rejected" `Quick
+            test_receiver_rejects_partial_sys;
+          QCheck_alcotest.to_alcotest prop_receiver_matches_direct_writes;
           Alcotest.test_case "push cost linear in size" `Quick
             test_receiver_push_linear;
           Alcotest.test_case "resend queue + backoff" `Quick

@@ -9,8 +9,8 @@ holds the copies taken before the bench overwrote them.  Only fields
 the host cannot change are compared:
 
 - BENCH_wizard.json: the words fields (minor plus direct-major words)
-  within 2% of the committed value; the cache, rebuild and lossy-plane
-  counts exactly.  Wall-clock rates and latencies are not compared.
+  within 2% of the committed value; the cache, push-generation, rebuild
+  and lossy-plane counts exactly.  Wall-clock rates and latencies are not compared.
 - BENCH_sessions.json: every field exactly (it runs on the simulated
   clock).
 
@@ -37,6 +37,7 @@ WIZARD_EXACT = (
     "warm_compile_cache_misses",
     "warm_result_cache_misses",
     "warm_snapshot_rebuilds",
+    "push_generations",
     "push_snapshot_rebuilds",
     "lossy_requests",
     "request_success_rate",
