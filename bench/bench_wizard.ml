@@ -21,7 +21,9 @@
    the push forces on the wizard (none: it changed no host).  A fifth
    prices the cold scan at scale: the words one
    [Selection.select_columns] call allocates over a 2,000-server plane,
-   averaged over one requirement per scan path.
+   averaged over one requirement per scan path.  A sixth prices the key
+   every warm request derives: the words one [Requirement.cache_key]
+   call allocates, averaged over hot- and churn-shaped texts.
 
    Results go to stdout and to BENCH_wizard.json for trend tracking
    across PRs.  Words are minor-heap words plus words allocated directly
@@ -316,6 +318,39 @@ let select_words () =
       (words () -. words0) /. float_of_int calls)
     select_shapes
 
+(* The key's texts: hot-shaped (this bench's requirement, with and
+   without [order_by]) and churn-shaped (two to four conjuncts on
+   decimal thresholds, with [order_by], a preferred host list or a
+   denied one).  Words per call are averaged over a fixed call count
+   per text, after one call each. *)
+let key_texts =
+  [|
+    requirement;
+    "host_cpu_free > 0.35\nhost_memory_free > 212\nmonitor_network_bw > 1\n\
+     host_security_level >= 2\n";
+    "host_cpu_free > 0.35\nhost_system_load1 < 2.75\n\
+     monitor_network_delay < 4.5\norder_by = monitor_network_bw\n";
+    "host_memory_free > 412\nhost_cpu_bogomips > 2210\n";
+    "host_system_load1 < 1.5\nmonitor_network_bw > 22.5\n\
+     user_preferred_host1 = c0042\nuser_preferred_host2 = c1017\n";
+    "host_cpu_free > 0.6\norder_by = host_cpu_free\nuser_denied_host1 = c0003\n";
+  |]
+
+let cache_key_words () =
+  let calls = 1000 in
+  let total =
+    Array.fold_left
+      (fun acc text ->
+        ignore (Smart_lang.Requirement.cache_key text);
+        let words0 = words () in
+        for _ = 1 to calls do
+          ignore (Sys.opaque_identity (Smart_lang.Requirement.cache_key text))
+        done;
+        acc +. (words () -. words0))
+      0.0 key_texts
+  in
+  total /. float_of_int (calls * Array.length key_texts)
+
 (* ------------------------------------------------------------------ *)
 (* Lossy-plane run: the same request path driven end-to-end through the
    simulator with 25% datagram loss on the client's link, so every
@@ -422,6 +457,7 @@ let run () =
     Array.fold_left ( +. ) 0.0 shape_words
     /. float_of_int (Array.length shape_words)
   in
+  let key_words = cache_key_words () in
   let trace_overhead = (warm_rps -. traced_rps) /. warm_rps in
   let speedup = warm_rps /. cold_rps in
   let hits, misses = C.Wizard.compile_cache_stats warm_wizard in
@@ -487,6 +523,8 @@ let run () =
      sweep + order_by %.0f, host lists %.0f, interpreter %.0f; mean %.1f@."
     select_servers shape_words.(0) shape_words.(1) shape_words.(2)
     shape_words.(3) select_words_2000;
+  Fmt.pr "cache key (words per Requirement.cache_key call, %d texts): %.1f@."
+    (Array.length key_texts) key_words;
   let success_rate, lossy_retries, retry_p95 = lossy_run () in
   Fmt.pr
     "lossy plane (%.0f%% datagram loss, %d requests): success rate %.3f, \
@@ -521,6 +559,7 @@ let run () =
     \  \"push_generations\": %d,\n\
     \  \"push_snapshot_rebuilds\": %d,\n\
     \  \"select_words_2000\": %.1f,\n\
+    \  \"cache_key_words\": %.1f,\n\
     \  \"warm_compile_cache_hits\": %d,\n\
     \  \"warm_compile_cache_misses\": %d,\n\
     \  \"warm_result_cache_hits\": %d,\n\
@@ -546,7 +585,7 @@ let run () =
     trace_overhead
     (Smart_util.Tracelog.total_recorded trace)
     cold_allocs warm_allocs traced_allocs push_words push_generations
-    push_rebuilds select_words_2000 hits misses rhits rmisses
+    push_rebuilds select_words_2000 key_words hits misses rhits rmisses
     (C.Wizard.snapshot_rebuilds warm_wizard)
     lossy_loss lossy_requests success_rate lossy_retries
     (json_float retry_p95);

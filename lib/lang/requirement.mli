@@ -11,7 +11,10 @@ val pp_compile_error : Format.formatter -> compile_error -> unit
     shortest re-lexable decimal), so trivially different spellings of
     one requirement share a cache entry.  Two sources with the same key
     select identically — they can differ only in the source line numbers
-    reported by fault diagnostics. *)
+    reported by fault diagnostics.  Written in one scan of the source
+    into one buffer.  A source that does not lex keys as itself behind
+    a NUL byte, which the lexer rejects, so it never shares a key with
+    one that does. *)
 val cache_key : string -> string
 
 (** The canonical requirement source — the string {!cache_key} returns,

@@ -102,25 +102,36 @@ type reply = {
   rejected : bool;        (* shed by admission control; back off *)
 }
 
+(* Bytes of the length-prefixed server names. *)
+let rec names_size acc = function
+  | [] -> acc
+  | server :: rest ->
+    if String.length server > 0xFF then
+      invalid_arg "Wizard_msg.encode_reply: server name too long";
+    names_size (acc + 1 + String.length server) rest
+
+let rec write_names b pos = function
+  | [] -> ()
+  | server :: rest ->
+    let len = String.length server in
+    Bytes.set b pos (Char.chr len);
+    Bytes.blit_string server 0 b (pos + 1) len;
+    write_names b (pos + 1 + len) rest
+
+(* One exactly sized buffer, header then names.  The bytes never escape,
+   so handing them over as the string copies nothing. *)
 let encode_reply r =
-  if List.length r.servers > Ports.max_reply_servers then
+  let count = List.length r.servers in
+  if count > Ports.max_reply_servers then
     invalid_arg "Wizard_msg.encode_reply: too many servers";
-  let buf = Buffer.create 128 in
-  let b = Bytes.create 6 in
+  let b = Bytes.create (names_size 6 r.servers) in
   Endian.set_u32 order b ~pos:0 (r.seq land 0xFFFFFFFF);
   Endian.set_u16 order b ~pos:4
-    (List.length r.servers
+    (count
     lor (if r.degraded then degraded_flag else 0)
     lor if r.rejected then rejected_flag else 0);
-  Buffer.add_bytes buf b;
-  List.iter
-    (fun server ->
-      if String.length server > 0xFF then
-        invalid_arg "Wizard_msg.encode_reply: server name too long";
-      Buffer.add_char buf (Char.chr (String.length server));
-      Buffer.add_string buf server)
-    r.servers;
-  Buffer.contents buf
+  write_names b 6 r.servers;
+  Bytes.unsafe_to_string b
 
 let decode_reply s =
   if String.length s < 6 then Error "reply: truncated"

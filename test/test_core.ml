@@ -1719,6 +1719,43 @@ let test_wizard_compile_cache () =
   Alcotest.(check (pair int int)) "capacity 0 never hits" (0, 2)
     (C.Wizard.compile_cache_stats uncached)
 
+(* A text that does not lex must not share a cache key with one that
+   does.  Form feed is not whitespace to the lexer, but [String.trim]
+   strips it, so a trimmed fallback key gave "\012host_cpu_free > 0.1"
+   the valid text's key: whichever came first answered for both. *)
+let broken_requirement = "\012host_cpu_free > 0.1\n"
+
+let valid_requirement = "host_cpu_free > 0.1\n"
+
+let four_server_wizard () =
+  let db = C.Status_db.create () in
+  List.iteri
+    (fun i host ->
+      C.Status_db.update_sys db
+        (sys_record ~host ~ip:(Printf.sprintf "1.0.0.%d" (i + 1)) ~at:0.0 ()))
+    [ "a"; "b"; "c"; "d" ];
+  C.Wizard.create { C.Wizard.mode = C.Wizard.Centralized; groups = None } db
+
+let test_wizard_broken_text_first () =
+  let wizard = four_server_wizard () in
+  Alcotest.(check (list string)) "broken text: empty" []
+    (ask wizard ~wanted:3 broken_requirement);
+  Alcotest.(check int) "its compile error counted" 1
+    (C.Wizard.compile_errors wizard);
+  Alcotest.(check int) "valid text after it: three servers" 3
+    (List.length (ask wizard ~wanted:3 valid_requirement));
+  Alcotest.(check int) "no second compile error" 1
+    (C.Wizard.compile_errors wizard)
+
+let test_wizard_broken_text_second () =
+  let wizard = four_server_wizard () in
+  Alcotest.(check int) "valid text: three servers" 3
+    (List.length (ask wizard ~wanted:3 valid_requirement));
+  Alcotest.(check (list string)) "broken text after it: empty" []
+    (ask wizard ~wanted:3 broken_requirement);
+  Alcotest.(check int) "its compile error counted" 1
+    (C.Wizard.compile_errors wizard)
+
 let test_wizard_result_cache_and_snapshot () =
   let db = C.Status_db.create () in
   C.Status_db.update_sys db (sys_record ~host:"a" ~ip:"1.0.0.1" ~at:0.0 ());
@@ -3130,6 +3167,25 @@ let test_fed_root_latest_batch_wins () =
   Alcotest.(check int) "updates metered" 3
     (Smart_util.Metrics.counter_value m "federation.sketch_updates_total")
 
+(* The root's compile cache keys on [Requirement.cache_key] too: a
+   broken text's cached error must not answer the valid text. *)
+let test_fed_root_broken_text_first () =
+  let root = sketch_root ~metrics:(Smart_util.Metrics.create ()) [ "s1" ] in
+  let send requirement =
+    ignore
+      (C.Fed_root.handle_request root ~now:1.0
+         ~from:{ C.Output.host = "c"; port = 1 }
+         (P.Wizard_msg.encode_request (client_request ~wanted:3 requirement)))
+  in
+  send broken_requirement;
+  Alcotest.(check int) "broken text: compile error" 1
+    (C.Fed_root.compile_errors root);
+  send valid_requirement;
+  Alcotest.(check int) "valid text: no compile error" 1
+    (C.Fed_root.compile_errors root);
+  Alcotest.(check int) "valid text fanned out" 1
+    (C.Fed_root.subqueries_sent root)
+
 let test_probe_adaptive_interval () =
   let machine = H.Machine.create (H.Testbed.spec_of_name "helene") in
   let plain = C.Probe.create probe_config in
@@ -3909,6 +3965,10 @@ let () =
           Alcotest.test_case "distributed pull flow" `Quick
             test_wizard_distributed_pull_flow;
           Alcotest.test_case "compile cache" `Quick test_wizard_compile_cache;
+          Alcotest.test_case "broken text before a valid one" `Quick
+            test_wizard_broken_text_first;
+          Alcotest.test_case "broken text after a valid one" `Quick
+            test_wizard_broken_text_second;
           Alcotest.test_case "denies a host by its new IP" `Quick
             test_wizard_denies_new_ip;
           Alcotest.test_case "value-only push refreshes" `Quick
@@ -3971,6 +4031,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_fed_root_quantiles_track_union;
           Alcotest.test_case "latest sketch batch wins" `Quick
             test_fed_root_latest_batch_wins;
+          Alcotest.test_case "broken text keeps its own cache key" `Quick
+            test_fed_root_broken_text_first;
         ] );
       ( "control loops",
         [

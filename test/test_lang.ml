@@ -1,7 +1,8 @@
 (* Tests for the requirement meta-language: lexer (Fig 4.1), parser,
    the reference evaluator (Fig 4.2, test/oracle) and the bytecode held
-   to it, variable taxonomy, and the thesis's documented semantics
-   (logic flag, conjunction of logical statements, faults). *)
+   to it, the canonical cache key held to its token-list reference
+   (test/oracle), variable taxonomy, and the thesis's documented
+   semantics (logic flag, conjunction of logical statements, faults). *)
 
 module L = Smart_lang
 module O = Smart_oracle
@@ -489,6 +490,96 @@ let test_canonical_compiles () =
   Alcotest.(check string) "same key either way"
     (L.Requirement.cache_key src)
     (L.Requirement.cache_key c)
+
+(* Canonical keys against the token-list reference
+   ([Smart_oracle.Canonical]): byte-identical on every text that lexes,
+   the text behind a NUL byte on every text that does not, and the same
+   tokens and errors from [Lexer.tokenize].  Texts are printed random
+   expressions, or runs of fragments that reach every branch of the
+   scanner and of the number rule: literals of up to 14, exactly 15,
+   exactly 16 and 17 or more significant digits with leading and
+   trailing zeros, and the literals that overflow, underflow and land
+   on a subnormal. *)
+let key_fragments =
+  [
+    "# comment"; "#x && y"; "\r"; "\n"; "\n\n"; "\r\n"; " "; "\t";
+    "HOST_CPU_FREE"; "Order_By"; "SQRT"; "User_Denied_Host2";
+    "Monitor_Network_BW"; "MyTemp"; "srvA1"; "x"; "host_cpu_free";
+    "order_by"; "srv.example.org"; "Srv-1.Example.NET"; "a.b-c.";
+    "10.0.0.1"; "192.168.001.020"; "&&"; "||"; ">"; ">="; "<"; "<="; "==";
+    "!="; "="; "+"; "-"; "*"; "/"; "^"; "("; ")"; "007"; "0.50"; "00.000";
+    "120.0"; "0.0012300"; "0"; "0."; "5.";
+    "1" ^ String.make 400 '0';
+    "0." ^ String.make 400 '0' ^ "1";
+    "0." ^ String.make 319 '0' ^ "12345";
+    "100000000000000000000000";
+  ]
+
+let broken_fragments = [ "&"; "|"; "!"; "a-b"; "1.2.3"; "1..2.3"; "1.2.3.4.5"; "@" ]
+
+let gen_literal =
+  QCheck.Gen.(
+    let zeros = map (fun n -> String.make n '0') (int_range 0 3) in
+    let* n =
+      frequency
+        [ (3, int_range 1 14); (2, return 15); (2, return 16); (2, int_range 17 25) ]
+    in
+    let* first = char_range '1' '9' in
+    let* rest = string_size ~gen:numeral (return (n - 1)) in
+    let d = String.make 1 first ^ rest in
+    let* lz = zeros in
+    let* tz = zeros in
+    let* p = int_range 1 n in
+    oneofl
+      [
+        lz ^ d ^ tz;
+        lz ^ String.sub d 0 p ^ "." ^ String.sub d p (n - p) ^ tz;
+        "0." ^ lz ^ d ^ tz;
+        lz ^ d ^ ".";
+      ])
+
+let gen_key_text =
+  QCheck.Gen.(
+    let fragment =
+      frequency
+        [
+          (12, oneofl key_fragments); (8, gen_literal); (1, oneofl broken_fragments);
+        ]
+    in
+    let piece = map2 ( ^ ) fragment (oneofl [ ""; " "; " "; "\n"; "\t" ]) in
+    frequency
+      [
+        (4, map (String.concat "") (list_size (int_range 0 12) piece));
+        (1, map (Fmt.str "%a" L.Ast.pp_expr) gen_expr);
+      ])
+
+let arbitrary_key_text = QCheck.make ~print:String.escaped gen_key_text
+
+let prop_cache_key_matches_reference =
+  QCheck.Test.make ~name:"cache_key matches the token-list reference"
+    ~count:2000 arbitrary_key_text (fun src ->
+      let key = L.Requirement.cache_key src in
+      match O.Canonical.cache_key src with
+      | Some reference -> String.equal key reference
+      | None -> String.equal key ("\000" ^ src))
+
+let prop_tokenize_matches_reference =
+  QCheck.Test.make ~name:"tokenize matches the token-list reference"
+    ~count:1000 arbitrary_key_text (fun src ->
+      let same_error (a : L.Lexer.error) (b : L.Lexer.error) =
+        a.L.Lexer.line = b.L.Lexer.line
+        && a.L.Lexer.col = b.L.Lexer.col
+        && String.equal a.L.Lexer.message b.L.Lexer.message
+      in
+      let same_token (a : L.Token.located) (b : L.Token.located) =
+        L.Token.equal a.L.Token.token b.L.Token.token
+        && a.L.Token.line = b.L.Token.line
+        && a.L.Token.col = b.L.Token.col
+      in
+      match (L.Lexer.tokenize src, O.Canonical.tokenize src) with
+      | Ok a, Ok b -> List.equal same_token a b
+      | Error a, Error b -> same_error a b
+      | Ok _, Error _ | Error _, Ok _ -> false)
 
 let prop_logic_flag_stable_under_parens =
   QCheck.Test.make ~name:"wrapping in parens never changes is_logical"
@@ -1101,6 +1192,8 @@ let () =
           [
             prop_pp_parse_roundtrip;
             prop_canonical_fixpoint;
+            prop_cache_key_matches_reference;
+            prop_tokenize_matches_reference;
             prop_logic_flag_stable_under_parens;
             prop_lexer_never_crashes;
             prop_bytecode_matches_eval;

@@ -560,6 +560,28 @@ let test_reply_truncated_list () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "truncated list must not decode"
 
+(* Every byte of a few replies: the sequence number (low 32 bits, big
+   endian), the count word with bit 15 for degraded and bit 14 for
+   rejected, then each name behind its length byte. *)
+let test_reply_bytes () =
+  let check name expected ~seq ?(degraded = false) ?(rejected = false)
+      servers =
+    Alcotest.(check string) name expected
+      (P.Wizard_msg.encode_reply
+         { P.Wizard_msg.seq; servers; degraded; rejected })
+  in
+  check "two names" "\x01\x02\x03\x04\x00\x02\x01a\x02bc" ~seq:0x01020304
+    [ "a"; "bc" ];
+  check "empty, degraded, seq above 32 bits" "\xDE\xAD\xBE\xEF\x80\x00"
+    ~seq:0x1DEADBEEF ~degraded:true [];
+  check "rejected" "\x00\x00\x00\x07\x40\x01\x0810.0.0.1" ~seq:7
+    ~rejected:true [ "10.0.0.1" ];
+  check "both flags" "\x00\x00\x00\x00\xC0\x02\x00\x03srv" ~seq:0
+    ~degraded:true ~rejected:true [ ""; "srv" ];
+  let long = String.make 255 'h' in
+  check "255-byte name" ("\x00\x00\x01\x00\x00\x01\xFF" ^ long) ~seq:256
+    [ long ]
+
 let prop_request_roundtrip =
   QCheck.Test.make ~name:"request encode/decode round trip" ~count:300
     QCheck.(
@@ -1360,6 +1382,7 @@ let () =
           Alcotest.test_case "reply empty" `Quick test_reply_empty;
           Alcotest.test_case "reply limit" `Quick test_reply_limit;
           Alcotest.test_case "reply truncated" `Quick test_reply_truncated_list;
+          Alcotest.test_case "reply bytes" `Quick test_reply_bytes;
           Alcotest.test_case "reply degraded flag" `Quick
             test_reply_degraded_flag;
           Alcotest.test_case "reply rejected flag" `Quick

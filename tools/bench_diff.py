@@ -30,6 +30,7 @@ WIZARD_WORDS = (
     "warm_traced_allocs_per_req",
     "push_words_per_server",
     "select_words_2000",
+    "cache_key_words",
 )
 
 WIZARD_EXACT = (
