@@ -9,8 +9,6 @@ let create n =
   if n <= 0 then invalid_arg "Matrix.create: n must be positive";
   { n; data = Array.make (n * n) 0.0 }
 
-let size m = m.n
-
 let get m ~row ~col = m.data.((row * m.n) + col)
 
 let set m ~row ~col v = m.data.((row * m.n) + col) <- v

@@ -5,11 +5,7 @@ type t
 
 val create : int -> t
 
-val size : t -> int
-
 val get : t -> row:int -> col:int -> float
-
-val set : t -> row:int -> col:int -> float -> unit
 
 val init : int -> (row:int -> col:int -> float) -> t
 
@@ -35,12 +31,7 @@ val task_output_bytes : block -> int
 (** Multiply-accumulate operations in one task. *)
 val task_ops : n:int -> block -> int
 
-(** Compute one result tile (row-major array of [rows*cols]). *)
-val multiply_block : t -> t -> block -> float array
-
 (** Product via the task decomposition; equals [multiply]. *)
 val multiply_blocked : t -> t -> blk:int -> t
-
-val max_abs_diff : t -> t -> float
 
 val equal : ?eps:float -> t -> t -> bool

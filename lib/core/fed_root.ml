@@ -499,15 +499,11 @@ let tick t ~now =
   done;
   !outputs
 
-let pending_count t = Hashtbl.length t.pending
-
 let requests_handled t = Metrics.Counter.value t.requests_total
 
 let subqueries_sent t = Metrics.Counter.value t.subqueries_total
 
 let shards_skipped t = Metrics.Counter.value t.shards_skipped_total
-
-let shard_replies t = Metrics.Counter.value t.shard_replies_total
 
 let timeouts t = Metrics.Counter.value t.timeouts_total
 

@@ -28,9 +28,6 @@ type config = {
   routing : bool;  (** skip shards whose digest proves them empty *)
 }
 
-(** Compiled requirements kept in the root's analysis cache (128). *)
-val default_compile_cache_capacity : int
-
 (** [create ?metrics ?clock ?trace ?compile_cache_capacity config]
     builds a root.  [metrics] receives the [federation.*] instruments
     (see OBSERVABILITY.md); by default a private registry is used.
@@ -105,9 +102,6 @@ val handle_reply : t -> string -> Output.t list
     flagged degraded, counted in [federation.timeouts_total]). *)
 val tick : t -> now:float -> Output.t list
 
-(** Client requests currently awaiting shard replies. *)
-val pending_count : t -> int
-
 (** Client requests decoded over the root's lifetime. *)
 val requests_handled : t -> int
 
@@ -117,9 +111,6 @@ val subqueries_sent : t -> int
 (** Subqueries skipped because a digest proved the shard empty for the
     requirement. *)
 val shards_skipped : t -> int
-
-(** Shard replies received and matched to a pending request. *)
-val shard_replies : t -> int
 
 (** Requests answered at the deadline with partial replies. *)
 val timeouts : t -> int

@@ -93,7 +93,3 @@ let probe_all t ~now ~(prober : prober) =
 let recommended_interval ~groups ~per_probe_cost =
   let paths = groups * (groups - 1) in
   Float.max 2.0 (float_of_int paths *. per_probe_cost *. 2.0)
-
-let probes_run t = Metrics.Counter.value t.probes_total
-
-let probe_failures t = Metrics.Counter.value t.probe_failures_total

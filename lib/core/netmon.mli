@@ -35,9 +35,3 @@ val probe_all :
 (** Probing interval scaling rule of §3.3.3: grows with the n(n-1) path
     count. *)
 val recommended_interval : groups:int -> per_probe_cost:float -> float
-
-(** Path probes attempted over the monitor's lifetime. *)
-val probes_run : t -> int
-
-(** Path probes whose prober returned nothing (unreachable target). *)
-val probe_failures : t -> int

@@ -16,11 +16,3 @@ type t =
 let udp ~host ~port data = Udp { dst = { host; port }; data }
 
 let stream ~host ~port data = Stream { dst = { host; port }; data }
-
-let pp_address ppf a = Fmt.pf ppf "%s:%d" a.host a.port
-
-let pp ppf = function
-  | Udp { dst; data } ->
-    Fmt.pf ppf "udp -> %a (%d B)" pp_address dst (String.length data)
-  | Stream { dst; data } ->
-    Fmt.pf ppf "stream -> %a (%d B)" pp_address dst (String.length data)

@@ -12,7 +12,3 @@ type t =
 val udp : host:string -> port:int -> string -> t
 
 val stream : host:string -> port:int -> string -> t
-
-val pp_address : Format.formatter -> address -> unit
-
-val pp : Format.formatter -> t -> unit

@@ -264,6 +264,3 @@ let tick t ~now ~snapshot =
 
 let report_interval t =
   match t.adaptive with None -> None | Some _ -> Some t.interval_now
-
-let interval_adaptations t =
-  Smart_util.Metrics.Counter.value t.adaptations_total

@@ -71,6 +71,3 @@ val tick :
     adapted it, [None] when the probe was built without [adaptive]
     (the driver keeps its own fixed cadence). *)
 val report_interval : t -> float option
-
-(** Adaptive interval changes applied so far. *)
-val interval_adaptations : t -> int

@@ -275,15 +275,3 @@ let forget_source t ~from =
   Hashtbl.remove t.decoders from;
   Hashtbl.remove t.owned_hosts from;
   Metrics.Gauge.set t.transmitters (float_of_int (Hashtbl.length t.decoders))
-
-let frames_handled t = Metrics.Counter.value t.frames_total
-
-let digests_handled t = Metrics.Counter.value t.digests_total
-
-let sketches_handled t = Metrics.Counter.value t.sketches_total
-
-let decode_errors t = Metrics.Counter.value t.decode_errors_total
-
-let resyncs t = Metrics.Counter.value t.resyncs_total
-
-let corrupt_bytes t = Metrics.Counter.value t.corrupt_bytes_total

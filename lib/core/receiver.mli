@@ -58,22 +58,3 @@ val handle_stream : t -> from:string -> string -> (unit, string) result
     that tag sources per connection must call this or the per-source
     tables grow by one entry per push. *)
 val forget_source : t -> from:string -> unit
-
-(** Frames successfully applied to the mirror over the receiver's
-    lifetime. *)
-val frames_handled : t -> int
-
-(** [Digest_db] frames decoded and handed to the digest hook. *)
-val digests_handled : t -> int
-
-(** [Sketch_db] frames decoded and handed to the sketch hook. *)
-val sketches_handled : t -> int
-
-(** Stream or record decode failures. *)
-val decode_errors : t -> int
-
-(** Stream corruption episodes survived by resynchronisation. *)
-val resyncs : t -> int
-
-(** Stream bytes discarded while resynchronising. *)
-val corrupt_bytes : t -> int

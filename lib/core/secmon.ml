@@ -53,13 +53,4 @@ let refresh_from_log t text =
   Smart_util.Tracelog.finish t.trace span;
   result
 
-(* Direct injection for pluggable agents. *)
-let refresh t record =
-  let span = Smart_util.Tracelog.start t.trace "secmon.refresh" in
-  Status_db.replace_sec t.db record;
-  note_refresh t record;
-  Smart_util.Tracelog.finish t.trace span
-
-let refreshes t = Metrics.Counter.value t.refreshes_total
-
 let last_error t = t.last_error

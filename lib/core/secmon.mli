@@ -19,12 +19,5 @@ val create :
 val refresh_from_log :
   t -> string -> (Smart_proto.Records.sec_record, string) result
 
-(** Inject a pre-built record (third-party agent path). *)
-val refresh : t -> Smart_proto.Records.sec_record -> unit
-
-(** Successful security-table replacements over the monitor's
-    lifetime. *)
-val refreshes : t -> int
-
 (** Most recent parse failure, if any. *)
 val last_error : t -> string option

@@ -66,16 +66,11 @@ val select_scored :
   wanted:int ->
   Smart_proto.Fed_msg.candidate list
 
-(** Total order on candidates replicating the flat wizard's ranking:
-    preferred hosts first by rank ascending, then [order_by] key
-    descending with NaN after every real key, host name breaking all
-    remaining ties.  Exposed for tests. *)
-val compare_candidates :
-  Smart_proto.Fed_msg.candidate -> Smart_proto.Fed_msg.candidate -> int
-
 (** [merge_candidates ~wanted shards] merges per-shard
     [(shard_name, candidates)] lists into the final ranked host list:
-    the best [wanted] hosts under {!compare_candidates}, duplicates
+    the best [wanted] hosts in the flat wizard's ranking (preferred
+    hosts first by rank, then [order_by] key descending with NaN after
+    every real key, host name breaking the remaining ties), duplicates
     (possible only when shards overlap) keeping their best-ordered
     entry.  Deterministic in shard-reply arrival order: shards are
     sorted by name and every tie falls to the host name.  When the

@@ -23,14 +23,6 @@ module Metrics = Smart_util.Metrics
 
 type conn_state = Connecting | Established | Draining | Closed
 
-let pp_conn_state ppf s =
-  Fmt.string ppf
-    (match s with
-    | Connecting -> "connecting"
-    | Established -> "established"
-    | Draining -> "draining"
-    | Closed -> "closed")
-
 type conn = {
   host : string;
   mutable state : conn_state;
@@ -146,8 +138,6 @@ let conn_host c = c.host
 
 let conn_state c = c.state
 
-let in_flight c = c.in_flight
-
 let pool_size p = Hashtbl.length p.conns
 
 let touch p c =
@@ -199,15 +189,6 @@ let evict_idle p =
 
 type session_state = Idle | Selecting | Active | Migrating | Failed
 
-let pp_session_state ppf s =
-  Fmt.string ppf
-    (match s with
-    | Idle -> "idle"
-    | Selecting -> "selecting"
-    | Active -> "active"
-    | Migrating -> "migrating"
-    | Failed -> "failed")
-
 type session = {
   name : string;
   mutable sstate : session_state;
@@ -236,8 +217,6 @@ let session p ~name =
   }
 
 let session_state s = s.sstate
-
-let session_name s = s.name
 
 let session_conn s = s.conn
 

@@ -17,20 +17,15 @@
     its in-flight work resolves. *)
 type conn_state = Connecting | Established | Draining | Closed
 
-val pp_conn_state : Format.formatter -> conn_state -> unit
-
 (** One pooled connection: at most one per peer host. *)
 type conn
 
 type pool
 
-val default_capacity : int
 (** 16 pooled connections. *)
 
-val default_keepalive_interval : float
 (** 5 s of quiet before a probe is due. *)
 
-val default_keepalive_limit : int
 (** 3 consecutive missed probes declare the peer dead. *)
 
 (** [pool ?metrics ?trace ?capacity ?keepalive_interval ?keepalive_limit
@@ -58,9 +53,6 @@ val conn_host : conn -> string
 
 val conn_state : conn -> conn_state
 
-(** Work items issued on this connection and not yet resolved. *)
-val in_flight : conn -> int
-
 (** Entries currently pooled (may exceed capacity while all are busy). *)
 val pool_size : pool -> int
 
@@ -83,8 +75,6 @@ val drain : pool -> conn -> unit
     established while the old server is still held. *)
 type session_state = Idle | Selecting | Active | Migrating | Failed
 
-val pp_session_state : Format.formatter -> session_state -> unit
-
 type session
 
 (** A fresh [Idle] session named [name] (bumps the [session.sessions]
@@ -92,8 +82,6 @@ type session
 val session : pool -> name:string -> session
 
 val session_state : session -> session_state
-
-val session_name : session -> string
 
 (** The connection the session is bound to, when [Active]/[Migrating]. *)
 val session_conn : session -> conn option

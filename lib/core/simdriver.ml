@@ -1345,8 +1345,6 @@ let traffic_stats t tag =
 
 let db_wizard t = t.db_wizard
 
-let receiver_component t = t.receiver
-
 let group_count t = List.length t.groups
 
 let metrics t = t.metrics

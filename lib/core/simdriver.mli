@@ -121,24 +121,6 @@ val request :
   requirement:string ->
   (string list, Client.error) result
 
-(** Callback-style twin of {!request} for code already running inside an
-    engine callback ({!request} re-enters the engine and must not be
-    called there).  Sends now, retransmits on engine timers, and calls
-    the callback exactly once with the result.  Returns the request's
-    trace context — the [client.request] span that {!Session.bind}
-    takes as the binding's origin. *)
-val async_request :
-  ?option:Smart_proto.Wizard_msg.option_flag ->
-  ?timeout:float ->
-  ?attempts:int ->
-  ?backoff:Smart_util.Backoff.policy ->
-  t ->
-  client:string ->
-  wanted:int ->
-  requirement:string ->
-  ((string list, Client.error) result -> unit) ->
-  Smart_util.Tracelog.ctx
-
 (** What {!run_sessions} observed, summed over all sessions. *)
 type session_report = {
   sessions : int;
@@ -207,28 +189,9 @@ val revive_machine : t -> host:string -> unit
 (** Partition (or heal) every channel touching [host]. *)
 val set_host_partitioned : t -> host:string -> bool -> unit
 
-(** Partition (or heal) the channels directly connecting two adjacent
-    nodes; no-op when they are not adjacent. *)
-val set_link_partitioned : t -> a:string -> b:string -> bool -> unit
-
-(** Inject (or lift, [host] matching a group's monitor) a monitor
-    outage: the group's monitors and transmitter stop handling and
-    ticking, as if the processes were stopped — the machine and its
-    network stay up. *)
-val set_monitor_down : t -> host:string -> bool -> unit
-
-(** Per-message probability of corrupting one byte of a stream payload
-    in flight (metered by [faults.corrupted_messages_total]).  Raises
-    [Invalid_argument] outside [0, 1]. *)
-val set_frame_corruption : t -> float -> unit
-
-(** Carry out one fault action immediately (the effector behind
-    {!install_faults}). *)
-val apply_fault : t -> Smart_sim.Faults.action -> unit
-
 (** Arm a {!Smart_sim.Faults.plan} on the deployment's engine: each
-    event fires at its virtual time and is applied through
-    {!apply_fault}, so same-seed chaos runs replay identically. *)
+    event fires at its virtual time and is applied to the deployment
+    there, so same-seed chaos runs replay identically. *)
 val install_faults : t -> Smart_sim.Faults.plan -> Smart_sim.Faults.t
 
 (** [(messages, payload bytes)] sent so far by a component tag:
@@ -236,8 +199,6 @@ val install_faults : t -> Smart_sim.Faults.plan -> Smart_sim.Faults.t
 val traffic_stats : t -> string -> int * int
 
 val db_wizard : t -> Status_db.t
-
-val receiver_component : t -> Receiver.t
 
 val group_count : t -> int
 

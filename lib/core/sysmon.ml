@@ -252,15 +252,6 @@ let sweep t ~now =
   Smart_util.Tracelog.finish t.trace span;
   List.length expired
 
-let reports_handled t = Metrics.Counter.value t.reports_total
-
-let parse_errors t = Metrics.Counter.value t.parse_errors_total
-
-let quarantined t = Hashtbl.length t.quarantined
-
 let is_quarantined t ~host = Hashtbl.mem t.quarantined host
 
 let effective_flap_threshold t = t.flap_threshold_now
-
-let threshold_adaptations t =
-  Metrics.Counter.value t.threshold_adaptations_total

@@ -74,20 +74,8 @@ val handle_report :
     ([sysmon.quarantined_total], [sysmon.quarantine] trace instant). *)
 val sweep : t -> now:float -> int
 
-(** Reports successfully ingested over the monitor's lifetime. *)
-val reports_handled : t -> int
-
-(** Malformed report datagrams dropped. *)
-val parse_errors : t -> int
-
-(** Servers currently quarantined as flapping. *)
-val quarantined : t -> int
-
 val is_quarantined : t -> host:string -> bool
 
 (** The quarantine threshold {!sweep} currently applies — the configured
     [flap_threshold] until an armed {!flap_policy} adapts it. *)
 val effective_flap_threshold : t -> int
-
-(** Adaptive threshold changes applied so far. *)
-val threshold_adaptations : t -> int

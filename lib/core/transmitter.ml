@@ -261,14 +261,6 @@ let handle_pull t ~data =
   | Distributed -> []
   | Centralized -> []
 
-let pushes t = Metrics.Counter.value t.pushes_total
-
-let bytes_sent t = Metrics.Counter.value t.bytes_total
-
-let send_failures t = Metrics.Counter.value t.send_failures_total
-
 let resends t = Metrics.Counter.value t.resends_total
-
-let digest_pushes t = Metrics.Counter.value t.digest_pushes_total
 
 let resend_queue_length t = Queue.length t.resend

@@ -9,9 +9,6 @@ type mode = Centralized | Distributed
 (** Datagram body that triggers a distributed-mode push. *)
 val pull_request_magic : string
 
-(** Payloads the resend queue holds before dropping the oldest (8). *)
-val default_resend_capacity : int
-
 type config = {
   mode : mode;  (** push-on-tick vs pull-driven *)
   order : Smart_proto.Endian.order;  (** must match the receiver's *)
@@ -96,20 +93,8 @@ val backing_off : t -> now:float -> bool
     matches, no-op otherwise. *)
 val handle_pull : t -> data:string -> Output.t list
 
-(** Snapshots shipped over the transmitter's lifetime. *)
-val pushes : t -> int
-
-(** Total encoded frame bytes shipped. *)
-val bytes_sent : t -> int
-
-(** Stream deliveries the driver reported failed. *)
-val send_failures : t -> int
-
 (** Queued payloads re-sent after backoff. *)
 val resends : t -> int
-
-(** Pushes that shipped a federation digest (digest-uplink mode). *)
-val digest_pushes : t -> int
 
 (** Payloads currently waiting in the resend queue. *)
 val resend_queue_length : t -> int

@@ -22,10 +22,7 @@
      (requirement, wanted) and validated against the generation:
      selection is a pure function of the snapshot, so serving the
      memoized result while the generation is unchanged is exact, and a
-     single status write invalidates everything at once;
-   - distributed-mode ticks additionally share a per-tick batch memo,
-     so a burst of parked requests carrying the same requirement is
-     answered by a single scan even when the LRU has churned. *)
+     single status write invalidates everything at once. *)
 
 type mode =
   | Centralized
@@ -151,7 +148,6 @@ type t = {
   compile_errors_total : Metrics.Counter.t;
   snapshot_rebuilds_total : Metrics.Counter.t;
   snapshot_refreshes_total : Metrics.Counter.t;
-  batched_requests_total : Metrics.Counter.t;
   updates_total : Metrics.Counter.t;
   compile_cache_hits_total : Metrics.Counter.t;
   compile_cache_misses_total : Metrics.Counter.t;
@@ -237,10 +233,6 @@ let create ?(compile_cache_capacity = default_compile_cache_capacity)
       Metrics.counter metrics
         ~help:"columnar snapshot in-place row refreshes"
         "wizard.snapshot_refreshes_total";
-    batched_requests_total =
-      Metrics.counter metrics
-        ~help:"parked requests answered from the per-tick batch memo"
-        "wizard.batched_requests_total";
     updates_total =
       Metrics.counter metrics ~help:"receiver frames observed via the update hook"
         "wizard.updates_total";
@@ -428,12 +420,6 @@ let reply_to t (request : Smart_proto.Wizard_msg.request) ~parent ~at ~from
   Smart_util.Tracelog.finish t.trace ?at span;
   outputs
 
-(* The selected servers for (requirement, wanted) at the current
-   generation — memoized because selection is a pure function of the
-   snapshot, the program and the count.  [None] means the requirement
-   did not compile.  [batch] is a per-tick memo shared by a burst of
-   parked requests: unlike the LRU it cannot churn, so each distinct
-   requirement is scanned at most once per tick. *)
 (* The uncached scan: columnar snapshot + one bytecode pass. *)
 let select_scan t ~parent ~fast ~wanted =
   let view = server_columns t ~parent in
@@ -450,48 +436,41 @@ let compile_fresh t ~parent source =
   Smart_util.Tracelog.finish t.trace span;
   result
 
-let select_cached t ~parent ?batch ~source ~wanted () =
-  match batch with
-  | None when Smart_util.Lru.capacity t.result_cache = 0 ->
+(* The selected servers for (requirement, wanted) at the current
+   generation — memoized because selection is a pure function of the
+   snapshot, the program and the count.  [None] means the requirement
+   did not compile. *)
+let select_cached t ~parent ~source ~wanted =
+  if Smart_util.Lru.capacity t.result_cache = 0 then begin
     (* caching disabled (capacity 0): the pre-cache request path is
        exactly compile + scan, so skip key derivation entirely — token
        canonicalization would cost more than the cache could save *)
     Metrics.Counter.incr t.result_cache_misses_total;
-    (match compile_fresh t ~parent source with
+    match compile_fresh t ~parent source with
     | Error _ -> None
-    | Ok fast -> Some (select_scan t ~parent ~fast ~wanted))
-  | _ ->
-  let ckey = Smart_lang.Requirement.cache_key source in
-  let key = string_of_int wanted ^ "\x00" ^ ckey in
-  match
-    (match batch with Some b -> Hashtbl.find_opt b key | None -> None)
-  with
-  | Some servers ->
-    Metrics.Counter.incr t.batched_requests_total;
-    servers
-  | None ->
+    | Ok fast -> Some (select_scan t ~parent ~fast ~wanted)
+  end
+  else
+    let ckey = Smart_lang.Requirement.cache_key source in
+    let key = string_of_int wanted ^ "\x00" ^ ckey in
     let generation = Status_db.generation t.db in
-    let servers =
-      match Smart_util.Lru.find t.result_cache key with
-      | Some (g, servers) when g = generation ->
-        Metrics.Counter.incr t.result_cache_hits_total;
-        Some servers
-      | Some _ | None ->
-        Metrics.Counter.incr t.result_cache_misses_total;
-        (match compile t ~parent ~key:ckey source with
-        | Error _ -> None
-        | Ok fast ->
-          let servers = select_scan t ~parent ~fast ~wanted in
-          Smart_util.Lru.add t.result_cache key (generation, servers);
-          Some servers)
-    in
-    (match batch with Some b -> Hashtbl.replace b key servers | None -> ());
-    servers
+    match Smart_util.Lru.find t.result_cache key with
+    | Some (g, servers) when g = generation ->
+      Metrics.Counter.incr t.result_cache_hits_total;
+      Some servers
+    | Some _ | None ->
+      Metrics.Counter.incr t.result_cache_misses_total;
+      (match compile t ~parent ~key:ckey source with
+      | Error _ -> None
+      | Ok fast ->
+        let servers = select_scan t ~parent ~fast ~wanted in
+        Smart_util.Lru.add t.result_cache key (generation, servers);
+        Some servers)
 
 (* The request span adopts the context carried in the request datagram,
    so the wizard's parse/snapshot/select/reply internals appear as
    children of the requesting client's span. *)
-let process t ?batch (request : Smart_proto.Wizard_msg.request) ~from =
+let process t (request : Smart_proto.Wizard_msg.request) ~from =
   Metrics.Counter.incr t.requests_total;
   let started = t.clock () in
   let span =
@@ -504,9 +483,9 @@ let process t ?batch (request : Smart_proto.Wizard_msg.request) ~from =
   in
   let outputs =
     match
-      select_cached t ~parent ?batch
+      select_cached t ~parent
         ~source:request.Smart_proto.Wizard_msg.requirement
-        ~wanted:request.Smart_proto.Wizard_msg.server_num ()
+        ~wanted:request.Smart_proto.Wizard_msg.server_num
     with
     | None ->
       Metrics.Counter.incr t.compile_errors_total;
@@ -658,8 +637,8 @@ let handle_subquery t ~from data =
 
 (* Flush distributed-mode requests whose data is fresh (all transmitters
    re-reported) or whose deadline passed.  Replies go out in arrival
-   order; the shared batch memo means a burst of identical requirements
-   costs one snapshot scan regardless of LRU churn. *)
+   order; a tick runs at one generation, so the result cache answers a
+   burst of identical requests with one snapshot scan. *)
 let tick t ~now =
   (* admission-delayed requests whose tokens have accrued re-enter the
      ordinary dispatch (a distributed-mode wizard then parks them again,
@@ -687,13 +666,7 @@ let tick t ~now =
   in
   List.iter (fun p -> Queue.add p t.pending) waiting;
   Metrics.Gauge.set t.pending_gauge (float_of_int (Queue.length t.pending));
-  released
-  @
-  match ready with
-  | [] -> []
-  | ready ->
-    let batch = Hashtbl.create 16 in
-    List.concat_map (fun p -> process t ~batch p.request ~from:p.from) ready
+  released @ List.concat_map (fun p -> process t p.request ~from:p.from) ready
 
 let pending_count t = Queue.length t.pending
 
@@ -716,11 +689,7 @@ let snapshot_rebuilds t = Metrics.Counter.value t.snapshot_rebuilds_total
 
 let snapshot_refreshes t = Metrics.Counter.value t.snapshot_refreshes_total
 
-let batched_requests t = Metrics.Counter.value t.batched_requests_total
-
 let request_latency_summary t = Metrics.histogram_summary t.request_latency
-
-let degraded_replies t = Metrics.Counter.value t.degraded_replies_total
 
 let admission_rejected t = Metrics.Counter.value t.admission_rejected_total
 
@@ -731,7 +700,5 @@ let delayed_count t = Queue.length t.delayed
 let subqueries_handled t = t.subqueries_seen
 
 let latency_sketch t = t.latency_sketch
-
-let staleness_adaptations t = Metrics.Counter.value t.staleness_adaptations_total
 
 let last_result t = t.last_result

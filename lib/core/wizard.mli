@@ -191,16 +191,9 @@ val snapshot_rebuilds : t -> int
     existing hosts' system rows rewritten, no rebuild). *)
 val snapshot_refreshes : t -> int
 
-(** Parked distributed-mode requests answered from the per-tick batch
-    memo (one snapshot scan shared by identical requirements). *)
-val batched_requests : t -> int
-
 (** The [wizard.request_latency_seconds] histogram in one read:
     count/sum/min/max plus nearest-rank p50/p95/p99. *)
 val request_latency_summary : t -> Smart_util.Metrics.histogram_summary
-
-(** Replies served with the degraded (stale snapshot) flag set. *)
-val degraded_replies : t -> int
 
 (** Requests shed by admission control (rejected reply sent). *)
 val admission_rejected : t -> int
@@ -231,6 +224,3 @@ val latency_sketch : t -> Smart_util.Sketch.t
     [staleness_threshold] until an armed {!staleness_policy} adapts
     it. *)
 val staleness_threshold_now : t -> float
-
-(** Adaptive threshold changes applied so far. *)
-val staleness_adaptations : t -> int

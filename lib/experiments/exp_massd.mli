@@ -4,8 +4,6 @@
 (** The two shaped host groups of the massive-download testbed. *)
 val group1 : string list
 
-val group2 : string list
-
 (** One shaper calibration point: requested vs. achieved rate. *)
 type calibration_sample = {
   data_kb : int;

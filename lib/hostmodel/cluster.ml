@@ -92,11 +92,6 @@ let machines t =
   Hashtbl.fold (fun id m acc -> (id, m) :: acc) t.machines []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-(* Sync every machine's lazy state to the current virtual time. *)
-let sync_machines t =
-  let at = now t in
-  Hashtbl.iter (fun _ m -> Machine.sync m ~now:at) t.machines
-
 (* rshaper had a queue of roughly one frame, so the default bucket depth
    is a single MTU: probe streams then observe the shaped rate rather
    than bursting through. *)

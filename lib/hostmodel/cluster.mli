@@ -42,9 +42,6 @@ val machine : t -> int -> Machine.t
 (** All (node id, machine) pairs, sorted by node id. *)
 val machines : t -> (int * Machine.t) list
 
-(** Sync all machines' lazy dynamic state to the current time. *)
-val sync_machines : t -> unit
-
 (** rshaper equivalent on the machine's outgoing access channel(s);
     [None] removes the shaper.  Returns [true] if a channel was found.
     The default [burst] is one MTU so probes measure the shaped rate. *)

@@ -2,9 +2,6 @@
     resource state (CPU jiffies, load averages, memory pools, disk and
     network counters). *)
 
-(** Jiffies per second of virtual CPU time (Linux USER_HZ). *)
-val user_hz : float
-
 type spec = {
   name : string;
   ip : string;

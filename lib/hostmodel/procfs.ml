@@ -19,8 +19,6 @@ type disk_io = {
 
 let zero_disk_io = { rreq = 0.0; rblocks = 0.0; wreq = 0.0; wblocks = 0.0 }
 
-let allreq d = d.rreq +. d.wreq
-
 type meminfo = {
   total : int;
   used : int;

@@ -16,11 +16,6 @@ type disk_io = {
   wblocks : float;
 }
 
-val zero_disk_io : disk_io
-
-(** Total requests, the thesis's [allreq]. *)
-val allreq : disk_io -> float
-
 type meminfo = {
   total : int;
   used : int;

@@ -28,15 +28,7 @@ type program = statement list
     boolean connective. *)
 val is_logical : expr -> bool
 
-val arith_op_to_string : arith_op -> string
-
-val cmp_op_to_string : cmp_op -> string
-
-val logic_op_to_string : logic_op -> string
-
 (** Prints parseable text (round-trip tested). *)
 val pp_expr : Format.formatter -> expr -> unit
-
-val pp_program : Format.formatter -> program -> unit
 
 val program_to_string : program -> string

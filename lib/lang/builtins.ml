@@ -19,5 +19,3 @@ let table : (string * (float -> float)) list =
 let find name = List.assoc_opt name table
 
 let is_builtin name = find name <> None
-
-let names = List.map fst table

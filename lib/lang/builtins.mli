@@ -2,10 +2,6 @@
     set of §3.6.2): sin, cos, tan, atan, exp, log, ln, log10, sqrt, int,
     abs. *)
 
-val table : (string * (float -> float)) list
-
 val find : string -> (float -> float) option
 
 val is_builtin : string -> bool
-
-val names : string list

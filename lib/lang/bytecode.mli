@@ -51,9 +51,6 @@ val column_of_var : string -> int option
 (** Fresh (uninitialised) columns for [n] servers. *)
 val create_columns : int -> columns
 
-(** Number of user-side parameters (10). *)
-val uparam_count : int
-
 (** Slot of a user-side parameter in [Vars.user_side] order: preferred
     hosts are slots [0..4], denied hosts [5..9]. *)
 val uparam_slot : string -> int

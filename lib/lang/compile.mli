@@ -15,6 +15,3 @@
     debug mode for flushing out compiler bugs, off by default because
     the compiler sits on the wizard's cache-miss path. *)
 val program : ?verify:bool -> Ast.program -> Bytecode.program
-
-(** Is a statement an [order_by = ...] ranking assignment? *)
-val is_order_by : Ast.statement -> bool

@@ -45,10 +45,6 @@ val scanner : string -> scanner
     the scan is over. *)
 val next : scanner -> kind
 
-(** The error the last {!next} reported with [Bad], at the offending
-    token's position. *)
-val error : scanner -> error
-
 (** Tokenize a complete requirement text.  On success the list always
     ends with [Token.Eof]. *)
 val tokenize : string -> (Token.located list, error) result

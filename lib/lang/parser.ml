@@ -13,9 +13,6 @@
 
 type error = { line : int; col : int; message : string }
 
-let pp_error ppf e =
-  Fmt.pf ppf "syntax error at %d:%d: %s" e.line e.col e.message
-
 type state = { mutable tokens : Token.located list }
 
 let here st =

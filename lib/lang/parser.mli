@@ -2,10 +2,5 @@
 
 type error = { line : int; col : int; message : string }
 
-val pp_error : Format.formatter -> error -> unit
-
-(** Parse pre-lexed tokens into a program. *)
-val parse_program : Token.located list -> (Ast.program, error) result
-
 (** Lex and parse a requirement text. *)
 val parse : string -> (Ast.program, error) result

@@ -9,15 +9,6 @@
 (** The 22 [host_*] variables bound from probe reports. *)
 val server_side : string list
 
-(** Bound from the network monitor and security databases:
-    [monitor_network_delay], [monitor_network_bw],
-    [host_security_level]. *)
-val monitor_side : string list
-
-val user_preferred_prefix : string
-
-val user_denied_prefix : string
-
 (** The 10 user-side parameters: [user_preferred_host1..5] and
     [user_denied_host1..5]. *)
 val user_side : string list

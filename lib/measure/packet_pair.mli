@@ -14,16 +14,6 @@ type result = {
                            "%% reliable" output *)
 }
 
-(** One pair; [None] when an echo is lost or the gap is non-positive. *)
-val probe_once :
-  ?size:int ->
-  ?timeout:float ->
-  Smart_net.Netstack.t ->
-  src:int ->
-  dst:int ->
-  unit ->
-  trial option
-
 (** [trials] pairs, [gap] seconds apart, summarised by the median. *)
 val measure :
   ?size:int ->

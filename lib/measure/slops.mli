@@ -13,19 +13,6 @@ type result = {
 (** Delay-trend classification of one stream's per-packet delays. *)
 val trend : float array -> verdict
 
-(** Per-packet RTTs of one rate-controlled probe stream, in send order
-    (lost packets omitted). *)
-val stream :
-  ?count:int ->
-  ?size:int ->
-  ?timeout:float ->
-  Smart_net.Netstack.t ->
-  src:int ->
-  dst:int ->
-  rate:float ->
-  unit ->
-  float array
-
 (** Bracket the available bandwidth between [lo] and [hi]. *)
 val measure :
   ?iterations:int ->

@@ -23,17 +23,6 @@ val probe_ttl :
   unit ->
   reply_kind * float option
 
-(** Two-size bandwidth estimate to the router at [ttl]. *)
-val hop_bandwidth :
-  ?s1:int ->
-  ?s2:int ->
-  Smart_net.Netstack.t ->
-  src:int ->
-  dst:int ->
-  ttl:int ->
-  unit ->
-  float option
-
 (** Full trace; stops at the destination's port-unreachable or at
     [max_ttl]. *)
 val run :

@@ -1,11 +1,6 @@
 (** The paper's one-way UDP stream available-bandwidth estimator:
     [B = (S2 - S1) / (T2 - T1)] (Formula 3.5). *)
 
-(** The thesis's optimal probe sizes under MTU 1500 (Table 3.3). *)
-val default_s1 : int
-
-val default_s2 : int
-
 type trial = { s1 : int; s2 : int; t1 : float; t2 : float; bw : float }
 
 type result = {

@@ -63,9 +63,6 @@ let set_progress_hook t hook = t.on_progress <- hook
 
 let active_count t = List.length t.flows
 
-let flow_rate t ~flow_id =
-  List.find_map (fun f -> if f.id = flow_id then Some f.rate else None) t.flows
-
 (* Bank the bytes moved since [last_update] at the current rates. *)
 let bank_progress t ~now =
   let dt = now -. t.last_update in

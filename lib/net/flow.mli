@@ -31,9 +31,6 @@ val set_progress_hook : t -> (src:int -> dst:int -> float -> unit) option -> uni
 (** Number of in-flight flows. *)
 val active_count : t -> int
 
-(** Current fair rate of a flow, if still active. *)
-val flow_rate : t -> flow_id:int -> float option
-
 (** [start t ~src ~dst ~bytes ~on_complete] launches a transfer and
     returns its flow id.  [on_complete] fires exactly once, at the virtual
     time the last byte is delivered. *)

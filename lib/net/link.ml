@@ -14,9 +14,6 @@ type conf = {
   loss : float;        (* independent per-fragment loss probability *)
 }
 
-let default_conf =
-  { capacity = 100e6 /. 8.0; prop_delay = 50e-6; jitter = 0.0; loss = 0.0 }
-
 type t = {
   id : int;
   src : int;

@@ -11,9 +11,6 @@ type conf = {
   loss : float;        (** independent per-fragment loss probability *)
 }
 
-(** 100 Mbps, 50 µs, no jitter, no loss. *)
-val default_conf : conf
-
 type t = {
   id : int;
   src : int;
@@ -43,9 +40,6 @@ val partitioned : t -> bool
 
 (** Set background cross-traffic load in bytes/second (clamped at 0). *)
 val set_cross_load : t -> float -> unit
-
-(** Physical capacity clamped by the shaper, bytes/second. *)
-val effective_capacity : t -> float
 
 (** Bandwidth currently available to foreground packets, bytes/second. *)
 val residual_rate : t -> float

@@ -7,7 +7,6 @@
 
 val ip_header : int
 val udp_header : int
-val icmp_wire_size : int
 
 type handler = now:float -> Packet.t -> unit
 

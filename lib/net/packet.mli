@@ -23,6 +23,4 @@ type t = {
   payload : string;  (** application bytes; "" when only timing matters *)
 }
 
-val pp_proto : Format.formatter -> proto -> unit
-
 val pp : Format.formatter -> t -> unit

@@ -71,11 +71,6 @@ let resolve t key =
   | Some id -> Some id
   | None -> find_by_ip t key
 
-let channel t id =
-  if id < 0 || id >= Array.length t.channels then
-    invalid_arg "Topology.channel: bad id";
-  t.channels.(id)
-
 let add_channel t ~src ~dst conf =
   let id = Array.length t.channels in
   let c = Link.create ~id ~src ~dst conf in

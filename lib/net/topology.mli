@@ -18,26 +18,14 @@ exception No_route of { src : int; dst : int }
 
 val create : unit -> t
 
-val node_count : t -> int
-
 (** Node by id; raises [Invalid_argument] on a bad id. *)
 val node : t -> int -> node
 
 (** Register a node; names and IPs must be unique.  Returns the node id. *)
 val add_node : ?nic:nic -> t -> name:string -> ip:string -> int
 
-val find_by_name : t -> string -> int option
-
-val find_by_ip : t -> string -> int option
-
 (** Resolve a hostname or dotted IP to a node id. *)
 val resolve : t -> string -> int option
-
-(** Channel by id. *)
-val channel : t -> int -> Link.t
-
-(** One directional channel. *)
-val add_channel : t -> src:int -> dst:int -> Link.conf -> Link.t
 
 (** Bidirectional link: returns [(a_to_b, b_to_a)]. *)
 val add_link : t -> a:int -> b:int -> Link.conf -> Link.t * Link.t

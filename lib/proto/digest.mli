@@ -18,15 +18,13 @@ type stat = {
   hi : float;  (** largest value observed *)
 }
 
-(** The identity of {!merge_stat}: no observations, with the empty
-    interval encoded as [lo = +inf > hi = -inf]. *)
+(** The identity of a column merge (counts add, intervals union): no
+    observations, with the empty interval encoded as
+    [lo = +inf > hi = -inf]. *)
 val empty_stat : stat
 
 (** Fold one value into a column summary. *)
 val observe : stat -> float -> stat
-
-(** Combine two column summaries: counts add, intervals union. *)
-val merge_stat : stat -> stat -> stat
 
 type t = {
   shard : string;  (** name of the regional wizard that built it *)
@@ -42,10 +40,10 @@ type t = {
     identity of {!merge} for that width. *)
 val empty : shard:string -> sys_fields:int -> t
 
-(** Elementwise {!merge_stat} over every column; server counts add, the
-    generation takes the max, the shard name comes from the left
-    argument.  Raises [Invalid_argument] when the operands disagree on
-    the system column count. *)
+(** Elementwise column merge (counts add, intervals union); server
+    counts add, the generation takes the max, the shard name comes from
+    the left argument.  Raises [Invalid_argument] when the operands
+    disagree on the system column count. *)
 val merge : t -> t -> t
 
 (** Serialise for a [Frame.Digest_db] payload in byte order [order]. *)

@@ -16,15 +16,9 @@ type payload_type = Sys_db | Net_db | Sec_db | Digest_db | Sketch_db
 
 val type_code : payload_type -> int
 
-val type_of_code : int -> payload_type option
-
 (** A traced frame's wire type code is [type_code + traced_code_offset];
     it carries an 8-byte trace context between header and payload. *)
 val traced_code_offset : int
-
-(** A CRC'd frame's wire type code adds [crc_code_offset]; it carries a
-    CRC-32 (IEEE) trailer over header, context and payload. *)
-val crc_code_offset : int
 
 val header_size : int
 
@@ -51,8 +45,6 @@ type error =
   | Oversized of int  (** size prefix beyond {!max_frame_size} *)
   | Crc_mismatch of { expected : int; got : int }
       (** the trailer disagrees with the received bytes *)
-
-val pp_error : Format.formatter -> error -> unit
 
 val error_to_string : error -> string
 

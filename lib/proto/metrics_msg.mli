@@ -7,9 +7,6 @@
     {!Smart_util.Metrics.to_text} / {!Smart_util.Metrics.to_json}). *)
 type format = Text | Json
 
-(** ["SMART-METRICS"] — the prefix every scrape request carries. *)
-val request_magic : string
-
 (** The scrape datagram for [format]. *)
 val encode_request : format -> string
 

@@ -3,8 +3,6 @@
 (* monitor machine *)
 let transmitter = 1110
 let sysmon = 1111
-let netmon = 1112
-let secmon = 1113
 
 (* wizard machine *)
 let wizard = 1120
@@ -20,12 +18,6 @@ let service = 1130
 
 (* probe source port *)
 let probe = 1109
-
-(* System V shared-memory / semaphore keys of Table 4.3; kept for
-   fidelity and used as shared-state identifiers by the realnet driver. *)
-let shm_keys_monitor = [ ("system", 1234); ("network", 1235); ("security", 1236) ]
-
-let shm_keys_wizard = [ ("system", 4321); ("network", 5321); ("security", 6321) ]
 
 (* Maximum servers a wizard reply may carry (§3.6.1: the reply is a
    single UDP message, so the list is bounded). *)

@@ -2,8 +2,6 @@
 
 val transmitter : int
 val sysmon : int
-val netmon : int
-val secmon : int
 val wizard : int
 val receiver : int
 
@@ -17,11 +15,6 @@ val service : int
 
 (** Probe source port / netmon echo port. *)
 val probe : int
-
-(** System V (type, key) pairs of Table 4.3, kept for fidelity. *)
-val shm_keys_monitor : (string * int) list
-
-val shm_keys_wizard : (string * int) list
 
 (** Reply server-list bound (§3.6.1: one UDP datagram per reply). *)
 val max_reply_servers : int

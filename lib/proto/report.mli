@@ -27,9 +27,6 @@ type t = {
   net_tpackets : float;
 }
 
-(** Total disk requests per second (the thesis's [allreq]). *)
-val disk_allreq : t -> float
-
 (** [to_string ?trace r] renders the report.  A non-root [trace] appends
     a trace-context suffix; the default ({!Smart_util.Tracelog.root})
     keeps the rendering byte-identical to the pre-trace format. *)

@@ -18,13 +18,7 @@ type t = {
 }
 
 (** Raises [Invalid_argument] when a name exceeds the u16 length fields
-    or a sketch exceeds {!max_level_items} retained items per level. *)
+    or a sketch exceeds 2{^20} retained items per level. *)
 val encode : Endian.order -> t -> string
 
 val decode : Endian.order -> string -> (t, string) result
-
-(** Cap on retained items per level accepted by {!decode} (also the
-    {!encode} limit, so the two agree): far above what an honest
-    sketch retains, low enough that a hostile length field cannot
-    force a giant allocation. *)
-val max_level_items : int

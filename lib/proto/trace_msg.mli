@@ -7,10 +7,6 @@
     Perfetto-loadable). *)
 type format = Text | Json
 
-(** ["SMART-TRACE"] — the prefix every scrape request carries.  Distinct
-    from [Metrics_msg.request_magic], so both scrapes share a socket. *)
-val request_magic : string
-
 val encode_request : format -> string
 
 (** [Some format] when [data] is a trace scrape, [None] otherwise. *)

@@ -192,123 +192,6 @@ let close_all connected =
     connected
 
 (* ------------------------------------------------------------------ *)
-(* Pooled service connections (DESIGN.md §15)                          *)
-(* ------------------------------------------------------------------ *)
-
-(* The realnet face of {!Smart_core.Session}: the sans-IO pool decides
-   reuse, reference counts and LRU eviction; this wrapper owns the real
-   descriptors, dialing on a pool miss and closing whatever the pool
-   evicts.  Thread-safe — demo and daemon threads share one pool. *)
-type pool = {
-  pool_book : Addr_book.t;
-  core : Smart_core.Session.pool;
-  fds : (string, Unix.file_descr) Hashtbl.t;
-  pool_mutex : Mutex.t;
-  pool_connect_timeout : float option;
-}
-
-type pooled = { server : connected_server; handle : Smart_core.Session.conn }
-
-let create_pool ?metrics ?capacity ?keepalive_interval ?keepalive_limit
-    ?connect_timeout book =
-  let fds = Hashtbl.create 16 in
-  let close_host host =
-    match Hashtbl.find_opt fds host with
-    | Some fd ->
-      Hashtbl.remove fds host;
-      (try Unix.close fd with Unix.Unix_error (_, _, _) -> ())
-    | None -> ()
-  in
-  let core =
-    Smart_core.Session.pool ?metrics ?capacity ?keepalive_interval
-      ?keepalive_limit
-      ~on_evict:(fun c -> close_host (Smart_core.Session.conn_host c))
-      ~clock:Unix.gettimeofday ()
-  in
-  {
-    pool_book = book;
-    core;
-    fds;
-    pool_mutex = Mutex.create ();
-    pool_connect_timeout = connect_timeout;
-  }
-
-let locked p f =
-  Mutex.lock p.pool_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock p.pool_mutex) f
-
-(* Reuse the pooled socket to [host] or dial a fresh one.  The core pool
-   does the bookkeeping (reuse and eviction metrics under [session.*]);
-   a dial failure closes the pool entry so the next acquire retries. *)
-let pool_acquire p ~host =
-  locked p (fun () ->
-      let c = Smart_core.Session.acquire p.core ~host in
-      let dial () =
-        match
-          connect_service ?connect_timeout:p.pool_connect_timeout p.pool_book
-            ~host
-        with
-        | Some server ->
-          Smart_core.Session.established p.core c;
-          Hashtbl.replace p.fds host server.socket;
-          Some { server; handle = c }
-        | None ->
-          Smart_core.Session.release p.core c;
-          Smart_core.Session.close p.core c;
-          None
-      in
-      match Smart_core.Session.conn_state c with
-      | Smart_core.Session.Connecting -> dial ()
-      | Smart_core.Session.Established -> (
-        match Hashtbl.find_opt p.fds host with
-        | Some fd -> Some { server = { host; socket = fd }; handle = c }
-        | None -> dial () (* entry survived but its socket is gone: redial *))
-      | Smart_core.Session.Draining | Smart_core.Session.Closed ->
-        Smart_core.Session.release p.core c;
-        None)
-
-(* Hand the connection back; it stays pooled (and open) for the next
-   acquire unless the pool has meanwhile decided otherwise. *)
-let pool_release p pooled =
-  locked p (fun () ->
-      Smart_core.Session.release p.core pooled.handle;
-      if
-        Smart_core.Session.conn_state pooled.handle = Smart_core.Session.Closed
-      then
-        match Hashtbl.find_opt p.fds pooled.server.host with
-        | Some fd when fd == pooled.server.socket ->
-          Hashtbl.remove p.fds pooled.server.host;
-          (try Unix.close fd with Unix.Unix_error (_, _, _) -> ())
-        | Some _ | None -> ())
-
-(* The acquired socket turned out dead (read error, peer reset): close
-   it and drop the pool entry so the next acquire dials fresh. *)
-let pool_discard p pooled =
-  locked p (fun () ->
-      Smart_core.Session.release p.core pooled.handle;
-      Smart_core.Session.close p.core pooled.handle;
-      (match Hashtbl.find_opt p.fds pooled.server.host with
-      | Some fd when fd == pooled.server.socket ->
-        Hashtbl.remove p.fds pooled.server.host
-      | Some _ | None -> ());
-      try Unix.close pooled.server.socket
-      with Unix.Unix_error (_, _, _) -> ())
-
-let pool_open_count p = locked p (fun () -> Hashtbl.length p.fds)
-
-let pool_close p =
-  locked p (fun () ->
-      let hosts = Hashtbl.fold (fun host _ acc -> host :: acc) p.fds [] in
-      List.iter
-        (fun host ->
-          match Hashtbl.find_opt p.fds host with
-          | Some fd ->
-            Hashtbl.remove p.fds host;
-            (try Unix.close fd with Unix.Unix_error (_, _, _) -> ())
-          | None -> ())
-        (List.sort String.compare hosts))
-
-(* ------------------------------------------------------------------ *)
 (* massd over real sockets                                              *)
 (* ------------------------------------------------------------------ *)
 

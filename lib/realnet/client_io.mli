@@ -77,52 +77,6 @@ val request_sockets :
 
 val close_all : connected_server list -> unit
 
-(** {1 Pooled service connections (DESIGN.md §15)}
-
-    The realnet face of {!Smart_core.Session}: the sans-IO pool decides
-    reuse, reference counting and LRU eviction (metered under the
-    [session.*] namespace); this wrapper owns the real descriptors —
-    dialing on a pool miss, closing whatever the pool evicts.  All
-    operations are thread-safe. *)
-
-type pool
-
-(** One acquired connection: the socket plus the pool's handle on it. *)
-type pooled = { server : connected_server; handle : Smart_core.Session.conn }
-
-(** [create_pool ?metrics ?capacity ?keepalive_interval ?keepalive_limit
-    ?connect_timeout book] builds a pool dialing through [book].
-    Defaults as in {!Smart_core.Session.pool}; the wall clock is
-    injected. *)
-val create_pool :
-  ?metrics:Smart_util.Metrics.t ->
-  ?capacity:int ->
-  ?keepalive_interval:float ->
-  ?keepalive_limit:int ->
-  ?connect_timeout:float ->
-  Addr_book.t ->
-  pool
-
-(** Reuse the pooled socket to [host] or dial a fresh one
-    ([session.pool_reused_total] / [session.pool_opened_total]); [None]
-    when the host is unknown or refuses.  Pair with {!pool_release} (or
-    {!pool_discard} if the socket turns out dead). *)
-val pool_acquire : pool -> host:string -> pooled option
-
-(** Hand the connection back; it stays open and pooled for the next
-    acquire. *)
-val pool_release : pool -> pooled -> unit
-
-(** The socket proved dead (read error, peer reset): close it and drop
-    the entry so the next acquire dials fresh. *)
-val pool_discard : pool -> pooled -> unit
-
-(** Sockets currently held open by the pool. *)
-val pool_open_count : pool -> int
-
-(** Close every pooled socket (the pool remains usable). *)
-val pool_close : pool -> unit
-
 (** Read exactly [n] bytes into the buffer; [false] on EOF or error. *)
 val read_exact : Unix.file_descr -> Bytes.t -> int -> bool
 

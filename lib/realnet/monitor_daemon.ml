@@ -176,11 +176,3 @@ let stop t =
   Udp_io.stop t.sys_socket;
   Udp_io.stop t.pull_socket;
   Udp_io.stop t.out_socket
-
-let db t = t.db
-
-let sysmon t = t.sysmon
-
-let metrics t = t.metrics
-
-let tracelog t = t.tracelog

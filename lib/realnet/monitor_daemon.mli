@@ -16,28 +16,9 @@ type t
 
 val create : Addr_book.t -> config -> t
 
-(** Socket-based (delay, bandwidth) probe against one target's echo
-    responder: the one-way-UDP-stream formula over real sockets. *)
-val socket_prober :
-  ?timeout:float -> t -> target:string -> Smart_core.Netmon.probe_result option
-
 (** Probe every configured target sequentially and publish the record. *)
 val refresh_netmon : t -> Smart_proto.Records.net_record
 
 val start : t -> unit
 
 val stop : t -> unit
-
-val db : t -> Smart_core.Status_db.t
-
-val sysmon : t -> Smart_core.Sysmon.t
-
-(** The machine-wide registry shared by the four components; also served
-    over UDP to [Smart_proto.Metrics_msg] scrapes on the transmitter's
-    pull port. *)
-val metrics : t -> Smart_util.Metrics.t
-
-(** The machine-wide flight recorder shared by the four components (256
-    most recent spans, wall clock); also served over UDP to
-    [Smart_proto.Trace_msg] scrapes on the transmitter's pull port. *)
-val tracelog : t -> Smart_util.Tracelog.t

@@ -2,9 +2,6 @@
     datagram, [Stream] a one-shot TCP connection (frames are
     self-delimiting, so connection boundaries do not matter). *)
 
-(** Connect, write everything, close; [false] on any socket error. *)
-val send_stream : Unix.sockaddr -> string -> bool
-
 (** Perform a batch of outputs, resolving hosts through the book and
     sending datagrams from [udp].  Unresolvable UDP destinations are
     dropped.  A [Stream] that fails (unresolvable, connection refused,

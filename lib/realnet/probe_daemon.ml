@@ -113,9 +113,3 @@ let stop t =
   Udp_io.stop t.udp
 
 let reports_sent t = t.reports_sent
-
-let last_error t = t.last_error
-
-let metrics t = t.metrics
-
-let tracelog t = t.tracelog

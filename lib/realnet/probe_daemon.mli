@@ -15,22 +15,8 @@ type t
 
 val create : Addr_book.t -> config -> t
 
-(** One immediate sample-and-report (also used by the daemon loop). *)
-val tick_once : t -> unit
-
 val start : t -> unit
 
 val stop : t -> unit
 
 val reports_sent : t -> int
-
-val last_error : t -> string option
-
-(** The daemon's registry (the [probe.*] instruments); also served over
-    UDP to [Smart_proto.Metrics_msg] scrapes on the echo port. *)
-val metrics : t -> Smart_util.Metrics.t
-
-(** The daemon's flight recorder (256 most recent spans, wall clock);
-    also served over UDP to [Smart_proto.Trace_msg] scrapes on the echo
-    port. *)
-val tracelog : t -> Smart_util.Tracelog.t

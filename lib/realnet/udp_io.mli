@@ -2,8 +2,6 @@
 
 type t
 
-val max_datagram : int
-
 (** Bind a socket (port 0 for ephemeral); raises [Unix.Unix_error] on
     conflicts. *)
 val bind_port : ?addr:Unix.inet_addr -> int -> t

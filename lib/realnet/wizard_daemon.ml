@@ -174,7 +174,3 @@ let stop t =
 let db t = t.db
 
 let wizard t = t.wizard
-
-let metrics t = t.metrics
-
-let tracelog t = t.tracelog

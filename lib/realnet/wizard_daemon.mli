@@ -25,13 +25,3 @@ val stop : t -> unit
 val db : t -> Smart_core.Status_db.t
 
 val wizard : t -> Smart_core.Wizard.t
-
-(** The machine-wide registry shared by receiver and wizard; also served
-    over UDP to [Smart_proto.Metrics_msg] scrapes on the wizard's request
-    port. *)
-val metrics : t -> Smart_util.Metrics.t
-
-(** The machine-wide flight recorder shared by receiver and wizard (256
-    most recent spans, wall clock); also served over UDP to
-    [Smart_proto.Trace_msg] scrapes on the wizard's request port. *)
-val tracelog : t -> Smart_util.Tracelog.t

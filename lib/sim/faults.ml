@@ -34,17 +34,6 @@ let action_kind = function
   | Monitor_outage _ -> "monitor_outage"
   | Monitor_restore _ -> "monitor_restore"
 
-let pp_action ppf = function
-  | Crash_node h -> Fmt.pf ppf "crash_node %s" h
-  | Restart_node h -> Fmt.pf ppf "restart_node %s" h
-  | Partition_link (a, b) -> Fmt.pf ppf "partition_link %s<->%s" a b
-  | Heal_link (a, b) -> Fmt.pf ppf "heal_link %s<->%s" a b
-  | Partition_host h -> Fmt.pf ppf "partition_host %s" h
-  | Heal_host h -> Fmt.pf ppf "heal_host %s" h
-  | Corrupt_frames rate -> Fmt.pf ppf "corrupt_frames %.4f" rate
-  | Monitor_outage h -> Fmt.pf ppf "monitor_outage %s" h
-  | Monitor_restore h -> Fmt.pf ppf "monitor_restore %s" h
-
 type event = { at : float; action : action }
 
 type plan = event list

@@ -29,8 +29,6 @@ type action =
     ([fault.<kind>]). *)
 val action_kind : action -> string
 
-val pp_action : Format.formatter -> action -> unit
-
 type event = { at : float; action : action }
 
 type plan = event list

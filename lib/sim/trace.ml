@@ -22,8 +22,6 @@ let create ?(capacity = 4096) () =
 
 let set_enabled t enabled = t.enabled <- enabled
 
-let enabled t = t.enabled
-
 let record t ~now ~category message =
   if t.enabled then begin
     t.ring.(t.next) <- Some { time = now; category; message };
@@ -57,14 +55,3 @@ let clear t =
   Array.fill t.ring 0 t.capacity None;
   t.next <- 0;
   t.count <- 0
-
-let pp_entry ppf e =
-  Fmt.pf ppf "[%10.6f] %-10s %s" e.time e.category e.message
-
-let dump ?category t ppf =
-  let es =
-    match category with None -> entries t | Some c -> filter t ~category:c
-  in
-  List.iter (fun e -> Fmt.pf ppf "%a@." pp_entry e) es;
-  if dropped t > 0 then
-    Fmt.pf ppf "(… %d earlier entries dropped)@." (dropped t)

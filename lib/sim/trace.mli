@@ -13,8 +13,6 @@ val create : ?capacity:int -> unit -> t
 
 val set_enabled : t -> bool -> unit
 
-val enabled : t -> bool
-
 val record : t -> now:float -> category:string -> string -> unit
 
 (** Printf-style; the message is formatted only if tracing is enabled. *)
@@ -33,8 +31,3 @@ val entries : t -> entry list
 val filter : t -> category:string -> entry list
 
 val clear : t -> unit
-
-val pp_entry : Format.formatter -> entry -> unit
-
-(** Print all (or one category's) retained entries. *)
-val dump : ?category:string -> t -> Format.formatter -> unit

@@ -14,8 +14,6 @@ type 'a t = {
   table : (string, 'a node) Hashtbl.t;
   mutable head : 'a node option;  (* most recently used *)
   mutable tail : 'a node option;  (* least recently used *)
-  mutable hits : int;
-  mutable misses : int;
 }
 
 let create ~capacity =
@@ -25,8 +23,6 @@ let create ~capacity =
     table = Hashtbl.create (max 8 capacity);
     head = None;
     tail = None;
-    hits = 0;
-    misses = 0;
   }
 
 let unlink t node =
@@ -47,11 +43,8 @@ let push_front t node =
 
 let find t key =
   match Hashtbl.find_opt t.table key with
-  | None ->
-    t.misses <- t.misses + 1;
-    None
+  | None -> None
   | Some node ->
-    t.hits <- t.hits + 1;
     unlink t node;
     push_front t node;
     Some node.value
@@ -80,10 +73,6 @@ let add t key value =
 let length t = Hashtbl.length t.table
 
 let capacity t = t.capacity
-
-let hits t = t.hits
-
-let misses t = t.misses
 
 let clear t =
   Hashtbl.reset t.table;

@@ -118,7 +118,3 @@ let summarize xs =
     p50 = median xs;
     p95 = percentile xs ~p:95.0;
   }
-
-let pp_summary ppf s =
-  Fmt.pf ppf "n=%d mean=%.4g sd=%.4g min=%.4g p50=%.4g p95=%.4g max=%.4g"
-    s.n s.mean s.stddev s.min s.p50 s.p95 s.max

@@ -38,5 +38,3 @@ type summary = {
 }
 
 val summarize : float array -> summary
-
-val pp_summary : Format.formatter -> summary -> unit

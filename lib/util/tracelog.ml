@@ -78,8 +78,6 @@ let set_enabled t enabled =
 
 let enabled t = t.on
 
-let set_clock t clock = t.clock <- clock
-
 let open_span t ~parent ~kind ~dur ~at name =
   let id = t.next_id in
   t.next_id <- id + 1;

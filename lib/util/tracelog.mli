@@ -60,10 +60,6 @@ val set_enabled : t -> bool -> unit
 
 val enabled : t -> bool
 
-(** Replace the injected clock (drivers that learn their clock after
-    construction). *)
-val set_clock : t -> (unit -> float) -> unit
-
 (** [start t ?parent ?at name] opens a span.  Under a [parent] the span
     joins the parent's trace; without one (or under {!root}) it opens a
     fresh trace whose id is the span's own id.  [at] supplies the start

@@ -11,8 +11,6 @@ let mbps_to_bytes_per_sec mbps = mbps *. 1e6 /. bits_per_byte
 
 let bytes_per_sec_to_mbps bps = bps *. bits_per_byte /. 1e6
 
-let kbps_to_bytes_per_sec kbps = kbps *. 1e3 /. bits_per_byte
-
 (* The thesis reports application throughput in KB/s (kilobytes). *)
 let bytes_per_sec_to_kBps bps = bps /. 1024.0
 
@@ -24,13 +22,7 @@ let ms_to_s ms = ms /. 1e3
 
 let s_to_ms s = s *. 1e3
 
-let us_to_s us = us /. 1e6
-
 let s_to_us s = s *. 1e6
-
-let pp_rate ppf bps =
-  if bps >= 1e6 /. bits_per_byte then Fmt.pf ppf "%.2f Mbps" (bytes_per_sec_to_mbps bps)
-  else Fmt.pf ppf "%.1f KB/s" (bytes_per_sec_to_kBps bps)
 
 let pp_time ppf s =
   if s < 1e-3 then Fmt.pf ppf "%.1f us" (s_to_us s)

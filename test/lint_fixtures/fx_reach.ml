@@ -1,0 +1,3 @@
+let called () = 1
+let tested () = 2
+let dead () = 3

@@ -1,0 +1,3 @@
+val called : unit -> int
+val tested : unit -> int
+val dead : unit -> int

@@ -8,6 +8,24 @@ module P = Smart_proto
 module H = Smart_host
 module O = Smart_oracle
 
+(* Registry reads for assertions.  [Metrics.counter_value] and
+   [gauge_value] read 0 for a name the registry does not hold; these
+   fail on it, so a misspelled name cannot pass an assertion of 0. *)
+let registered m name =
+  match Smart_util.Metrics.find m name with
+  | Some value -> value
+  | None -> Alcotest.failf "no metric %s in the registry" name
+
+let counter_value m name =
+  match registered m name with
+  | Smart_util.Metrics.Counter n -> n
+  | _ -> Alcotest.failf "metric %s is not a counter" name
+
+let gauge_value m name =
+  match registered m name with
+  | Smart_util.Metrics.Gauge v -> v
+  | _ -> Alcotest.failf "metric %s is not a gauge" name
+
 let report ?(host = "helene") ?(ip = "192.168.2.3") ?(cpu_free = 0.9)
     ?(load1 = 0.1) ?(mem_free = 100.0) ?(bogomips = 3394.76) () =
   {
@@ -492,8 +510,9 @@ let test_probe_missing_iface () =
 
 let test_sysmon_ingest_and_expire () =
   let db = C.Status_db.create () in
+  let m = Smart_util.Metrics.create () in
   let sysmon =
-    C.Sysmon.create
+    C.Sysmon.create ~metrics:m
       ~config:
         { C.Sysmon.default_config with probe_interval = 2.0; missed_intervals = 3 }
       db
@@ -511,8 +530,10 @@ let test_sysmon_ingest_and_expire () =
   Alcotest.(check int) "gone" 0 (C.Status_db.sys_count db);
   Alcotest.(check bool) "garbage counted" true
     (Result.is_error (C.Sysmon.handle_report sysmon ~now:8.0 "junk"));
-  Alcotest.(check int) "parse errors" 1 (C.Sysmon.parse_errors sysmon);
-  Alcotest.(check int) "handled count" 1 (C.Sysmon.reports_handled sysmon)
+  Alcotest.(check int) "parse errors" 1
+    (counter_value m "sysmon.parse_errors_total");
+  Alcotest.(check int) "handled count" 1
+    (counter_value m "sysmon.reports_total")
 
 (* ------------------------------------------------------------------ *)
 (* Netmon / Secmon                                                      *)
@@ -520,8 +541,9 @@ let test_sysmon_ingest_and_expire () =
 
 let test_netmon_sequential_probing () =
   let db = C.Status_db.create () in
+  let m = Smart_util.Metrics.create () in
   let netmon =
-    C.Netmon.create
+    C.Netmon.create ~metrics:m
       { C.Netmon.monitor_name = "mon"; targets = [ "a"; "b"; "c" ] }
       db
   in
@@ -536,7 +558,8 @@ let test_netmon_sequential_probing () =
     (List.rev !order);
   Alcotest.(check int) "failed target dropped" 2
     (List.length record.P.Records.entries);
-  Alcotest.(check int) "failures counted" 1 (C.Netmon.probe_failures netmon);
+  Alcotest.(check int) "failures counted" 1
+    (counter_value m "netmon.probe_failures_total");
   Alcotest.(check bool) "published" true
     (C.Status_db.net_entry_for db ~target:"c" <> None)
 
@@ -584,7 +607,8 @@ let test_transmitter_receiver_roundtrip () =
       db_mon
   in
   let db_wiz = C.Status_db.create () in
-  let rx = C.Receiver.create ~order:P.Endian.Little db_wiz in
+  let m = Smart_util.Metrics.create () in
+  let rx = C.Receiver.create ~metrics:m ~order:P.Endian.Little db_wiz in
   (match C.Transmitter.tick tx ~now:0.0 with
   | [ C.Output.Stream { dst; data } ] ->
     Alcotest.(check int) "receiver port" P.Ports.receiver dst.C.Output.port;
@@ -600,7 +624,8 @@ let test_transmitter_receiver_roundtrip () =
     | Ok () -> ()
     | Error e -> Alcotest.failf "second chunk: %s" e)
   | _ -> Alcotest.fail "expected one stream output");
-  Alcotest.(check int) "three frames" 3 (C.Receiver.frames_handled rx);
+  Alcotest.(check int) "three frames" 3
+    (counter_value m "receiver.frames_total");
   Alcotest.(check bool) "sys mirrored" true
     (C.Status_db.find_sys db_wiz ~host:"helene" <> None);
   (match C.Status_db.net_entry_for db_wiz ~target:"helene" with
@@ -1209,7 +1234,8 @@ let test_receiver_multi_transmitter_ownership () =
 let test_receiver_rejects_partial_sys () =
   let order = P.Endian.Little in
   let db = C.Status_db.create () in
-  let rx = C.Receiver.create ~order db in
+  let m = Smart_util.Metrics.create () in
+  let rx = C.Receiver.create ~metrics:m ~order db in
   let snapshot ~cpu_free hosts =
     String.concat ""
       (List.map
@@ -1233,8 +1259,10 @@ let test_receiver_rejects_partial_sys () =
   (match feed (String.sub full 0 (String.length full - 100)) with
   | Ok () -> Alcotest.fail "a truncated snapshot was accepted"
   | Error _ -> ());
-  Alcotest.(check int) "one decode error" 1 (C.Receiver.decode_errors rx);
-  Alcotest.(check int) "one frame applied" 1 (C.Receiver.frames_handled rx);
+  Alcotest.(check int) "one decode error" 1
+    (counter_value m "receiver.decode_errors_total");
+  Alcotest.(check int) "one frame applied" 1
+    (counter_value m "receiver.frames_total");
   Alcotest.(check (list string)) "c still mirrored" [ "a"; "b"; "c" ]
     (List.map
        (fun r -> r.P.Records.report.P.Report.host)
@@ -1319,7 +1347,8 @@ let prop_receiver_matches_direct_writes =
       let order = P.Endian.Little in
       let mirror = C.Status_db.create () in
       let twin = C.Status_db.create () in
-      let rx = C.Receiver.create ~order mirror in
+      let m = Smart_util.Metrics.create () in
+      let rx = C.Receiver.create ~metrics:m ~order mirror in
       let hooks = ref 0 and frames = ref 0 in
       C.Receiver.set_update_hook rx (Some (fun _ -> incr hooks));
       let owned = Hashtbl.create 4 in
@@ -1390,7 +1419,7 @@ let prop_receiver_matches_direct_writes =
           && same_view view
                (C.Status_db.columns rebuilt ~net_for:(net_for rebuilt))
           && !hooks = !frames
-          && C.Receiver.frames_handled rx = !frames)
+          && counter_value m "receiver.frames_total" = !frames)
         steps)
 
 (* Words allocated so far: minor plus words allocated directly on the
@@ -1676,6 +1705,54 @@ let test_wizard_distributed_deadline () =
      whatever (stale) data exists *)
   Alcotest.(check int) "released at deadline" 1
     (List.length (C.Wizard.tick wizard ~now:3.5))
+
+(* k identical parked requests released by one tick: the tick runs at
+   one generation, so the result cache answers every repeat of the
+   first scan. *)
+let test_wizard_distributed_repeats_hit_cache () =
+  let db = C.Status_db.create () in
+  C.Status_db.update_sys db (sys_record ~host:"a" ~ip:"1.0.0.1" ~at:0.0 ());
+  C.Status_db.update_sys db
+    (sys_record ~host:"b" ~ip:"1.0.0.2" ~cpu_free:0.1 ~at:0.0 ());
+  let wizard =
+    C.Wizard.create
+      {
+        C.Wizard.mode =
+          C.Wizard.Distributed
+            {
+              transmitters = [ { C.Output.host = "mon"; port = P.Ports.transmitter } ];
+              freshness_timeout = 2.0;
+            };
+        groups = None;
+      }
+      db
+  in
+  let k = 5 in
+  let request = client_request "host_cpu_free > 0.5\n" in
+  for _ = 1 to k do
+    ignore
+      (C.Wizard.handle_request wizard ~now:1.0
+         ~from:{ C.Output.host = "c"; port = 9 }
+         (P.Wizard_msg.encode_request request))
+  done;
+  let replies =
+    List.map
+      (function
+        | C.Output.Udp { data; _ } -> data
+        | C.Output.Stream _ -> Alcotest.fail "expected datagram replies")
+      (C.Wizard.tick wizard ~now:3.5)
+  in
+  Alcotest.(check int) "k replies" k (List.length replies);
+  (match C.Client.check_reply (fresh_client ()) request (List.hd replies) with
+  | Ok servers -> Alcotest.(check (list string)) "servers" [ "a" ] servers
+  | Error e -> Alcotest.failf "reply rejected: %a" C.Client.pp_error e);
+  List.iter
+    (Alcotest.(check string) "identical replies" (List.hd replies))
+    replies;
+  Alcotest.(check (pair int int)) "one compile miss" (0, 1)
+    (C.Wizard.compile_cache_stats wizard);
+  Alcotest.(check (pair int int)) "one result miss, k - 1 hits" (k - 1, 1)
+    (C.Wizard.result_cache_stats wizard)
 
 let ask wizard ~wanted requirement =
   match
@@ -2153,8 +2230,8 @@ let test_sim_metrics_end_to_end () =
   let _, d = deploy () in
   C.Simdriver.settle ~duration:8.0 d;
   let m = C.Simdriver.metrics d in
-  let cv = Smart_util.Metrics.counter_value m in
-  let gv = Smart_util.Metrics.gauge_value m in
+  let cv = counter_value m in
+  let gv = gauge_value m in
   (* one sequential netmon round over the 11 servers *)
   ignore (C.Simdriver.refresh_netmon ~trials:1 d);
   Alcotest.(check int) "one netmon round" 1 (cv "netmon.rounds_total");
@@ -2351,9 +2428,9 @@ let test_transmitter_resend_backoff () =
   C.Transmitter.note_send_failure tx ~now:2.0 ~data:"c";
   Alcotest.(check int) "capacity bound" 2 (C.Transmitter.resend_queue_length tx);
   Alcotest.(check int) "failures metered" 4
-    (Smart_util.Metrics.counter_value m "transmitter.send_failures_total");
+    (counter_value m "transmitter.send_failures_total");
   Alcotest.(check int) "drop metered" 1
-    (Smart_util.Metrics.counter_value m "transmitter.resend_dropped_total");
+    (counter_value m "transmitter.resend_dropped_total");
   (* a successful send resets the schedule *)
   C.Transmitter.note_send_ok tx;
   Alcotest.(check bool) "reset after success" false
@@ -2386,7 +2463,7 @@ let test_client_duplicate_suppression () =
   Alcotest.(check bool) "late duplicate flagged" true
     (C.Client.is_duplicate_reply client reply);
   Alcotest.(check int) "duplicate metered" 1
-    (Smart_util.Metrics.counter_value m "client.duplicate_replies_total");
+    (counter_value m "client.duplicate_replies_total");
   Alcotest.(check bool) "garbage is not a duplicate" false
     (C.Client.is_duplicate_reply client "junk")
 
@@ -2429,7 +2506,7 @@ let test_wizard_degraded_mode () =
   Alcotest.(check (list string)) "still answers from the last snapshot"
     [ "a" ] r.P.Wizard_msg.servers;
   Alcotest.(check int) "degraded metered" 1
-    (Smart_util.Metrics.counter_value m "wizard.degraded_replies_total");
+    (counter_value m "wizard.degraded_replies_total");
   C.Wizard.note_update wizard;
   Alcotest.(check bool) "recovers when the feed resumes" false
     (ask ()).P.Wizard_msg.degraded
@@ -2462,21 +2539,21 @@ let test_sysmon_quarantine_flapping () =
   Alcotest.(check bool) "quarantined" true
     (C.Sysmon.is_quarantined sysmon ~host:"helene");
   Alcotest.(check int) "quarantine metered" 1
-    (Smart_util.Metrics.counter_value m "sysmon.quarantined_total");
+    (counter_value m "sysmon.quarantined_total");
   (* while quarantined, reports are counted but not inserted *)
   ingest 8.0;
   ingest 9.0;
   ingest 10.0;
   Alcotest.(check int) "db stays empty" 0 (C.Status_db.sys_count db);
   Alcotest.(check int) "quarantined reports metered" 3
-    (Smart_util.Metrics.counter_value m "sysmon.quarantined_reports_total");
+    (counter_value m "sysmon.quarantined_reports_total");
   (* a clean streak spanning clean_intervals probe periods re-admits *)
   ingest 11.0;
   Alcotest.(check bool) "re-admitted" false
     (C.Sysmon.is_quarantined sysmon ~host:"helene");
   Alcotest.(check int) "back in the database" 1 (C.Status_db.sys_count db);
   Alcotest.(check int) "re-admission metered" 1
-    (Smart_util.Metrics.counter_value m "sysmon.readmitted_total")
+    (counter_value m "sysmon.readmitted_total")
 
 (* Satellite: the §4.1 three-missed-intervals expiry under a lossy
    substrate — reports ride 5%-loss links, the server goes silent, is
@@ -2505,7 +2582,7 @@ let test_sim_lossy_expiry_and_rereg () =
   Alcotest.(check int) "expired after 3 missed intervals" 1
     (C.Status_db.sys_count (C.Simdriver.db_wizard d));
   Alcotest.(check bool) "expiry metered" true
-    (Smart_util.Metrics.counter_value (C.Simdriver.metrics d)
+    (counter_value (C.Simdriver.metrics d)
        "sysmon.expired_total"
     >= 1);
   (* the silence lifts: the next surviving report re-registers it *)
@@ -2592,7 +2669,7 @@ let test_sim_chaos_acceptance () =
     (Printf.sprintf "at least 99%% requests answered (%d/%d)" ok total)
     true
     (float_of_int ok >= 0.99 *. float_of_int total);
-  let cv name = Smart_util.Metrics.counter_value m name in
+  let cv name = counter_value m name in
   (* corruption was really injected and really survived: frames were
      damaged in flight, the receiver resynced past them, nothing died *)
   Alcotest.(check bool) "frames corrupted in flight" true
@@ -2852,7 +2929,8 @@ let test_sim_federation_end_to_end () =
   Alcotest.(check int) "digests from both shards" 2
     (C.Fed_root.digest_count fed.C.Simdriver.root);
   Alcotest.(check bool) "digest frames counted" true
-    (C.Receiver.digests_handled (C.Simdriver.receiver_component d) >= 2);
+    (counter_value (C.Simdriver.metrics d) "federation.digests_received_total"
+     >= 2);
   (* a client request is fanned out, merged, and covers both shards *)
   (match
      C.Simdriver.request d ~client:"cli" ~wanted:6
@@ -2867,7 +2945,7 @@ let test_sim_federation_end_to_end () =
     2
     (C.Fed_root.subqueries_sent fed.C.Simdriver.root);
   Alcotest.(check int) "both shards replied" 2
-    (C.Fed_root.shard_replies fed.C.Simdriver.root);
+    (counter_value (C.Simdriver.metrics d) "federation.shard_replies_total");
   Alcotest.(check int) "no timeouts" 0 (C.Fed_root.timeouts fed.C.Simdriver.root);
   List.iter
     (fun (s : C.Simdriver.fed_shard) ->
@@ -3134,11 +3212,11 @@ let prop_fed_root_quantiles_track_union =
         && C.Fed_root.sketch_shard_count root = 4
         && List.for_all (rank_within union merged) [ 0.5; 0.95; 0.99 ]
         && Float.compare
-             (Smart_util.Metrics.gauge_value m "federation.fed_latency_p99_s")
+             (gauge_value m "federation.fed_latency_p99_s")
              (Sk.quantile merged 0.99)
            = 0
         && Float.compare
-             (Smart_util.Metrics.gauge_value m "federation.fed_latency_p50_s")
+             (gauge_value m "federation.fed_latency_p50_s")
              (Sk.quantile merged 0.5)
            = 0)
 
@@ -3165,7 +3243,7 @@ let test_fed_root_latest_batch_wins () =
   Alcotest.(check int) "two shards reporting" 2
     (C.Fed_root.sketch_shard_count root);
   Alcotest.(check int) "updates metered" 3
-    (Smart_util.Metrics.counter_value m "federation.sketch_updates_total")
+    (counter_value m "federation.sketch_updates_total")
 
 (* The root's compile cache keys on [Requirement.cache_key] too: a
    broken text's cached error must not answer the valid text. *)
@@ -3211,12 +3289,9 @@ let test_probe_adaptive_interval () =
     Alcotest.(check (float 1e-9)) "flat signal relaxes to slowest cadence"
       2.0 interval;
     Alcotest.(check (float 1e-9)) "gauge mirrors the interval" interval
-      (Smart_util.Metrics.gauge_value m "probe.report_interval_seconds"));
+      (gauge_value m "probe.report_interval_seconds"));
   Alcotest.(check bool) "adaptation counted" true
-    (C.Probe.interval_adaptations probe >= 1);
-  Alcotest.(check int) "counter mirrors adaptations"
-    (C.Probe.interval_adaptations probe)
-    (Smart_util.Metrics.counter_value m "probe.interval_adaptations_total");
+    (counter_value m "probe.interval_adaptations_total" >= 1);
   Alcotest.(check bool) "bad adaptive config rejected" true
     (try
        ignore
@@ -3273,12 +3348,10 @@ let test_sysmon_adaptive_threshold () =
     (C.Sysmon.effective_flap_threshold sysmon);
   Alcotest.(check bool) "still not an outlier" false
     (C.Sysmon.is_quarantined sysmon ~host:"helene");
-  Alcotest.(check int) "adaptations counted" 2
-    (C.Sysmon.threshold_adaptations sysmon);
   Alcotest.(check int) "counter mirrors adaptations" 2
-    (Smart_util.Metrics.counter_value m "sysmon.threshold_adaptations_total");
+    (counter_value m "sysmon.threshold_adaptations_total");
   Alcotest.(check (float 1e-9)) "gauge mirrors the threshold" 6.0
-    (Smart_util.Metrics.gauge_value m "sysmon.effective_flap_threshold")
+    (gauge_value m "sysmon.effective_flap_threshold")
 
 let test_wizard_adaptive_staleness () =
   let db = C.Status_db.create () in
@@ -3308,12 +3381,10 @@ let test_wizard_adaptive_staleness () =
   C.Wizard.note_update wizard;
   Alcotest.(check (float 1e-9)) "outage gap clamps at the cap" 300.0
     (C.Wizard.staleness_threshold_now wizard);
-  Alcotest.(check int) "two adaptations" 2
-    (C.Wizard.staleness_adaptations wizard);
   Alcotest.(check int) "counter mirrors adaptations" 2
-    (Smart_util.Metrics.counter_value m "wizard.staleness_adaptations_total");
+    (counter_value m "wizard.staleness_adaptations_total");
   Alcotest.(check (float 1e-9)) "gauge mirrors the threshold" 300.0
-    (Smart_util.Metrics.gauge_value m "wizard.staleness_threshold_seconds");
+    (gauge_value m "wizard.staleness_threshold_seconds");
   (* the private latency sketch is the shard uplink's: subqueries feed
      it, requests on the client port do not *)
   C.Status_db.update_sys db
@@ -3415,7 +3486,7 @@ let test_session_pool_lifecycle () =
   let ca' = C.Session.bind pool s2 ~host:"a" ~origin:Smart_util.Tracelog.root in
   Alcotest.(check bool) "same entry" true (ca == ca');
   Alcotest.(check int) "reuse metered" 1
-    (Smart_util.Metrics.counter_value m "session.pool_reused_total");
+    (counter_value m "session.pool_reused_total");
   C.Session.retire pool s2;
   C.Session.retire pool s1;
   Alcotest.(check int) "idle entry stays pooled" 1 (C.Session.pool_size pool);
@@ -3455,7 +3526,7 @@ let test_session_pool_lifecycle () =
       (C.Session.conn_state due = C.Session.Closed)
   | l -> Alcotest.failf "expected one due entry, got %d" (List.length l));
   Alcotest.(check int) "keepalive failure metered" 1
-    (Smart_util.Metrics.counter_value m "session.keepalive_failures_total")
+    (counter_value m "session.keepalive_failures_total")
 
 let test_session_migration_states () =
   let clock = ref 0.0 in
@@ -3473,7 +3544,7 @@ let test_session_migration_states () =
   Alcotest.(check bool) "back to active" true
     (C.Session.session_state s = C.Session.Active);
   Alcotest.(check int) "failure metered" 1
-    (Smart_util.Metrics.counter_value m "session.migration_failures_total");
+    (counter_value m "session.migration_failures_total");
   (* a completed handover binds the replacement and drains the old *)
   clock := 1.0;
   C.Session.begin_migration pool s;
@@ -3977,6 +4048,8 @@ let () =
             test_wizard_result_cache_and_snapshot;
           Alcotest.test_case "distributed deadline" `Quick
             test_wizard_distributed_deadline;
+          Alcotest.test_case "distributed repeats hit the result cache" `Quick
+            test_wizard_distributed_repeats_hit_cache;
           Alcotest.test_case "degraded mode" `Quick test_wizard_degraded_mode;
         ] );
       ( "client",

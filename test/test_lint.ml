@@ -21,6 +21,8 @@ let fixture_config ~allow =
     proto_dirs = [ "test/lint_fixtures" ];
     program_dirs = [ "test/lint_fixtures/programs" ];
     unchecked_files = [];
+    root_dirs = [ "test/lint_fixtures/root" ];
+    test_dirs = [ "test/lint_fixtures/tests" ];
     allow_path = allow;
     only = [];
     skip = [];
@@ -154,7 +156,7 @@ let test_only_filter () =
         Alcotest.(check bool)
           (Printf.sprintf "some %s diagnostics" rule)
           true (r.Dr.errors > 0))
-    [ "effects"; "wire"; "bytecode" ]
+    [ "effects"; "wire"; "bytecode"; "reach" ]
 
 let contains ~sub s =
   let n = String.length sub and m = String.length s in
@@ -230,6 +232,18 @@ let test_determinism_new_sinks () =
   check_hit ~rule:"determinism" ~file:(fx "fx_digest.ml") ~line:3 ();
   check_hit ~rule:"determinism" ~file:(fx "fx_env.ml") ~line:3 ();
   check_hit ~rule:"determinism" ~file:(fx "fx_env.ml") ~line:5 ()
+
+(* Reach: the export the fixture root names is clean, the one only the
+   tests directory names warns, the one nothing names is an error. *)
+let test_reach () =
+  Alcotest.(check (list string))
+    "export named by the root" []
+    (List.map D.to_string
+       (find (Lazy.force report) ~rule:"reach" ~file:(fx "fx_reach.mli")
+          ~line:1));
+  check_hit ~severity:D.Warn ~rule:"reach" ~file:(fx "fx_reach.mli")
+    ~line:2 ();
+  check_hit ~rule:"reach" ~file:(fx "fx_reach.mli") ~line:3 ()
 
 (* Bytecode rule: the checked-in fixture programs all compile and pass
    the full verifier; a stale fixture is itself an error. *)
@@ -470,6 +484,7 @@ let () =
             test_determinism_new_sinks;
           Alcotest.test_case "bytecode fixtures verify" `Quick
             test_bytecode_rule;
+          Alcotest.test_case "reach: export callers" `Quick test_reach;
         ] );
       ( "report",
         [

@@ -324,9 +324,8 @@ let open_fd_count () =
 let test_fd_leak_regression () =
   (* every socket the client opens is closed again — including the
      candidates it dials but then skips (refused connects, trimmed
-     surplus) and everything the session pool held.  Counting
-     /proc/self/fd before and after catches any regression of the
-     cleanup paths. *)
+     surplus).  Counting /proc/self/fd before and after catches any
+     regression of the cleanup paths. *)
   if not (Sys.file_exists "/proc/self/fd") then ()
   else
     let w = start_world () in
@@ -348,29 +347,6 @@ let test_fd_leak_regression () =
           | Ok connected -> R.Client_io.close_all connected
           | Error _ -> ()
         done;
-        (* the pooled path: reuse must hand back the same socket, and
-           pool_close must drop every fd the pool held *)
-        let pool = R.Client_io.create_pool w.book in
-        (match R.Client_io.pool_acquire pool ~host:"alpha" with
-        | Some p1 ->
-          let fd1 = p1.R.Client_io.server.R.Client_io.socket in
-          R.Service.write_line fd1 "ECHO alpha";
-          (match R.Service.read_line_opt fd1 with
-          | Some line -> Alcotest.(check string) "pooled echo" "alpha" line
-          | None -> Alcotest.fail "no echo through pooled socket");
-          R.Client_io.pool_release pool p1;
-          (match R.Client_io.pool_acquire pool ~host:"alpha" with
-          | Some p2 ->
-            Alcotest.(check bool) "socket reused" true
-              (p2.R.Client_io.server.R.Client_io.socket == fd1);
-            R.Client_io.pool_release pool p2
-          | None -> Alcotest.fail "pooled reacquire failed")
-        | None -> Alcotest.fail "pool acquire failed");
-        Alcotest.(check int) "pool holds one socket" 1
-          (R.Client_io.pool_open_count pool);
-        R.Client_io.pool_close pool;
-        Alcotest.(check int) "pool emptied" 0
-          (R.Client_io.pool_open_count pool);
         let after = open_fd_count () in
         Alcotest.(check int) "no file descriptors leaked" before after)
 

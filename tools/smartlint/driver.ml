@@ -17,6 +17,11 @@ type config = {
   unchecked_files : string list;
       (* root-relative sources where Bigarray/Array unsafe accessors are
          in contract (the bytecode interpreter) *)
+  root_dirs : string list;
+      (* scanned only for references to lib exports (rule: reach):
+         binaries, benchmarks, examples, tools *)
+  test_dirs : string list;
+      (* likewise, but a reference from here only counts as a test's *)
   allow_path : string;         (* allowlist file, relative to [root] *)
   only : string list;          (* when non-empty, run just these rules *)
   skip : string list;          (* rules to disable *)
@@ -26,7 +31,7 @@ type config = {
 let all_rules =
   [
     "io-purity"; "determinism"; "poly-compare"; "unsafe"; "iface";
-    "effects"; "wire"; "bytecode";
+    "effects"; "wire"; "bytecode"; "reach";
   ]
 
 let rule_enabled config rule =
@@ -47,9 +52,15 @@ let run config =
   match Allowlist.load (config.root / config.allow_path) with
   | Error msg -> Error msg
   | Ok allow ->
-    let cmts =
+    let in_dirs dirs file = List.exists (Project.in_dir file) dirs in
+    let all_cmts =
       Project.load_cmts ~root:config.root ~build_root:config.build_root
-        config.lib_dirs
+        (config.lib_dirs @ config.root_dirs @ config.test_dirs)
+    in
+    let cmts =
+      List.filter
+        (fun (c : Project.cmt) -> in_dirs config.lib_dirs c.source)
+        all_cmts
     in
     let tree_diags =
       List.concat_map
@@ -106,12 +117,21 @@ let run config =
         Progcheck.check ~root:config.root config.program_dirs
       else []
     in
+    let reach_diags =
+      if rule_enabled config "reach" then
+        Reach.check
+          ~ifaces:
+            (Project.load_ifaces ~root:config.root
+               ~build_root:config.build_root config.lib_dirs)
+          ~callers:all_cmts ~is_test:(in_dirs config.test_dirs)
+      else []
+    in
     let diags =
       tree_diags
       @ Project.iface_check ~root:config.root config.lib_dirs
       @ Project.deps_check ~root:config.root ~cmts config.sans_io_dirs
       @ Project.imports_check ~cmts ~already_flagged config.sans_io_dirs
-      @ graph_diags @ bytecode_diags
+      @ graph_diags @ bytecode_diags @ reach_diags
     in
     let diags =
       List.filter (fun (d : Diagnostic.t) -> rule_enabled config d.rule) diags

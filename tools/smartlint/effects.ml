@@ -41,7 +41,7 @@ let direct_sink (n : Callgraph.node) =
    excluding the zero-hop case (entry itself referencing the sink). *)
 let find_chain graph entry =
   let seen = Hashtbl.create 16 in
-  let key (n : Callgraph.node) = (n.Callgraph.modname, n.Callgraph.name) in
+  let key (n : Callgraph.node) = (n.Callgraph.unit, n.Callgraph.name) in
   Hashtbl.replace seen (key entry) ();
   (* queue items: (node, reversed chain of hops so far, line of first hop) *)
   let q = Queue.create () in

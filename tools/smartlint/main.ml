@@ -33,6 +33,8 @@ let default_config root =
     proto_dirs = [ "lib/proto" ];
     program_dirs = [ "test/lint_fixtures/programs" ];
     unchecked_files = [ "lib/lang/bytecode.ml" ];
+    root_dirs = [ "bin"; "bench"; "perfbench"; "examples"; "tools" ];
+    test_dirs = [ "test" ];
     allow_path = "lint.allow";
     only = [];
     skip = [];

@@ -15,51 +15,72 @@ let in_dir file dir = starts_with ~prefix:(dir ^ "/") file
 (* cmt discovery                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Recursively collect every *.cmt under [path] (dune keeps them in
-   hidden .objs directories, so the walk must descend into dotfiles). *)
-let rec find_cmts path =
+(* Recursively collect every file with [suffix] under [path] (dune keeps
+   cmts in hidden .objs directories, so the walk must descend into
+   dotfiles). *)
+let rec find_files ~suffix path =
   match Sys.is_directory path with
   | exception Sys_error _ -> []
-  | false -> if Filename.check_suffix path ".cmt" then [ path ] else []
+  | false -> if Filename.check_suffix path suffix then [ path ] else []
   | true ->
     Sys.readdir path |> Array.to_list
-    |> List.concat_map (fun entry -> find_cmts (path / entry))
+    |> List.concat_map (fun entry -> find_files ~suffix (path / entry))
 
 type cmt = {
   source : string;  (* root-relative source path *)
+  modname : string;
+      (* compilation unit, library-qualified: "Smart_core__Wizard" *)
   structure : Typedtree.structure option;
   imports : string list;  (* module names this unit references *)
 }
 
-(* Read one cmt; [None] when it does not correspond to a real source file
-   (dune-generated alias modules and the like). *)
-let read_cmt ~root path =
-  match Cmt_format.read_cmt path with
-  | exception _ -> None
-  | infos -> (
-    match infos.Cmt_format.cmt_sourcefile with
-    | None -> None
-    | Some source ->
-      if not (Sys.file_exists (root / source)) then None
-      else
-        let structure =
-          match infos.Cmt_format.cmt_annots with
-          | Cmt_format.Implementation str -> Some str
-          | _ -> None
-        in
-        Some { source; structure; imports = List.map fst infos.Cmt_format.cmt_imports })
+type iface = {
+  mli : string;  (* root-relative interface path *)
+  unit : string;  (* compilation unit, as [cmt.modname] *)
+  signature : Typedtree.signature;
+}
 
-(* All implementation cmts for [dirs], deduplicated by source file. *)
-let load_cmts ~root ~build_root dirs =
+(* Every cmt (or cmti, by [suffix]) under [dirs] that belongs to a real
+   source file — dune-generated alias modules have none — once per
+   source, sorted by it. *)
+let load ~root ~build_root ~suffix dirs =
   let seen = Hashtbl.create 64 in
-  List.concat_map (fun dir -> find_cmts (build_root / dir)) dirs
+  List.concat_map (fun dir -> find_files ~suffix (build_root / dir)) dirs
   |> List.filter_map (fun path ->
-         match read_cmt ~root path with
-         | Some cmt when not (Hashtbl.mem seen cmt.source) ->
-           Hashtbl.add seen cmt.source ();
-           Some cmt
+         match Cmt_format.read_cmt path with
+         | exception _ -> None
+         | infos -> (
+           match infos.Cmt_format.cmt_sourcefile with
+           | Some source
+             when Sys.file_exists (root / source)
+                  && not (Hashtbl.mem seen source) ->
+             Hashtbl.add seen source ();
+             Some (source, infos)
+           | _ -> None))
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+(* All implementation cmts for [dirs]. *)
+let load_cmts ~root ~build_root dirs =
+  load ~root ~build_root ~suffix:".cmt" dirs
+  |> List.map (fun (source, infos) ->
+         {
+           source;
+           modname = infos.Cmt_format.cmt_modname;
+           structure =
+             (match infos.Cmt_format.cmt_annots with
+             | Cmt_format.Implementation str -> Some str
+             | _ -> None);
+           imports = List.map fst infos.Cmt_format.cmt_imports;
+         })
+
+(* All interfaces (cmti) for [dirs]. *)
+let load_ifaces ~root ~build_root dirs =
+  load ~root ~build_root ~suffix:".cmti" dirs
+  |> List.filter_map (fun (mli, infos) ->
+         match infos.Cmt_format.cmt_annots with
+         | Cmt_format.Interface signature ->
+           Some { mli; unit = infos.Cmt_format.cmt_modname; signature }
          | _ -> None)
-  |> List.sort (fun a b -> String.compare a.source b.source)
 
 (* ------------------------------------------------------------------ *)
 (* Interface coverage (rule: iface)                                    *)
