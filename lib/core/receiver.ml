@@ -2,13 +2,19 @@
    and mirrors them into the wizard-side databases, so the wizard can use
    the contents "as if they were generated locally".
 
-   A push pays for what it changes.  Every monitor group's transmitter
-   ships the same whole security table, so a security frame that
-   repeats the last one applied, byte for byte, with no security change
-   landing on the database since, is not decoded or written: the table
-   already holds what it carries.  It still counts as applied (frame
-   metrics, span, update hook).  A system snapshot naming the same hosts
-   as its source's previous one skips the ownership diff. *)
+   A push pays for what it changes:
+   - A system snapshot is not decoded.  Each record stays in the frame
+     payload, where the database reads its values
+     ([Status_db.update_sys_payload]); the receiver reads only the host
+     names.  A snapshot naming the same hosts as its source's previous
+     one is matched in place against that one's names, so it reuses
+     those strings, allocates no per-record key and skips the ownership
+     diff.
+   - Every monitor group's transmitter ships the same whole security
+     table, so a security frame that repeats the last one applied, byte
+     for byte, with no security change landing on the database since,
+     is not decoded or written: the table already holds what it carries.
+     It still counts as applied (frame metrics, span, update hook). *)
 
 module Metrics = Smart_util.Metrics
 
@@ -27,10 +33,10 @@ type t = {
   trace : Smart_util.Tracelog.t;
   decoders : (string, source) Hashtbl.t;
       (* one stream decoder per transmitter (keyed by source host) *)
-  owned_hosts : (string, string list) Hashtbl.t;
-      (* transmitter -> hosts its last Sys_db snapshot covered; hosts
-         that disappear from a snapshot (expired on the monitor side)
-         are dropped from the mirror *)
+  owned_hosts : (string, string array) Hashtbl.t;
+      (* transmitter -> hosts its last Sys_db snapshot named, in record
+         order; hosts that disappear from a snapshot (expired on the
+         monitor side) are dropped from the mirror *)
   mutable last_sec : (string * int) option;
       (* payload of the last Sec_db frame applied, and the database's
          [Status_db.sec_changes] right after it *)
@@ -119,16 +125,22 @@ let decoder_for t ~from =
     Metrics.Gauge.set t.transmitters (float_of_int (Hashtbl.length t.decoders));
     s
 
-let record_host (r : Smart_proto.Records.sys_record) =
-  r.Smart_proto.Records.report.Smart_proto.Report.host
-
-(* Does the snapshot name exactly [hosts], in order? *)
-let rec same_hosts records hosts =
-  match (records, hosts) with
-  | [], [] -> true
-  | r :: records, h :: hosts ->
-    String.equal (record_host r) h && same_hosts records hosts
-  | _ -> false
+(* The host names of the [n] records of a system payload.  A record
+   naming the host at its index in [previous] (the source's last
+   snapshot) reuses that string; a snapshot naming exactly [previous],
+   in order, returns it. *)
+let snapshot_hosts data ~n ~previous =
+  let size = Smart_proto.Records.sys_record_size in
+  let kept i =
+    i < Array.length previous
+    && Smart_proto.Records.wire_host_is data ~pos:(i * size) previous.(i)
+  in
+  let rec same i = i >= n || (kept i && same (i + 1)) in
+  if n = Array.length previous && same 0 then previous
+  else
+    Array.init n (fun i ->
+        if kept i then previous.(i)
+        else Smart_proto.Records.wire_host data ~pos:(i * size))
 
 (* Frames from a traced push carry the push span's context; the frame
    span adopts it, tying this mirror write to the monitor-side trace
@@ -143,56 +155,44 @@ let apply_frame t (frame : Smart_proto.Frame.frame) =
     match frame.Smart_proto.Frame.payload_type with
     | Smart_proto.Frame.Sys_db ->
       (* the payload is a concatenation of fixed-size sys records (a
-         partial one rejects the whole frame); hosts owned by this
-         transmitter that are absent from the snapshot have expired on
-         the monitor side and leave the mirror too.  The whole snapshot
-         is committed as one batched write (one db generation).  A
-         snapshot naming the same hosts as the previous one expired
-         none; otherwise the absence diff runs through a set, not nested
-         lists. *)
+         partial one rejects the whole frame before anything is
+         written); hosts owned by this transmitter that are absent from
+         the snapshot have expired on the monitor side and leave the
+         mirror too.  The whole snapshot is committed as one batched
+         write (one db generation). *)
       let data = frame.Smart_proto.Frame.data in
       let size = Smart_proto.Records.sys_record_size in
-      let n = String.length data / size in
-      let rec load i records =
-        if i >= n then Ok (List.rev records)
-        else
-          match Smart_proto.Records.decode_sys t.order data ~pos:(i * size) with
-          | Ok record -> load (i + 1) (record :: records)
-          | Error m -> Error m
-      in
-      let loaded =
-        if String.length data mod size <> 0 then
-          Error
-            (Printf.sprintf
-               "sys_db: %d bytes are not a whole number of %d-byte records"
-               (String.length data) size)
-        else load 0 []
-      in
-      (match loaded with
-      | Error m -> Error m
-      | Ok records ->
+      if String.length data mod size <> 0 then
+        Error
+          (Printf.sprintf
+             "sys_db: %d bytes are not a whole number of %d-byte records"
+             (String.length data) size)
+      else begin
+        let previous =
+          Option.value ~default:[||]
+            (Hashtbl.find_opt t.owned_hosts t.current_from)
+        in
+        let hosts =
+          snapshot_hosts data ~n:(String.length data / size) ~previous
+        in
         let commit =
           Smart_util.Tracelog.start t.trace ~parent:commit_parent
             "receiver.commit"
         in
-        Status_db.update_sys_many t.db records;
+        Status_db.update_sys_payload t.db t.order data ~hosts;
         Smart_util.Tracelog.finish t.trace commit;
-        let previous =
-          Option.value ~default:[]
-            (Hashtbl.find_opt t.owned_hosts t.current_from)
-        in
-        if not (same_hosts records previous) then begin
-          let hosts = List.map record_host records in
-          let covered = Hashtbl.create (max 8 n) in
-          List.iter (fun h -> Hashtbl.replace covered h ()) hosts;
-          List.iter
+        if hosts != previous then begin
+          let covered = Hashtbl.create (max 8 (Array.length hosts)) in
+          Array.iter (fun h -> Hashtbl.replace covered h ()) hosts;
+          Array.iter
             (fun host ->
               if not (Hashtbl.mem covered host) then
                 Status_db.remove_sys t.db ~host)
             previous;
           Hashtbl.replace t.owned_hosts t.current_from hosts
         end;
-        Ok ())
+        Ok ()
+      end
     | Smart_proto.Frame.Net_db ->
       (match Smart_proto.Records.decode_net t.order frame.Smart_proto.Frame.data with
       | Ok record ->

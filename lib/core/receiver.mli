@@ -1,6 +1,11 @@
 (** The receiver (§3.5.2): reassembles transmitter frames from reliable
     streams and mirrors them into the wizard-side databases.
 
+    A [Sys_db] frame is not decoded: its records stay in the frame
+    payload ({!Status_db.update_sys_payload}), and the receiver reads
+    only their host names, reusing the strings of the source's previous
+    snapshot for the hosts it names again.
+
     A [Sec_db] frame whose payload repeats, byte for byte, the last one
     this receiver applied is skipped when no security change
     ({!Status_db.sec_changes}) landed on the database since: the table

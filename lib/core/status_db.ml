@@ -12,6 +12,9 @@
    - a peer -> (monitor, entry) secondary index is maintained
      incrementally by [update_net], making [net_entry_for] an O(1)
      lookup instead of a scan over every monitor's entry list;
+   - a pushed system record stays in its frame payload
+     ([update_sys_payload]): row fills read its values in place, and
+     only [find_sys], [sys_records] and the sweep decode it;
    - the sorted [sys_records] list is computed at most once per
      generation; every write drops it, so the memo never holds records
      a later write superseded;
@@ -23,10 +26,11 @@
    - a columnar snapshot ([columns]) of the whole status plane — the
      structure-of-arrays the wizard's bytecode interpreter scans — has
      one row per system host, so only a host joining or leaving
-     rebuilds it.  Every other write refreshes it in place: a system or
-     security write dirties the rows it changed (a dirty row is
-     rewritten whole: values, IP and security level), and a network
-     write re-fills the network columns of every row. *)
+     rebuilds it.  Every other write refreshes it in place and marks
+     only the rows it feeds: a system or security write the rows it
+     changed (a dirty row is rewritten whole: values, IP and security
+     level), a network write the rows whose network key ([net_key]) a
+     peer of the monitor's old or new record matches. *)
 
 type column_view = {
   cols : Smart_lang.Bytecode.columns;
@@ -34,12 +38,23 @@ type column_view = {
   ips : string array;    (* dense row -> IP *)
 }
 
-(* What the last [columns] call did, for the wizard's rebuild counter
+(* What the last [columns] call did, for the wizard's snapshot counters
    and the bench's refresh accounting. *)
-type refresh = Cached | Refreshed | Rebuilt
+type refresh = Cached | Refreshed of int | Rebuilt
+
+type net_key =
+  | Peer of string
+  | Peer_of of { monitor : string; peer : string }
+  | Fixed of Smart_proto.Records.net_entry
+
+(* A stored system record: decoded (a monitor-side write), or left in
+   the frame payload a push delivered it in. *)
+type sys_entry =
+  | Decoded of Smart_proto.Records.sys_record
+  | Wire of Smart_proto.Records.sys_wire
 
 type t = {
-  sys : (string, Smart_proto.Records.sys_record) Hashtbl.t;  (* by host *)
+  sys : (string, sys_entry) Hashtbl.t;                       (* by host *)
   net : (string, Smart_proto.Records.net_record) Hashtbl.t;  (* by monitor *)
   sec : (string, int) Hashtbl.t;                             (* host -> level *)
   mutable sec_changes : int;  (* [replace_sec] calls that changed the table *)
@@ -54,17 +69,24 @@ type t = {
       (* context of the ingest that last wrote the system table; the
          transmitter parents its push spans here so the monitor-side
          trace stays causally connected to the frames it sends *)
+  values : float array;  (* one record's numeric fields, for a row fill *)
+  mutable net_key : string -> net_key;
   (* --- columnar snapshot state --- *)
   mutable cview : column_view option;
   mutable cgen : int;  (* generation [cview] matches; -1 = never built *)
   crow : (string, int) Hashtbl.t;  (* host -> dense row of [cview] *)
+  mutable ckey : net_key array;  (* row -> its host's [net_key] *)
+  cfeeds : (string, int list) Hashtbl.t;
+      (* peer -> rows whose key names it, ascending *)
   mutable cdirty : bool array;
       (* row -> system record or security level rewritten since *)
+  mutable cnet_dirty : bool array;
+      (* row -> a network write touched the entry its key reads *)
   mutable cmembership : bool;
-      (* a system host joined or left: the next [columns] call must
-         rebuild rather than refresh rows *)
-  mutable cnet : bool;  (* network table written since [cgen] *)
+      (* a system host joined or left, or [net_key] was replaced: the
+         next [columns] call must rebuild rather than refresh rows *)
   mutable clast : refresh;
+  mutable on_refresh : int -> unit;  (* told each refresh's rewritten rows *)
 }
 
 let create () =
@@ -77,13 +99,18 @@ let create () =
     generation = 0;
     sys_cache = None;
     last_trace = Smart_util.Tracelog.root;
+    values = Array.make Smart_proto.Report.field_count 0.0;
+    net_key = (fun host -> Peer host);
     cview = None;
     cgen = -1;
     crow = Hashtbl.create 32;
+    ckey = [||];
+    cfeeds = Hashtbl.create 32;
     cdirty = [||];
+    cnet_dirty = [||];
     cmembership = true;
-    cnet = false;
     clast = Rebuilt;
+    on_refresh = ignore;
   }
 
 let set_last_trace t ctx = t.last_trace <- ctx
@@ -103,9 +130,9 @@ let bump t =
    set: it dirties the row of a host that has one, and nothing while a
    rebuild is due. *)
 let note_sys_write t ~host =
-  match Hashtbl.find_opt t.crow host with
-  | Some row -> if not t.cmembership then t.cdirty.(row) <- true
-  | None -> t.cmembership <- true
+  match Hashtbl.find t.crow host with
+  | row -> if not t.cmembership then t.cdirty.(row) <- true
+  | exception Not_found -> t.cmembership <- true
 
 let note_sec_write t ~host =
   if not t.cmembership then
@@ -118,12 +145,12 @@ let update_sys t (record : Smart_proto.Records.sys_record) =
     record.Smart_proto.Records.report.Smart_proto.Report.host
   in
   note_sys_write t ~host;
-  Hashtbl.replace t.sys host record;
+  Hashtbl.replace t.sys host (Decoded record);
   bump t
 
-(* Batched write for the receiver's frame application: one snapshot of n
-   records costs one generation, so readers memoizing on the generation
-   rebuild once per frame, not once per record. *)
+(* Batched write: one snapshot of n records costs one generation, so
+   readers memoizing on the generation rebuild once per snapshot, not
+   once per record. *)
 let update_sys_many t records =
   match records with
   | [] -> ()
@@ -134,24 +161,50 @@ let update_sys_many t records =
           r.Smart_proto.Records.report.Smart_proto.Report.host
         in
         note_sys_write t ~host;
-        Hashtbl.replace t.sys host r)
+        Hashtbl.replace t.sys host (Decoded r))
       records;
     bump t
 
-let find_sys t ~host = Hashtbl.find_opt t.sys host
+(* The receiver's per-frame write: each record stays in [data], and the
+   receiver supplies the host names it read (or matched in place
+   against the source's previous snapshot, reusing those strings). *)
+let update_sys_payload t order data ~hosts =
+  if Array.length hosts > 0 then begin
+    for i = 0 to Array.length hosts - 1 do
+      let host = hosts.(i) in
+      note_sys_write t ~host;
+      Hashtbl.replace t.sys host
+        (Wire
+           (Smart_proto.Records.sys_wire order data
+              ~pos:(i * Smart_proto.Records.sys_record_size)))
+    done;
+    bump t
+  end
+
+let decode = function
+  | Decoded r -> r
+  | Wire w -> Smart_proto.Records.decode_wire w
+
+let find_sys t ~host =
+  match Hashtbl.find_opt t.sys host with
+  | Some entry -> Some (decode entry)
+  | None -> None
 
 let sys_records t =
   match t.sys_cache with
   | Some records -> records
   | None ->
     let records =
-      Hashtbl.fold (fun _ r acc -> r :: acc) t.sys []
-      |> List.sort (fun a b ->
-             String.compare a.Smart_proto.Records.report.Smart_proto.Report.host
-               b.Smart_proto.Records.report.Smart_proto.Report.host)
+      Hashtbl.fold (fun host entry acc -> (host, entry) :: acc) t.sys []
+      |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+      |> List.map (fun (_, entry) -> decode entry)
     in
     t.sys_cache <- Some records;
     records
+
+let updated_at = function
+  | Decoded r -> r.Smart_proto.Records.updated_at
+  | Wire w -> Smart_proto.Records.wire_updated_at w
 
 (* Drop servers whose probe has stopped reporting (§3.2.2): records older
    than [max_age] (3 probe intervals by default in the drivers).  The
@@ -160,9 +213,8 @@ let sys_records t =
 let sweep_sys_expired t ~now ~max_age =
   let stale =
     Hashtbl.fold
-      (fun host r acc ->
-        if now -. r.Smart_proto.Records.updated_at > max_age then host :: acc
-        else acc)
+      (fun host entry acc ->
+        if now -. updated_at entry > max_age then host :: acc else acc)
       t.sys []
     |> List.sort String.compare
   in
@@ -200,23 +252,6 @@ let index_net t ~monitor (record : Smart_proto.Records.net_record) =
         ((monitor, e) :: previous))
     record.Smart_proto.Records.entries
 
-let update_net t (record : Smart_proto.Records.net_record) =
-  let monitor = record.Smart_proto.Records.monitor in
-  (match Hashtbl.find_opt t.net monitor with
-  | Some old -> unindex_net t ~monitor old
-  | None -> ());
-  Hashtbl.replace t.net monitor record;
-  index_net t ~monitor record;
-  t.cnet <- true;
-  bump t
-
-let find_net t ~monitor = Hashtbl.find_opt t.net monitor
-
-let net_records t =
-  Hashtbl.fold (fun _ r acc -> r :: acc) t.net []
-  |> List.sort (fun a b ->
-         String.compare a.Smart_proto.Records.monitor b.Smart_proto.Records.monitor)
-
 (* Network metrics toward a given target host.  When several monitors
    report the same peer the winner is deterministic regardless of
    insertion or hashtable order: freshest [measured_at] first, lowest
@@ -237,6 +272,67 @@ let net_entry_for t ~target =
     (match entries with
     | [] -> None
     | first :: rest -> Some (snd (List.fold_left better first rest)))
+
+(* The entry a row with this key reads.  [note_net_write] below marks
+   the row whenever a network write can change that answer: a [Peer]
+   key reads every monitor's entries toward its peer, a [Peer_of] key
+   only its own monitor's, a [Fixed] key none. *)
+let key_entry t = function
+  | Peer target -> net_entry_for t ~target
+  | Peer_of { monitor; peer } ->
+    (match Hashtbl.find_opt t.net monitor with
+    | None -> None
+    | Some record ->
+      List.find_opt
+        (fun (e : Smart_proto.Records.net_entry) ->
+          String.equal e.Smart_proto.Records.peer peer)
+        record.Smart_proto.Records.entries)
+  | Fixed entry -> Some entry
+
+(* Mark the rows whose network key reads an entry of [record]: keys
+   naming one of its peers, from any monitor or from this one.  Plain
+   recursion rather than [List.iter] closures, so marking a record's
+   rows allocates nothing. *)
+let rec mark_rows t ~monitor = function
+  | [] -> ()
+  | row :: rows ->
+    (match t.ckey.(row) with
+    | Peer _ -> t.cnet_dirty.(row) <- true
+    | Peer_of { monitor = m; _ } ->
+      if String.equal m monitor then t.cnet_dirty.(row) <- true
+    | Fixed _ -> ());
+    mark_rows t ~monitor rows
+
+let rec mark_entries t ~monitor = function
+  | [] -> ()
+  | (e : Smart_proto.Records.net_entry) :: entries ->
+    (match Hashtbl.find t.cfeeds e.Smart_proto.Records.peer with
+    | rows -> mark_rows t ~monitor rows
+    | exception Not_found -> ());
+    mark_entries t ~monitor entries
+
+let note_net_write t ~monitor (record : Smart_proto.Records.net_record) =
+  if not t.cmembership then
+    mark_entries t ~monitor record.Smart_proto.Records.entries
+
+let update_net t (record : Smart_proto.Records.net_record) =
+  let monitor = record.Smart_proto.Records.monitor in
+  (match Hashtbl.find_opt t.net monitor with
+  | Some old ->
+    note_net_write t ~monitor old;
+    unindex_net t ~monitor old
+  | None -> ());
+  Hashtbl.replace t.net monitor record;
+  index_net t ~monitor record;
+  note_net_write t ~monitor record;
+  bump t
+
+let find_net t ~monitor = Hashtbl.find_opt t.net monitor
+
+let net_records t =
+  Hashtbl.fold (fun _ r acc -> r :: acc) t.net []
+  |> List.sort (fun a b ->
+         String.compare a.Smart_proto.Records.monitor b.Smart_proto.Records.monitor)
 
 (* Store the incoming table as a diff against the stored one, in place.
    The incoming entries are indexed first, so a host's level is that of
@@ -300,21 +396,48 @@ let sec_record t =
 
 module B = Smart_lang.Bytecode
 
-(* The 22 system-field readers in column order, resolved once: the
-   column contents agree with the reference evaluator's binding by
-   construction ([Report.reader] is [Report.variable] by name). *)
-let sys_readers =
+(* What each of the 22 system columns reads, resolved once from the
+   column names: the column contents agree with the reference
+   evaluator's binding by construction ([Report.source] is
+   [Report.variable] by field position). *)
+let column_sources =
   Array.map
     (fun name ->
-      match Smart_proto.Report.reader name with
-      | Some f -> f
+      match Smart_proto.Report.source name with
+      | Some source -> source
       | None -> assert false (* sys_fields ⊆ Report.variable's domain *))
     B.sys_fields
 
-let fill_sys_row (cols : B.columns) ~row (report : Smart_proto.Report.t) =
-  for field = 0 to Array.length sys_readers - 1 do
-    Bigarray.Array2.set cols.B.sys field row (sys_readers.(field) report)
+(* The record's numeric fields go through [t.values], read in place
+   from the payload for a pushed record, so a fill allocates nothing. *)
+let fill_sys_row t (cols : B.columns) ~row entry =
+  let values = t.values in
+  (match entry with
+  | Decoded r ->
+    let report = r.Smart_proto.Records.report in
+    for k = 0 to Array.length values - 1 do
+      values.(k) <- Smart_proto.Report.field report k
+    done
+  | Wire w -> Smart_proto.Records.wire_values w values);
+  for column = 0 to Array.length column_sources - 1 do
+    Bigarray.Array2.set cols.B.sys column row
+      (match column_sources.(column) with
+      | Smart_proto.Report.Field k -> values.(k)
+      | Smart_proto.Report.Sum (i, j) -> values.(i) +. values.(j))
   done
+
+let entry_ip = function
+  | Decoded r -> r.Smart_proto.Records.report.Smart_proto.Report.ip
+  | Wire w -> Smart_proto.Records.wire_ip w
+
+(* A pushed record's IP is compared in place: only a changed one is
+   read out. *)
+let refresh_ip view ~row = function
+  | Decoded r ->
+    view.ips.(row) <- r.Smart_proto.Records.report.Smart_proto.Report.ip
+  | Wire w ->
+    if not (Smart_proto.Records.wire_ip_is w view.ips.(row)) then
+      view.ips.(row) <- Smart_proto.Records.wire_ip w
 
 let fill_net_row (cols : B.columns) ~row entry =
   match entry with
@@ -339,55 +462,83 @@ let fill_sec_row t (cols : B.columns) ~row ~host =
     Bigarray.Array1.set cols.B.sec_level row 0.0;
     Bigarray.Array1.set cols.B.has_sec row 0
 
+let set_net_key t key =
+  t.net_key <- key;
+  t.cmembership <- true
+
+let set_refresh_hook t f = t.on_refresh <- f
+
+(* Each row's network key, and the key-to-rows index a network write
+   marks through; rows are indexed in descending order so each list
+   comes out ascending. *)
+let derive_keys t view =
+  t.ckey <- Array.map t.net_key view.hosts;
+  Hashtbl.reset t.cfeeds;
+  for row = Array.length t.ckey - 1 downto 0 do
+    match t.ckey.(row) with
+    | Peer peer | Peer_of { peer; _ } ->
+      let rows = try Hashtbl.find t.cfeeds peer with Not_found -> [] in
+      Hashtbl.replace t.cfeeds peer (row :: rows)
+    | Fixed _ -> ()
+  done
+
 let rebuild_columns t ~net_for =
-  let records = sys_records t in
-  let n = List.length records in
+  let hosts =
+    Array.of_list
+      (List.sort String.compare
+         (Hashtbl.fold (fun host _ acc -> host :: acc) t.sys []))
+  in
+  let n = Array.length hosts in
   let cols = B.create_columns n in
-  let hosts = Array.make n "" and ips = Array.make n "" in
+  let ips = Array.make n "" in
   Hashtbl.reset t.crow;
-  List.iteri
-    (fun row (r : Smart_proto.Records.sys_record) ->
-      let report = r.Smart_proto.Records.report in
-      let host = report.Smart_proto.Report.host in
-      hosts.(row) <- host;
-      ips.(row) <- report.Smart_proto.Report.ip;
+  Array.iteri
+    (fun row host ->
+      let entry = Hashtbl.find t.sys host in
+      ips.(row) <- entry_ip entry;
       Hashtbl.replace t.crow host row;
-      fill_sys_row cols ~row report;
+      fill_sys_row t cols ~row entry;
       fill_net_row cols ~row (net_for host);
       fill_sec_row t cols ~row ~host)
-    records;
+    hosts;
   let view = { cols; hosts; ips } in
+  derive_keys t view;
   t.cview <- Some view;
   t.clast <- Rebuilt;
   t.cdirty <- Array.make n false;
+  t.cnet_dirty <- Array.make n false;
   t.cmembership <- false;
-  t.cnet <- false;
   t.cgen <- t.generation;
   view
 
-(* Same host set as [view]: rewrite the dirty rows (system values, IP
-   and security level), and re-fill the network columns of every row if
-   the network table was written.  A whole table, because one network
-   record can feed many rows (the wizard's grouped lookup resolves every
-   server of a remote group through the local monitor's entry for that
-   group). *)
+(* Same host set as [view]: rewrite the rows a write marked, in row
+   order.  A row marked by a system or security write is rewritten
+   whole (system values, IP, security level); one marked by a network
+   write gets its network columns re-filled. *)
 let refresh_columns t view ~net_for =
+  let rewritten = ref 0 in
   for row = 0 to Array.length view.hosts - 1 do
-    let host = view.hosts.(row) in
-    if t.cdirty.(row) then begin
-      t.cdirty.(row) <- false;
-      (match Hashtbl.find_opt t.sys host with
-      | Some (r : Smart_proto.Records.sys_record) ->
-        let report = r.Smart_proto.Records.report in
-        fill_sys_row view.cols ~row report;
-        view.ips.(row) <- report.Smart_proto.Report.ip
-      | None -> ());
-      fill_sec_row t view.cols ~row ~host
-    end;
-    if t.cnet then fill_net_row view.cols ~row (net_for host)
+    let sys = t.cdirty.(row) and net = t.cnet_dirty.(row) in
+    if sys || net then begin
+      incr rewritten;
+      let host = view.hosts.(row) in
+      if sys then begin
+        t.cdirty.(row) <- false;
+        (match Hashtbl.find t.sys host with
+        | entry ->
+          fill_sys_row t view.cols ~row entry;
+          refresh_ip view ~row entry
+        | exception Not_found -> ());
+        fill_sec_row t view.cols ~row ~host
+      end;
+      if net then begin
+        t.cnet_dirty.(row) <- false;
+        fill_net_row view.cols ~row (net_for host)
+      end
+    end
   done;
-  t.clast <- Refreshed;
-  t.cnet <- false;
+  t.clast <- Refreshed !rewritten;
+  t.on_refresh !rewritten;
   t.cgen <- t.generation;
   view
 
@@ -396,8 +547,9 @@ let refresh_columns t view ~net_for =
    kept the system host set refreshes the view in place; a host joining
    or leaving rebuilds it from scratch.  [net_for] resolves the network
    metrics toward a host (the wizard's group-aware lookup); it is
-   consulted on rebuilds and after network writes, so its answers must
-   depend only on the host and this database's network table. *)
+   consulted on rebuilds and for the rows a network write marked, so
+   its answers must depend only on the network entry the host's
+   [net_key] names. *)
 let columns t ~net_for =
   match t.cview with
   | Some view when t.cgen = t.generation ->
@@ -412,13 +564,12 @@ let columns t ~net_for =
 let row_view t ~net_for ~host =
   match Hashtbl.find_opt t.sys host with
   | None -> None
-  | Some (r : Smart_proto.Records.sys_record) ->
-    let report = r.Smart_proto.Records.report in
+  | Some entry ->
     let cols = B.create_columns 1 in
-    fill_sys_row cols ~row:0 report;
+    fill_sys_row t cols ~row:0 entry;
     fill_net_row cols ~row:0 (net_for host);
     fill_sec_row t cols ~row:0 ~host;
-    Some { cols; hosts = [| host |]; ips = [| report.Smart_proto.Report.ip |] }
+    Some { cols; hosts = [| host |]; ips = [| entry_ip entry |] }
 
 let columns_fresh t = t.cgen = t.generation && t.cview <> None
 

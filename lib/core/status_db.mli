@@ -7,11 +7,13 @@
     removed), so readers can memoize derived views and rebuild them only
     when the data really changed.  Network entries are additionally kept
     in a peer-keyed secondary index, making per-target lookups O(1).
-    The columnar snapshot ({!columns}) has one row per system host and
-    is rebuilt only when that host set changes; every other write
-    refreshes it in place.  The security table is stored as a diff
-    ({!replace_sec}): an identical table costs no generation and no
-    refresh. *)
+    A pushed system record stays in its frame payload
+    ({!update_sys_payload}) and is decoded only for the readers that ask
+    for whole records.  The columnar snapshot ({!columns}) has one row
+    per system host and is rebuilt only when that host set changes;
+    every other write refreshes in place only the rows it feeds.  The
+    security table is stored as a diff ({!replace_sec}): an identical
+    table costs no generation and no refresh. *)
 
 type t
 
@@ -25,9 +27,23 @@ type column_view = {
 }
 
 (** What the last {!columns} call did: served the memoized view,
-    refreshed it in place (same system host set), or rebuilt it from
-    scratch (a system host joined or left). *)
-type refresh = Cached | Refreshed | Rebuilt
+    refreshed it in place (same system host set; [Refreshed rows]
+    rewrote [rows] rows), or rebuilt it from scratch (a system host
+    joined or left). *)
+type refresh = Cached | Refreshed of int | Rebuilt
+
+(** The network entry a server's row reads ({!key_entry}), so a network
+    write can refresh only the rows it feeds:
+    - [Peer p]: whatever any monitor reports toward [p], resolved as
+      {!net_entry_for} resolves it (the flat lookup);
+    - [Peer_of {monitor; peer}]: [monitor]'s own entry toward [peer] (a
+      remote group's servers, read through the local monitor's record);
+    - [Fixed e]: [e] itself, no network record (the local group's
+      nominal entry). *)
+type net_key =
+  | Peer of string
+  | Peer_of of { monitor : string; peer : string }
+  | Fixed of Smart_proto.Records.net_entry
 
 val create : unit -> t
 
@@ -38,8 +54,20 @@ val generation : t -> int
 val update_sys : t -> Smart_proto.Records.sys_record -> unit
 
 (** Store a whole snapshot of system records under a single generation
-    bump (the receiver's per-frame write). *)
+    bump. *)
 val update_sys_many : t -> Smart_proto.Records.sys_record list -> unit
+
+(** [update_sys_payload t order data ~hosts] stores the system records
+    of a pushed [Sys_db] payload under a single generation bump (the
+    receiver's per-frame write): record [i] is the
+    {!Smart_proto.Records.sys_record_size} bytes of [data] at
+    [i * sys_record_size], in byte order [order], and [hosts.(i)] is the
+    host it names.  The records stay in [data]: the snapshot reads their
+    values in place, and {!find_sys}, {!sys_records} and the sweeps
+    decode them when asked.  Raises [Invalid_argument] if [data] holds
+    fewer than [Array.length hosts] records. *)
+val update_sys_payload :
+  t -> Smart_proto.Endian.order -> string -> hosts:string array -> unit
 
 val find_sys : t -> host:string -> Smart_proto.Records.sys_record option
 
@@ -59,7 +87,9 @@ val sweep_sys_expired : t -> now:float -> max_age:float -> string list
 
 (** Store [monitor]'s record, replacing its previous one.  The columnar
     snapshot keeps its rows: the next {!columns} call re-fills the
-    network columns of every row. *)
+    network columns of the rows whose {!net_key} reads an entry of the
+    old or the new record — a key naming one of their peers, as [Peer]
+    or as [Peer_of] this monitor. *)
 val update_net : t -> Smart_proto.Records.net_record -> unit
 
 val find_net : t -> monitor:string -> Smart_proto.Records.net_record option
@@ -71,6 +101,12 @@ val net_records : t -> Smart_proto.Records.net_record list
     wins, then the lowest monitor name — deterministic regardless of
     insertion order. *)
 val net_entry_for : t -> target:string -> Smart_proto.Records.net_entry option
+
+(** The entry a row keyed [key] reads: {!net_entry_for} for [Peer p],
+    [monitor]'s own entry toward [peer] for [Peer_of], the entry itself
+    for [Fixed].  Its answer moves only after a network write that
+    marks the rows with that key (see {!update_net}). *)
+val key_entry : t -> net_key -> Smart_proto.Records.net_entry option
 
 (** Replace the whole security table.  When a host has several entries,
     the last one wins.  The incoming table is diffed against the stored
@@ -97,16 +133,32 @@ val sys_count : t -> int
     Bumps the generation only if the host was present. *)
 val remove_sys : t -> host:string -> unit
 
+(** Name the network entry each server's row reads; the default is the
+    flat [fun host -> Peer host].  The wizard sets its own when it is
+    created.  Replacing the function makes the next {!columns} call
+    rebuild the snapshot. *)
+val set_net_key : t -> (string -> net_key) -> unit
+
+(** Register the function told how many rows each in-place refresh
+    rewrote, whichever caller's {!columns} or {!summary} did it; it
+    replaces the previous one (the default does nothing).  The wizard
+    registers its [wizard.snapshot_rows_rewritten_total] counter when
+    it is created, so a database serves one wizard: like the key, the
+    hook is the last created wizard's. *)
+val set_refresh_hook : t -> (int -> unit) -> unit
+
 (** The columnar snapshot at the current generation, memoized.  Its rows
-    are the system hosts, so only a host joining or leaving rebuilds it.
-    Otherwise it is refreshed in place: a system update rewrites its own
-    row (values and IP), a security write rewrites the rows whose level
-    it changed, added or removed, and a network write re-fills the
-    network columns of every row.  [net_for] resolves the network
-    metrics toward a server host; it is consulted on rebuilds and after
-    network writes, so its answers must depend only on the host and
-    this database's network table (the wizard's group-aware lookup
-    does).  A refreshed view equals the one a rebuild would produce. *)
+    are the system hosts, so only a host joining or leaving (or a new
+    {!set_net_key}) rebuilds it.  Otherwise it is refreshed in place,
+    row by row: a system update rewrites its own row (values and IP), a
+    security write rewrites the rows whose level it changed, added or
+    removed, and a network write re-fills the network columns of the
+    rows it feeds (see {!update_net}).  [net_for] resolves the network
+    metrics toward a server host; it is consulted on rebuilds and for
+    the rows network writes marked, so its answer for a host must be
+    {!key_entry} of that host's {!net_key}: the wizard's lookup is, and
+    so is {!net_entry_for} under the default key.  A refreshed view
+    equals the one a rebuild would produce. *)
 val columns :
   t ->
   net_for:(string -> Smart_proto.Records.net_entry option) ->

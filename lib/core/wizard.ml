@@ -53,6 +53,22 @@ let default_local_entry =
 
 type config = { mode : mode; groups : groups option }
 
+(* The network entry a server's row reads: direct measurements in flat
+   deployments, group-level measurements (local monitor -> server's
+   group monitor) in multi-group ones, and the nominal local entry for
+   the wizard's own group.  The database re-fills a row's network
+   columns only after a write to that entry, so [group_of] must not
+   change once the wizard exists. *)
+let net_key groups host =
+  match groups with
+  | None -> Status_db.Peer host
+  | Some { local_monitor; group_of; local_entry } ->
+    (match group_of host with
+    | None -> Status_db.Peer host
+    | Some group when String.equal group local_monitor ->
+      Status_db.Fixed { local_entry with Smart_proto.Records.peer = host }
+    | Some group -> Status_db.Peer_of { monitor = local_monitor; peer = group })
+
 (* Receiver silence tolerated before replies are flagged degraded. *)
 let default_staleness_threshold = infinity
 
@@ -190,6 +206,15 @@ let create ?(compile_cache_capacity = default_compile_cache_capacity)
       || not (p.quantile >= 0.0 && p.quantile <= 1.0)
     then invalid_arg "Wizard.create: bad staleness_policy"
   | None -> ());
+  Status_db.set_net_key db (net_key config.groups);
+  (* counted by the database, so a refresh that a shard digest's
+     [Status_db.summary] does before this wizard reads is counted too *)
+  let rows_rewritten =
+    Metrics.counter metrics
+      ~help:"columnar snapshot rows rewritten by in-place refreshes"
+      "wizard.snapshot_rows_rewritten_total"
+  in
+  Status_db.set_refresh_hook db (Metrics.Counter.add rows_rewritten);
   (* sketch PRNG seeds derive from the shard identity so same-seed runs
      are byte-identical and distinct shards use distinct streams *)
   let seeded tag =
@@ -331,25 +356,8 @@ let degraded_now t =
 
 let staleness_threshold_now t = t.staleness_now
 
-(* Network metrics toward one server: direct measurements in flat
-   deployments, group-level measurements (local monitor -> server's
-   group monitor) in multi-group ones. *)
-let net_for t ~host =
-  match t.config.groups with
-  | None -> Status_db.net_entry_for t.db ~target:host
-  | Some { local_monitor; group_of; local_entry } ->
-    (match group_of host with
-    | None -> Status_db.net_entry_for t.db ~target:host
-    | Some group when String.equal group local_monitor ->
-      Some { local_entry with Smart_proto.Records.peer = host }
-    | Some group ->
-      (match Status_db.find_net t.db ~monitor:local_monitor with
-      | None -> None
-      | Some record ->
-        List.find_opt
-          (fun (e : Smart_proto.Records.net_entry) ->
-            String.equal e.Smart_proto.Records.peer group)
-          record.Smart_proto.Records.entries))
+(* Network metrics toward one server: the entry its key names. *)
+let net_for t ~host = Status_db.key_entry t.db (net_key t.config.groups host)
 
 let net_lookup t host = net_for t ~host
 
@@ -370,8 +378,7 @@ let server_columns t ~parent =
     let view = Status_db.columns t.db ~net_for:(net_lookup t) in
     (match Status_db.last_refresh t.db with
     | Status_db.Rebuilt -> Metrics.Counter.incr t.snapshot_rebuilds_total
-    | Status_db.Refreshed ->
-      Metrics.Counter.incr t.snapshot_refreshes_total
+    | Status_db.Refreshed _ -> Metrics.Counter.incr t.snapshot_refreshes_total
     | Status_db.Cached -> ());
     Smart_util.Tracelog.finish t.trace span;
     view

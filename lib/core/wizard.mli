@@ -19,7 +19,9 @@ type mode =
 type groups = {
   local_monitor : string;  (** the wizard's own group's monitor *)
   group_of : string -> string option;
-      (** server host -> its group's monitor, [None] when unknown *)
+      (** server host -> its group's monitor, [None] when unknown; fixed
+          once the wizard exists, which hands the database each server's
+          network key ({!Status_db.set_net_key}) when it is created *)
   local_entry : Smart_proto.Records.net_entry;
       (** network metrics assumed toward local-group servers *)
 }
@@ -188,7 +190,8 @@ val result_cache_stats : t -> int * int
 val snapshot_rebuilds : t -> int
 
 (** How many times the columnar snapshot was refreshed in place (only
-    existing hosts' system rows rewritten, no rebuild). *)
+    the rows writes marked rewritten, no rebuild); the rows themselves
+    are counted in [wizard.snapshot_rows_rewritten_total]. *)
 val snapshot_refreshes : t -> int
 
 (** The [wizard.request_latency_seconds] histogram in one read:
@@ -220,7 +223,8 @@ val last_result : t -> string list option
     transmitter's [sketches] callback. *)
 val latency_sketch : t -> Smart_util.Sketch.t
 
-(** The staleness threshold {!degraded_now} currently tests — the fixed
-    [staleness_threshold] until an armed {!staleness_policy} adapts
-    it. *)
+(** The staleness threshold in force: a reply is flagged degraded when
+    the time since the receiver's last update exceeds it.  It is the
+    fixed [staleness_threshold] until an armed {!staleness_policy}
+    adapts it. *)
 val staleness_threshold_now : t -> float

@@ -100,13 +100,12 @@ let encode ?(crc = false) order { payload_type; data; trace } =
   end;
   Bytes.to_string b
 
-(* Decode the single frame starting at [pos]; on success also return how
-   many bytes it occupied.  Never raises: malformed input comes back as a
-   typed {!error}. *)
-let decode_one order ?(pos = 0) s =
-  let len = String.length s - pos in
-  if pos < 0 || pos > String.length s then
-    Error (Truncated { need = header_size; have = 0 })
+(* Decode the single frame starting at [pos] of [s], whose bytes end at
+   [stop]; on success also return how many bytes it occupied.  Never
+   raises: malformed input comes back as a typed {!error}. *)
+let decode_within order s ~pos ~stop =
+  let len = stop - pos in
+  if pos < 0 || len < 0 then Error (Truncated { need = header_size; have = 0 })
   else if len < header_size then
     Error (Truncated { need = header_size; have = len })
   else begin
@@ -152,11 +151,27 @@ let decode_one order ?(pos = 0) s =
       end
   end
 
+let decode_one order ?(pos = 0) s =
+  if pos > String.length s then
+    Error (Truncated { need = header_size; have = 0 })
+  else decode_within order s ~pos ~stop:(String.length s)
+
 (* Incremental decoder: feed it chunks as they arrive; it emits complete
-   frames in order and resynchronises over corrupt spans. *)
+   frames in order and resynchronises over corrupt spans.
+
+   The bytes it copies grow linearly with the bytes fed.  A chunk fed
+   while nothing is pending is held as it is, so a chunk of whole
+   frames is decoded in place, each payload copied out once.  Bytes
+   that must wait for more (a frame still incomplete) move into a
+   buffer that grows by doubling and is compacted only when what it
+   has already handed out outweighs what it still holds.  Payloads are
+   always fresh strings, never views of that buffer. *)
 type decoder = {
   order : Endian.order;
-  mutable pending : string;  (* bytes received but not yet consumed *)
+  mutable held : string;  (* a chunk fed while nothing else was pending *)
+  mutable buf : Bytes.t;  (* pending bytes are [buf.[start .. stop)] *)
+  mutable start : int;
+  mutable stop : int;
   mutable skipped_bytes : int;
   mutable resyncs : int;
   mutable in_resync : bool;  (* consecutive skipped bytes count as one event *)
@@ -166,17 +181,45 @@ type decoder = {
 let decoder order =
   {
     order;
-    pending = "";
+    held = "";
+    buf = Bytes.empty;
+    start = 0;
+    stop = 0;
     skipped_bytes = 0;
     resyncs = 0;
     in_resync = false;
     last_error = None;
   }
 
+(* Append [s.[pos .. pos + len)] to the buffer, making room by
+   compacting when the live bytes fill at most half of it, and by
+   doubling otherwise. *)
+let buffer dec s ~pos ~len =
+  if dec.stop + len > Bytes.length dec.buf then begin
+    let live = dec.stop - dec.start in
+    let buf =
+      if live + len <= Bytes.length dec.buf / 2 then dec.buf
+      else Bytes.create (max (2 * Bytes.length dec.buf) (max 4096 (live + len)))
+    in
+    Bytes.blit dec.buf dec.start buf 0 live;
+    dec.buf <- buf;
+    dec.start <- 0;
+    dec.stop <- live
+  end;
+  Bytes.blit_string s pos dec.buf dec.stop len;
+  dec.stop <- dec.stop + len
+
 let feed dec chunk =
-  if String.length chunk > 0 then
-    dec.pending <-
-      (if String.equal dec.pending "" then chunk else dec.pending ^ chunk)
+  let len = String.length chunk in
+  if len > 0 then
+    if dec.stop = dec.start && String.length dec.held = 0 then dec.held <- chunk
+    else begin
+      if String.length dec.held > 0 then begin
+        buffer dec dec.held ~pos:0 ~len:(String.length dec.held);
+        dec.held <- ""
+      end;
+      buffer dec chunk ~pos:0 ~len
+    end
 
 let skipped_bytes dec = dec.skipped_bytes
 
@@ -184,18 +227,18 @@ let resyncs dec = dec.resyncs
 
 let last_error dec = dec.last_error
 
-let pending_bytes dec = String.length dec.pending
+let pending_bytes dec = String.length dec.held + (dec.stop - dec.start)
 
-let frames dec =
-  let s = dec.pending in
-  let len = String.length s in
-  let rec scan pos acc =
-    if len - pos < header_size then (pos, acc)
+(* Decode every complete frame of [s.[pos .. stop)]; returns where the
+   unconsumed bytes start and the frames, newest first. *)
+let scan dec s ~pos ~stop =
+  let rec go pos acc =
+    if stop - pos < header_size then (pos, acc)
     else
-      match decode_one dec.order ~pos s with
+      match decode_within dec.order s ~pos ~stop with
       | Ok (frame, consumed) ->
         dec.in_resync <- false;
-        scan (pos + consumed) (frame :: acc)
+        go (pos + consumed) (frame :: acc)
       | Error (Truncated _) ->
         (* an incomplete tail: wait for more bytes.  If the claimed frame
            is corrupt the eventual CRC check (or a later header scan)
@@ -209,8 +252,34 @@ let frames dec =
           dec.resyncs <- dec.resyncs + 1
         end;
         dec.skipped_bytes <- dec.skipped_bytes + 1;
-        scan (pos + 1) acc
+        go (pos + 1) acc
   in
-  let consumed, acc = scan 0 [] in
-  dec.pending <- String.sub s consumed (len - consumed);
+  go pos []
+
+let frames dec =
+  let acc =
+    if String.length dec.held > 0 then begin
+      let s = dec.held in
+      let consumed, acc = scan dec s ~pos:0 ~stop:(String.length s) in
+      dec.held <- "";
+      if consumed < String.length s then
+        buffer dec s ~pos:consumed ~len:(String.length s - consumed);
+      acc
+    end
+    else begin
+      (* the buffer is not written while the scan reads it *)
+      let consumed, acc =
+        scan dec (Bytes.unsafe_to_string dec.buf) ~pos:dec.start ~stop:dec.stop
+      in
+      dec.start <- consumed;
+      if dec.start = dec.stop then begin
+        (* all handed out: keep a small buffer for the next split frame,
+           not one sized for the largest frame seen *)
+        dec.start <- 0;
+        dec.stop <- 0;
+        if Bytes.length dec.buf > 65536 then dec.buf <- Bytes.empty
+      end;
+      acc
+    end
+  in
   List.rev acc

@@ -58,6 +58,10 @@ val encode : ?crc:bool -> Endian.order -> frame -> string
 val decode_one :
   Endian.order -> ?pos:int -> string -> (frame * int, error) result
 
+(** An incremental stream decoder.  The bytes it copies grow linearly
+    with the bytes fed, however the stream is split: a chunk of whole
+    frames is decoded where it lies, and only an incomplete frame's
+    bytes are buffered.  Every payload it returns is a fresh string. *)
 type decoder
 
 val decoder : Endian.order -> decoder

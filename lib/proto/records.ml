@@ -14,61 +14,99 @@ type sys_record = {
 
 let host_width = 40
 let ip_width = 16
-let sys_floats = 21  (* the numeric fields of Report.t, in order *)
 
-(* host[40] ip[16] updated_at f64 values f64[21] *)
-let sys_record_size = host_width + ip_width + 8 + (8 * sys_floats)
+(* host[40] ip[16] updated_at f64 values f64[21], the values in
+   [Report.field] order *)
+let values_offset = host_width + ip_width + 8
+
+let sys_record_size = values_offset + (8 * Report.field_count)
 
 let encode_sys order (r : sys_record) =
   let b = Bytes.create sys_record_size in
   Endian.set_string b ~pos:0 ~width:host_width r.report.Report.host;
   Endian.set_string b ~pos:host_width ~width:ip_width r.report.Report.ip;
   Endian.set_f64 order b ~pos:(host_width + ip_width) r.updated_at;
-  let base = host_width + ip_width + 8 in
-  let rp = r.report in
-  let values =
-    [|
-      rp.Report.load1; rp.Report.load5; rp.Report.load15;
-      rp.Report.cpu_user; rp.Report.cpu_nice; rp.Report.cpu_system;
-      rp.Report.cpu_free; rp.Report.bogomips;
-      rp.Report.mem_total; rp.Report.mem_used; rp.Report.mem_free;
-      rp.Report.mem_buffers; rp.Report.mem_cached;
-      rp.Report.disk_rreq; rp.Report.disk_rblocks; rp.Report.disk_wreq;
-      rp.Report.disk_wblocks;
-      rp.Report.net_rbytes; rp.Report.net_rpackets; rp.Report.net_tbytes;
-      rp.Report.net_tpackets;
-    |]
-  in
-  Array.iteri (fun i v -> Endian.set_f64 order b ~pos:(base + (8 * i)) v) values;
+  for k = 0 to Report.field_count - 1 do
+    Endian.set_f64 order b ~pos:(values_offset + (8 * k)) (Report.field r.report k)
+  done;
   Bytes.to_string b
 
-let decode_sys order s ~pos =
-  if pos + sys_record_size > String.length s then
-    Error "sys_record: truncated"
-  else begin
-    let host = Endian.get_string s ~pos ~width:host_width in
-    let ip = Endian.get_string s ~pos:(pos + host_width) ~width:ip_width in
-    let updated_at = Endian.get_f64 order s ~pos:(pos + host_width + ip_width) in
-    let base = pos + host_width + ip_width + 8 in
-    let f i = Endian.get_f64 order s ~pos:(base + (8 * i)) in
-    Ok
+(* The record at [pos], which the caller has checked fits. *)
+let decode_at order s ~pos =
+  let host = Endian.get_string s ~pos ~width:host_width in
+  let ip = Endian.get_string s ~pos:(pos + host_width) ~width:ip_width in
+  let updated_at = Endian.get_f64 order s ~pos:(pos + host_width + ip_width) in
+  let base = pos + values_offset in
+  let f i = Endian.get_f64 order s ~pos:(base + (8 * i)) in
+  {
+    report =
       {
-        report =
-          {
-            Report.host; ip;
-            load1 = f 0; load5 = f 1; load15 = f 2;
-            cpu_user = f 3; cpu_nice = f 4; cpu_system = f 5;
-            cpu_free = f 6; bogomips = f 7;
-            mem_total = f 8; mem_used = f 9; mem_free = f 10;
-            mem_buffers = f 11; mem_cached = f 12;
-            disk_rreq = f 13; disk_rblocks = f 14; disk_wreq = f 15;
-            disk_wblocks = f 16;
-            net_rbytes = f 17; net_rpackets = f 18; net_tbytes = f 19;
-            net_tpackets = f 20;
-          };
-        updated_at;
-      }
-  end
+        Report.host; ip;
+        load1 = f 0; load5 = f 1; load15 = f 2;
+        cpu_user = f 3; cpu_nice = f 4; cpu_system = f 5;
+        cpu_free = f 6; bogomips = f 7;
+        mem_total = f 8; mem_used = f 9; mem_free = f 10;
+        mem_buffers = f 11; mem_cached = f 12;
+        disk_rreq = f 13; disk_rblocks = f 14; disk_wreq = f 15;
+        disk_wblocks = f 16;
+        net_rbytes = f 17; net_rpackets = f 18; net_tbytes = f 19;
+        net_tpackets = f 20;
+      };
+    updated_at;
+  }
+
+let decode_sys order s ~pos =
+  if pos < 0 || pos + sys_record_size > String.length s then
+    Error "sys_record: truncated"
+  else Ok (decode_at order s ~pos)
+
+(* A system record left in the bytes it arrived in.  The wizard-side
+   mirror keeps pushed records this way: a row refresh reads the values
+   straight from the frame payload, and only a reader asking for the
+   whole record decodes it. *)
+type sys_wire = { data : string; pos : int; order : Endian.order }
+
+let sys_wire order data ~pos =
+  if pos < 0 || pos + sys_record_size > String.length data then
+    invalid_arg "Records.sys_wire";
+  { data; pos; order }
+
+let decode_wire w = decode_at w.order w.data ~pos:w.pos
+
+let rec same_chars s ~pos value i =
+  i >= String.length value
+  || (s.[pos + i] = value.[i] && same_chars s ~pos value (i + 1))
+
+(* Does the NUL-padded field of [width] bytes at [pos] hold exactly
+   [value]?  Compared in place: nothing is allocated. *)
+let field_is s ~pos ~width value =
+  let n = String.length value in
+  n <= width && (n = width || s.[pos + n] = '\000') && same_chars s ~pos value 0
+
+let wire_host data ~pos = Endian.get_string data ~pos ~width:host_width
+
+let wire_host_is data ~pos host = field_is data ~pos ~width:host_width host
+
+let wire_ip w = Endian.get_string w.data ~pos:(w.pos + host_width) ~width:ip_width
+
+let wire_ip_is w ip = field_is w.data ~pos:(w.pos + host_width) ~width:ip_width ip
+
+let wire_updated_at w = Endian.get_f64 w.order w.data ~pos:(w.pos + host_width + ip_width)
+
+(* The order is matched once, outside the loop, and each value goes
+   from the bytes to the float array unboxed, so a row read allocates
+   nothing. *)
+let wire_values w values =
+  let s = w.data and base = w.pos + values_offset in
+  match w.order with
+  | Endian.Little ->
+    for k = 0 to Report.field_count - 1 do
+      values.(k) <- Int64.float_of_bits (String.get_int64_le s (base + (8 * k)))
+    done
+  | Endian.Big ->
+    for k = 0 to Report.field_count - 1 do
+      values.(k) <- Int64.float_of_bits (String.get_int64_be s (base + (8 * k)))
+    done
 
 (* ------------------------------------------------------------------ *)
 (* Network status record: (peer monitor, delay, bandwidth) rows         *)

@@ -16,6 +16,44 @@ val encode_sys : Endian.order -> sys_record -> string
 (** Decode one system record starting at [pos]. *)
 val decode_sys : Endian.order -> string -> pos:int -> (sys_record, string) result
 
+(** {2 System records held as their bytes}
+
+    The wizard-side mirror keeps each pushed system record as a
+    reference to its bytes in the frame payload and reads what it needs
+    in place; only a reader asking for the whole record decodes it. *)
+
+(** The {!sys_record_size} bytes at [pos] of [data], in byte order
+    [order]. *)
+type sys_wire = private { data : string; pos : int; order : Endian.order }
+
+(** [sys_wire order data ~pos] refers to the record at [pos] of [data];
+    raises [Invalid_argument] when it does not fit. *)
+val sys_wire : Endian.order -> string -> pos:int -> sys_wire
+
+(** The whole record: [decode_wire (sys_wire order s ~pos)] equals
+    [decode_sys order s ~pos]. *)
+val decode_wire : sys_wire -> sys_record
+
+(** Host name of the record at [pos] of [data]. *)
+val wire_host : string -> pos:int -> string
+
+(** Does the record at [pos] of [data] name [host]?  Compared in place,
+    without allocating; [wire_host_is data ~pos h] is
+    [String.equal (wire_host data ~pos) h] for any [h] holding no NUL. *)
+val wire_host_is : string -> pos:int -> string -> bool
+
+val wire_ip : sys_wire -> string
+
+(** {!wire_ip} compared in place, as {!wire_host_is}. *)
+val wire_ip_is : sys_wire -> string -> bool
+
+val wire_updated_at : sys_wire -> float
+
+(** Write the record's {!Report.field_count} numeric fields, in
+    {!Report.field} order, into [values.(0)] onward, read straight from
+    the bytes without allocating. *)
+val wire_values : sys_wire -> float array -> unit
+
 type net_entry = {
   peer : string;
   delay : float;      (** seconds *)

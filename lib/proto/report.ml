@@ -40,16 +40,36 @@ type t = {
 
 let disk_allreq r = r.disk_rreq +. r.disk_wreq
 
-let fields r =
-  [
-    r.load1; r.load5; r.load15;
-    r.cpu_user; r.cpu_nice; r.cpu_system; r.cpu_free; r.bogomips;
-    r.mem_total; r.mem_used; r.mem_free; r.mem_buffers; r.mem_cached;
-    r.disk_rreq; r.disk_rblocks; r.disk_wreq; r.disk_wblocks;
-    r.net_rbytes; r.net_rpackets; r.net_tbytes; r.net_tpackets;
-  ]
+(* Numeric field [k], in the order the ASCII report and the binary
+   system record ([Records]) carry them. *)
+let field r k =
+  match k with
+  | 0 -> r.load1
+  | 1 -> r.load5
+  | 2 -> r.load15
+  | 3 -> r.cpu_user
+  | 4 -> r.cpu_nice
+  | 5 -> r.cpu_system
+  | 6 -> r.cpu_free
+  | 7 -> r.bogomips
+  | 8 -> r.mem_total
+  | 9 -> r.mem_used
+  | 10 -> r.mem_free
+  | 11 -> r.mem_buffers
+  | 12 -> r.mem_cached
+  | 13 -> r.disk_rreq
+  | 14 -> r.disk_rblocks
+  | 15 -> r.disk_wreq
+  | 16 -> r.disk_wblocks
+  | 17 -> r.net_rbytes
+  | 18 -> r.net_rpackets
+  | 19 -> r.net_tbytes
+  | 20 -> r.net_tpackets
+  | _ -> invalid_arg "Report.field"
 
 let field_count = 21
+
+let fields r = List.init field_count (field r)
 
 (* Trace-context carriage: a traced report appends "|TR|<trace>|<span>".
    The suffix tag cannot be confused with a numeric field, the untraced
@@ -124,33 +144,35 @@ let decode s =
 
 let of_string s = Result.map fst (decode s)
 
-(* [variable] with the name resolved once: columnar row fills look the
-   reader up per field at snapshot-build time instead of string-matching
-   22 names for every row refresh. *)
-let reader name : (t -> float) option =
+type source = Field of int | Sum of int * int
+
+(* [variable]'s binding as field positions, so a columnar row fill
+   resolves each name once and can read the values from a report or,
+   in place, from a binary record's bytes. *)
+let source name =
   match name with
-  | "host_system_load1" -> Some (fun r -> r.load1)
-  | "host_system_load5" -> Some (fun r -> r.load5)
-  | "host_system_load15" -> Some (fun r -> r.load15)
-  | "host_cpu_user" -> Some (fun r -> r.cpu_user)
-  | "host_cpu_nice" -> Some (fun r -> r.cpu_nice)
-  | "host_cpu_system" -> Some (fun r -> r.cpu_system)
-  | "host_cpu_free" -> Some (fun r -> r.cpu_free)
-  | "host_cpu_bogomips" -> Some (fun r -> r.bogomips)
-  | "host_memory_total" -> Some (fun r -> r.mem_total)
-  | "host_memory_used" -> Some (fun r -> r.mem_used)
-  | "host_memory_free" -> Some (fun r -> r.mem_free)
-  | "host_memory_buffers" -> Some (fun r -> r.mem_buffers)
-  | "host_memory_cached" -> Some (fun r -> r.mem_cached)
-  | "host_disk_allreq" -> Some disk_allreq
-  | "host_disk_rreq" -> Some (fun r -> r.disk_rreq)
-  | "host_disk_rblocks" -> Some (fun r -> r.disk_rblocks)
-  | "host_disk_wreq" -> Some (fun r -> r.disk_wreq)
-  | "host_disk_wblocks" -> Some (fun r -> r.disk_wblocks)
-  | "host_network_rbytesps" -> Some (fun r -> r.net_rbytes)
-  | "host_network_rpacketsps" -> Some (fun r -> r.net_rpackets)
-  | "host_network_tbytesps" -> Some (fun r -> r.net_tbytes)
-  | "host_network_tpacketsps" -> Some (fun r -> r.net_tpackets)
+  | "host_system_load1" -> Some (Field 0)
+  | "host_system_load5" -> Some (Field 1)
+  | "host_system_load15" -> Some (Field 2)
+  | "host_cpu_user" -> Some (Field 3)
+  | "host_cpu_nice" -> Some (Field 4)
+  | "host_cpu_system" -> Some (Field 5)
+  | "host_cpu_free" -> Some (Field 6)
+  | "host_cpu_bogomips" -> Some (Field 7)
+  | "host_memory_total" -> Some (Field 8)
+  | "host_memory_used" -> Some (Field 9)
+  | "host_memory_free" -> Some (Field 10)
+  | "host_memory_buffers" -> Some (Field 11)
+  | "host_memory_cached" -> Some (Field 12)
+  | "host_disk_allreq" -> Some (Sum (13, 15))
+  | "host_disk_rreq" -> Some (Field 13)
+  | "host_disk_rblocks" -> Some (Field 14)
+  | "host_disk_wreq" -> Some (Field 15)
+  | "host_disk_wblocks" -> Some (Field 16)
+  | "host_network_rbytesps" -> Some (Field 17)
+  | "host_network_rpacketsps" -> Some (Field 18)
+  | "host_network_tbytesps" -> Some (Field 19)
+  | "host_network_tpacketsps" -> Some (Field 20)
   | _ -> None
 
 (* Binding of the 22 server-side requirement variables to a report. *)

@@ -43,8 +43,22 @@ val of_string : string -> (t, string) result
     this report does not define. *)
 val variable : t -> string -> float option
 
-(** {!variable} with the name resolved once — the per-field reader used
-    by columnar row fills.  [reader name] is [Some f] with
-    [f r = Option.get (variable r name)] exactly when
-    [variable r name] is defined. *)
-val reader : string -> (t -> float) option
+(** Number of numeric fields: every field but [host] and [ip]. *)
+val field_count : int
+
+(** Numeric field [k], [0 <= k < field_count], in declaration order
+    ([field r 0] is [load1], [field r 20] is [net_tpackets]) — the order
+    the ASCII report and the binary system record carry them in. *)
+val field : t -> int -> float
+
+(** How a [host_*] variable is computed from the numeric fields: one
+    field, or the sum [field r i +. field r j] of two
+    ([host_disk_allreq]). *)
+type source = Field of int | Sum of int * int
+
+(** {!variable} as field positions, resolved once by name for columnar
+    row fills: [variable r name] is [Some (field r k)] when
+    [source name = Some (Field k)], [Some (field r i +. field r j)] when
+    it is [Some (Sum (i, j))], and [None] exactly when [source name] is
+    [None]. *)
+val source : string -> source option

@@ -16,9 +16,11 @@ module Counter = struct
 
   let make () = { count = 0 }
 
-  let incr ?(by = 1) t =
-    if by < 0 then invalid_arg "Metrics.Counter.incr: negative increment";
-    t.count <- t.count + by
+  let add t n =
+    if n < 0 then invalid_arg "Metrics.Counter: negative increment";
+    t.count <- t.count + n
+
+  let incr ?(by = 1) t = add t by
 
   let value t = t.count
 end

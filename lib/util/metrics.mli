@@ -24,6 +24,10 @@ module Counter : sig
   (** [incr ?by c] adds [by] (default 1, must be [>= 0]) to the count. *)
   val incr : ?by:int -> t -> unit
 
+  (** [add c n] is [incr ~by:n c] without the block the optional
+      argument costs, for a count taken where nothing may allocate. *)
+  val add : t -> int -> unit
+
   val value : t -> int
 end
 

@@ -241,6 +241,8 @@ type db_write =
   | W_leave of int
   | W_sweep of int  (* max age, in writes *)
   | W_net of int * (int * int) list  (* monitor, (peer, value) entries *)
+  | W_resend of int * int
+      (* monitor, value: its stored record re-sent over the same peers *)
   | W_sec of (int * int) list  (* host, level *)
 
 let db_hosts = 6
@@ -262,6 +264,7 @@ let pp_db_write = function
     Printf.sprintf "net m%d %s" m
       (String.concat ","
          (List.map (fun (p, x) -> Printf.sprintf "%s/%d" (db_peer p) x) entries))
+  | W_resend (m, x) -> Printf.sprintf "resend m%d/%d" m x
   | W_sec entries ->
     "sec "
     ^ String.concat ","
@@ -286,6 +289,11 @@ let gen_db_write =
             (list_size (int_range 0 4)
                (pair (int_range 0 (db_hosts + db_monitors - 1)) (int_range 0 3)))
         );
+        ( 1,
+          map2
+            (fun m x -> W_resend (m, x))
+            (int_range 0 (db_monitors - 1))
+            (int_range 0 3) );
         ( 2,
           map
             (fun entries -> W_sec entries)
@@ -396,6 +404,22 @@ let apply_db_write db ~clock write =
                 ~measured_at:(float_of_int x) (db_peer p))
             entries;
       }
+  | W_resend (m, x) ->
+    (match C.Status_db.find_net db ~monitor:(db_monitor m) with
+    | None -> ()
+    | Some record ->
+      C.Status_db.update_net db
+        {
+          record with
+          P.Records.entries =
+            List.map
+              (fun (e : P.Records.net_entry) ->
+                net_entry
+                  ~delay:(0.001 *. float_of_int (x + 1))
+                  ~bandwidth:(e.P.Records.bandwidth +. 1e5)
+                  ~measured_at:(float_of_int x) e.P.Records.peer)
+              record.P.Records.entries;
+        })
   | W_sec entries ->
     C.Status_db.replace_sec db
       {
@@ -1341,10 +1365,17 @@ let arbitrary_rx_steps =
     ~shrink:QCheck.Shrink.list
     QCheck.Gen.(list_size (int_range 1 15) step)
 
+let arbitrary_order =
+  QCheck.make
+    ~print:(function P.Endian.Little -> "little-endian" | P.Endian.Big -> "big-endian")
+    (QCheck.Gen.oneofl [ P.Endian.Little; P.Endian.Big ])
+
+(* The byte order is drawn per case: the mirror holds pushed system
+   records as their wire bytes, so its reads must use the receiver's
+   order. *)
 let prop_receiver_matches_direct_writes =
   QCheck.Test.make ~name:"receiver pushes = direct writes" ~count:300
-    arbitrary_rx_steps (fun steps ->
-      let order = P.Endian.Little in
+    (QCheck.pair arbitrary_order arbitrary_rx_steps) (fun (order, steps) ->
       let mirror = C.Status_db.create () in
       let twin = C.Status_db.create () in
       let m = Smart_util.Metrics.create () in
@@ -1482,6 +1513,113 @@ let test_receiver_push_linear () =
   if large > 1.5 *. small || small > 1.5 *. large then
     Alcotest.failf "words per server: %.1f at 250 servers, %.1f at 4,000" small
       large
+
+(* A pushed system record is never decoded on the way into the
+   snapshot: its column values are read from the frame bytes.  Each
+   must equal the language's binding ([Report.variable]) on the decoded
+   record bit for bit, in either byte order, the derived
+   [host_disk_allreq] included.  Values are arbitrary bit patterns; NaN
+   is drawn as the one [Float.nan], since which payload a sum of two
+   NaNs keeps is the hardware's choice. *)
+let prop_pushed_columns_bit_exact =
+  let value =
+    QCheck.Gen.map
+      (fun bits ->
+        let v = Int64.float_of_bits bits in
+        if Float.is_nan v then Float.nan else v)
+      QCheck.Gen.ui64
+  in
+  let gen =
+    QCheck.Gen.(
+      pair
+        (oneofl [ P.Endian.Little; P.Endian.Big ])
+        (list_size (int_range 1 6) (array_size (return P.Report.field_count) value)))
+  in
+  QCheck.Test.make ~name:"pushed columns = report binding, bit for bit"
+    ~count:200
+    (QCheck.make
+       ~print:(fun (order, rows) ->
+         Printf.sprintf "%s: %s"
+           (match order with P.Endian.Little -> "LE" | P.Endian.Big -> "BE")
+           (String.concat "; "
+              (List.map
+                 (fun a ->
+                   String.concat ","
+                     (Array.to_list (Array.map (Printf.sprintf "%h") a)))
+                 rows)))
+       gen)
+    (fun (order, rows) ->
+      let report i a =
+        {
+          (report ~host:(Printf.sprintf "h%d" i) ~ip:(Printf.sprintf "10.0.0.%d" i) ())
+          with
+          P.Report.load1 = a.(0); load5 = a.(1); load15 = a.(2);
+          cpu_user = a.(3); cpu_nice = a.(4); cpu_system = a.(5);
+          cpu_free = a.(6); bogomips = a.(7);
+          mem_total = a.(8); mem_used = a.(9); mem_free = a.(10);
+          mem_buffers = a.(11); mem_cached = a.(12);
+          disk_rreq = a.(13); disk_rblocks = a.(14); disk_wreq = a.(15);
+          disk_wblocks = a.(16);
+          net_rbytes = a.(17); net_rpackets = a.(18); net_tbytes = a.(19);
+          net_tpackets = a.(20);
+        }
+      in
+      let payload =
+        String.concat ""
+          (List.mapi
+             (fun i a ->
+               P.Records.encode_sys order { P.Records.report = report i a; updated_at = 1.0 })
+             rows)
+      in
+      let mirror = C.Status_db.create () in
+      let rx = C.Receiver.create ~order mirror in
+      let frame =
+        P.Frame.encode order
+          { P.Frame.payload_type = P.Frame.Sys_db; data = payload;
+            trace = Smart_util.Tracelog.root }
+      in
+      (match C.Receiver.handle_stream rx ~from:"src" frame with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "push: %s" e);
+      let view = C.Status_db.columns mirror ~net_for:(fun _ -> None) in
+      let module B = Smart_lang.Bytecode in
+      let same_bits a b =
+        Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+      in
+      List.for_all
+        (fun i ->
+          let expected =
+            match P.Records.decode_sys order payload ~pos:(i * P.Records.sys_record_size) with
+            | Ok r -> r.P.Records.report
+            | Error e -> Alcotest.failf "decode: %s" e
+          in
+          (* hosts h0..h5 sort in push order, so record i is row i *)
+          let row = i in
+          let decoded_on_demand =
+            match C.Status_db.find_sys mirror ~host:expected.P.Report.host with
+            | Some r ->
+              String.equal r.P.Records.report.P.Report.ip expected.P.Report.ip
+              && List.for_all
+                   (fun k ->
+                     same_bits
+                       (P.Report.field r.P.Records.report k)
+                       (P.Report.field expected k))
+                   (List.init P.Report.field_count Fun.id)
+            | None -> false
+          in
+          String.equal view.C.Status_db.hosts.(row) expected.P.Report.host
+          && String.equal view.C.Status_db.ips.(row) expected.P.Report.ip
+          && decoded_on_demand
+          && Array.for_all
+               (fun column ->
+                 let name = B.sys_fields.(column) in
+                 match P.Report.variable expected name with
+                 | None -> false
+                 | Some v ->
+                   same_bits v
+                     (Bigarray.Array2.get view.C.Status_db.cols.B.sys column row))
+               (Array.init B.sys_field_count Fun.id))
+        (List.init (List.length rows) Fun.id))
 
 (* A deterministic plane of [n] servers s0000.. with system, network
    and security data for every one; about half pass [host_cpu_free >
@@ -1765,6 +1903,160 @@ let ask wizard ~wanted requirement =
     | Ok reply -> reply.P.Wizard_msg.servers
     | Error e -> Alcotest.failf "reply: %s" e)
   | _ -> Alcotest.fail "expected one reply"
+
+(* The row-selective refresh on a receiver-fed plane of 4 groups x 16
+   servers.  Group g's monitor gm<g> pushes its servers' records, its
+   network record and the security table every group ships.  Its
+   network record measures its own servers in a flat deployment and
+   other groups' monitors in a grouped one, where gm0 is the wizard's
+   local monitor and names groups 1 and 2. *)
+let rows_per_group = 16
+let rows_host g j = Printf.sprintf "g%d-%02d" g j
+let rows_monitor g = Printf.sprintf "gm%d" g
+
+let rows_frame payload_type data =
+  P.Frame.encode P.Endian.Little
+    { P.Frame.payload_type; data; trace = Smart_util.Tracelog.root }
+
+let rows_sys g ~variant =
+  rows_frame P.Frame.Sys_db
+    (String.concat ""
+       (List.init rows_per_group (fun j ->
+            P.Records.encode_sys P.Endian.Little
+              (sys_record ~host:(rows_host g j)
+                 ~ip:(Printf.sprintf "10.%d.0.%d" g j)
+                 ~cpu_free:(0.1 *. float_of_int (variant + 1))
+                 ~at:(float_of_int variant) ()))))
+
+let rows_net g ~grouped ~variant =
+  let peers =
+    if not grouped then List.init rows_per_group (rows_host g)
+    else if g = 0 then [ rows_monitor 1; rows_monitor 2 ]
+    else List.map rows_monitor (List.filter (fun h -> h <> g) [ 0; 1; 2; 3 ])
+  in
+  rows_frame P.Frame.Net_db
+    (P.Records.encode_net P.Endian.Little
+       {
+         P.Records.monitor = rows_monitor g;
+         entries =
+           List.map
+             (net_entry
+                ~bandwidth:(1e6 *. float_of_int (variant + 1))
+                ~measured_at:(float_of_int variant))
+             peers;
+       })
+
+let rows_sec =
+  rows_frame P.Frame.Sec_db
+    (P.Records.encode_sec P.Endian.Little
+       {
+         P.Records.entries =
+           List.concat
+             (List.init 4 (fun g ->
+                  List.init rows_per_group (fun j ->
+                      { P.Records.host = rows_host g j; level = 1 + (j mod 3) })));
+       })
+
+let rows_groups =
+  {
+    C.Wizard.local_monitor = rows_monitor 0;
+    group_of =
+      (fun host ->
+        if String.length host > 1 && host.[0] = 'g' then
+          Some (rows_monitor (Char.code host.[1] - Char.code '0'))
+        else None);
+    local_entry = C.Wizard.default_local_entry;
+  }
+
+(* Loads every group's push and reads the snapshot once; returns the
+   mirror, a push function, and the rows the next read rewrites
+   ([read_first] reads the mirror before the wizard does). *)
+let rows_plane ~grouped =
+  let m = Smart_util.Metrics.create () in
+  let config groups = { C.Wizard.mode = C.Wizard.Centralized; groups } in
+  let groups = if grouped then Some rows_groups else None in
+  let mirror = C.Status_db.create () in
+  let rx = C.Receiver.create ~order:P.Endian.Little mirror in
+  let wizard = C.Wizard.create ~metrics:m (config groups) mirror in
+  let push g frames =
+    match C.Receiver.handle_stream rx ~from:(rows_monitor g) (String.concat "" frames) with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "push from %s: %s" (rows_monitor g) e
+  in
+  for g = 0 to 3 do
+    push g [ rows_sys g ~variant:0; rows_net g ~grouped ~variant:0; rows_sec ]
+  done;
+  ignore (ask wizard ~wanted:1 "100 > 0
+");
+  let rewritten ?(read_first = ignore) () =
+    let before = counter_value m "wizard.snapshot_rows_rewritten_total" in
+    read_first mirror;
+    ignore (ask wizard ~wanted:1 "100 > 0
+");
+    let net_for host = C.Wizard.net_entry_for wizard ~host in
+    let view = C.Status_db.columns mirror ~net_for in
+    let copy = fresh_copy mirror in
+    let twin = C.Wizard.create (config groups) copy in
+    if
+      not
+        (same_view view
+           (C.Status_db.columns copy ~net_for:(fun host ->
+                C.Wizard.net_entry_for twin ~host)))
+    then Alcotest.fail "the refreshed snapshot differs from a rebuild";
+    Alcotest.(check int) "no rebuild" 1 (counter_value m "wizard.snapshot_rebuilds_total");
+    counter_value m "wizard.snapshot_rows_rewritten_total" - before
+  in
+  (mirror, push, rewritten)
+
+(* One group's push rewrites its own 16 rows: its system rows, which
+   are also the rows its network record feeds, while the repeated
+   security table rewrites none. *)
+let test_rows_group_push () =
+  let _, push, rewritten = rows_plane ~grouped:false in
+  push 1 [ rows_sys 1 ~variant:1; rows_net 1 ~grouped:false ~variant:1; rows_sec ];
+  Alcotest.(check int) "rows rewritten" rows_per_group (rewritten ())
+
+(* A shard's digest uplink summarizes the mirror before the wizard reads
+   it: the rows that refresh rewrote are counted all the same. *)
+let test_rows_summary_refresh () =
+  let _, push, rewritten = rows_plane ~grouped:false in
+  push 1 [ rows_sys 1 ~variant:1; rows_net 1 ~grouped:false ~variant:1; rows_sec ];
+  let digest mirror =
+    let net_for target = C.Status_db.net_entry_for mirror ~target in
+    ignore (C.Status_db.summary mirror ~shard:"shard" ~net_for)
+  in
+  Alcotest.(check int) "rows rewritten" rows_per_group
+    (rewritten ~read_first:digest ())
+
+(* Grouped: a remote group's monitor measures other monitors, which no
+   row reads (remote rows read the local monitor's record), so its push
+   rewrites only its 16 system rows. *)
+let test_rows_remote_group_push () =
+  let _, push, rewritten = rows_plane ~grouped:true in
+  push 2 [ rows_sys 2 ~variant:1; rows_net 2 ~grouped:true ~variant:1; rows_sec ];
+  Alcotest.(check int) "rows rewritten" rows_per_group (rewritten ())
+
+(* Grouped: the local monitor's network record names groups 1 and 2,
+   so re-sending it rewrites their 32 rows, not group 3's or its own. *)
+let test_rows_local_net_push () =
+  let _, push, rewritten = rows_plane ~grouped:true in
+  push 0 [ rows_net 0 ~grouped:true ~variant:1 ];
+  Alcotest.(check int) "rows rewritten" (2 * rows_per_group) (rewritten ())
+
+(* Refreshing the rows of a pushed system snapshot reads the values
+   and compares the unchanged IPs in place: no word per row. *)
+let test_rows_refresh_allocation () =
+  let mirror, push, _ = rows_plane ~grouped:false in
+  push 1 [ rows_sys 1 ~variant:1 ];
+  let net_for target = C.Status_db.net_entry_for mirror ~target in
+  let before = allocated_words () in
+  ignore (Sys.opaque_identity (C.Status_db.columns mirror ~net_for));
+  let words = allocated_words () -. before in
+  (match C.Status_db.last_refresh mirror with
+  | C.Status_db.Refreshed rows -> Alcotest.(check int) "rows" rows_per_group rows
+  | C.Status_db.Cached | C.Status_db.Rebuilt -> Alcotest.fail "expected a refresh");
+  if words >= float_of_int rows_per_group then
+    Alcotest.failf "refreshing %d rows allocated %.0f words" rows_per_group words
 
 let test_wizard_compile_cache () =
   let db = C.Status_db.create () in
@@ -3998,6 +4290,17 @@ let () =
           Alcotest.test_case "partial sys record rejected" `Quick
             test_receiver_rejects_partial_sys;
           QCheck_alcotest.to_alcotest prop_receiver_matches_direct_writes;
+          QCheck_alcotest.to_alcotest prop_pushed_columns_bit_exact;
+          Alcotest.test_case "group push rewrites its rows" `Quick
+            test_rows_group_push;
+          Alcotest.test_case "rows a summary refreshed are counted" `Quick
+            test_rows_summary_refresh;
+          Alcotest.test_case "remote group push rewrites its system rows" `Quick
+            test_rows_remote_group_push;
+          Alcotest.test_case "local network record rewrites the groups it names"
+            `Quick test_rows_local_net_push;
+          Alcotest.test_case "pushed rows refresh without allocating" `Quick
+            test_rows_refresh_allocation;
           Alcotest.test_case "push cost linear in size" `Quick
             test_receiver_push_linear;
           Alcotest.test_case "resend queue + backoff" `Quick
