@@ -17,6 +17,11 @@ let setup_logs level =
 
 let book () = Smart_realnet.Addr_book.create ()
 
+(* Each daemon runs on its own event loop; the main thread only waits. *)
+let rec idle () =
+  Thread.delay 60.0;
+  idle ()
+
 (* ------------------------------------------------------------------ *)
 (* probe                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -38,13 +43,7 @@ let run_probe host ip monitor interval =
   Logs.app (fun m ->
       m "probe %s reporting to %s every %.1f s (ctrl-c to stop)" host monitor
         interval);
-  let rec wait () =
-    Thread.delay 60.0;
-    Logs.info (fun m ->
-        m "reports sent: %d" (Smart_realnet.Probe_daemon.reports_sent daemon));
-    wait ()
-  in
-  wait ()
+  idle ()
 
 (* ------------------------------------------------------------------ *)
 (* monitor                                                              *)
@@ -131,11 +130,7 @@ let run_wizard host distributed transmitters admission_rate admission_burst =
   Logs.app (fun m ->
       m "wizard %s listening on %d (ctrl-c to stop)" host
         Smart_proto.Ports.wizard);
-  let rec wait () =
-    Thread.delay 60.0;
-    wait ()
-  in
-  wait ()
+  idle ()
 
 (* ------------------------------------------------------------------ *)
 (* query                                                                *)

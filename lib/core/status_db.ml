@@ -38,9 +38,9 @@ type column_view = {
   ips : string array;    (* dense row -> IP *)
 }
 
-(* What the last [columns] call did, for the wizard's snapshot counters
-   and the bench's refresh accounting. *)
-type refresh = Cached | Refreshed of int | Rebuilt
+(* The work a [columns] call did, told to the wizard's snapshot
+   counters. *)
+type refresh = Refreshed of int | Rebuilt
 
 type net_key =
   | Peer of string
@@ -85,8 +85,7 @@ type t = {
   mutable cmembership : bool;
       (* a system host joined or left, or [net_key] was replaced: the
          next [columns] call must rebuild rather than refresh rows *)
-  mutable clast : refresh;
-  mutable on_refresh : int -> unit;  (* told each refresh's rewritten rows *)
+  mutable on_refresh : refresh -> unit;  (* told each refresh and rebuild *)
 }
 
 let create () =
@@ -109,7 +108,6 @@ let create () =
     cdirty = [||];
     cnet_dirty = [||];
     cmembership = true;
-    clast = Rebuilt;
     on_refresh = ignore;
   }
 
@@ -504,7 +502,7 @@ let rebuild_columns t ~net_for =
   let view = { cols; hosts; ips } in
   derive_keys t view;
   t.cview <- Some view;
-  t.clast <- Rebuilt;
+  t.on_refresh Rebuilt;
   t.cdirty <- Array.make n false;
   t.cnet_dirty <- Array.make n false;
   t.cmembership <- false;
@@ -537,8 +535,7 @@ let refresh_columns t view ~net_for =
       end
     end
   done;
-  t.clast <- Refreshed !rewritten;
-  t.on_refresh !rewritten;
+  t.on_refresh (Refreshed !rewritten);
   t.cgen <- t.generation;
   view
 
@@ -552,9 +549,7 @@ let refresh_columns t view ~net_for =
    [net_key] names. *)
 let columns t ~net_for =
   match t.cview with
-  | Some view when t.cgen = t.generation ->
-    t.clast <- Cached;
-    view
+  | Some view when t.cgen = t.generation -> view
   | Some view when not t.cmembership -> refresh_columns t view ~net_for
   | Some _ | None -> rebuild_columns t ~net_for
 
@@ -618,8 +613,6 @@ let summary t ~shard ~net_for =
     net_bw = gated cols.B.has_net cols.B.net_bw;
     sec_level = gated cols.B.has_sec cols.B.sec_level;
   }
-
-let last_refresh t = t.clast
 
 let sys_count t = Hashtbl.length t.sys
 

@@ -26,11 +26,10 @@ type column_view = {
   ips : string array;
 }
 
-(** What the last {!columns} call did: served the memoized view,
-    refreshed it in place (same system host set; [Refreshed rows]
-    rewrote [rows] rows), or rebuilt it from scratch (a system host
-    joined or left). *)
-type refresh = Cached | Refreshed of int | Rebuilt
+(** The work a {!columns} call did on the snapshot: refreshed it in
+    place (same system host set; [Refreshed rows] rewrote [rows] rows),
+    or rebuilt it from scratch (a system host joined or left). *)
+type refresh = Refreshed of int | Rebuilt
 
 (** The network entry a server's row reads ({!key_entry}), so a network
     write can refresh only the rows it feeds:
@@ -139,13 +138,13 @@ val remove_sys : t -> host:string -> unit
     rebuild the snapshot. *)
 val set_net_key : t -> (string -> net_key) -> unit
 
-(** Register the function told how many rows each in-place refresh
-    rewrote, whichever caller's {!columns} or {!summary} did it; it
+(** Register the function told of each refresh or rebuild of the
+    snapshot, whichever caller's {!columns} or {!summary} did it; it
     replaces the previous one (the default does nothing).  The wizard
-    registers its [wizard.snapshot_rows_rewritten_total] counter when
-    it is created, so a database serves one wizard: like the key, the
-    hook is the last created wizard's. *)
-val set_refresh_hook : t -> (int -> unit) -> unit
+    registers its snapshot counters when it is created, so a database
+    serves one wizard: like the key, the hook is the last created
+    wizard's. *)
+val set_refresh_hook : t -> (refresh -> unit) -> unit
 
 (** The columnar snapshot at the current generation, memoized.  Its rows
     are the system hosts, so only a host joining or leaving (or a new
@@ -193,9 +192,6 @@ val summary :
   shard:string ->
   net_for:(string -> Smart_proto.Records.net_entry option) ->
   Smart_proto.Digest.t
-
-(** What the most recent {!columns} call did. *)
-val last_refresh : t -> refresh
 
 (** Trace context of the last writer ({!Smart_util.Tracelog.root}
     initially).  The system monitor stamps its ingest span here; the

@@ -207,14 +207,25 @@ let create ?(compile_cache_capacity = default_compile_cache_capacity)
     then invalid_arg "Wizard.create: bad staleness_policy"
   | None -> ());
   Status_db.set_net_key db (net_key config.groups);
-  (* counted by the database, so a refresh that a shard digest's
-     [Status_db.summary] does before this wizard reads is counted too *)
-  let rows_rewritten =
+  (* counted by the database, so a refresh or rebuild that a shard
+     digest's [Status_db.summary] does before this wizard reads is
+     counted too *)
+  let snapshot_rebuilds_total =
+    Metrics.counter metrics ~help:"columnar snapshot full rebuilds"
+      "wizard.snapshot_rebuilds_total"
+  and snapshot_refreshes_total =
+    Metrics.counter metrics ~help:"columnar snapshot in-place row refreshes"
+      "wizard.snapshot_refreshes_total"
+  and rows_rewritten =
     Metrics.counter metrics
       ~help:"columnar snapshot rows rewritten by in-place refreshes"
       "wizard.snapshot_rows_rewritten_total"
   in
-  Status_db.set_refresh_hook db (Metrics.Counter.add rows_rewritten);
+  Status_db.set_refresh_hook db (function
+    | Status_db.Rebuilt -> Metrics.Counter.incr snapshot_rebuilds_total
+    | Status_db.Refreshed rows ->
+      Metrics.Counter.incr snapshot_refreshes_total;
+      Metrics.Counter.add rows_rewritten rows);
   (* sketch PRNG seeds derive from the shard identity so same-seed runs
      are byte-identical and distinct shards use distinct streams *)
   let seeded tag =
@@ -251,13 +262,8 @@ let create ?(compile_cache_capacity = default_compile_cache_capacity)
     compile_errors_total =
       Metrics.counter metrics ~help:"requests whose requirement failed to compile"
         "wizard.compile_errors_total";
-    snapshot_rebuilds_total =
-      Metrics.counter metrics ~help:"columnar snapshot full rebuilds"
-        "wizard.snapshot_rebuilds_total";
-    snapshot_refreshes_total =
-      Metrics.counter metrics
-        ~help:"columnar snapshot in-place row refreshes"
-        "wizard.snapshot_refreshes_total";
+    snapshot_rebuilds_total;
+    snapshot_refreshes_total;
     updates_total =
       Metrics.counter metrics ~help:"receiver frames observed via the update hook"
         "wizard.updates_total";
@@ -366,8 +372,9 @@ let net_lookup t host = net_for t ~host
 let net_entry_for t ~host = net_for t ~host
 
 (* The columnar snapshot at the current generation.  [Status_db.columns]
-   does the memoized/refresh/rebuild work; this wrapper adds the trace
-   span (only when there is actual work to record) and the counters. *)
+   does the memoized/refresh/rebuild work, and its hook counts it; this
+   wrapper adds the trace span, only when there is actual work to
+   record. *)
 let server_columns t ~parent =
   if Status_db.columns_fresh t.db then
     Status_db.columns t.db ~net_for:(net_lookup t)
@@ -376,10 +383,6 @@ let server_columns t ~parent =
       Smart_util.Tracelog.start t.trace ~parent "wizard.snapshot"
     in
     let view = Status_db.columns t.db ~net_for:(net_lookup t) in
-    (match Status_db.last_refresh t.db with
-    | Status_db.Rebuilt -> Metrics.Counter.incr t.snapshot_rebuilds_total
-    | Status_db.Refreshed _ -> Metrics.Counter.incr t.snapshot_refreshes_total
-    | Status_db.Cached -> ());
     Smart_util.Tracelog.finish t.trace span;
     view
   end

@@ -183,15 +183,17 @@ val compile_cache_stats : t -> int * int
     invalidated wholesale by any database generation change. *)
 val result_cache_stats : t -> int * int
 
-(** How many times the columnar snapshot was rebuilt from scratch;
-    stays flat across requests while the database generation is
-    unchanged, and in-place system updates refresh rows instead (see
-    {!snapshot_refreshes}). *)
+(** How many times the columnar snapshot was rebuilt from scratch,
+    counted by the database's refresh hook whichever read did it (a
+    shard digest's {!Status_db.summary} included); stays flat across
+    requests while the database generation is unchanged, and in-place
+    system updates refresh rows instead (see {!snapshot_refreshes}). *)
 val snapshot_rebuilds : t -> int
 
 (** How many times the columnar snapshot was refreshed in place (only
-    the rows writes marked rewritten, no rebuild); the rows themselves
-    are counted in [wizard.snapshot_rows_rewritten_total]. *)
+    the rows writes marked rewritten, no rebuild), counted like
+    {!snapshot_rebuilds}; the rows themselves are counted in
+    [wizard.snapshot_rows_rewritten_total]. *)
 val snapshot_refreshes : t -> int
 
 (** The [wizard.request_latency_seconds] histogram in one read:

@@ -93,54 +93,13 @@ let scrape_trace ?(timeout = 2.0) ?(format = Smart_proto.Trace_msg.Text)
     book ~host ~port () =
   scrape ~timeout book ~host ~port (Smart_proto.Trace_msg.encode_request format)
 
-(* Connect one TCP socket to a candidate's service port.  The optional
-   [connect_timeout] bounds the handshake with a non-blocking connect:
-   a black-holed candidate (dropped SYNs) costs seconds, not the
-   kernel's minutes-long default. *)
-let connect_service ?connect_timeout book ~host =
-  match Addr_book.resolve book ~host ~port:Smart_proto.Ports.service with
-  | None -> None
-  | Some sockaddr ->
-    let socket = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    let close_quietly () =
-      try Unix.close socket with Unix.Unix_error (_, _, _) -> ()
-    in
-    let fail () =
-      close_quietly ();
-      None
-    in
-    (* every exit that does not hand the socket to the caller closes it,
-       including exceptions the handlers below don't expect (Thread
-       interrupts, allocation failures): a skipped candidate must never
-       leak its half-connected descriptor *)
-    (match
-       (match connect_timeout with
-       | None ->
-         (try
-            Unix.connect socket sockaddr;
-            Some { host; socket }
-          with Unix.Unix_error (_, _, _) -> fail ())
-       | Some timeout ->
-         (try
-            Unix.set_nonblock socket;
-            (try Unix.connect socket sockaddr
-             with Unix.Unix_error (Unix.EINPROGRESS, _, _) -> ());
-            (* writability signals the handshake's end; SO_ERROR says how
-               it went *)
-            (match Unix.select [] [ socket ] [] timeout with
-            | _, _ :: _, _ ->
-              (match Unix.getsockopt_error socket with
-              | None ->
-                Unix.clear_nonblock socket;
-                Some { host; socket }
-              | Some _ -> fail ())
-            | _ -> fail ())
-          with Unix.Unix_error (_, _, _) -> fail ()))
-     with
-    | result -> result
-    | exception e ->
-      close_quietly ();
-      raise e)
+(* Connect one TCP socket to a candidate's service port; the optional
+   [connect_timeout] bounds the handshake ([Perform.connect]). *)
+let connect_service ?(connect_timeout = -1.0) book ~host =
+  Option.bind
+    (Addr_book.resolve book ~host ~port:Smart_proto.Ports.service)
+    (Perform.connect ~timeout:connect_timeout)
+  |> Option.map (fun socket -> { host; socket })
 
 (* The full §3.6.2 flow: ask the wizard, then return one connected socket
    per candidate.  A candidate that refuses or times out is skipped —

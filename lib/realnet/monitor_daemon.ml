@@ -1,7 +1,7 @@
-(* Real-socket monitor machine: system monitor (UDP), security monitor
-   (log file), network monitor (UDP echo probing of the servers' probe
-   daemons), and the transmitter (periodic TCP push, or pull-driven in
-   distributed mode). *)
+(* Real-socket monitor machine on one event loop: system monitor (UDP),
+   security monitor (log file), network monitor (UDP echo probing of the
+   servers' probe daemons), and the transmitter (periodic TCP push, or
+   pull-driven in distributed mode). *)
 
 type config = {
   host : string;              (* logical name of the monitor machine *)
@@ -16,18 +16,8 @@ type config = {
 type t = {
   config : config;
   book : Addr_book.t;
-  db : Smart_core.Status_db.t;
-  metrics : Smart_util.Metrics.t;
-  tracelog : Smart_util.Tracelog.t;
-  sysmon : Smart_core.Sysmon.t;
-  secmon : Smart_core.Secmon.t;
   netmon : Smart_core.Netmon.t;
-  transmitter : Smart_core.Transmitter.t;
-  sys_socket : Udp_io.t;
-  pull_socket : Udp_io.t;
-  out_socket : Udp_io.t;
-  mutable running : bool;
-  mutable threads : Thread.t list;
+  loop : Loop.t;
 }
 
 let create book (config : config) =
@@ -74,22 +64,30 @@ let create book (config : config) =
       db
   in
   let shift = Addr_book.port_shift book ~host:config.host in
-  {
-    config;
-    book;
-    db;
-    metrics;
-    tracelog;
-    sysmon;
-    secmon;
-    netmon;
-    transmitter;
-    sys_socket = Udp_io.bind_port (Smart_proto.Ports.sysmon + shift);
-    pull_socket = Udp_io.bind_port (Smart_proto.Ports.transmitter + shift);
-    out_socket = Udp_io.bind_port 0;
-    running = false;
-    threads = [];
-  }
+  let sys_socket = Udp_io.bind_port (Smart_proto.Ports.sysmon + shift) in
+  let pull_socket = Udp_io.bind_port (Smart_proto.Ports.transmitter + shift) in
+  let loop = Loop.create () in
+  (* Execute transmitter outputs with the resilience hooks wired: a
+     failed TCP push lands in the transmitter's bounded resend queue (and
+     arms its backoff), a successful one resets it. *)
+  let perform outputs =
+    Perform.outputs book ~udp:pull_socket outputs
+      ~on_stream_failure:(fun ~data ->
+        Smart_core.Transmitter.note_send_failure transmitter
+          ~now:(Unix.gettimeofday ()) ~data)
+      ~on_stream_ok:(fun () -> Smart_core.Transmitter.note_send_ok transmitter)
+  in
+  Udp_io.serve loop sys_socket (fun ~now ~from:_ data ->
+      ignore (Smart_core.Sysmon.handle_report sysmon ~now data));
+  Udp_io.serve loop pull_socket (fun ~now:_ ~from data ->
+      if
+        not
+          (Udp_io.answer_scrape pull_socket ~metrics ~trace:tracelog ~from data)
+      then perform (Smart_core.Transmitter.handle_pull transmitter ~data));
+  Loop.every loop config.transmit_interval (fun ~now ->
+      ignore (Smart_core.Sysmon.sweep sysmon ~now);
+      perform (Smart_core.Transmitter.tick transmitter ~now));
+  { config; book; netmon; loop }
 
 (* RTT of one [size]-byte datagram against a probe daemon's echo
    responder; [None] on timeout. *)
@@ -128,51 +126,16 @@ let socket_prober ?(timeout = 2.0) t ~target =
     Some { Smart_core.Netmon.delay = d /. 2.0; bandwidth = 0.0 }
   | _ -> None
 
+(* The echo probes run on the caller's thread, as one can wait out its
+   timeout; the finished round crosses to the loop, which publishes it. *)
 let refresh_netmon t =
-  Smart_core.Netmon.probe_all t.netmon ~now:(Unix.gettimeofday ())
-    ~prober:(fun ~target -> socket_prober t ~target)
+  let now = Unix.gettimeofday () in
+  let measure target = (target, socket_prober t ~target) in
+  let measured = List.map measure t.config.netmon_targets in
+  Loop.call t.loop (fun () ->
+      Smart_core.Netmon.probe_all t.netmon ~now ~prober:(fun ~target ->
+          List.assoc target measured))
 
-(* Execute transmitter outputs with the resilience hooks wired: a failed
-   TCP push lands in the transmitter's bounded resend queue (and arms its
-   backoff), a successful one resets it. *)
-let perform_transmits t outputs =
-  Perform.outputs t.book ~udp:t.out_socket outputs
-    ~on_stream_failure:(fun ~data ->
-      Smart_core.Transmitter.note_send_failure t.transmitter
-        ~now:(Unix.gettimeofday ()) ~data)
-    ~on_stream_ok:(fun () ->
-      Smart_core.Transmitter.note_send_ok t.transmitter)
+let start t = Loop.start t.loop
 
-let start t =
-  if t.running then invalid_arg "Monitor_daemon.start: already running";
-  t.running <- true;
-  Udp_io.start t.sys_socket (fun ~from:_ data ->
-      if not (String.equal data "") then
-        ignore
-          (Smart_core.Sysmon.handle_report t.sysmon
-             ~now:(Unix.gettimeofday ()) data));
-  Udp_io.start t.pull_socket (fun ~from data ->
-      if
-        not
-          (Udp_io.answer_scrape t.pull_socket ~metrics:t.metrics
-             ~trace:t.tracelog ~from data)
-      then
-        perform_transmits t
-          (Smart_core.Transmitter.handle_pull t.transmitter ~data));
-  let transmit_loop () =
-    while t.running do
-      let now = Unix.gettimeofday () in
-      ignore (Smart_core.Sysmon.sweep t.sysmon ~now);
-      perform_transmits t (Smart_core.Transmitter.tick t.transmitter ~now);
-      Thread.delay t.config.transmit_interval
-    done
-  in
-  t.threads <- [ Thread.create transmit_loop () ]
-
-let stop t =
-  t.running <- false;
-  List.iter Thread.join t.threads;
-  t.threads <- [];
-  Udp_io.stop t.sys_socket;
-  Udp_io.stop t.pull_socket;
-  Udp_io.stop t.out_socket
+let stop t = Loop.stop t.loop

@@ -1,6 +1,6 @@
-(** Real-socket monitor machine: system monitor (UDP), security monitor
-    (log contents), network monitor (UDP echo probing of the servers'
-    probe daemons) and the transmitter. *)
+(** Real-socket monitor machine on one {!Loop}: system monitor (UDP),
+    security monitor (log contents), network monitor (UDP echo probing
+    of the servers' probe daemons) and the transmitter. *)
 
 type config = {
   host : string;
@@ -16,7 +16,8 @@ type t
 
 val create : Addr_book.t -> config -> t
 
-(** Probe every configured target sequentially and publish the record. *)
+(** Probe every target in turn on the caller's thread, then publish the
+    record on the daemon's loop (on the caller's before {!start}). *)
 val refresh_netmon : t -> Smart_proto.Records.net_record
 
 val start : t -> unit

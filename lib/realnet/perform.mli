@@ -2,12 +2,18 @@
     datagram, [Stream] a one-shot TCP connection (frames are
     self-delimiting, so connection boundaries do not matter). *)
 
+(** A blocking TCP socket connected to the address, or [None] if the
+    handshake fails or takes over [timeout] seconds (negative: no
+    bound), so a host that drops SYNs costs the bound, not the kernel's
+    minutes-long default. *)
+val connect : timeout:float -> Unix.sockaddr -> Unix.file_descr option
+
 (** Perform a batch of outputs, resolving hosts through the book and
     sending datagrams from [udp].  Unresolvable UDP destinations are
-    dropped.  A [Stream] that fails (unresolvable, connection refused,
-    write error) invokes [on_stream_failure] with the undelivered frame
-    bytes — the transmitter's hook for queueing a resend; each fully
-    written stream invokes [on_stream_ok]. *)
+    dropped.  A [Stream] not connected and written within a second
+    invokes [on_stream_failure] with the undelivered frame bytes — the
+    transmitter's hook for queueing a resend; each fully written stream
+    invokes [on_stream_ok]. *)
 val outputs :
   ?on_stream_failure:(data:string -> unit) ->
   ?on_stream_ok:(unit -> unit) ->

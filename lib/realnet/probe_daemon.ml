@@ -1,7 +1,7 @@
-(* Real-socket server probe daemon: samples the host's /proc at a fixed
-   interval and reports to the system monitor.  Also answers the network
-   monitor's UDP echo probes on the probe port, which is how (delay,
-   bandwidth) is measured without raw ICMP sockets. *)
+(* Real-socket server probe daemon on one event loop: samples the host's
+   /proc at a fixed interval and reports to the system monitor.  Also
+   answers the network monitor's UDP echo probes on the probe port, which
+   is how (delay, bandwidth) is measured without raw ICMP sockets. *)
 
 type config = {
   host : string;           (* logical name this server reports as *)
@@ -12,19 +12,7 @@ type config = {
   iface : string option;   (* None: auto-detect first non-loopback *)
 }
 
-type t = {
-  config : config;
-  metrics : Smart_util.Metrics.t;
-  tracelog : Smart_util.Tracelog.t;
-  probe : Smart_core.Probe.t;
-  udp : Udp_io.t;          (* source socket for reports *)
-  echo : Udp_io.t;         (* netmon echo responder *)
-  book : Addr_book.t;
-  mutable running : bool;
-  mutable thread : Thread.t option;
-  mutable reports_sent : int;
-  mutable last_error : string option;
-}
+type t = Loop.t
 
 let create book (config : config) =
   let bogomips =
@@ -57,59 +45,29 @@ let create book (config : config) =
         transport = Smart_core.Probe.Udp;
       }
   in
+  (* a failed /proc read counts with the component's own lost ticks *)
+  let errors =
+    Smart_util.Metrics.counter metrics
+      ~help:"ticks lost to /proc parse or interface failures"
+      "probe.errors_total"
+  in
   let shift = Addr_book.port_shift book ~host:config.host in
-  let udp = Udp_io.bind_port 0 in
   let echo = Udp_io.bind_port (Smart_proto.Ports.probe + shift) in
-  {
-    config;
-    metrics;
-    tracelog;
-    probe;
-    udp;
-    echo;
-    book;
-    running = false;
-    thread = None;
-    reports_sent = 0;
-    last_error = None;
-  }
-
-let tick_once t =
-  match Proc_reader.snapshot t.config.proc with
-  | Error e -> t.last_error <- Some e
-  | Ok snapshot ->
-    (match
-       Smart_core.Probe.tick t.probe ~now:(Unix.gettimeofday ()) ~snapshot
-     with
-    | Error e -> t.last_error <- Some e
-    | Ok (_report, outputs) ->
-      Perform.outputs t.book ~udp:t.udp outputs;
-      t.reports_sent <- t.reports_sent + 1)
-
-let start t =
-  if t.running then invalid_arg "Probe_daemon.start: already running";
-  t.running <- true;
+  let loop = Loop.create () in
   (* echo responder: bounce every datagram back to its sender (metrics
      scrapes answered with the registry dump instead) *)
-  Udp_io.start t.echo (fun ~from data ->
-      if
-        not
-          (Udp_io.answer_scrape t.echo ~metrics:t.metrics ~trace:t.tracelog
-             ~from data)
-      then ignore (Udp_io.send t.echo ~to_:from data));
-  let loop () =
-    while t.running do
-      tick_once t;
-      Thread.delay t.config.interval
-    done
-  in
-  t.thread <- Some (Thread.create loop ())
+  Udp_io.serve loop echo (fun ~now:_ ~from data ->
+      if not (Udp_io.answer_scrape echo ~metrics ~trace:tracelog ~from data)
+      then ignore (Udp_io.send echo ~to_:from data));
+  Loop.every loop config.interval (fun ~now ->
+      match Proc_reader.snapshot config.proc with
+      | Error _ -> Smart_util.Metrics.Counter.incr errors
+      | Ok snapshot ->
+        (match Smart_core.Probe.tick probe ~now ~snapshot with
+        | Error _ -> ()
+        | Ok (_report, outputs) -> Perform.outputs book ~udp:echo outputs));
+  loop
 
-let stop t =
-  t.running <- false;
-  (match t.thread with Some th -> Thread.join th | None -> ());
-  t.thread <- None;
-  Udp_io.stop t.echo;
-  Udp_io.stop t.udp
+let start = Loop.start
 
-let reports_sent t = t.reports_sent
+let stop = Loop.stop

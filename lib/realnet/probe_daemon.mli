@@ -1,6 +1,6 @@
-(** Real-socket server probe daemon: periodic /proc sampling reported to
-    the system monitor, plus the UDP echo responder the network monitor
-    measures against. *)
+(** Real-socket server probe daemon on one {!Loop}: periodic /proc
+    sampling reported to the system monitor (a failed read counts in
+    [probe.errors_total]), plus the echo responder netmon measures. *)
 
 type config = {
   host : string;          (** logical name this server reports as *)
@@ -18,5 +18,3 @@ val create : Addr_book.t -> config -> t
 val start : t -> unit
 
 val stop : t -> unit
-
-val reports_sent : t -> int

@@ -1,13 +1,8 @@
-(* UDP endpoint with a background receive thread.  Handlers run on the
-   receiver thread; senders may call from any thread (sendto is atomic
-   per datagram). *)
+(* UDP endpoint, read on a daemon's event loop ([serve]) or by a client
+   waiting for one reply ([recv_timeout]); senders may call from any
+   thread (sendto is atomic per datagram). *)
 
-type t = {
-  socket : Unix.file_descr;
-  port : int;
-  mutable running : bool;
-  mutable thread : Thread.t option;
-}
+type t = { socket : Unix.file_descr; port : int }
 
 let max_datagram = 65536
 
@@ -20,25 +15,17 @@ let bind_port ?(addr = Unix.inet_addr_loopback) port =
     | Unix.ADDR_INET (_, p) -> p
     | Unix.ADDR_UNIX _ -> port
   in
-  { socket; port; running = false; thread = None }
+  { socket; port }
 
 let port t = t.port
 
-(* Start the receive loop; [handler] gets (sender, payload). *)
-let start t handler =
-  if t.running then invalid_arg "Udp_io.start: already running";
-  t.running <- true;
+(* One buffer per served socket: only the loop's thread reads it. *)
+let serve loop t handler =
   let buf = Bytes.create max_datagram in
-  let loop () =
-    while t.running do
+  Loop.add loop t.socket (fun ~now ->
       match Unix.recvfrom t.socket buf 0 max_datagram [] with
-      | n, from when n > 0 -> handler ~from (Bytes.sub_string buf 0 n)
-      | _ -> ()
-      | exception Unix.Unix_error ((Unix.EBADF | Unix.EINTR), _, _) -> ()
-      | exception Unix.Unix_error (_, _, _) -> ()
-    done
-  in
-  t.thread <- Some (Thread.create loop ())
+      | n, from -> handler ~now ~from (Bytes.sub_string buf 0 n)
+      | exception Unix.Unix_error (_, _, _) -> ())
 
 let send t ~to_ data =
   try
@@ -61,18 +48,7 @@ let answer_scrape t ~metrics ~trace ~from data =
       true
     | None -> false)
 
-let stop t =
-  if t.running then begin
-    t.running <- false;
-    (* unblock the receiver with a datagram to ourselves *)
-    (try
-       let self = Unix.ADDR_INET (Unix.inet_addr_loopback, t.port) in
-       ignore (send t ~to_:self "")
-     with _ -> ());
-    (match t.thread with Some th -> Thread.join th | None -> ());
-    t.thread <- None
-  end;
-  try Unix.close t.socket with Unix.Unix_error (_, _, _) -> ()
+let stop t = try Unix.close t.socket with Unix.Unix_error (_, _, _) -> ()
 
 (* One receive buffer for the whole process, allocated when the module
    initialises.  Client sockets live for one call, so a buffer per

@@ -1,4 +1,4 @@
-(** UDP endpoint with a background receive thread. *)
+(** UDP endpoint, read on a daemon's {!Loop} or by {!recv_timeout}. *)
 
 type t
 
@@ -9,8 +9,12 @@ val bind_port : ?addr:Unix.inet_addr -> int -> t
 (** The actually bound port. *)
 val port : t -> int
 
-(** Start the receive loop; the handler runs on the receiver thread. *)
-val start : t -> (from:Unix.sockaddr -> string -> unit) -> unit
+(** Register the socket with the loop: each datagram, empty ones
+    included, goes to the handler on the loop's thread with that
+    wakeup's clock reading and its sender.  The loop owns the socket
+    from then on and closes it when it stops. *)
+val serve :
+  Loop.t -> t -> (now:float -> from:Unix.sockaddr -> string -> unit) -> unit
 
 (** Send one datagram; [false] on failure. *)
 val send : t -> to_:Unix.sockaddr -> string -> bool
@@ -29,12 +33,12 @@ val answer_scrape :
   string ->
   bool
 
-(** Stop the receive loop (if any) and close the socket. *)
+(** Close the socket. *)
 val stop : t -> unit
 
-(** Blocking receive with timeout, for one-shot client sockets that have
-    not been [start]ed.  Every call reads into one process-wide 64 KB
-    buffer, allocated once when the module initialises; a mutex holds it
-    only across the [recvfrom] and the copy of the datagram out, so
-    concurrent client threads take turns there and nowhere else. *)
+(** Blocking receive with timeout, for one-shot client sockets.  Every
+    call reads into one process-wide 64 KB buffer, allocated once when
+    the module initialises; a mutex holds it only across the
+    [recvfrom] and the copy of the datagram out, so concurrent client
+    threads take turns there and nowhere else. *)
 val recv_timeout : t -> timeout:float -> (Unix.sockaddr * string) option

@@ -1,6 +1,6 @@
-(* Real-socket wizard machine: the receiver's TCP accept loop feeds the
-   frame decoder; the wizard's UDP loop answers user requests directly to
-   the requesting sockaddr. *)
+(* Real-socket wizard machine on one event loop: the receiver's TCP
+   connections feed the frame decoder; the wizard's UDP socket answers
+   user requests directly to the requesting sockaddr. *)
 
 type config = {
   host : string;  (* logical name of the wizard machine *)
@@ -12,20 +12,44 @@ type config = {
 }
 
 type t = {
-  config : config;
-  book : Addr_book.t;
   db : Smart_core.Status_db.t;
-  metrics : Smart_util.Metrics.t;
-  tracelog : Smart_util.Tracelog.t;
-  receiver : Smart_core.Receiver.t;
   wizard : Smart_core.Wizard.t;
-  listen_socket : Unix.file_descr;
-  request_socket : Udp_io.t;
-  out_socket : Udp_io.t;
-  mutable running : bool;
-  mutable threads : Thread.t list;
-  mutex : Mutex.t;  (* guards receiver/wizard/db across threads *)
+  loop : Loop.t;
 }
+
+let sockaddr_tag = function
+  | Unix.ADDR_INET (addr, port) ->
+    Printf.sprintf "%s:%d" (Unix.string_of_inet_addr addr) port
+  | Unix.ADDR_UNIX path -> path
+
+(* How the wizard sees a requester: its IP literal and port, so
+   admission buckets key on the requester's IP.  The address book
+   resolves the literal to itself, so replies (deferred distributed-mode
+   ones included) go out through [Perform] like the pull requests to
+   transmitters. *)
+let requester = function
+  | Unix.ADDR_INET (addr, port) ->
+    { Smart_core.Output.host = Unix.string_of_inet_addr addr; port }
+  | Unix.ADDR_UNIX path -> { Smart_core.Output.host = path; port = 0 }
+
+(* One transmitter connection: its bytes feed the receiver's decoder for
+   that peer, and EOF or a reset forgets the peer's stream state. *)
+let serve_connection loop receiver client peer =
+  let from = sockaddr_tag peer and chunk = Bytes.create 65536 in
+  let close () =
+    Smart_core.Receiver.forget_source receiver ~from;
+    Loop.remove loop client
+  in
+  Loop.add loop client (fun ~now:_ ->
+      match Unix.read client chunk 0 (Bytes.length chunk) with
+      | 0 -> close ()
+      | n ->
+        ignore
+          (Smart_core.Receiver.handle_stream receiver ~from
+             (Bytes.sub_string chunk 0 n))
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+        ()
+      | exception Unix.Unix_error (_, _, _) -> close ())
 
 let create book (config : config) =
   let db = Smart_core.Status_db.create () in
@@ -53,123 +77,34 @@ let create book (config : config) =
   Unix.bind listen_socket
     (Unix.ADDR_INET (Unix.inet_addr_loopback, Smart_proto.Ports.receiver + shift));
   Unix.listen listen_socket 16;
-  {
-    config;
-    book;
-    db;
-    metrics;
-    tracelog;
-    receiver;
-    wizard;
-    listen_socket;
-    request_socket = Udp_io.bind_port (Smart_proto.Ports.wizard + shift);
-    out_socket = Udp_io.bind_port 0;
-    running = false;
-    threads = [];
-    mutex = Mutex.create ();
-  }
-
-let locked t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
-
-let sockaddr_tag = function
-  | Unix.ADDR_INET (addr, port) ->
-    Printf.sprintf "%s:%d" (Unix.string_of_inet_addr addr) port
-  | Unix.ADDR_UNIX path -> path
-
-(* Drain one transmitter connection into the receiver. *)
-let serve_connection t client peer =
-  let tag = sockaddr_tag peer in
-  let buf = Bytes.create 65536 in
-  let rec go () =
-    match Unix.read client buf 0 (Bytes.length buf) with
-    | 0 -> ()
-    | n ->
-      locked t (fun () ->
-          ignore
-            (Smart_core.Receiver.handle_stream t.receiver ~from:tag
-               (Bytes.sub_string buf 0 n)));
-      go ()
-    | exception Unix.Unix_error (_, _, _) -> ()
-  in
-  go ();
-  locked t (fun () -> Smart_core.Receiver.forget_source t.receiver ~from:tag);
-  (try Unix.close client with Unix.Unix_error (_, _, _) -> ())
-
-(* How the wizard sees a requester: its IP literal and port, so
-   admission buckets key on the requester's IP.  The address book
-   resolves the literal to itself, so replies (deferred distributed-mode
-   ones included) go out through [Perform] like the pull requests to
-   transmitters. *)
-let requester = function
-  | Unix.ADDR_INET (addr, port) ->
-    { Smart_core.Output.host = Unix.string_of_inet_addr addr; port }
-  | Unix.ADDR_UNIX path -> { Smart_core.Output.host = path; port = 0 }
-
-let start t =
-  if t.running then invalid_arg "Wizard_daemon.start: already running";
-  t.running <- true;
-  (* receiver accept loop *)
-  let accept_loop () =
-    while t.running do
-      match Unix.accept t.listen_socket with
-      | client, peer ->
-        ignore (Thread.create (fun () -> serve_connection t client peer) ())
-      | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL | Unix.EINTR), _, _)
-        ->
-        ()
-    done
-  in
-  (* request loop *)
-  Udp_io.start t.request_socket (fun ~from data ->
+  let request_socket = Udp_io.bind_port (Smart_proto.Ports.wizard + shift) in
+  let loop = Loop.create () in
+  let perform outputs = Perform.outputs book ~udp:request_socket outputs in
+  Udp_io.serve loop request_socket (fun ~now ~from data ->
       if
-        (not
-           (Udp_io.answer_scrape t.request_socket ~metrics:t.metrics
-              ~trace:t.tracelog ~from data))
-        && not (String.equal data "")
-      then begin
-        let outputs =
-          locked t (fun () ->
-              Smart_core.Wizard.handle_request t.wizard
-                ~now:(Unix.gettimeofday ()) ~from:(requester from) data)
-        in
-        Perform.outputs t.book ~udp:t.out_socket outputs
-      end);
-  (* distributed-mode pending flush *)
-  let tick_loop () =
-    while t.running do
-      let outputs =
-        locked t (fun () ->
-            Smart_core.Wizard.tick t.wizard ~now:(Unix.gettimeofday ()))
-      in
-      Perform.outputs t.book ~udp:t.out_socket outputs;
-      Thread.delay 0.05
-    done
+        not
+          (Udp_io.answer_scrape request_socket ~metrics ~trace:tracelog ~from
+             data)
+      then
+        perform
+          (Smart_core.Wizard.handle_request wizard ~now ~from:(requester from)
+             data));
+  Loop.add loop listen_socket (fun ~now:_ ->
+      match Unix.accept listen_socket with
+      | client, peer -> serve_connection loop receiver client peer
+      | exception Unix.Unix_error (_, _, _) -> ());
+  (* distributed-mode pending flush and admission's delayed releases:
+     only a parked request needs the tick *)
+  let parked () =
+    Smart_core.Wizard.(pending_count wizard + delayed_count wizard) > 0
   in
-  t.threads <- [ Thread.create accept_loop (); Thread.create tick_loop () ]
+  Loop.every ~armed:parked loop 0.05 (fun ~now ->
+      perform (Smart_core.Wizard.tick wizard ~now));
+  { db; wizard; loop }
 
-let stop t =
-  t.running <- false;
-  (* unblock accept *)
-  (try
-     let port =
-       match Unix.getsockname t.listen_socket with
-       | Unix.ADDR_INET (_, p) -> p
-       | Unix.ADDR_UNIX _ -> 0
-     in
-     if port > 0 then begin
-       let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-       (try Unix.connect s (Unix.ADDR_INET (Unix.inet_addr_loopback, port))
-        with Unix.Unix_error (_, _, _) -> ());
-       Unix.close s
-     end
-   with Unix.Unix_error (_, _, _) -> ());
-  List.iter Thread.join t.threads;
-  t.threads <- [];
-  (try Unix.close t.listen_socket with Unix.Unix_error (_, _, _) -> ());
-  Udp_io.stop t.request_socket;
-  Udp_io.stop t.out_socket
+let start t = Loop.start t.loop
+
+let stop t = Loop.stop t.loop
 
 let db t = t.db
 

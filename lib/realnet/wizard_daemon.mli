@@ -1,5 +1,5 @@
-(** Real-socket wizard machine: TCP receiver accept loop plus the UDP
-    request loop, replying directly to each requester's sockaddr. *)
+(** Real-socket wizard machine on one {!Loop}: TCP receiver connections
+    plus the UDP request socket, replying to each requester's sockaddr. *)
 
 type config = {
   host : string;
@@ -11,7 +11,7 @@ type config = {
       (** arm {!Smart_core.Wizard.admission}: token buckets keyed on each
           requester's IP address gate the request port, shedding
           sustained overload fairly (delayed requests are released by
-          the daemon's tick loop); [None] leaves the port ungated *)
+          the daemon's tick); [None] leaves the port ungated *)
 }
 
 type t

@@ -36,28 +36,32 @@ let test_proc_reader () =
     | None -> Alcotest.fail "no interface found"
   end
 
+(* A reader whose every /proc file is missing. *)
+let missing_proc =
+  {
+    R.Proc_reader.loadavg_path = "/nonexistent/loadavg";
+    stat_path = "/nonexistent/stat";
+    meminfo_path = "/nonexistent/meminfo";
+    netdev_path = "/nonexistent/netdev";
+    cpuinfo_path = "/nonexistent/cpuinfo";
+  }
+
 let test_proc_reader_missing_files () =
-  let t =
-    {
-      R.Proc_reader.loadavg_path = "/nonexistent/loadavg";
-      stat_path = "/nonexistent/stat";
-      meminfo_path = "/nonexistent/meminfo";
-      netdev_path = "/nonexistent/netdev";
-      cpuinfo_path = "/nonexistent/cpuinfo";
-    }
-  in
+  let t = missing_proc in
   Alcotest.(check bool) "missing files error" true
     (Result.is_error (R.Proc_reader.snapshot t));
   Alcotest.(check bool) "no bogomips" true (R.Proc_reader.bogomips t = None)
 
 let test_udp_io_roundtrip () =
+  let loop = R.Loop.create () in
   let server = R.Udp_io.bind_port 0 in
-  let got = ref None in
-  R.Udp_io.start server (fun ~from:_ data -> if data <> "" then got := Some data);
-  let client = R.Udp_io.bind_port 0 in
   let to_ =
     Unix.ADDR_INET (Unix.inet_addr_loopback, R.Udp_io.port server)
   in
+  let got = ref None in
+  R.Udp_io.serve loop server (fun ~now:_ ~from:_ data -> got := Some data);
+  R.Loop.start loop;
+  let client = R.Udp_io.bind_port 0 in
   Alcotest.(check bool) "send ok" true (R.Udp_io.send client ~to_ "ping!");
   let deadline = Unix.gettimeofday () +. 2.0 in
   while !got = None && Unix.gettimeofday () < deadline do
@@ -65,7 +69,7 @@ let test_udp_io_roundtrip () =
   done;
   Alcotest.(check (option string)) "delivered" (Some "ping!") !got;
   R.Udp_io.stop client;
-  R.Udp_io.stop server
+  R.Loop.stop loop
 
 let test_addr_book_reverse () =
   let book = R.Addr_book.create () in
@@ -382,11 +386,8 @@ let test_distributed_mode_real () =
         Alcotest.failf "distributed request failed: %a"
           Smart_core.Client.pp_error e)
 
-(* Admission buckets key on the requester's IP address: with one token
-   per requester and practically no refill, a second request from
-   127.0.0.1 is shed while 127.0.0.2 still gets its first one through.
-   Each request leaves from a socket bound to the given address. *)
-let test_admission_per_requester_ip () =
+(* A wizard daemon alone on loopback host "wiz", not yet started. *)
+let lone_wizard ?admission () =
   let book = R.Addr_book.create () in
   ignore (R.Addr_book.register_loopback book ~host:"wiz");
   let wizard =
@@ -395,15 +396,26 @@ let test_admission_per_requester_ip () =
         R.Wizard_daemon.host = "wiz";
         mode = Smart_core.Wizard.Centralized;
         staleness_threshold = infinity;
-        admission =
-          Some
-            {
-              Smart_core.Wizard.rate = 0.001;
-              burst = 1.;
-              max_delay = 0.;
-              max_clients = 16;
-            };
+        admission;
       }
+  in
+  (book, wizard)
+
+(* Admission buckets key on the requester's IP address: with one token
+   per requester and practically no refill, a second request from
+   127.0.0.1 is shed while 127.0.0.2 still gets its first one through.
+   Each request leaves from a socket bound to the given address. *)
+let test_admission_per_requester_ip () =
+  let book, wizard =
+    lone_wizard
+      ~admission:
+        {
+          Smart_core.Wizard.rate = 0.001;
+          burst = 1.;
+          max_delay = 0.;
+          max_clients = 16;
+        }
+      ()
   in
   R.Wizard_daemon.start wizard;
   Fun.protect
@@ -546,6 +558,294 @@ let test_trace_scrape_real () =
       Alcotest.(check bool) "json dump names the span" true
         (contains ~affix:"wizard.request" wiz_json))
 
+(* ------------------------------------------------------------------ *)
+(* The daemons' event loops                                             *)
+(* ------------------------------------------------------------------ *)
+
+let await ~timeout ready =
+  let deadline = Unix.gettimeofday () +. timeout in
+  while (not (ready ())) && Unix.gettimeofday () < deadline do
+    Thread.delay 0.02
+  done
+
+(* One monitor's push: a Sys_db frame carrying [host]'s report, sampled
+   from this machine's /proc. *)
+let sys_push ~host =
+  let probe =
+    Smart_core.Probe.create
+      {
+        Smart_core.Probe.host;
+        ip = "10.9.9.9";
+        bogomips = 1000.0;
+        monitor =
+          { Smart_core.Output.host = "mon"; port = Smart_proto.Ports.sysmon };
+        iface = "lo";
+        transport = Smart_core.Probe.Udp;
+      }
+  in
+  let report =
+    match R.Proc_reader.snapshot R.Proc_reader.default with
+    | Error e -> Alcotest.failf "snapshot: %s" e
+    | Ok snapshot ->
+      (match Smart_core.Probe.tick probe ~now:0.0 ~snapshot with
+      | Ok (report, _) -> report
+      | Error e -> Alcotest.failf "probe tick: %s" e)
+  in
+  Smart_proto.Frame.encode Smart_proto.Endian.Little
+    {
+      Smart_proto.Frame.payload_type = Smart_proto.Frame.Sys_db;
+      data =
+        Smart_proto.Records.encode_sys Smart_proto.Endian.Little
+          { Smart_proto.Records.report; updated_at = Unix.gettimeofday () };
+      trace = Smart_util.Tracelog.root;
+    }
+
+let connect_receiver book =
+  match
+    R.Addr_book.resolve book ~host:"wiz" ~port:Smart_proto.Ports.receiver
+  with
+  | None -> Alcotest.fail "receiver unresolvable"
+  | Some addr ->
+    let socket = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Unix.connect socket addr;
+    socket
+
+let write_all socket data =
+  ignore (Unix.write_substring socket data 0 (String.length data))
+
+(* Two monitors' pushes arrive on two connections in alternating 7-byte
+   pieces: each connection keeps its own frame decoder, so both are
+   applied, and closing both leaves no transmitter stream state. *)
+let test_interleaved_transmitters () =
+  let book, wizard = lone_wizard () in
+  R.Wizard_daemon.start wizard;
+  Fun.protect
+    ~finally:(fun () -> R.Wizard_daemon.stop wizard)
+    (fun () ->
+      let db = R.Wizard_daemon.db wizard in
+      let pushes = [ sys_push ~host:"m1-srv"; sys_push ~host:"m2-srv" ] in
+      let conns = List.map (fun _ -> connect_receiver book) pushes in
+      let longest =
+        List.fold_left (fun m p -> max m (String.length p)) 0 pushes
+      in
+      let piece = 7 in
+      let off = ref 0 in
+      while !off < longest do
+        List.iter2
+          (fun socket push ->
+            let n = min piece (String.length push - !off) in
+            if n > 0 then write_all socket (String.sub push !off n))
+          conns pushes;
+        Thread.delay 0.001;
+        off := !off + piece
+      done;
+      await ~timeout:5.0 (fun () -> Smart_core.Status_db.sys_count db = 2);
+      Alcotest.(check int) "both pushes applied" 2
+        (Smart_core.Status_db.sys_count db);
+      List.iter Unix.close conns;
+      let transmitters_gone () =
+        match
+          R.Client_io.scrape_metrics book ~host:"wiz"
+            ~port:Smart_proto.Ports.wizard ()
+        with
+        | Ok dump ->
+          List.mem "receiver.transmitters gauge 0"
+            (String.split_on_char '\n' dump)
+        | Error _ -> false
+      in
+      await ~timeout:5.0 transmitters_gone;
+      Alcotest.(check bool) "receiver.transmitters reads 0" true
+        (transmitters_gone ()))
+
+(* Stopping the wizard closes the transmitter connections it accepted:
+   the far end of one left open sees EOF. *)
+let test_stop_closes_transmitters () =
+  let book, wizard = lone_wizard () in
+  R.Wizard_daemon.start wizard;
+  let conn = connect_receiver book in
+  let eof =
+    Fun.protect
+      ~finally:(fun () -> Unix.close conn)
+      (fun () ->
+        Fun.protect
+          ~finally:(fun () -> R.Wizard_daemon.stop wizard)
+          (fun () ->
+            (* applied, so the loop has accepted and drained it *)
+            write_all conn (sys_push ~host:"m1-srv");
+            let db = R.Wizard_daemon.db wizard in
+            await ~timeout:5.0 (fun () -> Smart_core.Status_db.sys_count db = 1);
+            Alcotest.(check int) "push applied" 1
+              (Smart_core.Status_db.sys_count db));
+        match Unix.select [ conn ] [] [] 1.0 with
+        | [], _, _ -> None
+        | _ -> Some (Unix.read conn (Bytes.create 1) 0 1))
+  in
+  Alcotest.(check (option int)) "EOF within 1 s" (Some 0) eof
+
+(* A book naming the loopback hosts the lone daemons below talk to. *)
+let loopback_book () =
+  let book = R.Addr_book.create () in
+  List.iter
+    (fun h -> ignore (R.Addr_book.register_loopback book ~host:h))
+    [ "mon"; "wiz"; "alpha" ];
+  book
+
+let probe_daemon ?(proc = R.Proc_reader.default) ~interval book =
+  R.Probe_daemon.create book
+    {
+      R.Probe_daemon.host = "alpha";
+      ip = "10.9.0.1";
+      monitor_host = "mon";
+      interval;
+      proc;
+      iface = None;
+    }
+
+let monitor_daemon ~transmit_interval book =
+  R.Monitor_daemon.create book
+    {
+      R.Monitor_daemon.host = "mon";
+      wizard_host = "wiz";
+      mode = Smart_core.Transmitter.Centralized;
+      probe_interval = transmit_interval;
+      transmit_interval;
+      netmon_targets = [];
+      security_log = "";
+    }
+
+(* A stop wakes the loop out of its wait for the next 5 s tick.  A
+   netmon round published before the loop starts runs on the caller. *)
+let test_stop_is_prompt () =
+  let book = loopback_book () in
+  let probe = probe_daemon ~interval:5.0 book in
+  let monitor = monitor_daemon ~transmit_interval:5.0 book in
+  Alcotest.(check string) "a round before start" "mon"
+    (R.Monitor_daemon.refresh_netmon monitor).Smart_proto.Records.monitor;
+  R.Probe_daemon.start probe;
+  R.Monitor_daemon.start monitor;
+  (* past the first tick, into the wait for the second *)
+  Thread.delay 0.2;
+  let timed stop =
+    let t0 = Unix.gettimeofday () in
+    stop ();
+    Unix.gettimeofday () -. t0
+  in
+  let probe_s = timed (fun () -> R.Probe_daemon.stop probe) in
+  let monitor_s = timed (fun () -> R.Monitor_daemon.stop monitor) in
+  Alcotest.(check bool)
+    (Printf.sprintf "probe stopped in %.3f s" probe_s)
+    true (probe_s < 0.5);
+  Alcotest.(check bool)
+    (Printf.sprintf "monitor stopped in %.3f s" monitor_s)
+    true (monitor_s < 0.5)
+
+(* Each stop closes every descriptor its daemon opened: sockets, the
+   loop's wake pipe and accepted transmitter connections. *)
+let test_start_stop_cycles_release_fds () =
+  if Sys.file_exists "/proc/self/fd" then begin
+    let cycle () =
+      let book = loopback_book () in
+      let _, wizard = lone_wizard () in
+      let monitor = monitor_daemon ~transmit_interval:0.05 book in
+      let probe = probe_daemon ~interval:0.05 book in
+      R.Wizard_daemon.start wizard;
+      R.Monitor_daemon.start monitor;
+      R.Probe_daemon.start probe;
+      Thread.delay 0.1;
+      R.Probe_daemon.stop probe;
+      R.Monitor_daemon.stop monitor;
+      R.Wizard_daemon.stop wizard
+    in
+    let before = open_fd_count () in
+    for _ = 1 to 10 do
+      cycle ()
+    done;
+    Alcotest.(check int) "open descriptors" before (open_fd_count ())
+  end
+
+(* A push to a wizard host whose kernel drops its SYNs (a full accept
+   queue) fails within the push bound, into the failure hook the
+   monitor feeds its resend queue from, instead of holding the loop for
+   the kernel's connect timeout. *)
+let test_push_bounded () =
+  let book = loopback_book () in
+  let receiver =
+    match
+      R.Addr_book.resolve book ~host:"wiz" ~port:Smart_proto.Ports.receiver
+    with
+    | Some addr -> addr
+    | None -> Alcotest.fail "receiver unresolvable"
+  in
+  let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt listener Unix.SO_REUSEADDR true;
+  Unix.bind listener receiver;
+  Unix.listen listener 0;
+  let fillers =
+    List.init 3 (fun _ ->
+        let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+        Unix.set_nonblock s;
+        (try Unix.connect s receiver
+         with Unix.Unix_error (Unix.EINPROGRESS, _, _) -> ());
+        s)
+  in
+  let udp = R.Udp_io.bind_port 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      R.Udp_io.stop udp;
+      List.iter Unix.close (listener :: fillers))
+    (fun () ->
+      Thread.delay 0.1;
+      let t0 = Unix.gettimeofday () in
+      let failed = ref None in
+      R.Perform.outputs book ~udp
+        ~on_stream_failure:(fun ~data ->
+          failed := Some (data, Unix.gettimeofday () -. t0))
+        [
+          Smart_core.Output.Stream
+            {
+              dst =
+                {
+                  Smart_core.Output.host = "wiz";
+                  port = Smart_proto.Ports.receiver;
+                };
+              data = "frame";
+            };
+        ];
+      match !failed with
+      | None -> Alcotest.fail "the push did not fail"
+      | Some (data, elapsed) ->
+        Alcotest.(check string) "undelivered bytes handed back" "frame" data;
+        Alcotest.(check bool)
+          (Printf.sprintf "failed after %.2f s" elapsed)
+          true (elapsed < 2.0))
+
+(* A probe daemon that cannot read /proc counts each lost tick where a
+   scrape of its echo port sees it. *)
+let test_probe_proc_failures_counted () =
+  let book = loopback_book () in
+  let probe = probe_daemon ~proc:missing_proc ~interval:0.05 book in
+  R.Probe_daemon.start probe;
+  Fun.protect
+    ~finally:(fun () -> R.Probe_daemon.stop probe)
+    (fun () ->
+      let errors () =
+        match
+          R.Client_io.scrape_metrics book ~host:"alpha"
+            ~port:Smart_proto.Ports.probe ()
+        with
+        | Error reason -> Alcotest.failf "scrape failed: %s" reason
+        | Ok dump ->
+          List.fold_left
+            (fun acc line ->
+              match String.split_on_char ' ' line with
+              | [ "probe.errors_total"; "counter"; n ] -> int_of_string n
+              | _ -> acc)
+            0
+            (String.split_on_char '\n' dump)
+      in
+      await ~timeout:5.0 (fun () -> errors () >= 1);
+      Alcotest.(check bool) "probe.errors_total >= 1" true (errors () >= 1))
+
 let () =
   Alcotest.run "smart_realnet"
     [
@@ -576,5 +876,18 @@ let () =
             test_admission_per_requester_ip;
           Alcotest.test_case "metrics scrape" `Slow test_metrics_scrape_real;
           Alcotest.test_case "trace scrape" `Slow test_trace_scrape_real;
+        ] );
+      ( "event loop",
+        [
+          Alcotest.test_case "interleaved transmitters" `Slow
+            test_interleaved_transmitters;
+          Alcotest.test_case "stop closes transmitters" `Slow
+            test_stop_closes_transmitters;
+          Alcotest.test_case "stop is prompt" `Slow test_stop_is_prompt;
+          Alcotest.test_case "start/stop cycles release fds" `Slow
+            test_start_stop_cycles_release_fds;
+          Alcotest.test_case "push bounded" `Slow test_push_bounded;
+          Alcotest.test_case "probe /proc failures counted" `Slow
+            test_probe_proc_failures_counted;
         ] );
     ]

@@ -129,7 +129,8 @@ let run config =
     let diags =
       tree_diags
       @ Project.iface_check ~root:config.root config.lib_dirs
-      @ Project.deps_check ~root:config.root ~cmts config.sans_io_dirs
+      @ Project.deps_check ~root:config.root ~cmts
+          ~sans_io_dirs:config.sans_io_dirs config.lib_dirs
       @ Project.imports_check ~cmts ~already_flagged config.sans_io_dirs
       @ graph_diags @ bytecode_diags @ reach_diags
     in

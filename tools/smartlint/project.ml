@@ -172,49 +172,56 @@ let dune_libraries ~root dir =
       atoms 0 [] rest
   end
 
-(* Library name -> the top-level module a unit would import if it really
-   used that library. *)
-let io_library_module = function
-  | "unix" -> Some "Unix"
-  | "threads" | "threads.posix" -> Some "Thread"
-  | "smart_realnet" -> Some "Smart_realnet"
-  | _ -> None
+(* Library name -> the top-level module a unit imports when it really
+   uses that library: the capitalised name, except for the threads
+   library, whose module is [Thread]. *)
+let library_module = function
+  | "threads" | "threads.posix" -> "Thread"
+  | lib -> String.capitalize_ascii lib
 
-(* A sans-IO directory's dune stanza must not name an IO-bearing library
-   at all; the message distinguishes a live violation (some module in the
-   directory imports it, so the code-level rule will also fire) from a
-   stale dep (nothing imports it — the stanza itself is the bug). *)
-let deps_check ~root ~cmts sans_io_dirs =
+(* The libraries a sans-IO stanza must not name at all. *)
+let io_library = function
+  | "unix" | "threads" | "threads.posix" | "smart_realnet" -> true
+  | _ -> false
+
+(* Every [lib_dirs] stanza: a library no module of the directory imports
+   is a stale dep (the stanza itself is the bug).  A sans-IO stanza must
+   not name an IO-bearing library at all, so one that some module does
+   import is a live violation (the code-level rule fires as well). *)
+let deps_check ~root ~cmts ~sans_io_dirs lib_dirs =
   List.concat_map
     (fun dir ->
-      let libs = dune_libraries ~root dir in
+      let sans_io = List.exists (String.equal dir) sans_io_dirs in
       List.filter_map
         (fun lib ->
-          match io_library_module lib with
-          | None -> None
-          | Some modname ->
-            let imported =
-              List.exists
-                (fun (c : cmt) ->
-                  in_dir c.source dir
-                  && List.exists (String.equal modname) c.imports)
-                cmts
-            in
+          let modname = library_module lib in
+          let imported =
+            List.exists
+              (fun (c : cmt) ->
+                in_dir c.source dir
+                && List.exists (String.equal modname) c.imports)
+              cmts
+          in
+          let error message =
             Some
               (Diagnostic.make ~rule:"io-purity" ~severity:Diagnostic.Error
-                 ~file:(dir / "dune") ~line:1
-                 (if imported then
-                    Printf.sprintf
-                      "sans-IO library depends on %s (and some module imports \
-                       %s): move the IO behind lib/realnet"
-                      lib modname
-                  else
-                    Printf.sprintf
-                      "stale dune dep: sans-IO library lists %s but no module \
-                       imports %s; drop it from (libraries)"
-                      lib modname)))
-        libs)
-    sans_io_dirs
+                 ~file:(dir / "dune") ~line:1 message)
+          in
+          if not imported then
+            error
+              (Printf.sprintf
+                 "stale dune dep: %s lists %s but no module imports %s; drop \
+                  it from (libraries)"
+                 dir lib modname)
+          else if sans_io && io_library lib then
+            error
+              (Printf.sprintf
+                 "sans-IO library depends on %s (and some module imports %s): \
+                  move the IO behind lib/realnet"
+                 lib modname)
+          else None)
+        (dune_libraries ~root dir))
+    lib_dirs
 
 (* Import-level fallback for files whose typed tree never mentions an
    IO identifier but whose interface still drags one in (e.g. a type
