@@ -1,9 +1,12 @@
 (* The client library's protocol half (§3.6.2): build a request with a
-   random sequence number, validate the reply against it, and apply the
-   option semantics.  Driver code (simulated or Unix) performs the send,
-   the receive, and the final TCP connections to the candidates. *)
+   random sequence number, validate the reply against it, apply the
+   option semantics, and run the request exchange — sends, retransmits
+   and give-up — as a state machine.  Driver code (simulated or Unix)
+   performs the send, the receive, the waits, and the final TCP
+   connections to the candidates. *)
 
 module Metrics = Smart_util.Metrics
+module Tracelog = Smart_util.Tracelog
 
 type error =
   | Timeout
@@ -24,35 +27,25 @@ let pp_error ppf = function
     Fmt.string ppf "request shed by wizard admission control (back off)"
   | Migration_failed m -> Fmt.pf ppf "session migration failed: %s" m
 
-(* Completed sequence numbers remembered for duplicate suppression: a
-   retransmitted request can harvest two replies, and the late one must
-   not be fed to a later request's validation.  Bounded FIFO. *)
-let completed_capacity = 64
-
 type t = {
   rng : Smart_util.Prng.t;
-  trace : Smart_util.Tracelog.t;
-  mutable open_spans : (int * Smart_util.Tracelog.span) list;
-      (* seq -> request span, finished when the reply is checked;
-         typically at most one outstanding request *)
-  completed : int Queue.t;  (* eviction order for [completed_set] *)
-  completed_set : (int, unit) Hashtbl.t;
+  trace : Tracelog.t;
+  mutable span : Tracelog.span;
+      (* the last request's client.request span, until its exchange
+         takes it over *)
   requests_total : Metrics.Counter.t;
   replies_ok_total : Metrics.Counter.t;
   reply_errors_total : Metrics.Counter.t;
   retries_total : Metrics.Counter.t;
-  duplicate_replies_total : Metrics.Counter.t;
   attempts_histogram : Metrics.Histogram.t;
 }
 
-let create ?(metrics = Metrics.create ())
-    ?(trace = Smart_util.Tracelog.disabled) ~rng () =
+let create ?(metrics = Metrics.create ()) ?(trace = Tracelog.disabled) ~rng
+    () =
   {
     rng;
     trace;
-    open_spans = [];
-    completed = Queue.create ();
-    completed_set = Hashtbl.create completed_capacity;
+    span = Tracelog.none;
     requests_total =
       Metrics.counter metrics ~help:"requests built" "client.requests_total";
     replies_ok_total =
@@ -65,10 +58,6 @@ let create ?(metrics = Metrics.create ())
       Metrics.counter metrics
         ~help:"request retransmits after a per-attempt timeout"
         "client.retries_total";
-    duplicate_replies_total =
-      Metrics.counter metrics
-        ~help:"late replies to already-completed requests, dropped"
-        "client.duplicate_replies_total";
     attempts_histogram =
       Metrics.histogram metrics
         ~help:"send attempts per completed request (1 = no retransmit)"
@@ -84,76 +73,38 @@ let make_request t ~wanted ~option ~requirement =
   Metrics.Counter.incr t.requests_total;
   let seq = Smart_util.Prng.int t.rng ~bound:0x3FFFFFFF in
   (* The client.request span is the root of the request's trace; its
-     context rides in the datagram and the span stays open until
-     [check_reply] sees the matching sequence number. *)
-  let span = Smart_util.Tracelog.start t.trace "client.request" in
-  if Smart_util.Tracelog.enabled t.trace then
-    t.open_spans <- (seq, span) :: t.open_spans;
+     context rides in the datagram and the span stays open until the
+     request's exchange ends. *)
+  let span = Tracelog.start t.trace "client.request" in
+  t.span <- span;
   {
     Smart_proto.Wizard_msg.seq;
     server_num = wanted;
     option;
     requirement;
-    trace = Smart_util.Tracelog.ctx_of span;
+    trace = Tracelog.ctx_of span;
   }
 
-(* The driver reports a retransmit of the outstanding request (same
-   sequence number, fresh send after a per-attempt timeout). *)
-let note_retry t =
-  Metrics.Counter.incr t.retries_total;
-  Smart_util.Tracelog.instant t.trace "client.retry"
-
-(* The driver reports how many sends a completed request took; feeds the
-   attempts histogram behind the bench's retry_p95. *)
-let note_attempts t n =
-  if n > 0 then Metrics.Histogram.observe t.attempts_histogram (float_of_int n)
-
-let mark_completed t ~seq =
-  if not (Hashtbl.mem t.completed_set seq) then begin
-    Queue.add seq t.completed;
-    Hashtbl.replace t.completed_set seq ();
-    while Queue.length t.completed > completed_capacity do
-      let old = Queue.pop t.completed in
-      Hashtbl.remove t.completed_set old
-    done
-  end
-
-(* A retransmitted request can harvest several replies; the driver asks
-   here before validating one, and drops the duplicates this flags. *)
-let is_duplicate_reply t data =
-  match Smart_proto.Wizard_msg.decode_reply data with
-  | Error _ -> false  (* let [check_reply] report the malformation *)
-  | Ok reply ->
-    let dup = Hashtbl.mem t.completed_set reply.Smart_proto.Wizard_msg.seq in
-    if dup then Metrics.Counter.incr t.duplicate_replies_total;
-    dup
-
-(* Validate a reply datagram against the outstanding request and apply
-   the option field: [Strict] fails unless the full count came back,
-   [Accept_partial] takes a non-empty subset. *)
-let check_reply t (request : Smart_proto.Wizard_msg.request) data =
+(* The verdict on a decoded reply to [request], counted: the option
+   field decides, [Strict] failing unless the full count came back and
+   [Accept_partial] taking a non-empty subset. *)
+let verdict t (request : Smart_proto.Wizard_msg.request) decoded =
   let result =
-    match Smart_proto.Wizard_msg.decode_reply data with
+    match decoded with
     | Error m -> Error (Malformed m)
-    | Ok reply ->
-      if reply.Smart_proto.Wizard_msg.seq <> request.Smart_proto.Wizard_msg.seq
-      then
-        Error
-          (Wrong_seq
-             {
-               expected = request.Smart_proto.Wizard_msg.seq;
-               got = reply.Smart_proto.Wizard_msg.seq;
-             })
-      else if reply.Smart_proto.Wizard_msg.rejected then
+    | Ok (reply : Smart_proto.Wizard_msg.reply) ->
+      if reply.seq <> request.seq then
+        Error (Wrong_seq { expected = request.seq; got = reply.seq })
+      else if reply.rejected then
         (* admission control shed the request: distinct from a timeout
            (the wizard is alive, just overloaded) and from an empty
            candidate list (nothing qualified) — callers back off *)
         Error Admission_rejected
       else begin
-        let servers = reply.Smart_proto.Wizard_msg.servers in
+        let servers = reply.servers in
         let got = List.length servers in
-        let wanted = request.Smart_proto.Wizard_msg.server_num in
-        match request.Smart_proto.Wizard_msg.option with
+        let wanted = request.server_num in
+        match request.option with
         | Smart_proto.Wizard_msg.Strict ->
           if got >= wanted then Ok servers
           else Error (Not_enough { wanted; got })
@@ -161,18 +112,90 @@ let check_reply t (request : Smart_proto.Wizard_msg.request) data =
           if got = 0 then Error (Not_enough { wanted; got }) else Ok servers
       end
   in
-  (match result with
-  | Ok _ ->
-    Metrics.Counter.incr t.replies_ok_total;
-    mark_completed t ~seq:request.Smart_proto.Wizard_msg.seq
-  | Error _ -> Metrics.Counter.incr t.reply_errors_total);
-  let seq = request.Smart_proto.Wizard_msg.seq in
-  (match List.assoc_opt seq t.open_spans with
-  | Some span ->
-    Smart_util.Tracelog.finish t.trace span;
-    t.open_spans <- List.remove_assoc seq t.open_spans
-  | None -> ());
+  Metrics.Counter.incr
+    (match result with Ok _ -> t.replies_ok_total | Error _ -> t.reply_errors_total);
   result
+
+let check_reply t request data =
+  verdict t request (Smart_proto.Wizard_msg.decode_reply data)
+
+(* ------------------------------------------------------------------ *)
+(* The request exchange                                                 *)
+(* ------------------------------------------------------------------ *)
+
+type exchange = {
+  client : t;
+  request : Smart_proto.Wizard_msg.request;
+  datagram : string;
+  span : Tracelog.span;
+  backoff : Smart_util.Backoff.t;
+  sends : int;
+  deadline : float;
+  mutable sent : int;
+  mutable final : bool;  (* the pending wake is the deadline *)
+  mutable over : bool;
+}
+
+type step =
+  | Send of float
+  | Wait of float
+  | Done of (string list, error) result
+  | Idle
+
+let exchange t request ~sends ~backoff ~deadline =
+  {
+    client = t;
+    request;
+    datagram = Smart_proto.Wizard_msg.encode_request request;
+    span = t.span;
+    backoff;
+    sends;
+    deadline;
+    sent = 0;
+    final = false;
+    over = false;
+  }
+
+let datagram ex = ex.datagram
+
+let conclude ex outcome =
+  ex.over <- true;
+  if ex.sent > 0 then
+    Metrics.Histogram.observe ex.client.attempts_histogram
+      (float_of_int ex.sent);
+  Tracelog.finish ex.client.trace ex.span;
+  outcome
+
+let wake ex ~now =
+  if ex.over then Idle
+  else if ex.final || now >= ex.deadline then Done (conclude ex (Error Timeout))
+  else if ex.sent < ex.sends then begin
+    if ex.sent > 0 then begin
+      Metrics.Counter.incr ex.client.retries_total;
+      Tracelog.instant ex.client.trace "client.retry"
+    end;
+    ex.sent <- ex.sent + 1;
+    let at = now +. Smart_util.Backoff.next ex.backoff in
+    if at < ex.deadline then Send at
+    else begin
+      ex.final <- true;
+      Send ex.deadline
+    end
+  end
+  else begin
+    ex.final <- true;
+    Wait ex.deadline
+  end
+
+let receive ex data =
+  if ex.over then None
+  else
+    match Smart_proto.Wizard_msg.decode_reply data with
+    | Ok reply when reply.seq <> ex.request.seq ->
+      (* an answer to some other request: keep waiting for ours *)
+      Metrics.Counter.incr ex.client.reply_errors_total;
+      None
+    | decoded -> Some (conclude ex (verdict ex.client ex.request decoded))
 
 (* Pre-flight check: warn about variables no binding can ever supply. *)
 let lint_requirement requirement =

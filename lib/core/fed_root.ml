@@ -505,12 +505,6 @@ let subqueries_sent t = Metrics.Counter.value t.subqueries_total
 
 let shards_skipped t = Metrics.Counter.value t.shards_skipped_total
 
-let timeouts t = Metrics.Counter.value t.timeouts_total
-
-let compile_errors t = Metrics.Counter.value t.compile_errors_total
-
-let degraded_replies t = Metrics.Counter.value t.degraded_replies_total
-
 let request_latency_summary t = Metrics.histogram_summary t.request_latency
 
 let last_result t = t.last_result

@@ -112,16 +112,6 @@ val subqueries_sent : t -> int
     requirement. *)
 val shards_skipped : t -> int
 
-(** Requests answered at the deadline with partial replies. *)
-val timeouts : t -> int
-
-(** Requests whose requirement failed to compile at the root. *)
-val compile_errors : t -> int
-
-(** Root replies flagged degraded (partial fan-out or a degraded
-    shard). *)
-val degraded_replies : t -> int
-
 (** The [federation.request_latency_seconds] histogram in one read. *)
 val request_latency_summary : t -> Smart_util.Metrics.histogram_summary
 

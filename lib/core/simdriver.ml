@@ -759,128 +759,75 @@ let client_endpoint t ~client on_reply =
   (send, fun () ->
     Smart_net.Netstack.unlisten_udp stack ~node:client_node ~port:reply_port)
 
-(* One smart-socket request from [client] (a host name); drives the
-   simulation until the reply arrives or [timeout] virtual seconds pass.
-
-   The request is retransmitted (same sequence number) whenever a
-   per-attempt timeout drawn from the shared backoff policy expires with
-   no reply, up to [attempts] sends; late answers to a request that
-   already completed are dropped by the client library's duplicate
-   suppression.  All of it runs on virtual time, so retry schedules are
-   deterministic for a given seed. *)
-let request ?(option = Smart_proto.Wizard_msg.Accept_partial) ?(timeout = 5.0)
-    ?(attempts = 5) ?(backoff = Smart_util.Backoff.default) t ~client ~wanted
-    ~requirement =
-  if attempts <= 0 then invalid_arg "Simdriver.request: attempts must be positive";
-  let engine = Smart_host.Cluster.engine t.cluster in
-  let client_lib =
-    Client.create ~metrics:t.metrics ~trace:t.tracelog ~rng:t.client_rng ()
-  in
-  let req = Client.make_request client_lib ~wanted ~option ~requirement in
-  let reply = ref None in
-  let send, close =
-    client_endpoint t ~client (fun data ->
-        if not (Client.is_duplicate_reply client_lib data) then
-          reply := Some data)
-  in
-  let data = Smart_proto.Wizard_msg.encode_request req in
-  let boff =
-    Smart_util.Backoff.create ~rng:(Smart_util.Prng.split t.client_rng) backoff
-  in
-  let deadline = Smart_sim.Engine.now engine +. timeout in
-  let used = ref 0 in
-  let rec attempt () =
-    incr used;
-    if !used > 1 then Client.note_retry client_lib;
-    send data;
-    let wait = Smart_util.Backoff.next boff in
-    let attempt_deadline =
-      Float.min deadline (Smart_sim.Engine.now engine +. wait)
-    in
-    ignore
-      (Smart_measure.Runner.run_until engine ~deadline:attempt_deadline
-         (fun () -> !reply <> None));
-    if !reply = None && !used < attempts
-       && Smart_sim.Engine.now engine < deadline
-    then attempt ()
-  in
-  attempt ();
-  (* past the last retransmit, wait out the remaining overall budget *)
-  if !reply = None then
-    ignore
-      (Smart_measure.Runner.run_until engine ~deadline (fun () ->
-           !reply <> None));
-  close ();
-  Client.note_attempts client_lib !used;
-  match !reply with
-  | None -> Error Client.Timeout
-  | Some data -> Client.check_reply client_lib req data
-
-(* Callback-style twin of [request] for code that already lives inside
-   an engine callback (the session plane's workload): [request] drives
-   the engine itself via [Runner.run_until] and so must never be called
-   re-entrantly.  This variant only enqueues work — the send goes out
-   now, retransmits ride engine timers, and [on_result] fires exactly
-   once from the reply listener or the timeout timer.  Returns the
-   request's trace context (the [client.request] span the wizard's and
-   any later migration spans parent on). *)
+(* One smart-socket request from [client]: the client library's
+   exchange ([Client.exchange]) on this cluster's clock and packet
+   plane.  The send goes out now, each wake the exchange asks for rides
+   an engine timer, and [on_result] fires exactly once, from the reply
+   listener or from the give-up.  All of it runs on virtual time, so
+   retry schedules are deterministic for a given seed.  Only enqueues
+   work, so code already inside an engine callback (the session plane's
+   workload) can call it.  Returns the request's trace context (the
+   [client.request] span the wizard's and any later migration spans
+   parent on). *)
 let async_request ?(option = Smart_proto.Wizard_msg.Accept_partial)
     ?(timeout = 5.0) ?(attempts = 5) ?(backoff = Smart_util.Backoff.default) t
     ~client ~wanted ~requirement on_result =
   if attempts <= 0 then
-    invalid_arg "Simdriver.async_request: attempts must be positive";
+    invalid_arg "Simdriver.request: attempts must be positive";
   let engine = Smart_host.Cluster.engine t.cluster in
   let client_lib =
     Client.create ~metrics:t.metrics ~trace:t.tracelog ~rng:t.client_rng ()
   in
   let req = Client.make_request client_lib ~wanted ~option ~requirement in
-  let completed = ref false in
-  let used = ref 0 in
+  let exchange =
+    Client.exchange client_lib req ~sends:attempts
+      ~backoff:
+        (Smart_util.Backoff.create ~rng:(Smart_util.Prng.split t.client_rng)
+           backoff)
+      ~deadline:(Smart_sim.Engine.now engine +. timeout)
+  in
   let close = ref ignore in
   let finish result =
-    if not !completed then begin
-      completed := true;
-      Client.note_attempts client_lib !used;
-      (* unlisten from a fresh timer, not from inside the listener
-         dispatch that may be delivering to this very port *)
-      ignore
-        (Smart_sim.Engine.schedule_after engine ~delay:1e-9 (fun () ->
-             !close ()));
-      on_result result
-    end
+    (* unlisten from a fresh timer, not from inside the listener
+       dispatch that may be delivering to this very port *)
+    ignore
+      (Smart_sim.Engine.schedule_after engine ~delay:1e-9 (fun () -> !close ()));
+    on_result result
   in
   let send, close_port =
     client_endpoint t ~client (fun data ->
-        if (not !completed) && not (Client.is_duplicate_reply client_lib data)
-        then finish (Client.check_reply client_lib req data))
+        Option.iter finish (Client.receive exchange data))
   in
   close := close_port;
-  let data = Smart_proto.Wizard_msg.encode_request req in
-  let boff =
-    Smart_util.Backoff.create ~rng:(Smart_util.Prng.split t.client_rng) backoff
+  let rec act = function
+    | Client.Send time ->
+      send (Client.datagram exchange);
+      arm time
+    | Client.Wait time -> arm time
+    | Client.Done result -> finish result
+    | Client.Idle -> ()
+  and arm time =
+    ignore
+      (Smart_sim.Engine.schedule_at engine ~time (fun () ->
+           act (Client.wake exchange ~now:(Smart_sim.Engine.now engine))))
   in
-  let deadline = Smart_sim.Engine.now engine +. timeout in
-  let rec attempt () =
-    if not !completed then begin
-      let now = Smart_sim.Engine.now engine in
-      if now >= deadline then finish (Error Client.Timeout)
-      else if !used >= attempts then
-        (* past the last retransmit: wait out the remaining budget *)
-        ignore
-          (Smart_sim.Engine.schedule_after engine ~delay:(deadline -. now)
-             (fun () -> if not !completed then finish (Error Client.Timeout)))
-      else begin
-        incr used;
-        if !used > 1 then Client.note_retry client_lib;
-        send data;
-        let wait = Smart_util.Backoff.next boff in
-        let delay = Float.min wait (deadline -. now) +. 1e-9 in
-        ignore (Smart_sim.Engine.schedule_after engine ~delay attempt)
-      end
-    end
-  in
-  attempt ();
+  act (Client.wake exchange ~now:(Smart_sim.Engine.now engine));
   req.Smart_proto.Wizard_msg.trace
+
+(* The blocking form: [async_request], then the runner's ticks until it
+   answers.  The exchange ends by its deadline, so the wait does too. *)
+let request ?option ?(timeout = 5.0) ?attempts ?backoff t ~client ~wanted
+    ~requirement =
+  let engine = Smart_host.Cluster.engine t.cluster in
+  let deadline = Smart_sim.Engine.now engine +. timeout in
+  let result = ref None in
+  ignore
+    (async_request ?option ~timeout ?attempts ?backoff t ~client ~wanted
+       ~requirement (fun r -> result := Some r));
+  ignore
+    (Smart_measure.Runner.run_until engine ~deadline (fun () ->
+         Option.is_some !result));
+  Option.value !result ~default:(Error Client.Timeout)
 
 (* ------------------------------------------------------------------ *)
 (* The session workload (DESIGN.md §15)                                *)

@@ -105,11 +105,12 @@ val refresh_netmon : ?trials:int -> t -> Smart_proto.Records.net_record
 val all_netmon_records : t -> Smart_proto.Records.net_record list
 
 (** One smart-socket request from host [client]; returns the candidate
-    host list or the client-side error.  The datagram is retransmitted
-    (same sequence number) on per-attempt timeouts drawn from [backoff],
-    up to [attempts] sends within the overall [timeout]; late duplicate
-    replies are suppressed by the client library.  Runs entirely on
-    virtual time. *)
+    host list or the client-side error.  The client library's
+    {!Client.exchange} schedules it: the datagram is retransmitted (same
+    sequence number) on per-attempt timeouts drawn from [backoff], up to
+    [attempts] sends within the overall [timeout].  Runs entirely on
+    virtual time, and returns on the first runner tick after the
+    outcome. *)
 val request :
   ?option:Smart_proto.Wizard_msg.option_flag ->
   ?timeout:float ->

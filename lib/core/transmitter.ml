@@ -261,6 +261,4 @@ let handle_pull t ~data =
   | Distributed -> []
   | Centralized -> []
 
-let resends t = Metrics.Counter.value t.resends_total
-
 let resend_queue_length t = Queue.length t.resend

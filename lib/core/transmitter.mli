@@ -93,8 +93,5 @@ val backing_off : t -> now:float -> bool
     matches, no-op otherwise. *)
 val handle_pull : t -> data:string -> Output.t list
 
-(** Queued payloads re-sent after backoff. *)
-val resends : t -> int
-
 (** Payloads currently waiting in the resend queue. *)
 val resend_queue_length : t -> int

@@ -680,10 +680,6 @@ let tick t ~now =
 
 let pending_count t = Queue.length t.pending
 
-let requests_handled t = Metrics.Counter.value t.requests_total
-
-let compile_errors t = Metrics.Counter.value t.compile_errors_total
-
 (* Stats come from the wizard's own counters, not the LRU internals:
    the capacity-0 bypass never consults the LRU yet still counts its
    compiles as misses. *)
@@ -700,8 +696,6 @@ let snapshot_rebuilds t = Metrics.Counter.value t.snapshot_rebuilds_total
 let snapshot_refreshes t = Metrics.Counter.value t.snapshot_refreshes_total
 
 let request_latency_summary t = Metrics.histogram_summary t.request_latency
-
-let admission_rejected t = Metrics.Counter.value t.admission_rejected_total
 
 let admission_delayed t = Metrics.Counter.value t.admission_delayed_total
 

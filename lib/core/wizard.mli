@@ -168,13 +168,6 @@ val tick : t -> now:float -> Output.t list
 (** Distributed-mode requests currently parked. *)
 val pending_count : t -> int
 
-(** Requests decoded and answered over the wizard's lifetime. *)
-val requests_handled : t -> int
-
-(** Requests whose requirement failed to compile (answered with an
-    empty server list). *)
-val compile_errors : t -> int
-
 (** Requirement compile cache [(hits, misses)]. *)
 val compile_cache_stats : t -> int * int
 
@@ -199,9 +192,6 @@ val snapshot_refreshes : t -> int
 (** The [wizard.request_latency_seconds] histogram in one read:
     count/sum/min/max plus nearest-rank p50/p95/p99. *)
 val request_latency_summary : t -> Smart_util.Metrics.histogram_summary
-
-(** Requests shed by admission control (rejected reply sent). *)
-val admission_rejected : t -> int
 
 (** Requests parked by admission control until their tokens accrued. *)
 val admission_delayed : t -> int

@@ -1,7 +1,7 @@
 (* The client library over real sockets (§3.6.2): send the request, wait
-   for the matching reply with retransmit-and-backoff, then connect a TCP
-   socket to each candidate's service port and hand the list to the
-   caller. *)
+   for the matching reply (the client library's exchange decides when to
+   retransmit and when to give up), then connect a TCP socket to each
+   candidate's service port and hand the list to the caller. *)
 
 type connected_server = { host : string; socket : Unix.file_descr }
 
@@ -27,45 +27,48 @@ let request_servers ?(option = Smart_proto.Wizard_msg.Accept_partial)
     Fun.protect
       ~finally:(fun () -> Udp_io.stop socket)
       (fun () ->
-        let data = Smart_proto.Wizard_msg.encode_request request in
-        (* the per-attempt receive window grows with the shared backoff
-           policy: same retry shape as the simulated client, real clock *)
-        let boff = Smart_util.Backoff.create ~rng backoff in
-        let sends = ref 0 in
-        let finish result =
-          Smart_core.Client.note_attempts client !sends;
-          result
+        (* [timeout] caps each receive window, so it caps the policy;
+           the give-up comes after the sum of the capped nominal
+           windows *)
+        let policy =
+          {
+            backoff with
+            Smart_util.Backoff.max_delay =
+              Float.min backoff.Smart_util.Backoff.max_delay timeout;
+          }
         in
-        let rec attempt n =
-          if n < 0 then finish (Error Smart_core.Client.Timeout)
-          else begin
-            incr sends;
-            if !sends > 1 then Smart_core.Client.note_retry client;
-            ignore (Udp_io.send socket ~to_:wizard_addr data);
-            let window =
-              Float.min timeout (Smart_util.Backoff.next boff)
-            in
-            wait n (Unix.gettimeofday () +. window)
-          end
-        and wait n deadline =
-          let remaining = deadline -. Unix.gettimeofday () in
-          if remaining <= 0.0 then attempt (n - 1)
+        let budget = ref 0.0 in
+        for attempt = 0 to retries do
+          budget := !budget +. Smart_util.Backoff.nominal policy ~attempt
+        done;
+        let now = Unix.gettimeofday () in
+        let exchange =
+          Smart_core.Client.exchange client request ~sends:(retries + 1)
+            ~backoff:(Smart_util.Backoff.create ~rng policy)
+            ~deadline:(now +. !budget)
+        in
+        let rec act = function
+          | Smart_core.Client.Send time ->
+            ignore
+              (Udp_io.send socket ~to_:wizard_addr
+                 (Smart_core.Client.datagram exchange));
+            await time
+          | Smart_core.Client.Wait time -> await time
+          | Smart_core.Client.Done result -> result
+          | Smart_core.Client.Idle -> assert false  (* only after Done *)
+        and await time =
+          let now = Unix.gettimeofday () in
+          if now >= time then act (Smart_core.Client.wake exchange ~now)
           else
-            match Udp_io.recv_timeout socket ~timeout:remaining with
-            | None -> attempt (n - 1)
-            | Some (_, reply)
-              when Smart_core.Client.is_duplicate_reply client reply ->
-              (* late answer to an earlier, completed request *)
-              wait n deadline
-            | Some (_, reply) ->
-              (match Smart_core.Client.check_reply client request reply with
-              | Ok servers -> finish (Ok servers)
-              | Error (Smart_core.Client.Wrong_seq _) ->
-                (* stale reply from an earlier attempt: keep waiting *)
-                wait n deadline
-              | Error _ as e -> finish e)
+            match Udp_io.recv_timeout socket ~timeout:(time -. now) with
+            | None ->
+              act (Smart_core.Client.wake exchange ~now:(Unix.gettimeofday ()))
+            | Some (_, data) ->
+              (match Smart_core.Client.receive exchange data with
+              | Some result -> result
+              | None -> await time)
         in
-        attempt retries)
+        act (Smart_core.Client.wake exchange ~now))
 
 (* One scrape: the [request] magic datagram out, the rendered dump
    back.  [port] picks the daemon — wizard request port, transmitter

@@ -4,11 +4,13 @@
 type connected_server = { host : string; socket : Unix.file_descr }
 
 (** Ask the wizard for candidate host names.  [metrics] receives the
-    [client.*] instruments (see OBSERVABILITY.md).  The request is
+    [client.*] instruments (see OBSERVABILITY.md).  The client library's
+    {!Smart_core.Client.exchange} schedules the request: it is
     retransmitted up to [retries] extra times, each receive window drawn
     from [backoff] (the same truncated-exponential policy the simulated
-    client uses) and capped by [timeout]; late replies to completed
-    requests are dropped by sequence number. *)
+    client uses) and capped by [timeout], and the request gives up once
+    the sum of those capped nominal windows has passed.  A reply for
+    another sequence number is dropped. *)
 val request_servers :
   ?option:Smart_proto.Wizard_msg.option_flag ->
   ?timeout:float ->

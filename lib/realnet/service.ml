@@ -12,6 +12,7 @@ type t = {
   name : string;
   socket : Unix.file_descr;
   mutable running : bool;
+  mutable stopped : bool;
   mutable thread : Thread.t option;
   mutable connections : int;
 }
@@ -23,7 +24,7 @@ let create book ~name =
   Unix.bind socket
     (Unix.ADDR_INET (Unix.inet_addr_loopback, Smart_proto.Ports.service + shift));
   Unix.listen socket 16;
-  { name; socket; running = false; thread = None; connections = 0 }
+  { name; socket; running = false; stopped = false; thread = None; connections = 0 }
 
 let read_line_opt fd =
   let buf = Buffer.create 64 in
@@ -107,19 +108,24 @@ let start t =
   in
   t.thread <- Some (Thread.create loop ())
 
+(* Only the first call acts: a later one would self-connect to and
+   close whatever descriptor has reused the socket's number since. *)
 let stop t =
-  t.running <- false;
-  (try
-     match Unix.getsockname t.socket with
-     | Unix.ADDR_INET (_, port) ->
-       let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-       (try Unix.connect s (Unix.ADDR_INET (Unix.inet_addr_loopback, port))
-        with Unix.Unix_error (_, _, _) -> ());
-       Unix.close s
-     | Unix.ADDR_UNIX _ -> ()
-   with Unix.Unix_error (_, _, _) -> ());
-  (match t.thread with Some th -> Thread.join th | None -> ());
-  t.thread <- None;
-  try Unix.close t.socket with Unix.Unix_error (_, _, _) -> ()
+  if not t.stopped then begin
+    t.stopped <- true;
+    t.running <- false;
+    (try
+       match Unix.getsockname t.socket with
+       | Unix.ADDR_INET (_, port) ->
+         let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+         (try Unix.connect s (Unix.ADDR_INET (Unix.inet_addr_loopback, port))
+          with Unix.Unix_error (_, _, _) -> ());
+         Unix.close s
+       | Unix.ADDR_UNIX _ -> ()
+     with Unix.Unix_error (_, _, _) -> ());
+    (match t.thread with Some th -> Thread.join th | None -> ());
+    t.thread <- None;
+    try Unix.close t.socket with Unix.Unix_error (_, _, _) -> ()
+  end
 
 let connections t = t.connections

@@ -13,6 +13,8 @@ val write_line : Unix.file_descr -> string -> unit
 
 val start : t -> unit
 
+(** Stop accepting and close the listening socket.  Only the first call
+    acts; later ones do nothing. *)
 val stop : t -> unit
 
 (** Connections accepted so far. *)

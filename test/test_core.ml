@@ -1726,8 +1726,11 @@ let test_wizard_centralized_reply () =
   C.Status_db.update_sys db (sys_record ~host:"a" ~ip:"1.0.0.1" ~at:0.0 ());
   C.Status_db.update_sys db
     (sys_record ~host:"b" ~ip:"1.0.0.2" ~cpu_free:0.1 ~at:0.0 ());
+  let m = Smart_util.Metrics.create () in
   let wizard =
-    C.Wizard.create { C.Wizard.mode = C.Wizard.Centralized; groups = None } db
+    C.Wizard.create ~metrics:m
+      { C.Wizard.mode = C.Wizard.Centralized; groups = None }
+      db
   in
   let request = client_request "host_cpu_free > 0.5\n" in
   let from = { C.Output.host = "client"; port = 4567 } in
@@ -1742,13 +1745,16 @@ let test_wizard_centralized_reply () =
     | Ok servers -> Alcotest.(check (list string)) "servers" [ "a" ] servers
     | Error e -> Alcotest.failf "reply rejected: %a" C.Client.pp_error e)
   | _ -> Alcotest.fail "expected one reply datagram");
-  Alcotest.(check int) "handled" 1 (C.Wizard.requests_handled wizard)
+  Alcotest.(check int) "handled" 1 (counter_value m "wizard.requests_total")
 
 let test_wizard_bad_requirement () =
   let db = C.Status_db.create () in
   C.Status_db.update_sys db (sys_record ~at:0.0 ());
+  let m = Smart_util.Metrics.create () in
   let wizard =
-    C.Wizard.create { C.Wizard.mode = C.Wizard.Centralized; groups = None } db
+    C.Wizard.create ~metrics:m
+      { C.Wizard.mode = C.Wizard.Centralized; groups = None }
+      db
   in
   let request = client_request "1 +\n" in
   (match
@@ -1763,7 +1769,8 @@ let test_wizard_bad_requirement () =
         reply.P.Wizard_msg.servers
     | Error e -> Alcotest.failf "reply: %s" e)
   | _ -> Alcotest.fail "expected reply");
-  Alcotest.(check int) "compile error counted" 1 (C.Wizard.compile_errors wizard)
+  Alcotest.(check int) "compile error counted" 1
+    (counter_value m "wizard.compile_errors_total")
 
 let test_wizard_garbage_dropped () =
   let db = C.Status_db.create () in
@@ -2108,34 +2115,38 @@ let broken_requirement = "\012host_cpu_free > 0.1\n"
 
 let valid_requirement = "host_cpu_free > 0.1\n"
 
-let four_server_wizard () =
+let four_server_wizard m =
   let db = C.Status_db.create () in
   List.iteri
     (fun i host ->
       C.Status_db.update_sys db
         (sys_record ~host ~ip:(Printf.sprintf "1.0.0.%d" (i + 1)) ~at:0.0 ()))
     [ "a"; "b"; "c"; "d" ];
-  C.Wizard.create { C.Wizard.mode = C.Wizard.Centralized; groups = None } db
+  C.Wizard.create ~metrics:m
+    { C.Wizard.mode = C.Wizard.Centralized; groups = None }
+    db
 
 let test_wizard_broken_text_first () =
-  let wizard = four_server_wizard () in
+  let m = Smart_util.Metrics.create () in
+  let wizard = four_server_wizard m in
   Alcotest.(check (list string)) "broken text: empty" []
     (ask wizard ~wanted:3 broken_requirement);
   Alcotest.(check int) "its compile error counted" 1
-    (C.Wizard.compile_errors wizard);
+    (counter_value m "wizard.compile_errors_total");
   Alcotest.(check int) "valid text after it: three servers" 3
     (List.length (ask wizard ~wanted:3 valid_requirement));
   Alcotest.(check int) "no second compile error" 1
-    (C.Wizard.compile_errors wizard)
+    (counter_value m "wizard.compile_errors_total")
 
 let test_wizard_broken_text_second () =
-  let wizard = four_server_wizard () in
+  let m = Smart_util.Metrics.create () in
+  let wizard = four_server_wizard m in
   Alcotest.(check int) "valid text: three servers" 3
     (List.length (ask wizard ~wanted:3 valid_requirement));
   Alcotest.(check (list string)) "broken text after it: empty" []
     (ask wizard ~wanted:3 broken_requirement);
   Alcotest.(check int) "its compile error counted" 1
-    (C.Wizard.compile_errors wizard)
+    (counter_value m "wizard.compile_errors_total")
 
 let test_wizard_result_cache_and_snapshot () =
   let db = C.Status_db.create () in
@@ -2647,6 +2658,9 @@ let test_sim_trace_trees () =
   let client = the "client.request" in
   Alcotest.(check bool) "client span opens its own trace" true
     (client.T.trace_id = client.T.span_id);
+  (* the span closes at the reply, not at the 5 ms runner tick after it *)
+  Alcotest.(check bool) "client span shorter than a runner tick" true
+    (client.T.duration < 0.005);
   let wizard = the "wizard.request" in
   Alcotest.(check int) "wizard joins the client trace" client.T.trace_id
     wizard.T.trace_id;
@@ -2724,7 +2738,8 @@ let test_transmitter_resend_backoff () =
   | C.Output.Stream { data; _ } :: _ ->
     Alcotest.(check string) "resent first" "frame-1" data
   | _ -> Alcotest.fail "expected the resend stream first");
-  Alcotest.(check int) "resend counted" 1 (C.Transmitter.resends tx);
+  Alcotest.(check int) "resend counted" 1
+    (counter_value m "transmitter.resends_total");
   Alcotest.(check int) "queue drained" 0 (C.Transmitter.resend_queue_length tx);
   (* the queue is bounded: oldest frames are dropped, and metered *)
   C.Transmitter.note_send_failure tx ~now:2.0 ~data:"a";
@@ -2740,36 +2755,134 @@ let test_transmitter_resend_backoff () =
   Alcotest.(check bool) "reset after success" false
     (C.Transmitter.backing_off tx ~now:2.1)
 
-let test_client_duplicate_suppression () =
+(* A traced client on a settable clock, with its registry and a request
+   from it. *)
+let exchange_client () =
   let m = Smart_util.Metrics.create () in
+  let clock = ref 0.0 in
+  let trace = Smart_util.Tracelog.create ~clock:(fun () -> !clock) () in
   let client =
-    C.Client.create ~metrics:m ~rng:(Smart_util.Prng.create ~seed:5) ()
+    C.Client.create ~metrics:m ~trace ~rng:(Smart_util.Prng.create ~seed:5) ()
   in
   let request =
     C.Client.make_request client ~wanted:1
       ~option:P.Wizard_msg.Accept_partial ~requirement:"host_cpu_free > 0\n"
   in
-  let reply =
-    P.Wizard_msg.encode_reply
-      {
-        P.Wizard_msg.seq = request.P.Wizard_msg.seq;
-        servers = [ "a" ];
-        degraded = false;
-        rejected = false;
-      }
+  (m, clock, trace, client, request)
+
+let request_span trace =
+  match
+    List.filter
+      (fun (e : Smart_util.Tracelog.entry) -> e.name = "client.request")
+      (Smart_util.Tracelog.entries trace)
+  with
+  | [ e ] -> e
+  | l -> Alcotest.failf "expected one client.request span, got %d" (List.length l)
+
+let step =
+  Alcotest.testable
+    (fun ppf -> function
+      | C.Client.Send at -> Fmt.pf ppf "Send %g" at
+      | C.Client.Wait at -> Fmt.pf ppf "Wait %g" at
+      | C.Client.Done (Ok servers) ->
+        Fmt.pf ppf "Done (Ok [%s])" (String.concat "; " servers)
+      | C.Client.Done (Error e) -> Fmt.pf ppf "Done (Error %a)" C.Client.pp_error e
+      | C.Client.Idle -> Fmt.string ppf "Idle")
+    ( = )
+
+(* No reply at all: with a jitter-free policy the exchange sends at 0,
+   base and base + base * multiplier, waits out its deadline after the
+   last send, and gives up there with its span closed. *)
+let test_client_exchange_gives_up () =
+  let m, clock, trace, client, request = exchange_client () in
+  let backoff =
+    Smart_util.Backoff.create
+      (Smart_util.Backoff.policy ~base:1.0 ~multiplier:2.0 ~max_delay:8.0
+         ~jitter:0.0 ())
   in
-  Alcotest.(check bool) "first reply is fresh" false
-    (C.Client.is_duplicate_reply client reply);
-  (match C.Client.check_reply client request reply with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "reply rejected: %a" C.Client.pp_error e);
-  (* a retransmitted request's late second answer is now recognised *)
-  Alcotest.(check bool) "late duplicate flagged" true
-    (C.Client.is_duplicate_reply client reply);
-  Alcotest.(check int) "duplicate metered" 1
-    (counter_value m "client.duplicate_replies_total");
-  Alcotest.(check bool) "garbage is not a duplicate" false
-    (C.Client.is_duplicate_reply client "junk")
+  let ex = C.Client.exchange client request ~sends:3 ~backoff ~deadline:10.0 in
+  Alcotest.(check string) "datagram is the request"
+    (P.Wizard_msg.encode_request request) (C.Client.datagram ex);
+  let wake now expected =
+    clock := now;
+    Alcotest.check step (Printf.sprintf "wake at %g" now) expected
+      (C.Client.wake ex ~now)
+  in
+  wake 0.0 (C.Client.Send 1.0);
+  wake 1.0 (C.Client.Send 3.0);
+  wake 3.0 (C.Client.Send 7.0);
+  wake 7.0 (C.Client.Wait 10.0);
+  wake 10.0 (C.Client.Done (Error C.Client.Timeout));
+  wake 11.0 C.Client.Idle;
+  Alcotest.(check int) "two retransmits" 2 (counter_value m "client.retries_total");
+  (match registered m "client.request_attempts" with
+  | Smart_util.Metrics.Histogram h ->
+    Alcotest.(check int) "one observation" 1 h.Smart_util.Metrics.count;
+    Alcotest.(check (float 0.0)) "of three sends" 3.0 h.Smart_util.Metrics.sum
+  | _ -> Alcotest.fail "client.request_attempts is not a histogram");
+  Alcotest.(check (float 1e-9)) "span closed at the give-up" 10.0
+    (request_span trace).duration;
+  (* a window longer than what is left is clipped to the deadline, and
+     the wake there gives up *)
+  let _, _, _, client, request = exchange_client () in
+  let ex =
+    C.Client.exchange client request ~sends:3
+      ~backoff:(Smart_util.Backoff.create (Smart_util.Backoff.policy ~base:4.0 ~jitter:0.0 ()))
+      ~deadline:3.0
+  in
+  Alcotest.check step "clipped" (C.Client.Send 3.0) (C.Client.wake ex ~now:0.0);
+  Alcotest.check step "deadline" (C.Client.Done (Error C.Client.Timeout))
+    (C.Client.wake ex ~now:3.0)
+
+(* A reply for another sequence number is counted and dropped while the
+   exchange waits on; the matching one ends it; a second copy of it
+   afterwards changes nothing. *)
+let test_client_exchange_replies () =
+  let m, clock, trace, client, request = exchange_client () in
+  let ex =
+    C.Client.exchange client request ~sends:2
+      ~backoff:(Smart_util.Backoff.create Smart_util.Backoff.default)
+      ~deadline:5.0
+  in
+  (match C.Client.wake ex ~now:0.0 with
+  | C.Client.Send _ -> ()
+  | s -> Alcotest.failf "first wake: %a" (Alcotest.pp step) s);
+  let reply seq =
+    P.Wizard_msg.encode_reply
+      { P.Wizard_msg.seq; servers = [ "a" ]; degraded = false; rejected = false }
+  in
+  let seq = request.P.Wizard_msg.seq in
+  clock := 0.25;
+  Alcotest.(check bool) "foreign reply dropped" true
+    (C.Client.receive ex (reply (seq + 1)) = None);
+  Alcotest.(check int) "foreign reply counted" 1
+    (counter_value m "client.reply_errors_total");
+  Alcotest.(check bool) "span still open" true
+    (Float.is_nan (request_span trace).duration);
+  clock := 0.5;
+  (match C.Client.receive ex (reply seq) with
+  | Some (Ok [ "a" ]) -> ()
+  | Some (Ok _ | Error _) | None -> Alcotest.fail "matching reply must end the exchange");
+  Alcotest.(check bool) "late copy ignored" true (C.Client.receive ex (reply seq) = None);
+  Alcotest.(check bool) "garbage after the end ignored" true
+    (C.Client.receive ex "junk" = None);
+  Alcotest.check step "wake after the end" C.Client.Idle (C.Client.wake ex ~now:1.0);
+  Alcotest.(check int) "one reply accepted" 1 (counter_value m "client.replies_ok_total");
+  Alcotest.(check int) "no error added" 1 (counter_value m "client.reply_errors_total");
+  Alcotest.(check int) "no retransmit" 0 (counter_value m "client.retries_total");
+  Alcotest.(check (float 1e-9)) "span closed at the reply" 0.5
+    (request_span trace).duration;
+  (* an undecodable datagram ends an exchange as check_reply judges it *)
+  let _, _, _, client, request = exchange_client () in
+  let ex =
+    C.Client.exchange client request ~sends:1
+      ~backoff:(Smart_util.Backoff.create Smart_util.Backoff.default)
+      ~deadline:5.0
+  in
+  ignore (C.Client.wake ex ~now:0.0);
+  match C.Client.receive ex "junk" with
+  | Some (Error (C.Client.Malformed _)) -> ()
+  | _ -> Alcotest.fail "garbage must end the exchange as malformed"
 
 let test_wizard_degraded_mode () =
   let db = C.Status_db.create () in
@@ -3250,7 +3363,8 @@ let test_sim_federation_end_to_end () =
     (C.Fed_root.subqueries_sent fed.C.Simdriver.root);
   Alcotest.(check int) "both shards replied" 2
     (counter_value (C.Simdriver.metrics d) "federation.shard_replies_total");
-  Alcotest.(check int) "no timeouts" 0 (C.Fed_root.timeouts fed.C.Simdriver.root);
+  Alcotest.(check int) "no timeouts" 0
+    (counter_value (C.Simdriver.metrics d) "federation.timeouts_total");
   List.iter
     (fun (s : C.Simdriver.fed_shard) ->
       Alcotest.(check int)
@@ -3307,11 +3421,8 @@ let test_sim_federation_routing () =
 let test_sim_federation_partial () =
   let _, d = fed_world 13 in
   C.Simdriver.settle ~duration:8.0 d;
-  let fed =
-    match C.Simdriver.federation d with
-    | Some f -> f
-    | None -> Alcotest.fail "federation state missing"
-  in
+  Alcotest.(check bool) "federation state present" true
+    (Option.is_some (C.Simdriver.federation d));
   C.Simdriver.set_host_partitioned d ~host:"shard-b" true;
   (match
      C.Simdriver.request d ~client:"cli" ~wanted:6
@@ -3322,9 +3433,10 @@ let test_sim_federation_partial () =
       [ "a1"; "a2"; "a3" ] servers
   | Error e -> Alcotest.failf "request failed: %a" C.Client.pp_error e);
   Alcotest.(check int) "deadline released the merge" 1
-    (C.Fed_root.timeouts fed.C.Simdriver.root);
+    (counter_value (C.Simdriver.metrics d) "federation.timeouts_total");
   Alcotest.(check bool) "reply flagged degraded" true
-    (C.Fed_root.degraded_replies fed.C.Simdriver.root >= 1);
+    (counter_value (C.Simdriver.metrics d) "federation.degraded_replies_total"
+     >= 1);
   (* heal: the next request is whole again *)
   C.Simdriver.set_host_partitioned d ~host:"shard-b" false;
   C.Simdriver.settle ~duration:4.0 d;
@@ -3552,7 +3664,8 @@ let test_fed_root_latest_batch_wins () =
 (* The root's compile cache keys on [Requirement.cache_key] too: a
    broken text's cached error must not answer the valid text. *)
 let test_fed_root_broken_text_first () =
-  let root = sketch_root ~metrics:(Smart_util.Metrics.create ()) [ "s1" ] in
+  let m = Smart_util.Metrics.create () in
+  let root = sketch_root ~metrics:m [ "s1" ] in
   let send requirement =
     ignore
       (C.Fed_root.handle_request root ~now:1.0
@@ -3561,10 +3674,10 @@ let test_fed_root_broken_text_first () =
   in
   send broken_requirement;
   Alcotest.(check int) "broken text: compile error" 1
-    (C.Fed_root.compile_errors root);
+    (counter_value m "federation.compile_errors_total");
   send valid_requirement;
   Alcotest.(check int) "valid text: no compile error" 1
-    (C.Fed_root.compile_errors root);
+    (counter_value m "federation.compile_errors_total");
   Alcotest.(check int) "valid text fanned out" 1
     (C.Fed_root.subqueries_sent root)
 
@@ -3892,8 +4005,9 @@ let test_wizard_admission_gate () =
   let db = C.Status_db.create () in
   C.Status_db.update_sys db (sys_record ~host:"s1" ~ip:"10.0.0.1" ~at:0.0 ());
   let now = ref 0.0 in
+  let m = Smart_util.Metrics.create () in
   let wizard =
-    C.Wizard.create
+    C.Wizard.create ~metrics:m
       ~clock:(fun () -> !now)
       ~admission:
         { C.Wizard.rate = 10.0; burst = 2.0; max_delay = 0.2; max_clients = 8 }
@@ -3947,7 +4061,7 @@ let test_wizard_admission_gate () =
     | _ -> Alcotest.fail "released replies must decode")
   | _ -> Alcotest.fail "expected two released replies");
   Alcotest.(check int) "rejection metered" 1
-    (C.Wizard.admission_rejected wizard);
+    (counter_value m "wizard.admission_rejected_total");
   Alcotest.(check int) "delays metered" 2 (C.Wizard.admission_delayed wizard)
 
 (* Rejections must not consume tokens: a client shed at the deadline is
@@ -3957,8 +4071,9 @@ let test_wizard_admission_reject_consumes_nothing () =
   let db = C.Status_db.create () in
   C.Status_db.update_sys db (sys_record ~host:"s1" ~ip:"10.0.0.1" ~at:0.0 ());
   let now = ref 0.0 in
+  let m = Smart_util.Metrics.create () in
   let wizard =
-    C.Wizard.create
+    C.Wizard.create ~metrics:m
       ~clock:(fun () -> !now)
       ~admission:
         { C.Wizard.rate = 10.0; burst = 1.0; max_delay = 0.05; max_clients = 8 }
@@ -3973,7 +4088,8 @@ let test_wizard_admission_reject_consumes_nothing () =
   for seq = 2 to 20 do
     ignore (ask seq)
   done;
-  Alcotest.(check int) "hammering shed" 19 (C.Wizard.admission_rejected wizard);
+  Alcotest.(check int) "hammering shed" 19
+    (counter_value m "wizard.admission_rejected_total");
   (* one refill interval later the client is served again — the 19
      rejections left no debt behind *)
   now := 0.11;
@@ -4375,8 +4491,10 @@ let () =
           Alcotest.test_case "request validation" `Quick
             test_client_request_validation;
           Alcotest.test_case "requirement lint" `Quick test_client_lint;
-          Alcotest.test_case "duplicate reply suppression" `Quick
-            test_client_duplicate_suppression;
+          Alcotest.test_case "exchange gives up on schedule" `Quick
+            test_client_exchange_gives_up;
+          Alcotest.test_case "exchange reply matching" `Quick
+            test_client_exchange_replies;
         ] );
       ( "simdriver",
         [

@@ -114,6 +114,33 @@ let test_service_protocol () =
         Alcotest.(check bool) "connection counted" true
           (R.Service.connections service >= 1))
 
+(* A second stop must leave alone the descriptor number the first one
+   freed: sockets opened in between take it. *)
+let test_service_stop_twice () =
+  let book = R.Addr_book.create () in
+  ignore (R.Addr_book.register_loopback book ~host:"svc");
+  let service = R.Service.create book ~name:"svc" in
+  R.Service.start service;
+  R.Service.stop service;
+  let sockets =
+    List.init 4 (fun _ -> Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun s -> try Unix.close s with Unix.Unix_error (_, _, _) -> ())
+        sockets)
+    (fun () ->
+      R.Service.stop service;
+      List.iter
+        (fun s ->
+          Alcotest.(check bool) "socket opened after the first stop still open"
+            true
+            (match Unix.fstat s with
+            | _ -> true
+            | exception Unix.Unix_error (Unix.EBADF, _, _) -> false))
+        sockets)
+
 let test_udp_io_recv_timeout () =
   let s = R.Udp_io.bind_port 0 in
   let t0 = Unix.gettimeofday () in
@@ -385,6 +412,60 @@ let test_distributed_mode_real () =
       | Error e ->
         Alcotest.failf "distributed request failed: %a"
           Smart_core.Client.pp_error e)
+
+(* A stand-in wizard socket drops the first request datagram and
+   answers the retransmit twice: first for another sequence number, then
+   for the request's own.  The client waits through the foreign reply
+   and takes the matching one. *)
+let test_request_retransmit () =
+  let book = R.Addr_book.create () in
+  ignore (R.Addr_book.register_loopback book ~host:"wiz");
+  let port =
+    match R.Addr_book.resolve book ~host:"wiz" ~port:Smart_proto.Ports.wizard with
+    | Some (Unix.ADDR_INET (_, port)) -> port
+    | _ -> Alcotest.fail "wizard unresolvable"
+  in
+  let wizard = R.Udp_io.bind_port ~addr:Unix.inet_addr_loopback port in
+  let reply seq =
+    Smart_proto.Wizard_msg.encode_reply
+      {
+        Smart_proto.Wizard_msg.seq;
+        servers = [ "alpha" ];
+        degraded = false;
+        rejected = false;
+      }
+  in
+  let stand_in () =
+    match R.Udp_io.recv_timeout wizard ~timeout:5.0 with
+    | None -> ()
+    | Some _dropped ->
+      (match R.Udp_io.recv_timeout wizard ~timeout:5.0 with
+      | None -> ()
+      | Some (from, data) ->
+        (match Smart_proto.Wizard_msg.decode_request data with
+        | Error _ -> ()
+        | Ok request ->
+          let seq = request.Smart_proto.Wizard_msg.seq in
+          ignore (R.Udp_io.send wizard ~to_:from (reply (seq + 1)));
+          ignore (R.Udp_io.send wizard ~to_:from (reply seq))))
+  in
+  let thread = Thread.create stand_in () in
+  let metrics = Smart_util.Metrics.create () in
+  let result =
+    R.Client_io.request_servers book ~timeout:1.0 ~retries:2
+      ~backoff:(Smart_util.Backoff.policy ~base:0.1 ~jitter:0.0 ())
+      ~metrics ~wizard_host:"wiz" ~wanted:1
+      ~requirement:"host_memory_total > 1\n" ()
+  in
+  Thread.join thread;
+  R.Udp_io.stop wizard;
+  (match result with
+  | Ok servers -> Alcotest.(check (list string)) "answered" [ "alpha" ] servers
+  | Error e -> Alcotest.failf "request failed: %a" Smart_core.Client.pp_error e);
+  Alcotest.(check int) "one retransmit" 1
+    (Smart_util.Metrics.counter_value metrics "client.retries_total");
+  Alcotest.(check int) "foreign reply counted" 1
+    (Smart_util.Metrics.counter_value metrics "client.reply_errors_total")
 
 (* A wizard daemon alone on loopback host "wiz", not yet started. *)
 let lone_wizard ?admission () =
@@ -859,6 +940,7 @@ let () =
           Alcotest.test_case "service protocol" `Quick test_service_protocol;
           Alcotest.test_case "udp io round trip" `Quick test_udp_io_roundtrip;
           Alcotest.test_case "udp io timeout" `Quick test_udp_io_recv_timeout;
+          Alcotest.test_case "service stop twice" `Quick test_service_stop_twice;
         ] );
       ( "integration",
         [
@@ -872,6 +954,7 @@ let () =
           Alcotest.test_case "fd leak regression" `Slow
             test_fd_leak_regression;
           Alcotest.test_case "distributed mode" `Slow test_distributed_mode_real;
+          Alcotest.test_case "request retransmit" `Slow test_request_retransmit;
           Alcotest.test_case "admission per requester ip" `Slow
             test_admission_per_requester_ip;
           Alcotest.test_case "metrics scrape" `Slow test_metrics_scrape_real;

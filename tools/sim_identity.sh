@@ -12,9 +12,12 @@
 # its wall-clock lines dropped.  Every file the base run leaves behind,
 # stdout and each demo's exit status included, is then compared with
 # `cmp` against the working tree's: one "same" or "DIFF" line per file,
-# exit status 1 on any difference.  Not a CI gate: a change that alters
-# behaviour differs on purpose; this is the evidence for one that must
-# not.
+# exit status 1 on any difference.  Under each DIFF line, indented, a
+# bounded account of it: for a Chrome trace JSON the count of differing
+# events per span name and field (tools/trace_diff.py), for any other
+# file the first 20 lines of `diff`.  Not a CI gate: a change that
+# alters behaviour differs on purpose; this is the evidence for one that
+# must not.
 set -eu
 
 base=${1:?usage: tools/sim_identity.sh <rev>}
@@ -55,6 +58,18 @@ run_tree() {
 run_tree "$tmp/base" "$tmp/out-base"
 run_tree "$root" "$tmp/out-work"
 
+# summary <file>: what differs in one file, at most 20 lines
+summary() {
+  case $1 in
+    *.json)
+      if out=$(python3 "$root/tools/trace_diff.py" "$1" "$tmp/out-work/$1"); then
+        printf '%s\n' "$out" | head -n 20 | sed 's/^/      /'
+        return
+      fi ;;
+  esac
+  diff "$1" "$tmp/out-work/$1" | head -n 20 | sed 's/^/      /'
+}
+
 status=0
 cd "$tmp/out-base"
 for f in $(find . -type f | sort); do
@@ -62,6 +77,7 @@ for f in $(find . -type f | sort); do
     echo "same  ${f#./}"
   else
     echo "DIFF  ${f#./}"
+    summary "$f"
     status=1
   fi
 done
