@@ -33,9 +33,11 @@ lint: build
 sim-identity:
 	tools/sim_identity.sh $(BASE)
 
-# API docs; CI keeps this warning-clean.
-doc:
-	dune build @doc
+# Documentation cross-references: every {!...} in a lib/**/*.mli must
+# name a declaration of the interfaces (smartlint's doc rule, see
+# ANALYSIS.md).  Needs the cmtis a plain build leaves.
+doc: build
+	dune exec tools/smartlint/main.exe -- --root . --only doc
 
 # What CI runs: full build, the whole test tree, the wizard bench as a
 # smoke test of the request path, and the lint gate (plus `make doc`,

@@ -5,10 +5,11 @@
      smart wizard   --host NAME [--distributed --transmitters a,b]
      smart query    --wizard HOST --servers N (--expr E | --file F) [--connect]
 
-   All daemons run in the foreground until interrupted.  Host names are
-   resolved by the system resolver (run one component per machine, as in
-   Fig 3.1); the single-machine integration tests use the library's
-   address book directly instead. *)
+   All daemons run in the foreground until interrupted.  Each binds the
+   wildcard address, and resolves the hosts it sends to once, when it
+   starts, through the system resolver (run one component per machine,
+   as in Fig 3.1); the single-machine integration tests use the
+   library's address book directly instead. *)
 
 let setup_logs level =
   Fmt_tty.setup_std_outputs ();
@@ -16,6 +17,13 @@ let setup_logs level =
   Logs.set_level level
 
 let book () = Smart_realnet.Addr_book.create ()
+
+(* A daemon whose peers do not all resolve stops before it starts. *)
+let create_daemon create =
+  try create () with
+  | Failure reason ->
+    Fmt.epr "smart: %s@." reason;
+    exit 2
 
 (* Each daemon runs on its own event loop; the main thread only waits. *)
 let rec idle () =
@@ -29,6 +37,7 @@ let rec idle () =
 let run_probe host ip monitor interval =
   setup_logs (Some Logs.Info);
   let daemon =
+    create_daemon @@ fun () ->
     Smart_realnet.Probe_daemon.create (book ())
       {
         Smart_realnet.Probe_daemon.host;
@@ -63,6 +72,7 @@ let read_file path =
 let run_monitor host wizard targets seclog interval distributed =
   setup_logs (Some Logs.Info);
   let daemon =
+    create_daemon @@ fun () ->
     Smart_realnet.Monitor_daemon.create (book ())
       {
         Smart_realnet.Monitor_daemon.host;
@@ -109,6 +119,7 @@ let run_wizard host distributed transmitters admission_rate admission_burst =
     else Smart_core.Wizard.Centralized
   in
   let daemon =
+    create_daemon @@ fun () ->
     Smart_realnet.Wizard_daemon.create (book ())
       {
         Smart_realnet.Wizard_daemon.host;

@@ -1,9 +1,9 @@
-(* Simulation driver: deploys the seven components onto a
+(* Simulation driver: installs the machines' roles ([Role]) onto a
    [Smart_host.Cluster], wiring component outputs to the packet plane and
    packet-plane listeners back into component handlers.
 
    Layout mirrors Fig 3.1 for a single server group and Fig 3.8 for
-   several: each group runs its probes, the three monitors and a
+   several: each group runs its probes, and the three monitors and a
    transmitter on its monitor machine; the receiver and the wizard run on
    the wizard machine.  In multi-group deployments the network monitors
    probe their peer monitors (one sequential mesh, Table 3.4) and the
@@ -38,7 +38,6 @@ type t = {
   groups : group list;
   wizard_node : int;
   db_wizard : Status_db.t;
-  receiver : Receiver.t;
   wizard : Wizard.t;
   fed : federation option;
   client_rng : Smart_util.Prng.t;
@@ -144,21 +143,26 @@ let stream_blocked cluster ~src_node ~host =
       List.exists Smart_net.Link.partitioned
         (Smart_net.Topology.path topo ~src:src_node ~dst))
 
-(* Route a transmitter's outputs from [src_node], reporting doomed
-   stream deliveries back to it (bounded resend queue + backoff) instead
-   of sending them into a black hole. *)
-let send_transmitter t ~tag ~src_node transmitter ~now outputs =
-  List.iter
-    (fun output ->
-      match output with
-      | Output.Stream { dst; data }
-        when stream_blocked t.cluster ~src_node ~host:dst.Output.host ->
-        Transmitter.note_send_failure transmitter ~now ~data
-      | Output.Stream _ ->
-        Transmitter.note_send_ok transmitter;
-        perform t ~tag ~src_node [ output ]
-      | Output.Udp _ -> perform t ~tag ~src_node [ output ])
-    outputs
+(* Route outputs from [node] through [sink].  A transmitter's sink
+   learns each stream's fate: a doomed delivery is reported back to it
+   (bounded resend queue + backoff) instead of being sent into a black
+   hole. *)
+let send t ~node (sink : Role.sink) ~now outputs =
+  let perform = perform t ~tag:sink.tag ~src_node:node ~sport:sink.sport in
+  match sink.transmitter with
+  | None -> perform outputs
+  | Some transmitter ->
+    List.iter
+      (fun output ->
+        match output with
+        | Output.Stream { dst; data }
+          when stream_blocked t.cluster ~src_node:node ~host:dst.Output.host ->
+          Transmitter.note_send_failure transmitter ~now ~data
+        | Output.Stream _ ->
+          Transmitter.note_send_ok transmitter;
+          perform [ output ]
+        | Output.Udp _ -> perform [ output ])
+      outputs
 
 type config = {
   mode : Transmitter.mode;
@@ -199,186 +203,122 @@ let default_config =
    through [t_ref], which is set once wiring is done. *)
 let the t_ref = match !t_ref with Some t -> t | None -> assert false
 
-(* Wire one group's probes, monitors and transmitter. *)
-let setup_group t_ref config cluster ~metrics ~trace ~wizard_host
-    ~monitor_host ~servers ~netmon_targets =
+(* Install a role on [node], the simulator's way: each port listens on
+   the packet plane, each timer rides the engine, and both do nothing
+   while [alive] is false.  A stream port's source is the sending node's
+   name; a timer with jitter draws it from its own split of the cluster
+   PRNG, after each fire, like {!Smart_sim.Engine.every}. *)
+let install t_ref cluster ~node ~alive (role : _ Role.t) =
   let engine = Smart_host.Cluster.engine cluster in
-  let stack = Smart_host.Cluster.stack cluster in
-  let rng = Smart_host.Cluster.rng cluster in
+  List.iter
+    (fun (port : Role.port) ->
+      let scrapes = port.number = role.scrape_port in
+      Smart_net.Netstack.listen_udp (Smart_host.Cluster.stack cluster) ~node
+        ~port:port.number (fun ~now pkt ->
+          if alive () then begin
+            let t = the t_ref in
+            let data = pkt.Smart_net.Packet.payload in
+            let src = node_name cluster pkt.Smart_net.Packet.src in
+            match port.handler with
+            | Role.Stream receiver ->
+              ignore (Receiver.handle_stream receiver ~from:src data)
+            | Role.Datagram handle ->
+              let from = { Output.host = src; port = sport_of pkt } in
+              (match if scrapes then Role.scrape role data else None with
+              | Some dump ->
+                perform t ~tag:port.sink.tag ~src_node:node ~sport:port.number
+                  [ Output.udp ~host:src ~port:from.port dump ]
+              | None -> send t ~node port.sink ~now (handle ~now ~from data))
+          end))
+    role.ports;
+  List.iter
+    (fun (timer : Role.timer) ->
+      let noise =
+        if Float.compare timer.jitter 0.0 > 0 then begin
+          let rng = Smart_util.Prng.split (Smart_host.Cluster.rng cluster) in
+          fun () -> Smart_util.Prng.float rng ~bound:timer.jitter
+        end
+        else fun () -> 0.0
+      in
+      let rec arm time =
+        ignore
+          (Smart_sim.Engine.schedule_at engine ~time (fun () ->
+               let now = Smart_sim.Engine.now engine in
+               if alive () && timer.armed () then
+                 send (the t_ref) ~node timer.sink ~now (timer.fire ~now);
+               arm (now +. timer.period () +. noise ())))
+      in
+      arm (Smart_sim.Engine.now engine +. timer.offset))
+    role.timers
+
+(* One group: its monitor machine and a probe on every server.  Machine
+   failure silences only the host's probe (the seed's fail_machine
+   contract); the monitor processes stop when an outage is injected —
+   Crash_node of a monitor host sets both.  The probes' timers go on the
+   engine before the monitor's. *)
+let setup_group t_ref config cluster env ~wizard_host ~monitor_host ~servers
+    ~netmon_targets =
   let resolve = Smart_host.Cluster.resolve_exn cluster in
-  let monitor_node = resolve monitor_host in
-  let db = Status_db.create () in
-  let flap_policy =
-    if config.adaptive_quarantine then Some Sysmon.default_flap_policy
-    else None
-  in
-  let probe_adaptive =
+  let adaptive =
     if config.adaptive_probes then
       Some (Probe.default_adaptive ~base_interval:config.probe_interval)
     else None
   in
-  (* with adaptive probes armed the monitor must tolerate the slowest
-     cadence a probe may legitimately adopt, or healthy slow probes get
-     expired and quarantined hosts can never build a clean streak *)
-  let sysmon_interval =
-    match probe_adaptive with
-    | Some a -> a.Probe.base_interval *. a.Probe.max_factor
-    | None -> config.probe_interval
-  in
-  let sysmon =
-    Sysmon.create
-      ~config:
-        {
-          Sysmon.default_config with
-          probe_interval = sysmon_interval;
-          missed_intervals = 3;
-        }
-      ?flap_policy ~metrics ~trace db
-  in
-  let netmon =
-    Netmon.create ~metrics ~trace
-      { Netmon.monitor_name = monitor_host; targets = netmon_targets }
-      db
-  in
-  let secmon = Secmon.create ~metrics ~trace db in
-  if not (String.equal config.security_log "") then
-    ignore (Secmon.refresh_from_log secmon config.security_log);
-  let transmitter =
-    Transmitter.create ~metrics ~trace ~crc:config.frame_crc
-      ~monitor_name:monitor_host
+  let monitor =
+    Role.monitor ?adaptive
+      ?flap_policy:
+        (if config.adaptive_quarantine then Some Sysmon.default_flap_policy
+         else None)
+      ~order:config.order ~crc:config.frame_crc env
       {
-        Transmitter.mode = config.mode;
-        order = config.order;
-        receiver =
-          { Output.host = wizard_host; port = Smart_proto.Ports.receiver };
+        Role.host = monitor_host;
+        wizard_host;
+        mode = config.mode;
+        probe_interval = config.probe_interval;
+        transmit_interval = config.transmit_interval;
+        netmon_targets;
+        security_log = config.security_log;
       }
-      db
   in
-  let down = ref false in
-  (* machine failure silences only the host's probe (the seed's
-     fail_machine contract); the monitor processes stop when an outage
-     is injected — Crash_node of a monitor host sets both *)
-  let alive () = not !down in
-  let send ~now outputs =
-    send_transmitter (the t_ref) ~tag:"transmitter" ~src_node:monitor_node
-      transmitter ~now outputs
-  in
-  Smart_net.Netstack.listen_udp stack ~node:monitor_node
-    ~port:Smart_proto.Ports.sysmon (fun ~now pkt ->
-      if alive () then
-        ignore (Sysmon.handle_report sysmon ~now pkt.Smart_net.Packet.payload));
-  Smart_net.Netstack.listen_udp stack ~node:monitor_node
-    ~port:Smart_proto.Ports.transmitter (fun ~now pkt ->
-      if alive () then
-        send ~now
-          (Transmitter.handle_pull transmitter
-             ~data:pkt.Smart_net.Packet.payload));
-  (* probes on every server of the group *)
   List.iter
     (fun server ->
       let node = resolve server in
       let machine = Smart_host.Cluster.machine cluster node in
       let spec = Smart_host.Machine.spec machine in
-      let probe =
-        Probe.create ~metrics ~trace ?adaptive:probe_adaptive
-          {
-            Probe.host = spec.Smart_host.Machine.name;
-            ip = spec.Smart_host.Machine.ip;
-            bogomips = spec.Smart_host.Machine.bogomips;
-            monitor =
-              { Output.host = monitor_host; port = Smart_proto.Ports.sysmon };
-            iface = "eth0";
-            transport = config.probe_transport;
-          }
-      in
-      let tick_probe now =
-        if not (Smart_host.Machine.failed machine) then begin
-          let snapshot = Smart_host.Procfs.snapshot_of_machine machine ~now in
-          match Probe.tick probe ~now ~snapshot with
-          | Ok (_report, outputs) ->
-            perform (the t_ref) ~tag:"probe" ~src_node:node
-              ~sport:Smart_proto.Ports.probe outputs
-          | Error _ -> ()
-        end
-      in
-      if config.adaptive_probes then begin
-        (* self-scheduling cadence: each tick sleeps the probe's current
-           effective interval (same jitter budget as the fixed
-           schedule), so interval adaptations take effect on the very
-           next report.  The loop keeps running while the machine is
-           failed — only the tick body is skipped — so a revived probe
-           resumes by itself. *)
-        let jitter_rng = Smart_util.Prng.split rng in
-        let rec loop () =
-          let now = Smart_sim.Engine.now engine in
-          tick_probe now;
-          let interval =
-            match Probe.report_interval probe with
-            | Some i -> i
-            | None -> config.probe_interval
-          in
-          let jitter =
-            Smart_util.Prng.float jitter_rng
-              ~bound:(config.probe_interval /. 20.0)
-          in
-          ignore
-            (Smart_sim.Engine.schedule_after engine ~delay:(interval +. jitter)
-               (fun () -> loop ()))
-        in
-        ignore (Smart_sim.Engine.schedule_after engine ~delay:0.01 loop)
-      end
-      else
-        ignore
-          (Smart_sim.Engine.every engine ~period:config.probe_interval
-             ~jitter:(config.probe_interval /. 20.0)
-             ~rng:(Smart_util.Prng.split rng)
-             ~start:(Smart_sim.Engine.now engine +. 0.01)
-             tick_probe))
+      install t_ref cluster ~node
+        ~alive:(fun () -> not (Smart_host.Machine.failed machine))
+        (Role.probe ?adaptive env
+           {
+             Probe.host = spec.Smart_host.Machine.name;
+             ip = spec.Smart_host.Machine.ip;
+             bogomips = spec.Smart_host.Machine.bogomips;
+             monitor =
+               { Output.host = monitor_host; port = Smart_proto.Ports.sysmon };
+             iface = "eth0";
+             transport = config.probe_transport;
+           }
+           ~interval:config.probe_interval
+           ~snapshot:(fun ~now ->
+             Ok (Smart_host.Procfs.snapshot_of_machine machine ~now))))
     servers;
-  (* periodic sweep and transmit *)
-  ignore
-    (Smart_sim.Engine.every engine ~period:config.probe_interval
-       ~start:(Smart_sim.Engine.now engine +. config.probe_interval)
-       (fun now -> if alive () then ignore (Sysmon.sweep sysmon ~now)));
-  ignore
-    (Smart_sim.Engine.every engine ~period:config.transmit_interval
-       ~start:(Smart_sim.Engine.now engine +. 0.2)
-       (fun now ->
-         if alive () then send ~now (Transmitter.tick transmitter ~now)));
-  { monitor_host; monitor_node; netmon; transmitter; down }
+  let monitor_node = resolve monitor_host in
+  let down = ref false in
+  install t_ref cluster ~node:monitor_node ~alive:(fun () -> not !down) monitor;
+  {
+    monitor_host;
+    monitor_node;
+    netmon = monitor.parts.netmon;
+    transmitter = monitor.parts.transmitter;
+    down;
+  }
 
-(* The receiver port on [node]: each peer's stream bytes feed [receiver]
-   while the machine is up. *)
-let listen_receiver cluster ~node ~alive receiver =
-  Smart_net.Netstack.listen_udp (Smart_host.Cluster.stack cluster) ~node
-    ~port:Smart_proto.Ports.receiver (fun ~now:_ pkt ->
-      if alive () then
-        ignore
-          (Receiver.handle_stream receiver
-             ~from:(node_name cluster pkt.Smart_net.Packet.src)
-             pkt.Smart_net.Packet.payload))
-
-(* One wizard machine fed by its server groups: the groups' stacks, the
-   mirror their transmitters push into on [host], and the wizard
-   answering from it. *)
-type site = {
-  site_node : int;
-  site_alive : unit -> bool;
-  site_groups : group list;
-  site_db : Status_db.t;
-  site_receiver : Receiver.t;
-  site_wizard : Wizard.t;
-}
-
-(* Wire a site for [groups] ([(monitor_host, servers); ...], the first
-   being the wizard's local group).  A single group's network monitor
-   probes its servers directly; several form a mesh whose monitors probe
-   their peers (§3.3.3), and the wizard binds monitor_network_* per
-   group.  [shard_name] names the wizard within a federation. *)
-let build_site t_ref config cluster ~metrics ~trace ~shard_name ~host ~groups
-    =
-  let engine = Smart_host.Cluster.engine cluster in
-  let node = Smart_host.Cluster.resolve_exn cluster host in
+(* One wizard machine on [host] fed by [groups] ([(monitor_host, servers);
+   ...], the first being the wizard's local group): a flat deployment's
+   wizard, or with [shard] [(name, root_host)] a federation shard.  A
+   single group's network monitor probes its servers directly; several
+   form a mesh whose monitors probe their peers (§3.3.3), and the wizard
+   binds monitor_network_* per group. *)
+let build_site t_ref config cluster env ~shard ~host ~groups =
   let multi_group = List.length groups > 1 in
   let monitor_hosts = List.map fst groups in
   let site_groups =
@@ -391,12 +331,10 @@ let build_site t_ref config cluster ~metrics ~trace ~shard_name ~host ~groups
               monitor_hosts
           else servers
         in
-        setup_group t_ref config cluster ~metrics ~trace ~wizard_host:host
-          ~monitor_host ~servers ~netmon_targets)
+        setup_group t_ref config cluster env ~wizard_host:host ~monitor_host
+          ~servers ~netmon_targets)
       groups
   in
-  let db = Status_db.create () in
-  let receiver = Receiver.create ~metrics ~trace ~order:config.order db in
   let mode =
     match config.mode with
     | Transmitter.Centralized -> Wizard.Centralized
@@ -431,86 +369,39 @@ let build_site t_ref config cluster ~metrics ~trace ~shard_name ~host ~groups
     if config.adaptive_staleness then Some Wizard.default_staleness_policy
     else None
   in
-  let wizard =
-    (* virtual clock: request latencies land in the histogram in
-       simulated seconds, and the run stays deterministic *)
-    Wizard.create ~metrics ~trace
-      ~clock:(fun () -> Smart_sim.Engine.now engine)
-      ~staleness_threshold:config.wizard_staleness ?staleness_policy
-      ?shard_name
-      { Wizard.mode; groups = wizard_groups }
-      db
+  let order = config.order and staleness_threshold = config.wizard_staleness in
+  let site =
+    match shard with
+    | None ->
+      Role.wizard ?staleness_policy ?groups:wizard_groups ~order env ~mode
+        ~staleness_threshold
+    | Some (name, root_host) ->
+      Role.shard ?staleness_policy ?groups:wizard_groups ~order env
+        ~staleness_threshold ~name
+        ~root_host ~crc:config.frame_crc
+        ~transmit_interval:config.transmit_interval
   in
-  Receiver.set_update_hook receiver (Some (fun _ -> Wizard.note_update wizard));
-  let alive () = node_alive cluster node in
-  listen_receiver cluster ~node ~alive receiver;
-  {
-    site_node = node;
-    site_alive = alive;
-    site_groups;
-    site_db = db;
-    site_receiver = receiver;
-    site_wizard = wizard;
-  }
-
-(* The client port on [node]: the ordinary wizard port, where requests
-   go to [handle] (its outputs leave from [handle_sport]) and [tick]
-   runs every 50 ms.  The port doubles as the scrape endpoint, exactly
-   like the realnet daemons (OBSERVABILITY.md): a SMART-METRICS datagram
-   is answered with the deployment registry. *)
-let client_port t_ref cluster ~tag ~node ~alive ~handle ~handle_sport ~tick =
-  let engine = Smart_host.Cluster.engine cluster in
-  Smart_net.Netstack.listen_udp (Smart_host.Cluster.stack cluster) ~node
-    ~port:Smart_proto.Ports.wizard (fun ~now pkt ->
-      if alive () then begin
-        let t = the t_ref in
-        let from =
-          {
-            Output.host = node_name cluster pkt.Smart_net.Packet.src;
-            port = sport_of pkt;
-          }
-        in
-        match
-          Smart_proto.Metrics_msg.decode_request pkt.Smart_net.Packet.payload
-        with
-        | Some format ->
-          perform t ~tag ~src_node:node ~sport:Smart_proto.Ports.wizard
-            [
-              Output.udp ~host:from.Output.host ~port:from.Output.port
-                (Smart_proto.Metrics_msg.encode_reply format t.metrics);
-            ]
-        | None ->
-          perform t ~tag ~src_node:node ~sport:handle_sport
-            (handle ~now ~from pkt.Smart_net.Packet.payload)
-      end);
-  ignore
-    (Smart_sim.Engine.every engine ~period:0.05
-       ~start:(Smart_sim.Engine.now engine +. 0.05)
-       (fun now ->
-         if alive () then
-           perform (the t_ref) ~tag ~src_node:node
-             ~sport:Smart_proto.Ports.wizard (tick ~now)))
+  let node = Smart_host.Cluster.resolve_exn cluster host in
+  install t_ref cluster ~node ~alive:(fun () -> node_alive cluster node) site;
+  (site_groups, node, site.parts)
 
 (* Wire a deployment: [wire] installs everything on the cluster, with
    one metrics registry and one flight recorder (on the engine's virtual
    clock) for all of it, and returns what answers clients: every group,
-   the client-facing node, its database, receiver and wizard, and the
-   federation state.  The client and fault-injection PRNGs split off the
-   cluster's after every group's. *)
+   the client-facing node, its database and wizard, and the federation
+   state.  The client and fault-injection PRNGs split off the cluster's
+   after every group's. *)
 let deployment cluster wire =
   let engine = Smart_host.Cluster.engine cluster in
+  let clock () = Smart_sim.Engine.now engine in
   let metrics = Smart_util.Metrics.create () in
   (* deployment-wide flight recorder on the virtual clock; always on:
      recording is a ring write per span, far below the noise floor of a
      simulated run, and every export stays seed-deterministic *)
-  let tracelog =
-    Smart_util.Tracelog.create ~capacity:65536
-      ~clock:(fun () -> Smart_sim.Engine.now engine)
-      ()
-  in
+  let tracelog = Smart_util.Tracelog.create ~capacity:65536 ~clock () in
   let t_ref = ref None in
-  let groups, wizard_node, db_wizard, receiver, wizard, fed =
-    wire t_ref ~metrics ~trace:tracelog
+  let groups, wizard_node, db_wizard, wizard, fed =
+    wire t_ref { Role.metrics; trace = tracelog; clock }
   in
   let t =
     {
@@ -518,7 +409,6 @@ let deployment cluster wire =
       groups;
       wizard_node;
       db_wizard;
-      receiver;
       wizard;
       fed;
       client_rng = Smart_util.Prng.split (Smart_host.Cluster.rng cluster);
@@ -542,16 +432,12 @@ let deployment cluster wire =
    group is the wizard's local group. *)
 let deploy_groups ?(config = default_config) cluster ~wizard_host ~groups =
   if groups = [] then invalid_arg "Simdriver.deploy_groups: no groups";
-  deployment cluster (fun t_ref ~metrics ~trace ->
-      let s =
-        build_site t_ref config cluster ~metrics ~trace ~shard_name:None
-          ~host:wizard_host ~groups
+  deployment cluster (fun t_ref env ->
+      let groups, node, site =
+        build_site t_ref config cluster env ~shard:None ~host:wizard_host
+          ~groups
       in
-      let wizard = s.site_wizard in
-      client_port t_ref cluster ~tag:"wizard" ~node:s.site_node
-        ~alive:s.site_alive ~handle:(Wizard.handle_request wizard)
-        ~handle_sport:Smart_proto.Ports.wizard ~tick:(Wizard.tick wizard);
-      (s.site_groups, s.site_node, s.site_db, s.site_receiver, wizard, None))
+      (groups, node, site.Role.db, site.Role.wizard, None))
 
 (* Single-group deployment (Fig 3.1): monitors + transmitter on
    [monitor], receiver + wizard on [wizard_host], probes on [servers]. *)
@@ -562,11 +448,9 @@ let deploy ?config cluster ~monitor ~wizard_host ~servers =
    groups' monitors and transmitters feed a mirror on the shard host,
    where a regional wizard answers root subqueries on the federation
    port — plus a digest uplink shipping the shard's column ranges to the
-   root host every transmit interval.  The root host runs a receiver
-   (digests only) and the {!Fed_root}, which listens for clients on the
-   ordinary wizard port, so {!request} drives a federated deployment
-   unchanged.  The root waits 1 s for shard replies and skips shards
-   whose digest proves them empty.
+   root host every transmit interval.  The root host runs the {!Fed_root}
+   role, listening for clients on the ordinary wizard port, so {!request}
+   drives a federated deployment unchanged.
 
    Groups always run centralized here: the regional wizard answers
    subqueries immediately from its mirror, so passive (pull-driven)
@@ -574,115 +458,32 @@ let deploy ?config cluster ~monitor ~wizard_host ~servers =
 let deploy_federation ?(config = default_config) cluster ~root_host ~shards =
   if shards = [] then invalid_arg "Simdriver.deploy_federation: no shards";
   let config = { config with mode = Transmitter.Centralized } in
-  let engine = Smart_host.Cluster.engine cluster in
-  let stack = Smart_host.Cluster.stack cluster in
-  let root_node = Smart_host.Cluster.resolve_exn cluster root_host in
-  deployment cluster (fun t_ref ~metrics ~trace ->
+  deployment cluster (fun t_ref env ->
       let shard (shard_host, groups) =
         if groups = [] then
           invalid_arg "Simdriver.deploy_federation: shard with no groups";
-        let s =
-          build_site t_ref config cluster ~metrics ~trace
-            ~shard_name:(Some shard_host) ~host:shard_host ~groups
+        let groups, _, site =
+          build_site t_ref config cluster env
+            ~shard:(Some (shard_host, root_host)) ~host:shard_host ~groups
         in
-        Smart_net.Netstack.listen_udp stack ~node:s.site_node
-          ~port:Smart_proto.Ports.fed (fun ~now:_ pkt ->
-            if s.site_alive () then begin
-              let from =
-                {
-                  Output.host = node_name cluster pkt.Smart_net.Packet.src;
-                  port = sport_of pkt;
-                }
-              in
-              perform (the t_ref) ~tag:"fed_shard" ~src_node:s.site_node
-                ~sport:Smart_proto.Ports.fed
-                (Wizard.handle_subquery s.site_wizard ~from
-                   pkt.Smart_net.Packet.payload)
-            end);
-        (* digest uplink: one Digest_db frame per transmit interval,
-           built with the shard wizard's own network bindings so the
-           advertised ranges cover exactly the values subqueries
-           compare.  The same pushes carry the shard wizard's latency
-           sketch once it has observations, so the root can serve
-           deployment-wide quantiles. *)
-        let uplink =
-          Transmitter.create ~metrics ~trace ~crc:config.frame_crc
-            ~summary:(fun () ->
-              Status_db.summary s.site_db ~shard:shard_host
-                ~net_for:(fun host -> Wizard.net_entry_for s.site_wizard ~host))
-            ~sketches:(fun () ->
-              let sketch = Wizard.latency_sketch s.site_wizard in
-              if Smart_util.Sketch.count sketch = 0 then []
-              else [ (Fed_root.latency_metric, sketch) ])
-            ~sketch_source:shard_host ~monitor_name:shard_host
-            {
-              Transmitter.mode = Transmitter.Centralized;
-              order = config.order;
-              receiver =
-                { Output.host = root_host; port = Smart_proto.Ports.receiver };
-            }
-            s.site_db
-        in
-        ignore
-          (Smart_sim.Engine.every engine ~period:config.transmit_interval
-             ~start:(Smart_sim.Engine.now engine +. 0.3)
-             (fun now ->
-               if s.site_alive () then
-                 send_transmitter (the t_ref) ~tag:"fed_uplink"
-                   ~src_node:s.site_node uplink ~now
-                   (Transmitter.tick uplink ~now)));
-        (s, { shard_host; shard_db = s.site_db; shard_wizard = s.site_wizard })
+        ( groups,
+          { shard_host; shard_db = site.Role.db; shard_wizard = site.Role.wizard }
+        )
       in
-      let sites, fed_shards = List.split (List.map shard shards) in
-      let db_root = Status_db.create () in
-      let root_receiver =
-        Receiver.create ~metrics ~trace ~order:config.order db_root
-      in
+      let groups, fed_shards = List.split (List.map shard shards) in
       let root =
-        Fed_root.create ~metrics
-          ~clock:(fun () -> Smart_sim.Engine.now engine)
-          ~trace
-          {
-            Fed_root.shards =
-              List.map
-                (fun s ->
-                  {
-                    Fed_root.name = s.shard_host;
-                    addr =
-                      {
-                        Output.host = s.shard_host;
-                        port = Smart_proto.Ports.fed;
-                      };
-                  })
-                fed_shards;
-            fanout_timeout = 1.0;
-            routing = true;
-          }
+        Role.root env ~order:config.order
+          ~shards:(List.map (fun s -> s.shard_host) fed_shards)
       in
-      Receiver.set_digest_hook root_receiver (Some (Fed_root.note_digest root));
-      Receiver.set_sketch_hook root_receiver
-        (Some (Fed_root.note_sketches root));
-      let alive () = node_alive cluster root_node in
-      listen_receiver cluster ~node:root_node ~alive root_receiver;
-      (* subqueries leave from the federation port, so shard replies come
-         back there; the client port's scrapes include the
-         federation.fed_latency_p{50,95,99}_s gauges the root keeps fresh
-         from merged shard sketches *)
-      Smart_net.Netstack.listen_udp stack ~node:root_node
-        ~port:Smart_proto.Ports.fed (fun ~now:_ pkt ->
-          if alive () then
-            perform (the t_ref) ~tag:"fed_root" ~src_node:root_node
-              ~sport:Smart_proto.Ports.wizard
-              (Fed_root.handle_reply root pkt.Smart_net.Packet.payload));
-      client_port t_ref cluster ~tag:"fed_root" ~node:root_node ~alive
-        ~handle:(Fed_root.handle_request root)
-        ~handle_sport:Smart_proto.Ports.fed ~tick:(Fed_root.tick root);
-      ( List.concat_map (fun s -> s.site_groups) sites,
+      let root_node = Smart_host.Cluster.resolve_exn cluster root_host in
+      install t_ref cluster ~node:root_node
+        ~alive:(fun () -> node_alive cluster root_node)
+        root;
+      ( List.concat groups,
         root_node,
-        db_root,
-        root_receiver,
-        (List.hd sites).site_wizard,
-        Some { root; fed_shards } ))
+        root.parts.root_db,
+        (List.hd fed_shards).shard_wizard,
+        Some { root = root.parts.root; fed_shards } ))
 
 let federation t = t.fed
 

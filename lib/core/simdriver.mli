@@ -1,6 +1,7 @@
-(** Simulation driver: deploys probes, monitors, transmitters, receiver
-    and wizard onto a simulated cluster and routes component outputs over
-    the packet plane.  Supports single-group (Fig 3.1) and multi-group
+(** Simulation driver: installs each machine's {!Role} (probe servers,
+    monitor machines, the wizard machine, federation shards and root)
+    onto a simulated cluster and routes component outputs over the
+    packet plane.  Supports single-group (Fig 3.1) and multi-group
     (Fig 3.8) layouts. *)
 
 type t

@@ -17,8 +17,8 @@ val register :
 val register_loopback : t -> host:string -> int
 
 (** Resolve to a sockaddr; an unregistered IP literal resolves to
-    itself and other unregistered hosts go through the system resolver,
-    both with shift 0. *)
+    itself and other unregistered hosts go through the system resolver
+    (never for a {!pin}ned book), both with shift 0. *)
 val resolve : t -> host:string -> port:int -> Unix.sockaddr option
 
 (** Shift of a registered host (0 when unknown). *)
@@ -26,3 +26,13 @@ val port_shift : t -> host:string -> int
 
 (** Best-effort reverse lookup of a registered pseudo-host. *)
 val host_of_sockaddr : t -> Unix.sockaddr -> string option
+
+(** The address a daemon on [host] binds its ports to: the registered
+    one, or the wildcard address when [host] has no entry. *)
+val bind_addr : t -> host:string -> Unix.inet_addr
+
+(** A copy of the book with an entry for each of [hosts], resolved now
+    through {!resolve}, that never asks the system resolver again: a
+    name it has no entry for resolves only as an IP literal.  Raises
+    [Failure] naming the first host that does not resolve. *)
+val pin : t -> hosts:string list -> t

@@ -3,16 +3,17 @@
    so they need no lock; another thread reaches them through [call]. *)
 
 type timer = {
-  period : float;
+  offset : float;
+  period : unit -> float;
   armed : unit -> bool;
   fire : now:float -> unit;
-  mutable due : float;
+  mutable due : float;  (* anchored at [offset] past the loop's start *)
 }
 
 type t = {
   mutable readers : (Unix.file_descr * (now:float -> unit)) list;
   mutable watched : Unix.file_descr list;  (* [select]'s read set *)
-  mutable timers : timer list;
+  mutable timers : timer list;  (* in registration order *)
   wake_out : Unix.file_descr;  (* a byte here wakes the loop for [jobs] *)
   lock : Mutex.t;  (* guards [jobs], [live], [thread] and [stopped] *)
   jobs : (unit -> unit) Queue.t;
@@ -63,8 +64,8 @@ let wake t =
   try ignore (Unix.write_substring t.wake_out "!" 0 1)
   with Unix.Unix_error (_, _, _) -> ()
 
-let every ?(armed = fun () -> true) t period fire =
-  t.timers <- { period; armed; fire; due = neg_infinity } :: t.timers
+let every ?(armed = fun () -> true) t ~offset ~period fire =
+  t.timers <- t.timers @ [ { offset; period; armed; fire; due = infinity } ]
 
 (* Seconds until the earliest armed timer is due, or -1.0: a [select]
    with no timeout arms no kernel timer, a cost on every wakeup. *)
@@ -81,8 +82,8 @@ let rec fire_due ~now = function
   | [] -> ()
   | timer :: rest ->
     if timer.armed () && Float.compare now timer.due >= 0 then begin
-      timer.due <- now +. timer.period;
-      timer.fire ~now
+      timer.fire ~now;
+      timer.due <- now +. timer.period ()
     end;
     fire_due ~now rest
 
@@ -116,7 +117,10 @@ let run t =
     ~finally:(fun () ->
       Mutex.protect t.lock (fun () -> t.live <- false);
       run_jobs t)
-    (fun () -> loop t ~now:(Unix.gettimeofday ()))
+    (fun () ->
+      let now = Unix.gettimeofday () in
+      List.iter (fun timer -> timer.due <- now +. timer.offset) t.timers;
+      loop t ~now)
 
 let start t =
   Mutex.protect t.lock (fun () ->

@@ -1,6 +1,7 @@
 (** One thread of control for a realnet daemon: a [Unix.select] over
     registered readable descriptors, periodic timers and a wake pipe.
-    Register before {!start}, or from a callback on the loop. *)
+    Register descriptors before {!start} or from a callback on the loop,
+    timers before {!start}. *)
 
 type t
 
@@ -14,10 +15,18 @@ val add : t -> Unix.file_descr -> (now:float -> unit) -> unit
 (** Unregister a descriptor and close it. *)
 val remove : t -> Unix.file_descr -> unit
 
-(** [every t period fire] calls [fire ~now] on the first wakeup, then
-    [period] seconds or more after each call, skipping the wakeups when
-    [armed ()] (default: always) is false. *)
-val every : ?armed:(unit -> bool) -> t -> float -> (now:float -> unit) -> unit
+(** [every t ~offset ~period fire] calls [fire ~now] on the first
+    wakeup [offset] seconds or more after {!start}, then on the first
+    one [period ()] seconds or more after each call (read after it),
+    skipping the wakeups when [armed ()] (default: always) is false.
+    Timers due in one wakeup fire in registration order. *)
+val every :
+  ?armed:(unit -> bool) ->
+  t ->
+  offset:float ->
+  period:(unit -> float) ->
+  (now:float -> unit) ->
+  unit
 
 (** Run the loop on a thread of its own, once. *)
 val start : t -> unit

@@ -2,7 +2,7 @@
     security monitor (log contents), network monitor (UDP echo probing
     of the servers' probe daemons) and the transmitter. *)
 
-type config = {
+type config = Smart_core.Role.monitor_config = {
   host : string;
   wizard_host : string;
   mode : Smart_core.Transmitter.mode;

@@ -22,7 +22,8 @@ let create book ~name =
   let socket = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt socket Unix.SO_REUSEADDR true;
   Unix.bind socket
-    (Unix.ADDR_INET (Unix.inet_addr_loopback, Smart_proto.Ports.service + shift));
+    (Unix.ADDR_INET
+       (Addr_book.bind_addr book ~host:name, Smart_proto.Ports.service + shift));
   Unix.listen socket 16;
   { name; socket; running = false; stopped = false; thread = None; connections = 0 }
 
@@ -116,9 +117,10 @@ let stop t =
     t.running <- false;
     (try
        match Unix.getsockname t.socket with
-       | Unix.ADDR_INET (_, port) ->
+       | Unix.ADDR_INET (addr, port) ->
+         (* the bound address; the wildcard one dials this host *)
          let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-         (try Unix.connect s (Unix.ADDR_INET (Unix.inet_addr_loopback, port))
+         (try Unix.connect s (Unix.ADDR_INET (addr, port))
           with Unix.Unix_error (_, _, _) -> ());
          Unix.close s
        | Unix.ADDR_UNIX _ -> ()

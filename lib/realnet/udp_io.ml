@@ -6,7 +6,7 @@ type t = { socket : Unix.file_descr; port : int }
 
 let max_datagram = 65536
 
-let bind_port ?(addr = Unix.inet_addr_loopback) port =
+let bind_port ?(addr = Unix.inet_addr_any) port =
   let socket = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
   Unix.setsockopt socket Unix.SO_REUSEADDR true;
   Unix.bind socket (Unix.ADDR_INET (addr, port));
@@ -33,20 +33,6 @@ let send t ~to_ data =
       (Unix.sendto_substring t.socket data 0 (String.length data) [] to_);
     true
   with Unix.Unix_error (_, _, _) -> false
-
-let answer_scrape t ~metrics ~trace ~from data =
-  match Smart_proto.Metrics_msg.decode_request data with
-  | Some format ->
-    ignore
-      (send t ~to_:from (Smart_proto.Metrics_msg.encode_reply format metrics));
-    true
-  | None ->
-    (match Smart_proto.Trace_msg.decode_request data with
-    | Some format ->
-      ignore
-        (send t ~to_:from (Smart_proto.Trace_msg.encode_reply format trace));
-      true
-    | None -> false)
 
 let stop t = try Unix.close t.socket with Unix.Unix_error (_, _, _) -> ()
 

@@ -2,8 +2,9 @@
 
 type t
 
-(** Bind a socket (port 0 for ephemeral); raises [Unix.Unix_error] on
-    conflicts. *)
+(** Bind a socket to [addr] (default: the wildcard address, so the
+    kernel picks each datagram's source address) and [port] (0 for
+    ephemeral); raises [Unix.Unix_error] on conflicts. *)
 val bind_port : ?addr:Unix.inet_addr -> int -> t
 
 (** The actually bound port. *)
@@ -18,20 +19,6 @@ val serve :
 
 (** Send one datagram; [false] on failure. *)
 val send : t -> to_:Unix.sockaddr -> string -> bool
-
-(** Answer a scrape arriving on a daemon socket: when [data] is a
-    [Smart_proto.Metrics_msg] or [Smart_proto.Trace_msg] request, reply
-    to [from] with the rendered [metrics] registry or [trace] flight
-    recorder and return [true].  Otherwise return [false] without
-    allocating, so a daemon can run it on every datagram before its own
-    handling. *)
-val answer_scrape :
-  t ->
-  metrics:Smart_util.Metrics.t ->
-  trace:Smart_util.Tracelog.t ->
-  from:Unix.sockaddr ->
-  string ->
-  bool
 
 (** Close the socket. *)
 val stop : t -> unit

@@ -1825,6 +1825,96 @@ let test_wizard_distributed_pull_flow () =
   | _ -> Alcotest.fail "expected deferred reply");
   Alcotest.(check int) "pending drained" 0 (C.Wizard.pending_count wizard)
 
+(* ------------------------------------------------------------------ *)
+(* Roles                                                                *)
+(* ------------------------------------------------------------------ *)
+
+let role_env () =
+  {
+    C.Role.metrics = Smart_util.Metrics.create ();
+    trace = Smart_util.Tracelog.create ~capacity:64 ~clock:(fun () -> 1.0) ();
+    clock = (fun () -> 1.0);
+  }
+
+let wizard_role ?(mode = C.Wizard.Centralized) env =
+  C.Role.wizard ~order:P.Endian.Little env ~mode ~staleness_threshold:infinity
+
+(* The one scrape function both installers run on a role's scrape port:
+   SMART-METRICS gets the registry, SMART-TRACE the span ring, and any
+   other datagram [None] without allocating. *)
+let test_role_scrape () =
+  let env = role_env () in
+  let role = wizard_role env in
+  let request = P.Wizard_msg.encode_request (client_request "100 > 0\n") in
+  ignore
+    (C.Wizard.handle_request role.C.Role.parts.C.Role.wizard ~now:1.0
+       ~from:{ C.Output.host = "client"; port = 9 }
+       request);
+  Alcotest.(check int) "the scrape port is the request port" P.Ports.wizard
+    role.C.Role.scrape_port;
+  List.iter
+    (fun (what, scrape, dump) ->
+      Alcotest.(check (option string)) what (Some dump) (C.Role.scrape role scrape))
+    [
+      ( "metrics as text",
+        P.Metrics_msg.encode_request P.Metrics_msg.Text,
+        P.Metrics_msg.encode_reply P.Metrics_msg.Text env.C.Role.metrics );
+      ( "metrics as json",
+        P.Metrics_msg.encode_request P.Metrics_msg.Json,
+        P.Metrics_msg.encode_reply P.Metrics_msg.Json env.C.Role.metrics );
+      ( "trace as text",
+        P.Trace_msg.encode_request P.Trace_msg.Text,
+        P.Trace_msg.encode_reply P.Trace_msg.Text env.C.Role.trace );
+    ];
+  Alcotest.(check bool) "the ring holds the request's span" true
+    (List.exists
+       (fun line ->
+         List.mem "wizard.request" (String.split_on_char ' ' line))
+       (String.split_on_char '\n' (Smart_util.Tracelog.to_text env.C.Role.trace)));
+  Alcotest.(check (option string)) "a request is not a scrape" None
+    (C.Role.scrape role request);
+  let calls = 10_000 in
+  let before = allocated_words () in
+  for _ = 1 to calls do
+    ignore (Sys.opaque_identity (C.Role.scrape role request))
+  done;
+  let words = allocated_words () -. before in
+  if words >= float_of_int calls then
+    Alcotest.failf "%d non-scrape datagrams allocated %.0f words" calls words
+
+(* The wizard's tick runs only while a request is parked: never for a
+   centralized wizard, and in distributed mode from the request that
+   pulls until the one that releases it. *)
+let test_role_wizard_tick_armed () =
+  let tick role =
+    match role.C.Role.timers with
+    | [ tick ] -> tick
+    | timers -> Alcotest.failf "%d wizard timers" (List.length timers)
+  in
+  let central = wizard_role (role_env ()) in
+  Alcotest.(check bool) "centralized: unarmed" false ((tick central).armed ());
+  let role =
+    wizard_role (role_env ())
+      ~mode:
+        (C.Wizard.Distributed
+           {
+             transmitters = [ { C.Output.host = "mon"; port = P.Ports.transmitter } ];
+             freshness_timeout = 2.0;
+           })
+  in
+  let timer = tick role in
+  Alcotest.(check (list string)) "the transmitters are its peers" [ "mon" ]
+    role.C.Role.peers;
+  Alcotest.(check bool) "nothing parked: unarmed" false (timer.armed ());
+  ignore
+    (C.Wizard.handle_request role.C.Role.parts.C.Role.wizard ~now:1.0
+       ~from:{ C.Output.host = "client"; port = 9 }
+       (P.Wizard_msg.encode_request (client_request "100 > 0\n")));
+  Alcotest.(check bool) "a parked request arms it" true (timer.armed ());
+  Alcotest.(check int) "the deadline releases the reply" 1
+    (List.length (timer.fire ~now:3.5));
+  Alcotest.(check bool) "released: unarmed again" false (timer.armed ())
+
 let test_wizard_distributed_deadline () =
   let db = C.Status_db.create () in
   C.Status_db.update_sys db (sys_record ~host:"stale" ~ip:"1.0.0.1" ~at:0.0 ());
@@ -4482,6 +4572,12 @@ let () =
           Alcotest.test_case "distributed repeats hit the result cache" `Quick
             test_wizard_distributed_repeats_hit_cache;
           Alcotest.test_case "degraded mode" `Quick test_wizard_degraded_mode;
+        ] );
+      ( "role",
+        [
+          Alcotest.test_case "scrape" `Quick test_role_scrape;
+          Alcotest.test_case "wizard tick armed while parked" `Quick
+            test_role_wizard_tick_armed;
         ] );
       ( "client",
         [

@@ -245,6 +245,16 @@ let test_reach () =
     ~line:2 ();
   check_hit ~rule:"reach" ~file:(fx "fx_reach.mli") ~line:3 ()
 
+(* Doc: a reference to the interface's own type, a constructor, a
+   sibling module or a library-qualified path resolves; one to a name
+   nothing declares is an error at its line. *)
+let test_doc_refs () =
+  Alcotest.(check (list string))
+    "declared names resolve" []
+    (List.map D.to_string
+       (find (Lazy.force report) ~rule:"doc" ~file:(fx "fx_doc.mli") ~line:1));
+  check_hit ~rule:"doc" ~file:(fx "fx_doc.mli") ~line:4 ()
+
 (* Bytecode rule: the checked-in fixture programs all compile and pass
    the full verifier; a stale fixture is itself an error. *)
 let test_bytecode_rule () =
@@ -300,6 +310,16 @@ let test_allowlist_unused () =
        (fun (d : D.t) ->
          String.equal d.rule "allowlist" && d.severity = D.Warn)
        r.Dr.diagnostics)
+
+(* An entry for a rule that did not run is not judged stale. *)
+let test_allowlist_rule_not_run () =
+  let r = run ~only:[ "doc" ] ~allow:(fx "unused.allow") () in
+  Alcotest.(check (list string))
+    "no stale-entry diagnostic" []
+    (List.map D.to_string
+       (List.filter
+          (fun (d : D.t) -> String.equal d.rule "allowlist")
+          r.Dr.diagnostics))
 
 (* --strict escalates stale allowlist entries from warn to error, so CI
    fails instead of letting exemptions rot. *)
@@ -485,6 +505,7 @@ let () =
           Alcotest.test_case "bytecode fixtures verify" `Quick
             test_bytecode_rule;
           Alcotest.test_case "reach: export callers" `Quick test_reach;
+          Alcotest.test_case "doc: cross-references" `Quick test_doc_refs;
         ] );
       ( "report",
         [
@@ -496,6 +517,8 @@ let () =
         [
           Alcotest.test_case "suppression" `Quick test_allowlist_suppression;
           Alcotest.test_case "unused entry" `Quick test_allowlist_unused;
+          Alcotest.test_case "entry of a rule not run" `Quick
+            test_allowlist_rule_not_run;
           Alcotest.test_case "strict mode" `Quick test_strict_mode;
           Alcotest.test_case "malformed entry" `Quick test_allowlist_malformed;
         ] );

@@ -23,6 +23,30 @@ let test_addr_book () =
   | Some (Unix.ADDR_INET (_, 80)) -> ()
   | _ -> Alcotest.fail "fallback resolve failed"
 
+(* A pinned book answers from its entries and IP literals only; a daemon
+   binds its host's registered address, or the wildcard without one. *)
+let test_addr_book_pin () =
+  let book = R.Addr_book.create () in
+  let shift = R.Addr_book.register_loopback book ~host:"a" in
+  let pinned = R.Addr_book.pin book ~hosts:[ "a"; "10.1.2.3" ] in
+  let show = function
+    | Some (Unix.ADDR_INET (addr, port)) ->
+      Printf.sprintf "%s:%d" (Unix.string_of_inet_addr addr) port
+    | Some (Unix.ADDR_UNIX path) -> path
+    | None -> "none"
+  in
+  Alcotest.(check string) "registered host keeps its shift"
+    (Printf.sprintf "127.0.0.1:%d" (80 + shift))
+    (show (R.Addr_book.resolve pinned ~host:"a" ~port:80));
+  Alcotest.(check string) "an IP literal names itself" "10.9.9.9:7"
+    (show (R.Addr_book.resolve pinned ~host:"10.9.9.9" ~port:7));
+  Alcotest.(check string) "any other name is not looked up" "none"
+    (show (R.Addr_book.resolve pinned ~host:"b" ~port:80));
+  Alcotest.(check (list string)) "bind addresses" [ "127.0.0.1"; "0.0.0.0" ]
+    (List.map
+       (fun host -> Unix.string_of_inet_addr (R.Addr_book.bind_addr book ~host))
+       [ "a"; "b" ])
+
 let test_proc_reader () =
   if Sys.file_exists "/proc/loadavg" then begin
     let t = R.Proc_reader.default in
@@ -162,12 +186,19 @@ type world = {
   services : R.Service.t list;
 }
 
-let start_world ?(mode = Smart_core.Transmitter.Centralized)
-    ?(wizard_mode = Smart_core.Wizard.Centralized) ?(seclog = "") () =
+let world_hosts = [ "mon"; "wiz"; "alpha"; "beta"; "gamma" ]
+
+(* The world's hosts on 127.0.0.1, each with its own port shift. *)
+let shifted_book () =
   let book = R.Addr_book.create () in
   List.iter
     (fun h -> ignore (R.Addr_book.register_loopback book ~host:h))
-    [ "mon"; "wiz"; "alpha"; "beta"; "gamma" ];
+    world_hosts;
+  book
+
+let start_world ?(mode = Smart_core.Transmitter.Centralized)
+    ?(wizard_mode = Smart_core.Wizard.Centralized) ?(seclog = "")
+    ?(book = shifted_book ()) () =
   let wizard =
     R.Wizard_daemon.create book
       {
@@ -234,6 +265,26 @@ let await_reports w ~count ~timeout =
   do
     Thread.delay 0.05
   done
+
+let await ~timeout ready =
+  let deadline = Unix.gettimeofday () +. timeout in
+  while (not (ready ())) && Unix.gettimeofday () < deadline do
+    Thread.delay 0.02
+  done
+
+(* One counter or gauge of a daemon's registry, read by a scrape. *)
+let scraped book ~host ~port name =
+  match R.Client_io.scrape_metrics book ~host ~port () with
+  | Error reason -> Alcotest.failf "scrape failed: %s" reason
+  | Ok dump ->
+    List.fold_left
+      (fun acc line ->
+        match String.split_on_char ' ' line with
+        | [ n; ("counter" | "gauge"); v ] when String.equal n name ->
+          float_of_string v
+        | _ -> acc)
+      0.0
+      (String.split_on_char '\n' dump)
 
 let test_end_to_end_request_sockets () =
   let w = start_world () in
@@ -639,15 +690,172 @@ let test_trace_scrape_real () =
       Alcotest.(check bool) "json dump names the span" true
         (contains ~affix:"wizard.request" wiz_json))
 
+(* Each daemon binds the address the book gives its host: a world whose
+   hosts sit on distinct loopback addresses, unshifted, as one machine
+   per host would (Linux routes all of 127/8 to lo).  Reports reach the
+   wizard and a query answers. *)
+let test_distinct_host_addresses () =
+  let book = R.Addr_book.create () in
+  List.iteri
+    (fun i host ->
+      R.Addr_book.register book ~host
+        ~addr:(Unix.inet_addr_of_string (Printf.sprintf "127.0.43.%d" (i + 1)))
+        ())
+    world_hosts;
+  let w = start_world ~book () in
+  Fun.protect
+    ~finally:(fun () -> stop_world w)
+    (fun () ->
+      await_reports w ~count:3 ~timeout:10.0;
+      match
+        R.Client_io.request_servers w.book ~timeout:5.0 ~wizard_host:"wiz"
+          ~wanted:3 ~requirement:"host_memory_total > 1\n" ()
+      with
+      | Ok servers ->
+        Alcotest.(check (list string)) "every server answered"
+          [ "alpha"; "beta"; "gamma" ] (List.sort compare servers)
+      | Error e -> Alcotest.failf "request failed: %a" Smart_core.Client.pp_error e)
+
+(* A daemon resolves the peers it sends to when it is created: a monitor
+   host the resolver rejects (a name with a space) fails [create]
+   instead of dropping every report. *)
+let test_unresolvable_peer_fails_create () =
+  let book = R.Addr_book.create () in
+  ignore (R.Addr_book.register_loopback book ~host:"alpha");
+  match
+    R.Probe_daemon.create book
+      {
+        R.Probe_daemon.host = "alpha";
+        ip = "10.9.0.1";
+        monitor_host = "no such host";
+        interval = 1.0;
+        proc = R.Proc_reader.default;
+        iface = None;
+      }
+  with
+  | exception Failure _ -> ()
+  | probe ->
+    R.Probe_daemon.stop probe;
+    Alcotest.fail "create accepted a monitor host that does not resolve"
+
+(* ------------------------------------------------------------------ *)
+(* One scenario, simulated and on sockets                               *)
+(* ------------------------------------------------------------------ *)
+
+(* The same deployment through [Simdriver.deploy] and through loopback
+   daemons: three servers report under one security log, pushes land,
+   then requests whose answers do not depend on measured values.  Both
+   runs answer with the same host sets. *)
+let test_simulated_and_real_agree () =
+  let servers = [ "mimas"; "telesto"; "helene" ] in
+  let seclog = "mimas 5\ntelesto 4\nhelene 1\n" in
+  let requests =
+    [
+      ("every host", Smart_proto.Wizard_msg.Accept_partial, 3,
+       "host_memory_total > 1\n");
+      ("security filter", Smart_proto.Wizard_msg.Accept_partial, 3,
+       "host_security_level >= 3\n");
+      ("strict shortfall", Smart_proto.Wizard_msg.Strict, 4,
+       "host_memory_total > 1\n");
+    ]
+  in
+  let answer = function
+    | Ok hosts -> String.concat "," (List.sort compare hosts)
+    | Error (Smart_core.Client.Not_enough _) -> "not enough"
+    | Error e -> Fmt.str "error: %a" Smart_core.Client.pp_error e
+  in
+  let simulated =
+    let cluster = Smart_host.Testbed.icpp2005 () in
+    let d =
+      Smart_core.Simdriver.deploy
+        ~config:{ Smart_core.Simdriver.default_config with security_log = seclog }
+        cluster ~monitor:"dalmatian" ~wizard_host:"phoebe" ~servers
+    in
+    Smart_core.Simdriver.settle ~duration:8.0 d;
+    List.map
+      (fun (_, option, wanted, requirement) ->
+        answer
+          (Smart_core.Simdriver.request ~option d ~client:"sagit" ~wanted
+             ~requirement))
+      requests
+  in
+  let book = R.Addr_book.create () in
+  List.iter
+    (fun h -> ignore (R.Addr_book.register_loopback book ~host:h))
+    ("dalmatian" :: "phoebe" :: servers);
+  let wizard =
+    R.Wizard_daemon.create book
+      {
+        R.Wizard_daemon.host = "phoebe";
+        mode = Smart_core.Wizard.Centralized;
+        staleness_threshold = infinity;
+        admission = None;
+      }
+  in
+  let monitor =
+    R.Monitor_daemon.create book
+      {
+        R.Monitor_daemon.host = "dalmatian";
+        wizard_host = "phoebe";
+        mode = Smart_core.Transmitter.Centralized;
+        probe_interval = 0.2;
+        transmit_interval = 0.2;
+        netmon_targets = [];
+        security_log = seclog;
+      }
+  in
+  let probes =
+    List.map
+      (fun host ->
+        R.Probe_daemon.create book
+          {
+            R.Probe_daemon.host;
+            ip = "10.9.0.1";
+            monitor_host = "dalmatian";
+            interval = 0.2;
+            proc = R.Proc_reader.default;
+            iface = None;
+          })
+      servers
+  in
+  R.Wizard_daemon.start wizard;
+  R.Monitor_daemon.start monitor;
+  List.iter R.Probe_daemon.start probes;
+  let real =
+    Fun.protect
+      ~finally:(fun () ->
+        List.iter R.Probe_daemon.stop probes;
+        R.Monitor_daemon.stop monitor;
+        R.Wizard_daemon.stop wizard)
+      (fun () ->
+        let db = R.Wizard_daemon.db wizard in
+        await ~timeout:10.0 (fun () -> Smart_core.Status_db.sys_count db = 3);
+        (* one whole push (its three frames) after every server is in *)
+        let frames () =
+          scraped book ~host:"phoebe" ~port:Smart_proto.Ports.wizard
+            "receiver.frames_total"
+        in
+        let seen = frames () in
+        await ~timeout:5.0 (fun () -> frames () >= seen +. 3.0);
+        List.map
+          (fun (_, option, wanted, requirement) ->
+            answer
+              (R.Client_io.request_servers ~option ~timeout:5.0 book
+                 ~wizard_host:"phoebe" ~wanted ~requirement ()))
+          requests)
+  in
+  Alcotest.(check (list string)) "the answers the scenario expects"
+    [ "helene,mimas,telesto"; "mimas,telesto"; "not enough" ]
+    simulated;
+  List.iter2
+    (fun (name, _, _, _) (sim, real) ->
+      Alcotest.(check string) (name ^ ": sockets answer as simulated") sim real)
+    requests
+    (List.combine simulated real)
+
 (* ------------------------------------------------------------------ *)
 (* The daemons' event loops                                             *)
 (* ------------------------------------------------------------------ *)
-
-let await ~timeout ready =
-  let deadline = Unix.gettimeofday () +. timeout in
-  while (not (ready ())) && Unix.gettimeofday () < deadline do
-    Thread.delay 0.02
-  done
 
 (* One monitor's push: a Sys_db frame carrying [host]'s report, sampled
    from this machine's /proc. *)
@@ -900,6 +1108,42 @@ let test_push_bounded () =
           (Printf.sprintf "failed after %.2f s" elapsed)
           true (elapsed < 2.0))
 
+(* The monitor sweeps every probe interval, whatever its push interval:
+   a probe that stops is expired within three silent 0.2 s intervals
+   and a sweep, long before the 5 s push. *)
+let test_sweep_every_probe_interval () =
+  let book = loopback_book () in
+  let monitor =
+    R.Monitor_daemon.create book
+      {
+        R.Monitor_daemon.host = "mon";
+        wizard_host = "wiz";
+        mode = Smart_core.Transmitter.Centralized;
+        probe_interval = 0.2;
+        transmit_interval = 5.0;
+        netmon_targets = [];
+        security_log = "";
+      }
+  in
+  let probe = probe_daemon ~interval:0.2 book in
+  R.Monitor_daemon.start monitor;
+  R.Probe_daemon.start probe;
+  Fun.protect
+    ~finally:(fun () ->
+      R.Probe_daemon.stop probe;
+      R.Monitor_daemon.stop monitor)
+    (fun () ->
+      let metric name =
+        scraped book ~host:"mon" ~port:Smart_proto.Ports.transmitter name
+      in
+      await ~timeout:5.0 (fun () -> metric "sysmon.hosts" >= 1.0);
+      Alcotest.(check (float 0.0)) "the probe is known" 1.0
+        (metric "sysmon.hosts");
+      R.Probe_daemon.stop probe;
+      await ~timeout:1.5 (fun () -> metric "sysmon.expired_total" >= 1.0);
+      Alcotest.(check (float 0.0)) "expired within 1.5 s of the stop" 1.0
+        (metric "sysmon.expired_total"))
+
 (* A probe daemon that cannot read /proc counts each lost tick where a
    scrape of its echo port sees it. *)
 let test_probe_proc_failures_counted () =
@@ -933,6 +1177,7 @@ let () =
       ( "units",
         [
           Alcotest.test_case "addr book" `Quick test_addr_book;
+          Alcotest.test_case "addr book pin" `Quick test_addr_book_pin;
           Alcotest.test_case "proc reader" `Quick test_proc_reader;
           Alcotest.test_case "proc reader missing" `Quick
             test_proc_reader_missing_files;
@@ -959,6 +1204,12 @@ let () =
             test_admission_per_requester_ip;
           Alcotest.test_case "metrics scrape" `Slow test_metrics_scrape_real;
           Alcotest.test_case "trace scrape" `Slow test_trace_scrape_real;
+          Alcotest.test_case "hosts on distinct addresses" `Slow
+            test_distinct_host_addresses;
+          Alcotest.test_case "unresolvable peer fails create" `Quick
+            test_unresolvable_peer_fails_create;
+          Alcotest.test_case "simulated and real answers agree" `Slow
+            test_simulated_and_real_agree;
         ] );
       ( "event loop",
         [
@@ -972,5 +1223,7 @@ let () =
           Alcotest.test_case "push bounded" `Slow test_push_bounded;
           Alcotest.test_case "probe /proc failures counted" `Slow
             test_probe_proc_failures_counted;
+          Alcotest.test_case "sweep every probe interval" `Slow
+            test_sweep_every_probe_interval;
         ] );
     ]

@@ -88,12 +88,12 @@ let suppresses t (d : Diagnostic.t) =
       else hit)
     false t.entries
 
-(* Entries that suppressed nothing this run, as warn diagnostics against
-   the allow file itself. *)
-let unused_entries t =
+(* Entries of the rules that [ran] that suppressed nothing this run, as
+   warn diagnostics against the allow file itself. *)
+let unused_entries t ~ran =
   List.filter_map
     (fun e ->
-      if e.used then None
+      if e.used || not (ran e.rule) then None
       else
         Some
           (Diagnostic.make ~rule:"allowlist" ~severity:Diagnostic.Warn

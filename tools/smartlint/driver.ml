@@ -31,7 +31,7 @@ type config = {
 let all_rules =
   [
     "io-purity"; "determinism"; "poly-compare"; "unsafe"; "iface";
-    "effects"; "wire"; "bytecode"; "reach";
+    "effects"; "wire"; "bytecode"; "reach"; "doc";
   ]
 
 let rule_enabled config rule =
@@ -117,13 +117,20 @@ let run config =
         Progcheck.check ~root:config.root config.program_dirs
       else []
     in
+    let ifaces =
+      lazy
+        (Project.load_ifaces ~root:config.root ~build_root:config.build_root
+           config.lib_dirs)
+    in
     let reach_diags =
       if rule_enabled config "reach" then
-        Reach.check
-          ~ifaces:
-            (Project.load_ifaces ~root:config.root
-               ~build_root:config.build_root config.lib_dirs)
-          ~callers:all_cmts ~is_test:(in_dirs config.test_dirs)
+        Reach.check ~ifaces:(Lazy.force ifaces) ~callers:all_cmts
+          ~is_test:(in_dirs config.test_dirs)
+      else []
+    in
+    let doc_diags =
+      if rule_enabled config "doc" then
+        Docref.check ~root:config.root ~ifaces:(Lazy.force ifaces)
       else []
     in
     let diags =
@@ -132,7 +139,7 @@ let run config =
       @ Project.deps_check ~root:config.root ~cmts
           ~sans_io_dirs:config.sans_io_dirs config.lib_dirs
       @ Project.imports_check ~cmts ~already_flagged config.sans_io_dirs
-      @ graph_diags @ bytecode_diags @ reach_diags
+      @ graph_diags @ bytecode_diags @ reach_diags @ doc_diags
     in
     let diags =
       List.filter (fun (d : Diagnostic.t) -> rule_enabled config d.rule) diags
@@ -141,13 +148,14 @@ let run config =
       List.partition (fun d -> not (Allowlist.suppresses allow d)) diags
     in
     (* Unused allowlist entries warn by default; [strict] escalates them
-       to errors so stale exemptions cannot accumulate (the CI mode). *)
+       to errors so stale exemptions cannot accumulate (the CI mode).  An
+       entry for a rule that did not run is not judged. *)
     let unused =
       List.map
         (fun (d : Diagnostic.t) ->
           if config.strict then { d with Diagnostic.severity = Diagnostic.Error }
           else d)
-        (Allowlist.unused_entries allow)
+        (Allowlist.unused_entries allow ~ran:(rule_enabled config))
     in
     let kept = kept @ unused in
     let kept = List.sort Diagnostic.compare_diag kept in
