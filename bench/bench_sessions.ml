@@ -92,14 +92,13 @@ let run_churn () =
   C.Simdriver.settle ~duration:8.0 d;
   let base = H.Cluster.now c in
   let module F = Smart_sim.Faults in
-  ignore
-    (C.Simdriver.install_faults d
-       [
-         { F.at = base +. 4.3; action = F.Crash_node "s1" };
-         { F.at = base +. 8.1; action = F.Partition_host "s2" };
-         { F.at = base +. 14.2; action = F.Restart_node "s1" };
-         { F.at = base +. 18.1; action = F.Heal_host "s2" };
-       ]);
+  C.Simdriver.install_faults d
+    [
+      { F.at = base +. 4.3; action = F.Crash_node "s1" };
+      { F.at = base +. 8.1; action = F.Partition_host "s2" };
+      { F.at = base +. 14.2; action = F.Restart_node "s1" };
+      { F.at = base +. 18.1; action = F.Heal_host "s2" };
+    ];
   let report =
     C.Simdriver.run_sessions d
       ~clients:[ ("cli", session_count) ]

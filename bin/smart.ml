@@ -18,11 +18,15 @@ let setup_logs level =
 
 let book () = Smart_realnet.Addr_book.create ()
 
-(* A daemon whose peers do not all resolve stops before it starts. *)
+(* A daemon whose peers do not all resolve, or whose ports another
+   process holds, stops before it starts. *)
 let create_daemon create =
   try create () with
   | Failure reason ->
     Fmt.epr "smart: %s@." reason;
+    exit 2
+  | Unix.Unix_error (err, fn, _) ->
+    Fmt.epr "smart: %s: %s@." fn (Unix.error_message err);
     exit 2
 
 (* Each daemon runs on its own event loop; the main thread only waits. *)
@@ -194,47 +198,38 @@ let run_query wizard wanted expr file connect strict =
   end
 
 (* ------------------------------------------------------------------ *)
-(* metrics                                                              *)
+(* metrics and trace                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Which daemon socket answers the scrape; see OBSERVABILITY.md. *)
-let metrics_port = function
+(* Which daemon socket answers a scrape; see OBSERVABILITY.md. *)
+let scrape_port = function
   | "wizard" -> Ok Smart_proto.Ports.wizard
   | "monitor" -> Ok Smart_proto.Ports.transmitter
   | "probe" -> Ok Smart_proto.Ports.probe
   | c -> Error c
 
-let run_metrics host component json =
+(* One scrape of a running daemon: its metrics registry or its flight
+   recorder, as text lines or JSON. *)
+let scrape_metrics ~json book ~host ~port =
+  let format =
+    if json then Smart_proto.Metrics_msg.Json else Smart_proto.Metrics_msg.Text
+  in
+  Smart_realnet.Client_io.scrape_metrics ~format book ~host ~port ()
+
+let scrape_trace ~json book ~host ~port =
+  let format =
+    if json then Smart_proto.Trace_msg.Json else Smart_proto.Trace_msg.Text
+  in
+  Smart_realnet.Client_io.scrape_trace ~format book ~host ~port ()
+
+let run_scrape scrape host component json =
   setup_logs (Some Logs.Warning);
-  match metrics_port component with
+  match scrape_port component with
   | Error c ->
     Fmt.epr "unknown component %S (expected wizard, monitor or probe)@." c;
     exit 2
   | Ok port ->
-    let format =
-      if json then Smart_proto.Metrics_msg.Json else Smart_proto.Metrics_msg.Text
-    in
-    (match Smart_realnet.Client_io.scrape_metrics ~format (book ()) ~host ~port () with
-    | Error reason ->
-      Fmt.epr "scrape failed: %s@." reason;
-      exit 1
-    | Ok dump -> print_string dump)
-
-(* ------------------------------------------------------------------ *)
-(* trace                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let run_trace host component json =
-  setup_logs (Some Logs.Warning);
-  match metrics_port component with
-  | Error c ->
-    Fmt.epr "unknown component %S (expected wizard, monitor or probe)@." c;
-    exit 2
-  | Ok port ->
-    let format =
-      if json then Smart_proto.Trace_msg.Json else Smart_proto.Trace_msg.Text
-    in
-    (match Smart_realnet.Client_io.scrape_trace ~format (book ()) ~host ~port () with
+    (match scrape ~json (book ()) ~host ~port with
     | Error reason ->
       Fmt.epr "scrape failed: %s@." reason;
       exit 1
@@ -381,7 +376,7 @@ let query_cmd =
     (Cmd.info "query" ~doc:"Ask the wizard for qualified servers.")
     Term.(const run_query $ wizard $ wanted $ expr $ file $ connect $ strict)
 
-let metrics_cmd =
+let scrape_cmd name ~doc ~json_doc scrape =
   let target =
     Arg.(
       required
@@ -396,45 +391,25 @@ let metrics_cmd =
             "Which daemon to scrape: $(b,wizard), $(b,monitor) (the \
              transmitter's pull port) or $(b,probe) (the echo port).")
   in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Emit the dump as JSON instead of text lines.")
-  in
-  Cmd.v
-    (Cmd.info "metrics"
-       ~doc:"Dump a running daemon's metrics registry (counters, gauges, \
-             latency quantiles).")
-    Term.(const run_metrics $ target $ component $ json)
+  let json = Arg.(value & flag & info [ "json" ] ~doc:json_doc) in
+  Cmd.v (Cmd.info name ~doc)
+    Term.(const (run_scrape scrape) $ target $ component $ json)
+
+let metrics_cmd =
+  scrape_cmd "metrics"
+    ~doc:
+      "Dump a running daemon's metrics registry (counters, gauges, latency \
+       quantiles)."
+    ~json_doc:"Emit the dump as JSON instead of text lines." scrape_metrics
 
 let trace_cmd =
-  let target =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "host" ] ~docv:"NAME" ~doc:"Host the daemon runs on.")
-  in
-  let component =
-    Arg.(
-      value & opt string "wizard"
-      & info [ "component" ] ~docv:"KIND"
-          ~doc:
-            "Which daemon to scrape: $(b,wizard), $(b,monitor) (the \
-             transmitter's pull port) or $(b,probe) (the echo port).")
-  in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:
-            "Emit Chrome trace-event JSON (Perfetto-loadable) instead of \
-             text lines.")
-  in
-  Cmd.v
-    (Cmd.info "trace"
-       ~doc:"Dump a running daemon's flight recorder (recent spans with \
-             trace and parent ids).")
-    Term.(const run_trace $ target $ component $ json)
+  scrape_cmd "trace"
+    ~doc:
+      "Dump a running daemon's flight recorder (recent spans with trace and \
+       parent ids)."
+    ~json_doc:
+      "Emit Chrome trace-event JSON (Perfetto-loadable) instead of text lines."
+    scrape_trace
 
 let () =
   let doc = "Smart TCP socket for distributed computing (ICPP 2005)" in

@@ -90,7 +90,7 @@ let () =
     (fun { F.at; action } ->
       Fmt.pr "  +%5.1fs  %s@." (at -. base) (F.action_kind action))
     plan;
-  ignore (C.Simdriver.install_faults d plan);
+  C.Simdriver.install_faults d plan;
   let ok = ref 0 and total = 100 in
   for _ = 1 to total do
     C.Simdriver.settle ~duration:0.4 d;

@@ -80,7 +80,7 @@ let () =
     (fun { F.at; action } ->
       Fmt.pr "  +%5.1fs  %s@." (at -. base) (F.action_kind action))
     plan;
-  ignore (C.Simdriver.install_faults d plan);
+  C.Simdriver.install_faults d plan;
   let r =
     C.Simdriver.run_sessions d
       ~clients:[ ("cli", 6) ]

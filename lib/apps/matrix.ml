@@ -1,7 +1,6 @@
 (* Dense square-matrix arithmetic — the real computation behind the
    thesis's benchmark program (Appendix C.1).  Local mode multiplies for
-   real; the distributed simulation only needs the operation counts, but
-   tests use these routines to validate the blocked decomposition. *)
+   real; the distributed simulation only needs the operation counts. *)
 
 type t = { n : int; data : float array }  (* row-major *)
 
@@ -24,9 +23,6 @@ let init n f =
 
 let random ~rng n =
   init n (fun ~row:_ ~col:_ -> Smart_util.Prng.range rng ~lo:(-1.0) ~hi:1.0)
-
-let identity n =
-  init n (fun ~row ~col -> if row = col then 1.0 else 0.0)
 
 (* Plain triple loop (the thesis's "vector multiplication way"). *)
 let multiply a b =
@@ -66,48 +62,3 @@ let task_output_bytes b = 8 * b.rows * b.cols
 
 (* Multiply-accumulate operations in one block task. *)
 let task_ops ~n b = b.rows * b.cols * n
-
-(* Compute one result block locally (what a worker executes). *)
-let multiply_block a b block =
-  if a.n <> b.n then invalid_arg "Matrix.multiply_block: size mismatch";
-  let n = a.n in
-  let out = Array.make (block.rows * block.cols) 0.0 in
-  for i = 0 to block.rows - 1 do
-    for k = 0 to n - 1 do
-      let aik = get a ~row:(block.row0 + i) ~col:k in
-      if aik <> 0.0 then
-        for j = 0 to block.cols - 1 do
-          out.((i * block.cols) + j) <-
-            out.((i * block.cols) + j)
-            +. (aik *. get b ~row:k ~col:(block.col0 + j))
-        done
-    done
-  done;
-  out
-
-(* Blocked multiplication through the task decomposition; must equal
-   [multiply] exactly (tested). *)
-let multiply_blocked a b ~blk =
-  let n = a.n in
-  let c = create n in
-  List.iter
-    (fun block ->
-      let out = multiply_block a b block in
-      for i = 0 to block.rows - 1 do
-        for j = 0 to block.cols - 1 do
-          set c ~row:(block.row0 + i) ~col:(block.col0 + j)
-            out.((i * block.cols) + j)
-        done
-      done)
-    (blocks ~n ~blk);
-  c
-
-let max_abs_diff a b =
-  if a.n <> b.n then invalid_arg "Matrix.max_abs_diff: size mismatch";
-  let worst = ref 0.0 in
-  Array.iteri
-    (fun i x -> worst := Float.max !worst (Float.abs (x -. b.data.(i))))
-    a.data;
-  !worst
-
-let equal ?(eps = 1e-9) a b = a.n = b.n && max_abs_diff a b <= eps

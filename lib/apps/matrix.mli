@@ -1,17 +1,12 @@
 (** Dense square matrices and the blocked decomposition used by the
     distributed multiplication program (Appendix C.1). *)
 
-type t
+(** An [n]×[n] matrix, row-major: entry [(row, col)] is
+    [data.((row * n) + col)]. *)
+type t = { n : int; data : float array }
 
-val create : int -> t
-
-val get : t -> row:int -> col:int -> float
-
-val init : int -> (row:int -> col:int -> float) -> t
-
+(** Entries uniform in [\[-1, 1)]. *)
 val random : rng:Smart_util.Prng.t -> int -> t
-
-val identity : int -> t
 
 (** Plain triple-loop product. *)
 val multiply : t -> t -> t
@@ -30,8 +25,3 @@ val task_output_bytes : block -> int
 
 (** Multiply-accumulate operations in one task. *)
 val task_ops : n:int -> block -> int
-
-(** Product via the task decomposition; equals [multiply]. *)
-val multiply_blocked : t -> t -> blk:int -> t
-
-val equal : ?eps:float -> t -> t -> bool

@@ -163,8 +163,6 @@ let create ?(metrics = Metrics.create ()) ?(clock = fun () -> 0.)
 let note_digest t (d : Smart_proto.Digest.t) =
   Hashtbl.replace t.digests d.Smart_proto.Digest.shard d
 
-let digest_count t = Hashtbl.length t.digests
-
 (* ------------------------------------------------------------------ *)
 (* Sketch plane                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -207,8 +205,6 @@ let note_sketches t (batch : Smart_proto.Sketch_msg.t) =
     Metrics.Gauge.set t.fed_p99_gauge (Smart_util.Sketch.quantile m 0.99)
   | Some _ | None -> ());
   Smart_util.Tracelog.instant t.trace "federation.sketch_merge"
-
-let sketch_shard_count t = Hashtbl.length t.sketches
 
 (* ------------------------------------------------------------------ *)
 (* Digest routing                                                       *)

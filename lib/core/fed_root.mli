@@ -51,9 +51,6 @@ val create :
     wins. *)
 val note_digest : t -> Smart_proto.Digest.t -> unit
 
-(** Shards a digest has been received from. *)
-val digest_count : t -> int
-
 (** The shard metric name whose merged sketch feeds the
     [federation.fed_latency_p{50,95,99}_s] gauges:
     ["wizard.request_latency_seconds"]. *)
@@ -77,9 +74,6 @@ val note_sketches : t -> Smart_proto.Sketch_msg.t -> unit
     {!Smart_util.Sketch.err_weight} rank error of the exact percentile
     over the union of all shards' observations. *)
 val merged_sketch : t -> string -> Smart_util.Sketch.t option
-
-(** Shards a sketch batch has been received from. *)
-val sketch_shard_count : t -> int
 
 (** Handle a client request datagram ({!Smart_proto.Wizard_msg.request})
     from [from] at driver time [now]: returns the subquery datagrams for

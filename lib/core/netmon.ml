@@ -87,9 +87,3 @@ let probe_all t ~now ~(prober : prober) =
   Metrics.Gauge.set t.reachable (float_of_int (List.length entries));
   Smart_util.Tracelog.finish t.trace round;
   record
-
-(* Recommended probing interval for [n] groups: the number of paths grows
-   as n(n-1), so the interval scales with it (§3.3.3). *)
-let recommended_interval ~groups ~per_probe_cost =
-  let paths = groups * (groups - 1) in
-  Float.max 2.0 (float_of_int paths *. per_probe_cost *. 2.0)

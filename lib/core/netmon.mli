@@ -31,7 +31,3 @@ val create :
 (** Probe every target in order and publish the refreshed record. *)
 val probe_all :
   t -> now:float -> prober:prober -> Smart_proto.Records.net_record
-
-(** Probing interval scaling rule of §3.3.3: grows with the n(n-1) path
-    count. *)
-val recommended_interval : groups:int -> per_probe_cost:float -> float

@@ -11,7 +11,6 @@ type t = {
   refreshes_total : Metrics.Counter.t;
   parse_errors_total : Metrics.Counter.t;
   hosts : Metrics.Gauge.t;
-  mutable last_error : string option;
 }
 
 let create ?(metrics = Metrics.create ())
@@ -28,7 +27,6 @@ let create ?(metrics = Metrics.create ())
     hosts =
       Metrics.gauge metrics ~help:"hosts with a clearance level"
         "secmon.hosts";
-    last_error = None;
   }
 
 let note_refresh t (record : Smart_proto.Records.sec_record) =
@@ -47,10 +45,7 @@ let refresh_from_log t text =
       Ok record
     | Error e ->
       Metrics.Counter.incr t.parse_errors_total;
-      t.last_error <- Some e;
       Error e
   in
   Smart_util.Tracelog.finish t.trace span;
   result
-
-let last_error t = t.last_error

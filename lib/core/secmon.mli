@@ -18,6 +18,3 @@ val create :
 (** Parse and ingest a security log text ("host level" lines). *)
 val refresh_from_log :
   t -> string -> (Smart_proto.Records.sec_record, string) result
-
-(** Most recent parse failure, if any. *)
-val last_error : t -> string option

@@ -12,9 +12,9 @@
    connection drains its in-flight work before closing.
 
    Sans-IO like every core component: this module owns only the state
-   machine, the metrics and the trace spans.  Drivers (the simulation's
-   session workload, the realnet [Client_io] pool) perform the actual
-   connects, sends and keep-alive probes, and report outcomes back.
+   machine, the metrics and the trace spans.  Its driver (the
+   simulation's session workload) performs the connects, sends and
+   keep-alive probes, and reports outcomes back.
    The clock is injected, every iteration over the connection table is
    sorted, and nothing here draws randomness — same-seed runs are
    byte-identical. *)
@@ -38,9 +38,6 @@ type pool = {
   keepalive_interval : float;
   keepalive_limit : int;
   clock : unit -> float;
-  on_evict : conn -> unit;
-      (* driver hook: the pool decided to forget this entry (LRU
-         eviction) — close the underlying socket *)
   trace : Smart_util.Tracelog.t;
   conns : (string, conn) Hashtbl.t;  (* peer host -> its one entry *)
   mutable stamp : int;
@@ -70,8 +67,7 @@ let default_keepalive_limit = 3
 let pool ?(metrics = Metrics.create ())
     ?(trace = Smart_util.Tracelog.disabled) ?(capacity = default_capacity)
     ?(keepalive_interval = default_keepalive_interval)
-    ?(keepalive_limit = default_keepalive_limit) ?(on_evict = fun _ -> ())
-    ~clock () =
+    ?(keepalive_limit = default_keepalive_limit) ~clock () =
   if capacity < 1 then invalid_arg "Session.pool: capacity must be positive";
   if keepalive_interval <= 0.0 then
     invalid_arg "Session.pool: keepalive_interval must be positive";
@@ -82,7 +78,6 @@ let pool ?(metrics = Metrics.create ())
     keepalive_interval;
     keepalive_limit;
     clock;
-    on_evict;
     trace;
     conns = Hashtbl.create 16;
     stamp = 0;
@@ -179,7 +174,6 @@ let evict_idle p =
     Metrics.Counter.incr p.evicted_total;
     Smart_util.Tracelog.instant p.trace "session.pool_evict";
     remove p victim;
-    p.on_evict victim;
     Some victim.host
   | [] -> None
 
@@ -274,14 +268,6 @@ let attach p ~host =
 let detach p c =
   if c.refs > 0 then c.refs <- c.refs - 1;
   if c.state = Draining && c.refs = 0 && c.in_flight = 0 then remove p c
-
-(* Low-level pool entry points for drivers that manage their own
-   transport state per connection (the realnet socket pool): the same
-   reuse-or-open and reference accounting {!bind} uses, without a
-   session. *)
-let acquire p ~host = attach p ~host
-
-let release p c = detach p c
 
 let bind p s ~host ~origin =
   (match s.sstate with

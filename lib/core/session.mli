@@ -5,9 +5,9 @@
     session's requirement.
 
     Sans-IO: this module owns states, metrics ([session.*], see
-    OBSERVABILITY.md) and trace spans; drivers (the simulation session
-    workload, the realnet {!Smart_realnet.Client_io} pool) perform the
-    actual connects, transfers and probes and report outcomes back.
+    OBSERVABILITY.md) and trace spans; its driver (the simulation's
+    session workload) performs the connects, transfers and probes and
+    reports outcomes back.
     Everything is deterministic — iteration over the pool is sorted, the
     clock is injected, no randomness is drawn. *)
 
@@ -22,21 +22,15 @@ type conn
 
 type pool
 
-(** 16 pooled connections. *)
-
-(** 5 s of quiet before a probe is due. *)
-
-(** 3 consecutive missed probes declare the peer dead. *)
-
 (** [pool ?metrics ?trace ?capacity ?keepalive_interval ?keepalive_limit
-    ?on_evict ~clock ()] builds a pool.  [capacity] bounds the table — a
-    bind finding it full first evicts the least recently used idle entry
-    (deterministically: LRU stamp, ties by host); when every entry is
-    busy the pool overflows rather than failing, visible in the
-    [session.pool_size] gauge.  [on_evict] is called with each entry the
-    pool decides to forget (LRU eviction), so a realnet driver can close
-    the underlying socket.  [clock] is the engine's virtual clock in
-    simulation, [Unix.gettimeofday] in realnet.  Raises
+    ~clock ()] builds a pool.  [capacity] (default 16) bounds the table
+    — a bind finding it full first evicts the least recently used idle
+    entry (deterministically: LRU stamp, ties by host), which becomes
+    [Closed]; when every entry is busy the pool overflows rather than
+    failing, visible in the [session.pool_size] gauge.  An entry quiet
+    for [keepalive_interval] (default 5 s) is due a probe, and
+    [keepalive_limit] (default 3) consecutive misses declare the peer
+    dead.  [clock] is the engine's virtual clock.  Raises
     [Invalid_argument] on non-positive parameters. *)
 val pool :
   ?metrics:Smart_util.Metrics.t ->
@@ -44,7 +38,6 @@ val pool :
   ?capacity:int ->
   ?keepalive_interval:float ->
   ?keepalive_limit:int ->
-  ?on_evict:(conn -> unit) ->
   clock:(unit -> float) ->
   unit ->
   pool
@@ -52,9 +45,6 @@ val pool :
 val conn_host : conn -> string
 
 val conn_state : conn -> conn_state
-
-(** Entries currently pooled (may exceed capacity while all are busy). *)
-val pool_size : pool -> int
 
 (** The driver finished the handshake: [Connecting] -> [Established].
     No-op in any other state. *)
@@ -64,10 +54,6 @@ val established : pool -> conn -> unit
     crash handling.  Work counters on the forgotten record still
     resolve; they just no longer affect the pool. *)
 val close : pool -> conn -> unit
-
-(** Stop new binds and close once idle — graceful handover.  An entry
-    that is already idle closes immediately. *)
-val drain : pool -> conn -> unit
 
 (** {1 Sessions} *)
 
@@ -95,16 +81,6 @@ val session_completed : session -> int
 (** The session is asking the wizard for a server.  Raises
     [Invalid_argument] when already bound. *)
 val selecting : session -> unit
-
-(** Low-level pool entry point for drivers that manage their own
-    transport state per connection (the realnet socket pool): the same
-    reuse-or-open and reference accounting {!bind} performs, without a
-    session.  Pair with {!release}. *)
-val acquire : pool -> host:string -> conn
-
-(** Drop one {!acquire} (or session) reference; an idle fully-drained
-    entry stays pooled for reuse. *)
-val release : pool -> conn -> unit
 
 (** [bind pool s ~host ~origin] binds the wizard's pick: reuses the
     pooled connection to [host] when one is live

@@ -23,23 +23,13 @@ type group = {
          and transmitter stop handling and ticking while set *)
 }
 
-(* One regional shard of a federated deployment: the mirror its groups'
-   transmitters feed and the wizard answering root subqueries from it. *)
-type fed_shard = {
-  shard_host : string;
-  shard_db : Status_db.t;
-  shard_wizard : Wizard.t;
-}
-
-type federation = { root : Fed_root.t; fed_shards : fed_shard list }
-
 type t = {
   cluster : Smart_host.Cluster.t;
   groups : group list;
   wizard_node : int;
   db_wizard : Status_db.t;
-  wizard : Wizard.t;
-  fed : federation option;
+  wizard : Wizard.t;  (* the first shard's in a federation *)
+  federated : bool;
   client_rng : Smart_util.Prng.t;
   metrics : Smart_util.Metrics.t;
       (* one registry for the whole deployment: same-named instruments
@@ -400,7 +390,7 @@ let deployment cluster wire =
      simulated run, and every export stays seed-deterministic *)
   let tracelog = Smart_util.Tracelog.create ~capacity:65536 ~clock () in
   let t_ref = ref None in
-  let groups, wizard_node, db_wizard, wizard, fed =
+  let groups, wizard_node, db_wizard, wizard, federated =
     wire t_ref { Role.metrics; trace = tracelog; clock }
   in
   let t =
@@ -410,7 +400,7 @@ let deployment cluster wire =
       wizard_node;
       db_wizard;
       wizard;
-      fed;
+      federated;
       client_rng = Smart_util.Prng.split (Smart_host.Cluster.rng cluster);
       metrics;
       tracelog;
@@ -437,7 +427,7 @@ let deploy_groups ?(config = default_config) cluster ~wizard_host ~groups =
         build_site t_ref config cluster env ~shard:None ~host:wizard_host
           ~groups
       in
-      (groups, node, site.Role.db, site.Role.wizard, None))
+      (groups, node, site.Role.db, site.Role.wizard, false))
 
 (* Single-group deployment (Fig 3.1): monitors + transmitter on
    [monitor], receiver + wizard on [wizard_host], probes on [servers]. *)
@@ -466,15 +456,10 @@ let deploy_federation ?(config = default_config) cluster ~root_host ~shards =
           build_site t_ref config cluster env
             ~shard:(Some (shard_host, root_host)) ~host:shard_host ~groups
         in
-        ( groups,
-          { shard_host; shard_db = site.Role.db; shard_wizard = site.Role.wizard }
-        )
+        (groups, site.Role.wizard)
       in
-      let groups, fed_shards = List.split (List.map shard shards) in
-      let root =
-        Role.root env ~order:config.order
-          ~shards:(List.map (fun s -> s.shard_host) fed_shards)
-      in
+      let groups, shard_wizards = List.split (List.map shard shards) in
+      let root = Role.root env ~order:config.order ~shards:(List.map fst shards) in
       let root_node = Smart_host.Cluster.resolve_exn cluster root_host in
       install t_ref cluster ~node:root_node
         ~alive:(fun () -> node_alive cluster root_node)
@@ -482,10 +467,8 @@ let deploy_federation ?(config = default_config) cluster ~root_host ~shards =
       ( List.concat groups,
         root_node,
         root.parts.root_db,
-        (List.hd fed_shards).shard_wizard,
-        Some { root = root.parts.root; fed_shards } ))
-
-let federation t = t.fed
+        List.hd shard_wizards,
+        true ))
 
 (* Let the deployment warm up: probes report, databases fill. *)
 let settle ?(duration = 6.0) t =
@@ -718,15 +701,15 @@ let run_sessions ?(wanted = 1) ?(option = Smart_proto.Wizard_msg.Accept_partial)
      flat deployments (a federation root holds digests, not records), so
      federated runs rely on the dead-connection path. *)
   let still_qualified host =
-    match (program, t.fed) with
-    | None, _ | _, Some _ -> true
-    | Some fast, None ->
+    match program with
+    | Some fast when not t.federated ->
       (match
          Status_db.row_view t.db_wizard ~host
            ~net_for:(fun host -> Wizard.net_entry_for t.wizard ~host)
        with
       | None -> false
       | Some view -> Selection.qualifies ~fast ~view ~row:0)
+    | Some _ | None -> true
   in
   let drivers =
     List.concat_map
@@ -875,66 +858,67 @@ let run_sessions ?(wanted = 1) ?(option = Smart_proto.Wizard_msg.Accept_partial)
     drivers;
   (* work pump: one fresh item per interval per session while the run
      lasts; items born under a dead connection queue for re-issue *)
-  ignore
-    (Smart_sim.Engine.every engine ~period:work_interval
-       ~start:(start_at +. work_interval) (fun now ->
-         if (not !finalized) && now < end_at then
-           List.iter
-             (fun d ->
-               d.sd_pending <- d.sd_pending + 1;
-               flush_pending d)
-             drivers));
+  let work_pump =
+    Smart_sim.Engine.every engine ~period:work_interval
+      ~start:(start_at +. work_interval) (fun now ->
+        if now < end_at then
+          List.iter
+            (fun d ->
+              d.sd_pending <- d.sd_pending + 1;
+              flush_pending d)
+            drivers)
+  in
   (* watcher: migrate away from dead or no-longer-qualified servers *)
-  ignore
-    (Smart_sim.Engine.every engine ~period:check_interval
-       ~start:(start_at +. check_interval) (fun now ->
-         if not !finalized then
-           List.iter
-             (fun d ->
-               if
-                 Session.session_state d.sd_sess = Session.Active
-                 && now >= d.sd_cooldown_until
-               then
-                 match Session.session_conn d.sd_sess with
-                 | None -> ()
-                 | Some c ->
-                   let host = Session.conn_host c in
-                   let dead =
-                     Session.conn_state c = Session.Closed
-                     || not (reachable d host)
-                   in
-                   let stale =
-                     (not dead)
-                     && Status_db.generation t.db_wizard <> d.sd_bound_gen
-                     && not (still_qualified host)
-                   in
-                   if dead || stale then begin
-                     (* a dead entry is discarded from the pool before
-                        the re-ask, so the replacement bind dials fresh
-                        even when it lands on the same (recovered)
-                        host *)
-                     if dead then Session.close pool c;
-                     Session.begin_migration pool d.sd_sess;
-                     select_and_bind d ~migrating:true
-                   end)
-             drivers))
-    ;
+  let watcher =
+    Smart_sim.Engine.every engine ~period:check_interval
+      ~start:(start_at +. check_interval) (fun now ->
+        List.iter
+          (fun d ->
+            if
+              Session.session_state d.sd_sess = Session.Active
+              && now >= d.sd_cooldown_until
+            then
+              match Session.session_conn d.sd_sess with
+              | None -> ()
+              | Some c ->
+                let host = Session.conn_host c in
+                let dead =
+                  Session.conn_state c = Session.Closed
+                  || not (reachable d host)
+                in
+                let stale =
+                  (not dead)
+                  && Status_db.generation t.db_wizard <> d.sd_bound_gen
+                  && not (still_qualified host)
+                in
+                if dead || stale then begin
+                  (* a dead entry is discarded from the pool before the
+                     re-ask, so the replacement bind dials fresh even
+                     when it lands on the same (recovered) host *)
+                  if dead then Session.close pool c;
+                  Session.begin_migration pool d.sd_sess;
+                  select_and_bind d ~migrating:true
+                end)
+          drivers)
+  in
   (* keep-alive pump: probe quiet connections, answered by liveness of
      the peer (vantage: the first client host) *)
   let vantage = List.hd drivers in
-  ignore
-    (Smart_sim.Engine.every engine ~period:(keepalive_interval /. 2.0)
-       ~start:(start_at +. (keepalive_interval /. 2.0)) (fun now ->
-         if not !finalized then
-           List.iter
-             (fun c ->
-               Session.keepalive_sent pool c;
-               if reachable vantage (Session.conn_host c) then
-                 Session.keepalive_ok pool c
-               else Session.keepalive_miss pool c)
-             (Session.keepalive_due pool ~now)));
+  let keepalive_pump =
+    Smart_sim.Engine.every engine ~period:(keepalive_interval /. 2.0)
+      ~start:(start_at +. (keepalive_interval /. 2.0)) (fun now ->
+        List.iter
+          (fun c ->
+            Session.keepalive_sent pool c;
+            if reachable vantage (Session.conn_host c) then
+              Session.keepalive_ok pool c
+            else Session.keepalive_miss pool c)
+          (Session.keepalive_due pool ~now))
+  in
   (* drain: poll past [end_at] until every item resolved or the hard
-     deadline expires; whatever is left is lost (the chaos gate) *)
+     deadline expires; whatever is left is lost (the chaos gate).  The
+     run's periodic processes stop with it, so they do not outlive it
+     on the engine. *)
   let rec drain_check () =
     if not !finalized then begin
       let now = vclock () in
@@ -945,6 +929,8 @@ let run_sessions ?(wanted = 1) ?(option = Smart_proto.Wizard_msg.Accept_partial)
       in
       if (now >= end_at && idle) || now >= hard_deadline then begin
         finalized := true;
+        List.iter Smart_sim.Engine.stop_periodic
+          [ work_pump; watcher; keepalive_pump ];
         List.iter
           (fun d ->
             d.sd_lost <- d.sd_pending + d.sd_outstanding;
@@ -1092,8 +1078,6 @@ let traffic_stats t tag =
   | None -> (0, 0)
 
 let db_wizard t = t.db_wizard
-
-let group_count t = List.length t.groups
 
 let metrics t = t.metrics
 

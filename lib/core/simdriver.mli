@@ -60,15 +60,6 @@ val deploy_groups :
   groups:(string * string list) list ->
   t
 
-(** One regional shard of a federated deployment (exposed for tests). *)
-type fed_shard = {
-  shard_host : string;  (** runs the shard mirror + regional wizard *)
-  shard_db : Status_db.t;  (** the mirror subqueries are answered from *)
-  shard_wizard : Wizard.t;
-}
-
-type federation = { root : Fed_root.t; fed_shards : fed_shard list }
-
 (** Federated deployment (DESIGN.md §13): an aggregation tree.  Each
     shard [(shard_host, groups)] is wired by the same code as a
     {!deploy_groups} stack: its transmitters feed a mirror on
@@ -88,10 +79,6 @@ val deploy_federation :
   root_host:string ->
   shards:(string * (string * string list) list) list ->
   t
-
-(** The federation state of a {!deploy_federation} deployment; [None]
-    for flat deployments. *)
-val federation : t -> federation option
 
 (** Run the simulation for [duration] virtual seconds (default 6) so the
     databases fill. *)
@@ -183,26 +170,16 @@ val scrape_metrics :
   client:string ->
   (string, string) result
 
-(** Silence a machine's probe (host failure). *)
-val fail_machine : t -> host:string -> unit
-
-val revive_machine : t -> host:string -> unit
-
-(** Partition (or heal) every channel touching [host]. *)
-val set_host_partitioned : t -> host:string -> bool -> unit
-
 (** Arm a {!Smart_sim.Faults.plan} on the deployment's engine: each
     event fires at its virtual time and is applied to the deployment
     there, so same-seed chaos runs replay identically. *)
-val install_faults : t -> Smart_sim.Faults.plan -> Smart_sim.Faults.t
+val install_faults : t -> Smart_sim.Faults.plan -> unit
 
 (** [(messages, payload bytes)] sent so far by a component tag:
     "probe", "transmitter", "wizard", "client". *)
 val traffic_stats : t -> string -> int * int
 
 val db_wizard : t -> Status_db.t
-
-val group_count : t -> int
 
 (** The deployment-wide metrics registry: every component of every group
     (and the client library used by [request]) registers its instruments

@@ -223,7 +223,6 @@ let sweep_sys_expired t ~now ~max_age =
   end;
   stale
 
-let sweep_sys t ~now ~max_age = List.length (sweep_sys_expired t ~now ~max_age)
 
 (* Remove every peer-index contribution of [monitor]'s previous record. *)
 let unindex_net t ~monitor (record : Smart_proto.Records.net_record) =
@@ -327,11 +326,6 @@ let update_net t (record : Smart_proto.Records.net_record) =
 
 let find_net t ~monitor = Hashtbl.find_opt t.net monitor
 
-let net_records t =
-  Hashtbl.fold (fun _ r acc -> r :: acc) t.net []
-  |> List.sort (fun a b ->
-         String.compare a.Smart_proto.Records.monitor b.Smart_proto.Records.monitor)
-
 (* Store the incoming table as a diff against the stored one, in place.
    The incoming entries are indexed first, so a host's level is that of
    its last entry; then each host whose level changed or appeared is
@@ -375,8 +369,6 @@ let replace_sec t (record : Smart_proto.Records.sec_record) =
 
 let sec_changes t = t.sec_changes
 
-let security_level t ~host = Hashtbl.find_opt t.sec host
-
 let sec_record t =
   {
     Smart_proto.Records.entries =
@@ -395,15 +387,13 @@ let sec_record t =
 module B = Smart_lang.Bytecode
 
 (* What each of the 22 system columns reads, resolved once from the
-   column names: the column contents agree with the reference
-   evaluator's binding by construction ([Report.source] is
-   [Report.variable] by field position). *)
+   column names ([Report.source]). *)
 let column_sources =
   Array.map
     (fun name ->
       match Smart_proto.Report.source name with
       | Some source -> source
-      | None -> assert false (* sys_fields ⊆ Report.variable's domain *))
+      | None -> assert false (* sys_fields ⊆ Report.source's domain *))
     B.sys_fields
 
 (* The record's numeric fields go through [t.values], read in place

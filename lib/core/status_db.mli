@@ -76,12 +76,9 @@ val find_sys : t -> host:string -> Smart_proto.Records.sys_record option
     cache. *)
 val sys_records : t -> Smart_proto.Records.sys_record list
 
-(** Remove records older than [max_age]; returns how many were dropped. *)
-val sweep_sys : t -> now:float -> max_age:float -> int
-
-(** Like {!sweep_sys} but returns the dropped host names (sorted), so
-    callers tracking per-host failure history — the sysmon's flap
-    quarantine — know exactly who went quiet. *)
+(** Remove records older than [max_age]; returns the dropped host names
+    (sorted), so callers tracking per-host failure history — the
+    sysmon's flap quarantine — know exactly who went quiet. *)
 val sweep_sys_expired : t -> now:float -> max_age:float -> string list
 
 (** Store [monitor]'s record, replacing its previous one.  The columnar
@@ -92,8 +89,6 @@ val sweep_sys_expired : t -> now:float -> max_age:float -> string list
 val update_net : t -> Smart_proto.Records.net_record -> unit
 
 val find_net : t -> monitor:string -> Smart_proto.Records.net_record option
-
-val net_records : t -> Smart_proto.Records.net_record list
 
 (** Metrics toward [target], resolved through the peer index.  When
     several monitors report the same peer, the freshest [measured_at]
@@ -121,8 +116,6 @@ val replace_sec : t -> Smart_proto.Records.sec_record -> unit
     a byte-identical security frame when no change landed since it
     applied the previous one. *)
 val sec_changes : t -> int
-
-val security_level : t -> host:string -> int option
 
 val sec_record : t -> Smart_proto.Records.sec_record
 

@@ -252,6 +252,4 @@ let sweep t ~now =
   Smart_util.Tracelog.finish t.trace span;
   List.length expired
 
-let is_quarantined t ~host = Hashtbl.mem t.quarantined host
 
-let effective_flap_threshold t = t.flap_threshold_now

@@ -57,9 +57,6 @@ val create :
   Status_db.t ->
   t
 
-(** Age beyond which a record is considered stale. *)
-val max_age : t -> float
-
 (** Handle one report datagram; updates the database on success.  A
     quarantined host's report is decoded and counted
     ([sysmon.quarantined_reports_total]) but only re-enters the database
@@ -67,15 +64,10 @@ val max_age : t -> float
 val handle_report :
   t -> now:float -> string -> (Smart_proto.Report.t, string) result
 
-(** Expiry sweep; returns the number of servers dropped.  Every expiry
-    raises the host's flap score; at the effective threshold
-    ({!effective_flap_threshold} — [flap_threshold] unless a
-    {!flap_policy} adapted it) the host is quarantined
-    ([sysmon.quarantined_total], [sysmon.quarantine] trace instant). *)
+(** Expiry sweep: drops the servers silent for [missed_intervals] probe
+    periods and returns how many.  Every expiry raises the host's flap
+    score; at the effective threshold ([flap_threshold] unless a
+    {!flap_policy} adapted it, the [sysmon.effective_flap_threshold]
+    gauge) the host is quarantined ([sysmon.quarantined_total], the
+    [sysmon.quarantined] gauge, a [sysmon.quarantine] trace instant). *)
 val sweep : t -> now:float -> int
-
-val is_quarantined : t -> host:string -> bool
-
-(** The quarantine threshold {!sweep} currently applies — the configured
-    [flap_threshold] until an armed {!flap_policy} adapts it. *)
-val effective_flap_threshold : t -> int

@@ -260,5 +260,3 @@ let handle_pull t ~data =
     push t
   | Distributed -> []
   | Centralized -> []
-
-let resend_queue_length t = Queue.length t.resend

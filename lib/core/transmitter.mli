@@ -86,12 +86,6 @@ val note_send_failure : t -> now:float -> data:string -> unit
 (** The driver reports a completed stream delivery; resets the backoff. *)
 val note_send_ok : t -> unit
 
-(** Whether {!tick} would currently stay quiet. *)
-val backing_off : t -> now:float -> bool
-
 (** Pull request handler: pushes in distributed mode when the magic
     matches, no-op otherwise. *)
 val handle_pull : t -> data:string -> Output.t list
-
-(** Payloads currently waiting in the resend queue. *)
-val resend_queue_length : t -> int

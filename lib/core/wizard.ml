@@ -177,7 +177,6 @@ type t = {
   request_latency : Metrics.Histogram.t;
   staleness_threshold_gauge : Metrics.Gauge.t;
   staleness_adaptations_total : Metrics.Counter.t;
-  mutable subqueries_seen : int;
       (* this instance's subqueries, as [subqueries_total] aggregates
          across every shard wizard sharing the registry *)
   mutable updates_seen : int;
@@ -311,7 +310,6 @@ let create ?(compile_cache_capacity = default_compile_cache_capacity)
       Metrics.counter metrics
         ~help:"adaptive staleness-threshold changes"
         "wizard.staleness_adaptations_total";
-    subqueries_seen = 0;
     updates_seen = 0;
     last_update_at = None;
     last_result = None;
@@ -360,7 +358,6 @@ let degraded_now t =
   | None -> false
   | Some ts -> t.clock () -. ts > t.staleness_now
 
-let staleness_threshold_now t = t.staleness_now
 
 (* Network metrics toward one server: the entry its key names. *)
 let net_for t ~host = Status_db.key_entry t.db (net_key t.config.groups host)
@@ -594,7 +591,6 @@ let handle_subquery t ~from data =
   | Error _ -> []  (* garbage datagram: drop, like the request port *)
   | Ok query ->
     Metrics.Counter.incr t.subqueries_total;
-    t.subqueries_seen <- t.subqueries_seen + 1;
     let started = t.clock () in
     let span =
       Smart_util.Tracelog.start t.trace ~at:started
@@ -700,8 +696,6 @@ let request_latency_summary t = Metrics.histogram_summary t.request_latency
 let admission_delayed t = Metrics.Counter.value t.admission_delayed_total
 
 let delayed_count t = Queue.length t.delayed
-
-let subqueries_handled t = t.subqueries_seen
 
 let latency_sketch t = t.latency_sketch
 

@@ -199,10 +199,6 @@ val admission_delayed : t -> int
 (** Admission-delayed requests currently parked (released by {!tick}). *)
 val delayed_count : t -> int
 
-(** Federation subqueries answered ({!handle_subquery} calls that
-    decoded). *)
-val subqueries_handled : t -> int
-
 (** Server list of the most recent successful selection. *)
 val last_result : t -> string list option
 
@@ -214,9 +210,3 @@ val last_result : t -> string list option
     federation uplink under {!Fed_root.latency_metric} via the
     transmitter's [sketches] callback. *)
 val latency_sketch : t -> Smart_util.Sketch.t
-
-(** The staleness threshold in force: a reply is flagged degraded when
-    the time since the receiver's last update exceeds it.  It is the
-    fixed [staleness_threshold] until an armed {!staleness_policy}
-    adapts it. *)
-val staleness_threshold_now : t -> float

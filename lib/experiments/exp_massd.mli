@@ -1,9 +1,6 @@
 (** The massive-download experiment (§5.3): smart server sets vs. random
     ones on the shaped two-group testbed. *)
 
-(** The two shaped host groups of the massive-download testbed. *)
-val group1 : string list
-
 (** One shaper calibration point: requested vs. achieved rate. *)
 type calibration_sample = {
   data_kb : int;
@@ -32,21 +29,9 @@ type table = {
   rows : run_row list;  (** random sets then the smart set, smart last *)
 }
 
-(** One shaping scenario from the thesis, with its paper numbers. *)
-type setup = {
-  title : string;
-  g1_mbps : float;
-  g2_mbps : float;
-  wanted : int;
-  requirement : string;
-  random_sets : (string * string list * float option) list;
-  paper_smart : float option;
-}
-
-val setups : setup list
-
-val run_setup : ?data_kb:int -> ?blk_kb:int -> setup -> table
-
+(** Tables 5.7-5.9, in that order: each thesis shaping scenario run with
+    its random server sets and the smart one ([data_kb] transferred in
+    [blk_kb] blocks per run). *)
 val run_all : ?data_kb:int -> ?blk_kb:int -> unit -> table list
 
 val print_table : table -> unit

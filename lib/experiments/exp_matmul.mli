@@ -14,9 +14,6 @@ type comparison = {
   paper_smart : float;
 }
 
-(** Percent improvement of the smart run over the random one. *)
-val improvement : comparison -> float
-
 (** Fig 5.2: single-machine benchmark rows. *)
 type benchmark_row = { host : string; cpu : string; seconds : float }
 
@@ -24,24 +21,9 @@ val benchmark : ?n:int -> unit -> benchmark_row list
 
 val print_benchmark : benchmark_row list -> unit
 
-(** One thesis scenario: pool, workloads, and the paper's timings. *)
-type setup = {
-  title : string;
-  n : int;
-  blk : int;
-  wanted : int;
-  requirement : string;
-  pool : string list;
-  workloads : string list;
-  paper_random_servers : string list;
-  paper_random : float;
-  paper_smart : float;
-}
-
-val setups : setup list
-
-val run_setup : setup -> comparison
-
+(** Tables 5.3-5.6, in that order: each thesis scenario (pool, SuperPI
+    workloads) run with the paper's random server set and the smart
+    one. *)
 val run_all : unit -> comparison list
 
 val print_comparison : comparison -> unit

@@ -88,28 +88,10 @@ let resolve_exn t key =
   | Some id -> id
   | None -> invalid_arg ("Cluster.resolve_exn: unknown host " ^ key)
 
-let machines t =
-  Hashtbl.fold (fun id m acc -> (id, m) :: acc) t.machines []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
 (* rshaper had a queue of roughly one frame, so the default bucket depth
    is a single MTU: probe streams then observe the shaped rate rather
    than bursting through. *)
 let default_burst = 1500.0
-
-(* Shape the egress channel of a machine (its link toward the first hop),
-   like running rshaper on that host. *)
-let shape_egress ?(burst = default_burst) t ~node ~rate_bytes_per_sec =
-  let shaped = ref false in
-  Smart_net.Topology.iter_channels t.topo (fun c ->
-      if c.Smart_net.Link.src = node then begin
-        Smart_net.Link.set_shaper c
-          (match rate_bytes_per_sec with
-          | None -> None
-          | Some rate -> Some (Smart_net.Shaper.create ~burst ~rate ()));
-        shaped := true
-      end);
-  !shaped
 
 (* Symmetric shaping of both directions of a machine's access link. *)
 let shape_access ?(burst = default_burst) t ~node ~rate_bytes_per_sec =

@@ -39,15 +39,9 @@ val machine_opt : t -> int -> Machine.t option
 (** Machine at a node; raises [Invalid_argument] for switch nodes. *)
 val machine : t -> int -> Machine.t
 
-(** All (node id, machine) pairs, sorted by node id. *)
-val machines : t -> (int * Machine.t) list
-
-(** rshaper equivalent on the machine's outgoing access channel(s);
-    [None] removes the shaper.  Returns [true] if a channel was found.
-    The default [burst] is one MTU so probes measure the shaped rate. *)
-val shape_egress :
-  ?burst:float -> t -> node:int -> rate_bytes_per_sec:float option -> bool
-
-(** Shape both directions of every channel touching [node]. *)
+(** rshaper equivalent on both directions of every channel touching
+    [node]; [None] removes the shaper.  Returns [true] if a channel was
+    found.  The default [burst] is one MTU so probes measure the shaped
+    rate. *)
 val shape_access :
   ?burst:float -> t -> node:int -> rate_bytes_per_sec:float option -> bool

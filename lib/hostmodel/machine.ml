@@ -93,8 +93,6 @@ let cpu_demand t =
   List.fold_left (fun acc (_, w) -> acc +. w.cpu_demand) 0.0 t.workloads
 
 (* Fraction of CPU time left idle under the current demand. *)
-let cpu_free t = Float.max 0.0 (1.0 -. cpu_demand t)
-
 let mem_workloads t =
   List.fold_left (fun acc (_, w) -> acc + w.mem_bytes) 0 t.workloads
 
@@ -213,10 +211,6 @@ let superpi =
 
 let cpu_hog ~demand =
   { wl_name = "cpu_hog"; cpu_demand = demand; mem_bytes = 4 * 1024 * 1024;
-    disk_read_ps = 0.0; disk_write_ps = 0.0 }
-
-let mem_hog ~bytes =
-  { wl_name = "mem_hog"; cpu_demand = 0.1; mem_bytes = bytes;
     disk_read_ps = 0.0; disk_write_ps = 0.0 }
 
 let disk_hog ~reqps =

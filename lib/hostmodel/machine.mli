@@ -61,12 +61,7 @@ val spec : t -> spec
 (** Sum of workload CPU demands (run-queue length). *)
 val cpu_demand : t -> float
 
-(** Idle CPU fraction in [\[0, 1\]]. *)
-val cpu_free : t -> float
-
 val mem_used : t -> int
-
-val mem_free : t -> int
 
 (** CPU share a new demand-1 job would get: [1 / (1 + current demand)]. *)
 val compute_share : t -> float
@@ -95,7 +90,5 @@ val count_tx : t -> bytes:float -> unit
 val superpi : workload
 
 val cpu_hog : demand:float -> workload
-
-val mem_hog : bytes:int -> workload
 
 val disk_hog : reqps:float -> workload

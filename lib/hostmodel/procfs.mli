@@ -33,10 +33,7 @@ type netdev_stat = {
   tpackets : float;
 }
 
-val render_loadavg : Machine.t -> string
-val render_stat : Machine.t -> string
 val render_meminfo : Machine.t -> string
-val render_net_dev : Machine.t -> string
 
 val parse_loadavg : string -> (loadavg, string) result
 

@@ -195,14 +195,12 @@ let paths ?(seed = 7) ?(sagit_mtu = 1500) ?(sagit_virtual = false) () =
     (Cluster.link c ~a:cmui ~b:abilene
        (wan_conf ~capacity_mbps:100.0 ~prop:12e-3 ~jitter:1.2e-3));
   let rng = Cluster.rng c in
-  ignore
-    (Smart_net.Cross_traffic.bursty ~engine:(Cluster.engine c)
-       ~rng:(Smart_util.Prng.split rng) ~chan:cmu_chan_fwd
-       ~on_load:(45e6 /. 8.0) ~off_load:(8e6 /. 8.0) ());
-  ignore
-    (Smart_net.Cross_traffic.bursty ~engine:(Cluster.engine c)
-       ~rng:(Smart_util.Prng.split rng) ~chan:cmu_chan_rev
-       ~on_load:(45e6 /. 8.0) ~off_load:(8e6 /. 8.0) ());
+  Smart_net.Cross_traffic.bursty ~engine:(Cluster.engine c)
+    ~rng:(Smart_util.Prng.split rng) ~chan:cmu_chan_fwd
+    ~on_load:(45e6 /. 8.0) ~off_load:(8e6 /. 8.0) ();
+  Smart_net.Cross_traffic.bursty ~engine:(Cluster.engine c)
+    ~rng:(Smart_util.Prng.split rng) ~chan:cmu_chan_rev
+    ~on_load:(45e6 /. 8.0) ~off_load:(8e6 /. 8.0) ();
   let paths =
     [
       { label = "a"; src = sagit; dst = tokxp;

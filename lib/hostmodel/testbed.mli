@@ -3,10 +3,8 @@
     [icpp2005] builds the 11-machine cluster of Table 5.1 / Fig 5.1;
     [paths] builds the wide-area measurement topology of Table 3.2. *)
 
-(** Machine specs of Table 5.1, with Fig 5.2-calibrated matmul rates. *)
-val specs : Machine.spec list
-
-(** Raises [Invalid_argument] for unknown names. *)
+(** Machine specs of Table 5.1, with Fig 5.2-calibrated matmul rates.
+    Raises [Invalid_argument] for unknown names. *)
 val spec_of_name : string -> Machine.spec
 
 (** Names in Table 5.1 order. *)

@@ -27,8 +27,3 @@ type program = statement list
     main operator — looking through parentheses — is a comparison or a
     boolean connective. *)
 val is_logical : expr -> bool
-
-(** Prints parseable text (round-trip tested). *)
-val pp_expr : Format.formatter -> expr -> unit
-
-val program_to_string : program -> string

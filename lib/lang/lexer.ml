@@ -21,9 +21,6 @@
 
 type error = { line : int; col : int; message : string }
 
-let pp_error ppf e =
-  Fmt.pf ppf "lexical error at %d:%d: %s" e.line e.col e.message
-
 type kind = Number | Netaddr | Ident | Fixed of Token.t | Bad
 
 type scanner = {

@@ -7,8 +7,6 @@
 
 type error = { line : int; col : int; message : string }
 
-val pp_error : Format.formatter -> error -> unit
-
 (** What {!next} found.  The token's bytes are
     [src.[start .. stop - 1]] of the {!scanner}. *)
 type kind =

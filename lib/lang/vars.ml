@@ -64,11 +64,3 @@ let user_side_set = set_of user_side
 let is_server_side name = Hashtbl.mem server_side_set name
 
 let is_user_side name = Hashtbl.mem user_side_set name
-
-let starts_with ~prefix s =
-  String.length s >= String.length prefix
-  && String.equal (String.sub s 0 (String.length prefix)) prefix
-
-let is_preferred_param name = starts_with ~prefix:user_preferred_prefix name
-
-let is_denied_param name = starts_with ~prefix:user_denied_prefix name

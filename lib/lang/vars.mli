@@ -17,7 +17,3 @@ val user_side : string list
 val is_server_side : string -> bool
 
 val is_user_side : string -> bool
-
-val is_preferred_param : string -> bool
-
-val is_denied_param : string -> bool

@@ -2,18 +2,17 @@
     `pathload` baseline.  Binary search on the stream rate, detecting a
     queue build-up by the delay trend across the stream. *)
 
-type verdict = Increasing | Flat | Inconclusive
-
 type result = {
   low : float;   (** lower bracket, bytes/second *)
   high : float;
   iterations : int;
 }
 
-(** Delay-trend classification of one stream's per-packet delays. *)
-val trend : float array -> verdict
-
-(** Bracket the available bandwidth between [lo] and [hi]. *)
+(** Bracket the available bandwidth between [lo] and [hi]: each
+    iteration sends one [count]-packet stream at the geometric mean
+    rate, and an increasing delay trend across it lowers [hi] to that
+    rate, a flat one raises [lo]; a stream too short to tell (under six
+    packets) moves neither. *)
 val measure :
   ?iterations:int ->
   ?lo:float ->

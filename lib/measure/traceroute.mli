@@ -2,8 +2,6 @@
     probes, per-hop RTTs from ICMP time-exceeded echoes, and cumulative
     bandwidth estimates per hop. *)
 
-type reply_kind = Router of int | Destination | Lost
-
 type hop = {
   ttl : int;
   node : int option;
@@ -11,17 +9,6 @@ type hop = {
   rtt : float option;
   bw_estimate : float option;  (** cumulative bytes/second to this hop *)
 }
-
-(** One TTL-limited probe: who answered, and the RTT. *)
-val probe_ttl :
-  ?size:int ->
-  ?timeout:float ->
-  Smart_net.Netstack.t ->
-  src:int ->
-  dst:int ->
-  ttl:int ->
-  unit ->
-  reply_kind * float option
 
 (** Full trace; stops at the destination's port-unreachable or at
     [max_ttl]. *)

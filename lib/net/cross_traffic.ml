@@ -1,42 +1,18 @@
-(* Background (cross) traffic generators.
+(* Background (cross) traffic generator.
 
    Cross traffic is modelled fluidly: a generator periodically re-draws a
-   channel's [cross_load].  Two shapes are provided:
-   - [steady]: Gaussian wobble around a mean utilisation, for the mild
-     variation of a LAN path;
-   - [bursty]: two-state on/off (Markov) load, for WAN paths where the
-     thesis's pipechar traces show "bad fluctuation". *)
-
-type t = { proc : Smart_sim.Engine.periodic }
-
-let stop t = Smart_sim.Engine.stop_periodic t.proc
+   channel's [cross_load], as a two-state on/off (Markov) load, for WAN
+   paths where the thesis's pipechar traces show "bad fluctuation". *)
 
 let clamp_load (chan : Link.t) load =
   Link.set_cross_load chan
     (Float.max 0.0 (Float.min (chan.Link.conf.capacity *. 0.98) load))
 
-let steady ~engine ~rng ~chan ~mean_load ?(sigma = 0.0) ?(period = 0.05) () =
-  let proc =
-    Smart_sim.Engine.every engine ~period ~start:(Smart_sim.Engine.now engine)
-      (fun _now ->
-        let load =
-          if sigma > 0.0 then
-            Smart_util.Prng.gaussian rng ~mu:mean_load ~sigma
-          else mean_load
-        in
-        clamp_load chan load)
-  in
-  clamp_load chan mean_load;
-  { proc }
-
 let bursty ~engine ~rng ~chan ~on_load ~off_load ?(p_on = 0.3)
     ?(period = 0.2) () =
-  let on = ref false in
-  let proc =
-    Smart_sim.Engine.every engine ~period ~start:(Smart_sim.Engine.now engine)
-      (fun _now ->
-        on := Smart_util.Prng.float rng ~bound:1.0 < p_on;
-        clamp_load chan (if !on then on_load else off_load))
-  in
-  clamp_load chan off_load;
-  { proc }
+  ignore
+    (Smart_sim.Engine.every engine ~period ~start:(Smart_sim.Engine.now engine)
+       (fun _now ->
+         let on = Smart_util.Prng.float rng ~bound:1.0 < p_on in
+         clamp_load chan (if on then on_load else off_load)));
+  clamp_load chan off_load

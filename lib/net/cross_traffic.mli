@@ -1,23 +1,8 @@
-(** Fluid background traffic generators driving a channel's cross load. *)
+(** Fluid background traffic driving a channel's cross load. *)
 
-type t
-
-val stop : t -> unit
-
-(** Gaussian wobble around [mean_load] (bytes/second), re-drawn every
-    [period] seconds. *)
-val steady :
-  engine:Smart_sim.Engine.t ->
-  rng:Smart_util.Prng.t ->
-  chan:Link.t ->
-  mean_load:float ->
-  ?sigma:float ->
-  ?period:float ->
-  unit ->
-  t
-
-(** Two-state on/off load: [on_load] with probability [p_on] per period,
-    [off_load] otherwise. *)
+(** Two-state on/off load, from now until the end of the run:
+    [on_load] with probability [p_on] per period, [off_load] otherwise
+    (and until the first period), in bytes/second. *)
 val bursty :
   engine:Smart_sim.Engine.t ->
   rng:Smart_util.Prng.t ->
@@ -27,4 +12,4 @@ val bursty :
   ?p_on:float ->
   ?period:float ->
   unit ->
-  t
+  unit

@@ -61,8 +61,6 @@ let tr t fmt =
 
 let set_progress_hook t hook = t.on_progress <- hook
 
-let active_count t = List.length t.flows
-
 (* Bank the bytes moved since [last_update] at the current rates. *)
 let bank_progress t ~now =
   let dt = now -. t.last_update in

@@ -28,9 +28,6 @@ val create :
 (** Accounting hook fired with every banked byte delta of every flow. *)
 val set_progress_hook : t -> (src:int -> dst:int -> float -> unit) option -> unit
 
-(** Number of in-flight flows. *)
-val active_count : t -> int
-
 (** [start t ~src ~dst ~bytes ~on_complete] launches a transfer and
     returns its flow id.  [on_complete] fires exactly once, at the virtual
     time the last byte is delivered. *)

@@ -41,9 +41,6 @@ val partitioned : t -> bool
 (** Set background cross-traffic load in bytes/second (clamped at 0). *)
 val set_cross_load : t -> float -> unit
 
-(** Bandwidth currently available to foreground packets, bytes/second. *)
-val residual_rate : t -> float
-
 (** Bandwidth the fluid flow plane may share, bytes/second. *)
 val capacity_for_flows : t -> float
 

@@ -116,15 +116,6 @@ let rec deliver t (pkt : Packet.t) ~now =
       ignore
         (send_raw t ~src:pkt.dst ~dst:pkt.src ~proto:reply
            ~transport_bytes:(icmp_wire_size - ip_header) ~payload:"" ~now))
-  | Packet.Icmp (Packet.Echo_request { seq }) ->
-    (* every host answers pings; a handler may additionally observe them *)
-    (match Hashtbl.find_opt t.icmp_handlers pkt.dst with
-    | Some h -> h ~now pkt
-    | None -> ());
-    ignore
-      (send_raw t ~src:pkt.dst ~dst:pkt.src
-         ~proto:(Packet.Icmp (Packet.Echo_reply { seq }))
-         ~transport_bytes:(icmp_wire_size - ip_header) ~payload:"" ~now)
   | Packet.Icmp _ ->
     (match Hashtbl.find_opt t.icmp_handlers pkt.dst with
     | Some h -> h ~now pkt
@@ -235,8 +226,3 @@ let send_udp ?(payload = "") ?ttl t ~src ~dst ~sport ~dport ~size =
   send_raw ?ttl t ~src ~dst
     ~proto:(Packet.Udp { sport; dport })
     ~transport_bytes:(size + udp_header) ~payload ~now
-
-let send_icmp t ~src ~dst icmp =
-  let now = Smart_sim.Engine.now t.engine in
-  send_raw t ~src ~dst ~proto:(Packet.Icmp icmp)
-    ~transport_bytes:(icmp_wire_size - ip_header) ~payload:"" ~now

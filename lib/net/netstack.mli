@@ -40,9 +40,6 @@ val unlisten_udp : t -> node:int -> port:int -> unit
 (** Register the ICMP handler of a node (one per node). *)
 val on_icmp : t -> node:int -> handler -> unit
 
-(** Fragment wire sizes (IP header included) for a transport payload. *)
-val fragment_sizes : mtu:int -> payload:int -> int list
-
 (** [send_udp t ~src ~dst ~sport ~dport ~size] emits a datagram with
     [size] application bytes; returns the datagram id.  Unlistened
     destination ports trigger an ICMP port-unreachable reply; a datagram
@@ -58,6 +55,3 @@ val send_udp :
   dport:int ->
   size:int ->
   int
-
-(** Emit a bare ICMP message. *)
-val send_icmp : t -> src:int -> dst:int -> Packet.icmp -> int

@@ -4,8 +4,6 @@
 type icmp =
   | Port_unreachable of { orig_id : int; orig_dport : int }
   | Time_exceeded of { orig_id : int; at_node : int }
-  | Echo_request of { seq : int }
-  | Echo_reply of { seq : int }
 
 type proto =
   | Udp of { sport : int; dport : int }
@@ -28,8 +26,6 @@ let pp_proto ppf = function
     Fmt.pf ppf "icmp port-unreachable (id=%d dport=%d)" orig_id orig_dport
   | Icmp (Time_exceeded { orig_id; at_node }) ->
     Fmt.pf ppf "icmp time-exceeded (id=%d at node %d)" orig_id at_node
-  | Icmp (Echo_request { seq }) -> Fmt.pf ppf "icmp echo-request seq=%d" seq
-  | Icmp (Echo_reply { seq }) -> Fmt.pf ppf "icmp echo-reply seq=%d" seq
 
 let pp ppf t =
   Fmt.pf ppf "pkt#%d %d->%d %a %dB t=%.6f" t.id t.src t.dst pp_proto t.proto

@@ -5,8 +5,6 @@ type icmp =
       (** echo of a datagram sent to a closed UDP port *)
   | Time_exceeded of { orig_id : int; at_node : int }
       (** the datagram's TTL ran out at router [at_node] *)
-  | Echo_request of { seq : int }
-  | Echo_reply of { seq : int }
 
 type proto =
   | Udp of { sport : int; dport : int }

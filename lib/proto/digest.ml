@@ -1,12 +1,9 @@
-(* Mergeable per-shard status summary — the federation's "digest" frame
-   payload (DESIGN.md §13).
+(* Per-shard status summary — the federation's "digest" frame payload
+   (DESIGN.md §13).
 
    A regional wizard summarizes its shard's columnar snapshot into one
    small record: for every status column, how many servers carry a value
-   and the [lo, hi] range those values span.  Digests form a commutative
-   monoid under {!merge} ({!empty_stat} is the identity per column), so
-   any aggregation tree produces the same root summary regardless of
-   shape or arrival order.
+   and the [lo, hi] range those values span.
 
    The root wizard uses digests for query routing only — interval tests
    that prove "no server of this shard can qualify".  Ranges are
@@ -16,23 +13,9 @@
 
 type stat = { present : int; lo : float; hi : float }
 
-(* No observations: the identity of [merge_stat].  [lo > hi] encodes the
-   empty interval without an option. *)
+(* No observations.  [lo > hi] encodes the empty interval without an
+   option. *)
 let empty_stat = { present = 0; lo = infinity; hi = neg_infinity }
-
-let observe s v =
-  {
-    present = s.present + 1;
-    lo = (if v < s.lo then v else s.lo);
-    hi = (if v > s.hi then v else s.hi);
-  }
-
-let merge_stat a b =
-  {
-    present = a.present + b.present;
-    lo = Float.min a.lo b.lo;
-    hi = Float.max a.hi b.hi;
-  }
 
 type t = {
   shard : string;
@@ -43,31 +26,6 @@ type t = {
   net_bw : stat;
   sec_level : stat;
 }
-
-let empty ~shard ~sys_fields =
-  if sys_fields < 0 then invalid_arg "Digest.empty: negative sys_fields";
-  {
-    shard;
-    generation = 0;
-    servers = 0;
-    sys = Array.make sys_fields empty_stat;
-    net_delay = empty_stat;
-    net_bw = empty_stat;
-    sec_level = empty_stat;
-  }
-
-let merge a b =
-  if Array.length a.sys <> Array.length b.sys then
-    invalid_arg "Digest.merge: column count mismatch";
-  {
-    shard = a.shard;
-    generation = (if a.generation > b.generation then a.generation else b.generation);
-    servers = a.servers + b.servers;
-    sys = Array.map2 merge_stat a.sys b.sys;
-    net_delay = merge_stat a.net_delay b.net_delay;
-    net_bw = merge_stat a.net_bw b.net_bw;
-    sec_level = merge_stat a.sec_level b.sec_level;
-  }
 
 (* Wire layout (within a [Frame.Digest_db] payload):
 

@@ -1,11 +1,9 @@
-(** Mergeable per-shard status summary — the payload of a
-    [Frame.Digest_db] frame, and the unit of upward aggregation in the
-    federated status plane (DESIGN.md §13).
+(** Per-shard status summary — the payload of a [Frame.Digest_db]
+    frame, shipped up the federated status plane (DESIGN.md §13).
 
     A digest carries, for every status column, the number of servers
-    with a value and the closed interval those values span.  Digests
-    form a commutative monoid under {!merge}, so an aggregation tree of
-    any shape produces the same summary.  The root wizard consults them
+    with a value and the closed interval those values span.  The root
+    wizard consults them
     for query routing: a shard whose intervals rule out every
     conjunctive constraint of a requirement cannot contribute a
     candidate and is skipped.  Ranges only ever over-approximate, so a
@@ -18,13 +16,9 @@ type stat = {
   hi : float;  (** largest value observed *)
 }
 
-(** The identity of a column merge (counts add, intervals union): no
-    observations, with the empty interval encoded as
+(** No observations, with the empty interval encoded as
     [lo = +inf > hi = -inf]. *)
 val empty_stat : stat
-
-(** Fold one value into a column summary. *)
-val observe : stat -> float -> stat
 
 type t = {
   shard : string;  (** name of the regional wizard that built it *)
@@ -35,16 +29,6 @@ type t = {
   net_bw : stat;  (** monitor_network_bw, Mbps *)
   sec_level : stat;  (** host_security_level *)
 }
-
-(** Digest of an empty shard with [sys_fields] system columns — the
-    identity of {!merge} for that width. *)
-val empty : shard:string -> sys_fields:int -> t
-
-(** Elementwise column merge (counts add, intervals union); server
-    counts add, the generation takes the max, the shard name comes from
-    the left argument.  Raises [Invalid_argument] when the operands
-    disagree on the system column count. *)
-val merge : t -> t -> t
 
 (** Serialise for a [Frame.Digest_db] payload in byte order [order]. *)
 val encode : Endian.order -> t -> string

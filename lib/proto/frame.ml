@@ -65,16 +65,6 @@ type error =
   | Oversized of int
   | Crc_mismatch of { expected : int; got : int }
 
-let pp_error ppf = function
-  | Truncated { need; have } ->
-    Fmt.pf ppf "frame: truncated (need %d bytes, have %d)" need have
-  | Unknown_code code -> Fmt.pf ppf "frame: unknown type code %d" code
-  | Oversized size -> Fmt.pf ppf "frame: oversized payload (%d bytes)" size
-  | Crc_mismatch { expected; got } ->
-    Fmt.pf ppf "frame: CRC mismatch (expected %08x, got %08x)" expected got
-
-let error_to_string e = Fmt.str "%a" pp_error e
-
 let encode ?(crc = false) order { payload_type; data; trace } =
   let traced = not (Smart_util.Tracelog.is_root trace) in
   let code =
@@ -151,11 +141,6 @@ let decode_within order s ~pos ~stop =
       end
   end
 
-let decode_one order ?(pos = 0) s =
-  if pos > String.length s then
-    Error (Truncated { need = header_size; have = 0 })
-  else decode_within order s ~pos ~stop:(String.length s)
-
 (* Incremental decoder: feed it chunks as they arrive; it emits complete
    frames in order and resynchronises over corrupt spans.
 
@@ -175,7 +160,6 @@ type decoder = {
   mutable skipped_bytes : int;
   mutable resyncs : int;
   mutable in_resync : bool;  (* consecutive skipped bytes count as one event *)
-  mutable last_error : error option;
 }
 
 let decoder order =
@@ -188,7 +172,6 @@ let decoder order =
     skipped_bytes = 0;
     resyncs = 0;
     in_resync = false;
-    last_error = None;
   }
 
 (* Append [s.[pos .. pos + len)] to the buffer, making room by
@@ -225,10 +208,6 @@ let skipped_bytes dec = dec.skipped_bytes
 
 let resyncs dec = dec.resyncs
 
-let last_error dec = dec.last_error
-
-let pending_bytes dec = String.length dec.held + (dec.stop - dec.start)
-
 (* Decode every complete frame of [s.[pos .. stop)]; returns where the
    unconsumed bytes start and the frames, newest first. *)
 let scan dec s ~pos ~stop =
@@ -244,9 +223,8 @@ let scan dec s ~pos ~stop =
            is corrupt the eventual CRC check (or a later header scan)
            will recover; a truncated header can't be judged yet. *)
         (pos, acc)
-      | Error e ->
+      | Error _ ->
         (* corrupt span: drop one byte and look for the next header *)
-        dec.last_error <- Some e;
         if not dec.in_resync then begin
           dec.in_resync <- true;
           dec.resyncs <- dec.resyncs + 1

@@ -38,8 +38,6 @@ type t = {
   net_tpackets : float;
 }
 
-let disk_allreq r = r.disk_rreq +. r.disk_wreq
-
 (* Numeric field [k], in the order the ASCII report and the binary
    system record ([Records]) carry them. *)
 let field r k =
@@ -146,9 +144,10 @@ let of_string s = Result.map fst (decode s)
 
 type source = Field of int | Sum of int * int
 
-(* [variable]'s binding as field positions, so a columnar row fill
-   resolves each name once and can read the values from a report or,
-   in place, from a binary record's bytes. *)
+(* The binding of the 22 server-side requirement variables as field
+   positions, so a columnar row fill resolves each name once and can
+   read the values from a report or, in place, from a binary record's
+   bytes. *)
 let source name =
   match name with
   | "host_system_load1" -> Some (Field 0)
@@ -173,32 +172,4 @@ let source name =
   | "host_network_rpacketsps" -> Some (Field 18)
   | "host_network_tbytesps" -> Some (Field 19)
   | "host_network_tpacketsps" -> Some (Field 20)
-  | _ -> None
-
-(* Binding of the 22 server-side requirement variables to a report. *)
-let variable r name =
-  let v f = Some f in
-  match name with
-  | "host_system_load1" -> v r.load1
-  | "host_system_load5" -> v r.load5
-  | "host_system_load15" -> v r.load15
-  | "host_cpu_user" -> v r.cpu_user
-  | "host_cpu_nice" -> v r.cpu_nice
-  | "host_cpu_system" -> v r.cpu_system
-  | "host_cpu_free" -> v r.cpu_free
-  | "host_cpu_bogomips" -> v r.bogomips
-  | "host_memory_total" -> v r.mem_total
-  | "host_memory_used" -> v r.mem_used
-  | "host_memory_free" -> v r.mem_free
-  | "host_memory_buffers" -> v r.mem_buffers
-  | "host_memory_cached" -> v r.mem_cached
-  | "host_disk_allreq" -> v (disk_allreq r)
-  | "host_disk_rreq" -> v r.disk_rreq
-  | "host_disk_rblocks" -> v r.disk_rblocks
-  | "host_disk_wreq" -> v r.disk_wreq
-  | "host_disk_wblocks" -> v r.disk_wblocks
-  | "host_network_rbytesps" -> v r.net_rbytes
-  | "host_network_rpacketsps" -> v r.net_rpackets
-  | "host_network_tbytesps" -> v r.net_tbytes
-  | "host_network_tpacketsps" -> v r.net_tpackets
   | _ -> None

@@ -39,10 +39,6 @@ val decode : string -> (t * Smart_util.Tracelog.ctx, string) result
 (** {!decode}, discarding the trace context. *)
 val of_string : string -> (t, string) result
 
-(** Bind one of the 22 [host_*] requirement variables; [None] for names
-    this report does not define. *)
-val variable : t -> string -> float option
-
 (** Number of numeric fields: every field but [host] and [ip]. *)
 val field_count : int
 
@@ -56,9 +52,9 @@ val field : t -> int -> float
     ([host_disk_allreq]). *)
 type source = Field of int | Sum of int * int
 
-(** {!variable} as field positions, resolved once by name for columnar
-    row fills: [variable r name] is [Some (field r k)] when
-    [source name = Some (Field k)], [Some (field r i +. field r j)] when
-    it is [Some (Sum (i, j))], and [None] exactly when [source name] is
-    [None]. *)
+(** The binding of the 22 [host_*] requirement variables as field
+    positions, resolved once by name for columnar row fills: a variable
+    is [field r k] when [source name = Some (Field k)],
+    [field r i +. field r j] when it is [Some (Sum (i, j))], and
+    undefined exactly when [source name] is [None]. *)
 val source : string -> source option

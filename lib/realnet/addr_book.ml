@@ -39,24 +39,6 @@ let resolve t ~host ~port =
         Some (Unix.ADDR_INET (addr, port))
       | _ | (exception _) -> None))
 
-(* Reverse lookup of a sockaddr to a registered host name, used to tag
-   incoming transmitter streams. *)
-let host_of_sockaddr t sockaddr =
-  match sockaddr with
-  | Unix.ADDR_INET (addr, port) ->
-    Hashtbl.fold
-      (fun host entry acc ->
-        match acc with
-        | Some _ -> acc
-        | None ->
-          if entry.addr = addr
-             && port >= entry.port_shift
-             && port < entry.port_shift + 1000
-          then Some host
-          else None)
-      t.entries None
-  | Unix.ADDR_UNIX _ -> None
-
 let port_shift t ~host =
   match Hashtbl.find_opt t.entries host with
   | Some { port_shift; _ } -> port_shift

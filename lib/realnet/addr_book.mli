@@ -24,9 +24,6 @@ val resolve : t -> host:string -> port:int -> Unix.sockaddr option
 (** Shift of a registered host (0 when unknown). *)
 val port_shift : t -> host:string -> int
 
-(** Best-effort reverse lookup of a registered pseudo-host. *)
-val host_of_sockaddr : t -> Unix.sockaddr -> string option
-
 (** The address a daemon on [host] binds its ports to: the registered
     one, or the wildcard address when [host] has no entry. *)
 val bind_addr : t -> host:string -> Unix.inet_addr

@@ -152,100 +152,3 @@ let close_all connected =
     (fun { socket; _ } ->
       try Unix.close socket with Unix.Unix_error (_, _, _) -> ())
     connected
-
-(* ------------------------------------------------------------------ *)
-(* massd over real sockets                                              *)
-(* ------------------------------------------------------------------ *)
-
-type download_stats = {
-  total_bytes : int;
-  elapsed : float;
-  throughput : float;             (* bytes per second *)
-  per_server : (string * int) list;  (* blocks fetched per server *)
-}
-
-let read_exact fd buf n =
-  let rec go off =
-    if off >= n then true
-    else
-      match Unix.read fd buf off (n - off) with
-      | 0 -> false
-      | read -> go (off + read)
-      | exception Unix.Unix_error (_, _, _) -> false
-  in
-  go 0
-
-(* The §5.3.2 massive download on real sockets: every connected server
-   streams one block at a time (`GET <bytes>`); a server that finishes
-   self-schedules the next block from the shared queue, so fast servers
-   carry more of the file. *)
-let download ~connected ~data_kb ~blk_kb =
-  if connected = [] then invalid_arg "Client_io.download: no servers";
-  if data_kb <= 0 || blk_kb <= 0 then
-    invalid_arg "Client_io.download: bad sizes";
-  let total_bytes = data_kb * 1024 in
-  let block_bytes = blk_kb * 1024 in
-  let total_blocks = (data_kb + blk_kb - 1) / blk_kb in
-  let queue = ref 0 in
-  let fetched = Hashtbl.create 8 in
-  let mutex = Mutex.create () in
-  let next_block () =
-    Mutex.lock mutex;
-    let result =
-      if !queue >= total_blocks then None
-      else begin
-        let index = !queue in
-        incr queue;
-        let bytes =
-          if index = total_blocks - 1 then
-            max 1 (total_bytes - ((total_blocks - 1) * block_bytes))
-          else block_bytes
-        in
-        Some bytes
-      end
-    in
-    Mutex.unlock mutex;
-    result
-  in
-  let note host =
-    Mutex.lock mutex;
-    Hashtbl.replace fetched host
-      (1 + Option.value ~default:0 (Hashtbl.find_opt fetched host));
-    Mutex.unlock mutex
-  in
-  let worker { host; socket } =
-    let buf = Bytes.create 65536 in
-    let rec go () =
-      match next_block () with
-      | None -> ()
-      | Some bytes ->
-        Service.write_line socket (Printf.sprintf "GET %d" bytes);
-        let rec recv remaining =
-          if remaining <= 0 then true
-          else begin
-            let want = min remaining (Bytes.length buf) in
-            if read_exact socket buf want then recv (remaining - want)
-            else false
-          end
-        in
-        if recv bytes then begin
-          note host;
-          go ()
-        end
-    in
-    go ()
-  in
-  let started = Unix.gettimeofday () in
-  let threads = List.map (fun c -> Thread.create worker c) connected in
-  List.iter Thread.join threads;
-  let elapsed = Float.max 1e-9 (Unix.gettimeofday () -. started) in
-  {
-    total_bytes;
-    elapsed;
-    throughput = float_of_int total_bytes /. elapsed;
-    per_server =
-      List.map
-        (fun { host; _ } ->
-          (host, Option.value ~default:0 (Hashtbl.find_opt fetched host)))
-        connected;
-  }

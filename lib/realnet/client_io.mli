@@ -52,14 +52,11 @@ val scrape_trace :
   unit ->
   (string, string) result
 
-(** TCP-connect to one candidate's service port.  [connect_timeout]
-    bounds the handshake (non-blocking connect + select), so a
-    black-holed candidate costs seconds instead of the kernel default. *)
-val connect_service :
-  ?connect_timeout:float -> Addr_book.t -> host:string -> connected_server option
-
-(** The full flow: ask, then connect each candidate.  A candidate that
-    refuses or times out is skipped and counted in
+(** The full flow: ask, then TCP-connect each candidate's service port.
+    [connect_timeout] bounds each handshake (non-blocking connect +
+    select), so a black-holed candidate costs seconds instead of the
+    kernel default.  A candidate that refuses or times out is skipped
+    and counted in
     [client.connect_failed_total] (when [metrics] is given); the partial
     socket list is returned. *)
 val request_sockets :
@@ -78,22 +75,3 @@ val request_sockets :
   (connected_server list, Smart_core.Client.error) result
 
 val close_all : connected_server list -> unit
-
-(** Read exactly [n] bytes into the buffer; [false] on EOF or error. *)
-val read_exact : Unix.file_descr -> Bytes.t -> int -> bool
-
-type download_stats = {
-  total_bytes : int;
-  elapsed : float;
-  throughput : float;                (** bytes per second *)
-  per_server : (string * int) list;  (** blocks fetched per server *)
-}
-
-(** The §5.3.2 massive download over real sockets: [data_kb] kilobytes
-    in [blk_kb]-kilobyte blocks, self-scheduled across the connected
-    servers (one thread each, `GET` protocol of [Service]). *)
-val download :
-  connected:connected_server list ->
-  data_kb:int ->
-  blk_kb:int ->
-  download_stats

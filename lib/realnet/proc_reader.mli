@@ -13,9 +13,6 @@ type t = {
 (** The standard /proc locations. *)
 val default : t
 
-(** Chunked whole-file read ([/proc] files report zero length). *)
-val read_file : string -> string option
-
 val snapshot : t -> (Smart_host.Procfs.snapshot, string) result
 
 (** First CPU's bogomips from /proc/cpuinfo. *)

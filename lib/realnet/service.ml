@@ -14,7 +14,6 @@ type t = {
   mutable running : bool;
   mutable stopped : bool;
   mutable thread : Thread.t option;
-  mutable connections : int;
 }
 
 let create book ~name =
@@ -25,7 +24,7 @@ let create book ~name =
     (Unix.ADDR_INET
        (Addr_book.bind_addr book ~host:name, Smart_proto.Ports.service + shift));
   Unix.listen socket 16;
-  { name; socket; running = false; stopped = false; thread = None; connections = 0 }
+  { name; socket; running = false; stopped = false; thread = None }
 
 let read_line_opt fd =
   let buf = Buffer.create 64 in
@@ -100,7 +99,6 @@ let start t =
     while t.running do
       match Unix.accept t.socket with
       | client, _ ->
-        t.connections <- t.connections + 1;
         ignore (Thread.create (fun () -> serve t client) ())
       | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL | Unix.EINTR), _, _)
         ->
@@ -129,5 +127,3 @@ let stop t =
     t.thread <- None;
     try Unix.close t.socket with Unix.Unix_error (_, _, _) -> ()
   end
-
-let connections t = t.connections

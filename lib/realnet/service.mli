@@ -16,6 +16,3 @@ val start : t -> unit
 (** Stop accepting and close the listening socket.  Only the first call
     acts; later ones do nothing. *)
 val stop : t -> unit
-
-(** Connections accepted so far. *)
-val connections : t -> int

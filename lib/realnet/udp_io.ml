@@ -2,22 +2,23 @@
    waiting for one reply ([recv_timeout]); senders may call from any
    thread (sendto is atomic per datagram). *)
 
-type t = { socket : Unix.file_descr; port : int }
+type t = { socket : Unix.file_descr }
 
 let max_datagram = 65536
 
-let bind_port ?(addr = Unix.inet_addr_any) port =
-  let socket = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
-  Unix.setsockopt socket Unix.SO_REUSEADDR true;
-  Unix.bind socket (Unix.ADDR_INET (addr, port));
-  let port =
-    match Unix.getsockname socket with
-    | Unix.ADDR_INET (_, p) -> p
-    | Unix.ADDR_UNIX _ -> port
-  in
-  { socket; port }
+let stop t = try Unix.close t.socket with Unix.Unix_error (_, _, _) -> ()
 
-let port t = t.port
+(* A socket whose bind fails is closed before the error propagates. *)
+let bind_port ?(addr = Unix.inet_addr_any) port =
+  let t = { socket = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 } in
+  match
+    Unix.setsockopt t.socket Unix.SO_REUSEADDR true;
+    Unix.bind t.socket (Unix.ADDR_INET (addr, port))
+  with
+  | () -> t
+  | exception e ->
+    stop t;
+    raise e
 
 (* One buffer per served socket: only the loop's thread reads it. *)
 let serve loop t handler =
@@ -33,8 +34,6 @@ let send t ~to_ data =
       (Unix.sendto_substring t.socket data 0 (String.length data) [] to_);
     true
   with Unix.Unix_error (_, _, _) -> false
-
-let stop t = try Unix.close t.socket with Unix.Unix_error (_, _, _) -> ()
 
 (* One receive buffer for the whole process, allocated when the module
    initialises.  Client sockets live for one call, so a buffer per

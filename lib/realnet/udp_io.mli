@@ -4,11 +4,9 @@ type t
 
 (** Bind a socket to [addr] (default: the wildcard address, so the
     kernel picks each datagram's source address) and [port] (0 for
-    ephemeral); raises [Unix.Unix_error] on conflicts. *)
+    ephemeral); raises [Unix.Unix_error] on conflicts, having closed
+    the socket. *)
 val bind_port : ?addr:Unix.inet_addr -> int -> t
-
-(** The actually bound port. *)
-val port : t -> int
 
 (** Register the socket with the loop: each datagram, empty ones
     included, goes to the handler on the loop's thread with that

@@ -12,19 +12,14 @@ type t = {
   queue : event Smart_util.Heap.t;
   mutable now : float;
   mutable next_id : int;
-  mutable executed : int;
 }
 
 exception Time_reversal of { now : float; requested : float }
 
 let create () =
-  { queue = Smart_util.Heap.create (); now = 0.0; next_id = 0; executed = 0 }
+  { queue = Smart_util.Heap.create (); now = 0.0; next_id = 0 }
 
 let now t = t.now
-
-let executed_events t = t.executed
-
-let pending_events t = Smart_util.Heap.length t.queue
 
 let schedule_at t ~time thunk =
   if time < t.now then raise (Time_reversal { now = t.now; requested = time });
@@ -39,8 +34,6 @@ let schedule_after t ~delay thunk =
 
 let cancel handle = handle.cancelled <- true
 
-let is_cancelled handle = handle.cancelled
-
 (* Run a single event if one is due not later than [limit].  Returns
    [false] when the queue holds nothing at or before [limit]. *)
 let step_until t ~limit =
@@ -52,19 +45,13 @@ let step_until t ~limit =
     | None -> false
     | Some (time, ev) ->
       t.now <- time;
-      if not ev.handle.cancelled then begin
-        t.executed <- t.executed + 1;
-        ev.thunk ()
-      end;
+      if not ev.handle.cancelled then ev.thunk ();
       true)
 
 let run t ~until =
   if until < t.now then raise (Time_reversal { now = t.now; requested = until });
   while step_until t ~limit:until do () done;
   t.now <- until
-
-let run_until_idle t =
-  while step_until t ~limit:Float.infinity do () done
 
 (* Periodic process: re-arms itself after every firing until stopped.  The
    callback receives the current virtual time.  [jitter] (if any) draws a

@@ -17,12 +17,6 @@ val create : unit -> t
 (** Current virtual time in seconds. *)
 val now : t -> float
 
-(** Number of events executed so far (skips cancelled ones). *)
-val executed_events : t -> int
-
-(** Number of queued (possibly cancelled) events. *)
-val pending_events : t -> int
-
 (** Schedule a thunk at an absolute virtual time. *)
 val schedule_at : t -> time:float -> (unit -> unit) -> handle
 
@@ -32,14 +26,9 @@ val schedule_after : t -> delay:float -> (unit -> unit) -> handle
 (** Lazily cancel a scheduled event. *)
 val cancel : handle -> unit
 
-val is_cancelled : handle -> bool
-
 (** Execute all events up to and including [until], then set the clock to
     [until]. *)
 val run : t -> until:float -> unit
-
-(** Execute every queued event regardless of time. *)
-val run_until_idle : t -> unit
 
 type periodic
 

@@ -33,42 +33,15 @@ type event = { at : float; action : action }
 
 type plan = event list
 
-(** Stable sort by time (ties keep list order). *)
-val sort_plan : plan -> plan
-
-type t
-
-(** Schedule every event of the plan on the engine.  Each injection
-    bumps [faults.injected_total] and the per-kind counter, records a
-    [fault.<kind>] trace instant, then calls [apply].  Events in the
-    engine's past raise {!Engine.Time_reversal}. *)
+(** Schedule every event of the plan on the engine, in time order (ties
+    keep list order).  Each injection bumps [faults.injected_total] and
+    the per-kind counter, records a [fault.<kind>] trace instant, then
+    calls [apply].  Events in the engine's past raise
+    {!Engine.Time_reversal}. *)
 val install :
   ?metrics:Smart_util.Metrics.t ->
   ?trace:Smart_util.Tracelog.t ->
   engine:Engine.t ->
   apply:(action -> unit) ->
   plan ->
-  t
-
-(** Actions injected so far. *)
-val injected : t -> int
-
-(** Actions still scheduled. *)
-val pending : t -> int
-
-(** Seeded chaos plan: [episodes] fault/repair pairs (cycling through
-    node crash, host partition and monitor outage) spread over
-    [0.1*duration, 0.8*duration], each repaired after a uniform
-    [min_repair, max_repair] delay; [corruption] switches a constant
-    frame-corruption rate on at time 0.  Deterministic in [rng]. *)
-val random_plan :
-  ?episodes:int ->
-  ?min_repair:float ->
-  ?max_repair:float ->
-  ?corruption:float ->
-  rng:Smart_util.Prng.t ->
-  hosts:string list ->
-  monitors:string list ->
-  duration:float ->
-  unit ->
-  plan
+  unit

@@ -34,8 +34,6 @@ type t = {
 
 let create ?rng p = { p; rng; attempt = 0 }
 
-let attempt t = t.attempt
-
 let reset t = t.attempt <- 0
 
 (* The undithered delay of attempt [n] (0-based). *)

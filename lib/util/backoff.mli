@@ -31,9 +31,6 @@ type t
     the fixed nominal one (no jitter). *)
 val create : ?rng:Prng.t -> policy -> t
 
-(** Delays handed out so far. *)
-val attempt : t -> int
-
 (** Back to attempt 0 (call after a success). *)
 val reset : t -> unit
 

@@ -9,8 +9,3 @@ val string : string -> int
 (** CRC of [len] bytes starting at [pos].  Raises [Invalid_argument] on
     out-of-bounds ranges. *)
 val substring : string -> pos:int -> len:int -> int
-
-(** Streaming update: extend a previous CRC with more bytes.  The empty
-    CRC is [0], and [update 0 s ~pos:0 ~len:(String.length s) =
-    string s]. *)
-val update : int -> string -> pos:int -> len:int -> int

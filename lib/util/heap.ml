@@ -14,8 +14,6 @@ type 'a t = {
 
 let create () = { keys = [||]; stamps = [||]; vals = [||]; size = 0; stamp = 0 }
 
-let length t = t.size
-
 let is_empty t = t.size = 0
 
 (* [seed] fills the value slots of a fresh allocation (['a] has no
@@ -105,21 +103,3 @@ let pop t =
     Some (key, v)
   end
 
-let clear t = t.size <- 0
-
-let to_sorted_list t =
-  let copy =
-    {
-      keys = Array.copy t.keys;
-      stamps = Array.copy t.stamps;
-      vals = Array.copy t.vals;
-      size = t.size;
-      stamp = t.stamp;
-    }
-  in
-  let rec drain acc =
-    match pop copy with
-    | None -> List.rev acc
-    | Some (key, v) -> drain ((key, v) :: acc)
-  in
-  drain []

@@ -8,9 +8,6 @@ type 'a t
 (** Fresh empty heap. *)
 val create : unit -> 'a t
 
-(** Number of stored elements. *)
-val length : 'a t -> int
-
 val is_empty : 'a t -> bool
 
 (** [push t ~key v] inserts [v] with priority [key] (smaller pops first). *)
@@ -21,9 +18,3 @@ val peek : 'a t -> (float * 'a) option
 
 (** Remove and return the smallest element. *)
 val pop : 'a t -> (float * 'a) option
-
-(** Drop all elements. *)
-val clear : 'a t -> unit
-
-(** Non-destructive sorted drain, mainly for tests. *)
-val to_sorted_list : 'a t -> (float * 'a) list

@@ -49,8 +49,6 @@ let find t key =
     push_front t node;
     Some node.value
 
-let mem t key = Hashtbl.mem t.table key
-
 let add t key value =
   if t.capacity = 0 then ()
   else
@@ -70,11 +68,4 @@ let add t key value =
       Hashtbl.replace t.table key node;
       push_front t node
 
-let length t = Hashtbl.length t.table
-
 let capacity t = t.capacity
-
-let clear t =
-  Hashtbl.reset t.table;
-  t.head <- None;
-  t.tail <- None

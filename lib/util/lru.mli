@@ -10,14 +10,7 @@ val create : capacity:int -> 'a t
 (** Lookup; a hit promotes the entry to most-recently-used. *)
 val find : 'a t -> string -> 'a option
 
-(** Membership test without promoting. *)
-val mem : 'a t -> string -> bool
-
 (** Insert or replace; either way the entry becomes most-recently-used. *)
 val add : 'a t -> string -> 'a -> unit
 
-val length : 'a t -> int
-
 val capacity : 'a t -> int
-
-val clear : 'a t -> unit

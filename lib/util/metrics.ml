@@ -191,10 +191,8 @@ let to_text t =
     (snapshot t);
   Buffer.contents buf
 
-(* Both re-exported from the shared {!Json} helper so every JSON
-   emitter in the tree escapes identically. *)
-let json_escape = Json.escape
-
+(* The shared {!Json} helper, so every JSON emitter in the tree escapes
+   identically. *)
 let json_float = Json.number
 
 let to_json t =
@@ -203,7 +201,7 @@ let to_json t =
   List.iteri
     (fun i { name; value; _ } ->
       if i > 0 then Buffer.add_string buf ",";
-      Buffer.add_string buf (Printf.sprintf "\n  \"%s\": " (json_escape name));
+      Buffer.add_string buf (Printf.sprintf "\n  \"%s\": " (Json.escape name));
       (match value with
       | Counter n ->
         Buffer.add_string buf

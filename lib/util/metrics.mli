@@ -38,15 +38,13 @@ module Gauge : sig
   val set : t -> float -> unit
 
   val add : t -> float -> unit
-
-  val value : t -> float
 end
 
 (** Distribution tracker: a running sum plus one {!Sketch} (default
     [k = 256], seeded from the metric name), which supplies the count,
     the extremes and every quantile.
 
-    {b Semantics.}  {!Histogram.quantile}[ h p] is the nearest rank:
+    {b Semantics.}  The quantile at [p] is the nearest rank:
     with [n] observations sorted as [s], the answer is
     [s.(max 0 (ceil (p *. n) - 1))].  It is exact for the first 255
     observations, until the sketch first compacts; after that it is a
@@ -64,22 +62,13 @@ module Histogram : sig
 
   (** Fold one observation in; non-finite values are ignored. *)
   val observe : t -> float -> unit
-
-  val count : t -> int
-
-  (** Exact sum of the finite observations. *)
-  val sum : t -> float
-
-  (** Nearest-rank estimate for any [p] in [[0, 1]] (see above);
-      [Float.nan] while empty.  Raises [Invalid_argument] for [p]
-      outside [[0, 1]]. *)
-  val quantile : t -> float -> float
 end
 
-(** Everything a histogram exposes, in one read. *)
+(** Everything a histogram exposes, in one read; its quantiles are
+    nearest-rank estimates (see above), [Float.nan] while empty. *)
 type histogram_summary = {
   count : int;
-  sum : float;
+  sum : float;  (** exact sum of the finite observations *)
   min : float;  (** [Float.nan] while empty *)
   max : float;  (** [Float.nan] while empty *)
   p50 : float;
@@ -95,8 +84,6 @@ type value =
   | Gauge of float
   | Histogram of histogram_summary
 
-type sample = { name : string; help : string; value : value }
-
 (** [counter t name] returns the counter registered under [name],
     creating it on first use.  [help] is kept from the first
     registration.  Raises [Invalid_argument] if [name] is already
@@ -110,10 +97,6 @@ val gauge : t -> ?help:string -> string -> Gauge.t
     of [name], so same-seed runs stay byte-identical whatever the
     registration order. *)
 val histogram : t -> ?help:string -> string -> Histogram.t
-
-(** Current readings of every registered metric, sorted by name — the
-    stable view tests and experiments assert on. *)
-val snapshot : t -> sample list
 
 (** Reading of one metric by name. *)
 val find : t -> string -> value option
@@ -134,8 +117,3 @@ val to_text : t -> string
 (** The same readings as a JSON object keyed by metric name; histogram
     quantiles of an empty histogram render as [null]. *)
 val to_json : t -> string
-
-(** The string escaping {!to_json} (and {!Tracelog.to_chrome_json})
-    applies to names — an alias of the shared {!Json.escape}, kept here
-    for API stability. *)
-val json_escape : string -> string

@@ -52,15 +52,6 @@ let gaussian t ~mu ~sigma =
   let r = Float.sqrt (-2.0 *. Float.log u1) in
   mu +. (sigma *. r *. Float.cos (2.0 *. Float.pi *. u2))
 
-let exponential t ~mean =
-  assert (mean > 0.0);
-  let u = Float.max 1e-12 (float t ~bound:1.0) in
-  -.mean *. Float.log u
-
-let pick t arr =
-  assert (Array.length arr > 0);
-  arr.(int t ~bound:(Array.length arr))
-
 let shuffle t arr =
   let a = Array.copy arr in
   let n = Array.length a in
@@ -71,7 +62,3 @@ let shuffle t arr =
     a.(j) <- tmp
   done;
   a
-
-let sample t ~k arr =
-  assert (k <= Array.length arr);
-  Array.sub (shuffle t arr) 0 k

@@ -24,9 +24,6 @@ val of_state : int64 -> t
     advances [t]. *)
 val split : t -> t
 
-(** Next raw 64-bit output. *)
-val next_int64 : t -> int64
-
 (** Uniform float in [\[0, bound)]. *)
 val float : t -> bound:float -> float
 
@@ -42,14 +39,5 @@ val range : t -> lo:float -> hi:float -> float
 (** Normal variate (Box-Muller). *)
 val gaussian : t -> mu:float -> sigma:float -> float
 
-(** Exponential variate with the given mean. *)
-val exponential : t -> mean:float -> float
-
-(** Uniformly chosen array element; the array must be non-empty. *)
-val pick : t -> 'a array -> 'a
-
 (** Fisher-Yates shuffle of a copy; the input is untouched. *)
 val shuffle : t -> 'a array -> 'a array
-
-(** [sample t ~k arr] draws [k] distinct elements uniformly. *)
-val sample : t -> k:int -> 'a array -> 'a array

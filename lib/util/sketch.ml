@@ -194,29 +194,6 @@ let merge a b =
     rng = Prng.of_state (Int64.logxor (Prng.state a.rng) (Prng.state b.rng));
   }
 
-let sorted_level t l =
-  let b = t.levels.(l) in
-  let a = Array.sub b.data 0 b.len in
-  sort_prefix a b.len;
-  a
-
-let equal a b =
-  let fl_eq x y = (Float.is_nan x && Float.is_nan y) || Float.equal x y in
-  a.k = b.k && a.n = b.n
-  && a.err_weight = b.err_weight
-  && fl_eq a.minv b.minv && fl_eq a.maxv b.maxv
-  && nlevels_live a = nlevels_live b
-  &&
-  let rec levels_eq l =
-    if l >= nlevels_live a then true
-    else
-      let xa = sorted_level a l and xb = sorted_level b l in
-      Array.length xa = Array.length xb
-      && Array.for_all2 Float.equal xa xb
-      && levels_eq (l + 1)
-  in
-  levels_eq 0
-
 let count t = t.n
 
 let min_value t = t.minv
@@ -224,9 +201,6 @@ let min_value t = t.minv
 let max_value t = t.maxv
 
 let err_weight t = t.err_weight
-
-let rank_error_bound t =
-  if t.n = 0 then 0.0 else float_of_int t.err_weight /. float_of_int t.n
 
 (* All retained items as a value-sorted (value, weight) sequence. *)
 let weighted_items t =
@@ -268,16 +242,6 @@ let quantile t p =
     in
     walk 0 0
   end
-
-let rank t v =
-  let r = ref 0 in
-  Array.iteri
-    (fun l b ->
-      for i = 0 to b.len - 1 do
-        if b.data.(i) <= v then r := !r + (1 lsl l)
-      done)
-    t.levels;
-  !r
 
 let k t = t.k
 

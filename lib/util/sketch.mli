@@ -24,8 +24,8 @@
     [merge a b] is the levelwise sorted multiset union of the retained
     items — no compaction happens during a merge, and the PRNG states
     combine by XOR — so merge is {e exactly} associative and
-    commutative, and a fresh sketch is an identity, under {!equal}
-    (observable state; PRNG state excluded).  The price is that a merge
+    commutative, and a fresh sketch is an identity, up to observable
+    state (PRNG state excluded).  The price is that a merge
     is size-additive: a root merging [s] shards holds at most [s * k *
     levels] items.  Subsequent {!observe} calls re-compact through the
     normal cascade.
@@ -69,11 +69,6 @@ val observe : t -> float -> unit
     [k]. *)
 val merge : t -> t -> t
 
-(** Observable-state equality: [k], count, error weight, min/max and
-    the per-level retained multisets (order-insensitive).  PRNG state
-    is deliberately excluded so the monoid laws hold exactly. *)
-val equal : t -> t -> bool
-
 (** Total observed weight: the number of {!observe} calls folded in,
     across all merged inputs. *)
 val count : t -> int
@@ -87,20 +82,12 @@ val max_value : t -> float
     module doc); 0 until the first compaction. *)
 val err_weight : t -> int
 
-(** [err_weight t /. count t] — the documented relative rank-error
-    bound; 0 while empty. *)
-val rank_error_bound : t -> float
-
 (** [quantile t p] for [p] in [[0, 1]]: a retained observed value whose
     true rank is within [err_weight t] of [ceil (p *. count t)]
     (nearest-rank semantics on the weighted retained items).
     [Float.nan] while empty; raises [Invalid_argument] outside
     [[0, 1]]. *)
 val quantile : t -> float -> float
-
-(** Estimated weighted rank of [v]: the summed weight of retained items
-    [<= v].  Mostly for tests and diagnostics. *)
-val rank : t -> float -> int
 
 (** {2 Structural access (wire codecs, tests)} *)
 
@@ -133,10 +120,3 @@ val of_parts :
 (** Hard cap on the number of levels accepted by {!of_parts} (48 —
     unreachable by honest sketches, which need [2^48] observations). *)
 val max_levels : int
-
-(** [sort_prefix a n] sorts [a.(0 .. n-1)] in place into exactly the
-    order [Array.sort Float.compare] gives (the stdlib's heap sort,
-    specialised to floats so it boxes nothing), leaving [a.(n ..)]
-    alone.  Compaction and merge sort with it; exposed so a property
-    test can pin the permutation. *)
-val sort_prefix : float array -> int -> unit

@@ -96,25 +96,3 @@ let knee_fit ~xs ~ys =
   match !best with
   | Some (_, fit) -> fit
   | None -> invalid_arg "Stats.knee_fit: no candidate breakpoint"
-
-type summary = {
-  n : int;
-  mean : float;
-  stddev : float;
-  min : float;
-  max : float;
-  p50 : float;
-  p95 : float;
-}
-
-let summarize xs =
-  let lo, hi = min_max xs in
-  {
-    n = Array.length xs;
-    mean = mean xs;
-    stddev = stddev xs;
-    min = lo;
-    max = hi;
-    p50 = median xs;
-    p95 = percentile xs ~p:95.0;
-  }

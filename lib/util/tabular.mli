@@ -8,8 +8,6 @@ val create : title:string -> header:string list -> t
 (** Append a row (cells beyond the header width are dropped). *)
 val add_row : t -> string list -> unit
 
-(** Render to a string, rows in insertion order. *)
-val render : t -> string
-
-(** [render] followed by printing to stdout with a trailing blank line. *)
+(** Print to stdout, rows in insertion order, with a trailing blank
+    line. *)
 val print : t -> unit

@@ -54,7 +54,7 @@ type t = {
   mutable count : int;  (* spans ever recorded *)
   mutable next_id : int;
   mutable clock : unit -> float;
-  mutable on : bool;
+  on : bool;
 }
 
 let create ?(capacity = 4096) ?(clock = fun () -> 0.0) ?(enabled = true) () =
@@ -70,11 +70,6 @@ let create ?(capacity = 4096) ?(clock = fun () -> 0.0) ?(enabled = true) () =
   }
 
 let disabled = create ~capacity:1 ~enabled:false ()
-
-let set_enabled t enabled =
-  if t == disabled then
-    invalid_arg "Tracelog.set_enabled: the shared disabled recorder";
-  t.on <- enabled
 
 let enabled t = t.on
 
@@ -153,11 +148,6 @@ let entries t =
       let s = t.ring.((start + i) mod t.capacity) in
       if s.sp_id = 0 then None else Some (entry_of s))
     (List.init stored (fun i -> i))
-
-let clear t =
-  Array.iter (fun s -> s.sp_id <- 0) t.ring;
-  t.next <- 0;
-  t.count <- 0
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                            *)

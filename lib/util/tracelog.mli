@@ -53,10 +53,8 @@ val none : span
 val create : ?capacity:int -> ?clock:(unit -> float) -> ?enabled:bool -> unit -> t
 
 (** The shared always-disabled recorder — the default [?trace] argument
-    of every component.  Do not enable it. *)
+    of every component. *)
 val disabled : t
-
-val set_enabled : t -> bool -> unit
 
 val enabled : t -> bool
 
@@ -69,8 +67,7 @@ val enabled : t -> bool
 val start : t -> ?parent:ctx -> ?at:float -> string -> span
 
 (** Close the span, stamping its duration ([at] defaulting to a clock
-    read, as in {!start}).  No-op on {!none} and on spans of a recorder
-    that was disabled meanwhile. *)
+    read, as in {!start}).  No-op on {!none}. *)
 val finish : t -> ?at:float -> span -> unit
 
 (** Record a zero-duration point event. *)
@@ -96,10 +93,6 @@ val entries : t -> entry list
 
 (** Entries ever recorded, including those the ring has dropped. *)
 val total_recorded : t -> int
-
-val dropped : t -> int
-
-val clear : t -> unit
 
 (** One line per entry:
     [<start> <kind> trace=<t> span=<s> parent=<p> dur=<d> <name>]. *)

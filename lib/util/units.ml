@@ -18,7 +18,6 @@ let kB = 1024
 
 let mB = 1024 * 1024
 
-let ms_to_s ms = ms /. 1e3
 
 let s_to_ms s = s *. 1e3
 

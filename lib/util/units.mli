@@ -8,7 +8,6 @@ val bytes_per_sec_to_mbps : float -> float
 (** Bytes/second to kilobytes/second (1024-based, as the thesis reports). *)
 val bytes_per_sec_to_kBps : float -> float
 
-val ms_to_s : float -> float
 val s_to_ms : float -> float
 
 val pp_time : Format.formatter -> float -> unit

@@ -3,3 +3,5 @@ type t = Left | Right
 
 (** Dangles: {!Gone}. *)
 type u = t
+
+(** Attached to no declaration. *)

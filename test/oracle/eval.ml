@@ -191,8 +191,9 @@ let host_lists (outcome : outcome) =
         else None)
       outcome.uparams
   in
-  ( extract Vars.is_preferred_param,  (* preferred, in order *)
-    extract Vars.is_denied_param )
+  (* preferred, in order *)
+  ( extract (String.starts_with ~prefix:"user_preferred_host"),
+    extract (String.starts_with ~prefix:"user_denied_host") )
 
 (* Rebuild an outcome from a finished bytecode run: statement tags -2
    (fault), -1 (number), >= 0 (address, pool index); the uparam log in

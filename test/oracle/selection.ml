@@ -39,7 +39,7 @@ type result = {
 
 let binding_for (view : server_view) name : Value.t option =
   let num f = Some (Value.Num f) in
-  match Smart_proto.Report.variable view.record.Smart_proto.Records.report name with
+  match Report_binding.variable view.record.Smart_proto.Records.report name with
   | Some f -> num f
   | None ->
     (match name with

@@ -1,4 +1,4 @@
-(* Tests for the application layer: matrix arithmetic and the blocked
+(* Tests for the application layer: matrix arithmetic and the block
    decomposition, the distributed matmul simulation, and massd. *)
 
 module A = Smart_apps
@@ -10,27 +10,38 @@ let rng () = Smart_util.Prng.create ~seed:11
 (* Matrix                                                               *)
 (* ------------------------------------------------------------------ *)
 
+let init n f =
+  { A.Matrix.n; data = Array.init (n * n) (fun i -> f ~row:(i / n) ~col:(i mod n)) }
+
+let get (m : A.Matrix.t) ~row ~col = m.data.((row * m.n) + col)
+
+let identity n = init n (fun ~row ~col -> if row = col then 1.0 else 0.0)
+
+let equal (a : A.Matrix.t) (b : A.Matrix.t) =
+  a.n = b.n && Array.for_all2 (fun x y -> Float.abs (x -. y) <= 1e-9) a.data b.data
+
 let test_matrix_identity () =
   let m = A.Matrix.random ~rng:(rng ()) 20 in
-  let i = A.Matrix.identity 20 in
-  Alcotest.(check bool) "M * I = M" true
-    (A.Matrix.equal (A.Matrix.multiply m i) m);
-  Alcotest.(check bool) "I * M = M" true
-    (A.Matrix.equal (A.Matrix.multiply i m) m)
+  let i = identity 20 in
+  Alcotest.(check bool) "M * I = M" true (equal (A.Matrix.multiply m i) m);
+  Alcotest.(check bool) "I * M = M" true (equal (A.Matrix.multiply i m) m)
 
 let test_matrix_known_product () =
-  let a = A.Matrix.init 2 (fun ~row ~col -> float_of_int ((row * 2) + col + 1)) in
+  let a = init 2 (fun ~row ~col -> float_of_int ((row * 2) + col + 1)) in
   (* a = [1 2; 3 4]; a*a = [7 10; 15 22] *)
   let c = A.Matrix.multiply a a in
-  Alcotest.(check (float 1e-12)) "c00" 7.0 (A.Matrix.get c ~row:0 ~col:0);
-  Alcotest.(check (float 1e-12)) "c01" 10.0 (A.Matrix.get c ~row:0 ~col:1);
-  Alcotest.(check (float 1e-12)) "c10" 15.0 (A.Matrix.get c ~row:1 ~col:0);
-  Alcotest.(check (float 1e-12)) "c11" 22.0 (A.Matrix.get c ~row:1 ~col:1)
+  Alcotest.(check (float 1e-12)) "c00" 7.0 (get c ~row:0 ~col:0);
+  Alcotest.(check (float 1e-12)) "c01" 10.0 (get c ~row:0 ~col:1);
+  Alcotest.(check (float 1e-12)) "c10" 15.0 (get c ~row:1 ~col:0);
+  Alcotest.(check (float 1e-12)) "c11" 22.0 (get c ~row:1 ~col:1)
 
 let test_matrix_size_mismatch () =
   Alcotest.(check bool) "mismatch raises" true
     (try
-       ignore (A.Matrix.multiply (A.Matrix.create 2) (A.Matrix.create 3));
+       ignore
+         (A.Matrix.multiply
+            (A.Matrix.random ~rng:(rng ()) 2)
+            (A.Matrix.random ~rng:(rng ()) 3));
        false
      with Invalid_argument _ -> true)
 
@@ -53,18 +64,6 @@ let test_blocks_cover_exactly () =
         covered)
     [ (10, 3); (12, 4); (7, 7); (5, 1) ]
 
-let test_blocked_equals_plain () =
-  let a = A.Matrix.random ~rng:(rng ()) 30 in
-  let b = A.Matrix.random ~rng:(rng ()) 30 in
-  let plain = A.Matrix.multiply a b in
-  List.iter
-    (fun blk ->
-      Alcotest.(check bool)
-        (Printf.sprintf "blk=%d" blk)
-        true
-        (A.Matrix.equal ~eps:1e-9 (A.Matrix.multiply_blocked a b ~blk) plain))
-    [ 1; 7; 10; 30 ]
-
 let test_task_accounting () =
   let blocks = A.Matrix.blocks ~n:1500 ~blk:200 in
   (* 8 per side, 64 blocks; edge blocks are 100 wide *)
@@ -77,18 +76,6 @@ let test_task_accounting () =
     List.fold_left (fun acc b -> acc + A.Matrix.task_output_bytes b) 0 blocks
   in
   Alcotest.(check int) "result bytes = n^2 doubles" (1500 * 1500 * 8) total_out
-
-let prop_blocked_equals_plain =
-  QCheck.Test.make ~name:"blocked multiplication equals plain" ~count:50
-    QCheck.(pair (int_range 1 20) (int_range 1 20))
-    (fun (n, blk) ->
-      let blk = min blk n in
-      let r = Smart_util.Prng.create ~seed:(n * 31 + blk) in
-      let a = A.Matrix.random ~rng:r n in
-      let b = A.Matrix.random ~rng:r n in
-      A.Matrix.equal ~eps:1e-9
-        (A.Matrix.multiply_blocked a b ~blk)
-        (A.Matrix.multiply a b))
 
 (* ------------------------------------------------------------------ *)
 (* Distributed matmul                                                   *)
@@ -332,7 +319,6 @@ let () =
           Alcotest.test_case "size mismatch" `Quick test_matrix_size_mismatch;
           Alcotest.test_case "blocks cover exactly" `Quick
             test_blocks_cover_exactly;
-          Alcotest.test_case "blocked = plain" `Quick test_blocked_equals_plain;
           Alcotest.test_case "task accounting" `Quick test_task_accounting;
         ] );
       ( "matmul",
@@ -366,6 +352,4 @@ let () =
             test_massd_failure_unknown_host;
           Alcotest.test_case "bad arguments" `Quick test_massd_bad_args;
         ] );
-      ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_blocked_equals_plain ] );
     ]

@@ -171,28 +171,32 @@ let test_benchmark_fig52 () =
   Alcotest.(check bool) "dalmatian fastest" true
     (List.for_all (fun r -> time "dalmatian" <= r.E.Exp_matmul.seconds) rows)
 
+let matmul_runs = lazy (E.Exp_matmul.run_all ())
+
 let test_matmul_table53 () =
   (* Table 5.3 with the real requirement text, full pipeline *)
-  let c = E.Exp_matmul.run_setup (List.hd E.Exp_matmul.setups) in
+  let c = List.hd (Lazy.force matmul_runs) in
   Alcotest.(check (list string)) "smart picks the P4-2.4 pair"
     [ "dalmatian"; "dione" ]
     (List.sort compare c.E.Exp_matmul.smart_servers);
   Alcotest.(check bool) "smart faster than random" true
     (c.E.Exp_matmul.smart_time < c.E.Exp_matmul.random_time);
+  let improvement =
+    100.0 *. (1.0 -. (c.E.Exp_matmul.smart_time /. c.E.Exp_matmul.random_time))
+  in
   Alcotest.(check bool) "improvement within the paper's ballpark" true
-    (E.Exp_matmul.improvement c > 10.0 && E.Exp_matmul.improvement c < 60.0)
+    (improvement > 10.0 && improvement < 60.0)
 
 let test_matmul_table56_workload () =
   (* Table 5.6: the smart set avoids the three SuperPI-loaded servers *)
-  let setup = List.nth E.Exp_matmul.setups 3 in
-  let c = E.Exp_matmul.run_setup setup in
+  let c = List.nth (Lazy.force matmul_runs) 3 in
   List.iter
     (fun busy ->
       Alcotest.(check bool)
         (busy ^ " avoided")
         false
         (List.mem busy c.E.Exp_matmul.smart_servers))
-    setup.E.Exp_matmul.workloads;
+    c.E.Exp_matmul.workloads;
   Alcotest.(check int) "still found four" 4
     (List.length c.E.Exp_matmul.smart_servers);
   Alcotest.(check bool) "smart faster under load" true
@@ -214,8 +218,10 @@ let test_calibration_fig53 () =
         (ratio > 0.85 && ratio < 1.1))
     rows
 
+let massd_tables = lazy (E.Exp_massd.run_all ~data_kb:10000 ())
+
 let test_massd_table57 () =
-  let t = E.Exp_massd.run_setup ~data_kb:10000 (List.hd E.Exp_massd.setups) in
+  let t = List.hd (Lazy.force massd_tables) in
   match t.E.Exp_massd.rows with
   | [ random; smart ] ->
     Alcotest.(check string) "smart row last" "Smart" smart.E.Exp_massd.label;
@@ -223,7 +229,7 @@ let test_massd_table57 () =
     List.iter
       (fun s ->
         Alcotest.(check bool) "smart from group 1" true
-          (List.mem s E.Exp_massd.group1))
+          (List.mem s [ "mimas"; "telesto"; "lhost" ]))
       smart.E.Exp_massd.servers;
     Alcotest.(check bool) "smart ~5x faster (paper: 860/170)" true
       (smart.E.Exp_massd.kBps > 3.0 *. random.E.Exp_massd.kBps)
@@ -231,9 +237,7 @@ let test_massd_table57 () =
 
 let test_massd_table59_monotone () =
   (* Table 5.9's staircase: more fast servers, more throughput *)
-  let t =
-    E.Exp_massd.run_setup ~data_kb:10000 (List.nth E.Exp_massd.setups 2)
-  in
+  let t = List.nth (Lazy.force massd_tables) 2 in
   let rates = List.map (fun r -> r.E.Exp_massd.kBps) t.E.Exp_massd.rows in
   let rec monotone = function
     | a :: (b :: _ as rest) -> a < b && monotone rest

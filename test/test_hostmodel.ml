@@ -11,11 +11,16 @@ let spec = H.Testbed.spec_of_name "helene"
 (* Machine dynamics                                                     *)
 (* ------------------------------------------------------------------ *)
 
+let mem_free m = (H.Machine.spec m).H.Machine.ram_bytes - H.Machine.mem_used m
+
+let mem_hog ~bytes =
+  { (H.Machine.cpu_hog ~demand:0.1) with H.Machine.wl_name = "mem_hog";
+    mem_bytes = bytes }
+
 let test_idle_machine () =
   let m = H.Machine.create spec in
   H.Machine.sync m ~now:100.0;
   Alcotest.(check (float 1e-6)) "no demand" 0.0 (H.Machine.cpu_demand m);
-  Alcotest.(check (float 1e-6)) "fully free" 1.0 (H.Machine.cpu_free m);
   Alcotest.(check (float 0.5)) "idle jiffies accumulate" 10000.0
     m.H.Machine.jiffies_idle;
   Alcotest.(check (float 1e-6)) "no busy jiffies" 0.0 m.H.Machine.jiffies_user;
@@ -27,7 +32,7 @@ let test_busy_machine_jiffies () =
   H.Machine.sync m ~now:50.0;
   Alcotest.(check (float 0.5)) "user jiffies" 5000.0 m.H.Machine.jiffies_user;
   Alcotest.(check (float 0.5)) "no idle" 0.0 m.H.Machine.jiffies_idle;
-  Alcotest.(check (float 1e-6)) "cpu_free 0" 0.0 (H.Machine.cpu_free m)
+  Alcotest.(check (float 1e-6)) "one runnable" 1.0 (H.Machine.cpu_demand m)
 
 let test_loadavg_convergence () =
   let m = H.Machine.create spec in
@@ -62,12 +67,12 @@ let test_compute_share () =
 
 let test_memory_accounting () =
   let m = H.Machine.create spec in
-  let free0 = H.Machine.mem_free m in
-  let id = H.Machine.add_workload m ~now:0.0 (H.Machine.mem_hog ~bytes:(32 * 1024 * 1024)) in
+  let free0 = mem_free m in
+  let id = H.Machine.add_workload m ~now:0.0 (mem_hog ~bytes:(32 * 1024 * 1024)) in
   Alcotest.(check int) "free drops by allocation" (free0 - (32 * 1024 * 1024))
-    (H.Machine.mem_free m);
+    (mem_free m);
   ignore (H.Machine.remove_workload m ~now:1.0 id);
-  Alcotest.(check int) "free restored" free0 (H.Machine.mem_free m)
+  Alcotest.(check int) "free restored" free0 (mem_free m)
 
 let test_memory_reclaim_under_pressure () =
   let m = H.Machine.create spec in
@@ -76,7 +81,7 @@ let test_memory_reclaim_under_pressure () =
      never exceed total *)
   ignore
     (H.Machine.add_workload m ~now:0.0
-       (H.Machine.mem_hog ~bytes:(H.Machine.mem_free m + (64 * 1024 * 1024))));
+       (mem_hog ~bytes:(mem_free m + (64 * 1024 * 1024))));
   Alcotest.(check bool) "buffers reclaimed" true
     (m.H.Machine.mem_buffers < buffers0);
   Alcotest.(check bool) "used bounded by total" true
@@ -85,12 +90,12 @@ let test_memory_reclaim_under_pressure () =
 let test_superpi_table41_shape () =
   let m = H.Machine.create { spec with H.Machine.ram_bytes = 256 * 1024 * 1024 } in
   H.Machine.sync m ~now:10.0;
-  let free_before = H.Machine.mem_free m in
+  let free_before = mem_free m in
   let cached_before = m.H.Machine.mem_cached in
   ignore (H.Machine.add_workload m ~now:10.0 H.Machine.superpi);
   H.Machine.sync m ~now:300.0;
   Alcotest.(check bool) "free collapses" true
-    (H.Machine.mem_free m < free_before / 10);
+    (mem_free m < free_before / 10);
   Alcotest.(check bool) "buffers shrink" true (m.H.Machine.mem_buffers < 1024 * 1024);
   Alcotest.(check bool) "cache grows" true (m.H.Machine.mem_cached > cached_before);
   Alcotest.(check bool) "load above 1" true (m.H.Machine.load1 > 1.0)
@@ -129,12 +134,13 @@ let test_procfs_roundtrip () =
   ignore (H.Machine.add_workload m ~now:0.0 (H.Machine.cpu_hog ~demand:0.5));
   H.Machine.sync m ~now:120.0;
   H.Machine.count_tx m ~bytes:4096.0;
-  (match H.Procfs.parse_loadavg (H.Procfs.render_loadavg m) with
+  let snap = H.Procfs.snapshot_of_machine m ~now:120.0 in
+  (match H.Procfs.parse_loadavg snap.H.Procfs.loadavg_text with
   | Ok l ->
     Alcotest.(check (float 0.01)) "load1 round trip" m.H.Machine.load1
       l.H.Procfs.l1
   | Error e -> Alcotest.failf "loadavg: %s" e);
-  (match H.Procfs.parse_stat (H.Procfs.render_stat m) with
+  (match H.Procfs.parse_stat snap.H.Procfs.stat_text with
   | Ok (cpu, disk) ->
     Alcotest.(check (float 1.0)) "user jiffies" m.H.Machine.jiffies_user
       cpu.H.Procfs.user;
@@ -146,7 +152,7 @@ let test_procfs_roundtrip () =
     Alcotest.(check int) "used+free=total" mem.H.Procfs.total
       (mem.H.Procfs.used + mem.H.Procfs.free)
   | Error e -> Alcotest.failf "meminfo: %s" e);
-  match H.Procfs.parse_net_dev (H.Procfs.render_net_dev m) with
+  match H.Procfs.parse_net_dev snap.H.Procfs.netdev_text with
   | Ok stats ->
     let eth =
       List.find (fun s -> s.H.Procfs.iface = "eth0") stats
@@ -154,26 +160,25 @@ let test_procfs_roundtrip () =
     Alcotest.(check (float 1.0)) "tbytes" 4096.0 eth.H.Procfs.tbytes
   | Error e -> Alcotest.failf "net_dev: %s" e
 
-(* /proc files report zero length; read in chunks *)
-let read_file path =
-  match Smart_realnet.Proc_reader.read_file path with
-  | Some s -> s
-  | None -> Alcotest.failf "cannot read %s" path
-
 (* the parsers accept the real modern /proc formats of the build host *)
 let test_parse_real_proc () =
   if Sys.file_exists "/proc/loadavg" then begin
-    (match H.Procfs.parse_loadavg (read_file "/proc/loadavg") with
+    let snap =
+      match Smart_realnet.Proc_reader.snapshot Smart_realnet.Proc_reader.default with
+      | Ok snap -> snap
+      | Error e -> Alcotest.failf "cannot read /proc: %s" e
+    in
+    (match H.Procfs.parse_loadavg snap.H.Procfs.loadavg_text with
     | Ok l -> Alcotest.(check bool) "load sane" true (l.H.Procfs.l1 >= 0.0)
     | Error e -> Alcotest.failf "real loadavg: %s" e);
-    (match H.Procfs.parse_stat (read_file "/proc/stat") with
+    (match H.Procfs.parse_stat snap.H.Procfs.stat_text with
     | Ok (cpu, _) ->
       Alcotest.(check bool) "jiffies sane" true (cpu.H.Procfs.idle >= 0.0)
     | Error e -> Alcotest.failf "real stat: %s" e);
-    (match H.Procfs.parse_meminfo (read_file "/proc/meminfo") with
+    (match H.Procfs.parse_meminfo snap.H.Procfs.meminfo_text with
     | Ok m -> Alcotest.(check bool) "total positive" true (m.H.Procfs.total > 0)
     | Error e -> Alcotest.failf "real meminfo: %s" e);
-    match H.Procfs.parse_net_dev (read_file "/proc/net/dev") with
+    match H.Procfs.parse_net_dev snap.H.Procfs.netdev_text with
     | Ok stats -> Alcotest.(check bool) "interfaces" true (stats <> [])
     | Error e -> Alcotest.failf "real net_dev: %s" e
   end
@@ -202,7 +207,7 @@ let test_parse_garbage () =
 (* ------------------------------------------------------------------ *)
 
 let test_testbed_specs () =
-  Alcotest.(check int) "11 machines" 11 (List.length H.Testbed.specs);
+  Alcotest.(check int) "11 machines" 11 (List.length H.Testbed.machine_names);
   let dalmatian = H.Testbed.spec_of_name "dalmatian" in
   Alcotest.(check (float 1e-6)) "bogomips of Table 5.1" 4771.02
     dalmatian.H.Machine.bogomips;
@@ -248,7 +253,11 @@ let test_cluster_resolve () =
 let test_cluster_machines () =
   let c = H.Testbed.icpp2005 () in
   Alcotest.(check int) "11 machines attached" 11
-    (List.length (H.Cluster.machines c));
+    (List.length
+       (List.filter
+          (fun name ->
+            H.Cluster.machine_opt c (H.Cluster.resolve_exn c name) <> None)
+          H.Testbed.machine_names));
   let sagit = H.Cluster.resolve_exn c "sagit" in
   Alcotest.(check string) "machine spec" "sagit"
     (H.Machine.spec (H.Cluster.machine c sagit)).H.Machine.name;
@@ -264,7 +273,7 @@ let test_cluster_flow_counts_nic_bytes () =
   ignore
     (Smart_net.Flow.start (H.Cluster.flows c) ~src:a ~dst:b ~bytes:1_000_000
        ~on_complete:(fun _ -> done_ := true));
-  Smart_sim.Engine.run_until_idle (H.Cluster.engine c);
+  Smart_sim.Engine.run (H.Cluster.engine c) ~until:Float.infinity;
   Alcotest.(check bool) "flow completed" true !done_;
   let ma = H.Cluster.machine c a and mb = H.Cluster.machine c b in
   Alcotest.(check (float 1.0)) "sender tx counted" 1_000_000.0
@@ -276,14 +285,14 @@ let test_shape_egress () =
   let c = H.Testbed.icpp2005 () in
   let n = H.Cluster.resolve_exn c "lhost" in
   Alcotest.(check bool) "found channel" true
-    (H.Cluster.shape_egress c ~node:n ~rate_bytes_per_sec:(Some 1e6));
+    (H.Cluster.shape_access c ~node:n ~rate_bytes_per_sec:(Some 1e6));
   let topo = H.Cluster.topology c in
   let out = List.hd (Smart_net.Topology.path topo ~src:n
                        ~dst:(H.Cluster.resolve_exn c "sagit")) in
   Alcotest.(check (float 1.0)) "flow capacity clamped" 1e6
     (Smart_net.Link.capacity_for_flows out);
   Alcotest.(check bool) "unshape" true
-    (H.Cluster.shape_egress c ~node:n ~rate_bytes_per_sec:None);
+    (H.Cluster.shape_access c ~node:n ~rate_bytes_per_sec:None);
   Alcotest.(check (float 1.0)) "restored" 12.5e6
     (Smart_net.Link.capacity_for_flows out)
 
@@ -306,10 +315,10 @@ let prop_machine_used_bounded =
         (fun i bytes ->
           ignore
             (H.Machine.add_workload m ~now:(float_of_int i)
-               (H.Machine.mem_hog ~bytes)))
+               (mem_hog ~bytes)))
         allocs;
       H.Machine.mem_used m <= spec.H.Machine.ram_bytes
-      && H.Machine.mem_free m >= 0)
+      && mem_free m >= 0)
 
 let () =
   Alcotest.run "smart_host"

@@ -10,7 +10,7 @@ module O = Smart_oracle
 let tokens_of src =
   match L.Lexer.tokenize src with
   | Ok toks -> List.map (fun t -> t.L.Token.token) toks
-  | Error e -> Alcotest.failf "lex error: %a" L.Lexer.pp_error e
+  | Error e -> Alcotest.failf "lex error at %d:%d: %s" e.line e.col e.message
 
 let compile src =
   match L.Requirement.compile src with
@@ -319,11 +319,11 @@ let test_vars_classification () =
     "temp is neither" false
     (L.Vars.is_server_side "my_temp" || L.Vars.is_user_side "my_temp");
   Alcotest.(check bool)
-    "preferred prefix" true
-    (L.Vars.is_preferred_param "user_preferred_host2");
+    "preferred hosts are user side" true
+    (L.Vars.is_user_side "user_preferred_host2");
   Alcotest.(check bool)
-    "denied prefix" true
-    (L.Vars.is_denied_param "user_denied_host5")
+    "denied hosts are user side" true
+    (L.Vars.is_user_side "user_denied_host5")
 
 let test_builtins_present () =
   List.iter
@@ -427,7 +427,7 @@ let gen_expr =
                  (1, map (fun a -> L.Ast.Neg a) (self (n - 1)));
                ]))
 
-let arbitrary_expr = QCheck.make ~print:(Fmt.str "%a" L.Ast.pp_expr) gen_expr
+let arbitrary_expr = QCheck.make ~print:(Fmt.str "%a" O.Ast_text.pp_expr) gen_expr
 
 let eval_value expr =
   match (O.Eval.run [ { L.Ast.line = 1; expr } ]).O.Eval.statements with
@@ -437,7 +437,7 @@ let eval_value expr =
 let prop_pp_parse_roundtrip =
   QCheck.Test.make ~name:"pretty-print then parse preserves evaluation"
     ~count:300 arbitrary_expr (fun expr ->
-      let printed = Fmt.str "%a" L.Ast.pp_expr expr in
+      let printed = Fmt.str "%a" O.Ast_text.pp_expr expr in
       match L.Requirement.compile (printed ^ "\n") with
       | Error _ -> false
       | Ok [ st ] -> eval_value st.L.Ast.expr = eval_value expr
@@ -450,7 +450,7 @@ let prop_pp_parse_roundtrip =
 let prop_canonical_fixpoint =
   QCheck.Test.make ~name:"canonical requirement text is a fixpoint"
     ~count:300 arbitrary_expr (fun expr ->
-      let printed = Fmt.str "%a" L.Ast.pp_expr expr in
+      let printed = Fmt.str "%a" O.Ast_text.pp_expr expr in
       let c = L.Requirement.canonical printed in
       String.equal c (L.Requirement.canonical c)
       && String.equal c (L.Requirement.cache_key printed))
@@ -550,7 +550,7 @@ let gen_key_text =
     frequency
       [
         (4, map (String.concat "") (list_size (int_range 0 12) piece));
-        (1, map (Fmt.str "%a" L.Ast.pp_expr) gen_expr);
+        (1, map (Fmt.str "%a" O.Ast_text.pp_expr) gen_expr);
       ])
 
 let arbitrary_key_text = QCheck.make ~print:String.escaped gen_key_text
@@ -737,7 +737,7 @@ let gen_diff_program =
 let arbitrary_diff_case =
   QCheck.make
     ~print:(fun (prog, env) ->
-      Fmt.str "%s@.sys=%a net=%a sec=%a" (L.Ast.program_to_string prog)
+      Fmt.str "%s@.sys=%a net=%a sec=%a" (O.Ast_text.program_to_string prog)
         Fmt.(array ~sep:comma float)
         env.sys_vals
         Fmt.(option (pair float float))
@@ -877,7 +877,7 @@ let columns_of_envs envs =
 let arbitrary_sweep_case =
   QCheck.make
     ~print:(fun (prog, envs, block) ->
-      Fmt.str "%s@.%d servers, blocks of %d" (L.Ast.program_to_string prog)
+      Fmt.str "%s@.%d servers, blocks of %d" (O.Ast_text.program_to_string prog)
         (Array.length envs) block)
     QCheck.Gen.(
       triple gen_sweep_program
@@ -946,7 +946,7 @@ let prop_sweep_matches_run =
 let prop_verify_accepts_compiled =
   QCheck.Test.make
     ~name:"Bytecode.verify accepts every compiled program" ~count:1000
-    (QCheck.make ~print:L.Ast.program_to_string gen_diff_program)
+    (QCheck.make ~print:O.Ast_text.program_to_string gen_diff_program)
     (fun prog_ast ->
       (* [~verify:true] runs the verifier inside Compile and raises on a
          rejection; the explicit call pins the [result] API too. *)
@@ -962,7 +962,7 @@ let prop_verify_rejects_smashed =
     ~name:"Bytecode.verify rejects any smashed code cell" ~count:500
     (QCheck.make
        ~print:(fun (prog, i) ->
-         Fmt.str "%s@.cell seed %d" (L.Ast.program_to_string prog) i)
+         Fmt.str "%s@.cell seed %d" (O.Ast_text.program_to_string prog) i)
        QCheck.Gen.(pair gen_diff_program (int_bound 10_000)))
     (fun (prog_ast, i) ->
       let p = L.Compile.program prog_ast in

@@ -223,15 +223,27 @@ let test_slops_brackets_truth () =
     true
     (mbps r.M.Slops.low < 110.0 && mbps r.M.Slops.high > 70.0)
 
+(* One stream each on the ~95 Mbps sagit -> suna path. *)
 let test_slops_trend_detection () =
-  Alcotest.(check bool) "increasing" true
-    (M.Slops.trend (Array.init 30 (fun i -> 0.001 +. (0.0005 *. float_of_int i)))
-    = M.Slops.Increasing);
-  Alcotest.(check bool) "flat" true
-    (M.Slops.trend (Array.init 30 (fun i -> 0.001 +. (1e-7 *. float_of_int (i mod 2))))
-    <> M.Slops.Increasing);
+  let bracket ?count ~lo ~hi () =
+    let f, stack = path_world () in
+    let r =
+      M.Slops.measure ~iterations:1 ?count ~lo:(lo *. 125_000.0)
+        ~hi:(hi *. 125_000.0) stack ~src:f.H.Testbed.sagit
+        ~dst:f.H.Testbed.suna ()
+    in
+    (mbps r.M.Slops.low, mbps r.M.Slops.high)
+  in
+  let near a b = Float.abs (a -. b) < 1e-6 in
+  (* ~490 Mbps overloads the path: delays increase, [hi] comes down *)
+  let lo, hi = bracket ~lo:400.0 ~hi:600.0 () in
+  Alcotest.(check bool) "increasing" true (near lo 400.0 && hi < 600.0);
+  (* ~14 Mbps leaves the queue empty: delays stay flat, [lo] goes up *)
+  let lo, hi = bracket ~lo:10.0 ~hi:20.0 () in
+  Alcotest.(check bool) "flat" true (lo > 10.0 && near hi 20.0);
+  let lo, hi = bracket ~count:2 ~lo:400.0 ~hi:600.0 () in
   Alcotest.(check bool) "too short is inconclusive" true
-    (M.Slops.trend [| 1.0; 2.0 |] = M.Slops.Inconclusive)
+    (near lo 400.0 && near hi 600.0)
 
 (* ------------------------------------------------------------------ *)
 (* Traceroute (TTL / time-exceeded)                                     *)
@@ -241,21 +253,27 @@ let test_ttl_time_exceeded () =
   let f, stack = path_world () in
   let c = f.H.Testbed.cluster in
   let tokxp = H.Cluster.resolve_exn c "tokxp" in
-  (* ttl 1 dies at the first switch *)
+  let name node =
+    (Smart_net.Topology.node (H.Cluster.topology c) node).Smart_net.Topology.name
+  in
+  (* ttl 1 dies at the first switch, which answers time-exceeded *)
   (match
-     M.Traceroute.probe_ttl stack ~src:f.H.Testbed.sagit ~dst:tokxp ~ttl:1 ()
+     M.Traceroute.run ~max_ttl:1 ~measure_bandwidth:false stack
+       ~src:f.H.Testbed.sagit ~dst:tokxp ()
    with
-  | M.Traceroute.Router node, Some rtt ->
+  | [ { M.Traceroute.node = Some node; rtt = Some rtt; _ } ] ->
     Alcotest.(check string) "first hop is the campus switch" "campus-sw"
-      (Smart_net.Topology.node (H.Cluster.topology c) node)
-        .Smart_net.Topology.name;
+      (name node);
     Alcotest.(check bool) "small rtt" true (rtt < 0.01)
   | _ -> Alcotest.fail "expected a router reply");
   (* a generous ttl reaches the destination *)
   match
-    M.Traceroute.probe_ttl stack ~src:f.H.Testbed.sagit ~dst:tokxp ~ttl:32 ()
+    List.rev
+      (M.Traceroute.run ~max_ttl:32 ~measure_bandwidth:false stack
+         ~src:f.H.Testbed.sagit ~dst:tokxp ())
   with
-  | M.Traceroute.Destination, Some _ -> ()
+  | { M.Traceroute.node = Some node; rtt = Some _; _ } :: _ ->
+    Alcotest.(check string) "last hop is the destination" "tokxp" (name node)
   | _ -> Alcotest.fail "expected the destination's port-unreachable"
 
 let test_traceroute_full_path () =

@@ -3,6 +3,9 @@
    flows, UDP/ICMP delivery. *)
 
 module Engine = Smart_sim.Engine
+
+(* Every queued event, however far ahead; the clock ends at infinity. *)
+let run_until_idle e = Engine.run e ~until:Float.infinity
 module Net = Smart_net
 
 let lan =
@@ -87,25 +90,47 @@ let test_shortest_path () =
 (* Fragmentation                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* The wire sizes of the fragments [a] sends a UDP datagram of
+   [payload] transport bytes (UDP header included) in, through an
+   interface of [mtu], as the stack's byte hook counts them. *)
+let fragment_sizes ~mtu ~payload =
+  let engine = Engine.create () in
+  let topo = Net.Topology.create () in
+  let nic = { Net.Topology.default_nic with Net.Topology.mtu } in
+  let a = Net.Topology.add_node topo ~nic ~name:"a" ~ip:"10.0.0.1" in
+  let b = Net.Topology.add_node topo ~name:"b" ~ip:"10.0.0.2" in
+  ignore (Net.Topology.add_link topo ~a ~b lan);
+  let stack =
+    Net.Netstack.create ~engine ~topo ~rng:(Smart_util.Prng.create ~seed:5) ()
+  in
+  let sizes = ref [] in
+  Net.Netstack.set_byte_hook stack
+    (Some (fun ~src ~dst:_ size -> if src = a then sizes := size :: !sizes));
+  ignore
+    (Net.Netstack.send_udp stack ~src:a ~dst:b ~sport:9 ~dport:7
+       ~size:(payload - Net.Netstack.udp_header));
+  run_until_idle engine;
+  List.rev !sizes
+
 let test_fragment_sizes () =
   (* 1480 data bytes per fragment at MTU 1500 *)
   Alcotest.(check (list int)) "small fits"
     [ 128 + 20 ]
-    (Net.Netstack.fragment_sizes ~mtu:1500 ~payload:128);
+    (fragment_sizes ~mtu:1500 ~payload:128);
   Alcotest.(check (list int)) "exactly one MTU"
     [ 1500 ]
-    (Net.Netstack.fragment_sizes ~mtu:1500 ~payload:1480);
+    (fragment_sizes ~mtu:1500 ~payload:1480);
   Alcotest.(check (list int)) "split"
     [ 1500; 21 ]
-    (Net.Netstack.fragment_sizes ~mtu:1500 ~payload:1481);
+    (fragment_sizes ~mtu:1500 ~payload:1481);
   Alcotest.(check int) "4000 B -> 3 fragments" 3
-    (List.length (Net.Netstack.fragment_sizes ~mtu:1500 ~payload:4000))
+    (List.length (fragment_sizes ~mtu:1500 ~payload:4000))
 
 let prop_fragments_conserve_bytes =
   QCheck.Test.make ~name:"fragmentation conserves payload bytes" ~count:300
-    QCheck.(pair (int_range 1 20000) (int_range 100 9000))
+    QCheck.(pair (int_range Net.Netstack.udp_header 20000) (int_range 100 9000))
     (fun (payload, mtu) ->
-      let frags = Net.Netstack.fragment_sizes ~mtu ~payload in
+      let frags = fragment_sizes ~mtu ~payload in
       let data = List.fold_left (fun acc f -> acc + f - 20) 0 frags in
       data = payload
       && List.for_all (fun f -> f <= mtu && f > 20) frags)
@@ -138,8 +163,6 @@ let test_link_residual_under_load () =
   let rng = Smart_util.Prng.create ~seed:1 in
   let link = Net.Link.create ~id:0 ~src:0 ~dst:1 lan in
   Net.Link.set_cross_load link 6.25e6;  (* half the capacity *)
-  Alcotest.(check (float 1.0)) "residual half" 6.25e6
-    (Net.Link.residual_rate link);
   match Net.Link.transmit link ~rng ~now:0.0 ~size:6250 with
   | Some arrival ->
     (* 6250 B at 6.25 MB/s = 1 ms *)
@@ -159,9 +182,15 @@ let test_capacity_for_flows_shaped () =
   Net.Link.set_shaper link (Some (Net.Shaper.create ~rate:1e6 ()));
   Alcotest.(check (float 1.0)) "clamped to shaper" 1e6
     (Net.Link.capacity_for_flows link);
-  (* but the packet-plane physical rate is unchanged *)
-  Alcotest.(check (float 1.0)) "physical rate unshaped" 12.5e6
-    (Net.Link.residual_rate link)
+  (* but packets still serialise at the physical rate:
+     12500 B at 12.5 MB/s = 1 ms, plus 100 us propagation *)
+  match
+    Net.Link.transmit link ~rng:(Smart_util.Prng.create ~seed:1) ~now:0.0
+      ~size:12500
+  with
+  | Some arrival ->
+    Alcotest.(check (float 1e-9)) "physical rate unshaped" 0.0011 arrival
+  | None -> Alcotest.fail "no loss expected"
 
 (* ------------------------------------------------------------------ *)
 (* Shaper                                                               *)
@@ -233,8 +262,7 @@ let test_fairshare_unequal_bottlenecks () =
 
 let test_fairshare_empty_path () =
   let rates = Net.Fairshare.rates ~capacities:[| 1.0 |] ~flows:[| []; [ 0 ] |] in
-  Alcotest.(check (float 1e-9)) "unconstrained" Net.Fairshare.unconstrained_rate
-    rates.(0);
+  Alcotest.(check bool) "unconstrained" true (rates.(0) >= 1e12);
   Alcotest.(check (float 1e-9)) "constrained" 1.0 rates.(1)
 
 let prop_fairshare_feasible =
@@ -305,7 +333,7 @@ let test_flow_completion_time () =
     (Net.Flow.start flows ~src:a ~dst:b ~bytes:12_500_000
        ~on_complete:(fun stats ->
          done_at := stats.Net.Flow.finished_at));
-  Engine.run_until_idle engine;
+  run_until_idle engine;
   (* 12.5 MB at 12.5 MB/s bottleneck = 1 s *)
   Alcotest.(check bool) "completes at ~1 s" true
     (Float.abs (!done_at -. 1.0) < 1e-6)
@@ -319,7 +347,7 @@ let test_flow_sharing () =
          ~on_complete:(fun stats ->
            finished := stats.Net.Flow.finished_at :: !finished))
   done;
-  Engine.run_until_idle engine;
+  run_until_idle engine;
   (* two equal flows share the link: both complete at ~2 s *)
   List.iter
     (fun at -> Alcotest.(check bool) "both at ~2 s" true (Float.abs (at -. 2.0) < 1e-6))
@@ -334,7 +362,7 @@ let test_flow_rate_rises_after_completion () =
   ignore
     (Net.Flow.start flows ~src:a ~dst:b ~bytes:12_500_000
        ~on_complete:(fun s -> long_done := s.Net.Flow.finished_at));
-  Engine.run_until_idle engine;
+  run_until_idle engine;
   (* short: 6.25 MB at 6.25 MB/s = 1 s; long: 6.25 MB in the first second
      then 6.25 MB at full rate = 1.5 s total *)
   Alcotest.(check bool) "short at 1 s" true (Float.abs (!short_done -. 1.0) < 1e-6);
@@ -348,8 +376,7 @@ let test_flow_publishes_load () =
   Engine.run engine ~until:0.1;
   let first_hop = List.hd (Net.Topology.path topo ~src:a ~dst:b) in
   Alcotest.(check (float 1.0)) "flow load visible to packets" 12.5e6
-    first_hop.Net.Link.flow_load;
-  Alcotest.(check int) "active" 1 (Net.Flow.active_count flows)
+    first_hop.Net.Link.flow_load
 
 let test_flow_abort () =
   let engine, _, flows, a, _, b = flow_world () in
@@ -361,7 +388,7 @@ let test_flow_abort () =
   Engine.run engine ~until:0.1;
   Alcotest.(check bool) "abort finds it" true (Net.Flow.abort flows ~flow_id:id);
   Alcotest.(check bool) "gone" false (Net.Flow.abort flows ~flow_id:id);
-  Engine.run_until_idle engine;
+  run_until_idle engine;
   Alcotest.(check bool) "callback suppressed" false !fired
 
 let test_flow_chained_callbacks () =
@@ -373,7 +400,7 @@ let test_flow_chained_callbacks () =
          ignore
            (Net.Flow.start flows ~src:a ~dst:b ~bytes:12_500_000
               ~on_complete:(fun s -> second_done := s.Net.Flow.finished_at))));
-  Engine.run_until_idle engine;
+  run_until_idle engine;
   Alcotest.(check bool) "sequential transfers" true
     (Float.abs (!second_done -. 2.0) < 1e-6)
 
@@ -383,7 +410,7 @@ let test_flow_local () =
   ignore
     (Net.Flow.start flows ~src:a ~dst:a ~bytes:1_000_000
        ~on_complete:(fun _ -> done_ := true));
-  Engine.run_until_idle engine;
+  run_until_idle engine;
   Alcotest.(check bool) "local transfer completes" true !done_
 
 let prop_flow_conservation =
@@ -406,7 +433,7 @@ let prop_flow_conservation =
                  incr completions;
                  if stats.Net.Flow.bytes <> bytes then completions := -1000)))
         sizes;
-      Engine.run_until_idle engine;
+      run_until_idle engine;
       (* progress-hook bytes match the requested total within the banked
          rounding (one byte per flow), and every flow completed once *)
       let total = float_of_int (List.fold_left ( + ) 0 sizes) in
@@ -454,18 +481,6 @@ let test_icmp_port_unreachable () =
     Alcotest.(check int) "original id echoed" id orig_id;
     Alcotest.(check int) "original dport" 33434 orig_dport
   | _ -> Alcotest.fail "expected port unreachable"
-
-let test_icmp_echo () =
-  let engine, stack, a, _, b = stack_world () in
-  let got = ref None in
-  Net.Netstack.on_icmp stack ~node:a (fun ~now:_ pkt ->
-      got := Some pkt.Net.Packet.proto);
-  ignore (Net.Netstack.send_icmp stack ~src:a ~dst:b (Net.Packet.Echo_request { seq = 7 }));
-  Engine.run engine ~until:1.0;
-  match !got with
-  | Some (Net.Packet.Icmp (Net.Packet.Echo_reply { seq })) ->
-    Alcotest.(check int) "seq echoed" 7 seq
-  | _ -> Alcotest.fail "expected echo reply"
 
 let test_local_delivery () =
   let engine, stack, a, _, _ = stack_world () in
@@ -522,20 +537,17 @@ let test_cross_traffic_slows_probes () =
   let loaded = rtt () in
   Alcotest.(check bool) "load raises delay" true (loaded > quiet)
 
-(* the steady generator keeps the load around its mean *)
+(* the bursty generator starts at its off level and switches on *)
 let test_cross_traffic_generator () =
   let engine, stack, a, _, b = stack_world () in
   let topo = Net.Netstack.topology stack in
   let chan = List.hd (Net.Topology.path topo ~src:a ~dst:b) in
-  let gen =
-    Net.Cross_traffic.steady ~engine ~rng:(Smart_util.Prng.create ~seed:2)
-      ~chan ~mean_load:5e6 ~sigma:1e5 ()
-  in
+  Net.Cross_traffic.bursty ~engine ~rng:(Smart_util.Prng.create ~seed:2)
+    ~chan ~on_load:5e6 ~off_load:1e6 ~p_on:1.0 ();
+  Alcotest.(check (float 1.0)) "off until the first period" 1e6
+    chan.Net.Link.cross_load;
   Engine.run engine ~until:1.0;
-  Alcotest.(check bool) "load near mean" true
-    (Float.abs (chan.Net.Link.cross_load -. 5e6) < 1e6);
-  Net.Cross_traffic.stop gen;
-  ignore stack
+  Alcotest.(check (float 1.0)) "on after it" 5e6 chan.Net.Link.cross_load
 
 let () =
   Alcotest.run "smart_net"
@@ -592,7 +604,6 @@ let () =
           Alcotest.test_case "delivery" `Quick test_udp_delivery;
           Alcotest.test_case "port unreachable" `Quick
             test_icmp_port_unreachable;
-          Alcotest.test_case "echo" `Quick test_icmp_echo;
           Alcotest.test_case "loopback" `Quick test_local_delivery;
           Alcotest.test_case "fragment reassembly" `Quick
             test_large_datagram_fragments;

@@ -76,12 +76,23 @@ let test_proc_reader_missing_files () =
     (Result.is_error (R.Proc_reader.snapshot t));
   Alcotest.(check bool) "no bogomips" true (R.Proc_reader.bogomips t = None)
 
+(* A UDP port that is free at the moment of the call. *)
+let free_udp_port () =
+  let s = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
+  Unix.bind s (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  let port =
+    match Unix.getsockname s with
+    | Unix.ADDR_INET (_, port) -> port
+    | Unix.ADDR_UNIX _ -> Alcotest.fail "not an inet socket"
+  in
+  Unix.close s;
+  port
+
 let test_udp_io_roundtrip () =
   let loop = R.Loop.create () in
-  let server = R.Udp_io.bind_port 0 in
-  let to_ =
-    Unix.ADDR_INET (Unix.inet_addr_loopback, R.Udp_io.port server)
-  in
+  let port = free_udp_port () in
+  let server = R.Udp_io.bind_port port in
+  let to_ = Unix.ADDR_INET (Unix.inet_addr_loopback, port) in
   let got = ref None in
   R.Udp_io.serve loop server (fun ~now:_ ~from:_ data -> got := Some data);
   R.Loop.start loop;
@@ -95,17 +106,17 @@ let test_udp_io_roundtrip () =
   R.Udp_io.stop client;
   R.Loop.stop loop
 
-let test_addr_book_reverse () =
-  let book = R.Addr_book.create () in
-  let shift = R.Addr_book.register_loopback book ~host:"rev" in
-  let sockaddr =
-    Unix.ADDR_INET (Unix.inet_addr_loopback, shift + 42)
+(* Read exactly [n] bytes into [buf]; [false] on EOF or error. *)
+let read_exact fd buf n =
+  let rec go off =
+    if off >= n then true
+    else
+      match Unix.read fd buf off (n - off) with
+      | 0 -> false
+      | read -> go (off + read)
+      | exception Unix.Unix_error (_, _, _) -> false
   in
-  Alcotest.(check (option string)) "reverse lookup" (Some "rev")
-    (R.Addr_book.host_of_sockaddr book sockaddr);
-  Alcotest.(check (option string)) "outside any shift" None
-    (R.Addr_book.host_of_sockaddr book
-       (Unix.ADDR_INET (Unix.inet_addr_loopback, 7)))
+  go 0
 
 let test_service_protocol () =
   let book = R.Addr_book.create () in
@@ -115,10 +126,13 @@ let test_service_protocol () =
   Fun.protect
     ~finally:(fun () -> R.Service.stop service)
     (fun () ->
-      match R.Client_io.connect_service book ~host:"svc" with
+      match
+        Option.bind
+          (R.Addr_book.resolve book ~host:"svc" ~port:Smart_proto.Ports.service)
+          (R.Perform.connect ~timeout:(-1.0))
+      with
       | None -> Alcotest.fail "connect failed"
-      | Some conn ->
-        let fd = conn.R.Client_io.socket in
+      | Some fd ->
         R.Service.write_line fd "WHO";
         Alcotest.(check (option string)) "WHO" (Some "svc")
           (R.Service.read_line_opt fd);
@@ -132,11 +146,9 @@ let test_service_protocol () =
         R.Service.write_line fd "GET 5";
         let buf = Bytes.create 5 in
         Alcotest.(check bool) "blob delivered" true
-          (R.Client_io.read_exact fd buf 5);
+          (read_exact fd buf 5);
         R.Service.write_line fd "BYE";
-        Unix.close fd;
-        Alcotest.(check bool) "connection counted" true
-          (R.Service.connections service >= 1))
+        Unix.close fd)
 
 (* A second stop must leave alone the descriptor number the first one
    freed: sockets opened in between take it. *)
@@ -361,6 +373,62 @@ let test_netmon_real_probing () =
             (e.Smart_proto.Records.delay < 0.05))
         record.Smart_proto.Records.entries)
 
+(* The §5.3.2 massive download over real sockets: every connected
+   server streams one block at a time ([GET <bytes>], {!R.Service}'s
+   protocol, one thread each); a server that finishes self-schedules the
+   next block from the shared queue, so fast servers carry more of the
+   file.  Returns the blocks fetched per server. *)
+let download ~connected ~data_kb ~blk_kb =
+  let total_bytes = data_kb * 1024 in
+  let block_bytes = blk_kb * 1024 in
+  let total_blocks = (data_kb + blk_kb - 1) / blk_kb in
+  let queue = ref 0 in
+  let fetched = Hashtbl.create 8 in
+  let mutex = Mutex.create () in
+  let next_block () =
+    Mutex.protect mutex (fun () ->
+        if !queue >= total_blocks then None
+        else begin
+          let index = !queue in
+          incr queue;
+          Some
+            (if index = total_blocks - 1 then
+               max 1 (total_bytes - ((total_blocks - 1) * block_bytes))
+             else block_bytes)
+        end)
+  in
+  let note host =
+    Mutex.protect mutex (fun () ->
+        Hashtbl.replace fetched host
+          (1 + Option.value ~default:0 (Hashtbl.find_opt fetched host)))
+  in
+  let worker { R.Client_io.host; socket } =
+    let buf = Bytes.create 65536 in
+    let rec recv remaining =
+      remaining <= 0
+      ||
+      let want = min remaining (Bytes.length buf) in
+      read_exact socket buf want && recv (remaining - want)
+    in
+    let rec go () =
+      match next_block () with
+      | None -> ()
+      | Some bytes ->
+        R.Service.write_line socket (Printf.sprintf "GET %d" bytes);
+        if recv bytes then begin
+          note host;
+          go ()
+        end
+    in
+    go ()
+  in
+  List.iter Thread.join
+    (List.map (fun c -> Thread.create worker c) connected);
+  List.map
+    (fun { R.Client_io.host; _ } ->
+      (host, Option.value ~default:0 (Hashtbl.find_opt fetched host)))
+    connected
+
 let test_download_real () =
   (* massd over real sockets: request, connect, parallel block fetch *)
   let w = start_world () in
@@ -375,18 +443,9 @@ let test_download_real () =
       | Error e -> Alcotest.failf "request failed: %a" Smart_core.Client.pp_error e
       | Ok connected ->
         Alcotest.(check int) "three servers" 3 (List.length connected);
-        let stats =
-          R.Client_io.download ~connected ~data_kb:2048 ~blk_kb:128
-        in
-        Alcotest.(check int) "all bytes" (2048 * 1024)
-          stats.R.Client_io.total_bytes;
-        let blocks =
-          List.fold_left (fun acc (_, b) -> acc + b) 0
-            stats.R.Client_io.per_server
-        in
+        let per_server = download ~connected ~data_kb:2048 ~blk_kb:128 in
+        let blocks = List.fold_left (fun acc (_, b) -> acc + b) 0 per_server in
         Alcotest.(check int) "16 blocks fetched" 16 blocks;
-        Alcotest.(check bool) "positive throughput" true
-          (stats.R.Client_io.throughput > 0.0);
         R.Client_io.close_all connected)
 
 (* The daemons all run in this process and the monitor dials the wizard
@@ -737,6 +796,46 @@ let test_unresolvable_peer_fails_create () =
   | probe ->
     R.Probe_daemon.stop probe;
     Alcotest.fail "create accepted a monitor host that does not resolve"
+
+(* A wizard whose request port another socket holds fails to create,
+   and closes again the receiver port it had bound first. *)
+let test_bind_failure_closes_bound_ports () =
+  let book = R.Addr_book.create () in
+  let shift = R.Addr_book.register_loopback book ~host:"wiz" in
+  let loopback port = Unix.ADDR_INET (Unix.inet_addr_loopback, port + shift) in
+  let before = open_fd_count () in
+  (* without SO_REUSEADDR, this socket keeps the daemon's bind out *)
+  let held = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close held)
+    (fun () ->
+      Unix.bind held (loopback Smart_proto.Ports.wizard);
+      match
+        R.Wizard_daemon.create book
+          {
+            R.Wizard_daemon.host = "wiz";
+            mode = Smart_core.Wizard.Centralized;
+            staleness_threshold = infinity;
+            admission = None;
+          }
+      with
+      | exception Unix.Unix_error (Unix.EADDRINUSE, _, _) -> ()
+      | wizard ->
+        R.Wizard_daemon.stop wizard;
+        Alcotest.fail "create bound a port another socket holds");
+  (* with SO_REUSEADDR, a connection an earlier daemon left in TIME_WAIT
+     on the port does not keep this bind out, but a listening socket
+     still does *)
+  let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt listener Unix.SO_REUSEADDR true;
+  Fun.protect
+    ~finally:(fun () -> Unix.close listener)
+    (fun () ->
+      match Unix.bind listener (loopback Smart_proto.Ports.receiver) with
+      | () -> ()
+      | exception Unix.Unix_error (e, _, _) ->
+        Alcotest.failf "receiver port still held: %s" (Unix.error_message e));
+  Alcotest.(check int) "no descriptor left open" before (open_fd_count ())
 
 (* ------------------------------------------------------------------ *)
 (* One scenario, simulated and on sockets                               *)
@@ -1181,7 +1280,6 @@ let () =
           Alcotest.test_case "proc reader" `Quick test_proc_reader;
           Alcotest.test_case "proc reader missing" `Quick
             test_proc_reader_missing_files;
-          Alcotest.test_case "addr book reverse" `Quick test_addr_book_reverse;
           Alcotest.test_case "service protocol" `Quick test_service_protocol;
           Alcotest.test_case "udp io round trip" `Quick test_udp_io_roundtrip;
           Alcotest.test_case "udp io timeout" `Quick test_udp_io_recv_timeout;
@@ -1208,6 +1306,8 @@ let () =
             test_distinct_host_addresses;
           Alcotest.test_case "unresolvable peer fails create" `Quick
             test_unresolvable_peer_fails_create;
+          Alcotest.test_case "bind failure closes bound ports" `Quick
+            test_bind_failure_closes_bound_ports;
           Alcotest.test_case "simulated and real answers agree" `Slow
             test_simulated_and_real_agree;
         ] );

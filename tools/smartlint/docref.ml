@@ -8,7 +8,12 @@
    one of its modules ("Smart_util.Sketch.merge", or "Smart_lang"
    alone).  One kind prefix ("val:", "type:", ...) is ignored.  The
    compiler never reads these references, so this is the only check
-   that a renamed or deleted declaration left none dangling. *)
+   that a renamed or deleted declaration left none dangling.
+
+   A doc comment attached to no declaration is an error too, unless it
+   opens its signature (the module's preamble) or is a heading
+   ("{1 ...}").  Deleting a [val] and not its comment leaves one
+   behind, and odoc renders it as a stray paragraph. *)
 
 (* The names a signature declares, and the signatures of its modules.
    A module whose type is not written out (an alias, a functor, a named
@@ -109,6 +114,46 @@ let references text =
 let read_file path =
   In_channel.with_open_bin path In_channel.input_all
 
+(* The text of a floating doc comment ([ocaml.text]), if [attr] is one. *)
+let floating_text (attr : Parsetree.attribute) =
+  match (attr.attr_name.txt, attr.attr_payload) with
+  | ( "ocaml.text",
+      Parsetree.PStr
+        [
+          {
+            pstr_desc =
+              Parsetree.Pstr_eval
+                ({ pexp_desc = Parsetree.Pexp_constant (Pconst_string (text, _, _)); _ }, _);
+            _;
+          };
+        ] ) ->
+    Some text
+  | _ -> None
+
+let heading text =
+  let text = String.trim text in
+  String.length text > 1
+  && Char.equal text.[0] '{'
+  && match text.[1] with '0' .. '9' -> true | _ -> false
+
+(* The line of every floating doc comment of [sg] and its nested
+   signatures that neither opens its signature nor is a heading. *)
+let rec strays (sg : Typedtree.signature) =
+  List.concat
+    (List.mapi
+       (fun index (item : Typedtree.signature_item) ->
+         match item.sig_desc with
+         | Typedtree.Tsig_attribute attr -> (
+           match floating_text attr with
+           | Some text when index > 0 && not (heading text) ->
+             [ attr.attr_loc.Location.loc_start.Lexing.pos_lnum ]
+           | _ -> [])
+         | Typedtree.Tsig_module
+             { md_type = { mty_desc = Typedtree.Tmty_signature inner; _ }; _ } ->
+           strays inner
+         | _ -> [])
+       sg.sig_items)
+
 let check ~root ~(ifaces : Project.iface list) =
   let libraries = Hashtbl.create 16 in
   let scopes =
@@ -146,6 +191,14 @@ let check ~root ~(ifaces : Project.iface list) =
   in
   List.concat_map
     (fun ((i : Project.iface), lib, own) ->
+      List.map
+        (fun line ->
+          Diagnostic.make ~rule:"doc" ~severity:Diagnostic.Error ~file:i.mli
+            ~line
+            "doc comment attached to no declaration: attach it, make it a \
+             heading ({1 ...}) or drop it")
+        (strays i.signature)
+      @
       match read_file (Filename.concat root i.mli) with
       | exception Sys_error _ -> []
       | text ->

@@ -4,8 +4,8 @@
    other than its own: another lib module, or a root (a binary, a
    benchmark, an example, a tool).  An export nothing else names is an
    error: it is dead code the interface keeps alive.  An export only
-   tests name is a warning: the tests pin behaviour no program uses, so
-   the value belongs with the tests (test/oracle) or has a caller to
+   tests name is an error too: the tests pin behaviour no program uses,
+   so the value belongs with the tests (test/oracle) or has a caller to
    find.
 
    Exports come from the interfaces' cmti files, nested modules
@@ -71,7 +71,7 @@ let check ~ifaces ~callers ~is_test =
           | Some Production -> None
           | Some Test ->
             Some
-              (diag Diagnostic.Warn
+              (diag Diagnostic.Error
                  "%s.%s is named only by tests: give it a production caller \
                   or move it next to them"
                  modname value)
