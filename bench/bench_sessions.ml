@@ -1,8 +1,10 @@
 (* Session-plane benchmark (DESIGN.md §15), two phases.
 
-   Phase A — survival under churn: a simulated cluster (4 servers, one
-   group) carries BENCH_SESSIONS_COUNT long-lived sessions through a
-   crash + partition + heal fault plan on the flow-level TCP model.
+   Phase A — survival under churn: the session_chaos scenario
+   (lib/experiments/scenario.ml: 4 servers in one group, a crash +
+   partition + heal fault plan on the flow-level TCP model) carrying
+   BENCH_SESSIONS_COUNT long-lived sessions for
+   BENCH_SESSIONS_DURATION virtual seconds.
    Reported: sessions survived, completed migrations, migration latency
    p95 (from the session.migration_latency_seconds histogram), and the
    work ledger — issued / completed / requeued / lost.  The acceptance
@@ -21,7 +23,6 @@
    Results go to stdout and BENCH_sessions.json for trend tracking. *)
 
 module C = Smart_core
-module H = Smart_host
 module P = Smart_proto
 
 let env_int name default =
@@ -45,65 +46,30 @@ let fairness_gate = 0.95
 (* Phase A: sessions under churn                                       *)
 (* ------------------------------------------------------------------ *)
 
-type churn_result = {
-  cr_sessions : int;
-  cr_survived : int;
-  cr_migrations : int;
-  cr_migration_p95 : float;
-  cr_issued : int;
-  cr_completed : int;
-  cr_requeued : int;
-  cr_lost : int;
-}
-
-let churn_world seed =
-  let c = H.Cluster.create ~seed () in
-  let spec name ip =
-    { (H.Testbed.spec_of_name "helene") with H.Machine.name; ip }
+(* The session_chaos scenario with the bench's session count and
+   duration. *)
+let churn_phase () =
+  let module S = Smart_experiments.Scenario in
+  let s =
+    List.find (fun (s : S.t) -> String.equal s.S.name "session_chaos") S.all
   in
-  let add name ip = H.Cluster.add_machine c (spec name ip) in
-  let wiz = add "wiz" "10.0.0.1" in
-  let cli = add "cli" "10.0.0.2" in
-  let mon = add "mon" "10.0.0.3" in
-  let servers =
-    List.init 4 (fun i ->
-        add (Printf.sprintf "s%d" (i + 1)) (Printf.sprintf "10.0.1.%d" (i + 1)))
+  let workload =
+    match s.S.workload with
+    | S.Sessions w ->
+      S.Sessions
+        {
+          w with
+          clients = [ ("cli", session_count) ];
+          duration = churn_duration;
+        }
+    | w -> w
   in
-  let sw = H.Cluster.add_switch c ~name:"sw" ~ip:"10.0.0.254" in
-  List.iter
-    (fun n -> ignore (H.Cluster.link c ~a:n ~b:sw H.Testbed.lan_conf))
-    (wiz :: cli :: mon :: servers);
-  let config =
-    {
-      C.Simdriver.default_config with
-      C.Simdriver.transmit_interval = 0.5;
-      frame_crc = true;
-      wizard_staleness = 3.0;
-    }
-  in
-  let d =
-    C.Simdriver.deploy ~config c ~monitor:"mon" ~wizard_host:"wiz"
-      ~servers:[ "s1"; "s2"; "s3"; "s4" ]
-  in
-  (c, d)
-
-let run_churn () =
-  let c, d = churn_world 11 in
-  C.Simdriver.settle ~duration:8.0 d;
-  let base = H.Cluster.now c in
-  let module F = Smart_sim.Faults in
-  C.Simdriver.install_faults d
-    [
-      { F.at = base +. 4.3; action = F.Crash_node "s1" };
-      { F.at = base +. 8.1; action = F.Partition_host "s2" };
-      { F.at = base +. 14.2; action = F.Restart_node "s1" };
-      { F.at = base +. 18.1; action = F.Heal_host "s2" };
-    ];
+  let o = S.run { s with S.workload } in
+  let d = o.S.deployment in
   let report =
-    C.Simdriver.run_sessions d
-      ~clients:[ ("cli", session_count) ]
-      ~requirement:"host_cpu_free > 0.05\norder_by = host_memory_free\n"
-      ~work_interval:0.5 ~duration:churn_duration
+    match o.S.tally with
+    | S.Ledger r -> r
+    | S.Answered _ | S.Reply _ -> invalid_arg "churn_phase: no session ledger"
   in
   let p95 =
     match
@@ -113,16 +79,7 @@ let run_churn () =
     | Some (Smart_util.Metrics.Histogram h) -> h.Smart_util.Metrics.p95
     | Some _ | None -> Float.nan
   in
-  {
-    cr_sessions = report.C.Simdriver.sessions;
-    cr_survived = report.C.Simdriver.survived;
-    cr_migrations = report.C.Simdriver.migrations;
-    cr_migration_p95 = p95;
-    cr_issued = report.C.Simdriver.work_issued;
-    cr_completed = report.C.Simdriver.work_completed;
-    cr_requeued = report.C.Simdriver.work_requeued;
-    cr_lost = report.C.Simdriver.work_lost;
-  }
+  (report, p95)
 
 (* ------------------------------------------------------------------ *)
 (* Phase B: admission fairness under 2x overload                       *)
@@ -253,7 +210,18 @@ let json_float = Smart_util.Json.number
 
 let run () =
   let t0 = Unix.gettimeofday () in
-  let churn = run_churn () in
+  let ( {
+          C.Simdriver.sessions;
+          survived;
+          migrations;
+          work_issued;
+          work_completed;
+          work_requeued;
+          work_lost;
+        },
+        migration_p95 ) =
+    churn_phase ()
+  in
   let fair = run_fairness () in
   let tab =
     Smart_util.Tabular.create
@@ -263,16 +231,14 @@ let run () =
       ~header:[ "measure"; "value" ]
   in
   let row k v = Smart_util.Tabular.add_row tab [ k; v ] in
-  row "sessions survived"
-    (Printf.sprintf "%d/%d" churn.cr_survived churn.cr_sessions);
-  row "migrations" (string_of_int churn.cr_migrations);
+  row "sessions survived" (Printf.sprintf "%d/%d" survived sessions);
+  row "migrations" (string_of_int migrations);
   row "migration p95"
-    (if Float.is_nan churn.cr_migration_p95 then "n/a"
-     else Printf.sprintf "%.3f ms" (churn.cr_migration_p95 *. 1e3));
-  row "work issued/completed"
-    (Printf.sprintf "%d/%d" churn.cr_issued churn.cr_completed);
-  row "work requeued" (string_of_int churn.cr_requeued);
-  row "work lost" (string_of_int churn.cr_lost);
+    (if Float.is_nan migration_p95 then "n/a"
+     else Printf.sprintf "%.3f ms" (migration_p95 *. 1e3));
+  row "work issued/completed" (Printf.sprintf "%d/%d" work_issued work_completed);
+  row "work requeued" (string_of_int work_requeued);
+  row "work lost" (string_of_int work_lost);
   row "admission offered/admitted"
     (Printf.sprintf "%d/%d" fair.fr_offered fair.fr_admitted);
   row "admission rejected" (string_of_int fair.fr_rejected);
@@ -280,8 +246,8 @@ let run () =
   row "fairness index (Jain)" (Printf.sprintf "%.4f" fair.fr_index);
   Smart_util.Tabular.print tab;
   let success_rate =
-    if churn.cr_sessions = 0 then Float.nan
-    else float_of_int churn.cr_survived /. float_of_int churn.cr_sessions
+    if sessions = 0 then Float.nan
+    else float_of_int survived /. float_of_int sessions
   in
   Fmt.pr "session success rate %.3f, fairness %.4f (gate %.2f)@." success_rate
     fair.fr_index fairness_gate;
@@ -306,9 +272,9 @@ let run () =
     \  \"fairness_index\": %s,\n\
     \  \"fairness_gate\": %s\n\
      }\n"
-    churn.cr_sessions churn.cr_survived (json_float success_rate)
-    churn.cr_migrations (json_float churn.cr_migration_p95) churn.cr_issued
-    churn.cr_completed churn.cr_requeued churn.cr_lost fair.fr_offered
+    sessions survived (json_float success_rate) migrations
+    (json_float migration_p95) work_issued work_completed work_requeued
+    work_lost fair.fr_offered
     fair.fr_admitted fair.fr_rejected fair.fr_delayed
     (json_float overload_factor) (json_float fair.fr_index)
     (json_float fairness_gate);

@@ -363,23 +363,14 @@ let lossy_loss = 0.25
 let lossy_requests = 200
 
 let lossy_run () =
-  let c = H.Cluster.create ~seed:11 () in
-  let spec name ip =
-    { (H.Testbed.spec_of_name "helene") with H.Machine.name; ip }
-  in
-  let add name ip = H.Cluster.add_machine c (spec name ip) in
-  let wiz = add "wiz" "10.0.0.1" in
-  let cli = add "cli" "10.0.0.2" in
-  let s1 = add "s1" "10.0.0.3" in
-  let s2 = add "s2" "10.0.0.4" in
-  let sw = H.Cluster.add_switch c ~name:"sw" ~ip:"10.0.0.254" in
   let lan = H.Testbed.lan_conf in
-  ignore (H.Cluster.link c ~a:wiz ~b:sw lan);
-  ignore
-    (H.Cluster.link c ~a:cli ~b:sw
-       { lan with Smart_net.Link.loss = lossy_loss });
-  ignore (H.Cluster.link c ~a:s1 ~b:sw lan);
-  ignore (H.Cluster.link c ~a:s2 ~b:sw lan);
+  let c =
+    H.Testbed.switched_lan ~seed:11
+      ~access:(function
+        | "cli" -> { lan with Smart_net.Link.loss = lossy_loss }
+        | _ -> lan)
+      [ ("sw", "10.0.0.254", H.Testbed.helenes "10.0.0" [ "wiz"; "cli"; "s1"; "s2" ]) ]
+  in
   let d =
     C.Simdriver.deploy c ~monitor:"wiz" ~wizard_host:"wiz"
       ~servers:[ "s1"; "s2" ]

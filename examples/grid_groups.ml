@@ -10,48 +10,41 @@
 module C = Smart_core
 module H = Smart_host
 
-let mk ?(bogomips = 3394.76) name ip matmul_rate =
+(* A group's helene-class hosts with its own CPU speed. *)
+let group ?(bogomips = 3394.76) subnet matmul_rate names =
+  List.map
+    (fun s -> { s with H.Machine.matmul_rate; bogomips })
+    (H.Testbed.helenes subnet names)
+
+let wan ~mbps ~ms =
   {
-    (H.Testbed.spec_of_name "helene") with
-    H.Machine.name;
-    ip;
-    matmul_rate;
-    bogomips;
+    Smart_net.Link.capacity = mbps *. 1e6 /. 8.0;
+    prop_delay = ms /. 2000.0;
+    jitter = 30e-6;
+    loss = 0.0;
   }
 
 let () =
-  let c = H.Cluster.create ~seed:17 () in
-  let add spec = H.Cluster.add_machine c spec in
-  (* group 1: the local lab *)
-  let mon1 = add (mk ~bogomips:1730.15 "lab-mon" "10.1.0.1" 18e6) in
-  let lab1 = add (mk ~bogomips:1730.15 "lab-1" "10.1.0.2" 18e6) in
-  let lab2 = add (mk ~bogomips:1730.15 "lab-2" "10.1.0.3" 18e6) in
-  (* group 2: the campus cluster, faster machines, 2 ms away *)
-  let mon2 = add (mk "campus-mon" "10.2.0.1" 30e6) in
-  let cam1 = add (mk "campus-1" "10.2.0.2" 30e6) in
-  let cam2 = add (mk "campus-2" "10.2.0.3" 30e6) in
-  (* group 3: a remote site, fast machines behind a thin 4 Mbps pipe *)
-  let mon3 = add (mk ~bogomips:4771.02 "remote-mon" "10.3.0.1" 40e6) in
-  let rem1 = add (mk ~bogomips:4771.02 "remote-1" "10.3.0.2" 40e6) in
-  let rem2 = add (mk ~bogomips:4771.02 "remote-2" "10.3.0.3" 40e6) in
-  let sw1 = H.Cluster.add_switch c ~name:"sw1" ~ip:"10.1.0.254" in
-  let sw2 = H.Cluster.add_switch c ~name:"sw2" ~ip:"10.2.0.254" in
-  let sw3 = H.Cluster.add_switch c ~name:"sw3" ~ip:"10.3.0.254" in
-  let lan = H.Testbed.lan_conf in
-  List.iter (fun n -> ignore (H.Cluster.link c ~a:n ~b:sw1 lan)) [ mon1; lab1; lab2 ];
-  List.iter (fun n -> ignore (H.Cluster.link c ~a:n ~b:sw2 lan)) [ mon2; cam1; cam2 ];
-  List.iter (fun n -> ignore (H.Cluster.link c ~a:n ~b:sw3 lan)) [ mon3; rem1; rem2 ];
-  let wan ~mbps ~ms =
-    {
-      Smart_net.Link.capacity = mbps *. 1e6 /. 8.0;
-      prop_delay = ms /. 2000.0;
-      jitter = 30e-6;
-      loss = 0.0;
-    }
+  let c =
+    H.Testbed.switched_lan ~seed:17
+      (* the campus 2 ms away, the remote site behind a thin 4 Mbps pipe *)
+      ~trunks:[ wan ~mbps:100.0 ~ms:2.0; wan ~mbps:4.0 ~ms:30.0 ]
+      [
+        (* group 1: the local lab *)
+        ( "sw1",
+          "10.1.0.254",
+          group ~bogomips:1730.15 "10.1.0" 18e6 [ "lab-mon"; "lab-1"; "lab-2" ] );
+        (* group 2: the campus cluster, faster machines *)
+        ( "sw2",
+          "10.2.0.254",
+          group "10.2.0" 30e6 [ "campus-mon"; "campus-1"; "campus-2" ] );
+        (* group 3: a remote site, fast machines *)
+        ( "sw3",
+          "10.3.0.254",
+          group ~bogomips:4771.02 "10.3.0" 40e6
+            [ "remote-mon"; "remote-1"; "remote-2" ] );
+      ]
   in
-  ignore (H.Cluster.link c ~a:sw1 ~b:sw2 (wan ~mbps:100.0 ~ms:2.0));
-  ignore (H.Cluster.link c ~a:sw2 ~b:sw3 (wan ~mbps:4.0 ~ms:30.0));
-
   let d =
     C.Simdriver.deploy_groups c ~wizard_host:"lab-mon"
       ~groups:

@@ -1,59 +1,4 @@
-(* Causal tracing demo on the simulated ICPP-2005 testbed.
+(* examples/trace_demo.exe [seed]: the trace entry of the seeded
+   scenarios (lib/experiments/scenario.ml), run by Scenario_runner. *)
 
-   Deploys the full stack (probes on all 11 machines, monitors +
-   transmitter on dalmatian, receiver + wizard on dalmatian), lets the
-   status plane settle, then issues one smart-socket request from sagit.
-   The deployment-wide tracelog records every component's spans with
-   propagated contexts, so the run yields:
-
-   - trace.json — the whole timeline as Chrome trace-event JSON (open
-     in Perfetto or chrome://tracing), packet events merged in;
-   - stdout    — the request's span tree (client -> wizard phases) and
-     one report-pipeline tree (probe -> sysmon -> transmitter ->
-     receiver -> commit), reconstructed purely from parent links.
-
-   Usage: trace_demo [seed]   (default seed 7; same seed, same bytes) *)
-
-module T = Smart_util.Tracelog
-
-let requirement = "host_cpu_bogomips > 4000\norder_by = host_memory_free\n"
-
-let () =
-  let seed =
-    if Array.length Sys.argv > 1 then int_of_string Sys.argv.(1) else 7
-  in
-  let sim_trace = Smart_sim.Trace.create ~capacity:65536 () in
-  let cluster = Smart_host.Testbed.icpp2005 ~seed ~trace:sim_trace () in
-  let d =
-    Smart_core.Simdriver.deploy cluster ~monitor:"dalmatian"
-      ~wizard_host:"dalmatian" ~servers:Smart_host.Testbed.machine_names
-  in
-  Fmt.pr "settling the status plane (8 virtual seconds)...@.";
-  Smart_core.Simdriver.settle ~duration:8.0 d;
-  (match
-     Smart_core.Simdriver.request d ~client:"sagit" ~wanted:2 ~requirement
-   with
-  | Ok servers ->
-    Fmt.pr "wizard answered: %s@." (String.concat ", " servers)
-  | Error e -> Fmt.pr "request failed: %a@." Smart_core.Client.pp_error e);
-  let log = Smart_core.Simdriver.tracelog d in
-  let entries = T.entries log in
-  let tree_of name =
-    match
-      List.filter (fun (e : T.entry) -> String.equal e.T.name name) entries
-    with
-    | [] -> Fmt.pr "no %s span recorded@." name
-    | e :: _ -> Fmt.pr "%s@." (T.render_tree log ~trace_id:e.T.trace_id)
-  in
-  Fmt.pr "@.=== the request's span tree ===@.";
-  tree_of "client.request";
-  Fmt.pr "=== one report-pipeline span tree ===@.";
-  tree_of "receiver.commit";
-  let json = Smart_core.Simdriver.trace_json d in
-  let oc = open_out "trace.json" in
-  output_string oc json;
-  close_out oc;
-  Fmt.pr "wrote trace.json (%d spans recorded, %d retained) — load it in \
-          Perfetto / chrome://tracing@."
-    (T.total_recorded log)
-    (List.length entries)
+let () = Scenario_runner.main "trace"

@@ -77,6 +77,44 @@ let lan_conf =
     loss = 0.0;
   }
 
+let helenes subnet names =
+  List.mapi
+    (fun i name ->
+      { (spec_of_name "helene") with
+        Machine.name; ip = Printf.sprintf "%s.%d" subnet (i + 1) })
+    names
+
+(* One switch per segment; hosts, then switches, then access links in
+   segment order, then the trunks chaining consecutive switches.  The
+   order fixes the node ids and the draws on the seeded generator, so a
+   seed builds the same cluster every time. *)
+let switched_lan ~seed ?(access = fun _ -> lan_conf) ?(trunks = []) segments =
+  let c = Cluster.create ~seed () in
+  let hosts =
+    List.map
+      (fun (_, _, specs) ->
+        List.map (fun s -> (s.Machine.name, Cluster.add_machine c s)) specs)
+      segments
+  in
+  let switches =
+    List.map (fun (name, ip, _) -> Cluster.add_switch c ~name ~ip) segments
+  in
+  List.iter2
+    (fun sw nodes ->
+      List.iter
+        (fun (name, node) -> ignore (Cluster.link c ~a:node ~b:sw (access name)))
+        nodes)
+    switches hosts;
+  let rec trunk i = function
+    | a :: (b :: _ as rest) ->
+      let conf = Option.value ~default:lan_conf (List.nth_opt trunks i) in
+      ignore (Cluster.link c ~a ~b conf);
+      trunk (i + 1) rest
+    | [ _ ] | [] -> ()
+  in
+  trunk 0 switches;
+  c
+
 (* Fig 5.1: sagit — dalmatian (gateway) — lab backbone — 5 segments. *)
 let icpp2005 ?(seed = 42) ?trace () =
   let c = Cluster.create ~seed ?trace () in

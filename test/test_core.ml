@@ -7,6 +7,7 @@ module C = Smart_core
 module P = Smart_proto
 module H = Smart_host
 module O = Smart_oracle
+module S = Smart_experiments.Scenario
 
 (* Registry reads for assertions.  [Metrics.counter_value] and
    [gauge_value] read 0 for a name the registry does not hold; these
@@ -2549,31 +2550,23 @@ let test_probe_tcp_transport () =
 (* Two server groups joined by a slow WAN link (Fig 3.8): the wizard on
    group A binds monitor_network_* per group from the monitor mesh. *)
 let two_group_world () =
-  let c = H.Cluster.create ~seed:31 () in
-  let spec name ip =
-    { (H.Testbed.spec_of_name "helene") with H.Machine.name; ip }
+  let c =
+    H.Testbed.switched_lan ~seed:31
+      (* 8 Mbps, 20 ms inter-group WAN link *)
+      ~trunks:
+        [
+          {
+            Smart_net.Link.capacity = 8e6 /. 8.0;
+            prop_delay = 10e-3;
+            jitter = 50e-6;
+            loss = 0.0;
+          };
+        ]
+      [
+        ("sw-a", "10.1.0.254", H.Testbed.helenes "10.1.0" [ "mon-a"; "a1"; "a2" ]);
+        ("sw-b", "10.2.0.254", H.Testbed.helenes "10.2.0" [ "mon-b"; "b1"; "b2" ]);
+      ]
   in
-  let add name ip = H.Cluster.add_machine c (spec name ip) in
-  let mon_a = add "mon-a" "10.1.0.1" in
-  let a1 = add "a1" "10.1.0.2" in
-  let a2 = add "a2" "10.1.0.3" in
-  let mon_b = add "mon-b" "10.2.0.1" in
-  let b1 = add "b1" "10.2.0.2" in
-  let b2 = add "b2" "10.2.0.3" in
-  let sw_a = H.Cluster.add_switch c ~name:"sw-a" ~ip:"10.1.0.254" in
-  let sw_b = H.Cluster.add_switch c ~name:"sw-b" ~ip:"10.2.0.254" in
-  let lan = H.Testbed.lan_conf in
-  List.iter (fun n -> ignore (H.Cluster.link c ~a:n ~b:sw_a lan)) [ mon_a; a1; a2 ];
-  List.iter (fun n -> ignore (H.Cluster.link c ~a:n ~b:sw_b lan)) [ mon_b; b1; b2 ];
-  (* 8 Mbps, 20 ms inter-group WAN link *)
-  ignore
-    (H.Cluster.link c ~a:sw_a ~b:sw_b
-       {
-         Smart_net.Link.capacity = 8e6 /. 8.0;
-         prop_delay = 10e-3;
-         jitter = 50e-6;
-         loss = 0.0;
-       });
   let d =
     C.Simdriver.deploy_groups c ~wizard_host:"mon-a"
       ~groups:
@@ -3116,79 +3109,27 @@ let test_sim_lossy_expiry_and_rereg () =
   Alcotest.(check int) "re-registered" 2
     (C.Status_db.sys_count (C.Simdriver.db_wizard d))
 
+(* An entry of the seeded scenarios, at its own seed. *)
+let run_scenario name =
+  S.run (List.find (fun (s : S.t) -> String.equal s.S.name name) S.all)
+
+let output (o : S.outcome) file = List.assoc file o.S.outputs
+
+let answered (o : S.outcome) =
+  match o.S.tally with
+  | S.Answered { ok; total } -> (ok, total)
+  | _ -> Alcotest.fail "not a request loop"
+
 (* The acceptance chaos scenario: crash the wizard-feed transmitter
    mid-stream, partition the other group's monitor (overlapping, so the
    wizard's feed goes fully quiet and degraded mode engages), 2% frame
    corruption throughout — while a client fires 100 requests.  Both
    same-seed runs must produce byte-identical metrics and traces. *)
-let chaos_world seed =
-  let c = H.Cluster.create ~seed () in
-  let spec name ip =
-    { (H.Testbed.spec_of_name "helene") with H.Machine.name; ip }
-  in
-  let add name ip = H.Cluster.add_machine c (spec name ip) in
-  let wiz = add "wiz" "10.0.0.1" in
-  let cli = add "cli" "10.0.0.2" in
-  let mon_a = add "mon-a" "10.1.0.1" in
-  let a1 = add "a1" "10.1.0.2" in
-  let a2 = add "a2" "10.1.0.3" in
-  let mon_b = add "mon-b" "10.2.0.1" in
-  let b1 = add "b1" "10.2.0.2" in
-  let b2 = add "b2" "10.2.0.3" in
-  let sw_a = H.Cluster.add_switch c ~name:"sw-a" ~ip:"10.1.0.254" in
-  let sw_b = H.Cluster.add_switch c ~name:"sw-b" ~ip:"10.2.0.254" in
-  let lan = H.Testbed.lan_conf in
-  List.iter
-    (fun n -> ignore (H.Cluster.link c ~a:n ~b:sw_a lan))
-    [ wiz; cli; mon_a; a1; a2 ];
-  List.iter
-    (fun n -> ignore (H.Cluster.link c ~a:n ~b:sw_b lan))
-    [ mon_b; b1; b2 ];
-  ignore (H.Cluster.link c ~a:sw_a ~b:sw_b lan);
-  let config =
-    {
-      C.Simdriver.default_config with
-      C.Simdriver.transmit_interval = 0.5;
-      frame_crc = true;
-      wizard_staleness = 3.0;
-    }
-  in
-  let d =
-    C.Simdriver.deploy_groups ~config c ~wizard_host:"wiz"
-      ~groups:[ ("mon-a", [ "a1"; "a2" ]); ("mon-b", [ "b1"; "b2" ]) ]
-  in
-  (c, d)
-
-let run_chaos seed =
-  let c, d = chaos_world seed in
-  C.Simdriver.settle ~duration:8.0 d;
-  let base = H.Cluster.now c in
-  let module F = Smart_sim.Faults in
-  C.Simdriver.install_faults d
-    [
-      { F.at = base +. 0.1; action = F.Corrupt_frames 0.02 };
-      { F.at = base +. 5.0; action = F.Crash_node "mon-a" };
-      { F.at = base +. 8.0; action = F.Partition_host "mon-b" };
-      { F.at = base +. 18.0; action = F.Restart_node "mon-a" };
-      { F.at = base +. 22.0; action = F.Heal_host "mon-b" };
-    ];
-  let ok = ref 0 and total = 100 in
-  for _ = 1 to total do
-    C.Simdriver.settle ~duration:0.4 d;
-    match
-      C.Simdriver.request d ~client:"cli" ~wanted:2
-        ~requirement:"host_cpu_free > 0.1\n"
-    with
-    | Ok _ -> incr ok
-    | Error _ -> ()
-  done;
-  C.Simdriver.settle ~duration:10.0 d;
-  let m = C.Simdriver.metrics d in
-  let db = C.Simdriver.db_wizard d in
-  (!ok, total, m, db, Smart_util.Metrics.to_text m, C.Simdriver.trace_json d)
-
 let test_sim_chaos_acceptance () =
-  let ok, total, m, db, metrics_text, trace_json = run_chaos 3 in
+  let o = run_scenario "chaos" in
+  let ok, total = answered o in
+  let m = C.Simdriver.metrics o.S.deployment in
+  let db = C.Simdriver.db_wizard o.S.deployment in
   Alcotest.(check bool)
     (Printf.sprintf "at least 99%% requests answered (%d/%d)" ok total)
     true
@@ -3208,10 +3149,13 @@ let test_sim_chaos_acceptance () =
   Alcotest.(check int) "mirror recovered after heal" 4
     (C.Status_db.sys_count db);
   (* same seed, same chaos: the whole observable surface is identical *)
-  let ok2, _, _, _, metrics_text2, trace_json2 = run_chaos 3 in
+  let o2 = run_scenario "chaos" in
+  let ok2, _ = answered o2 in
   Alcotest.(check int) "same successes" ok ok2;
-  Alcotest.(check string) "metrics byte-identical" metrics_text metrics_text2;
-  Alcotest.(check string) "trace byte-identical" trace_json trace_json2
+  Alcotest.(check string) "metrics byte-identical"
+    (output o "chaos_metrics.txt") (output o2 "chaos_metrics.txt");
+  Alcotest.(check string) "trace byte-identical" (output o "chaos_trace.json")
+    (output o2 "chaos_trace.json")
 
 (* ------------------------------------------------------------------ *)
 (* Federation                                                           *)
@@ -3402,28 +3346,17 @@ let test_wizard_subquery_cache_key () =
    them.  All machines are helene-class, so every server answers a
    cpu_free requirement identically. *)
 let fed_world ?(config = C.Simdriver.default_config) seed =
-  let c = H.Cluster.create ~seed () in
-  let spec name ip =
-    { (H.Testbed.spec_of_name "helene") with H.Machine.name; ip }
+  let helenes = H.Testbed.helenes in
+  let c =
+    H.Testbed.switched_lan ~seed
+      [
+        ( "sw",
+          "10.0.0.254",
+          helenes "10.0.0" [ "root"; "cli" ]
+          @ helenes "10.1.0" [ "shard-a"; "mon-a"; "a1"; "a2"; "a3" ]
+          @ helenes "10.2.0" [ "shard-b"; "mon-b"; "b1"; "b2"; "b3" ] );
+      ]
   in
-  let add name ip = H.Cluster.add_machine c (spec name ip) in
-  let root = add "root" "10.0.0.1" in
-  let cli = add "cli" "10.0.0.2" in
-  let shard_a = add "shard-a" "10.1.0.1" in
-  let mon_a = add "mon-a" "10.1.0.2" in
-  let a1 = add "a1" "10.1.0.3" in
-  let a2 = add "a2" "10.1.0.4" in
-  let a3 = add "a3" "10.1.0.5" in
-  let shard_b = add "shard-b" "10.2.0.1" in
-  let mon_b = add "mon-b" "10.2.0.2" in
-  let b1 = add "b1" "10.2.0.3" in
-  let b2 = add "b2" "10.2.0.4" in
-  let b3 = add "b3" "10.2.0.5" in
-  let sw = H.Cluster.add_switch c ~name:"sw" ~ip:"10.0.0.254" in
-  let lan = H.Testbed.lan_conf in
-  List.iter
-    (fun n -> ignore (H.Cluster.link c ~a:n ~b:sw lan))
-    [ root; cli; shard_a; mon_a; a1; a2; a3; shard_b; mon_b; b1; b2; b3 ];
   let d =
     C.Simdriver.deploy_federation ~config c ~root_host:"root"
       ~shards:
@@ -3565,27 +3498,18 @@ let test_sim_federation_determinism () =
    are asked, since the shard's uplink traffic can move network
    measurements. *)
 let site_world seed =
-  let c = H.Cluster.create ~seed () in
-  let helene name ip =
-    { (H.Testbed.spec_of_name "helene") with H.Machine.name; ip }
-  in
-  let nodes =
-    List.map (H.Cluster.add_machine c)
-      ([
-         helene "root" "10.0.0.1";
-         helene "cli" "10.0.0.2";
-         helene "site" "10.0.0.3";
-         helene "mon-a" "10.1.0.1";
-         helene "mon-b" "10.2.0.1";
-       ]
-      @ List.map H.Testbed.spec_of_name
-          [ "dalmatian"; "sagit"; "pandora-x"; "telesto"; "dione"; "mimas" ])
-  in
-  let sw = H.Cluster.add_switch c ~name:"sw" ~ip:"10.0.0.254" in
-  List.iter
-    (fun n -> ignore (H.Cluster.link c ~a:n ~b:sw H.Testbed.lan_conf))
-    nodes;
-  c
+  let helenes = H.Testbed.helenes in
+  H.Testbed.switched_lan ~seed
+    [
+      ( "sw",
+        "10.0.0.254",
+        helenes "10.0.0" [ "root"; "cli"; "site" ]
+        @ helenes "10.1.0" [ "mon-a" ]
+        @ helenes "10.2.0" [ "mon-b" ]
+        @ List.map H.Testbed.spec_of_name
+            [ "dalmatian"; "sagit"; "pandora-x"; "telesto"; "dione"; "mimas" ]
+      );
+    ]
 
 let test_sim_flat_and_shard_sites_agree () =
   let groups =
@@ -4339,80 +4263,20 @@ let prop_session_pool_determinism =
 (* Session chaos acceptance (the DESIGN.md §15 gate)                   *)
 (* ------------------------------------------------------------------ *)
 
-(* The bench's churn world in miniature: four servers behind a switch,
-   crash + partition mid-run, both healed before the drain. *)
-let session_churn_world seed =
-  let c = H.Cluster.create ~seed () in
-  let spec name ip =
-    { (H.Testbed.spec_of_name "helene") with H.Machine.name; ip }
-  in
-  let add name ip = H.Cluster.add_machine c (spec name ip) in
-  let wiz = add "wiz" "10.0.0.1" in
-  let cli = add "cli" "10.0.0.2" in
-  let mon = add "mon" "10.0.0.3" in
-  let servers =
-    List.init 4 (fun i ->
-        add (Printf.sprintf "s%d" (i + 1)) (Printf.sprintf "10.0.1.%d" (i + 1)))
-  in
-  let sw = H.Cluster.add_switch c ~name:"sw" ~ip:"10.0.0.254" in
-  List.iter
-    (fun n -> ignore (H.Cluster.link c ~a:n ~b:sw H.Testbed.lan_conf))
-    (wiz :: cli :: mon :: servers);
-  let config =
-    {
-      C.Simdriver.default_config with
-      C.Simdriver.transmit_interval = 0.5;
-      frame_crc = true;
-      wizard_staleness = 3.0;
-    }
-  in
-  let d =
-    C.Simdriver.deploy ~config c ~monitor:"mon" ~wizard_host:"wiz"
-      ~servers:[ "s1"; "s2"; "s3"; "s4" ]
-  in
-  (c, d)
-
-let run_session_chaos seed =
-  let c, d = session_churn_world seed in
-  C.Simdriver.settle ~duration:8.0 d;
-  let base = H.Cluster.now c in
-  let module F = Smart_sim.Faults in
-  C.Simdriver.install_faults d
-    [
-      { F.at = base +. 4.3; action = F.Crash_node "s1" };
-      { F.at = base +. 8.1; action = F.Partition_host "s2" };
-      { F.at = base +. 14.2; action = F.Restart_node "s1" };
-      { F.at = base +. 18.1; action = F.Heal_host "s2" };
-    ];
-  let report =
-    C.Simdriver.run_sessions d
-      ~clients:[ ("cli", 6) ]
-      ~requirement:"host_cpu_free > 0.05\norder_by = host_memory_free\n"
-      ~work_interval:0.5 ~duration:20.0
-  in
-  ( report,
-    Smart_util.Metrics.to_text (C.Simdriver.metrics d),
-    C.Simdriver.trace_json d )
-
 (* A CPU hog, not a crash or partition, disqualifies the held server:
    every connection stays up, so only the watcher's re-qualification
    check can notice, and both sessions must migrate off it without
    requeueing or losing work. *)
 let test_sim_session_requalify () =
-  let c = H.Cluster.create ~seed:11 () in
-  let spec name ip =
-    { (H.Testbed.spec_of_name "helene") with H.Machine.name; ip }
+  let c =
+    H.Testbed.switched_lan ~seed:11
+      [
+        ( "sw",
+          "10.0.0.254",
+          H.Testbed.helenes "10.0.0" [ "wiz"; "cli"; "mon" ]
+          @ H.Testbed.helenes "10.0.1" [ "s1"; "s2"; "s3" ] );
+      ]
   in
-  let add name ip = H.Cluster.add_machine c (spec name ip) in
-  let nodes =
-    [ add "wiz" "10.0.0.1"; add "cli" "10.0.0.2"; add "mon" "10.0.0.3" ]
-    @ List.init 3 (fun i ->
-          add (Printf.sprintf "s%d" (i + 1)) (Printf.sprintf "10.0.1.%d" (i + 1)))
-  in
-  let sw = H.Cluster.add_switch c ~name:"sw" ~ip:"10.0.0.254" in
-  List.iter
-    (fun n -> ignore (H.Cluster.link c ~a:n ~b:sw H.Testbed.lan_conf))
-    nodes;
   let config =
     { C.Simdriver.default_config with C.Simdriver.transmit_interval = 0.5 }
   in
@@ -4443,8 +4307,17 @@ let test_sim_session_requalify () =
     r.C.Simdriver.work_completed;
   Alcotest.(check int) "items issued" 46 r.C.Simdriver.work_issued
 
+let session_chaos_ledger () =
+  let o = run_scenario "session_chaos" in
+  match o.S.tally with
+  | S.Ledger r ->
+    (r, output o "session_chaos_metrics.txt", output o "session_chaos_trace.json")
+  | _ -> Alcotest.fail "session_chaos runs sessions"
+
+(* The session_chaos scenario: four servers behind a switch, crash +
+   partition mid-run, both healed before the drain. *)
 let test_sim_session_chaos () =
-  let r, mtext, tjson = run_session_chaos 11 in
+  let r, mtext, tjson = session_chaos_ledger () in
   Alcotest.(check int) "every session survived" r.C.Simdriver.sessions
     r.C.Simdriver.survived;
   Alcotest.(check bool) "sessions migrated through the churn" true
@@ -4456,7 +4329,7 @@ let test_sim_session_chaos () =
   Alcotest.(check int) "work ledger closes" r.C.Simdriver.work_completed
     (r.C.Simdriver.work_issued - r.C.Simdriver.work_requeued);
   (* same seed, same churn: the observable surface is byte-identical *)
-  let r2, mtext2, tjson2 = run_session_chaos 11 in
+  let r2, mtext2, tjson2 = session_chaos_ledger () in
   Alcotest.(check int) "same migrations" r.C.Simdriver.migrations
     r2.C.Simdriver.migrations;
   Alcotest.(check string) "metrics byte-identical" mtext mtext2;

@@ -306,6 +306,36 @@ let test_ablation_staleness () =
         (r.E.Exp_ablation.detection_s < Float.infinity))
     rows
 
+(* ------------------------------------------------------------------ *)
+(* Seeded scenarios                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Every entry of the table, run twice at its own seed: each file it
+   writes comes out byte-identical, carries the entry's markers, and the
+   entry's gate holds. *)
+let test_scenarios_replay () =
+  let module S = E.Scenario in
+  List.iter
+    (fun (s : S.t) ->
+      let first = S.run s and second = S.run s in
+      Alcotest.(check (list string))
+        (s.S.name ^ ": files") (List.map fst s.S.files)
+        (List.map fst first.S.outputs);
+      List.iter2
+        (fun (file, a) (_, b) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %s byte-identical" s.S.name file)
+            true (String.equal a b))
+        first.S.outputs second.S.outputs;
+      Alcotest.(check (list string))
+        (s.S.name ^ ": summary replays") first.S.report second.S.report;
+      Alcotest.(check (list (pair string string)))
+        (s.S.name ^ ": no marker missing") []
+        (S.missing_markers s first);
+      Alcotest.(check bool) (s.S.name ^ ": gate holds") true
+        (s.S.gate first.S.tally))
+    S.all
+
 let () =
   Alcotest.run "smart_experiments"
     [
@@ -339,5 +369,10 @@ let () =
           Alcotest.test_case "push vs pull" `Slow test_ablation_modes;
           Alcotest.test_case "staleness threshold" `Quick
             test_ablation_staleness;
+        ] );
+      ( "scenarios",
+        [
+          Alcotest.test_case "every entry replays byte-identically" `Quick
+            test_scenarios_replay;
         ] );
     ]

@@ -456,29 +456,31 @@ let render_trace trace =
          Printf.sprintf "%.9f|%s|%s" e.time e.category e.message)
   |> String.concat "\n"
 
-let run_stack seed =
-  let trace = S.Trace.create ~capacity:65536 () in
-  let c = H.Testbed.icpp2005 ~seed ~trace () in
-  let d =
-    C.Simdriver.deploy c ~monitor:"dalmatian" ~wizard_host:"dalmatian"
-      ~servers:H.Testbed.machine_names
+(* The seeded trace scenario: the ICPP-2005 testbed with a packet trace,
+   settled, then one request from sagit. *)
+let run_stack () =
+  let module Sc = Smart_experiments.Scenario in
+  let o =
+    Sc.run (List.find (fun (s : Sc.t) -> String.equal s.Sc.name "trace") Sc.all)
   in
-  C.Simdriver.settle ~duration:8.0 d;
+  let trace =
+    match H.Cluster.trace o.Sc.cluster with
+    | Some trace -> trace
+    | None -> Alcotest.fail "the trace scenario records no packet trace"
+  in
   let servers =
-    match
-      C.Simdriver.request d ~client:"sagit" ~wanted:2
-        ~requirement:"host_cpu_bogomips > 4000\n"
-    with
-    | Ok servers -> String.concat "," servers
-    | Error e -> Format.asprintf "error: %a" C.Client.pp_error e
+    match o.Sc.tally with
+    | Sc.Reply (Ok servers) -> String.concat "," servers
+    | Sc.Reply (Error e) -> Format.asprintf "error: %a" C.Client.pp_error e
+    | Sc.Answered _ | Sc.Ledger _ -> Alcotest.fail "not one request"
   in
   ( render_trace trace,
-    U.Metrics.to_text (C.Simdriver.metrics d),
-    C.Simdriver.trace_json d,
+    U.Metrics.to_text (C.Simdriver.metrics o.Sc.deployment),
+    List.assoc "trace.json" o.Sc.outputs,
     servers )
 
 let test_same_seed_identical () =
-  let t1, m1, j1, s1 = run_stack 7 and t2, m2, j2, s2 = run_stack 7 in
+  let t1, m1, j1, s1 = run_stack () and t2, m2, j2, s2 = run_stack () in
   Alcotest.(check bool) "trace non-empty" true (String.length t1 > 0);
   Alcotest.(check bool) "metrics non-empty" true (String.length m1 > 0);
   Alcotest.(check bool) "span export non-empty" true (String.length j1 > 0);

@@ -7,7 +7,8 @@
 # <rev> is exported with `git archive` into a temporary directory outside
 # the source tree and built there; the working tree is built in place.
 # For each tree, in fresh directories, it runs the four determinism demos
-# at their CI seeds (chaos 3, session_chaos 11, control 7, trace 7) and
+# (each runs one entry of lib/experiments/scenario.ml) at their CI seeds
+# (chaos 3, session_chaos 11, control 7, trace 7) and
 # `bench/main.exe tab5.2 tab5.3-5.6 tab5.7-5.9 ablation sessions` with
 # its wall-clock lines dropped.  Every file the base run leaves behind,
 # stdout and each demo's exit status included, is then compared with
