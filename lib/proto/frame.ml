@@ -59,11 +59,10 @@ type frame = {
          [Tracelog.root] means untraced and adds no bytes *)
 }
 
-type error =
-  | Truncated of { need : int; have : int }
-  | Unknown_code of int
-  | Oversized of int
-  | Crc_mismatch of { expected : int; got : int }
+(* Why no frame starts at an offset: its bytes have not all arrived
+   (wait for more), or they cannot start a frame (skip one byte).
+   Constants, so rejecting an offset allocates nothing. *)
+type error = Incomplete | Corrupt
 
 let encode ?(crc = false) order { payload_type; data; trace } =
   let traced = not (Smart_util.Tracelog.is_root trace) in
@@ -92,12 +91,11 @@ let encode ?(crc = false) order { payload_type; data; trace } =
 
 (* Decode the single frame starting at [pos] of [s], whose bytes end at
    [stop]; on success also return how many bytes it occupied.  Never
-   raises: malformed input comes back as a typed {!error}. *)
+   raises: an unknown code, a size beyond 16 MB or a CRC mismatch is
+   [Corrupt]. *)
 let decode_within order s ~pos ~stop =
   let len = stop - pos in
-  if pos < 0 || len < 0 then Error (Truncated { need = header_size; have = 0 })
-  else if len < header_size then
-    Error (Truncated { need = header_size; have = len })
+  if pos < 0 || len < header_size then Error Incomplete
   else begin
     let code = Endian.get_u32 order s ~pos in
     let size = Endian.get_u32 order s ~pos:(pos + 4) in
@@ -109,12 +107,12 @@ let decode_within order s ~pos ~stop =
       - if crc then crc_code_offset else 0
     in
     match type_of_code base_code with
-    | None -> Error (Unknown_code code)
-    | Some _ when size > max_frame_size -> Error (Oversized size)
+    | None -> Error Corrupt
+    | Some _ when size > max_frame_size -> Error Corrupt
     | Some payload_type ->
       let pre = header_size + if traced then ctx_size else 0 in
       let total = pre + size + if crc then crc_size else 0 in
-      if len < total then Error (Truncated { need = total; have = len })
+      if len < total then Error Incomplete
       else begin
         let ok () =
           let trace =
@@ -135,8 +133,7 @@ let decode_within order s ~pos ~stop =
             Smart_util.Crc32.substring s ~pos ~len:(pre + size)
           in
           let got = Endian.get_u32 order s ~pos:(pos + pre + size) in
-          if expected = got then ok ()
-          else Error (Crc_mismatch { expected; got })
+          if expected = got then ok () else Error Corrupt
         end
       end
   end
@@ -218,12 +215,12 @@ let scan dec s ~pos ~stop =
       | Ok (frame, consumed) ->
         dec.in_resync <- false;
         go (pos + consumed) (frame :: acc)
-      | Error (Truncated _) ->
+      | Error Incomplete ->
         (* an incomplete tail: wait for more bytes.  If the claimed frame
            is corrupt the eventual CRC check (or a later header scan)
            will recover; a truncated header can't be judged yet. *)
         (pos, acc)
-      | Error _ ->
+      | Error Corrupt ->
         (* corrupt span: drop one byte and look for the next header *)
         if not dec.in_resync then begin
           dec.in_resync <- true;
