@@ -20,11 +20,12 @@ module Metrics = Smart_util.Metrics
 
 (* Per-source stream state: the decoder plus the resync statistics we
    have already exported, so cumulative decoder counts turn into metric
-   increments. *)
+   increments, and the monitor the source's Net_db frames name. *)
 type source = {
   dec : Smart_proto.Frame.decoder;
   mutable seen_skipped : int;
   mutable seen_resyncs : int;
+  mutable monitor : string option;
 }
 
 type t = {
@@ -32,15 +33,16 @@ type t = {
   db : Status_db.t;
   trace : Smart_util.Tracelog.t;
   decoders : (string, source) Hashtbl.t;
-      (* one stream decoder per transmitter (keyed by source host) *)
+      (* one stream decoder per source tag *)
   owned_hosts : (string, string array) Hashtbl.t;
-      (* transmitter -> hosts its last Sys_db snapshot named, in record
-         order; hosts that disappear from a snapshot (expired on the
-         monitor side) are dropped from the mirror *)
+      (* owner -> hosts its last Sys_db snapshot named, in record order;
+         hosts that disappear from a snapshot (expired on the monitor
+         side) are dropped from the mirror.  The owner is the monitor a
+         source's Net_db frames name, so ownership outlives a
+         connection; a source that has named none owns under its tag. *)
   mutable last_sec : (string * int) option;
       (* payload of the last Sec_db frame applied, and the database's
          [Status_db.sec_changes] right after it *)
-  mutable current_from : string;
   frames_total : Metrics.Counter.t;
   frames_bytes : Metrics.Counter.t;
   decode_errors_total : Metrics.Counter.t;
@@ -63,7 +65,6 @@ let create ?(metrics = Metrics.create ())
     decoders = Hashtbl.create 4;
     owned_hosts = Hashtbl.create 4;
     last_sec = None;
-    current_from = "";
     frames_total =
       Metrics.counter metrics ~help:"frames applied to the mirror"
         "receiver.frames_total";
@@ -119,6 +120,7 @@ let decoder_for t ~from =
         dec = Smart_proto.Frame.decoder t.order;
         seen_skipped = 0;
         seen_resyncs = 0;
+        monitor = None;
       }
     in
     Hashtbl.replace t.decoders from s;
@@ -142,10 +144,36 @@ let snapshot_hosts data ~n ~previous =
         if kept i then previous.(i)
         else Smart_proto.Records.wire_host data ~pos:(i * size))
 
+(* [key] now owns [hosts]: the hosts it owned before and [hosts] lacks
+   leave the mirror. *)
+let own t key hosts =
+  (match Hashtbl.find_opt t.owned_hosts key with
+  | Some previous ->
+    let covered = Hashtbl.create (max 8 (Array.length hosts)) in
+    Array.iter (fun h -> Hashtbl.replace covered h ()) hosts;
+    Array.iter
+      (fun host ->
+        if not (Hashtbl.mem covered host) then Status_db.remove_sys t.db ~host)
+      previous
+  | None -> ());
+  Hashtbl.replace t.owned_hosts key hosts
+
+(* A source's Net_db frame named [monitor]: the snapshot it pushed under
+   its previous key (its tag, on a connection's first push) becomes the
+   monitor's. *)
+let adopt t src ~from monitor =
+  let key = Option.value src.monitor ~default:from in
+  (match Hashtbl.find_opt t.owned_hosts key with
+  | Some hosts when not (String.equal key monitor) ->
+    Hashtbl.remove t.owned_hosts key;
+    own t monitor hosts
+  | Some _ | None -> ());
+  src.monitor <- Some monitor
+
 (* Frames from a traced push carry the push span's context; the frame
    span adopts it, tying this mirror write to the monitor-side trace
    across the TCP hop. *)
-let apply_frame t (frame : Smart_proto.Frame.frame) =
+let apply_frame t src ~from (frame : Smart_proto.Frame.frame) =
   let frame_span =
     Smart_util.Tracelog.start t.trace
       ~parent:frame.Smart_proto.Frame.trace "receiver.frame"
@@ -168,12 +196,11 @@ let apply_frame t (frame : Smart_proto.Frame.frame) =
              "sys_db: %d bytes are not a whole number of %d-byte records"
              (String.length data) size)
       else begin
-        let previous =
-          Option.value ~default:[||]
-            (Hashtbl.find_opt t.owned_hosts t.current_from)
-        in
+        let key = Option.value src.monitor ~default:from in
+        let previous = Hashtbl.find_opt t.owned_hosts key in
         let hosts =
-          snapshot_hosts data ~n:(String.length data / size) ~previous
+          snapshot_hosts data ~n:(String.length data / size)
+            ~previous:(Option.value previous ~default:[||])
         in
         let commit =
           Smart_util.Tracelog.start t.trace ~parent:commit_parent
@@ -181,22 +208,19 @@ let apply_frame t (frame : Smart_proto.Frame.frame) =
         in
         Status_db.update_sys_payload t.db t.order data ~hosts;
         Smart_util.Tracelog.finish t.trace commit;
-        if hosts != previous then begin
-          let covered = Hashtbl.create (max 8 (Array.length hosts)) in
-          Array.iter (fun h -> Hashtbl.replace covered h ()) hosts;
-          Array.iter
-            (fun host ->
-              if not (Hashtbl.mem covered host) then
-                Status_db.remove_sys t.db ~host)
-            previous;
-          Hashtbl.replace t.owned_hosts t.current_from hosts
-        end;
+        (match previous with
+        | Some previous when previous == hosts -> ()
+        | Some _ | None -> own t key hosts);
         Ok ()
       end
     | Smart_proto.Frame.Net_db ->
       (match Smart_proto.Records.decode_net t.order frame.Smart_proto.Frame.data with
       | Ok record ->
         Status_db.update_net t.db record;
+        let monitor = record.Smart_proto.Records.monitor in
+        (match src.monitor with
+        | Some named when String.equal named monitor -> ()
+        | Some _ | None -> adopt t src ~from monitor);
         Ok ()
       | Error m -> Error m)
     | Smart_proto.Frame.Sec_db ->
@@ -248,7 +272,6 @@ let apply_frame t (frame : Smart_proto.Frame.frame) =
    same batch carried an undecodable record.  The result reports the
    first record-level failure, if any. *)
 let handle_stream t ~from data =
-  t.current_from <- from;
   let src = decoder_for t ~from in
   Smart_proto.Frame.feed src.dec data;
   let frames = Smart_proto.Frame.frames src.dec in
@@ -262,16 +285,38 @@ let handle_stream t ~from data =
   src.seen_resyncs <- resyncs;
   List.fold_left
     (fun acc f ->
-      match (apply_frame t f, acc) with
+      match (apply_frame t src ~from f, acc) with
       | Ok (), _ | _, Error _ -> acc
       | (Error _ as e), Ok () -> e)
     (Ok ()) frames
 
+(* A source that closes without naming its monitor (a push cut before
+   its Net_db frame) owned its snapshot under its tag: that record goes,
+   and so do the hosts no other owner claims, since no later snapshot
+   could drop them.  The monitor's next push brings back any still
+   alive. *)
+let disown t key =
+  match Hashtbl.find_opt t.owned_hosts key with
+  | None -> ()
+  | Some hosts ->
+    Hashtbl.remove t.owned_hosts key;
+    let claimed = Hashtbl.create 64 in
+    Hashtbl.iter
+      (fun _ owned -> Array.iter (fun h -> Hashtbl.replace claimed h ()) owned)
+      t.owned_hosts;
+    Array.iter
+      (fun host ->
+        if not (Hashtbl.mem claimed host) then Status_db.remove_sys t.db ~host)
+      hosts
+
 (* A transmitter connection closed: drop its decoder (partial bytes
-   would poison a later stream reusing the tag) and its ownership
-   record.  Realnet drivers tag sources per connection, so without this
-   the tables grow by one entry per push. *)
+   would poison a later stream reusing the tag).  Realnet drivers tag
+   sources per connection, so without this the table grows by one entry
+   per push.  The hosts a source owns under a monitor's name stay that
+   monitor's. *)
 let forget_source t ~from =
+  (match Hashtbl.find_opt t.decoders from with
+  | Some { monitor = None; _ } -> disown t from
+  | Some { monitor = Some _; _ } | None -> ());
   Hashtbl.remove t.decoders from;
-  Hashtbl.remove t.owned_hosts from;
   Metrics.Gauge.set t.transmitters (float_of_int (Hashtbl.length t.decoders))

@@ -6,6 +6,13 @@
     only their host names, reusing the strings of the source's previous
     snapshot for the hosts it names again.
 
+    Hosts a snapshot no longer names leave the mirror.  What a snapshot
+    is compared with is keyed on the monitor the source's [Net_db]
+    frames name (every push carries one), so it survives the push's
+    connection: a monitor's next push, on any connection, drops the
+    hosts it expired.  A source that has named no monitor keys its
+    snapshots on its own tag.
+
     A [Sec_db] frame whose payload repeats, byte for byte, the last one
     this receiver applied is skipped when no security change
     ({!Status_db.sec_changes}) landed on the database since: the table
@@ -58,8 +65,11 @@ val set_sketch_hook : t -> (Smart_proto.Sketch_msg.t -> unit) option -> unit
 val handle_stream : t -> from:string -> string -> (unit, string) result
 
 (** Discard the stream state of source [from] (call when its connection
-    closes): pending partial-frame bytes and the host-ownership record
-    are dropped, and the [receiver.transmitters] gauge shrinks.  Drivers
-    that tag sources per connection must call this or the per-source
-    tables grow by one entry per push. *)
+    closes): pending partial-frame bytes are dropped, and the
+    [receiver.transmitters] gauge shrinks.  The hosts it pushed stay
+    owned by the monitor it named.  A source that named none (a push cut
+    before its [Net_db] frame) takes its tag-keyed record with it, and
+    the hosts no other owner claims leave the mirror.  Drivers that tag
+    sources per connection must call this or the per-source table grows
+    by one entry per push. *)
 val forget_source : t -> from:string -> unit

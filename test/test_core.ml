@@ -1271,6 +1271,87 @@ let test_receiver_multi_transmitter_ownership () =
   Alcotest.(check bool) "a2 gone" true
     (C.Status_db.find_sys db ~host:"a2" = None)
 
+(* One monitor's push as a realnet transmitter ships it, on a connection
+   of its own: the snapshot of [hosts], then the Net_db record naming
+   the monitor (written even when it holds no entries). *)
+let monitor_push ?(cut = false) ~monitor hosts =
+  let order = P.Endian.Little in
+  let frame payload_type data =
+    P.Frame.encode order
+      { P.Frame.payload_type; data; trace = Smart_util.Tracelog.root }
+  in
+  frame P.Frame.Sys_db
+    (String.concat ""
+       (List.map
+          (fun h ->
+            P.Records.encode_sys order
+              (sys_record ~host:h ~ip:("10.0.0." ^ h) ~at:1.0 ()))
+          hosts))
+  ^
+  if cut then ""
+  else
+    frame P.Frame.Net_db
+      (P.Records.encode_net order { P.Records.monitor; entries = [] })
+
+(* Each push on its own connection, forgotten at its EOF: ownership is
+   the monitor's, so the second push still drops the host the first
+   named and it does not.  A push cut before its Net_db frame names no
+   monitor: the host only it named leaves at its EOF. *)
+let test_receiver_ownership_outlives_connection () =
+  let db = C.Status_db.create () in
+  let rx = C.Receiver.create ~order:P.Endian.Little db in
+  let push ?cut ~from hosts =
+    (match
+       C.Receiver.handle_stream rx ~from (monitor_push ?cut ~monitor:"mon" hosts)
+     with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "push: %s" e);
+    C.Receiver.forget_source rx ~from
+  in
+  let mirrored host = Option.is_some (C.Status_db.find_sys db ~host) in
+  push ~from:"127.0.0.1:40001" [ "a"; "b" ];
+  Alcotest.(check int) "both mirrored" 2 (C.Status_db.sys_count db);
+  push ~from:"127.0.0.1:40002" [ "a" ];
+  Alcotest.(check bool) "b gone" false (mirrored "b");
+  Alcotest.(check bool) "a kept" true (mirrored "a");
+  push ~cut:true ~from:"127.0.0.1:40003" [ "a"; "c" ];
+  Alcotest.(check bool) "c, named by a cut push only, gone" false
+    (mirrored "c");
+  Alcotest.(check bool) "a, still the monitor's, kept" true (mirrored "a")
+
+(* 1,000 one-shot pushes from one monitor leave one ownership entry:
+   every push that omits b drops it, and no connection's tag outlives
+   its EOF in any receiver table (a weak pointer to each tag is cleared
+   by a full major collection). *)
+let test_receiver_one_shot_pushes () =
+  let db = C.Status_db.create () in
+  let m = Smart_util.Metrics.create () in
+  let rx = C.Receiver.create ~metrics:m ~order:P.Endian.Little db in
+  let n = 1000 in
+  let tags = Weak.create n in
+  for i = 0 to n - 1 do
+    let from = Printf.sprintf "127.0.0.1:%d" (40000 + i) in
+    Weak.set tags i (Some from);
+    let hosts = if i mod 2 = 0 then [ "a"; "b" ] else [ "a" ] in
+    (match C.Receiver.handle_stream rx ~from (monitor_push ~monitor:"mon" hosts) with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "push %d: %s" i e);
+    C.Receiver.forget_source rx ~from;
+    Alcotest.(check int)
+      (Printf.sprintf "push %d mirrors its snapshot" i)
+      (List.length hosts) (C.Status_db.sys_count db)
+  done;
+  Alcotest.(check (float 0.0)) "no stream state left" 0.0
+    (gauge_value m "receiver.transmitters");
+  Gc.full_major ();
+  let kept = ref 0 in
+  for i = 0 to n - 1 do
+    if Weak.check tags i then incr kept
+  done;
+  (* the receiver is live across the collection *)
+  ignore (Sys.opaque_identity rx);
+  Alcotest.(check int) "no connection tag retained" 0 !kept
+
 (* A Sys_db payload that ends inside a record is rejected whole: it
    counts as a decode error and writes nothing, so the host its last,
    partial record named stays mirrored.  An empty payload is valid: the
@@ -4383,6 +4464,10 @@ let () =
           Alcotest.test_case "update hook" `Quick test_receiver_update_hook;
           Alcotest.test_case "multi-transmitter ownership" `Quick
             test_receiver_multi_transmitter_ownership;
+          Alcotest.test_case "ownership outlives a connection" `Quick
+            test_receiver_ownership_outlives_connection;
+          Alcotest.test_case "one-shot pushes keep one owner" `Quick
+            test_receiver_one_shot_pushes;
           Alcotest.test_case "partial sys record rejected" `Quick
             test_receiver_rejects_partial_sys;
           QCheck_alcotest.to_alcotest prop_receiver_matches_direct_writes;

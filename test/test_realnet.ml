@@ -843,7 +843,9 @@ let test_bind_failure_closes_bound_ports () =
 
 (* The same deployment through [Simdriver.deploy] and through loopback
    daemons: three servers report under one security log, pushes land,
-   then requests whose answers do not depend on measured values.  Both
+   then requests whose answers do not depend on measured values.  Then
+   helene goes silent (its node crashes, its probe daemon stops) until
+   the monitor expires it, and every host is asked for again.  Both
    runs answer with the same host sets. *)
 let test_simulated_and_real_agree () =
   let servers = [ "mimas"; "telesto"; "helene" ] in
@@ -863,6 +865,7 @@ let test_simulated_and_real_agree () =
     | Error (Smart_core.Client.Not_enough _) -> "not enough"
     | Error e -> Fmt.str "error: %a" Smart_core.Client.pp_error e
   in
+  let every_host = List.hd requests in
   let simulated =
     let cluster = Smart_host.Testbed.icpp2005 () in
     let d =
@@ -871,12 +874,22 @@ let test_simulated_and_real_agree () =
         cluster ~monitor:"dalmatian" ~wizard_host:"phoebe" ~servers
     in
     Smart_core.Simdriver.settle ~duration:8.0 d;
-    List.map
-      (fun (_, option, wanted, requirement) ->
-        answer
-          (Smart_core.Simdriver.request ~option d ~client:"sagit" ~wanted
-             ~requirement))
-      requests
+    let ask (_, option, wanted, requirement) =
+      answer
+        (Smart_core.Simdriver.request ~option d ~client:"sagit" ~wanted
+           ~requirement)
+    in
+    let answers = List.map ask requests in
+    (* three missed 2 s probe intervals expire helene *)
+    Smart_core.Simdriver.install_faults d
+      [
+        {
+          Smart_sim.Faults.at = Smart_host.Cluster.now cluster +. 0.1;
+          action = Smart_sim.Faults.Crash_node "helene";
+        };
+      ];
+    Smart_core.Simdriver.settle ~duration:10.0 d;
+    answers @ [ ask every_host ]
   in
   let book = R.Addr_book.create () in
   List.iter
@@ -936,20 +949,30 @@ let test_simulated_and_real_agree () =
         in
         let seen = frames () in
         await ~timeout:5.0 (fun () -> frames () >= seen +. 3.0);
-        List.map
-          (fun (_, option, wanted, requirement) ->
-            answer
-              (R.Client_io.request_servers ~option ~timeout:5.0 book
-                 ~wizard_host:"phoebe" ~wanted ~requirement ()))
-          requests)
+        let ask (_, option, wanted, requirement) =
+          answer
+            (R.Client_io.request_servers ~option ~timeout:5.0 book
+               ~wizard_host:"phoebe" ~wanted ~requirement ())
+        in
+        let answers = List.map ask requests in
+        R.Probe_daemon.stop (List.nth probes 2);
+        let expired () =
+          scraped book ~host:"dalmatian" ~port:Smart_proto.Ports.transmitter
+            "sysmon.expired_total"
+        in
+        await ~timeout:5.0 (fun () -> expired () >= 1.0);
+        (* the push after the expiry lands *)
+        await ~timeout:5.0 (fun () ->
+            String.equal (ask every_host) "mimas,telesto");
+        answers @ [ ask every_host ])
   in
   Alcotest.(check (list string)) "the answers the scenario expects"
-    [ "helene,mimas,telesto"; "mimas,telesto"; "not enough" ]
+    [ "helene,mimas,telesto"; "mimas,telesto"; "not enough"; "mimas,telesto" ]
     simulated;
   List.iter2
-    (fun (name, _, _, _) (sim, real) ->
+    (fun name (sim, real) ->
       Alcotest.(check string) (name ^ ": sockets answer as simulated") sim real)
-    requests
+    (List.map (fun (name, _, _, _) -> name) requests @ [ "after expiry" ])
     (List.combine simulated real)
 
 (* ------------------------------------------------------------------ *)
