@@ -109,17 +109,13 @@ let run_wizard host distributed transmitters admission_rate admission_burst =
   let mode =
     if distributed then
       Smart_core.Wizard.Distributed
-        {
-          transmitters =
-            List.map
-              (fun h ->
-                {
-                  Smart_core.Output.host = h;
-                  port = Smart_proto.Ports.transmitter;
-                })
-              (split_commas transmitters);
-          freshness_timeout = 2.0;
-        }
+        (List.map
+           (fun h ->
+             {
+               Smart_core.Output.host = h;
+               port = Smart_proto.Ports.transmitter;
+             })
+           (split_commas transmitters))
     else Smart_core.Wizard.Centralized
   in
   let daemon =

@@ -33,7 +33,7 @@ type server_state = {
    block is aborted and requeued on the surviving servers. *)
 type failure = { host : string; at : float }
 
-let run ?(deadline = 36000.0) ?(failures = []) cluster ~client ~servers
+let run ?(failures = []) cluster ~client ~servers
     ~data_kb ~blk_kb =
   if servers = [] then invalid_arg "Massd.run: no servers";
   if data_kb <= 0 || blk_kb <= 0 then invalid_arg "Massd.run: bad sizes";
@@ -118,7 +118,7 @@ let run ?(deadline = 36000.0) ?(failures = []) cluster ~client ~servers
   List.iter next_block states;
   let all_alive_dead () = List.for_all (fun st -> st.dead) states in
   ignore
-    (Smart_measure.Runner.run_until engine ~deadline:(start +. deadline)
+    (Smart_measure.Runner.run_until engine ~deadline:(start +. 36000.0)
        (fun () -> !completed >= total_blocks || all_alive_dead ()));
   let elapsed = Float.max 1e-9 (Smart_sim.Engine.now engine -. start) in
   {

@@ -17,10 +17,10 @@ type failure = { host : string; at : float }
 
 (** [run cluster ~client ~servers ~data_kb ~blk_kb] downloads [data_kb]
     kilobytes in [blk_kb]-kilobyte blocks and drives the simulation until
-    the last block lands (or every server has died).  Raises
-    [Invalid_argument] if a failure names a host outside [servers]. *)
+    the last block lands (or every server has died, or ten virtual hours
+    have passed).  Raises [Invalid_argument] if a failure names a host
+    outside [servers]. *)
 val run :
-  ?deadline:float ->
   ?failures:failure list ->
   Smart_host.Cluster.t ->
   client:int ->

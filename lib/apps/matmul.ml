@@ -40,7 +40,7 @@ let local_time ~(machine : Smart_host.Machine.t) ~n =
   ops
   /. (spec.Smart_host.Machine.matmul_rate *. Smart_host.Machine.compute_share machine)
 
-let run ?(deadline = 3600.0) cluster ~master ~workers ~n ~blk =
+let run cluster ~master ~workers ~n ~blk =
   if workers = [] then invalid_arg "Matmul.run: no workers";
   let engine = Smart_host.Cluster.engine cluster in
   let flows = Smart_host.Cluster.flows cluster in
@@ -120,7 +120,7 @@ let run ?(deadline = 3600.0) cluster ~master ~workers ~n ~blk =
       next_task st)
     states;
   ignore
-    (Smart_measure.Runner.run_until engine ~deadline:(start +. deadline)
+    (Smart_measure.Runner.run_until engine ~deadline:(start +. 3600.0)
        (fun () -> !completed >= total_tasks));
   List.iter finish_worker states;
   let makespan = Smart_sim.Engine.now engine -. start in

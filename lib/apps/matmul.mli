@@ -22,9 +22,8 @@ val local_time : machine:Smart_host.Machine.t -> n:int -> float
 
 (** [run cluster ~master ~workers ~n ~blk] executes the distributed
     multiplication and drives the simulation until the last tile lands
-    (or [deadline] virtual seconds elapse). *)
+    (or a virtual hour elapses). *)
 val run :
-  ?deadline:float ->
   Smart_host.Cluster.t ->
   master:int ->
   workers:int list ->

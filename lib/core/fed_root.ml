@@ -79,11 +79,8 @@ type t = {
 let latency_metric = "wizard.request_latency_seconds"
 
 
-let default_compile_cache_capacity = 128
-
 let create ?(metrics = Metrics.create ()) ?(clock = fun () -> 0.)
-    ?(trace = Smart_util.Tracelog.disabled)
-    ?(compile_cache_capacity = default_compile_cache_capacity) config =
+    ?(trace = Smart_util.Tracelog.disabled) config =
   if config.fanout_timeout <= 0.0 then
     invalid_arg "Fed_root.create: fanout_timeout must be positive";
   if config.shards = [] then invalid_arg "Fed_root.create: no shards";
@@ -91,7 +88,7 @@ let create ?(metrics = Metrics.create ()) ?(clock = fun () -> 0.)
     config;
     clock;
     trace;
-    compile_cache = Smart_util.Lru.create ~capacity:compile_cache_capacity;
+    compile_cache = Smart_util.Lru.create ~capacity:128;
     digests = Hashtbl.create 8;
     sketches = Hashtbl.create 8;
     pending = Hashtbl.create 16;

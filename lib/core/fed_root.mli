@@ -28,9 +28,10 @@ type config = {
   routing : bool;  (** skip shards whose digest proves them empty *)
 }
 
-(** [create ?metrics ?clock ?trace ?compile_cache_capacity config]
-    builds a root.  [metrics] receives the [federation.*] instruments
-    (see OBSERVABILITY.md); by default a private registry is used.
+(** [create ?metrics ?clock ?trace config] builds a root, caching the
+    compiled programs of 128 requirement texts.  [metrics] receives the
+    [federation.*] instruments (see OBSERVABILITY.md); by default a
+    private registry is used.
     [clock] feeds [federation.request_latency_seconds] (the engine's
     virtual clock in simulation).  [trace] records a
     [federation.request] span per request with [federation.fanout]
@@ -42,7 +43,6 @@ val create :
   ?metrics:Smart_util.Metrics.t ->
   ?clock:(unit -> float) ->
   ?trace:Smart_util.Tracelog.t ->
-  ?compile_cache_capacity:int ->
   config ->
   t
 

@@ -19,18 +19,15 @@ type config = {
 (* Adaptive reporting (DESIGN.md §14): scale the report interval with
    the observed variability of the probe's headline signal (load1).  A
    steady host earns a slow cadence (up to [max_factor] x base), a noisy
-   one reports fast (down to [min_factor] x base).  [max_factor] must
-   stay below the sysmon's missed_intervals (3) or a healthy slow probe
-   would be expired for silence. *)
-type adaptive = {
-  base_interval : float;  (* the driver's nominal period *)
-  min_factor : float;
-  max_factor : float;
-  min_samples : int;      (* load1 observations before adapting *)
-}
+   one reports fast (down to [min_factor] x base), once [min_samples]
+   load1 values are in.  [max_factor] must stay below the sysmon's
+   missed_intervals (3) or a healthy slow probe would be expired for
+   silence. *)
+let min_factor = 0.5
 
-let default_adaptive ~base_interval =
-  { base_interval; min_factor = 0.5; max_factor = 2.0; min_samples = 8 }
+let max_factor = 2.0
+
+let min_samples = 8
 
 type sample = {
   at : float;
@@ -41,7 +38,7 @@ type sample = {
 
 type t = {
   config : config;
-  adaptive : adaptive option;
+  adaptive_base : float option;  (* the nominal period, when adaptive *)
   value_sketch : Smart_util.Sketch.t;  (* load1 observations *)
   mutable interval_now : float;  (* effective report interval, seconds *)
   mutable prev : sample option;
@@ -54,25 +51,21 @@ type t = {
 }
 
 let create ?(metrics = Smart_util.Metrics.create ())
-    ?(trace = Smart_util.Tracelog.disabled) ?adaptive config =
-  (match adaptive with
-  | Some a ->
-    if
-      a.base_interval <= 0.0 || a.min_factor <= 0.0
-      || a.max_factor < a.min_factor
-    then invalid_arg "Probe.create: bad adaptive config"
-  | None -> ());
+    ?(trace = Smart_util.Tracelog.disabled) ?adaptive_base config =
+  (match adaptive_base with
+  | Some base when base <= 0.0 ->
+    invalid_arg "Probe.create: adaptive_base must be positive"
+  | Some _ | None -> ());
   {
     config;
-    adaptive;
+    adaptive_base;
     value_sketch =
       Smart_util.Sketch.create
         ~rng:
           (Smart_util.Prng.create
              ~seed:(Smart_util.Crc32.string ("probe.adapt:" ^ config.host)))
         ();
-    interval_now =
-      (match adaptive with Some a -> a.base_interval | None -> 0.0);
+    interval_now = Option.value adaptive_base ~default:0.0;
     prev = None;
     trace;
     reports_total =
@@ -221,23 +214,23 @@ let tick_inner t ~tick_span ~now ~(snapshot : Smart_host.Procfs.snapshot) =
    bounded, deterministic dispersion measure that needs no running
    variance. *)
 let adapt t report =
-  match t.adaptive with
+  match t.adaptive_base with
   | None -> ()
-  | Some a ->
+  | Some base ->
     let load1 = report.Smart_proto.Report.load1 in
     if Float.is_finite load1 then
       Smart_util.Sketch.observe t.value_sketch load1;
-    if Smart_util.Sketch.count t.value_sketch >= a.min_samples then begin
+    if Smart_util.Sketch.count t.value_sketch >= min_samples then begin
       let q v = Smart_util.Sketch.quantile t.value_sketch v in
       let spread =
         (q 0.9 -. q 0.1) /. Float.max 0.1 (Float.abs (q 0.5))
       in
       let factor =
-        Float.max a.min_factor
-          (Float.min a.max_factor
-             (a.max_factor -. (a.max_factor -. a.min_factor) *. Float.min 1.0 spread))
+        Float.max min_factor
+          (Float.min max_factor
+             (max_factor -. (max_factor -. min_factor) *. Float.min 1.0 spread))
       in
-      let interval = a.base_interval *. factor in
+      let interval = base *. factor in
       if not (Float.equal interval t.interval_now) then begin
         t.interval_now <- interval;
         Smart_util.Metrics.Gauge.set t.interval_gauge interval;
@@ -263,4 +256,4 @@ let tick t ~now ~snapshot =
   result
 
 let report_interval t =
-  match t.adaptive with None -> None | Some _ -> Some t.interval_now
+  match t.adaptive_base with None -> None | Some _ -> Some t.interval_now

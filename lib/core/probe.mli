@@ -19,41 +19,34 @@ type config = {
 
 type t
 
-(** Adaptive reporting (DESIGN.md §14): scale the report interval with
-    the observed variability of the probe's load1 signal.  Each
-    successful tick feeds load1 into a deterministic quantile sketch;
-    once [min_samples] values are in, the effective interval becomes
-    [base_interval] times a factor sliding linearly from [max_factor]
-    (flat signal) down to [min_factor] (relative q10-q90 spread >= 1).
-    [max_factor] must stay below the sysmon's [missed_intervals]
-    (default 3) or a healthy, deliberately slow probe would be expired
-    for silence.  Every interval change is metered
-    ([probe.report_interval_seconds] gauge,
-    [probe.interval_adaptations_total] counter) and traced as a
-    [probe.adapt] instant. *)
-type adaptive = {
-  base_interval : float;  (** the driver's nominal period, seconds *)
-  min_factor : float;  (** fastest cadence as a fraction of base *)
-  max_factor : float;  (** slowest cadence as a multiple of base *)
-  min_samples : int;  (** load1 observations before adapting *)
-}
+(** The slowest adaptive cadence, as a multiple of the nominal period:
+    2.  It stays below the sysmon's three missed intervals, or a
+    healthy, deliberately slow probe would be expired for silence. *)
+val max_factor : float
 
-(** min_factor 0.5, max_factor 2.0, min_samples 8. *)
-val default_adaptive : base_interval:float -> adaptive
-
-(** [create ?metrics ?trace ?adaptive config] builds a probe.  [metrics] receives
-    the [probe.*] instruments (see OBSERVABILITY.md); by default a
-    private registry is used.  [trace] records [probe.tick] and
-    [probe.build] spans; the tick span's context is embedded in the
+(** [create ?metrics ?trace ?adaptive_base config] builds a probe.
+    [metrics] receives the [probe.*] instruments (see OBSERVABILITY.md);
+    by default a private registry is used.  [trace] records [probe.tick]
+    and [probe.build] spans; the tick span's context is embedded in the
     emitted report so downstream components continue the same trace.
     Defaults to {!Smart_util.Tracelog.disabled} (no recording, no
-    context on the wire).  [adaptive] (default off) arms the adaptive
-    report interval described at {!adaptive}; the sketch PRNG is seeded
-    from [config.host], so same-seed runs stay byte-identical. *)
+    context on the wire).
+
+    [adaptive_base] (default off), the nominal report period in seconds,
+    arms adaptive reporting (DESIGN.md §14): each successful tick feeds
+    load1 into a deterministic quantile sketch (seeded from
+    [config.host], so same-seed runs stay byte-identical); once 8 values
+    are in, the effective interval becomes [adaptive_base] times a
+    factor sliding linearly from {!max_factor} (flat signal) down to 0.5
+    (relative q10-q90 spread >= 1).  Every interval change is metered
+    ([probe.report_interval_seconds] gauge,
+    [probe.interval_adaptations_total] counter) and traced as a
+    [probe.adapt] instant.  Raises [Invalid_argument] on a non-positive
+    [adaptive_base]. *)
 val create :
   ?metrics:Smart_util.Metrics.t ->
   ?trace:Smart_util.Tracelog.t ->
-  ?adaptive:adaptive ->
+  ?adaptive_base:float ->
   config ->
   t
 
@@ -67,7 +60,7 @@ val tick :
   (Smart_proto.Report.t * Output.t list, string) result
 
 (** The effective report interval a self-scheduling driver should sleep
-    before the next {!tick}: [base_interval] until the sketch has
-    adapted it, [None] when the probe was built without [adaptive]
-    (the driver keeps its own fixed cadence). *)
+    before the next {!tick}: [adaptive_base] until the sketch has
+    adapted it, [None] when the probe was built without it (the driver
+    keeps its own fixed cadence). *)
 val report_interval : t -> float option

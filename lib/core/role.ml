@@ -59,9 +59,12 @@ let every ?(armed = always) ~offset ~period sink fire =
 (* Probe server                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let probe ?adaptive env (config : Probe.config) ~interval ~snapshot =
+let probe ?(control_loops = false) env (config : Probe.config) ~interval
+    ~snapshot =
   let probe =
-    Probe.create ~metrics:env.metrics ~trace:env.trace ?adaptive config
+    Probe.create ~metrics:env.metrics ~trace:env.trace
+      ?adaptive_base:(if control_loops then Some interval else None)
+      config
   in
   (* a failed snapshot counts with the component's own lost ticks *)
   let errors = Smart_util.Metrics.counter env.metrics "probe.errors_total" in
@@ -117,27 +120,21 @@ type monitor_config = {
 
 type monitor = { netmon : Netmon.t; transmitter : Transmitter.t }
 
-let monitor ?adaptive ?flap_policy ?(order = Smart_proto.Endian.Little)
+let monitor ?(control_loops = false) ?(order = Smart_proto.Endian.Little)
     ?(crc = false) (env : env) (config : monitor_config) =
   let { metrics; trace; _ } = env in
   let db = Status_db.create () in
   (* adaptive probes may legitimately slow down: expiry tolerates the
      slowest cadence they can adopt, or healthy slow probes expire and
      quarantined hosts never build a clean streak *)
-  let expiry_interval =
-    match adaptive with
-    | Some a -> a.Probe.base_interval *. a.Probe.max_factor
-    | None -> config.probe_interval
+  let probe_interval =
+    if control_loops then config.probe_interval *. Probe.max_factor
+    else config.probe_interval
   in
   let sysmon =
     Sysmon.create
-      ~config:
-        {
-          Sysmon.default_config with
-          probe_interval = expiry_interval;
-          missed_intervals = 3;
-        }
-      ?flap_policy ~metrics ~trace db
+      ~config:{ Sysmon.default_config with probe_interval }
+      ~adaptive:control_loops ~metrics ~trace db
   in
   let netmon =
     Netmon.create ~metrics ~trace
@@ -198,14 +195,14 @@ let receiver_port receiver =
     sink = sink ~tag:"receiver" Smart_proto.Ports.receiver;
   }
 
-let wizard_role ?staleness_policy ?admission ?groups ?shard_name ~order env
+let wizard ?(control_loops = false) ?admission ?groups ?shard_name ~order env
     ~mode ~staleness_threshold =
   let db = Status_db.create () in
   let receiver = Receiver.create ~metrics:env.metrics ~trace:env.trace ~order db in
   let wizard =
     Wizard.create ~metrics:env.metrics ~trace:env.trace ~clock:env.clock
-      ~staleness_threshold ?staleness_policy ?shard_name ?admission
-      { Wizard.mode; groups } db
+      ~staleness_threshold ~adaptive_staleness:control_loops ?shard_name
+      ?admission { Wizard.mode; groups } db
   in
   Receiver.set_update_hook receiver (Some (fun _ -> Wizard.note_update wizard));
   let out = sink ~tag:"wizard" Smart_proto.Ports.wizard in
@@ -218,7 +215,7 @@ let wizard_role ?staleness_policy ?admission ?groups ?shard_name ~order env
     peers =
       (match mode with
       | Wizard.Centralized -> []
-      | Wizard.Distributed { transmitters; _ } ->
+      | Wizard.Distributed transmitters ->
         List.map (fun (a : Output.address) -> a.host) transmitters);
     ports =
       [
@@ -239,18 +236,8 @@ let wizard_role ?staleness_policy ?admission ?groups ?shard_name ~order env
     parts = { db; receiver; wizard };
   }
 
-let wizard ?staleness_policy ?admission ?groups ~order env ~mode
-    ~staleness_threshold =
-  wizard_role ?staleness_policy ?admission ?groups ~order env ~mode
-    ~staleness_threshold
-
-let shard ?staleness_policy ?groups ~order env ~staleness_threshold ~name
-    ~root_host ~crc ~transmit_interval =
-  let role =
-    wizard_role ?staleness_policy ?groups ~shard_name:name ~order env
-      ~mode:Wizard.Centralized ~staleness_threshold
-  in
-  let { db; wizard = w; _ } = role.parts in
+let shard role ~order ~name ~root_host ~crc ~transmit_interval =
+  let { db; wizard = w; _ } = role.parts and env = role.env in
   (* the digest uplink: column ranges built with the shard wizard's own
      network bindings, so they cover exactly the values subqueries
      compare, plus its latency sketch once it has observations *)

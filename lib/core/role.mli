@@ -66,12 +66,13 @@ type 'a t = {
     any other datagram. *)
 val scrape : 'a t -> string -> string option
 
-(** A probe server reporting every [interval] seconds (self-scheduled
-    on {!Probe.report_interval} under [adaptive]) from [snapshot]; a
-    failed snapshot counts in [probe.errors_total].  Its echo port
+(** A probe server reporting every [interval] seconds from [snapshot]
+    (under [control_loops], default off, adaptively around [interval]
+    and self-scheduled on {!Probe.report_interval}); a failed snapshot
+    counts in [probe.errors_total].  Its echo port
     ({!Smart_proto.Ports.probe}) bounces every datagram. *)
 val probe :
-  ?adaptive:Probe.adaptive ->
+  ?control_loops:bool ->
   env ->
   Probe.config ->
   interval:float ->
@@ -91,15 +92,16 @@ type monitor_config = {
 type monitor = { netmon : Netmon.t; transmitter : Transmitter.t }
 
 (** A monitor machine: the system monitor on its report port, swept
-    every probe interval (a server expires after three silent ones, or
-    three of the slowest cadence [adaptive] probes may adopt), the
+    every probe interval (a server expires after three silent ones), the
     security and network monitors, and the transmitter, pushing every
     transmit interval in [order] (default little-endian), with CRC
     trailers under [crc], and pulled on its port (the scrape port).  A
-    sweep due with a push goes first. *)
+    sweep due with a push goes first.  Under [control_loops] (default
+    off) the system monitor quarantines adaptively, and a server expires
+    after three of the slowest cadence adaptive probes may adopt
+    ({!Probe.max_factor} probe intervals each). *)
 val monitor :
-  ?adaptive:Probe.adaptive ->
-  ?flap_policy:Sysmon.flap_policy ->
+  ?control_loops:bool ->
   ?order:Smart_proto.Endian.order ->
   ?crc:bool ->
   env ->
@@ -109,28 +111,29 @@ val monitor :
 type wizard = { db : Status_db.t; receiver : Receiver.t; wizard : Wizard.t }
 
 (** A wizard machine: the receiver on its stream port mirroring into
-    the wizard's database, and the wizard on the request port (the
-    scrape port), ticked every 50 ms while a request is parked. *)
+    the wizard's database, and the wizard (named [shard_name] in a
+    federation, adaptive staleness under [control_loops], default off)
+    on the request port (the scrape port), ticked every 50 ms while a
+    request is parked. *)
 val wizard :
-  ?staleness_policy:Wizard.staleness_policy ->
+  ?control_loops:bool ->
   ?admission:Wizard.admission ->
   ?groups:Wizard.groups ->
+  ?shard_name:string ->
   order:Smart_proto.Endian.order ->
   env ->
   mode:Wizard.mode ->
   staleness_threshold:float ->
   wizard t
 
-(** A federation shard (DESIGN.md §13): a centralized {!wizard} named
-    [name] that also answers root subqueries on the federation port,
-    plus a digest uplink to [root_host] every [transmit_interval] (with
-    the wizard's latency sketch once it has observations). *)
+(** A federation shard (DESIGN.md §13): a centralized {!wizard} machine
+    built with [~shard_name:name] that also answers root subqueries on
+    the federation port, plus a digest uplink to [root_host] every
+    [transmit_interval] in [order] (with the wizard's latency sketch
+    once it has observations). *)
 val shard :
-  ?staleness_policy:Wizard.staleness_policy ->
-  ?groups:Wizard.groups ->
+  wizard t ->
   order:Smart_proto.Endian.order ->
-  env ->
-  staleness_threshold:float ->
   name:string ->
   root_host:string ->
   crc:bool ->

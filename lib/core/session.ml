@@ -34,9 +34,7 @@ type conn = {
 }
 
 type pool = {
-  capacity : int;
   keepalive_interval : float;
-  keepalive_limit : int;
   clock : unit -> float;
   trace : Smart_util.Tracelog.t;
   conns : (string, conn) Hashtbl.t;  (* peer host -> its one entry *)
@@ -58,25 +56,19 @@ type pool = {
   work_lost_total : Metrics.Counter.t;
 }
 
-let default_capacity = 16
+(* Entries before a bind evicts an idle one, and the consecutive
+   keep-alive misses that declare a peer dead. *)
+let capacity = 16
 
-let default_keepalive_interval = 5.0
-
-let default_keepalive_limit = 3
+let keepalive_limit = 3
 
 let pool ?(metrics = Metrics.create ())
-    ?(trace = Smart_util.Tracelog.disabled) ?(capacity = default_capacity)
-    ?(keepalive_interval = default_keepalive_interval)
-    ?(keepalive_limit = default_keepalive_limit) ~clock () =
-  if capacity < 1 then invalid_arg "Session.pool: capacity must be positive";
+    ?(trace = Smart_util.Tracelog.disabled) ?(keepalive_interval = 5.0) ~clock
+    () =
   if keepalive_interval <= 0.0 then
     invalid_arg "Session.pool: keepalive_interval must be positive";
-  if keepalive_limit < 1 then
-    invalid_arg "Session.pool: keepalive_limit must be positive";
   {
-    capacity;
     keepalive_interval;
-    keepalive_limit;
     clock;
     trace;
     conns = Hashtbl.create 16;
@@ -232,7 +224,7 @@ let selecting s =
    peer is replaced. *)
 let attach p ~host =
   let fresh () =
-    (if Hashtbl.length p.conns >= p.capacity then ignore (evict_idle p));
+    (if Hashtbl.length p.conns >= capacity then ignore (evict_idle p));
     let c =
       {
         host;
@@ -432,7 +424,7 @@ let keepalive_ok p c =
    closed — sessions bound to it observe the Closed state and migrate. *)
 let keepalive_miss p c =
   c.misses <- c.misses + 1;
-  if c.misses >= p.keepalive_limit then begin
+  if c.misses >= keepalive_limit then begin
     Metrics.Counter.incr p.keepalive_failures_total;
     Smart_util.Tracelog.instant p.trace "session.keepalive_dead";
     remove p c

@@ -22,22 +22,19 @@ type conn
 
 type pool
 
-(** [pool ?metrics ?trace ?capacity ?keepalive_interval ?keepalive_limit
-    ~clock ()] builds a pool.  [capacity] (default 16) bounds the table
-    — a bind finding it full first evicts the least recently used idle
-    entry (deterministically: LRU stamp, ties by host), which becomes
-    [Closed]; when every entry is busy the pool overflows rather than
-    failing, visible in the [session.pool_size] gauge.  An entry quiet
-    for [keepalive_interval] (default 5 s) is due a probe, and
-    [keepalive_limit] (default 3) consecutive misses declare the peer
-    dead.  [clock] is the engine's virtual clock.  Raises
-    [Invalid_argument] on non-positive parameters. *)
+(** [pool ?metrics ?trace ?keepalive_interval ~clock ()] builds a pool
+    of 16 entries — a bind finding it full first evicts the least
+    recently used idle entry (deterministically: LRU stamp, ties by
+    host), which becomes [Closed]; when every entry is busy the pool
+    overflows rather than failing, visible in the [session.pool_size]
+    gauge.  An entry quiet for [keepalive_interval] (default 5 s) is due
+    a probe, and three consecutive misses declare the peer dead.
+    [clock] is the engine's virtual clock.  Raises [Invalid_argument]
+    on a non-positive [keepalive_interval]. *)
 val pool :
   ?metrics:Smart_util.Metrics.t ->
   ?trace:Smart_util.Tracelog.t ->
-  ?capacity:int ->
   ?keepalive_interval:float ->
-  ?keepalive_limit:int ->
   clock:(unit -> float) ->
   unit ->
   pool

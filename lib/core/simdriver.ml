@@ -166,12 +166,10 @@ type config = {
          receiver to detect injected stream corruption *)
   wizard_staleness : float;
       (* receiver silence before wizard replies are flagged degraded *)
-  adaptive_probes : bool;
-      (* probes self-schedule on Probe.report_interval (DESIGN.md §14) *)
-  adaptive_quarantine : bool;
-      (* sysmons tune the flap threshold from flap-score sketches *)
-  adaptive_staleness : bool;
-      (* wizards derive degraded mode from inter-update gap sketches *)
+  control_loops : bool;
+      (* probes self-schedule on Probe.report_interval, sysmons tune the
+         flap threshold from flap-score sketches, wizards derive
+         degraded mode from inter-update gap sketches (DESIGN.md §14) *)
 }
 
 let default_config =
@@ -184,9 +182,7 @@ let default_config =
     security_log = "";
     frame_crc = false;
     wizard_staleness = Wizard.default_staleness_threshold;
-    adaptive_probes = false;
-    adaptive_quarantine = false;
-    adaptive_staleness = false;
+    control_loops = false;
   }
 
 (* The packet-plane callbacks wired below reach the deployment record
@@ -197,7 +193,7 @@ let the t_ref = match !t_ref with Some t -> t | None -> assert false
    the packet plane, each timer rides the engine, and both do nothing
    while [alive] is false.  A stream port's source is the sending node's
    name; a timer with jitter draws it from its own split of the cluster
-   PRNG, after each fire, like {!Smart_sim.Engine.every}. *)
+   PRNG, after each fire. *)
 let install t_ref cluster ~node ~alive (role : _ Role.t) =
   let engine = Smart_host.Cluster.engine cluster in
   List.iter
@@ -249,17 +245,9 @@ let install t_ref cluster ~node ~alive (role : _ Role.t) =
 let setup_group t_ref config cluster env ~wizard_host ~monitor_host ~servers
     ~netmon_targets =
   let resolve = Smart_host.Cluster.resolve_exn cluster in
-  let adaptive =
-    if config.adaptive_probes then
-      Some (Probe.default_adaptive ~base_interval:config.probe_interval)
-    else None
-  in
+  let control_loops = config.control_loops in
   let monitor =
-    Role.monitor ?adaptive
-      ?flap_policy:
-        (if config.adaptive_quarantine then Some Sysmon.default_flap_policy
-         else None)
-      ~order:config.order ~crc:config.frame_crc env
+    Role.monitor ~control_loops ~order:config.order ~crc:config.frame_crc env
       {
         Role.host = monitor_host;
         wizard_host;
@@ -277,7 +265,7 @@ let setup_group t_ref config cluster env ~wizard_host ~monitor_host ~servers
       let spec = Smart_host.Machine.spec machine in
       install t_ref cluster ~node
         ~alive:(fun () -> not (Smart_host.Machine.failed machine))
-        (Role.probe ?adaptive env
+        (Role.probe ~control_loops env
            {
              Probe.host = spec.Smart_host.Machine.name;
              ip = spec.Smart_host.Machine.ip;
@@ -330,14 +318,9 @@ let build_site t_ref config cluster env ~shard ~host ~groups =
     | Transmitter.Centralized -> Wizard.Centralized
     | Transmitter.Distributed ->
       Wizard.Distributed
-        {
-          transmitters =
-            List.map
-              (fun m ->
-                { Output.host = m; port = Smart_proto.Ports.transmitter })
-              monitor_hosts;
-          freshness_timeout = 2.0;
-        }
+        (List.map
+           (fun m -> { Output.host = m; port = Smart_proto.Ports.transmitter })
+           monitor_hosts)
   in
   let wizard_groups =
     if not multi_group then None
@@ -355,20 +338,17 @@ let build_site t_ref config cluster env ~shard ~host ~groups =
         }
     end
   in
-  let staleness_policy =
-    if config.adaptive_staleness then Some Wizard.default_staleness_policy
-    else None
+  let order = config.order in
+  let site =
+    Role.wizard ~control_loops:config.control_loops ?groups:wizard_groups
+      ?shard_name:(Option.map fst shard) ~order env ~mode
+      ~staleness_threshold:config.wizard_staleness
   in
-  let order = config.order and staleness_threshold = config.wizard_staleness in
   let site =
     match shard with
-    | None ->
-      Role.wizard ?staleness_policy ?groups:wizard_groups ~order env ~mode
-        ~staleness_threshold
+    | None -> site
     | Some (name, root_host) ->
-      Role.shard ?staleness_policy ?groups:wizard_groups ~order env
-        ~staleness_threshold ~name
-        ~root_host ~crc:config.frame_crc
+      Role.shard site ~order ~name ~root_host ~crc:config.frame_crc
         ~transmit_interval:config.transmit_interval
   in
   let node = Smart_host.Cluster.resolve_exn cluster host in
@@ -599,15 +579,15 @@ let async_request ?(option = Smart_proto.Wizard_msg.Accept_partial)
   req.Smart_proto.Wizard_msg.trace
 
 (* The blocking form: [async_request], then the runner's ticks until it
-   answers.  The exchange ends by its deadline, so the wait does too. *)
-let request ?option ?(timeout = 5.0) ?attempts ?backoff t ~client ~wanted
-    ~requirement =
+   answers.  The exchange ends by its 5 s deadline, so the wait does
+   too. *)
+let request ?option ?attempts ?backoff t ~client ~wanted ~requirement =
   let engine = Smart_host.Cluster.engine t.cluster in
-  let deadline = Smart_sim.Engine.now engine +. timeout in
+  let deadline = Smart_sim.Engine.now engine +. 5.0 in
   let result = ref None in
   ignore
-    (async_request ?option ~timeout ?attempts ?backoff t ~client ~wanted
-       ~requirement (fun r -> result := Some r));
+    (async_request ?option ?attempts ?backoff t ~client ~wanted ~requirement
+       (fun r -> result := Some r));
   ignore
     (Smart_measure.Runner.run_until engine ~deadline (fun () ->
          Option.is_some !result));
@@ -648,21 +628,20 @@ type sess_driver = {
 
 (* Drive [clients] (a [(host, sessions_on_it)] list) of long-lived
    sessions against the deployment for [duration] virtual seconds, then
-   drain.  Each session binds a server picked by the wizard through a
+   drain.  Each session binds the one server the wizard picks through a
    shared {!Session.pool}, issues one synthetic work item per
    [work_interval] (each occupying its connection for [work_duration]),
    and watches its held server every [check_interval]: a dead connection
    (crash, partition, keep-alive verdict) or — in flat deployments — a
    database generation change after which the host's row no longer
    qualifies triggers a mid-session migration.  Admission rejections and
-   failed migrations back off on [backoff].  Runs the engine to
-   completion and reports; with a generous [drain_timeout] every
+   failed migrations back off on {!Smart_util.Backoff.default}.  Runs
+   the engine to completion and reports; within [drain_timeout] every
    requeued item completes and [work_lost] is zero. *)
-let run_sessions ?(wanted = 1) ?(option = Smart_proto.Wizard_msg.Accept_partial)
-    ?(work_interval = 1.0) ?(work_duration = 0.4) ?(check_interval = 0.5)
-    ?(keepalive_interval = 2.0) ?(request_timeout = 4.0)
-    ?(backoff = Smart_util.Backoff.default) ?(drain_timeout = 30.0) t ~clients
-    ~requirement ~duration =
+let run_sessions ?(work_interval = 1.0) t ~clients ~requirement ~duration =
+  let work_duration = 0.4 and check_interval = 0.5 in
+  let keepalive_interval = 2.0 and request_timeout = 4.0 in
+  let drain_timeout = 30.0 and backoff = Smart_util.Backoff.default in
   if clients = [] then invalid_arg "Simdriver.run_sessions: no clients";
   let engine = Smart_host.Cluster.engine t.cluster in
   let vclock () = Smart_sim.Engine.now engine in
@@ -794,8 +773,8 @@ let run_sessions ?(wanted = 1) ?(option = Smart_proto.Wizard_msg.Accept_partial)
     in
     let origin = ref Smart_util.Tracelog.root in
     origin :=
-      async_request ~option ~timeout:request_timeout ~backoff t
-        ~client:d.sd_client ~wanted ~requirement (fun result ->
+      async_request ~timeout:request_timeout ~backoff t ~client:d.sd_client
+        ~wanted:1 ~requirement (fun result ->
           if not !finalized then
             match result with
             | Ok hosts ->
@@ -977,19 +956,18 @@ let run_sessions ?(wanted = 1) ?(option = Smart_proto.Wizard_msg.Accept_partial)
 
 (* One SMART-METRICS scrape over the packet plane: magic datagram from
    [client] to the wizard (or federation root) port, rendered registry
-   dump back.  Drives the simulation until the reply lands or [timeout]
-   virtual seconds pass. *)
-let scrape_metrics ?(format = Smart_proto.Metrics_msg.Text) ?(timeout = 2.0) t
-    ~client =
+   dump back as text.  Drives the simulation until the reply lands or
+   2 virtual seconds pass. *)
+let scrape_metrics t ~client =
   let engine = Smart_host.Cluster.engine t.cluster in
   let reply = ref None in
   let send, close =
     client_endpoint t ~client (fun data -> reply := Some data)
   in
-  send (Smart_proto.Metrics_msg.encode_request format);
+  send (Smart_proto.Metrics_msg.encode_request Smart_proto.Metrics_msg.Text);
   ignore
     (Smart_measure.Runner.run_until engine
-       ~deadline:(Smart_sim.Engine.now engine +. timeout)
+       ~deadline:(Smart_sim.Engine.now engine +. 2.0)
        (fun () -> !reply <> None));
   close ();
   match !reply with

@@ -18,20 +18,17 @@ type config = {
           detect (and resync past) injected stream corruption *)
   wizard_staleness : float;
       (** receiver silence before the wizard flags replies degraded *)
-  adaptive_probes : bool;
-      (** arm {!Probe.adaptive}: probes self-schedule on their effective
-          report interval instead of the fixed [probe_interval] cadence *)
-  adaptive_quarantine : bool;
-      (** arm {!Sysmon.flap_policy}: quarantine thresholds track the
-          fleet's flap-score distribution *)
-  adaptive_staleness : bool;
-      (** arm {!Wizard.staleness_policy}: degraded mode tracks the
+  control_loops : bool;
+      (** arm the three control loops (DESIGN.md §14): probes
+          self-schedule on their adaptive report interval instead of the
+          fixed [probe_interval] cadence, quarantine thresholds track the
+          fleet's flap-score distribution, and degraded mode tracks the
           observed inter-update gap distribution *)
 }
 
 (** Centralized, 2 s probe and transmit intervals, UDP reports,
-    little-endian records, no frame CRC, no staleness degradation, all
-    three adaptive control loops off.  Simulated wizards keep the
+    little-endian records, no frame CRC, no staleness degradation, the
+    control loops off.  Simulated wizards keep the
     default compile cache ({!Wizard.default_compile_cache_capacity})
     and never gate requests with admission control; a federation root
     always waits 1 s for shard replies and routes on digests. *)
@@ -96,12 +93,10 @@ val all_netmon_records : t -> Smart_proto.Records.net_record list
     host list or the client-side error.  The client library's
     {!Client.exchange} schedules it: the datagram is retransmitted (same
     sequence number) on per-attempt timeouts drawn from [backoff], up to
-    [attempts] sends within the overall [timeout].  Runs entirely on
-    virtual time, and returns on the first runner tick after the
-    outcome. *)
+    [attempts] sends within 5 s.  Runs entirely on virtual time, and
+    returns on the first runner tick after the outcome. *)
 val request :
   ?option:Smart_proto.Wizard_msg.option_flag ->
-  ?timeout:float ->
   ?attempts:int ->
   ?backoff:Smart_util.Backoff.policy ->
   t ->
@@ -125,11 +120,12 @@ type session_report = {
 
 (** Drive long-lived sessions (DESIGN.md §15) against the deployment:
     [clients] lists [(client_host, sessions_on_it)].  Every session asks
-    the wizard for a server satisfying [requirement], binds it through a
-    shared {!Session.pool}, and issues one synthetic work item per
-    [work_interval] (each occupying the connection for [work_duration])
-    until [duration] virtual seconds have passed, then drains.  A
-    watcher per session checks every [check_interval]: a dead connection
+    the wizard for one server satisfying [requirement] (accepting a
+    partial answer, within 4 s), binds it through a shared
+    {!Session.pool} (keep-alives every 2 s), and issues one synthetic
+    work item per [work_interval] (each occupying the connection for
+    0.4 s) until [duration] virtual seconds have passed, then drains.  A
+    watcher per session checks every 0.5 s: a dead connection
     (crashed or partitioned server, keep-alive verdict), or — in flat
     deployments — a status-generation change after which the held host
     fails {!Selection.qualifies} on its {!Status_db.row_view} (the
@@ -137,19 +133,12 @@ type session_report = {
     triggers a mid-session migration ({!Session.begin_migration} …
     {!Session.complete_migration}); in-flight items caught on the old
     connection are requeued and re-issued, never lost.  Admission
-    rejections and failed migrations back off on [backoff].  Runs the
-    engine (don't call from inside a callback) until everything drains
-    or [drain_timeout] expires past the end. *)
+    rejections and failed migrations back off on
+    {!Smart_util.Backoff.default}.  Runs the engine (don't call from
+    inside a callback) until everything drains or 30 s pass after the
+    end. *)
 val run_sessions :
-  ?wanted:int ->
-  ?option:Smart_proto.Wizard_msg.option_flag ->
   ?work_interval:float ->
-  ?work_duration:float ->
-  ?check_interval:float ->
-  ?keepalive_interval:float ->
-  ?request_timeout:float ->
-  ?backoff:Smart_util.Backoff.policy ->
-  ?drain_timeout:float ->
   t ->
   clients:(string * int) list ->
   requirement:string ->
@@ -158,14 +147,12 @@ val run_sessions :
 
 (** One [SMART-METRICS] scrape from host [client] over the packet plane:
     the wizard port (or the federation root's client port) answers the
-    magic datagram with the deployment registry rendered in [format]
-    (default [Text]).  In a federated deployment the dump includes the
+    magic datagram with the deployment registry rendered as text, within
+    2 s.  In a federated deployment the dump includes the
     [federation.fed_latency_p{50,95,99}_s] gauges kept fresh from merged
     shard sketches — deployment-wide quantiles in one scrape.  Runs on
     virtual time. *)
 val scrape_metrics :
-  ?format:Smart_proto.Metrics_msg.format ->
-  ?timeout:float ->
   t ->
   client:string ->
   (string, string) result

@@ -13,34 +13,28 @@ module Metrics = Smart_util.Metrics
 type config = {
   probe_interval : float;  (* expected reporting period of the probes *)
   missed_intervals : int;  (* failures tolerated before expiry (3 in §4.1) *)
-  flap_threshold : int;    (* expiries before quarantine; 0 disables *)
-  clean_intervals : int;   (* clean probe periods before re-admission *)
 }
 
-let default_config =
-  {
-    probe_interval = 5.0;
-    missed_intervals = 3;
-    flap_threshold = 3;
-    clean_intervals = 3;
-  }
+let default_config = { probe_interval = 5.0; missed_intervals = 3 }
+
+let flap_threshold = 3
+
+let clean_intervals = 3
 
 (* Adaptive quarantine (DESIGN.md §14): on a lossy network every host
    accumulates flap score, and the fixed threshold would quarantine the
    whole fleet.  Each expiry feeds the host's new flap score into a
    deterministic quantile sketch; once [min_samples] scores are in, the
    effective threshold becomes [factor] x the [quantile] of observed
-   scores, clamped to [config.flap_threshold, max_threshold] — only the
+   scores, clamped to [flap_threshold, max_threshold] — only the
    outliers relative to the fleet's own flap rate are quarantined. *)
-type flap_policy = {
-  factor : float;
-  quantile : float;
-  max_threshold : int;
-  min_samples : int;
-}
+let factor = 1.5
 
-let default_flap_policy =
-  { factor = 1.5; quantile = 0.9; max_threshold = 32; min_samples = 8 }
+let quantile = 0.9
+
+let max_threshold = 32
+
+let min_samples = 8
 
 (* Clean-streak bookkeeping for a quarantined host.  A gap longer than
    1.5 probe intervals means the probe went quiet again: the streak
@@ -52,7 +46,7 @@ type quarantine = {
 
 type t = {
   config : config;
-  flap_policy : flap_policy option;
+  adaptive : bool;
   flap_sketch : Smart_util.Sketch.t;  (* flap scores observed at expiry *)
   mutable flap_threshold_now : int;  (* effective quarantine threshold *)
   db : Status_db.t;
@@ -72,25 +66,18 @@ type t = {
   threshold_adaptations_total : Metrics.Counter.t;
 }
 
-let create ?(config = default_config) ?flap_policy
+let create ?(config = default_config) ?(adaptive = false)
     ?(metrics = Metrics.create ()) ?(trace = Smart_util.Tracelog.disabled) db =
-  (match flap_policy with
-  | Some p ->
-    if
-      p.factor <= 0.0 || p.max_threshold < config.flap_threshold
-      || not (p.quantile >= 0.0 && p.quantile <= 1.0)
-    then invalid_arg "Sysmon.create: bad flap_policy"
-  | None -> ());
   {
     config;
-    flap_policy;
+    adaptive;
     flap_sketch =
       Smart_util.Sketch.create
         ~rng:
           (Smart_util.Prng.create
              ~seed:(Smart_util.Crc32.string "sysmon.flaps"))
         ();
-    flap_threshold_now = config.flap_threshold;
+    flap_threshold_now = flap_threshold;
     db;
     trace;
     flaps = Hashtbl.create 8;
@@ -145,8 +132,7 @@ let quarantine_report t q ~now =
   q.last_report <- now;
   match q.clean_since with
   | Some since ->
-    now -. since
-    >= t.config.probe_interval *. float_of_int t.config.clean_intervals
+    now -. since >= t.config.probe_interval *. float_of_int clean_intervals
   | None -> false
 
 (* One incoming report datagram.  A traced report carries the probe's
@@ -195,57 +181,48 @@ let handle_report t ~now data =
    from the fleet's flap-score distribution.  Metered and traced as a
    [sysmon.tune] instant so same-seed runs stay byte-identical. *)
 let tune t =
-  match t.flap_policy with
-  | None -> ()
-  | Some p ->
-    if Smart_util.Sketch.count t.flap_sketch >= p.min_samples then begin
-      let q = Smart_util.Sketch.quantile t.flap_sketch p.quantile in
-      let candidate =
-        Int.max t.config.flap_threshold
-          (Int.min p.max_threshold
-             (int_of_float (Float.round (p.factor *. q))))
-      in
-      if candidate <> t.flap_threshold_now then begin
-        t.flap_threshold_now <- candidate;
-        Metrics.Gauge.set t.flap_threshold_gauge (float_of_int candidate);
-        Metrics.Counter.incr t.threshold_adaptations_total;
-        Smart_util.Tracelog.instant t.trace "sysmon.tune"
-      end
+  if Smart_util.Sketch.count t.flap_sketch >= min_samples then begin
+    let q = Smart_util.Sketch.quantile t.flap_sketch quantile in
+    let candidate =
+      Int.max flap_threshold
+        (Int.min max_threshold (int_of_float (Float.round (factor *. q))))
+    in
+    if candidate <> t.flap_threshold_now then begin
+      t.flap_threshold_now <- candidate;
+      Metrics.Gauge.set t.flap_threshold_gauge (float_of_int candidate);
+      Metrics.Counter.incr t.threshold_adaptations_total;
+      Smart_util.Tracelog.instant t.trace "sysmon.tune"
     end
+  end
 
 (* Periodic expiry sweep; returns the number of expired servers.  Each
    expiry counts against the host's flap score; crossing the threshold
-   quarantines it until it reports cleanly for a while.  Under a flap
-   policy each new score also feeds the flap sketch and the threshold is
-   re-derived before the quarantine test. *)
+   quarantines it until it reports cleanly for a while.  Under adaptive
+   quarantine each new score also feeds the flap sketch and the
+   threshold is re-derived before the quarantine test. *)
 let sweep t ~now =
   let span = Smart_util.Tracelog.start t.trace "sysmon.sweep" in
   let expired =
     Status_db.sweep_sys_expired t.db ~now ~max_age:(max_age t)
   in
-  if t.config.flap_threshold > 0 then
-    List.iter
-      (fun host ->
-        let flaps =
-          1 + Option.value ~default:0 (Hashtbl.find_opt t.flaps host)
-        in
-        Hashtbl.replace t.flaps host flaps;
-        (match t.flap_policy with
-        | Some _ ->
-          Smart_util.Sketch.observe t.flap_sketch (float_of_int flaps);
-          tune t
-        | None -> ());
-        if flaps >= t.flap_threshold_now
-           && not (Hashtbl.mem t.quarantined host)
-        then begin
-          Hashtbl.replace t.quarantined host
-            { clean_since = None; last_report = now };
-          Metrics.Counter.incr t.quarantined_total;
-          Metrics.Gauge.set t.quarantined_gauge
-            (float_of_int (Hashtbl.length t.quarantined));
-          Smart_util.Tracelog.instant t.trace "sysmon.quarantine"
-        end)
-      expired;
+  List.iter
+    (fun host ->
+      let flaps = 1 + Option.value ~default:0 (Hashtbl.find_opt t.flaps host) in
+      Hashtbl.replace t.flaps host flaps;
+      if t.adaptive then begin
+        Smart_util.Sketch.observe t.flap_sketch (float_of_int flaps);
+        tune t
+      end;
+      if flaps >= t.flap_threshold_now && not (Hashtbl.mem t.quarantined host)
+      then begin
+        Hashtbl.replace t.quarantined host
+          { clean_since = None; last_report = now };
+        Metrics.Counter.incr t.quarantined_total;
+        Metrics.Gauge.set t.quarantined_gauge
+          (float_of_int (Hashtbl.length t.quarantined));
+        Smart_util.Tracelog.instant t.trace "sysmon.quarantine"
+      end)
+    expired;
   Metrics.Counter.incr t.sweeps_total;
   Metrics.Counter.incr t.expired_total ~by:(List.length expired);
   Metrics.Gauge.set t.hosts (float_of_int (Status_db.sys_count t.db));

@@ -16,7 +16,8 @@ type mode = Centralized | Distributed
 
 let pull_request_magic = "SMART-PULL"
 
-let default_resend_capacity = 8
+(* Failed payloads kept for resending; the oldest drop first. *)
+let resend_capacity = 8
 
 type config = {
   mode : mode;
@@ -40,7 +41,6 @@ type t = {
   crc : bool;  (* append CRC-32 trailers to emitted frames *)
   trace : Smart_util.Tracelog.t;
   resend : string Queue.t;  (* encoded stream payloads awaiting resend *)
-  resend_capacity : int;
   backoff : Smart_util.Backoff.t;
   mutable retry_at : float option;  (* quiet until then after a failure *)
   pushes_total : Metrics.Counter.t;
@@ -56,12 +56,8 @@ type t = {
 }
 
 let create ?(metrics = Metrics.create ())
-    ?(trace = Smart_util.Tracelog.disabled) ?(crc = false)
-    ?(resend_capacity = default_resend_capacity)
-    ?(backoff = Smart_util.Backoff.default) ?rng ?summary ?sketches
+    ?(trace = Smart_util.Tracelog.disabled) ?(crc = false) ?summary ?sketches
     ?(sketch_source = "") ~monitor_name config db =
-  if resend_capacity < 0 then
-    invalid_arg "Transmitter.create: negative resend_capacity";
   {
     config;
     db;
@@ -72,8 +68,7 @@ let create ?(metrics = Metrics.create ())
     crc;
     trace;
     resend = Queue.create ();
-    resend_capacity;
-    backoff = Smart_util.Backoff.create ?rng backoff;
+    backoff = Smart_util.Backoff.create Smart_util.Backoff.default;
     retry_at = None;
     pushes_total =
       Metrics.counter metrics ~help:"database snapshots shipped"
@@ -158,7 +153,7 @@ let sketch_frames ~trace t =
         };
       ])
 
-let snapshot_frames ?(trace = Smart_util.Tracelog.root) t =
+let frames ~trace t =
   (match t.summary with
   | Some summary ->
     (* digest uplink: the shard's whole status plane compressed into one
@@ -175,6 +170,8 @@ let snapshot_frames ?(trace = Smart_util.Tracelog.root) t =
   | None -> snapshot_db_frames ~trace t)
   @ sketch_frames ~trace t
 
+let snapshot_frames t = frames ~trace:Smart_util.Tracelog.root t
+
 (* The push span is parented on the database's last writer (typically a
    [sysmon.ingest] span), and its own context rides in the frames — this
    is the hop that carries the report pipeline's trace from the monitor
@@ -184,9 +181,7 @@ let push t =
     Smart_util.Tracelog.start t.trace
       ~parent:(Status_db.last_trace t.db) "transmitter.push"
   in
-  let frames =
-    snapshot_frames ~trace:(Smart_util.Tracelog.ctx_of span) t
-  in
+  let frames = frames ~trace:(Smart_util.Tracelog.ctx_of span) t in
   let encoded =
     String.concat ""
       (List.map (Smart_proto.Frame.encode ~crc:t.crc t.config.order) frames)
@@ -208,7 +203,7 @@ let note_send_failure t ~now ~data =
   Metrics.Counter.incr t.send_failures_total;
   Smart_util.Tracelog.instant t.trace "transmitter.send_failure";
   Queue.add data t.resend;
-  while Queue.length t.resend > t.resend_capacity do
+  while Queue.length t.resend > resend_capacity do
     ignore (Queue.pop t.resend);
     Metrics.Counter.incr t.resend_dropped_total
   done;

@@ -27,10 +27,10 @@ type t
 
     [crc] (default off) appends a CRC-32 trailer to every emitted frame
     so the receiver can detect and resynchronise past stream corruption.
-    [resend_capacity] bounds the failure resend queue (oldest payloads
-    drop first — a newer snapshot supersedes them); [backoff] and [rng]
-    shape the retry delays after {!note_send_failure} ([rng] jitters
-    them; omitted, delays are the deterministic nominal schedule).
+    The failure resend queue holds 8 payloads (oldest drop first — a
+    newer snapshot supersedes them), and the retry delays after
+    {!note_send_failure} follow {!Smart_util.Backoff.default}'s nominal
+    schedule, unjittered.
 
     [summary] switches the transmitter into digest-uplink mode: every
     push ships one [Digest_db] frame holding [summary ()] instead of the
@@ -50,9 +50,6 @@ val create :
   ?metrics:Smart_util.Metrics.t ->
   ?trace:Smart_util.Tracelog.t ->
   ?crc:bool ->
-  ?resend_capacity:int ->
-  ?backoff:Smart_util.Backoff.policy ->
-  ?rng:Smart_util.Prng.t ->
   ?summary:(unit -> Smart_proto.Digest.t) ->
   ?sketches:(unit -> (string * Smart_util.Sketch.t) list) ->
   ?sketch_source:string ->
@@ -64,10 +61,8 @@ val create :
 (** The frames of the current database state — the three snapshot frames,
     or a single [Digest_db] frame in digest-uplink mode, plus a
     [Sketch_db] frame when a sketch uplink is attached and non-empty —
-    carrying [trace] (default {!Smart_util.Tracelog.root}, i.e.
-    untraced) as their context. *)
-val snapshot_frames :
-  ?trace:Smart_util.Tracelog.ctx -> t -> Smart_proto.Frame.frame list
+    untraced ({!Smart_util.Tracelog.root} as their context). *)
+val snapshot_frames : t -> Smart_proto.Frame.frame list
 
 (** Unconditional push (both modes). *)
 val push : t -> Output.t list

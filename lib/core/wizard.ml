@@ -24,12 +24,10 @@
      memoized result while the generation is unchanged is exact, and a
      single status write invalidates everything at once. *)
 
-type mode =
-  | Centralized
-  | Distributed of {
-      transmitters : Output.address list;
-      freshness_timeout : float;
-    }
+type mode = Centralized | Distributed of Output.address list
+
+(* A distributed-mode request waits this long for fresh snapshots. *)
+let freshness_timeout = 2.0
 
 (* Multi-group deployments (Fig 3.8): the network monitors probe peer
    monitors, not individual servers, so the wizard maps each server to
@@ -73,21 +71,20 @@ let net_key groups host =
 let default_staleness_threshold = infinity
 
 (* Adaptive degraded mode (DESIGN.md §14): instead of the fixed
-   threshold, tolerate receiver silence up to [factor] times the
-   [quantile] of the observed inter-update gaps, clamped to
-   [floor, cap].  Below [min_samples] observed gaps the fixed threshold
-   still applies, so a cold wizard behaves exactly like a non-adaptive
-   one. *)
-type staleness_policy = {
-  factor : float;
-  quantile : float;
-  floor : float;
-  cap : float;
-  min_samples : int;
-}
+   threshold, tolerate receiver silence up to [gap_factor] times the
+   [gap_quantile] of the observed inter-update gaps, clamped to
+   [gap_floor, gap_cap] seconds.  Below [gap_samples] observed gaps the
+   fixed threshold still applies, so a cold wizard behaves exactly like
+   a non-adaptive one. *)
+let gap_factor = 5.0
 
-let default_staleness_policy =
-  { factor = 5.0; quantile = 0.99; floor = 0.1; cap = 300.0; min_samples = 8 }
+let gap_quantile = 0.99
+
+let gap_floor = 0.1
+
+let gap_cap = 300.0
+
+let gap_samples = 8
 
 let default_compile_cache_capacity = 128
 
@@ -144,12 +141,12 @@ type t = {
   clock : unit -> float;  (* injected clock for the latency histogram *)
   staleness_threshold : float;
       (* receiver silence beyond this flags replies degraded *)
-  staleness_policy : staleness_policy option;
-      (* adaptive threshold from inter-update gap quantiles; [None]
+  adaptive_staleness : bool;
+      (* adaptive threshold from inter-update gap quantiles; [false]
          keeps the fixed threshold *)
   mutable staleness_now : float;
       (* the effective threshold [degraded_now] tests; equals
-         [staleness_threshold] until the policy adapts it *)
+         [staleness_threshold] until the gaps adapt it *)
   gap_sketch : Smart_util.Sketch.t;
       (* inter-update gaps observed by [note_update] *)
   latency_sketch : Smart_util.Sketch.t;
@@ -187,9 +184,9 @@ type t = {
 
 let create ?(compile_cache_capacity = default_compile_cache_capacity)
     ?(metrics = Metrics.create ()) ?(clock = fun () -> 0.)
-    ?(staleness_threshold = default_staleness_threshold) ?staleness_policy
-    ?(trace = Smart_util.Tracelog.disabled) ?(shard_name = "") ?admission
-    config db =
+    ?(staleness_threshold = default_staleness_threshold)
+    ?(adaptive_staleness = false) ?(trace = Smart_util.Tracelog.disabled)
+    ?(shard_name = "") ?admission config db =
   if staleness_threshold <= 0.0 then
     invalid_arg "Wizard.create: staleness_threshold must be positive";
   (match admission with
@@ -197,13 +194,6 @@ let create ?(compile_cache_capacity = default_compile_cache_capacity)
     if
       a.rate <= 0.0 || a.burst < 1.0 || a.max_delay < 0.0 || a.max_clients < 1
     then invalid_arg "Wizard.create: bad admission"
-  | None -> ());
-  (match staleness_policy with
-  | Some p ->
-    if
-      p.factor <= 0.0 || p.floor <= 0.0 || p.cap < p.floor
-      || not (p.quantile >= 0.0 && p.quantile <= 1.0)
-    then invalid_arg "Wizard.create: bad staleness_policy"
   | None -> ());
   Status_db.set_net_key db (net_key config.groups);
   (* counted by the database, so a refresh or rebuild that a shard
@@ -236,7 +226,7 @@ let create ?(compile_cache_capacity = default_compile_cache_capacity)
   in
   {
     staleness_threshold;
-    staleness_policy;
+    adaptive_staleness;
     staleness_now = staleness_threshold;
     gap_sketch = seeded "wizard.staleness";
     latency_sketch = seeded "wizard.latency";
@@ -316,8 +306,8 @@ let create ?(compile_cache_capacity = default_compile_cache_capacity)
   }
 
 (* Receiver update hook: counts applied frames so distributed-mode
-   requests know when every transmitter has re-reported.  Under a
-   staleness policy each update also feeds the inter-update gap into
+   requests know when every transmitter has re-reported.  Under adaptive
+   staleness each update also feeds the inter-update gap into
    the gap sketch and re-derives the effective threshold from its
    quantile — the control decision is metered
    ([wizard.staleness_threshold_seconds],
@@ -327,15 +317,15 @@ let create ?(compile_cache_capacity = default_compile_cache_capacity)
 let note_update t =
   t.updates_seen <- t.updates_seen + 1;
   let now = t.clock () in
-  (match (t.staleness_policy, t.last_update_at) with
-  | Some policy, Some prev ->
+  (match t.last_update_at with
+  | Some prev when t.adaptive_staleness ->
     let gap = now -. prev in
     if Float.is_finite gap && gap >= 0.0 then
       Smart_util.Sketch.observe t.gap_sketch gap;
-    if Smart_util.Sketch.count t.gap_sketch >= policy.min_samples then begin
-      let q = Smart_util.Sketch.quantile t.gap_sketch policy.quantile in
+    if Smart_util.Sketch.count t.gap_sketch >= gap_samples then begin
+      let q = Smart_util.Sketch.quantile t.gap_sketch gap_quantile in
       let candidate =
-        Float.min policy.cap (Float.max policy.floor (policy.factor *. q))
+        Float.min gap_cap (Float.max gap_floor (gap_factor *. q))
       in
       if not (Float.equal candidate t.staleness_now) then begin
         t.staleness_now <- candidate;
@@ -344,7 +334,7 @@ let note_update t =
         Smart_util.Tracelog.instant t.trace "wizard.staleness_adapt"
       end
     end
-  | (Some _ | None), _ -> ());
+  | Some _ | None -> ());
   t.last_update_at <- Some now;
   Metrics.Counter.incr t.updates_total
 
@@ -359,30 +349,37 @@ let degraded_now t =
   | Some ts -> t.clock () -. ts > t.staleness_now
 
 
-(* Network metrics toward one server: the entry its key names. *)
-let net_for t ~host = Status_db.key_entry t.db (net_key t.config.groups host)
-
-let net_lookup t host = net_for t ~host
-
-(* Exposed so a shard's digest uplink summarizes the columnar snapshot
-   with exactly the bindings this wizard selects with. *)
-let net_entry_for t ~host = net_for t ~host
+(* Network metrics toward one server: the entry its key names.  A
+   shard's digest uplink summarizes the columnar snapshot with exactly
+   these bindings. *)
+let net_entry_for t ~host =
+  Status_db.key_entry t.db (net_key t.config.groups host)
 
 (* The columnar snapshot at the current generation.  [Status_db.columns]
    does the memoized/refresh/rebuild work, and its hook counts it; this
    wrapper adds the trace span, only when there is actual work to
    record. *)
 let server_columns t ~parent =
-  if Status_db.columns_fresh t.db then
-    Status_db.columns t.db ~net_for:(net_lookup t)
+  let net_for host = net_entry_for t ~host in
+  if Status_db.columns_fresh t.db then Status_db.columns t.db ~net_for
   else begin
     let span =
       Smart_util.Tracelog.start t.trace ~parent "wizard.snapshot"
     in
-    let view = Status_db.columns t.db ~net_for:(net_lookup t) in
+    let view = Status_db.columns t.db ~net_for in
     Smart_util.Tracelog.finish t.trace span;
     view
   end
+
+(* An actual lex+parse+compile: only this earns a parse span and a
+   compile-cache miss, since cache hits do no front-end work worth a
+   tree node.  Uncached requests call it directly. *)
+let compile_fresh t ~parent source =
+  let span = Smart_util.Tracelog.start t.trace ~parent "wizard.parse" in
+  Metrics.Counter.incr t.compile_cache_misses_total;
+  let result = Smart_lang.Requirement.compile_fast source in
+  Smart_util.Tracelog.finish t.trace span;
+  result
 
 let compile t ~parent ~key source =
   match Smart_util.Lru.find t.compile_cache key with
@@ -390,13 +387,8 @@ let compile t ~parent ~key source =
     Metrics.Counter.incr t.compile_cache_hits_total;
     result
   | None ->
-    (* only an actual lex+parse+compile earns a parse span: cache hits
-       do no front-end work worth a tree node *)
-    let span = Smart_util.Tracelog.start t.trace ~parent "wizard.parse" in
-    Metrics.Counter.incr t.compile_cache_misses_total;
-    let result = Smart_lang.Requirement.compile_fast source in
+    let result = compile_fresh t ~parent source in
     Smart_util.Lru.add t.compile_cache key result;
-    Smart_util.Tracelog.finish t.trace span;
     result
 
 let reply_to t (request : Smart_proto.Wizard_msg.request) ~parent ~at ~from
@@ -434,14 +426,6 @@ let select_scan t ~parent ~fast ~wanted =
   let servers = Selection.select_columns t.scratch ~fast ~view ~wanted in
   Smart_util.Tracelog.finish t.trace span;
   servers
-
-(* An uncached compile still earns its parse span and miss count. *)
-let compile_fresh t ~parent source =
-  let span = Smart_util.Tracelog.start t.trace ~parent "wizard.parse" in
-  Metrics.Counter.incr t.compile_cache_misses_total;
-  let result = Smart_lang.Requirement.compile_fast source in
-  Smart_util.Tracelog.finish t.trace span;
-  result
 
 (* The selected servers for (requirement, wanted) at the current
    generation — memoized because selection is a pure function of the
@@ -510,7 +494,7 @@ let process t (request : Smart_proto.Wizard_msg.request) ~from =
 let dispatch t ~now ~from request =
   match t.config.mode with
   | Centralized -> process t request ~from
-  | Distributed { transmitters; freshness_timeout } ->
+  | Distributed transmitters ->
     (* one push = three frames per transmitter *)
     let target_updates = t.updates_seen + (3 * List.length transmitters) in
     Queue.add

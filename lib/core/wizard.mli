@@ -4,14 +4,9 @@
 
 (** Answering strategy: [Centralized] replies straight from the
     receiver-maintained mirror; [Distributed] first pulls fresh
-    snapshots from every transmitter and parks the request until the
-    data arrives or [freshness_timeout] passes. *)
-type mode =
-  | Centralized
-  | Distributed of {
-      transmitters : Output.address list;
-      freshness_timeout : float;
-    }
+    snapshots from every transmitter it lists and parks the request
+    until the data arrives or 2 s pass. *)
+type mode = Centralized | Distributed of Output.address list
 
 (** Multi-group deployments (Fig 3.8): map servers to their group
     monitor and bind monitor_network_* from the local group's mesh
@@ -42,27 +37,6 @@ val default_compile_cache_capacity : int
 (** Receiver silence tolerated before replies are flagged degraded;
     the default ([infinity]) never degrades. *)
 val default_staleness_threshold : float
-
-(** Adaptive degraded mode (DESIGN.md §14): derive the staleness
-    threshold from the observed inter-update gap distribution instead of
-    the fixed [staleness_threshold].  Each {!note_update} feeds the gap
-    since the previous update into a deterministic quantile sketch
-    ({!Smart_util.Sketch}); once [min_samples] gaps have been seen, the
-    effective threshold becomes [factor] times the sketch's [quantile],
-    clamped to [[floor, cap]].  Every change of the effective threshold
-    is metered ([wizard.staleness_threshold_seconds] gauge,
-    [wizard.staleness_adaptations_total] counter) and traced as a
-    [wizard.staleness_adapt] instant. *)
-type staleness_policy = {
-  factor : float;  (** threshold = [factor] x gap quantile *)
-  quantile : float;  (** which gap quantile to track, in [0, 1] *)
-  floor : float;  (** lower clamp, seconds *)
-  cap : float;  (** upper clamp, seconds *)
-  min_samples : int;  (** gaps required before adapting *)
-}
-
-(** factor 5.0, quantile 0.99, floor 0.1 s, cap 300 s, min_samples 8. *)
-val default_staleness_policy : staleness_policy
 
 (** Admission control (DESIGN.md §15): a per-client token bucket on the
     request port, so sustained overload sheds fairly instead of
@@ -107,10 +81,17 @@ val default_admission : admission
     record a [wizard.degraded] trace instant.  A database never fed
     through {!note_update} is not considered stale.
 
-    [staleness_policy] (default off) switches degraded mode to the
-    adaptive threshold described at {!staleness_policy}; the fixed
-    [staleness_threshold] still applies until the policy has seen
-    [min_samples] inter-update gaps.
+    [adaptive_staleness] (default off) switches degraded mode to an
+    adaptive threshold (DESIGN.md §14) derived from the observed
+    inter-update gap distribution: each {!note_update} feeds the gap
+    since the previous update into a deterministic quantile sketch
+    ({!Smart_util.Sketch}); once 8 gaps have been seen, the effective
+    threshold becomes 5 times the sketch's q99, clamped to
+    [[0.1 s, 300 s]].  The fixed [staleness_threshold] applies until
+    then.  Every change of the effective threshold is metered
+    ([wizard.staleness_threshold_seconds] gauge,
+    [wizard.staleness_adaptations_total] counter) and traced as a
+    [wizard.staleness_adapt] instant.
 
     [shard_name] (default [""]) is this wizard's identity in a
     federation: it is stamped on every {!handle_subquery} reply so the
@@ -127,7 +108,7 @@ val create :
   ?metrics:Smart_util.Metrics.t ->
   ?clock:(unit -> float) ->
   ?staleness_threshold:float ->
-  ?staleness_policy:staleness_policy ->
+  ?adaptive_staleness:bool ->
   ?trace:Smart_util.Tracelog.t ->
   ?shard_name:string ->
   ?admission:admission ->

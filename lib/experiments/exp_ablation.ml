@@ -93,7 +93,9 @@ type spacing_row = {
   truth_mbps : float;
 }
 
-let spacing_ablation ?(truth = 2.0) () =
+(* Against a suna access link shaped to 2 Mbps. *)
+let spacing_ablation () =
+  let truth = 2.0 in
   List.map
     (fun (spacing, gap, inter_trial_gap) ->
       let f = Smart_host.Testbed.paths () in
@@ -217,11 +219,11 @@ type staleness_row = {
 }
 
 (* Drive a sysmon directly: one probe reporting every [interval] with
-   per-report loss, failing for good at [fail_at].  Measures how long the
-   monitor takes to notice the real failure and how often it falsely
-   expires the live server beforehand. *)
-let staleness_ablation ?(loss = 0.15) ?(interval = 2.0) ?(fail_at = 600.0)
-    ?(horizon = 700.0) () =
+   per-report [loss], failing for good at [fail_at], until [horizon].
+   Measures how long the monitor takes to notice the real failure and
+   how often it falsely expires the live server beforehand. *)
+let staleness_ablation () =
+  let loss = 0.15 and interval = 2.0 and fail_at = 600.0 and horizon = 700.0 in
   let report =
     Smart_proto.Report.to_string
       {
@@ -245,11 +247,7 @@ let staleness_ablation ?(loss = 0.15) ?(interval = 2.0) ?(fail_at = 600.0)
       let sysmon =
         Smart_core.Sysmon.create
           ~config:
-            {
-              Smart_core.Sysmon.default_config with
-              probe_interval = interval;
-              missed_intervals;
-            }
+            { Smart_core.Sysmon.probe_interval = interval; missed_intervals }
           db
       in
       let false_expiries = ref 0 in

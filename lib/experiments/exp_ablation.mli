@@ -13,14 +13,14 @@ val init_speed_ablation : ?trials:int -> unit -> init_row list
 
 val print_init_speed : init_row list -> unit
 
-(** Packet-pair spacing sensitivity against a known link speed. *)
+(** Packet-pair spacing sensitivity against a link shaped to 2 Mbps. *)
 type spacing_row = {
   spacing : string;
   measured_mbps : float;
   truth_mbps : float;
 }
 
-val spacing_ablation : ?truth:float -> unit -> spacing_row list
+val spacing_ablation : unit -> spacing_row list
 
 val print_spacing : spacing_row list -> unit
 
@@ -35,19 +35,15 @@ val mode_ablation : unit -> mode_row list
 
 val print_modes : mode_row list -> unit
 
-(** Failure-detection delay vs. spurious expiries per expiry threshold. *)
+(** Failure-detection delay vs. spurious expiries per expiry threshold:
+    one probe reporting every 2 s under 15% report loss, dead for good
+    after 600 s, watched until 700 s. *)
 type staleness_row = {
   missed_intervals : int;
   detection_s : float;     (** time to expire a really dead server *)
   false_expiries : int;    (** spurious expiries under report loss *)
 }
 
-val staleness_ablation :
-  ?loss:float ->
-  ?interval:float ->
-  ?fail_at:float ->
-  ?horizon:float ->
-  unit ->
-  staleness_row list
+val staleness_ablation : unit -> staleness_row list
 
 val print_staleness : staleness_row list -> unit

@@ -171,7 +171,8 @@ let setups =
     };
   ]
 
-let run_setup ?(data_kb = 50000) ?(blk_kb = 100) (s : setup) =
+let run_setup ~data_kb (s : setup) =
+  let blk_kb = 100 in
   let smart =
     smart_select ~g1_mbps:s.g1_mbps ~g2_mbps:s.g2_mbps ~wanted:s.wanted
       ~requirement:s.requirement
@@ -207,7 +208,7 @@ let run_setup ?(data_kb = 50000) ?(blk_kb = 100) (s : setup) =
     rows;
   }
 
-let run_all ?data_kb ?blk_kb () = List.map (run_setup ?data_kb ?blk_kb) setups
+let run_all ?(data_kb = 50000) () = List.map (run_setup ~data_kb) setups
 
 let print_table (t : table) =
   let tab =

@@ -31,7 +31,7 @@ type table = {
 
 (** Tables 5.7-5.9, in that order: each thesis shaping scenario run with
     its random server sets and the smart one ([data_kb] transferred in
-    [blk_kb] blocks per run). *)
-val run_all : ?data_kb:int -> ?blk_kb:int -> unit -> table list
+    100 KB blocks per run). *)
+val run_all : ?data_kb:int -> unit -> table list
 
 val print_table : table -> unit

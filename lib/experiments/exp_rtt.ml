@@ -14,8 +14,7 @@ type sweep_report = {
 
 (* Fig 3.3/3.4/3.5: sagit -> suna with the interface MTU at 1500, 1000
    and 500 bytes.  The knee should track the MTU. *)
-let mtu_sweeps ?(mtus = [ 1500; 1000; 500 ]) ?(max_size = 6000) ?(step = 10) ()
-    =
+let mtu_sweeps ?(mtus = [ 1500; 1000; 500 ]) ?(max_size = 6000) () =
   List.map
     (fun mtu ->
       let fixture = Smart_host.Testbed.paths ~sagit_mtu:mtu () in
@@ -23,8 +22,7 @@ let mtu_sweeps ?(mtus = [ 1500; 1000; 500 ]) ?(max_size = 6000) ?(step = 10) ()
       let src = fixture.Smart_host.Testbed.sagit in
       let dst = fixture.Smart_host.Testbed.suna in
       let sweep =
-        Smart_measure.Rtt_probe.sweep ~min_size:1 ~max_size ~step stack ~src
-          ~dst ()
+        Smart_measure.Rtt_probe.sweep ~min_size:1 ~max_size stack ~src ~dst ()
       in
       let knee =
         try Some (Smart_measure.Rtt_probe.analyze sweep) with

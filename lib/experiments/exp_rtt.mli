@@ -11,9 +11,9 @@ type sweep_report = {
   lost : int;
 }
 
-(** sagit -> suna with the interface MTU at 1500, 1000 and 500 bytes. *)
-val mtu_sweeps :
-  ?mtus:int list -> ?max_size:int -> ?step:int -> unit -> sweep_report list
+(** sagit -> suna with the interface MTU at 1500, 1000 and 500 bytes,
+    in 10-byte steps. *)
+val mtu_sweeps : ?mtus:int list -> ?max_size:int -> unit -> sweep_report list
 
 (** The fixture's representative paths at their native MTUs. *)
 val sample_paths : ?max_size:int -> ?step:int -> unit -> sweep_report list

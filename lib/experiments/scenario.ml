@@ -322,9 +322,7 @@ let control =
         C.Simdriver.probe_interval = 1.0;
         transmit_interval = 0.5;
         wizard_staleness = 3.0;
-        adaptive_probes = true;
-        adaptive_quarantine = true;
-        adaptive_staleness = true;
+        control_loops = true;
       };
     deploy =
       (fun ~config c ->

@@ -68,8 +68,7 @@ let trace t = t.trace
 
 let now t = Smart_sim.Engine.now t.engine
 
-let add_switch ?nic t ~name ~ip =
-  Smart_net.Topology.add_node ?nic t.topo ~name ~ip
+let add_switch t ~name ~ip = Smart_net.Topology.add_node t.topo ~name ~ip
 
 let add_machine ?nic t (spec : Machine.spec) =
   let id =
@@ -88,20 +87,18 @@ let resolve_exn t key =
   | Some id -> id
   | None -> invalid_arg ("Cluster.resolve_exn: unknown host " ^ key)
 
-(* rshaper had a queue of roughly one frame, so the default bucket depth
-   is a single MTU: probe streams then observe the shaped rate rather
-   than bursting through. *)
-let default_burst = 1500.0
-
-(* Symmetric shaping of both directions of a machine's access link. *)
-let shape_access ?(burst = default_burst) t ~node ~rate_bytes_per_sec =
+(* Symmetric shaping of both directions of a machine's access link.
+   rshaper had a queue of roughly one frame, so the bucket depth is a
+   single MTU: probe streams then observe the shaped rate rather than
+   bursting through. *)
+let shape_access t ~node ~rate_bytes_per_sec =
   let shaped = ref false in
   Smart_net.Topology.iter_channels t.topo (fun c ->
       if c.Smart_net.Link.src = node || c.Smart_net.Link.dst = node then begin
         Smart_net.Link.set_shaper c
           (match rate_bytes_per_sec with
           | None -> None
-          | Some rate -> Some (Smart_net.Shaper.create ~burst ~rate ()));
+          | Some rate -> Some (Smart_net.Shaper.create ~burst:1500.0 ~rate ()));
         shaped := true
       end);
   !shaped

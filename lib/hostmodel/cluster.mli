@@ -21,7 +21,7 @@ val trace : t -> Smart_sim.Trace.t option
 val now : t -> float
 
 (** Add a switch/router node carrying no machine. *)
-val add_switch : ?nic:Smart_net.Topology.nic -> t -> name:string -> ip:string -> int
+val add_switch : t -> name:string -> ip:string -> int
 
 (** Add a server machine; node name/IP come from the spec. *)
 val add_machine : ?nic:Smart_net.Topology.nic -> t -> Machine.spec -> int
@@ -41,7 +41,6 @@ val machine : t -> int -> Machine.t
 
 (** rshaper equivalent on both directions of every channel touching
     [node]; [None] removes the shaper.  Returns [true] if a channel was
-    found.  The default [burst] is one MTU so probes measure the shaped
+    found.  The bucket holds one MTU, so probes measure the shaped
     rate. *)
-val shape_access :
-  ?burst:float -> t -> node:int -> rate_bytes_per_sec:float option -> bool
+val shape_access : t -> node:int -> rate_bytes_per_sec:float option -> bool

@@ -185,8 +185,8 @@ let host name ip =
    Speed_init ablation and observation 1 of §3.3.2).  The cmui path
    carries bursty cross traffic so its knee is "shadowed" by delay
    variation, reproducing observation 4 of §3.3.2. *)
-let paths ?(seed = 7) ?(sagit_mtu = 1500) ?(sagit_virtual = false) () =
-  let c = Cluster.create ~seed () in
+let paths ?(sagit_mtu = 1500) ?(sagit_virtual = false) () =
+  let c = Cluster.create ~seed:7 () in
   let nic mtu = { Smart_net.Topology.default_nic with mtu } in
   let sagit =
     Cluster.add_machine c

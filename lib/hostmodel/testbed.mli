@@ -50,8 +50,8 @@ type paths_fixture = {
   paths : rtt_path list;
 }
 
-(** Measurement topology for Figs 3.3-3.6; [sagit_mtu] selects the probe
-    host's interface MTU (1500 by default) and [sagit_virtual] removes
-    its interface-initialisation cost (the Speed_init ablation). *)
-val paths :
-  ?seed:int -> ?sagit_mtu:int -> ?sagit_virtual:bool -> unit -> paths_fixture
+(** Measurement topology for Figs 3.3-3.6, built from seed 7;
+    [sagit_mtu] selects the probe host's interface MTU (1500 by default)
+    and [sagit_virtual] removes its interface-initialisation cost (the
+    Speed_init ablation). *)
+val paths : ?sagit_mtu:int -> ?sagit_virtual:bool -> unit -> paths_fixture

@@ -197,7 +197,7 @@ val verify_error_to_string : verify_error -> string
     precondition (a {!sweep_of}-admitted program reads no temp or user
     parameter, and each of its SETUs logs the address its own
     statement's [ADDR] loaded, the entry {!sweep_hosts} carries).
-    {!Compile.program} runs this behind its [?verify] debug flag;
+    The tests run it over every compiled program they generate;
     smartlint's "bytecode" rule runs it over the checked-in fixture
     programs. *)
 val verify : program -> (unit, verify_error) result

@@ -370,17 +370,8 @@ let program (ast : Ast.program) : Bytecode.program =
       List.exists (fun (_, _, _, _, _, ob) -> ob) stmts;
   }
 
-let program ?(verify = false) ast =
+let program ast =
   let p = program ast in
   (* earn the interpreter's unsafe operand accesses *)
   Bytecode.validate p;
-  (* debug mode: the full dataflow verification on top (init-before-use,
-     NUMCHK-elision soundness, sweep preconditions) — any error here is a
-     compiler bug, so surface it loudly *)
-  if verify then begin
-    match Bytecode.verify p with
-    | Ok () -> ()
-    | Error e ->
-      invalid_arg ("Compile.program: " ^ Bytecode.verify_error_to_string e)
-  end;
   p

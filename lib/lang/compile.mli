@@ -9,9 +9,7 @@
     the program. *)
 
 (** Compile a program.  Every output passes {!Bytecode.validate} (the
-    operand-bounds walk the interpreter's unsafe accesses rely on);
-    [~verify:true] additionally runs the full {!Bytecode.verify}
-    dataflow pass and raises [Invalid_argument] on any violation — a
-    debug mode for flushing out compiler bugs, off by default because
-    the compiler sits on the wizard's cache-miss path. *)
-val program : ?verify:bool -> Ast.program -> Bytecode.program
+    operand-bounds walk the interpreter's unsafe accesses rely on).  The
+    full {!Bytecode.verify} dataflow pass is not run here: the compiler
+    sits on the wizard's cache-miss path. *)
+val program : Ast.program -> Bytecode.program

@@ -17,7 +17,15 @@ type result = {
   reliability : float;  (* fraction of trials that produced a gap > 0 *)
 }
 
-let probe_once ?(size = 1472) ?(timeout = 10.0) stack ~src ~dst () =
+(* MTU-sized probes (1472 payload bytes); a pair's echoes get 10 s, and
+   pairs leave 50 ms apart. *)
+let size = 1472
+
+let timeout = 10.0
+
+let gap = 0.05
+
+let probe_once stack ~src ~dst =
   let engine = Smart_net.Netstack.engine stack in
   let sent : (int, int) Hashtbl.t = Hashtbl.create 4 in
   (* datagram id -> pair index (0 = leader, 1 = trailer) *)
@@ -52,13 +60,12 @@ let probe_once ?(size = 1472) ?(timeout = 10.0) stack ~src ~dst () =
     Some { gap = b -. a; bw = float_of_int wire /. (b -. a) }
   | _ -> None
 
-let measure ?(size = 1472) ?(trials = 20) ?(timeout = 10.0) ?(gap = 0.05)
-    stack ~src ~dst () =
+let measure ?(trials = 20) stack ~src ~dst () =
   let engine = Smart_net.Netstack.engine stack in
   let ok = ref [] in
   let failures = ref 0 in
   for _ = 1 to trials do
-    (match probe_once ~size ~timeout stack ~src ~dst () with
+    (match probe_once stack ~src ~dst with
     | Some tr -> ok := tr :: !ok
     | None -> incr failures);
     Smart_sim.Engine.run engine ~until:(Smart_sim.Engine.now engine +. gap)

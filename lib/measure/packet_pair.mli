@@ -14,12 +14,10 @@ type result = {
                            "%% reliable" output *)
 }
 
-(** [trials] pairs, [gap] seconds apart, summarised by the median. *)
+(** [trials] pairs of 1472-byte probes, 50 ms apart, summarised by the
+    median. *)
 val measure :
-  ?size:int ->
   ?trials:int ->
-  ?timeout:float ->
-  ?gap:float ->
   Smart_net.Netstack.t ->
   src:int ->
   dst:int ->

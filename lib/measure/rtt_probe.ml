@@ -16,8 +16,8 @@ type sweep_result = {
   lost : int;
 }
 
-let sweep ?(min_size = 1) ?(max_size = 6000) ?(step = 10) ?(gap = 0.02)
-    ?(timeout = 5.0) stack ~src ~dst () =
+let sweep ?(min_size = 1) ?(max_size = 6000) ?(step = 10) stack ~src ~dst () =
+  let gap = 0.02 and timeout = 5.0 in
   let engine = Smart_net.Netstack.engine stack in
   let sent : (int, int * float) Hashtbl.t = Hashtbl.create 512 in
   (* datagram id -> (payload, send time) *)

@@ -17,13 +17,12 @@ type sweep_result = {
 }
 
 (** Sweep payload sizes [min_size..max_size] in [step]-byte increments,
-    one datagram every [gap] seconds of virtual time. *)
+    one datagram every 20 ms of virtual time; the last gets 5 s to
+    echo. *)
 val sweep :
   ?min_size:int ->
   ?max_size:int ->
   ?step:int ->
-  ?gap:float ->
-  ?timeout:float ->
   Smart_net.Netstack.t ->
   src:int ->
   dst:int ->

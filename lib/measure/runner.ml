@@ -3,9 +3,9 @@
    periodic processes keep the event queue non-empty, so "run until idle"
    is never an option. *)
 
-let default_tick = 0.005
+let tick = 0.005
 
-let run_until ?(tick = default_tick) engine ~deadline pred =
+let run_until engine ~deadline pred =
   let rec loop () =
     if pred () then true
     else begin

@@ -35,10 +35,15 @@ let trend delays =
     else Inconclusive
   end
 
-(* One stream of [count] packets of [size] payload bytes at [rate]
-   bytes/second; returns the per-packet RTTs in send order. *)
-let stream ?(count = 30) ?(size = 1472) ?(timeout = 10.0) stack ~src ~dst
-    ~rate () =
+(* Every packet of a stream carries 1472 payload bytes; the last gets
+   10 s to echo. *)
+let size = 1472
+
+let timeout = 10.0
+
+(* One stream of [count] packets at [rate] bytes/second; returns the
+   per-packet RTTs in send order. *)
+let stream ~count stack ~src ~dst ~rate =
   let engine = Smart_net.Netstack.engine stack in
   let wire = size + Smart_net.Netstack.udp_header + Smart_net.Netstack.ip_header in
   let spacing = float_of_int wire /. rate in
@@ -76,7 +81,7 @@ let stream ?(count = 30) ?(size = 1472) ?(timeout = 10.0) stack ~src ~dst
     (List.filter (fun x -> not (Float.is_nan x)) (Array.to_list rtts))
 
 let measure ?(iterations = 10) ?(lo = 0.5e6 /. 8.0) ?(hi = 1e9 /. 8.0)
-    ?(count = 30) ?(size = 1472) stack ~src ~dst () =
+    ?(count = 30) stack ~src ~dst () =
   let engine = Smart_net.Netstack.engine stack in
   let lo = ref lo and hi = ref hi in
   let done_iters = ref 0 in
@@ -84,7 +89,7 @@ let measure ?(iterations = 10) ?(lo = 0.5e6 /. 8.0) ?(hi = 1e9 /. 8.0)
      for _ = 1 to iterations do
        incr done_iters;
        let rate = Float.sqrt (!lo *. !hi) in
-       let delays = stream ~count ~size stack ~src ~dst ~rate () in
+       let delays = stream ~count stack ~src ~dst ~rate in
        (* let the bottleneck queue drain before the next stream *)
        Smart_sim.Engine.run engine
          ~until:(Smart_sim.Engine.now engine +. 0.5);

@@ -9,16 +9,15 @@ type result = {
 }
 
 (** Bracket the available bandwidth between [lo] and [hi]: each
-    iteration sends one [count]-packet stream at the geometric mean
-    rate, and an increasing delay trend across it lowers [hi] to that
-    rate, a flat one raises [lo]; a stream too short to tell (under six
-    packets) moves neither. *)
+    iteration sends one stream of [count] 1472-byte packets at the
+    geometric mean rate, and an increasing delay trend across it lowers
+    [hi] to that rate, a flat one raises [lo]; a stream too short to
+    tell (under six packets) moves neither. *)
 val measure :
   ?iterations:int ->
   ?lo:float ->
   ?hi:float ->
   ?count:int ->
-  ?size:int ->
   Smart_net.Netstack.t ->
   src:int ->
   dst:int ->

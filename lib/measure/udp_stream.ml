@@ -26,10 +26,10 @@ type result = {
    out), and a settling gap separates the two streams so a token-bucket
    shaper on the path is equally refilled for both probes — otherwise
    the "constant overhead" assumption behind Formula (3.5) breaks. *)
-let probe_pair ?(timeout = 10.0) ?(gap = 0.05) stack ~src ~dst ~s1 ~s2 () =
+let probe_pair ?(gap = 0.05) stack ~src ~dst ~s1 ~s2 () =
   let engine = Smart_net.Netstack.engine stack in
   let rtt size =
-    Rtt_probe.ping ~count:1 ~gap:0.0 ~timeout ~size stack ~src ~dst ()
+    Rtt_probe.ping ~count:1 ~gap:0.0 ~timeout:10.0 ~size stack ~src ~dst ()
   in
   let t1 = rtt s1 in
   Smart_sim.Engine.run engine ~until:(Smart_sim.Engine.now engine +. gap);
@@ -39,18 +39,18 @@ let probe_pair ?(timeout = 10.0) ?(gap = 0.05) stack ~src ~dst ~s1 ~s2 () =
     Some { s1; s2; t1; t2; bw = float_of_int (s2 - s1) /. (t2 -. t1) }
   | _ -> None
 
-let measure ?(s1 = default_s1) ?(s2 = default_s2) ?(trials = 10)
-    ?(timeout = 10.0) ?(inter_trial_gap = 0.3) stack ~src ~dst () =
+let measure ?(s1 = default_s1) ?(s2 = default_s2) ?(trials = 10) stack ~src
+    ~dst () =
   if s2 <= s1 then invalid_arg "Udp_stream.measure: need s1 < s2";
   let engine = Smart_net.Netstack.engine stack in
   let results = ref [] in
   let failures = ref 0 in
   for _ = 1 to trials do
-    (match probe_pair ~timeout stack ~src ~dst ~s1 ~s2 () with
+    (match probe_pair stack ~src ~dst ~s1 ~s2 () with
     | Some tr -> results := tr :: !results
     | None -> incr failures);
     Smart_sim.Engine.run engine
-      ~until:(Smart_sim.Engine.now engine +. inter_trial_gap)
+      ~until:(Smart_sim.Engine.now engine +. 0.3)
   done;
   match !results with
   | [] -> None

@@ -11,11 +11,10 @@ type result = {
   failures : int;
 }
 
-(** One sequential (S1, S2) probe pair; [None] on loss or a non-positive
-    delay difference.  [gap] separates the two probes so shapers refill
-    equally for both. *)
+(** One sequential (S1, S2) probe pair, each echo given 10 s; [None] on
+    loss or a non-positive delay difference.  [gap] separates the two
+    probes so shapers refill equally for both. *)
 val probe_pair :
-  ?timeout:float ->
   ?gap:float ->
   Smart_net.Netstack.t ->
   src:int ->
@@ -26,14 +25,12 @@ val probe_pair :
   trial option
 
 (** [trials] sequential probe pairs summarised as min/max/avg bandwidth;
-    [None] when every pair failed.  [inter_trial_gap] of idle time
-    separates consecutive pairs. *)
+    [None] when every pair failed.  0.3 s of idle time separates
+    consecutive pairs. *)
 val measure :
   ?s1:int ->
   ?s2:int ->
   ?trials:int ->
-  ?timeout:float ->
-  ?inter_trial_gap:float ->
   Smart_net.Netstack.t ->
   src:int ->
   dst:int ->

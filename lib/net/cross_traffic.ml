@@ -8,11 +8,10 @@ let clamp_load (chan : Link.t) load =
   Link.set_cross_load chan
     (Float.max 0.0 (Float.min (chan.Link.conf.capacity *. 0.98) load))
 
-let bursty ~engine ~rng ~chan ~on_load ~off_load ?(p_on = 0.3)
-    ?(period = 0.2) () =
+let bursty ~engine ~rng ~chan ~on_load ~off_load ?(p_on = 0.3) () =
   ignore
-    (Smart_sim.Engine.every engine ~period ~start:(Smart_sim.Engine.now engine)
-       (fun _now ->
+    (Smart_sim.Engine.every engine ~period:0.2
+       ~start:(Smart_sim.Engine.now engine) (fun _now ->
          let on = Smart_util.Prng.float rng ~bound:1.0 < p_on in
          clamp_load chan (if on then on_load else off_load)));
   clamp_load chan off_load

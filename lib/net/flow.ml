@@ -35,11 +35,13 @@ type t = {
   mutable last_update : float;
   mutable completion : Smart_sim.Engine.handle option;
   mutable on_progress : (src:int -> dst:int -> float -> unit) option;
-  local_rate : float;  (* node-local transfer rate, bytes/second *)
   trace : Smart_sim.Trace.t option;
 }
 
-let create ?(local_rate = 4e9 /. 8.0) ?trace ~engine ~topo () =
+(* Node-local transfer rate, bytes/second. *)
+let local_rate = 4e9 /. 8.0
+
+let create ?trace ~engine ~topo () =
   {
     engine;
     topo;
@@ -48,7 +50,6 @@ let create ?(local_rate = 4e9 /. 8.0) ?trace ~engine ~topo () =
     last_update = 0.0;
     completion = None;
     on_progress = None;
-    local_rate;
     trace;
   }
 
@@ -97,7 +98,7 @@ let recompute_rates t =
   let rates = Fairshare.rates ~capacities ~flows:flow_links in
   Array.iteri
     (fun i f ->
-      f.rate <- (if f.links = [] then t.local_rate else rates.(i)))
+      f.rate <- (if f.links = [] then local_rate else rates.(i)))
     flows;
   (* publish the aggregate flow load to the packet plane *)
   Array.iter (fun (c : Link.t) -> c.Link.flow_load <- 0.0) channels;

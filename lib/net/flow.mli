@@ -15,10 +15,9 @@ type stats = {
 
 type t
 
-(** [create ~engine ~topo ()]; [local_rate] bounds node-local transfers;
+(** [create ~engine ~topo ()]; node-local transfers run at 4 Gbit/s;
     a [trace] records flow start/complete/abort events. *)
 val create :
-  ?local_rate:float ->
   ?trace:Smart_sim.Trace.t ->
   engine:Smart_sim.Engine.t ->
   topo:Topology.t ->

@@ -28,13 +28,10 @@ type t = {
   icmp_handlers : (int, handler) Hashtbl.t;          (* node *)
   reassembly : (int, pending) Hashtbl.t;             (* packet id *)
   mutable on_bytes : (src:int -> dst:int -> int -> unit) option;
-  sys_overhead : float;     (* per-datagram end-host processing, seconds *)
-  sys_overhead_noise : float;
   trace : Smart_sim.Trace.t option;
 }
 
-let create ?(sys_overhead = 60e-6) ?(sys_overhead_noise = 8e-6) ?trace ~engine
-    ~topo ~rng () =
+let create ?trace ~engine ~topo ~rng () =
   {
     engine;
     topo;
@@ -44,8 +41,6 @@ let create ?(sys_overhead = 60e-6) ?(sys_overhead_noise = 8e-6) ?trace ~engine
     icmp_handlers = Hashtbl.create 16;
     reassembly = Hashtbl.create 64;
     on_bytes = None;
-    sys_overhead;
-    sys_overhead_noise;
     trace;
   }
 
@@ -69,10 +64,10 @@ let unlisten_udp t ~node ~port = Hashtbl.remove t.listeners (node, port)
 
 let on_icmp t ~node handler = Hashtbl.replace t.icmp_handlers node handler
 
+(* Per-datagram end-host processing: a 60 us mean plus the magnitude of
+   a 8 us-sigma gaussian, seconds. *)
 let overhead t =
-  t.sys_overhead
-  +. Float.abs
-       (Smart_util.Prng.gaussian t.rng ~mu:0.0 ~sigma:t.sys_overhead_noise)
+  60e-6 +. Float.abs (Smart_util.Prng.gaussian t.rng ~mu:0.0 ~sigma:8e-6)
 
 (* Fragment wire sizes for a datagram of [payload] transport bytes
    (UDP header included by the caller) through an interface of [mtu]. *)

@@ -13,10 +13,8 @@ type handler = now:float -> Packet.t -> unit
 type t
 
 (** [create ~engine ~topo ~rng ()] builds a stack over an existing
-    topology.  [sys_overhead] is the mean per-datagram end-host cost. *)
+    topology.  Each datagram costs an end host 60 us on average. *)
 val create :
-  ?sys_overhead:float ->
-  ?sys_overhead_noise:float ->
   ?trace:Smart_sim.Trace.t ->
   engine:Smart_sim.Engine.t ->
   topo:Topology.t ->

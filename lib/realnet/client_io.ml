@@ -70,10 +70,10 @@ let request_servers ?(option = Smart_proto.Wizard_msg.Accept_partial)
         in
         act (Smart_core.Client.wake exchange ~now))
 
-(* One scrape: the [request] magic datagram out, the rendered dump
-   back.  [port] picks the daemon — wizard request port, transmitter
-   pull port or probe echo port all answer both kinds. *)
-let scrape ~timeout book ~host ~port request =
+(* One scrape: the [request] magic datagram out, the rendered dump back
+   within 2 s.  [port] picks the daemon — wizard request port,
+   transmitter pull port or probe echo port all answer both kinds. *)
+let scrape book ~host ~port request =
   match Addr_book.resolve book ~host ~port with
   | None -> Error (Printf.sprintf "unknown host %s" host)
   | Some addr ->
@@ -83,48 +83,32 @@ let scrape ~timeout book ~host ~port request =
       (fun () ->
         if not (Udp_io.send socket ~to_:addr request) then Error "send failed"
         else
-          match Udp_io.recv_timeout socket ~timeout with
+          match Udp_io.recv_timeout socket ~timeout:2.0 with
           | Some (_, dump) -> Ok dump
           | None -> Error "scrape timed out")
 
-let scrape_metrics ?(timeout = 2.0) ?(format = Smart_proto.Metrics_msg.Text)
-    book ~host ~port () =
-  scrape ~timeout book ~host ~port
-    (Smart_proto.Metrics_msg.encode_request format)
+let scrape_metrics ?(format = Smart_proto.Metrics_msg.Text) book ~host ~port
+    () =
+  scrape book ~host ~port (Smart_proto.Metrics_msg.encode_request format)
 
-let scrape_trace ?(timeout = 2.0) ?(format = Smart_proto.Trace_msg.Text)
-    book ~host ~port () =
-  scrape ~timeout book ~host ~port (Smart_proto.Trace_msg.encode_request format)
+let scrape_trace ?(format = Smart_proto.Trace_msg.Text) book ~host ~port () =
+  scrape book ~host ~port (Smart_proto.Trace_msg.encode_request format)
 
-(* Connect one TCP socket to a candidate's service port; the optional
-   [connect_timeout] bounds the handshake ([Perform.connect]). *)
-let connect_service ?(connect_timeout = -1.0) book ~host =
+(* Connect one TCP socket to a candidate's service port. *)
+let connect_service book ~host =
   Option.bind
     (Addr_book.resolve book ~host ~port:Smart_proto.Ports.service)
-    (Perform.connect ~timeout:connect_timeout)
+    (Perform.connect ~timeout:(-1.0))
   |> Option.map (fun socket -> { host; socket })
 
 (* The full §3.6.2 flow: ask the wizard, then return one connected socket
-   per candidate.  A candidate that refuses or times out is skipped —
-   counted in [client.connect_failed_total] — and the partial socket
-   list is returned, so one dead server never sinks the whole request. *)
-let request_sockets ?option ?timeout ?retries ?backoff ?connect_timeout ?rng
-    ?metrics book ~wizard_host ~wanted ~requirement () =
-  match
-    request_servers ?option ?timeout ?retries ?backoff ?rng ?metrics book
-      ~wizard_host ~wanted ~requirement ()
-  with
+   per candidate.  A candidate that refuses or times out is skipped and
+   the partial socket list is returned, so one dead server never sinks
+   the whole request. *)
+let request_sockets ?option book ~wizard_host ~wanted ~requirement () =
+  match request_servers ?option book ~wizard_host ~wanted ~requirement () with
   | Error _ as e -> e
   | Ok servers ->
-    let connect_failed =
-      match metrics with
-      | None -> None
-      | Some m ->
-        Some
-          (Smart_util.Metrics.counter m
-             ~help:"candidate service connections refused or timed out"
-             "client.connect_failed_total")
-    in
     (* accumulate under an exception guard: if a later candidate's
        connect raises, the sockets already opened are closed instead of
        leaked *)
@@ -132,12 +116,9 @@ let request_sockets ?option ?timeout ?retries ?backoff ?connect_timeout ?rng
     (try
        List.iter
          (fun host ->
-           match connect_service ?connect_timeout book ~host with
-           | Some c -> connected := c :: !connected
-           | None ->
-             (match connect_failed with
-             | Some c -> Smart_util.Metrics.Counter.incr c
-             | None -> ()))
+           Option.iter
+             (fun c -> connected := c :: !connected)
+             (connect_service book ~host))
          servers
      with e ->
        List.iter

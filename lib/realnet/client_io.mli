@@ -28,10 +28,9 @@ val request_servers :
 (** Scrape one daemon's metrics registry: sends the
     [Smart_proto.Metrics_msg] magic to [host]:[port] (the wizard request
     port, a transmitter pull port or a probe echo port) and returns the
-    rendered dump.  [Error] carries a human-readable reason (resolution,
-    send failure or timeout). *)
+    rendered dump within 2 s.  [Error] carries a human-readable reason
+    (resolution, send failure or timeout). *)
 val scrape_metrics :
-  ?timeout:float ->
   ?format:Smart_proto.Metrics_msg.format ->
   Addr_book.t ->
   host:string ->
@@ -44,7 +43,6 @@ val scrape_metrics :
     {!scrape_metrics}) and returns the span dump — recent spans as text
     or Chrome trace-event JSON. *)
 val scrape_trace :
-  ?timeout:float ->
   ?format:Smart_proto.Trace_msg.format ->
   Addr_book.t ->
   host:string ->
@@ -52,21 +50,12 @@ val scrape_trace :
   unit ->
   (string, string) result
 
-(** The full flow: ask, then TCP-connect each candidate's service port.
-    [connect_timeout] bounds each handshake (non-blocking connect +
-    select), so a black-holed candidate costs seconds instead of the
-    kernel default.  A candidate that refuses or times out is skipped
-    and counted in
-    [client.connect_failed_total] (when [metrics] is given); the partial
-    socket list is returned. *)
+(** The full flow: ask (as {!request_servers} does by default), then
+    TCP-connect each candidate's service port.  A candidate that refuses
+    or never completes the handshake is skipped; the partial socket list
+    is returned. *)
 val request_sockets :
   ?option:Smart_proto.Wizard_msg.option_flag ->
-  ?timeout:float ->
-  ?retries:int ->
-  ?backoff:Smart_util.Backoff.policy ->
-  ?connect_timeout:float ->
-  ?rng:Smart_util.Prng.t ->
-  ?metrics:Smart_util.Metrics.t ->
   Addr_book.t ->
   wizard_host:string ->
   wanted:int ->

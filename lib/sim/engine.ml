@@ -54,19 +54,12 @@ let run t ~until =
   t.now <- until
 
 (* Periodic process: re-arms itself after every firing until stopped.  The
-   callback receives the current virtual time.  [jitter] (if any) draws a
-   uniform offset in [0, jitter) added to each period, modelling scheduling
-   noise of the real daemons. *)
+   callback receives the current virtual time. *)
 type periodic = { mutable stopped : bool; mutable current : handle option }
 
-let every ?jitter ?rng t ~period ~start f =
+let every t ~period ~start f =
   if period <= 0.0 then invalid_arg "Engine.every: period must be positive";
   let proc = { stopped = false; current = None } in
-  let noise () =
-    match (jitter, rng) with
-    | Some j, Some r when j > 0.0 -> Smart_util.Prng.float r ~bound:j
-    | _ -> 0.0
-  in
   let rec arm at =
     if not proc.stopped then
       proc.current <-
@@ -74,7 +67,7 @@ let every ?jitter ?rng t ~period ~start f =
           (schedule_at t ~time:at (fun () ->
                if not proc.stopped then begin
                  f t.now;
-                 arm (t.now +. period +. noise ())
+                 arm (t.now +. period)
                end))
   in
   arm (Float.max t.now start);

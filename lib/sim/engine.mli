@@ -33,11 +33,8 @@ val run : t -> until:float -> unit
 type periodic
 
 (** [every t ~period ~start f] fires [f now] at [start], then every
-    [period] (plus optional uniform jitter drawn from [rng]) until
-    [stop_periodic]. *)
+    [period] until [stop_periodic]. *)
 val every :
-  ?jitter:float ->
-  ?rng:Smart_util.Prng.t ->
   t ->
   period:float ->
   start:float ->

@@ -57,7 +57,7 @@ type t = {
   on : bool;
 }
 
-let create ?(capacity = 4096) ?(clock = fun () -> 0.0) ?(enabled = true) () =
+let create ?(capacity = 4096) ?(clock = fun () -> 0.0) () =
   if capacity <= 0 then invalid_arg "Tracelog.create: capacity must be positive";
   {
     capacity;
@@ -66,10 +66,10 @@ let create ?(capacity = 4096) ?(clock = fun () -> 0.0) ?(enabled = true) () =
     count = 0;
     next_id = 1;
     clock;
-    on = enabled;
+    on = true;
   }
 
-let disabled = create ~capacity:1 ~enabled:false ()
+let disabled = { (create ~capacity:1 ()) with on = false }
 
 let enabled t = t.on
 
@@ -102,10 +102,9 @@ let finish t ?at span =
     let at = match at with Some a -> a | None -> t.clock () in
     span.sp_dur <- at -. span.sp_start
 
-let instant t ?(parent = root) ?at name =
+let instant t ?(parent = root) name =
   if t.on then
-    let at = match at with Some a -> a | None -> t.clock () in
-    ignore (open_span t ~parent ~kind:Instant ~dur:0.0 ~at name)
+    ignore (open_span t ~parent ~kind:Instant ~dur:0.0 ~at:(t.clock ()) name)
 
 let ctx_of span =
   if span.sp_id = 0 then root

@@ -49,8 +49,8 @@ val none : span
 (** [create ()] builds a recorder retaining the most recent [capacity]
     entries (default 4096).  [clock] supplies span timestamps (default: a
     constant 0 — inject the engine's virtual clock or the daemon's wall
-    clock).  [enabled] defaults to [true]. *)
-val create : ?capacity:int -> ?clock:(unit -> float) -> ?enabled:bool -> unit -> t
+    clock). *)
+val create : ?capacity:int -> ?clock:(unit -> float) -> unit -> t
 
 (** The shared always-disabled recorder — the default [?trace] argument
     of every component. *)
@@ -70,8 +70,8 @@ val start : t -> ?parent:ctx -> ?at:float -> string -> span
     read, as in {!start}).  No-op on {!none}. *)
 val finish : t -> ?at:float -> span -> unit
 
-(** Record a zero-duration point event. *)
-val instant : t -> ?parent:ctx -> ?at:float -> string -> unit
+(** Record a zero-duration point event at one clock read. *)
+val instant : t -> ?parent:ctx -> string -> unit
 
 (** The span's propagable context ({!root} for {!none}). *)
 val ctx_of : span -> ctx

@@ -566,7 +566,7 @@ let test_sysmon_ingest_and_expire () =
   let sysmon =
     C.Sysmon.create ~metrics:m
       ~config:
-        { C.Sysmon.default_config with probe_interval = 2.0; missed_intervals = 3 }
+        { C.Sysmon.probe_interval = 2.0; missed_intervals = 3 }
       db
   in
   let data = P.Report.to_string (report ()) in
@@ -1892,10 +1892,7 @@ let test_wizard_distributed_pull_flow () =
       {
         C.Wizard.mode =
           C.Wizard.Distributed
-            {
-              transmitters = [ { C.Output.host = "mon"; port = P.Ports.transmitter } ];
-              freshness_timeout = 2.0;
-            };
+            [ { C.Output.host = "mon"; port = P.Ports.transmitter } ];
         groups = None;
       }
       db
@@ -1999,10 +1996,7 @@ let test_role_wizard_tick_armed () =
     wizard_role (role_env ())
       ~mode:
         (C.Wizard.Distributed
-           {
-             transmitters = [ { C.Output.host = "mon"; port = P.Ports.transmitter } ];
-             freshness_timeout = 2.0;
-           })
+           [ { C.Output.host = "mon"; port = P.Ports.transmitter } ])
   in
   let timer = tick role in
   Alcotest.(check (list string)) "the transmitters are its peers" [ "mon" ]
@@ -2025,10 +2019,7 @@ let test_wizard_distributed_deadline () =
       {
         C.Wizard.mode =
           C.Wizard.Distributed
-            {
-              transmitters = [ { C.Output.host = "mon"; port = P.Ports.transmitter } ];
-              freshness_timeout = 2.0;
-            };
+            [ { C.Output.host = "mon"; port = P.Ports.transmitter } ];
         groups = None;
       }
       db
@@ -2056,10 +2047,7 @@ let test_wizard_distributed_repeats_hit_cache () =
       {
         C.Wizard.mode =
           C.Wizard.Distributed
-            {
-              transmitters = [ { C.Output.host = "mon"; port = P.Ports.transmitter } ];
-              freshness_timeout = 2.0;
-            };
+            [ { C.Output.host = "mon"; port = P.Ports.transmitter } ];
         groups = None;
       }
       db
@@ -2898,10 +2886,7 @@ let test_transmitter_resend_backoff () =
   C.Status_db.update_sys db (sys_record ~at:0.0 ());
   let m = Smart_util.Metrics.create () in
   let tx =
-    C.Transmitter.create ~metrics:m ~monitor_name:"mon" ~resend_capacity:2
-      ~backoff:
-        (Smart_util.Backoff.policy ~base:1.0 ~multiplier:2.0 ~max_delay:8.0
-           ~jitter:0.0 ())
+    C.Transmitter.create ~metrics:m ~monitor_name:"mon"
       {
         C.Transmitter.mode = C.Transmitter.Centralized;
         order = P.Endian.Little;
@@ -2909,26 +2894,27 @@ let test_transmitter_resend_backoff () =
       }
       db
   in
-  (* a failed push lands in the resend queue and arms the backoff *)
+  (* a failed push lands in the resend queue and arms the backoff, whose
+     first delay is Backoff.default's 0.2 s *)
   let queued () = gauge_value m "transmitter.resend_queue" in
   C.Transmitter.note_send_failure tx ~now:0.0 ~data:"frame-1";
   Alcotest.(check (float 0.0)) "queued" 1.0 (queued ());
   Alcotest.(check int) "tick muted during backoff" 0
-    (List.length (C.Transmitter.tick tx ~now:0.5));
+    (List.length (C.Transmitter.tick tx ~now:0.1));
   (* past the delay: the queued frame leads the next tick's outputs *)
-  (match C.Transmitter.tick tx ~now:1.5 with
+  (match C.Transmitter.tick tx ~now:0.3 with
   | C.Output.Stream { data; _ } :: _ ->
     Alcotest.(check string) "resent first" "frame-1" data
   | _ -> Alcotest.fail "expected the resend stream first");
   Alcotest.(check int) "resend counted" 1
     (counter_value m "transmitter.resends_total");
   Alcotest.(check (float 0.0)) "queue drained" 0.0 (queued ());
-  (* the queue is bounded: oldest frames are dropped, and metered *)
-  C.Transmitter.note_send_failure tx ~now:2.0 ~data:"a";
-  C.Transmitter.note_send_failure tx ~now:2.0 ~data:"b";
-  C.Transmitter.note_send_failure tx ~now:2.0 ~data:"c";
-  Alcotest.(check (float 0.0)) "capacity bound" 2.0 (queued ());
-  Alcotest.(check int) "failures metered" 4
+  (* the queue holds 8: older frames are dropped, and metered *)
+  for i = 0 to 8 do
+    C.Transmitter.note_send_failure tx ~now:2.0 ~data:(string_of_int i)
+  done;
+  Alcotest.(check (float 0.0)) "capacity bound" 8.0 (queued ());
+  Alcotest.(check int) "failures metered" 10
     (counter_value m "transmitter.send_failures_total");
   Alcotest.(check int) "drop metered" 1
     (counter_value m "transmitter.resend_dropped_total");
@@ -3115,13 +3101,7 @@ let test_sysmon_quarantine_flapping () =
   let m = Smart_util.Metrics.create () in
   let sysmon =
     C.Sysmon.create ~metrics:m
-      ~config:
-        {
-          C.Sysmon.probe_interval = 1.0;
-          missed_intervals = 1;
-          flap_threshold = 2;
-          clean_intervals = 3;
-        }
+      ~config:{ C.Sysmon.probe_interval = 1.0; missed_intervals = 1 }
       db
   in
   let data = P.Report.to_string (report ()) in
@@ -3130,24 +3110,28 @@ let test_sysmon_quarantine_flapping () =
     | Ok _ -> ()
     | Error e -> Alcotest.failf "report rejected: %s" e
   in
-  (* two expire/re-register whipsaws reach the flap threshold *)
+  (* three expire/re-register whipsaws reach the flap threshold *)
   ingest 0.0;
   Alcotest.(check int) "first expiry" 1 (C.Sysmon.sweep sysmon ~now:3.0);
   ingest 3.5;
   Alcotest.(check int) "second expiry" 1 (C.Sysmon.sweep sysmon ~now:7.0);
+  Alcotest.(check (float 0.0)) "not quarantined below the threshold" 0.0
+    (gauge_value m "sysmon.quarantined");
+  ingest 7.5;
+  Alcotest.(check int) "third expiry" 1 (C.Sysmon.sweep sysmon ~now:11.0);
   Alcotest.(check (float 0.0)) "quarantined" 1.0
     (gauge_value m "sysmon.quarantined");
   Alcotest.(check int) "quarantine metered" 1
     (counter_value m "sysmon.quarantined_total");
   (* while quarantined, reports are counted but not inserted *)
-  ingest 8.0;
-  ingest 9.0;
-  ingest 10.0;
+  ingest 12.0;
+  ingest 13.0;
+  ingest 14.0;
   Alcotest.(check int) "db stays empty" 0 (C.Status_db.sys_count db);
   Alcotest.(check int) "quarantined reports metered" 3
     (counter_value m "sysmon.quarantined_reports_total");
-  (* a clean streak spanning clean_intervals probe periods re-admits *)
-  ingest 11.0;
+  (* a clean streak spanning three probe periods re-admits *)
+  ingest 15.0;
   Alcotest.(check (float 0.0)) "re-admitted" 0.0
     (gauge_value m "sysmon.quarantined");
   Alcotest.(check int) "back in the database" 1 (C.Status_db.sys_count db);
@@ -3772,13 +3756,10 @@ let test_probe_adaptive_interval () =
     (C.Probe.report_interval plain = None);
   let m = Smart_util.Metrics.create () in
   let probe =
-    C.Probe.create ~metrics:m
-      ~adaptive:
-        { C.Probe.base_interval = 1.0; min_factor = 0.5; max_factor = 2.0;
-          min_samples = 3 }
-      probe_config
+    C.Probe.create ~metrics:m ~adaptive_base:1.0 probe_config
   in
-  for i = 0 to 5 do
+  (* eight load1 samples before the first adaptation *)
+  for i = 0 to 9 do
     let now = float_of_int i in
     ignore (C.Probe.tick probe ~now ~snapshot:(snapshot_of machine ~now))
   done;
@@ -3786,70 +3767,65 @@ let test_probe_adaptive_interval () =
   | None -> Alcotest.fail "adaptive probe lost its interval"
   | Some interval ->
     (* an idle machine's load1 is flat: zero spread slides the factor
-       all the way to max_factor *)
+       all the way to Probe.max_factor *)
     Alcotest.(check (float 1e-9)) "flat signal relaxes to slowest cadence"
       2.0 interval;
     Alcotest.(check (float 1e-9)) "gauge mirrors the interval" interval
       (gauge_value m "probe.report_interval_seconds"));
   Alcotest.(check bool) "adaptation counted" true
     (counter_value m "probe.interval_adaptations_total" >= 1);
-  Alcotest.(check bool) "bad adaptive config rejected" true
+  Alcotest.(check bool) "non-positive base rejected" true
     (try
-       ignore
-         (C.Probe.create
-            ~adaptive:
-              { C.Probe.base_interval = 1.0; min_factor = 0.8;
-                max_factor = 0.5; min_samples = 3 }
-            probe_config);
+       ignore (C.Probe.create ~adaptive_base:0.0 probe_config);
        false
      with Invalid_argument _ -> true)
 
+(* Eight hosts flap together, every report followed by an expiry, so
+   each round adds one flap score per host.  Scores are exact at this
+   count: q90 is the nearest-rank 90th percentile. *)
 let test_sysmon_adaptive_threshold () =
   let db = C.Status_db.create () in
   let m = Smart_util.Metrics.create () in
   let sysmon =
-    C.Sysmon.create ~metrics:m
-      ~config:
-        {
-          C.Sysmon.probe_interval = 1.0;
-          missed_intervals = 1;
-          flap_threshold = 2;
-          clean_intervals = 3;
-        }
-      ~flap_policy:
-        { C.Sysmon.factor = 3.0; quantile = 0.5; max_threshold = 10;
-          min_samples = 2 }
+    C.Sysmon.create ~metrics:m ~adaptive:true
+      ~config:{ C.Sysmon.probe_interval = 1.0; missed_intervals = 1 }
       db
   in
-  let data = P.Report.to_string (report ()) in
-  let ingest now =
-    match C.Sysmon.handle_report sysmon ~now data with
-    | Ok _ -> ()
-    | Error e -> Alcotest.failf "report rejected: %s" e
+  let hosts = List.init 8 (Printf.sprintf "h%d") in
+  let round ~at =
+    List.iter
+      (fun host ->
+        match
+          C.Sysmon.handle_report sysmon ~now:at
+            (P.Report.to_string (report ~host ()))
+        with
+        | Ok _ -> ()
+        | Error e -> Alcotest.failf "report rejected: %s" e)
+      hosts;
+    C.Sysmon.sweep sysmon ~now:(at +. 3.0)
   in
   let adaptations () = counter_value m "sysmon.threshold_adaptations_total" in
   let threshold () = gauge_value m "sysmon.effective_flap_threshold" in
   let quarantined () = gauge_value m "sysmon.quarantined" in
-  Alcotest.(check int) "starts at the configured threshold" 0 (adaptations ());
-  (* first expiry: one flap score is below min_samples, no tuning *)
-  ingest 0.0;
-  Alcotest.(check int) "first expiry" 1 (C.Sysmon.sweep sysmon ~now:3.0);
-  Alcotest.(check int) "too few samples to tune" 0 (adaptations ());
-  (* second expiry: scores {1, 2}, median 1, threshold 3 x 1 = 3 — the
-     fixed config would quarantine at 2 flaps, the tuned one does not *)
-  ingest 3.5;
-  Alcotest.(check int) "second expiry" 1 (C.Sysmon.sweep sysmon ~now:7.0);
-  Alcotest.(check (float 0.0)) "tuned from the flap distribution" 3.0
-    (threshold ());
-  Alcotest.(check (float 0.0)) "tuned threshold defers quarantine" 0.0
+  Alcotest.(check int) "starts at the fixed threshold" 0 (adaptations ());
+  (* eight scores of 1: q90 1, and 1.5 x 1 rounds to 2, below the fixed
+     3; eight more of 2: 1.5 x 2 = 3, still the fixed threshold *)
+  Alcotest.(check int) "first round expires all" 8 (round ~at:0.0);
+  Alcotest.(check int) "second round expires all" 8 (round ~at:3.5);
+  Alcotest.(check int) "no tuning below the fixed threshold" 0
+    (adaptations ());
+  Alcotest.(check (float 0.0)) "two flaps: nobody quarantined" 0.0
     (quarantined ());
-  (* third expiry: scores {1, 2, 3}, median 2, threshold 6 *)
-  ingest 7.5;
-  Alcotest.(check int) "third expiry" 1 (C.Sysmon.sweep sysmon ~now:11.0);
-  Alcotest.(check (float 0.0)) "threshold follows the fleet" 6.0
+  (* third round: the first host to reach 3 flaps meets the fixed
+     threshold before its score can move q90; the second score of 3 lifts
+     q90 to 3 and the threshold to round (1.5 x 3) = 5, which the fixed
+     policy would not have: the other seven stay admitted *)
+  Alcotest.(check int) "third round expires all" 8 (round ~at:7.5);
+  Alcotest.(check (float 0.0)) "tuned from the flap distribution" 5.0
     (threshold ());
-  Alcotest.(check (float 0.0)) "still not an outlier" 0.0 (quarantined ());
-  Alcotest.(check int) "two adaptations" 2 (adaptations ())
+  Alcotest.(check int) "one adaptation" 1 (adaptations ());
+  Alcotest.(check (float 0.0)) "tuned threshold defers quarantine" 1.0
+    (quarantined ())
 
 let test_wizard_adaptive_staleness () =
   let db = C.Status_db.create () in
@@ -3858,10 +3834,7 @@ let test_wizard_adaptive_staleness () =
   let wizard =
     C.Wizard.create ~metrics:m
       ~clock:(fun () -> !now)
-      ~staleness_threshold:42.0
-      ~staleness_policy:
-        { C.Wizard.factor = 5.0; quantile = 0.99; floor = 0.1; cap = 300.0;
-          min_samples = 4 }
+      ~staleness_threshold:42.0 ~adaptive_staleness:true
       { C.Wizard.mode = C.Wizard.Centralized; groups = None }
       db
   in
@@ -3869,8 +3842,8 @@ let test_wizard_adaptive_staleness () =
   let threshold () = gauge_value m "wizard.staleness_threshold_seconds" in
   Alcotest.(check int) "fixed threshold until samples arrive" 0
     (adaptations ());
-  (* five 1 s gaps: q99 = 1 s, threshold 5 x 1 = 5 s *)
-  for i = 1 to 6 do
+  (* eight 1 s gaps: q99 = 1 s, threshold 5 x 1 = 5 s *)
+  for i = 1 to 9 do
     now := float_of_int i;
     C.Wizard.note_update wizard
   done;
@@ -3915,9 +3888,7 @@ let run_control_determinism seed =
       C.Simdriver.default_config with
       C.Simdriver.probe_interval = 1.0;
       transmit_interval = 0.5;
-      adaptive_probes = true;
-      adaptive_quarantine = true;
-      adaptive_staleness = true;
+      control_loops = true;
     }
   in
   let _, d = fed_world ~config seed in
@@ -3964,8 +3935,7 @@ let test_session_pool_lifecycle () =
   let clock = ref 0.0 in
   let m = Smart_util.Metrics.create () in
   let pool =
-    C.Session.pool ~metrics:m ~capacity:2 ~keepalive_interval:5.0
-      ~keepalive_limit:2
+    C.Session.pool ~metrics:m ~keepalive_interval:5.0
       ~clock:(fun () -> !clock)
       ()
   in
@@ -3988,10 +3958,16 @@ let test_session_pool_lifecycle () =
   C.Session.retire pool s1;
   Alcotest.(check (float 0.0)) "idle entry stays pooled" 1.0
     (gauge_value m "session.pool_size");
-  (* fill past capacity: the idle LRU entry is evicted, busy ones kept *)
+  (* fill past the 16 entries: the idle LRU entry is evicted, busy ones
+     kept *)
   clock := 1.0;
   let sb, cb = bind "sb" "b" in
   C.Session.established pool cb;
+  for i = 1 to 14 do
+    ignore (bind (Printf.sprintf "sf%d" i) (Printf.sprintf "f%d" i))
+  done;
+  Alcotest.(check int) "nothing evicted at capacity" 0
+    (counter_value m "session.pool_evicted_total");
   let _sc, cc = bind "sc" "c" in
   C.Session.established pool cc;
   Alcotest.(check int) "idle LRU evicted" 1
@@ -4018,8 +3994,12 @@ let test_session_pool_lifecycle () =
   (match C.Session.keepalive_due pool ~now:!clock with
   | [ due ] ->
     Alcotest.(check string) "c is due" "c" (C.Session.conn_host due);
-    C.Session.keepalive_sent pool due;
-    C.Session.keepalive_miss pool due;
+    for _ = 1 to 2 do
+      C.Session.keepalive_sent pool due;
+      C.Session.keepalive_miss pool due
+    done;
+    Alcotest.(check bool) "alive below the limit" true
+      (C.Session.conn_state due = C.Session.Established);
     C.Session.keepalive_sent pool due;
     C.Session.keepalive_miss pool due;
     Alcotest.(check bool) "declared dead at the limit" true
@@ -4251,12 +4231,11 @@ let prop_session_pool_determinism =
   QCheck.Test.make ~name:"pool eviction follows the LRU model" ~count:60
     (QCheck.int_bound 0xFFFF)
     (fun seed ->
-      let capacity = 3 in
+      let capacity = 16 in
       let clock = ref 0.0 in
       let m = Smart_util.Metrics.create () in
       let pool =
-        C.Session.pool ~metrics:m ~capacity ~keepalive_interval:2.0
-          ~keepalive_limit:2
+        C.Session.pool ~metrics:m ~keepalive_interval:2.0
           ~clock:(fun () -> !clock)
           ()
       in
@@ -4284,11 +4263,14 @@ let prop_session_pool_determinism =
       let rng = Smart_util.Prng.create ~seed in
       let held = ref [] in
       let sorted_ok = ref true and victims_closed = ref true in
-      for _ = 1 to 80 do
+      for _ = 1 to 480 do
         clock := !clock +. 0.3;
         match Smart_util.Prng.int rng ~bound:3 with
         | 0 ->
-          let host = Printf.sprintf "h%d" (Smart_util.Prng.int rng ~bound:6) in
+          let host =
+            Printf.sprintf "h%d"
+              (Smart_util.Prng.int rng ~bound:(capacity + 3))
+          in
           let victim =
             match Hashtbl.find_opt model host with
             | Some (_, refs) ->

@@ -948,9 +948,7 @@ let prop_verify_accepts_compiled =
     ~name:"Bytecode.verify accepts every compiled program" ~count:1000
     (QCheck.make ~print:O.Ast_text.program_to_string gen_diff_program)
     (fun prog_ast ->
-      (* [~verify:true] runs the verifier inside Compile and raises on a
-         rejection; the explicit call pins the [result] API too. *)
-      let p = L.Compile.program ~verify:true prog_ast in
+      let p = L.Compile.program prog_ast in
       match L.Bytecode.verify p with
       | Ok () -> true
       | Error e ->
@@ -1063,7 +1061,13 @@ let test_verify_sweep_preconditions () =
   expect_sweep_refusal "UVAR" [| 18; 0; 0; 1 |];
   (* SETU logging the CMPC's verdict register, not an ADDR of its own *)
   expect_sweep_refusal "foreign SETU" [| 17; 5; 0 |];
-  let compiled src = L.Compile.program ~verify:true (compile src) in
+  let compiled src =
+    let p = L.Compile.program (compile src) in
+    match L.Bytecode.verify p with
+    | Ok () -> p
+    | Error e ->
+      Alcotest.failf "%S rejected: %s" src (L.Bytecode.verify_error_to_string e)
+  in
   (* constant host lists ride the plan, and verify *)
   let hosts =
     compiled

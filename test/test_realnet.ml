@@ -496,16 +496,12 @@ let test_distributed_mode_real () =
     start_world ~mode:Smart_core.Transmitter.Distributed
       ~wizard_mode:
         (Smart_core.Wizard.Distributed
-           {
-             transmitters =
-               [
-                 {
-                   Smart_core.Output.host = "mon";
-                   port = Smart_proto.Ports.transmitter;
-                 };
-               ];
-             freshness_timeout = 3.0;
-           })
+           [
+             {
+               Smart_core.Output.host = "mon";
+               port = Smart_proto.Ports.transmitter;
+             };
+           ])
       ()
   in
   Fun.protect

@@ -108,29 +108,6 @@ let test_periodic_stop_within_callback () =
   Engine.run e ~until:10.0;
   Alcotest.(check int) "stopped from inside" 2 !count
 
-let test_periodic_jitter () =
-  let e = Engine.create () in
-  let rng = Smart_util.Prng.create ~seed:1 in
-  let times = ref [] in
-  ignore
-    (Engine.every e ~jitter:0.2 ~rng ~period:1.0 ~start:0.0 (fun now ->
-         times := now :: !times));
-  Engine.run e ~until:10.0;
-  let times = List.rev !times in
-  Alcotest.(check bool)
-    "about 9-10 firings" true
-    (List.length times >= 8 && List.length times <= 11);
-  List.iteri
-    (fun i t ->
-      if i > 0 then begin
-        let prev = List.nth times (i - 1) in
-        let gap = t -. prev in
-        Alcotest.(check bool)
-          "gap in [period, period+jitter]" true
-          (gap >= 1.0 -. 1e-9 && gap <= 1.2 +. 1e-9)
-      end)
-    times
-
 let test_run_until_idle () =
   let e = Engine.create () in
   let fired = ref 0 in
@@ -289,7 +266,6 @@ let () =
           Alcotest.test_case "regular firings" `Quick test_periodic;
           Alcotest.test_case "stop within callback" `Quick
             test_periodic_stop_within_callback;
-          Alcotest.test_case "jitter bounds" `Quick test_periodic_jitter;
         ] );
       ( "trace",
         [
