@@ -22,6 +22,10 @@ val start : t -> unit
 
 val stop : t -> unit
 
+(** The daemon's database and wizard.  Both are loop-owned state: read
+    or write them only while the loop is stopped (before {!start} or
+    after {!stop}).  A running daemon's contents are what its request
+    and scrape ports answer. *)
 val db : t -> Smart_core.Status_db.t
 
 val wizard : t -> Smart_core.Wizard.t
