@@ -17,8 +17,8 @@ bench:
 # non-zero on any error not excused by lint.allow.  Needs the cmts,
 # hence the build dependency; a plain build leaves none for the main
 # module of an executable (bin/smart.ml, bench/main.ml, the examples,
-# the tests), so @check builds those before the reach rule looks for
-# callers.  --strict turns stale allowlist entries into errors so
+# the tests), so @check builds those before the reach and knob rules
+# look for callers.  --strict turns stale allowlist entries into errors so
 # lint.allow can only shrink; the JSON twin of the report lands in
 # _build/smartlint.json (CI uploads it as an artifact).
 lint: build

@@ -17,6 +17,12 @@ let () =
   ignore Fx_env.home;
   ignore Fx_env.first_arg;
   ignore Fx_io.pid;
+  (* applications, not values: a value use would pass every optional
+     parameter.  [passed]'s is forwarded, the other two go unset. *)
+  let forward ?gain () = Fx_knob.passed ?gain () in
+  ignore (forward ~gain:4 ());
+  ignore (Fx_knob.tested ());
+  ignore (Fx_knob.unpassed ());
   ignore Fx_io.slurp;
   ignore Fx_random.roll;
   ignore Fx_random.stamp;

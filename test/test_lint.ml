@@ -156,7 +156,7 @@ let test_only_filter () =
         Alcotest.(check bool)
           (Printf.sprintf "some %s diagnostics" rule)
           true (r.Dr.errors > 0))
-    [ "effects"; "wire"; "bytecode"; "reach" ]
+    [ "effects"; "wire"; "bytecode"; "reach"; "knob" ]
 
 let contains ~sub s =
   let n = String.length sub and m = String.length s in
@@ -243,6 +243,34 @@ let test_reach () =
           ~line:1));
   check_hit ~rule:"reach" ~file:(fx "fx_reach.mli") ~line:2 ();
   check_hit ~rule:"reach" ~file:(fx "fx_reach.mli") ~line:3 ()
+
+(* Knob: the optional parameter the fixture root passes (through a [?]
+   forward) is clean, the one only the tests directory passes warns, and
+   the one nobody passes is an error; one diagnostic per parameter. *)
+let test_knob () =
+  let knob_lines severity =
+    List.filter_map
+      (fun (d : D.t) ->
+        if
+          String.equal d.rule "knob"
+          && String.equal d.file (fx "fx_knob.mli")
+          && d.severity = severity
+        then Some d.line
+        else None)
+      (Lazy.force report).Dr.diagnostics
+  in
+  Alcotest.(check (list int)) "test-only parameter warns" [ 2 ]
+    (knob_lines D.Warn);
+  Alcotest.(check (list int)) "unpassed parameter is an error" [ 3 ]
+    (knob_lines D.Error);
+  match
+    find (Lazy.force report) ~rule:"knob" ~file:(fx "fx_knob.mli") ~line:3
+  with
+  | [ d ] ->
+    Alcotest.(check bool) "message names the parameter" true
+      (contains ~sub:"Fx_knob.unpassed ?spare" d.D.message)
+  | ds -> Alcotest.failf "expected one knob diagnostic at line 3, got %d"
+            (List.length ds)
 
 (* Doc: a reference to the interface's own type, a constructor, a
    sibling module or a library-qualified path resolves; one to a name
@@ -515,6 +543,8 @@ let () =
           Alcotest.test_case "bytecode fixtures verify" `Quick
             test_bytecode_rule;
           Alcotest.test_case "reach: export callers" `Quick test_reach;
+          Alcotest.test_case "knob: optional parameter callers" `Quick
+            test_knob;
           Alcotest.test_case "doc: cross-references" `Quick test_doc_refs;
         ] );
       ( "report",

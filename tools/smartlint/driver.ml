@@ -31,7 +31,7 @@ type config = {
 let all_rules =
   [
     "io-purity"; "determinism"; "poly-compare"; "unsafe"; "iface";
-    "effects"; "wire"; "bytecode"; "reach"; "doc";
+    "effects"; "wire"; "bytecode"; "reach"; "knob"; "doc";
   ]
 
 let rule_enabled config rule =
@@ -128,6 +128,12 @@ let run config =
           ~is_test:(in_dirs config.test_dirs)
       else []
     in
+    let knob_diags =
+      if rule_enabled config "knob" then
+        Knob.check ~ifaces:(Lazy.force ifaces) ~callers:all_cmts
+          ~is_test:(in_dirs config.test_dirs)
+      else []
+    in
     let doc_diags =
       if rule_enabled config "doc" then
         Docref.check ~root:config.root ~ifaces:(Lazy.force ifaces)
@@ -139,7 +145,7 @@ let run config =
       @ Project.deps_check ~root:config.root ~cmts
           ~sans_io_dirs:config.sans_io_dirs config.lib_dirs
       @ Project.imports_check ~cmts ~already_flagged config.sans_io_dirs
-      @ graph_diags @ bytecode_diags @ reach_diags @ doc_diags
+      @ graph_diags @ bytecode_diags @ reach_diags @ knob_diags @ doc_diags
     in
     let diags =
       List.filter (fun (d : Diagnostic.t) -> rule_enabled config d.rule) diags

@@ -24,10 +24,7 @@ let exports (i : Project.iface) =
       (fun (item : Typedtree.signature_item) ->
         match item.Typedtree.sig_desc with
         | Typedtree.Tsig_value vd ->
-          [
-            ( prefix ^ Ident.name vd.Typedtree.val_id,
-              vd.Typedtree.val_loc.Location.loc_start.Lexing.pos_lnum );
-          ]
+          [ (prefix ^ Ident.name vd.Typedtree.val_id, vd) ]
         | Typedtree.Tsig_module
             {
               md_id = Some id;
@@ -60,7 +57,8 @@ let check ~ifaces ~callers ~is_test =
     (fun (i : Project.iface) ->
       let modname = Callgraph.module_name_of_source i.Project.mli in
       List.filter_map
-        (fun (value, line) ->
+        (fun (value, (vd : Typedtree.value_description)) ->
+          let line = vd.Typedtree.val_loc.Location.loc_start.Lexing.pos_lnum in
           let diag severity fmt =
             Printf.ksprintf
               (Diagnostic.make ~rule:"reach" ~severity ~file:i.Project.mli
