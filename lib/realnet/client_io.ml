@@ -94,11 +94,13 @@ let scrape_metrics ?(format = Smart_proto.Metrics_msg.Text) book ~host ~port
 let scrape_trace ?(format = Smart_proto.Trace_msg.Text) book ~host ~port () =
   scrape book ~host ~port (Smart_proto.Trace_msg.encode_request format)
 
-(* Connect one TCP socket to a candidate's service port. *)
+(* Connect one TCP socket to a candidate's service port, within the
+   bound a push gets: a host that drops SYNs costs a second, not the
+   kernel's SYN retries. *)
 let connect_service book ~host =
   Option.bind
     (Addr_book.resolve book ~host ~port:Smart_proto.Ports.service)
-    (Perform.connect ~timeout:(-1.0))
+    (Perform.connect ~timeout:Perform.stream_bound)
   |> Option.map (fun socket -> { host; socket })
 
 (* The full §3.6.2 flow: ask the wizard, then return one connected socket

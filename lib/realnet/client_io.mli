@@ -51,9 +51,11 @@ val scrape_trace :
   (string, string) result
 
 (** The full flow: ask (as {!request_servers} does by default), then
-    TCP-connect each candidate's service port.  A candidate that refuses
-    or never completes the handshake is skipped; the partial socket list
-    is returned. *)
+    TCP-connect each candidate's service port, each handshake bounded by
+    {!Perform.stream_bound} (non-blocking connect + select), so a
+    black-holed candidate costs a second instead of the kernel default.
+    A candidate that refuses or times out is skipped; the partial socket
+    list is returned. *)
 val request_sockets :
   ?option:Smart_proto.Wizard_msg.option_flag ->
   Addr_book.t ->

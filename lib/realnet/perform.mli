@@ -3,10 +3,13 @@
     self-delimiting, so connection boundaries do not matter). *)
 
 (** A blocking TCP socket connected to the address, or [None] if the
-    handshake fails or takes over [timeout] seconds (negative: no
-    bound), so a host that drops SYNs costs the bound, not the kernel's
-    minutes-long default. *)
+    handshake fails or takes over [timeout] seconds, so a host that
+    drops SYNs costs the bound, not the kernel's minutes-long default. *)
 val connect : timeout:float -> Unix.sockaddr -> Unix.file_descr option
+
+(** One second: the bound on a push's connect and write together, and
+    on each candidate connect of {!Client_io.request_sockets}. *)
+val stream_bound : float
 
 (** Perform a batch of outputs, resolving hosts through the book and
     sending datagrams from [udp].  Unresolvable UDP destinations are

@@ -1236,6 +1236,65 @@ let test_push_bounded () =
           (Printf.sprintf "failed after %.2f s" elapsed)
           true (elapsed < 2.0))
 
+(* A candidate whose service port drops SYNs (a listener with a full
+   accept queue, as in [test_push_bounded]) costs [request_sockets] the
+   1 s connect bound, not the kernel's SYN retries: it is skipped and
+   every other candidate is connected. *)
+let test_request_sockets_bounded () =
+  let w = start_world () in
+  Fun.protect
+    ~finally:(fun () -> stop_world w)
+    (fun () ->
+      await_reports w ~count:3 ~timeout:10.0;
+      (match w.services with
+      | _ :: _ :: gamma :: _ -> R.Service.stop gamma
+      | _ -> Alcotest.fail "expected three services");
+      let service =
+        match
+          R.Addr_book.resolve w.book ~host:"gamma"
+            ~port:Smart_proto.Ports.service
+        with
+        | Some addr -> addr
+        | None -> Alcotest.fail "gamma's service unresolvable"
+      in
+      let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Unix.setsockopt listener Unix.SO_REUSEADDR true;
+      Unix.bind listener service;
+      Unix.listen listener 0;
+      let fillers =
+        List.init 3 (fun _ ->
+            let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+            Unix.set_nonblock s;
+            (try Unix.connect s service
+             with Unix.Unix_error (Unix.EINPROGRESS, _, _) -> ());
+            s)
+      in
+      Fun.protect
+        ~finally:(fun () -> List.iter Unix.close (listener :: fillers))
+        (fun () ->
+          Thread.delay 0.1;
+          let t0 = Unix.gettimeofday () in
+          let result =
+            R.Client_io.request_sockets w.book ~wizard_host:"wiz" ~wanted:3
+              ~requirement:"host_memory_total > 1\n" ()
+          in
+          let elapsed = Unix.gettimeofday () -. t0 in
+          match result with
+          | Error e ->
+            Alcotest.failf "request failed: %a" Smart_core.Client.pp_error e
+          | Ok connected ->
+            R.Client_io.close_all connected;
+            Alcotest.(check (list string)) "every other candidate connected"
+              [ "alpha"; "beta" ]
+              (List.sort compare
+                 (List.map
+                    (fun (c : R.Client_io.connected_server) ->
+                      c.R.Client_io.host)
+                    connected));
+            Alcotest.(check bool)
+              (Printf.sprintf "returned after %.2f s" elapsed)
+              true (elapsed < 2.0)))
+
 (* The monitor sweeps every probe interval, whatever its push interval:
    a probe that stops is expired within three silent 0.2 s intervals
    and a sweep, long before the 5 s push. *)
@@ -1325,6 +1384,8 @@ let () =
           Alcotest.test_case "massd download" `Slow test_download_real;
           Alcotest.test_case "fd leak regression" `Slow
             test_fd_leak_regression;
+          Alcotest.test_case "request sockets bounded" `Slow
+            test_request_sockets_bounded;
           Alcotest.test_case "distributed mode" `Slow test_distributed_mode_real;
           Alcotest.test_case "request retransmit" `Slow test_request_retransmit;
           Alcotest.test_case "admission per requester ip" `Slow
