@@ -236,8 +236,10 @@ let wizard ?(control_loops = false) ?admission ?groups ?shard_name ~order env
     parts = { db; receiver; wizard };
   }
 
-let shard role ~order ~name ~root_host ~crc ~transmit_interval =
-  let { db; wizard = w; _ } = role.parts and env = role.env in
+let shard role ~root_host ~crc ~transmit_interval =
+  let { db; receiver; wizard = w } = role.parts and env = role.env in
+  let name = Wizard.shard_name w and order = Receiver.order receiver in
+  if String.equal name "" then invalid_arg "Role.shard: no shard name";
   (* the digest uplink: column ranges built with the shard wizard's own
      network bindings, so they cover exactly the values subqueries
      compare, plus its latency sketch once it has observations *)

@@ -126,18 +126,16 @@ val wizard :
   staleness_threshold:float ->
   wizard t
 
-(** A federation shard (DESIGN.md §13): a centralized {!wizard} machine
-    built with [~shard_name:name] that also answers root subqueries on
-    the federation port, plus a digest uplink to [root_host] every
-    [transmit_interval] in [order] (with the wizard's latency sketch
-    once it has observations). *)
+(** A federation shard (DESIGN.md §13): a {!wizard} machine built with
+    a [shard_name], extended to answer root subqueries on the
+    federation port and to push a digest uplink under that name to
+    [root_host] every [transmit_interval], in its receiver's byte order
+    (with the wizard's latency sketch once it has observations).
+    Subqueries read the mirror as it stands, so the groups feeding the
+    machine push (centralized mode).  Raises [Invalid_argument] when
+    the machine has no shard name. *)
 val shard :
-  wizard t ->
-  order:Smart_proto.Endian.order ->
-  name:string ->
-  root_host:string ->
-  crc:bool ->
-  transmit_interval:float ->
+  wizard t -> root_host:string -> crc:bool -> transmit_interval:float ->
   wizard t
 
 type root = {

@@ -338,17 +338,16 @@ let build_site t_ref config cluster env ~shard ~host ~groups =
         }
     end
   in
-  let order = config.order in
   let site =
     Role.wizard ~control_loops:config.control_loops ?groups:wizard_groups
-      ?shard_name:(Option.map fst shard) ~order env ~mode
+      ?shard_name:(Option.map fst shard) ~order:config.order env ~mode
       ~staleness_threshold:config.wizard_staleness
   in
   let site =
     match shard with
     | None -> site
-    | Some (name, root_host) ->
-      Role.shard site ~order ~name ~root_host ~crc:config.frame_crc
+    | Some (_, root_host) ->
+      Role.shard site ~root_host ~crc:config.frame_crc
         ~transmit_interval:config.transmit_interval
   in
   let node = Smart_host.Cluster.resolve_exn cluster host in

@@ -683,4 +683,6 @@ let delayed_count t = Queue.length t.delayed
 
 let latency_sketch t = t.latency_sketch
 
+let shard_name t = t.shard_name
+
 let last_result t = t.last_result

@@ -191,3 +191,7 @@ val last_result : t -> string list option
     federation uplink under {!Fed_root.latency_metric} via the
     transmitter's [sketches] callback. *)
 val latency_sketch : t -> Smart_util.Sketch.t
+
+(** The [shard_name] this wizard was created with ([""] outside a
+    federation). *)
+val shard_name : t -> string

@@ -18,11 +18,14 @@ let () =
   ignore Fx_env.first_arg;
   ignore Fx_io.pid;
   (* applications, not values: a value use would pass every optional
-     parameter.  [passed]'s is forwarded, the other two go unset. *)
+     parameter.  [passed]'s is forwarded, the next two go unset, and
+     [staged]'s second is passed to its partial application. *)
   let forward ?gain () = Fx_knob.passed ?gain () in
   ignore (forward ~gain:4 ());
   ignore (Fx_knob.tested ());
   ignore (Fx_knob.unpassed ());
+  let staged = Fx_knob.staged ~first:1 in
+  ignore (staged ~second:2 ());
   ignore Fx_io.slurp;
   ignore Fx_random.roll;
   ignore Fx_random.stamp;

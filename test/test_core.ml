@@ -3784,48 +3784,67 @@ let test_probe_adaptive_interval () =
    each round adds one flap score per host.  Scores are exact at this
    count: q90 is the nearest-rank 90th percentile. *)
 let test_sysmon_adaptive_threshold () =
-  let db = C.Status_db.create () in
-  let m = Smart_util.Metrics.create () in
-  let sysmon =
-    C.Sysmon.create ~metrics:m ~adaptive:true
-      ~config:{ C.Sysmon.probe_interval = 1.0; missed_intervals = 1 }
-      db
+  (* [fleet n]: an adaptive sysmon over [n] hosts, and [round ~at] has
+     every host report at [at] and miss its one 1 s interval *)
+  let fleet n =
+    let db = C.Status_db.create () in
+    let m = Smart_util.Metrics.create () in
+    let sysmon =
+      C.Sysmon.create ~metrics:m ~adaptive:true
+        ~config:{ C.Sysmon.probe_interval = 1.0; missed_intervals = 1 }
+        db
+    in
+    let hosts = List.init n (Printf.sprintf "h%d") in
+    let round ~at =
+      List.iter
+        (fun host ->
+          match
+            C.Sysmon.handle_report sysmon ~now:at
+              (P.Report.to_string (report ~host ()))
+          with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "report rejected: %s" e)
+        hosts;
+      C.Sysmon.sweep sysmon ~now:(at +. 3.0)
+    in
+    (m, round)
   in
-  let hosts = List.init 8 (Printf.sprintf "h%d") in
-  let round ~at =
-    List.iter
-      (fun host ->
-        match
-          C.Sysmon.handle_report sysmon ~now:at
-            (P.Report.to_string (report ~host ()))
-        with
-        | Ok _ -> ()
-        | Error e -> Alcotest.failf "report rejected: %s" e)
-      hosts;
-    C.Sysmon.sweep sysmon ~now:(at +. 3.0)
-  in
-  let adaptations () = counter_value m "sysmon.threshold_adaptations_total" in
-  let threshold () = gauge_value m "sysmon.effective_flap_threshold" in
-  let quarantined () = gauge_value m "sysmon.quarantined" in
-  Alcotest.(check int) "starts at the fixed threshold" 0 (adaptations ());
+  let adaptations m = counter_value m "sysmon.threshold_adaptations_total" in
+  let threshold m = gauge_value m "sysmon.effective_flap_threshold" in
+  let quarantined m = gauge_value m "sysmon.quarantined" in
+  (* two hosts, three rounds: at the first third expiry the scores are
+     {1, 1, 2, 2, 3}, whose q90 of 3 would tune the threshold to
+     round (1.5 x 3) = 5; five scores are below the eight tuning needs,
+     so the fixed 3 holds and both hosts are quarantined *)
+  let m, round = fleet 2 in
+  Alcotest.(check int) "first round expires both" 2 (round ~at:0.0);
+  Alcotest.(check int) "second round expires both" 2 (round ~at:3.5);
+  Alcotest.(check (float 0.0)) "two flaps: nobody quarantined" 0.0
+    (quarantined m);
+  Alcotest.(check int) "third round expires both" 2 (round ~at:7.5);
+  Alcotest.(check int) "too few samples to tune" 0 (adaptations m);
+  Alcotest.(check (float 0.0)) "fixed threshold quarantines at 3" 2.0
+    (quarantined m);
+  let m, round = fleet 8 in
+  Alcotest.(check int) "starts at the fixed threshold" 0 (adaptations m);
   (* eight scores of 1: q90 1, and 1.5 x 1 rounds to 2, below the fixed
      3; eight more of 2: 1.5 x 2 = 3, still the fixed threshold *)
   Alcotest.(check int) "first round expires all" 8 (round ~at:0.0);
   Alcotest.(check int) "second round expires all" 8 (round ~at:3.5);
   Alcotest.(check int) "no tuning below the fixed threshold" 0
-    (adaptations ());
+    (adaptations m);
   Alcotest.(check (float 0.0)) "two flaps: nobody quarantined" 0.0
-    (quarantined ());
+    (quarantined m);
   (* third round: the first host to reach 3 flaps meets the fixed
      threshold before its score can move q90; the second score of 3 lifts
      q90 to 3 and the threshold to round (1.5 x 3) = 5, which the fixed
      policy would not have: the other seven stay admitted *)
   Alcotest.(check int) "third round expires all" 8 (round ~at:7.5);
   Alcotest.(check (float 0.0)) "tuned from the flap distribution" 5.0
-    (threshold ());
-  Alcotest.(check int) "one adaptation" 1 (adaptations ());
+    (threshold m);
+  Alcotest.(check int) "one adaptation" 1 (adaptations m);
   Alcotest.(check (float 0.0)) "tuned threshold defers quarantine" 1.0
-    (quarantined ())
+    (quarantined m)
 
 let test_wizard_adaptive_staleness () =
   let db = C.Status_db.create () in

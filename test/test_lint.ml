@@ -244,9 +244,10 @@ let test_reach () =
   check_hit ~rule:"reach" ~file:(fx "fx_reach.mli") ~line:2 ();
   check_hit ~rule:"reach" ~file:(fx "fx_reach.mli") ~line:3 ()
 
-(* Knob: the optional parameter the fixture root passes (through a [?]
-   forward) is clean, the one only the tests directory passes warns, and
-   the one nobody passes is an error; one diagnostic per parameter. *)
+(* Knob: the optional parameters the fixture root passes (through a [?]
+   forward, or to a partial application) are clean, the one only the
+   tests directory passes warns, and the one nobody passes is an error;
+   one diagnostic per parameter. *)
 let test_knob () =
   let knob_lines severity =
     List.filter_map
@@ -263,6 +264,10 @@ let test_knob () =
     (knob_lines D.Warn);
   Alcotest.(check (list int)) "unpassed parameter is an error" [ 3 ]
     (knob_lines D.Error);
+  Alcotest.(check (list string)) "partial application passes the rest" []
+    (List.map D.to_string
+       (find (Lazy.force report) ~rule:"knob" ~file:(fx "fx_knob.mli")
+          ~line:4));
   match
     find (Lazy.force report) ~rule:"knob" ~file:(fx "fx_knob.mli") ~line:3
   with

@@ -7,8 +7,9 @@
    pretends can vary.  One only tests pass is a warning: it doubles the
    configurations the tests cover for a value production never sets.
    Using the function as a value ([List.map M.f], [let g = M.f]) counts
-   as passing all of its optional parameters, since the analysis cannot
-   follow where the value goes.
+   as passing all of its optional parameters, and a partial application
+   ([let g = M.f ~a]) as passing those still in its result's type, since
+   the analysis cannot follow where the value goes.
 
    Exports come from [Reach.exports]; applications from every expression
    of every scanned unit, their heads resolved as [Callgraph.references]
@@ -61,7 +62,11 @@ let uses ~known (c : Project.cmt) =
               | _ -> None)
             args
         in
-        found := (target path, Labels passed) :: !found;
+        (* a partial application leaves its unapplied optional
+           parameters in its result's type, for a later application of
+           the value to pass *)
+        let pending = optionals e.Typedtree.exp_type in
+        found := (target path, Labels (passed @ pending)) :: !found;
         List.iter (fun (_, arg) -> Option.iter (sub.expr sub) arg) args
       | Typedtree.Texp_ident (path, _, _) ->
         found := (target path, All) :: !found
