@@ -1,4 +1,4 @@
-.PHONY: all build test bench lint check doc clean sim-identity
+.PHONY: all build test bench lint check doc clean sim-identity ledger-pairs
 
 all: build
 
@@ -32,6 +32,15 @@ lint: build
 # on purpose.
 sim-identity:
 	tools/sim_identity.sh $(BASE)
+
+# Alternating ledger pairs, BASE's tree against the working tree, on
+# WORKLOAD: each end-to-end metric's medians, quartiles and pairs won,
+# the gain rule and the bound; see tools/ledger_pairs.py.
+SEEDS ?= 31-40
+SECONDS ?= 50
+ledger-pairs:
+	python3 tools/ledger_pairs.py --base $(BASE) --workload $(WORKLOAD) \
+	  --seeds $(SEEDS) --seconds $(SECONDS)
 
 # Documentation cross-references: every {!...} in a lib/**/*.mli must
 # name a declaration of the interfaces (smartlint's doc rule, see

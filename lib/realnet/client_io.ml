@@ -5,70 +5,153 @@
 
 type connected_server = { host : string; socket : Unix.file_descr }
 
+(* An endpoint: a bound UDP socket kept from call to call, a generator
+   of its own, seeded once, for calls that pass no [?rng], and the
+   [Client] last built on it with the registry and generator it was
+   built with. *)
+type endpoint = {
+  udp : Udp_io.t;
+  own_rng : Smart_util.Prng.t;
+  mutable client : Smart_core.Client.t;
+  mutable rng : Smart_util.Prng.t;
+  mutable metrics : Smart_util.Metrics.t option;
+}
+
+(* The idle endpoints, last returned first: a call takes one, or binds a
+   new one when none is idle, so the list holds as many as calls were
+   ever in flight at once. *)
+let idle = ref []
+
+let idle_lock = Mutex.create ()
+
+let same_registry a b =
+  match (a, b) with
+  | None, None -> true
+  | Some a, Some b -> a == b
+  | _ -> false
+
+(* An idle endpoint whose [Client] draws from [rng] (the endpoint's own
+   generator by default) and counts into [metrics]; the [Client] is
+   rebuilt only when either differs from the last call's. *)
+let borrow ?metrics ?rng () =
+  Mutex.lock idle_lock;
+  let taken =
+    match !idle with
+    | ep :: rest ->
+      idle := rest;
+      Some ep
+    | [] -> None
+  in
+  Mutex.unlock idle_lock;
+  match taken with
+  | Some ep ->
+    let rng = Option.value rng ~default:ep.own_rng in
+    if not (rng == ep.rng && same_registry metrics ep.metrics) then begin
+      ep.client <- Smart_core.Client.create ?metrics ~rng ();
+      ep.rng <- rng;
+      ep.metrics <- metrics
+    end;
+    ep
+  | None ->
+    let udp = Udp_io.bind_port 0 in
+    let own_rng =
+      Smart_util.Prng.create
+        ~seed:(Unix.getpid () + int_of_float (Unix.gettimeofday () *. 1e6))
+    in
+    let rng = Option.value rng ~default:own_rng in
+    {
+      udp;
+      own_rng;
+      client = Smart_core.Client.create ?metrics ~rng ();
+      rng;
+      metrics;
+    }
+
+let give_back ep =
+  Mutex.lock idle_lock;
+  idle := ep :: !idle;
+  Mutex.unlock idle_lock
+
+(* Discard whatever reached the endpoint while it was idle (a reply
+   after its call's deadline, a duplicate, junk): one zero-timeout
+   select when nothing did. *)
+let rec drain socket =
+  match Udp_io.recv_timeout socket ~timeout:0.0 with
+  | Some _ -> drain socket
+  | None -> ()
+
+(* One request on [ep]: send, wait for the matching reply (the client
+   library's exchange decides when to retransmit and when to give up). *)
+let exchange_on ep ~wizard_addr ~option ~timeout ~retries ~backoff ~wanted
+    ~requirement =
+  let request =
+    Smart_core.Client.make_request ep.client ~wanted ~option ~requirement
+  in
+  (* [timeout] caps each receive window, so it caps the policy; the
+     give-up comes after the sum of the capped nominal windows *)
+  let policy =
+    {
+      backoff with
+      Smart_util.Backoff.max_delay =
+        Float.min backoff.Smart_util.Backoff.max_delay timeout;
+    }
+  in
+  let budget = ref 0.0 in
+  for attempt = 0 to retries do
+    budget := !budget +. Smart_util.Backoff.nominal policy ~attempt
+  done;
+  drain ep.udp;
+  let now = Unix.gettimeofday () in
+  let exchange =
+    Smart_core.Client.exchange ep.client request ~sends:(retries + 1)
+      ~backoff:(Smart_util.Backoff.create ~rng:ep.rng policy)
+      ~deadline:(now +. !budget)
+  in
+  let rec act = function
+    | Smart_core.Client.Send time ->
+      ignore
+        (Udp_io.send ep.udp ~to_:wizard_addr
+           (Smart_core.Client.datagram exchange));
+      await time
+    | Smart_core.Client.Wait time -> await time
+    | Smart_core.Client.Done result -> result
+    | Smart_core.Client.Idle -> assert false  (* only after Done *)
+  and await time =
+    let now = Unix.gettimeofday () in
+    if now >= time then act (Smart_core.Client.wake exchange ~now)
+    else
+      match Udp_io.recv_timeout ep.udp ~timeout:(time -. now) with
+      | None ->
+        act (Smart_core.Client.wake exchange ~now:(Unix.gettimeofday ()))
+      | Some (_, data) ->
+        (match Smart_core.Client.receive exchange data with
+        | Some result -> result
+        | None -> await time)
+  in
+  act (Smart_core.Client.wake exchange ~now)
+
+(* The request on a borrowed endpoint, which goes back on the idle list
+   whatever the call's result; an exception closes it instead. *)
 let request_servers ?(option = Smart_proto.Wizard_msg.Accept_partial)
     ?(timeout = 2.0) ?(retries = 2)
     ?(backoff = Smart_util.Backoff.default) ?rng ?metrics book
     ~wizard_host ~wanted ~requirement () =
-  let rng =
-    match rng with
-    | Some rng -> rng
-    | None -> Smart_util.Prng.create ~seed:(Unix.getpid () + int_of_float (Unix.gettimeofday () *. 1e3))
-  in
-  let client = Smart_core.Client.create ?metrics ~rng () in
-  let request =
-    Smart_core.Client.make_request client ~wanted ~option ~requirement
-  in
   match
     Addr_book.resolve book ~host:wizard_host ~port:Smart_proto.Ports.wizard
   with
   | None -> Error (Smart_core.Client.Malformed "unknown wizard host")
   | Some wizard_addr ->
-    let socket = Udp_io.bind_port 0 in
-    Fun.protect
-      ~finally:(fun () -> Udp_io.stop socket)
-      (fun () ->
-        (* [timeout] caps each receive window, so it caps the policy;
-           the give-up comes after the sum of the capped nominal
-           windows *)
-        let policy =
-          {
-            backoff with
-            Smart_util.Backoff.max_delay =
-              Float.min backoff.Smart_util.Backoff.max_delay timeout;
-          }
-        in
-        let budget = ref 0.0 in
-        for attempt = 0 to retries do
-          budget := !budget +. Smart_util.Backoff.nominal policy ~attempt
-        done;
-        let now = Unix.gettimeofday () in
-        let exchange =
-          Smart_core.Client.exchange client request ~sends:(retries + 1)
-            ~backoff:(Smart_util.Backoff.create ~rng policy)
-            ~deadline:(now +. !budget)
-        in
-        let rec act = function
-          | Smart_core.Client.Send time ->
-            ignore
-              (Udp_io.send socket ~to_:wizard_addr
-                 (Smart_core.Client.datagram exchange));
-            await time
-          | Smart_core.Client.Wait time -> await time
-          | Smart_core.Client.Done result -> result
-          | Smart_core.Client.Idle -> assert false  (* only after Done *)
-        and await time =
-          let now = Unix.gettimeofday () in
-          if now >= time then act (Smart_core.Client.wake exchange ~now)
-          else
-            match Udp_io.recv_timeout socket ~timeout:(time -. now) with
-            | None ->
-              act (Smart_core.Client.wake exchange ~now:(Unix.gettimeofday ()))
-            | Some (_, data) ->
-              (match Smart_core.Client.receive exchange data with
-              | Some result -> result
-              | None -> await time)
-        in
-        act (Smart_core.Client.wake exchange ~now))
+    let ep = borrow ?metrics ?rng () in
+    (match
+       exchange_on ep ~wizard_addr ~option ~timeout ~retries ~backoff ~wanted
+         ~requirement
+     with
+    | result ->
+      give_back ep;
+      result
+    | exception e ->
+      Udp_io.stop ep.udp;
+      raise e)
 
 (* One scrape: the [request] magic datagram out, the rendered dump back
    within 2 s.  [port] picks the daemon — wizard request port,

@@ -1,5 +1,7 @@
 (** The client library over real sockets (§3.6.2): request, validated
-    reply with retry, then one connected TCP socket per candidate. *)
+    reply with retry, then one connected TCP socket per candidate.
+    Scrapes keep one-shot sockets, because their replies carry no
+    sequence number to match. *)
 
 type connected_server = { host : string; socket : Unix.file_descr }
 
@@ -10,7 +12,28 @@ type connected_server = { host : string; socket : Unix.file_descr }
     from [backoff] (the same truncated-exponential policy the simulated
     client uses) and capped by [timeout], and the request gives up once
     the sum of those capped nominal windows has passed.  A reply for
-    another sequence number is dropped. *)
+    another sequence number is dropped.
+
+    A call runs on an endpoint it borrows from a private idle list:
+    a bound UDP socket, a generator of its own, seeded once, and the
+    {!Smart_core.Client} last built on it.  Sequence numbers come from
+    [rng], or from the endpoint's generator when it is absent, so
+    successive calls draw fresh ones.  The [Client] is rebuilt only when
+    a call passes a different [metrics] registry or [rng] (compared
+    physically) than the endpoint's last call, so a caller that passes
+    the same ones, or none, resolves its instruments once.  Before its
+    first send a call drains the endpoint without blocking: a late
+    reply, a duplicate or junk that reached it while idle is discarded,
+    and the call sees what a fresh socket would.  However the call ends,
+    the endpoint goes back on the list, unless an exception ends it,
+    which closes the socket.
+
+    A new endpoint is bound only when none is idle, so the list holds as
+    many as calls were ever in flight at once: one for each caller
+    thread, and its descriptor stays open between calls.  Idle endpoints
+    belong to the process that bound them: a process that forks after a
+    call shares their sockets with its child, so a forked client must
+    make its first call after the fork. *)
 val request_servers :
   ?option:Smart_proto.Wizard_msg.option_flag ->
   ?timeout:float ->

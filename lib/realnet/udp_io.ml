@@ -1,5 +1,5 @@
 (* UDP endpoint, read on a daemon's event loop ([serve]) or by a client
-   waiting for one reply ([recv_timeout]); senders may call from any
+   waiting for a reply ([recv_timeout]); senders may call from any
    thread (sendto is atomic per datagram). *)
 
 type t = { socket : Unix.file_descr }
@@ -36,22 +36,32 @@ let send t ~to_ data =
   with Unix.Unix_error (_, _, _) -> false
 
 (* One receive buffer for the whole process, allocated when the module
-   initialises.  Client sockets live for one call, so a buffer per
-   socket (or per call) would cost a 64 KB major-heap allocation every
-   time; client threads may receive concurrently, so [recv_lock] guards
-   it across [recvfrom] and the copy out. *)
+   initialises.  Scrape and echo-probe sockets live for one call, so a
+   buffer per socket would cost a 64 KB major-heap allocation every
+   time; a client's kept endpoints (Client_io) live for the process, but
+   a buffer each would still count in its live heap.  Client threads may
+   receive concurrently, so [recv_lock] guards the buffer across
+   [recvfrom] and the copy out. *)
 let recv_buf = Bytes.create max_datagram
 
 let recv_lock = Mutex.create ()
 
-(* Blocking receive with timeout on a one-shot socket (client side). *)
-let recv_timeout t ~timeout =
-  let readable, _, _ = Unix.select [ t.socket ] [] [] timeout in
-  match readable with
-  | [] -> None
+(* The next non-empty datagram, or [None] at [timeout] (client side).  An
+   empty datagram or a failed [recvfrom] is skipped: the wait goes on
+   for what is left of [timeout]. *)
+let rec recv_timeout t ~timeout =
+  let start = Unix.gettimeofday () in
+  match Unix.select [ t.socket ] [] [] timeout with
+  | [], _, _ -> None
   | _ ->
-    Mutex.protect recv_lock (fun () ->
-        match Unix.recvfrom t.socket recv_buf 0 max_datagram [] with
-        | n, from when n > 0 -> Some (from, Bytes.sub_string recv_buf 0 n)
-        | _ -> None
-        | exception Unix.Unix_error (_, _, _) -> None)
+    (match
+       Mutex.protect recv_lock (fun () ->
+           match Unix.recvfrom t.socket recv_buf 0 max_datagram [] with
+           | n, from when n > 0 -> Some (from, Bytes.sub_string recv_buf 0 n)
+           | _ -> None
+           | exception Unix.Unix_error (_, _, _) -> None)
+     with
+    | Some _ as datagram -> datagram
+    | None ->
+      recv_timeout t
+        ~timeout:(Float.max 0.0 (timeout -. (Unix.gettimeofday () -. start))))

@@ -21,9 +21,14 @@ val send : t -> to_:Unix.sockaddr -> string -> bool
 (** Close the socket. *)
 val stop : t -> unit
 
-(** Blocking receive with timeout, for one-shot client sockets.  Every
-    call reads into one process-wide 64 KB buffer, allocated once when
-    the module initialises; a mutex holds it only across the
-    [recvfrom] and the copy of the datagram out, so concurrent client
-    threads take turns there and nowhere else. *)
+(** Blocking receive with timeout, client side: the next non-empty
+    datagram and its sender, or [None] once [timeout] has passed.  An
+    empty datagram or a failed [recvfrom] does not end the wait.  It
+    serves the one-shot sockets of scrapes and echo probes and the
+    endpoints {!Client_io} keeps between calls.  Every call reads into
+    one process-wide 64 KB buffer, allocated once when the module
+    initialises (a buffer per kept endpoint would count in the
+    process's live heap); a mutex holds it only across the [recvfrom]
+    and the copy of the datagram out, so concurrent client threads take
+    turns there and nowhere else. *)
 val recv_timeout : t -> timeout:float -> (Unix.sockaddr * string) option

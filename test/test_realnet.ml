@@ -487,14 +487,20 @@ let test_fd_leak_regression () =
         (match w.services with
         | _ :: _ :: gamma :: _ -> R.Service.stop gamma
         | _ -> Alcotest.fail "expected three services");
-        let before = open_fd_count () in
-        for _ = 1 to 5 do
+        let request () =
           match
             R.Client_io.request_sockets w.book ~wizard_host:"wiz" ~wanted:3
               ~requirement:"host_memory_total > 1\n" ()
           with
           | Ok connected -> R.Client_io.close_all connected
           | Error _ -> ()
+        in
+        (* a warm-up call first: [before] then counts the endpoint the
+           client keeps open between calls *)
+        request ();
+        let before = open_fd_count () in
+        for _ = 1 to 5 do
+          request ()
         done;
         let after = open_fd_count () in
         Alcotest.(check int) "no file descriptors leaked" before after)
@@ -527,11 +533,9 @@ let test_distributed_mode_real () =
         Alcotest.failf "distributed request failed: %a"
           Smart_core.Client.pp_error e)
 
-(* A stand-in wizard socket drops the first request datagram and
-   answers the retransmit twice: first for another sequence number, then
-   for the request's own.  The client waits through the foreign reply
-   and takes the matching one. *)
-let test_request_retransmit () =
+(* A stand-in wizard: a socket on loopback host "wiz"'s request port,
+   and the book that names it. *)
+let stand_in_wizard () =
   let book = R.Addr_book.create () in
   ignore (R.Addr_book.register_loopback book ~host:"wiz");
   let port =
@@ -539,47 +543,210 @@ let test_request_retransmit () =
     | Some (Unix.ADDR_INET (_, port)) -> port
     | _ -> Alcotest.fail "wizard unresolvable"
   in
-  let wizard = R.Udp_io.bind_port ~addr:Unix.inet_addr_loopback port in
-  let reply seq =
-    Smart_proto.Wizard_msg.encode_reply
-      {
-        Smart_proto.Wizard_msg.seq;
-        servers = [ "alpha" ];
-        degraded = false;
-        rejected = false;
-      }
-  in
+  (book, R.Udp_io.bind_port ~addr:Unix.inet_addr_loopback port)
+
+let reply ?(servers = [ "alpha" ]) seq =
+  Smart_proto.Wizard_msg.encode_reply
+    { Smart_proto.Wizard_msg.seq; servers; degraded = false; rejected = false }
+
+(* The next request the stand-in receives within 5 s: its sender and
+   sequence number. *)
+let next_request wizard =
+  match R.Udp_io.recv_timeout wizard ~timeout:5.0 with
+  | None -> None
+  | Some (from, data) ->
+    (match Smart_proto.Wizard_msg.decode_request data with
+    | Ok request -> Some (from, request.Smart_proto.Wizard_msg.seq)
+    | Error _ -> None)
+
+let answer_next wizard =
+  match next_request wizard with
+  | None -> ()
+  | Some (from, seq) -> ignore (R.Udp_io.send wizard ~to_:from (reply seq))
+
+let call_stand_in ?metrics ?(timeout = 1.0) ?(retries = 2)
+    ?(backoff = Smart_util.Backoff.policy ~base:0.1 ~jitter:0.0 ()) book =
+  R.Client_io.request_servers book ~timeout ~retries ~backoff ?metrics
+    ~wizard_host:"wiz" ~wanted:1 ~requirement:"host_memory_total > 1\n" ()
+
+(* [call ()] while a thread runs [stand_in ()]; the stand-in socket
+   closes after both. *)
+let with_stand_in wizard stand_in call =
+  Fun.protect
+    ~finally:(fun () -> R.Udp_io.stop wizard)
+    (fun () ->
+      let thread = Thread.create stand_in () in
+      let result = call () in
+      Thread.join thread;
+      result)
+
+let check_answered what result =
+  match result with
+  | Ok servers -> Alcotest.(check (list string)) what [ "alpha" ] servers
+  | Error e -> Alcotest.failf "%s: %a" what Smart_core.Client.pp_error e
+
+let counter metrics name = Smart_util.Metrics.counter_value metrics name
+
+(* A stand-in wizard socket drops the first request datagram and
+   answers the retransmit twice: first for another sequence number, then
+   for the request's own.  The client waits through the foreign reply
+   and takes the matching one. *)
+let test_request_retransmit () =
+  let book, wizard = stand_in_wizard () in
   let stand_in () =
-    match R.Udp_io.recv_timeout wizard ~timeout:5.0 with
+    match next_request wizard with
     | None -> ()
     | Some _dropped ->
-      (match R.Udp_io.recv_timeout wizard ~timeout:5.0 with
+      (match next_request wizard with
       | None -> ()
-      | Some (from, data) ->
-        (match Smart_proto.Wizard_msg.decode_request data with
-        | Error _ -> ()
-        | Ok request ->
-          let seq = request.Smart_proto.Wizard_msg.seq in
-          ignore (R.Udp_io.send wizard ~to_:from (reply (seq + 1)));
-          ignore (R.Udp_io.send wizard ~to_:from (reply seq))))
+      | Some (from, seq) ->
+        ignore (R.Udp_io.send wizard ~to_:from (reply (seq + 1)));
+        ignore (R.Udp_io.send wizard ~to_:from (reply seq)))
   in
-  let thread = Thread.create stand_in () in
   let metrics = Smart_util.Metrics.create () in
-  let result =
-    R.Client_io.request_servers book ~timeout:1.0 ~retries:2
-      ~backoff:(Smart_util.Backoff.policy ~base:0.1 ~jitter:0.0 ())
-      ~metrics ~wizard_host:"wiz" ~wanted:1
-      ~requirement:"host_memory_total > 1\n" ()
-  in
-  Thread.join thread;
-  R.Udp_io.stop wizard;
-  (match result with
-  | Ok servers -> Alcotest.(check (list string)) "answered" [ "alpha" ] servers
-  | Error e -> Alcotest.failf "request failed: %a" Smart_core.Client.pp_error e);
+  check_answered "answered"
+    (with_stand_in wizard stand_in (fun () -> call_stand_in ~metrics book));
   Alcotest.(check int) "one retransmit" 1
-    (Smart_util.Metrics.counter_value metrics "client.retries_total");
+    (counter metrics "client.retries_total");
   Alcotest.(check int) "foreign reply counted" 1
-    (Smart_util.Metrics.counter_value metrics "client.reply_errors_total")
+    (counter metrics "client.reply_errors_total")
+
+(* The stand-in answers with an empty datagram first and the reply
+   [delay] seconds later. *)
+let empty_then_reply wizard ~delay () =
+  match next_request wizard with
+  | None -> ()
+  | Some (from, seq) ->
+    ignore (R.Udp_io.send wizard ~to_:from "");
+    Thread.delay delay;
+    ignore (R.Udp_io.send wizard ~to_:from (reply seq))
+
+(* An empty datagram is not the end of a receive window: the reply 20 ms
+   behind it, inside the first 100 ms window, is taken without a
+   retransmit. *)
+let test_empty_datagram_no_retransmit () =
+  let book, wizard = stand_in_wizard () in
+  let metrics = Smart_util.Metrics.create () in
+  check_answered "answered"
+    (with_stand_in wizard
+       (empty_then_reply wizard ~delay:0.02)
+       (fun () -> call_stand_in ~metrics book));
+  Alcotest.(check int) "no retransmit" 0
+    (counter metrics "client.retries_total")
+
+(* Nor is it a timeout: a request sent once, with a 0.5 s window, waits
+   through the empty datagram for its reply. *)
+let test_empty_datagram_no_timeout () =
+  let book, wizard = stand_in_wizard () in
+  check_answered "answered"
+    (with_stand_in wizard
+       (empty_then_reply wizard ~delay:0.02)
+       (fun () ->
+         call_stand_in ~timeout:0.5 ~retries:0
+           ~backoff:(Smart_util.Backoff.policy ~base:0.5 ~jitter:0.0 ())
+           book))
+
+(* Sequential calls share one kept endpoint: the stand-in sees every
+   request of 21 calls come from one source port, and the 20 after the
+   warm-up leave the descriptor count where the warm-up left it. *)
+let test_endpoint_kept () =
+  if Sys.file_exists "/proc/self/fd" then begin
+    let book, wizard = stand_in_wizard () in
+    let ports = ref [] in
+    let stand_in n () =
+      for _ = 1 to n do
+        match next_request wizard with
+        | None -> ()
+        | Some ((Unix.ADDR_INET (_, port) as from), seq) ->
+          ports := port :: !ports;
+          ignore (R.Udp_io.send wizard ~to_:from (reply seq))
+        | Some (Unix.ADDR_UNIX _, _) -> ()
+      done
+    in
+    let calls n () = List.init n (fun _ -> call_stand_in book) in
+    let before, results, after =
+      with_stand_in wizard (stand_in 21) (fun () ->
+          List.iter (check_answered "warm-up") (calls 1 ());
+          let before = open_fd_count () in
+          let results = calls 20 () in
+          (before, results, open_fd_count ()))
+    in
+    List.iter (check_answered "answered") results;
+    Alcotest.(check int) "requests seen" 21 (List.length !ports);
+    Alcotest.(check (list int)) "one source port"
+      [ List.hd !ports ]
+      (List.sort_uniq compare !ports);
+    Alcotest.(check int) "open descriptors" before after
+  end
+
+(* Nothing that reaches an idle endpoint reaches the next call: neither
+   the reply to a call that had already timed out nor a junk datagram.
+   Each next call takes its own answer, and its registry counts no
+   rejected reply. *)
+let test_idle_endpoint_drained () =
+  let book, wizard = stand_in_wizard () in
+  let answered_after stray =
+    let metrics = Smart_util.Metrics.create () in
+    stray ();
+    (* loopback delivers at once; the pause is slack *)
+    Thread.delay 0.05;
+    let thread = Thread.create (fun () -> answer_next wizard) () in
+    let result = call_stand_in ~metrics book in
+    Thread.join thread;
+    check_answered "its own answer" result;
+    Alcotest.(check int) "no reply rejected" 0
+      (counter metrics "client.reply_errors_total")
+  in
+  Fun.protect
+    ~finally:(fun () -> R.Udp_io.stop wizard)
+    (fun () ->
+      (* the stand-in stays silent through the first call's window *)
+      (match
+         call_stand_in ~timeout:0.1 ~retries:0
+           ~backoff:(Smart_util.Backoff.policy ~base:0.1 ~jitter:0.0 ())
+           book
+       with
+      | Error Smart_core.Client.Timeout -> ()
+      | Ok _ -> Alcotest.fail "answered by a silent stand-in"
+      | Error e -> Alcotest.failf "first call: %a" Smart_core.Client.pp_error e);
+      let endpoint, seq =
+        match next_request wizard with
+        | Some request -> request
+        | None -> Alcotest.fail "the first call sent nothing"
+      in
+      answered_after (fun () ->
+          ignore
+            (R.Udp_io.send wizard ~to_:endpoint
+               (reply ~servers:[ "late" ] seq)));
+      answered_after (fun () ->
+          ignore (R.Udp_io.send wizard ~to_:endpoint "junk")))
+
+(* A call without [?rng] draws from its endpoint's generator: two calls
+   back to back send different sequence numbers. *)
+let test_calls_draw_fresh_sequence_numbers () =
+  let book, wizard = stand_in_wizard () in
+  let seqs = ref [] in
+  let stand_in () =
+    for _ = 1 to 2 do
+      match next_request wizard with
+      | None -> ()
+      | Some (from, seq) ->
+        seqs := seq :: !seqs;
+        ignore (R.Udp_io.send wizard ~to_:from (reply seq))
+    done
+  in
+  let results =
+    with_stand_in wizard stand_in (fun () ->
+        let first = call_stand_in book in
+        [ first; call_stand_in book ])
+  in
+  List.iter (check_answered "answered") results;
+  match !seqs with
+  | [ second; first ] ->
+    Alcotest.(check bool)
+      (Printf.sprintf "sequence numbers %d and %d differ" first second)
+      true (first <> second)
+  | seqs -> Alcotest.failf "stand-in saw %d requests" (List.length seqs)
 
 (* A wizard daemon alone on loopback host "wiz", not yet started. *)
 let lone_wizard ?admission () =
@@ -1388,6 +1555,16 @@ let () =
             test_request_sockets_bounded;
           Alcotest.test_case "distributed mode" `Slow test_distributed_mode_real;
           Alcotest.test_case "request retransmit" `Slow test_request_retransmit;
+          Alcotest.test_case "empty datagram, no retransmit" `Slow
+            test_empty_datagram_no_retransmit;
+          Alcotest.test_case "empty datagram, no timeout" `Slow
+            test_empty_datagram_no_timeout;
+          Alcotest.test_case "endpoint kept between calls" `Slow
+            test_endpoint_kept;
+          Alcotest.test_case "idle endpoint drained" `Slow
+            test_idle_endpoint_drained;
+          Alcotest.test_case "calls draw fresh sequence numbers" `Slow
+            test_calls_draw_fresh_sequence_numbers;
           Alcotest.test_case "admission per requester ip" `Slow
             test_admission_per_requester_ip;
           Alcotest.test_case "metrics scrape" `Slow test_metrics_scrape_real;
