@@ -2,7 +2,7 @@
 """Alternating parent/change pairs of request-ledger runs.
 
     python3 tools/ledger_pairs.py --base REV --workload W [--seeds 31-40]
-        [--seconds 50] [--log FILE]
+        [--seconds 50]
     make ledger-pairs BASE=REV WORKLOAD=W [SEEDS=31-40] [SECONDS=50]
 
 Exports REV with `git archive` into a temporary directory (as
@@ -10,11 +10,11 @@ tools/sim_identity.sh does) and runs `python3 perfbench/run.py`
 untraced there and in the working tree, one pair per seed, alternating
 which side runs first: the first pair starts with REV, the next with the
 working tree, and so on, so a host that drifts during the session slows
-both sides alike.  Each run's result line is printed as it lands (and
-appended to --log as JSON).  At the end, for each end-to-end metric of
-BENCHMARK.json (names, units and directions are read from the working
-tree's copy): both sides' medians and quartiles, the pairs the change
-won, and two verdicts:
+both sides alike.  Each run's result line is printed as it lands.  At
+the end, for each end-to-end metric of BENCHMARK.json (names, units,
+directions and bounds are read from the working tree's copy): both
+sides' medians and quartiles, the pairs the change won, and two
+verdicts:
 
 - the gain rule (ROADMAP item 3): the change wins at least 9 pairs in
   10, and its median is better than the parent's by more than the
@@ -109,7 +109,6 @@ def main():
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=seed_list, default=seed_list("31-40"))
     parser.add_argument("--seconds", type=float, default=50)
-    parser.add_argument("--log", help="append each run's result here, one JSON line")
     opts = parser.parse_args()
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         metrics = json.load(f)["end_to_end"]
@@ -128,22 +127,15 @@ def main():
             got = {}
             for side in order:
                 result = run(trees[side], opts.workload, seed, opts.seconds)
-                got[side] = result
-                values = {k: v["value"] for k, v in result["metrics"].items()}
+                got[side] = {k: v["value"] for k, v in result["metrics"].items()}
                 print(f"seed {seed} {side:6s} correct {result['correct']} "
                       f"failed {result['failed']} "
-                      + " ".join(f"{k}={v:.6g}" for k, v in values.items()),
+                      + " ".join(f"{k}={v:.6g}" for k, v in got[side].items()),
                       flush=True)
-                if opts.log:
-                    with open(opts.log, "a") as log:
-                        log.write(json.dumps({"workload": opts.workload, "seed": seed,
-                                              "side": side, "first": order[0],
-                                              "base": rev, "result": result}) + "\n")
                 if not result["correct"] or result["failed"] != 0:
                     bad.append(f"seed {seed} {side}")
-            if all(got[s]["metrics"] for s in order):
-                pairs.append(tuple({k: v["value"] for k, v in got[s]["metrics"].items()}
-                                   for s in ("parent", "change")))
+            if got["parent"] and got["change"]:
+                pairs.append((got["parent"], got["change"]))
         print(f"\n{opts.workload}: parent {rev[:12]} vs the working tree, "
               f"seeds {opts.seeds[0]}..{opts.seeds[-1]}, {opts.seconds:g} s per run, "
               f"the parent first in pairs 1, 3, 5, ...")
