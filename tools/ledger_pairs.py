@@ -9,7 +9,7 @@ Exports REV with `git archive` into a temporary directory (as
 tools/sim_identity.sh does) and runs `python3 perfbench/run.py`
 untraced there and in the working tree, one pair per seed, alternating
 which side runs first: the first pair starts with REV, the next with the
-working tree, and so on, so a host that drifts during the session slows
+working tree, and so on, so a host that drifts during the runs slows
 both sides alike.  Each run's result line is printed as it lands.  At
 the end, for each end-to-end metric of BENCHMARK.json (names, units,
 directions and bounds are read from the working tree's copy): both
