@@ -14,7 +14,6 @@ type error =
   | Not_enough of { wanted : int; got : int }
   | Malformed of string
   | Admission_rejected
-  | Migration_failed of string
 
 let pp_error ppf = function
   | Timeout -> Fmt.string ppf "request timed out"
@@ -25,7 +24,6 @@ let pp_error ppf = function
   | Malformed m -> Fmt.pf ppf "malformed reply: %s" m
   | Admission_rejected ->
     Fmt.string ppf "request shed by wizard admission control (back off)"
-  | Migration_failed m -> Fmt.pf ppf "session migration failed: %s" m
 
 type t = {
   rng : Smart_util.Prng.t;

@@ -14,9 +14,6 @@ type error =
       (** the wizard shed the request under overload (reply carried the
           rejected flag); back off before retrying — the wizard is
           alive, unlike [Timeout] *)
-  | Migration_failed of string
-      (** a session could not hand over to a replacement server (see
-          {!Session}); carries a human-readable reason *)
 
 (** Human-readable rendering of [error]. *)
 val pp_error : Format.formatter -> error -> unit

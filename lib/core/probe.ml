@@ -2,18 +2,12 @@
    from the previous sample, and emits one ASCII report datagram to the
    system monitor per interval. *)
 
-(* Ch. 6 "UDP vs TCP": UDP keeps the probing overhead minimal; TCP is
-   for long reports on congested networks where datagram loss would make
-   the status unusable. *)
-type transport = Udp | Tcp
-
 type config = {
   host : string;
   ip : string;
   bogomips : float;
   monitor : Output.address;       (* system monitor's endpoint *)
   iface : string;                 (* interface to report, e.g. "eth0" *)
-  transport : transport;
 }
 
 (* Adaptive reporting (DESIGN.md §14): scale the report interval with
@@ -189,11 +183,6 @@ let tick_inner t ~tick_span ~now ~(snapshot : Smart_host.Procfs.snapshot) =
   in
   let report = report_of t ~now ~loadavg ~cpu ~mem ~disk ~net in
   t.prev <- Some { at = now; cpu; disk; net };
-  let send =
-    match t.config.transport with
-    | Udp -> Output.udp
-    | Tcp -> Output.stream
-  in
   let payload =
     Smart_proto.Report.to_string
       ~trace:(Smart_util.Tracelog.ctx_of tick_span) report
@@ -202,7 +191,7 @@ let tick_inner t ~tick_span ~now ~(snapshot : Smart_host.Procfs.snapshot) =
   Ok
     ( report,
       [
-        send ~host:t.config.monitor.Output.host
+        Output.udp ~host:t.config.monitor.Output.host
           ~port:t.config.monitor.Output.port payload;
       ],
       String.length payload )

@@ -4,17 +4,12 @@
     The component is sans-IO: [tick] returns the report and the datagram
     to send; simulated and real drivers both call it. *)
 
-(** Report transport (Ch. 6 "UDP vs TCP"): [Udp] for minimal overhead,
-    [Tcp] for long reports on lossy/congested networks. *)
-type transport = Udp | Tcp
-
 type config = {
   host : string;  (** logical name this server reports as *)
   ip : string;  (** address included in each report *)
   bogomips : float;  (** static CPU speed figure from /proc/cpuinfo *)
   monitor : Output.address;  (** system monitor endpoint reports go to *)
   iface : string;  (** interface whose counters are reported, e.g. "eth0" *)
-  transport : transport;  (** how report datagrams travel *)
 }
 
 type t

@@ -98,8 +98,6 @@ let create ?(metrics = Metrics.create ())
     on_sketches = None;
   }
 
-let order t = t.order
-
 (* The wizard (distributed mode) registers here to learn when fresh data
    has landed. *)
 let set_update_hook t hook = t.on_update <- hook

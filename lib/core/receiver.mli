@@ -36,9 +36,6 @@ val create :
   Status_db.t ->
   t
 
-(** The byte order this receiver decodes. *)
-val order : t -> Smart_proto.Endian.order
-
 (** Notification hook fired after every successfully applied frame,
     skipped repeats included (used by the distributed-mode wizard to
     detect fresh data). *)

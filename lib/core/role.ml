@@ -4,7 +4,7 @@
    real-socket daemons install these same descriptions, so a daemon
    does what the simulation tested. *)
 
-type sink = { sport : int; tag : string; transmitter : Transmitter.t option }
+type sink = { sport : int; transmitter : Transmitter.t option }
 
 type handler =
   | Datagram of (now:float -> from:Output.address -> string -> Output.t list)
@@ -50,7 +50,10 @@ let scrape role data =
 
 let always () = true
 
-let sink ?transmitter ~tag sport = { sport; tag; transmitter }
+let sink ?transmitter sport = { sport; transmitter }
+
+(* Every machine frames its records little-endian. *)
+let order = Smart_proto.Endian.Little
 
 let every ?(armed = always) ~offset ~period sink fire =
   { offset; period = (fun () -> period); jitter = 0.0; armed; fire; sink }
@@ -82,7 +85,7 @@ let probe ?(control_loops = false) env (config : Probe.config) ~interval
   let echo ~now:_ ~(from : Output.address) data =
     [ Output.udp ~host:from.host ~port:from.port data ]
   in
-  let out = sink ~tag:"probe" Smart_proto.Ports.probe in
+  let out = sink Smart_proto.Ports.probe in
   {
     env;
     scrape_port = Smart_proto.Ports.probe;
@@ -120,8 +123,8 @@ type monitor_config = {
 
 type monitor = { netmon : Netmon.t; transmitter : Transmitter.t }
 
-let monitor ?(control_loops = false) ?(order = Smart_proto.Endian.Little)
-    ?(crc = false) (env : env) (config : monitor_config) =
+let monitor ?(control_loops = false) ?(crc = false) (env : env)
+    (config : monitor_config) =
   let { metrics; trace; _ } = env in
   let db = Status_db.create () in
   (* adaptive probes may legitimately slow down: expiry tolerates the
@@ -154,8 +157,8 @@ let monitor ?(control_loops = false) ?(order = Smart_proto.Endian.Little)
       }
       db
   in
-  let reports = sink ~tag:"sysmon" Smart_proto.Ports.sysmon in
-  let pushes = sink ~transmitter ~tag:"transmitter" 0 in
+  let reports = sink Smart_proto.Ports.sysmon in
+  let pushes = sink ~transmitter 0 in
   let report ~now ~from:_ data =
     ignore (Sysmon.handle_report sysmon ~now data);
     []
@@ -192,11 +195,11 @@ let receiver_port receiver =
   {
     number = Smart_proto.Ports.receiver;
     handler = Stream receiver;
-    sink = sink ~tag:"receiver" Smart_proto.Ports.receiver;
+    sink = sink Smart_proto.Ports.receiver;
   }
 
-let wizard ?(control_loops = false) ?admission ?groups ?shard_name ~order env
-    ~mode ~staleness_threshold =
+let wizard ?(control_loops = false) ?admission ?groups ?shard_name env ~mode
+    ~staleness_threshold =
   let db = Status_db.create () in
   let receiver = Receiver.create ~metrics:env.metrics ~trace:env.trace ~order db in
   let wizard =
@@ -205,7 +208,7 @@ let wizard ?(control_loops = false) ?admission ?groups ?shard_name ~order env
       ?admission { Wizard.mode; groups } db
   in
   Receiver.set_update_hook receiver (Some (fun _ -> Wizard.note_update wizard));
-  let out = sink ~tag:"wizard" Smart_proto.Ports.wizard in
+  let out = sink Smart_proto.Ports.wizard in
   (* distributed-mode freshness waits and admission's delayed releases:
      only a parked request needs the tick *)
   let parked () = Wizard.(pending_count wizard + delayed_count wizard) > 0 in
@@ -237,8 +240,8 @@ let wizard ?(control_loops = false) ?admission ?groups ?shard_name ~order env
   }
 
 let shard role ~root_host ~crc ~transmit_interval =
-  let { db; receiver; wizard = w } = role.parts and env = role.env in
-  let name = Wizard.shard_name w and order = Receiver.order receiver in
+  let { db; wizard = w; _ } = role.parts and env = role.env in
+  let name = Wizard.shard_name w in
   if String.equal name "" then invalid_arg "Role.shard: no shard name";
   (* the digest uplink: column ranges built with the shard wizard's own
      network bindings, so they cover exactly the values subqueries
@@ -270,14 +273,14 @@ let shard role ~root_host ~crc ~transmit_interval =
           {
             number = Smart_proto.Ports.fed;
             handler = Datagram subquery;
-            sink = sink ~tag:"fed_shard" Smart_proto.Ports.fed;
+            sink = sink Smart_proto.Ports.fed;
           };
         ];
     timers =
       role.timers
       @ [
           every ~offset:0.3 ~period:transmit_interval
-            (sink ~transmitter:uplink ~tag:"fed_uplink" 0) (fun ~now ->
+            (sink ~transmitter:uplink 0) (fun ~now ->
               Transmitter.tick uplink ~now);
         ];
   }
@@ -288,7 +291,7 @@ type root = {
   root_receiver : Receiver.t;
 }
 
-let root env ~order ~shards =
+let root env ~shards =
   let root_db = Status_db.create () in
   let root_receiver =
     Receiver.create ~metrics:env.metrics ~trace:env.trace ~order root_db
@@ -310,7 +313,7 @@ let root env ~order ~shards =
   in
   Receiver.set_digest_hook root_receiver (Some (Fed_root.note_digest root));
   Receiver.set_sketch_hook root_receiver (Some (Fed_root.note_sketches root));
-  let answers = sink ~tag:"fed_root" Smart_proto.Ports.wizard in
+  let answers = sink Smart_proto.Ports.wizard in
   let reply ~now:_ ~from:_ data = Fed_root.handle_reply root data in
   {
     env;
@@ -325,7 +328,7 @@ let root env ~order ~shards =
           handler =
             Datagram
               (fun ~now ~from data -> Fed_root.handle_request root ~now ~from data);
-          sink = sink ~tag:"fed_root" Smart_proto.Ports.fed;
+          sink = sink Smart_proto.Ports.fed;
         };
       ];
     timers =

@@ -9,13 +9,14 @@
     ([Smart_realnet.Daemon]) on one event loop.  The installer supplies
     what differs by environment: the clock, the registry and the flight
     recorder ({!env}), the probe's snapshot source, and in simulation
-    the liveness, corruption and doomed-stream filters. *)
+    the liveness, corruption and doomed-stream filters.  Every machine
+    frames its records little-endian. *)
 
 (** Where outputs go out: from port [sport] (0 when none in particular;
-    on real sockets the scrape port's socket), counted under the Table
-    5.2 tag [tag].  A stream delivery that fails or completes is
-    reported to [transmitter]'s resend queue and backoff. *)
-type sink = { sport : int; tag : string; transmitter : Transmitter.t option }
+    on real sockets the scrape port's socket).  A stream delivery that
+    fails or completes is reported to [transmitter]'s resend queue and
+    backoff. *)
+type sink = { sport : int; transmitter : Transmitter.t option }
 
 type handler =
   | Datagram of (now:float -> from:Output.address -> string -> Output.t list)
@@ -94,15 +95,14 @@ type monitor = { netmon : Netmon.t; transmitter : Transmitter.t }
 (** A monitor machine: the system monitor on its report port, swept
     every probe interval (a server expires after three silent ones), the
     security and network monitors, and the transmitter, pushing every
-    transmit interval in [order] (default little-endian), with CRC
-    trailers under [crc], and pulled on its port (the scrape port).  A
+    transmit interval, with CRC trailers under [crc], and pulled on its
+    port (the scrape port).  A
     sweep due with a push goes first.  Under [control_loops] (default
     off) the system monitor quarantines adaptively, and a server expires
     after three of the slowest cadence adaptive probes may adopt
     ({!Probe.max_factor} probe intervals each). *)
 val monitor :
   ?control_loops:bool ->
-  ?order:Smart_proto.Endian.order ->
   ?crc:bool ->
   env ->
   monitor_config ->
@@ -120,7 +120,6 @@ val wizard :
   ?admission:Wizard.admission ->
   ?groups:Wizard.groups ->
   ?shard_name:string ->
-  order:Smart_proto.Endian.order ->
   env ->
   mode:Wizard.mode ->
   staleness_threshold:float ->
@@ -129,8 +128,8 @@ val wizard :
 (** A federation shard (DESIGN.md §13): a {!wizard} machine built with
     a [shard_name], extended to answer root subqueries on the
     federation port and to push a digest uplink under that name to
-    [root_host] every [transmit_interval], in its receiver's byte order
-    (with the wizard's latency sketch once it has observations).
+    [root_host] every [transmit_interval] (with the wizard's latency
+    sketch once it has observations).
     Subqueries read the mirror as it stands, so the groups feeding the
     machine push (centralized mode).  Raises [Invalid_argument] when
     the machine has no shard name. *)
@@ -149,4 +148,4 @@ type root = {
     (the scrape port).  Requests fan out from the federation port, where
     shard replies return; answers leave from the request port.  It
     waits 1 s for shard replies and routes on digests. *)
-val root : env -> order:Smart_proto.Endian.order -> shards:string list -> root t
+val root : env -> shards:string list -> root t

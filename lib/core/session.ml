@@ -173,7 +173,7 @@ let evict_idle p =
 (* Sessions                                                            *)
 (* ------------------------------------------------------------------ *)
 
-type session_state = Idle | Selecting | Active | Migrating | Failed
+type session_state = Idle | Selecting | Active | Migrating
 
 type session = {
   name : string;
@@ -212,7 +212,7 @@ let session_completed s = s.completed
 
 let selecting s =
   (match s.sstate with
-  | Idle | Selecting | Failed -> ()
+  | Idle | Selecting -> ()
   | Active | Migrating ->
     invalid_arg "Session.selecting: session already bound");
   s.sstate <- Selecting
@@ -264,8 +264,8 @@ let detach p c =
 let bind p s ~host ~origin =
   (match s.sstate with
   | Idle | Selecting -> ()
-  | Active | Migrating | Failed ->
-    invalid_arg "Session.bind: session already bound or failed");
+  | Active | Migrating ->
+    invalid_arg "Session.bind: session already bound");
   let c = attach p ~host in
   s.conn <- Some c;
   s.origin <- origin;
@@ -327,7 +327,7 @@ let work_lost p ~count =
 let begin_migration p s =
   (match s.sstate with
   | Active -> ()
-  | Idle | Selecting | Migrating | Failed ->
+  | Idle | Selecting | Migrating ->
     invalid_arg "Session.begin_migration: session not active");
   s.sstate <- Migrating;
   s.migrate_started <- p.clock ();
@@ -340,7 +340,7 @@ let begin_migration p s =
 let complete_migration p s ~host ~origin =
   (match s.sstate with
   | Migrating -> ()
-  | Idle | Selecting | Active | Failed ->
+  | Idle | Selecting | Active ->
     invalid_arg "Session.complete_migration: no migration in progress");
   let old = s.conn in
   let c = attach p ~host in
@@ -369,7 +369,7 @@ let complete_migration p s ~host ~origin =
 let abandon_migration p s ~reason =
   (match s.sstate with
   | Migrating -> ()
-  | Idle | Selecting | Active | Failed ->
+  | Idle | Selecting | Active ->
     invalid_arg "Session.abandon_migration: no migration in progress");
   ignore reason;
   s.sstate <- Active;
@@ -389,7 +389,7 @@ let retire p s =
   | Migrating ->
     Smart_util.Tracelog.finish p.trace s.migrate_span;
     s.migrate_span <- Smart_util.Tracelog.none
-  | Idle | Selecting | Active | Failed -> ());
+  | Idle | Selecting | Active -> ());
   s.sstate <- Idle;
   Metrics.Gauge.add p.sessions_gauge (-1.0)
 

@@ -56,7 +56,7 @@ val close : pool -> conn -> unit
 
 (** [Selecting] = asking the wizard; [Migrating] = replacement being
     established while the old server is still held. *)
-type session_state = Idle | Selecting | Active | Migrating | Failed
+type session_state = Idle | Selecting | Active | Migrating
 
 type session
 

@@ -11,16 +11,15 @@
    wizard machine and its groups (a site): a flat deployment is one site,
    a federation one site per shard under a root. *)
 
-type component_stats = { mutable messages : int; mutable bytes : int }
-
 type group = {
   monitor_host : string;
   monitor_node : int;
   netmon : Netmon.t;
   transmitter : Transmitter.t;
   down : bool ref;
-      (* monitor-process outage (fault injection): the group's monitors
-         and transmitter stop handling and ticking while set *)
+      (* set while Crash_node holds the monitor host down (fault
+         injection): the group's monitors and transmitter stop handling
+         and ticking *)
 }
 
 type t = {
@@ -38,7 +37,6 @@ type t = {
       (* one span recorder for the whole deployment, stamped with the
          engine's virtual clock: cross-component traces land in a single
          ring and the export is deterministic for a given seed *)
-  traffic : (string, component_stats) Hashtbl.t;
   mutable next_client_port : int;
   mutable corrupt_rate : float;
       (* per-message probability of flipping one byte of a stream
@@ -46,14 +44,6 @@ type t = {
   corrupt_rng : Smart_util.Prng.t;
   corrupted_total : Smart_util.Metrics.Counter.t;
 }
-
-let stats_for t tag =
-  match Hashtbl.find_opt t.traffic tag with
-  | Some s -> s
-  | None ->
-    let s = { messages = 0; bytes = 0 } in
-    Hashtbl.replace t.traffic tag s;
-    s
 
 (* Fault injection: with probability [corrupt_rate], XOR one byte of a
    stream payload in flight.  0x5A never maps a byte to itself, so a
@@ -72,12 +62,12 @@ let maybe_corrupt t data =
   end
   else data
 
-(* Execute component outputs on the packet plane, attributing the bytes
-   to [tag] for the Table 5.2 accounting.  Stream outputs also travel as
-   datagrams here: the simulated LAN is loss-free and the receiver's
-   frame decoder reassembles per-source, so reliability is preserved.
-   Stream payloads pass through the fault plane's corruption filter. *)
-let perform t ~tag ~src_node ?(sport = 0) outputs =
+(* Execute component outputs on the packet plane.  Stream outputs also
+   travel as datagrams here: the simulated LAN is loss-free and the
+   receiver's frame decoder reassembles per-source, so reliability is
+   preserved.  Stream payloads pass through the fault plane's corruption
+   filter. *)
+let perform t ~src_node ?(sport = 0) outputs =
   let stack = Smart_host.Cluster.stack t.cluster in
   List.iter
     (fun output ->
@@ -89,9 +79,6 @@ let perform t ~tag ~src_node ?(sport = 0) outputs =
       match Smart_host.Cluster.resolve t.cluster dst_addr.Output.host with
       | None -> ()  (* unresolvable host: datagram vanishes *)
       | Some dst ->
-        let s = stats_for t tag in
-        s.messages <- s.messages + 1;
-        s.bytes <- s.bytes + String.length data;
         ignore
           (Smart_net.Netstack.send_udp stack ~src:src_node ~dst ~sport
              ~dport:dst_addr.Output.port ~size:(String.length data)
@@ -138,7 +125,7 @@ let stream_blocked cluster ~src_node ~host =
    (bounded resend queue + backoff) instead of being sent into a black
    hole. *)
 let send t ~node (sink : Role.sink) ~now outputs =
-  let perform = perform t ~tag:sink.tag ~src_node:node ~sport:sink.sport in
+  let perform = perform t ~src_node:node ~sport:sink.sport in
   match sink.transmitter with
   | None -> perform outputs
   | Some transmitter ->
@@ -157,9 +144,7 @@ let send t ~node (sink : Role.sink) ~now outputs =
 type config = {
   mode : Transmitter.mode;
   probe_interval : float;
-  probe_transport : Probe.transport;
   transmit_interval : float;
-  order : Smart_proto.Endian.order;
   security_log : string;
   frame_crc : bool;
       (* CRC-32 trailers on transmitter frames; required for the
@@ -176,9 +161,7 @@ let default_config =
   {
     mode = Transmitter.Centralized;
     probe_interval = 2.0;
-    probe_transport = Probe.Udp;
     transmit_interval = 2.0;
-    order = Smart_proto.Endian.Little;
     security_log = "";
     frame_crc = false;
     wizard_staleness = Wizard.default_staleness_threshold;
@@ -212,7 +195,7 @@ let install t_ref cluster ~node ~alive (role : _ Role.t) =
               let from = { Output.host = src; port = sport_of pkt } in
               (match if scrapes then Role.scrape role data else None with
               | Some dump ->
-                perform t ~tag:port.sink.tag ~src_node:node ~sport:port.number
+                perform t ~src_node:node ~sport:port.number
                   [ Output.udp ~host:src ~port:from.port dump ]
               | None -> send t ~node port.sink ~now (handle ~now ~from data))
           end))
@@ -239,15 +222,15 @@ let install t_ref cluster ~node ~alive (role : _ Role.t) =
 
 (* One group: its monitor machine and a probe on every server.  Machine
    failure silences only the host's probe (the seed's fail_machine
-   contract); the monitor processes stop when an outage is injected —
-   Crash_node of a monitor host sets both.  The probes' timers go on the
-   engine before the monitor's. *)
+   contract); the monitor processes stop too when Crash_node hits a
+   monitor host.  The probes' timers go on the engine before the
+   monitor's. *)
 let setup_group t_ref config cluster env ~wizard_host ~monitor_host ~servers
     ~netmon_targets =
   let resolve = Smart_host.Cluster.resolve_exn cluster in
   let control_loops = config.control_loops in
   let monitor =
-    Role.monitor ~control_loops ~order:config.order ~crc:config.frame_crc env
+    Role.monitor ~control_loops ~crc:config.frame_crc env
       {
         Role.host = monitor_host;
         wizard_host;
@@ -273,7 +256,6 @@ let setup_group t_ref config cluster env ~wizard_host ~monitor_host ~servers
              monitor =
                { Output.host = monitor_host; port = Smart_proto.Ports.sysmon };
              iface = "eth0";
-             transport = config.probe_transport;
            }
            ~interval:config.probe_interval
            ~snapshot:(fun ~now ->
@@ -334,13 +316,12 @@ let build_site t_ref config cluster env ~shard ~host ~groups =
         {
           Wizard.local_monitor = List.hd monitor_hosts;
           group_of = (fun host -> Hashtbl.find_opt table host);
-          local_entry = Wizard.default_local_entry;
         }
     end
   in
   let site =
     Role.wizard ~control_loops:config.control_loops ?groups:wizard_groups
-      ?shard_name:(Option.map fst shard) ~order:config.order env ~mode
+      ?shard_name:(Option.map fst shard) env ~mode
       ~staleness_threshold:config.wizard_staleness
   in
   let site =
@@ -383,7 +364,6 @@ let deployment cluster wire =
       client_rng = Smart_util.Prng.split (Smart_host.Cluster.rng cluster);
       metrics;
       tracelog;
-      traffic = Hashtbl.create 8;
       next_client_port = 45000;
       corrupt_rate = 0.0;
       corrupt_rng = Smart_util.Prng.split (Smart_host.Cluster.rng cluster);
@@ -438,7 +418,7 @@ let deploy_federation ?(config = default_config) cluster ~root_host ~shards =
         (groups, site.Role.wizard)
       in
       let groups, shard_wizards = List.split (List.map shard shards) in
-      let root = Role.root env ~order:config.order ~shards:(List.map fst shards) in
+      let root = Role.root env ~shards:(List.map fst shards) in
       let root_node = Smart_host.Cluster.resolve_exn cluster root_host in
       install t_ref cluster ~node:root_node
         ~alive:(fun () -> node_alive cluster root_node)
@@ -484,7 +464,7 @@ let refresh_netmon ?trials t =
         in
         (* push so the wizard side immediately observes fresh metrics *)
         let outputs = Transmitter.push g.transmitter in
-        perform t ~tag:"transmitter" ~src_node:g.monitor_node outputs;
+        perform t ~src_node:g.monitor_node outputs;
         record)
       t.groups
   in
@@ -501,8 +481,8 @@ let all_netmon_records t =
 
 (* A client socket on host [client]: a fresh reply port whose datagrams
    go to [on_reply], and [send], which addresses the wizard (or
-   federation root) port and counts under "client" in the traffic
-   stats.  Returns [(send, close)]; [close] stops listening. *)
+   federation root) port.  Returns [(send, close)]; [close] stops
+   listening. *)
 let client_endpoint t ~client on_reply =
   let stack = Smart_host.Cluster.stack t.cluster in
   let client_node = Smart_host.Cluster.resolve_exn t.cluster client in
@@ -511,9 +491,6 @@ let client_endpoint t ~client on_reply =
   Smart_net.Netstack.listen_udp stack ~node:client_node ~port:reply_port
     (fun ~now:_ pkt -> on_reply pkt.Smart_net.Packet.payload);
   let send data =
-    let s = stats_for t "client" in
-    s.messages <- s.messages + 1;
-    s.bytes <- s.bytes + String.length data;
     ignore
       (Smart_net.Netstack.send_udp stack ~src:client_node ~dst:t.wizard_node
          ~sport:reply_port ~dport:Smart_proto.Ports.wizard
@@ -997,22 +974,6 @@ let set_host_partitioned t ~host on =
         if l.Smart_net.Link.src = node || l.Smart_net.Link.dst = node then
           Smart_net.Link.set_partitioned l on)
 
-(* Partition the channels directly connecting [a] and [b] (no-op when
-   they are not adjacent in the topology). *)
-let set_link_partitioned t ~a ~b on =
-  match
-    (Smart_host.Cluster.resolve t.cluster a, Smart_host.Cluster.resolve t.cluster b)
-  with
-  | Some na, Some nb ->
-    Smart_net.Topology.iter_channels
-      (Smart_host.Cluster.topology t.cluster)
-      (fun l ->
-        if
-          (l.Smart_net.Link.src = na && l.Smart_net.Link.dst = nb)
-          || (l.Smart_net.Link.src = nb && l.Smart_net.Link.dst = na)
-        then Smart_net.Link.set_partitioned l on)
-  | _ -> ()
-
 let set_monitor_down t ~host on =
   List.iter
     (fun g -> if String.equal g.monitor_host host then g.down := on)
@@ -1033,13 +994,9 @@ let apply_fault t = function
   | Smart_sim.Faults.Restart_node host ->
     revive_machine t ~host;
     set_monitor_down t ~host false
-  | Smart_sim.Faults.Partition_link (a, b) -> set_link_partitioned t ~a ~b true
-  | Smart_sim.Faults.Heal_link (a, b) -> set_link_partitioned t ~a ~b false
   | Smart_sim.Faults.Partition_host host -> set_host_partitioned t ~host true
   | Smart_sim.Faults.Heal_host host -> set_host_partitioned t ~host false
   | Smart_sim.Faults.Corrupt_frames rate -> set_frame_corruption t rate
-  | Smart_sim.Faults.Monitor_outage host -> set_monitor_down t ~host true
-  | Smart_sim.Faults.Monitor_restore host -> set_monitor_down t ~host false
 
 (* Arm a fault plan on the deployment's engine; the schedule and every
    effect run on virtual time, so same-seed chaos runs are identical. *)
@@ -1048,11 +1005,6 @@ let install_faults t plan =
     ~engine:(Smart_host.Cluster.engine t.cluster)
     ~apply:(fun action -> apply_fault t action)
     plan
-
-let traffic_stats t tag =
-  match Hashtbl.find_opt t.traffic tag with
-  | Some s -> (s.messages, s.bytes)
-  | None -> (0, 0)
 
 let db_wizard t = t.db_wizard
 

@@ -9,9 +9,7 @@ type t
 type config = {
   mode : Transmitter.mode;
   probe_interval : float;
-  probe_transport : Probe.transport;
   transmit_interval : float;
-  order : Smart_proto.Endian.order;
   security_log : string;  (** "" for no security data *)
   frame_crc : bool;
       (** CRC-32 trailers on transmitter frames, letting the receiver
@@ -26,9 +24,10 @@ type config = {
           observed inter-update gap distribution *)
 }
 
-(** Centralized, 2 s probe and transmit intervals, UDP reports,
-    little-endian records, no frame CRC, no staleness degradation, the
-    control loops off.  Simulated wizards keep the
+(** Centralized, 2 s probe and transmit intervals, no frame CRC, no
+    staleness degradation, the control loops off.  Reports travel as UDP
+    datagrams and records little-endian, as {!Role} wires every
+    deployment.  Simulated wizards keep the
     default compile cache ({!Wizard.default_compile_cache_capacity})
     and never gate requests with admission control; a federation root
     always waits 1 s for shard replies and routes on digests. *)
@@ -161,10 +160,6 @@ val scrape_metrics :
     event fires at its virtual time and is applied to the deployment
     there, so same-seed chaos runs replay identically. *)
 val install_faults : t -> Smart_sim.Faults.plan -> unit
-
-(** [(messages, payload bytes)] sent so far by a component tag:
-    "probe", "transmitter", "wizard", "client". *)
-val traffic_stats : t -> string -> int * int
 
 val db_wizard : t -> Status_db.t
 

@@ -38,10 +38,9 @@ let freshness_timeout = 2.0
 type groups = {
   local_monitor : string;
   group_of : string -> string option;  (* server host -> group monitor *)
-  local_entry : Smart_proto.Records.net_entry;
 }
 
-let default_local_entry =
+let local_entry =
   {
     Smart_proto.Records.peer = "";
     delay = 1e-4;
@@ -60,7 +59,7 @@ type config = { mode : mode; groups : groups option }
 let net_key groups host =
   match groups with
   | None -> Status_db.Peer host
-  | Some { local_monitor; group_of; local_entry } ->
+  | Some { local_monitor; group_of } ->
     (match group_of host with
     | None -> Status_db.Peer host
     | Some group when String.equal group local_monitor ->
@@ -174,8 +173,7 @@ type t = {
   request_latency : Metrics.Histogram.t;
   staleness_threshold_gauge : Metrics.Gauge.t;
   staleness_adaptations_total : Metrics.Counter.t;
-      (* this instance's subqueries, as [subqueries_total] aggregates
-         across every shard wizard sharing the registry *)
+  reply_bytes_total : Metrics.Counter.t;
   mutable updates_seen : int;
   mutable last_update_at : float option;
       (* clock time of the last receiver update; [None] until fed *)
@@ -300,6 +298,10 @@ let create ?(compile_cache_capacity = default_compile_cache_capacity)
       Metrics.counter metrics
         ~help:"adaptive staleness-threshold changes"
         "wizard.staleness_adaptations_total";
+    reply_bytes_total =
+      Metrics.counter metrics
+        ~help:"bytes of answers and rejections sent from the request port"
+        "wizard.reply_bytes_total";
     updates_seen = 0;
     last_update_at = None;
     last_result = None;
@@ -410,11 +412,10 @@ let reply_to t (request : Smart_proto.Wizard_msg.request) ~parent ~at ~from
       rejected = false;
     }
   in
+  let data = Smart_proto.Wizard_msg.encode_reply reply in
+  Metrics.Counter.add t.reply_bytes_total (String.length data);
   let outputs =
-    [
-      Output.udp ~host:from.Output.host ~port:from.Output.port
-        (Smart_proto.Wizard_msg.encode_reply reply);
-    ]
+    [ Output.udp ~host:from.Output.host ~port:from.Output.port data ]
   in
   Smart_util.Tracelog.finish t.trace ?at span;
   outputs
@@ -514,16 +515,17 @@ let reject t (request : Smart_proto.Wizard_msg.request) ~from =
   Metrics.Counter.incr t.admission_rejected_total;
   Smart_util.Tracelog.instant t.trace
     ~parent:request.Smart_proto.Wizard_msg.trace "wizard.admission_reject";
-  [
-    Output.udp ~host:from.Output.host ~port:from.Output.port
-      (Smart_proto.Wizard_msg.encode_reply
-         {
-           Smart_proto.Wizard_msg.seq = request.Smart_proto.Wizard_msg.seq;
-           servers = [];
-           degraded = false;
-           rejected = true;
-         });
-  ]
+  let data =
+    Smart_proto.Wizard_msg.encode_reply
+      {
+        Smart_proto.Wizard_msg.seq = request.Smart_proto.Wizard_msg.seq;
+        servers = [];
+        degraded = false;
+        rejected = true;
+      }
+  in
+  Metrics.Counter.add t.reply_bytes_total (String.length data);
+  [ Output.udp ~host:from.Output.host ~port:from.Output.port data ]
 
 let bucket_for t (a : admission) key =
   match Smart_util.Lru.find t.buckets key with

@@ -10,19 +10,15 @@ type mode = Centralized | Distributed of Output.address list
 
 (** Multi-group deployments (Fig 3.8): map servers to their group
     monitor and bind monitor_network_* from the local group's mesh
-    record toward that group.  Local-group servers get [local_entry]. *)
+    record toward that group.  Local-group servers get the §3.3.3 LAN
+    assumption: 0.1 ms and 100 Mbps. *)
 type groups = {
   local_monitor : string;  (** the wizard's own group's monitor *)
   group_of : string -> string option;
       (** server host -> its group's monitor, [None] when unknown; fixed
           once the wizard exists, which hands the database each server's
           network key ({!Status_db.set_net_key}) when it is created *)
-  local_entry : Smart_proto.Records.net_entry;
-      (** network metrics assumed toward local-group servers *)
 }
-
-(** 0.1 ms, 100 Mbps — the §3.3.3 LAN assumption. *)
-val default_local_entry : Smart_proto.Records.net_entry
 
 type config = {
   mode : mode;  (** centralized or distributed answering *)

@@ -163,10 +163,14 @@ let mode_ablation () =
           ~servers:Smart_host.Testbed.machine_names
       in
       Smart_core.Simdriver.settle ~duration:4.0 d;
-      let _, bytes0 = Smart_core.Simdriver.traffic_stats d "transmitter" in
+      let pushed () =
+        Smart_util.Metrics.counter_value (Smart_core.Simdriver.metrics d)
+          "transmitter.bytes_total"
+      in
+      let bytes0 = pushed () in
       let t0 = Smart_host.Cluster.now c in
       Smart_core.Simdriver.settle ~duration:60.0 d;
-      let _, bytes1 = Smart_core.Simdriver.traffic_stats d "transmitter" in
+      let bytes1 = pushed () in
       let standing_kBps =
         float_of_int (bytes1 - bytes0)
         /. 1024.0

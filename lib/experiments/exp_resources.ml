@@ -1,8 +1,9 @@
 (* Table 5.2: system resources used by each component with 11 probes
    reporting every 2 seconds.
 
-   Network bandwidth is *measured* (payload bytes through the simulated
-   stack over a 60-virtual-second window).  CPU and memory cannot be
+   Network bandwidth is *measured*: the messages and payload bytes the
+   components' own counters ([probe.*], [transmitter.*], [wizard.*])
+   record over a 60-virtual-second window.  CPU and memory cannot be
    measured inside a simulation, so they are modelled: CPU as a
    per-message processing cost, memory as a base footprint plus the live
    record set.  The model constants are calibrated to the thesis's
@@ -44,9 +45,16 @@ let run ?(duration = 60.0) () =
   done;
   Smart_core.Simdriver.settle ~duration:(duration -. (Smart_host.Cluster.now c -. t0)) d;
   let elapsed = Smart_host.Cluster.now c -. t0 in
-  let probe_msgs, probe_bytes = Smart_core.Simdriver.traffic_stats d "probe" in
-  let tx_msgs, tx_bytes = Smart_core.Simdriver.traffic_stats d "transmitter" in
-  let wiz_msgs, wiz_bytes = Smart_core.Simdriver.traffic_stats d "wizard" in
+  let counter =
+    Smart_util.Metrics.counter_value (Smart_core.Simdriver.metrics d)
+  in
+  let probe_msgs = counter "probe.reports_total"
+  and probe_bytes = counter "probe.report_bytes_total" in
+  let tx_msgs = counter "transmitter.pushes_total"
+  and tx_bytes = counter "transmitter.bytes_total" in
+  (* centralized mode: the request port sends nothing but replies *)
+  let wiz_msgs = counter "wizard.requests_total"
+  and wiz_bytes = counter "wizard.reply_bytes_total" in
   let n_probes = List.length servers in
   let kBps bytes = float_of_int bytes /. 1024.0 /. elapsed in
   let rate msgs = float_of_int msgs /. elapsed in

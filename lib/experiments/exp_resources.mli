@@ -1,5 +1,7 @@
-(** Resource-footprint experiment (Table 5.1): CPU, memory, and standing
-    bandwidth of each component over a simulated deployment. *)
+(** Resource-footprint experiment (Table 5.2): CPU, memory, and standing
+    bandwidth of each component over a simulated deployment.  Bandwidth
+    is read from the components' own counters; CPU and memory are
+    modelled. *)
 
 type row = {
   component : string;

@@ -83,11 +83,18 @@ let fragment_sizes ~mtu ~payload =
   in
   cut (max 1 payload) []
 
+(* The paper's Speed_init, bytes/second: estimated at 25 Mbps in the
+   thesis. *)
+let speed_init = 25e6 /. 8.0
+
+(* Node-local delivery rate, bytes/second. *)
+let loopback_rate = 4e9 /. 8.0
+
 (* The paper's interface initialisation cost: the first frame is pushed to
    the physical interface at Speed_init; capped at one MTU of data. *)
 let init_cost nic ~wire_total =
   if nic.Topology.virtual_if then 0.0
-  else float_of_int (min wire_total nic.Topology.mtu) /. nic.Topology.init_speed
+  else float_of_int (min wire_total nic.Topology.mtu) /. speed_init
 
 let count_bytes t ~src ~dst size =
   match t.on_bytes with
@@ -184,10 +191,8 @@ and send_raw ?(ttl = 64) t ~src ~dst ~proto ~transport_bytes ~payload ~now =
   if src = dst then begin
     (* node-local delivery: loopback interface, no fragmentation knee and
        a fraction of the end-host cost (no NIC or driver involved) *)
-    let nic = (Topology.node t.topo src).Topology.nic in
     let delay =
-      (overhead t /. 3.0)
-      +. (float_of_int transport_bytes /. nic.Topology.loopback_rate)
+      (overhead t /. 3.0) +. (float_of_int transport_bytes /. loopback_rate)
     in
     let at = now +. delay in
     ignore

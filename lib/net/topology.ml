@@ -4,18 +4,10 @@
 
 type nic = {
   mtu : int;             (* bytes, including IP header *)
-  init_speed : float;    (* the paper's Speed_init, bytes/second *)
   virtual_if : bool;     (* loopback / VMware NAT: no init cost, no knee *)
-  loopback_rate : float; (* bytes/second for node-local delivery *)
 }
 
-let default_nic =
-  {
-    mtu = 1500;
-    init_speed = 25e6 /. 8.0;  (* estimated at 25 Mbps in the thesis *)
-    virtual_if = false;
-    loopback_rate = 4e9 /. 8.0;
-  }
+let default_nic = { mtu = 1500; virtual_if = false }
 
 type node = { id : int; name : string; ip : string; nic : nic }
 

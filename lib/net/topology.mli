@@ -1,13 +1,14 @@
 (** Network topology: nodes, directional channels, static routing. *)
 
+(** A node's interface.  The rates behind it (the paper's [Speed_init]
+    and node-local delivery) are constants of {!Netstack}'s delay
+    model. *)
 type nic = {
   mtu : int;             (** bytes, including IP header *)
-  init_speed : float;    (** the paper's [Speed_init], bytes/second *)
   virtual_if : bool;     (** loopback/NAT: no interface-initialisation cost *)
-  loopback_rate : float; (** node-local delivery rate, bytes/second *)
 }
 
-(** MTU 1500, init speed 25 Mbps, physical interface. *)
+(** MTU 1500, physical interface. *)
 val default_nic : nic
 
 type node = { id : int; name : string; ip : string; nic : nic }

@@ -37,7 +37,6 @@ let create book (config : config) =
             port = Smart_proto.Ports.sysmon;
           };
         iface;
-        transport = Smart_core.Probe.Udp;
       }
       ~interval:config.interval
       ~snapshot:(fun ~now:_ -> Proc_reader.snapshot config.proc)

@@ -19,9 +19,8 @@ type t = {
 
 let create book (config : config) =
   let role =
-    Smart_core.Role.wizard ?admission:config.admission
-      ~order:Smart_proto.Endian.Little (Daemon.env ()) ~mode:config.mode
-      ~staleness_threshold:config.staleness_threshold
+    Smart_core.Role.wizard ?admission:config.admission (Daemon.env ())
+      ~mode:config.mode ~staleness_threshold:config.staleness_threshold
   in
   {
     db = role.parts.db;

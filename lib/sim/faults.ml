@@ -4,35 +4,27 @@
    it arms one engine event per entry, so same-seed chaos runs replay the
    identical fault sequence and stay byte-for-byte reproducible.
 
-   The plane is substrate-neutral: actions name hosts and links
-   symbolically and an [apply] callback supplied by the driver (the
-   simulation driver in practice) carries them out.  This module only
-   owns the schedule, the accounting (one metrics counter per action
-   kind, a trace instant per injection) and the seeded plan generator. *)
+   The plane is substrate-neutral: actions name hosts symbolically and
+   an [apply] callback supplied by the driver (the simulation driver in
+   practice) carries them out.  This module only owns the schedule and
+   the accounting (one metrics counter per action kind, a trace instant
+   per injection). *)
 
 module Metrics = Smart_util.Metrics
 
 type action =
   | Crash_node of string      (* host process dies; its traffic stops *)
   | Restart_node of string
-  | Partition_link of string * string  (* direct link drops everything *)
-  | Heal_link of string * string
   | Partition_host of string  (* every channel touching the host *)
   | Heal_host of string
   | Corrupt_frames of float   (* per-message stream corruption probability *)
-  | Monitor_outage of string  (* the monitor machinery on a host stops *)
-  | Monitor_restore of string
 
 let action_kind = function
   | Crash_node _ -> "crash_node"
   | Restart_node _ -> "restart_node"
-  | Partition_link _ -> "partition_link"
-  | Heal_link _ -> "heal_link"
   | Partition_host _ -> "partition_host"
   | Heal_host _ -> "heal_host"
   | Corrupt_frames _ -> "corrupt_frames"
-  | Monitor_outage _ -> "monitor_outage"
-  | Monitor_restore _ -> "monitor_restore"
 
 type event = { at : float; action : action }
 
@@ -47,9 +39,8 @@ let counter_name kind = "faults." ^ kind ^ "_total"
 
 let all_kinds =
   [
-    "crash_node"; "restart_node"; "partition_link"; "heal_link";
-    "partition_host"; "heal_host"; "corrupt_frames"; "monitor_outage";
-    "monitor_restore";
+    "crash_node"; "restart_node"; "partition_host"; "heal_host";
+    "corrupt_frames";
   ]
 
 let install ?(metrics = Metrics.create ())

@@ -5,24 +5,17 @@
     driver's [apply] callback when its time comes.  Same seed, same
     plan, same run: chaos stays byte-for-byte reproducible.
 
-    Actions are symbolic (host and link names); carrying them out —
-    failing machines, dropping link traffic, corrupting stream bytes,
-    silencing a monitor's processes — is the driver's job. *)
+    Actions are symbolic (host names); carrying them out — failing
+    machines, cutting a host off the network, corrupting stream bytes —
+    is the driver's job. *)
 
 type action =
   | Crash_node of string  (** host dies: probes and daemons go silent *)
   | Restart_node of string
-  | Partition_link of string * string
-      (** the direct link between two named nodes drops everything *)
-  | Heal_link of string * string
   | Partition_host of string  (** every channel touching the host *)
   | Heal_host of string
   | Corrupt_frames of float
       (** set the per-message stream corruption probability *)
-  | Monitor_outage of string
-      (** the monitor machinery hosted on a machine stops handling and
-          transmitting (the process, not the network) *)
-  | Monitor_restore of string
 
 (** Stable identifier of the action's kind ("crash_node", ...), used in
     metric names ([faults.<kind>_total]) and trace instants

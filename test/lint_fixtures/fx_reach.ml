@@ -1,3 +1,5 @@
 let called () = 1
 let tested () = 2
 let dead () = 3
+
+type shape = Built | Tested | Unbuilt

@@ -31,6 +31,11 @@ let () =
   ignore Fx_random.stamp;
   ignore Fx_random.keys;
   ignore Fx_reach.called;
+  (* builds one constructor; matching another does not build it *)
+  (match Fx_reach.Built with Fx_reach.Unbuilt -> () | _ -> ());
+  ignore [ Fx_doc.Left; Fx_doc.Right ];
+  ignore [ Fx_wire.Alpha; Fx_wire.Beta; Fx_wire.Gamma; Fx_wire.Delta ];
+  ignore [ Fx_wire.Strict; Fx_wire.Loose ];
   ignore Fx_tracer.spans;
   ignore Fx_tracer.start;
   ignore Fx_tracer.finish;

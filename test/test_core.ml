@@ -396,7 +396,6 @@ let db_groups =
         | "h2" | "h3" -> Some (db_monitor 1)
         | "h4" -> Some (db_monitor 2)
         | _ -> None);
-    local_entry = C.Wizard.default_local_entry;
   }
 
 let apply_db_write db ~clock write =
@@ -497,7 +496,6 @@ let probe_config =
     bogomips = 3394.76;
     monitor = { C.Output.host = "mon"; port = P.Ports.sysmon };
     iface = "eth0";
-    transport = C.Probe.Udp;
   }
 
 let snapshot_of machine ~now = H.Procfs.snapshot_of_machine machine ~now
@@ -1936,7 +1934,7 @@ let role_env () =
   }
 
 let wizard_role ?(mode = C.Wizard.Centralized) env =
-  C.Role.wizard ~order:P.Endian.Little env ~mode ~staleness_threshold:infinity
+  C.Role.wizard env ~mode ~staleness_threshold:infinity
 
 (* The one scrape function both installers run on a role's scrape port:
    SMART-METRICS gets the registry, SMART-TRACE the span ring, and any
@@ -2152,7 +2150,6 @@ let rows_groups =
         if String.length host > 1 && host.[0] = 'g' then
           Some (rows_monitor (Char.code host.[1] - Char.code '0'))
         else None);
-    local_entry = C.Wizard.default_local_entry;
   }
 
 (* Loads every group's push and reads the snapshot once; returns the
@@ -2603,19 +2600,6 @@ let test_sim_workload_visible_to_wizard () =
     Alcotest.(check int) "the other ten qualify" 10 (List.length servers)
   | Error e -> Alcotest.failf "request failed: %a" C.Client.pp_error e
 
-let test_probe_tcp_transport () =
-  let machine = H.Machine.create (H.Testbed.spec_of_name "helene") in
-  let probe =
-    C.Probe.create { probe_config with C.Probe.transport = C.Probe.Tcp }
-  in
-  match C.Probe.tick probe ~now:0.0 ~snapshot:(snapshot_of machine ~now:0.0) with
-  | Ok (_, [ C.Output.Stream { dst; data } ]) ->
-    Alcotest.(check string) "to monitor" "mon" dst.C.Output.host;
-    Alcotest.(check bool) "same report format" true
-      (Result.is_ok (P.Report.of_string data))
-  | Ok _ -> Alcotest.fail "expected one stream output"
-  | Error e -> Alcotest.failf "tick failed: %s" e
-
 (* Two server groups joined by a slow WAN link (Fig 3.8): the wizard on
    group A binds monitor_network_* per group from the monitor mesh. *)
 let two_group_world () =
@@ -2684,29 +2668,17 @@ let test_sim_multigroup () =
       (List.sort compare servers)
   | Error e -> Alcotest.failf "request failed: %a" C.Client.pp_error e
 
-let test_sim_tcp_probe_transport () =
-  let c = H.Testbed.icpp2005 () in
-  let config =
-    { C.Simdriver.default_config with
-      C.Simdriver.probe_transport = C.Probe.Tcp }
-  in
-  let d =
-    C.Simdriver.deploy ~config c ~monitor:"dalmatian" ~wizard_host:"dalmatian"
-      ~servers:H.Testbed.machine_names
-  in
-  C.Simdriver.settle ~duration:8.0 d;
-  Alcotest.(check int) "reports flow over the stream transport" 11
-    (C.Status_db.sys_count (C.Simdriver.db_wizard d))
-
+(* Table 5.2's bandwidth column reads the components' own counters. *)
 let test_sim_traffic_stats () =
   let _, d = deploy () in
   C.Simdriver.settle ~duration:8.0 d;
-  let probe_msgs, probe_bytes = C.Simdriver.traffic_stats d "probe" in
+  let cv = counter_value (C.Simdriver.metrics d) in
+  let probe_msgs = cv "probe.reports_total" in
   Alcotest.(check bool) "probes reported" true (probe_msgs >= 11 * 3);
   Alcotest.(check bool) "report size < 256 B" true
-    (probe_bytes / probe_msgs < 256);
-  let tx_msgs, _ = C.Simdriver.traffic_stats d "transmitter" in
-  Alcotest.(check bool) "transmitter pushed" true (tx_msgs > 0)
+    (cv "probe.report_bytes_total" / probe_msgs < 256);
+  Alcotest.(check bool) "transmitter pushed" true
+    (cv "transmitter.pushes_total" > 0)
 
 (* The deployment-wide metrics registry, asserted end-to-end: counters
    move in lockstep with the simulated traffic, and draining the
@@ -2725,15 +2697,25 @@ let test_sim_metrics_end_to_end () =
   Alcotest.(check int) "no probe failures" 0 (cv "netmon.probe_failures_total");
   Alcotest.(check (float 1e-9)) "all reachable" 11.0 (gv "netmon.reachable");
   (* three requests: wizard and client counters move in lockstep *)
+  let replied = ref 0 in
   for _ = 1 to 3 do
     match
       C.Simdriver.request d ~client:"sagit" ~wanted:2
         ~requirement:"host_cpu_bogomips > 4000\n"
     with
-    | Ok _ -> ()
+    | Ok servers ->
+      (* a reply's length depends on its servers, not its sequence *)
+      replied :=
+        !replied
+        + String.length
+            (P.Wizard_msg.encode_reply
+               { P.Wizard_msg.seq = 0; servers; degraded = false;
+                 rejected = false })
     | Error e -> Alcotest.failf "request failed: %a" C.Client.pp_error e
   done;
   Alcotest.(check int) "wizard handled 3" 3 (cv "wizard.requests_total");
+  Alcotest.(check int) "reply bytes are the replies' summed length" !replied
+    (cv "wizard.reply_bytes_total");
   Alcotest.(check int) "client built 3" 3 (cv "client.requests_total");
   Alcotest.(check int) "3 replies accepted" 3 (cv "client.replies_ok_total");
   Alcotest.(check int) "no replies rejected" 0 (cv "client.reply_errors_total");
@@ -4115,9 +4097,14 @@ let test_wizard_admission_gate () =
   Alcotest.(check int) "3rd parked" 0 (List.length (ask 3));
   Alcotest.(check int) "4th parked" 0 (List.length (ask 4));
   Alcotest.(check int) "two waiting" 2 (C.Wizard.delayed_count wizard);
-  (* the fifth would wait 0.3 s > max_delay: shed *)
+  (* the fifth would wait 0.3 s > max_delay: shed, and its bytes count
+     with the answers' *)
+  let sent = counter_value m "wizard.reply_bytes_total" in
   let shed = decode (ask 5) in
   Alcotest.(check bool) "5th rejected" true shed.P.Wizard_msg.rejected;
+  Alcotest.(check int) "rejection bytes metered"
+    (sent + String.length (P.Wizard_msg.encode_reply shed))
+    (counter_value m "wizard.reply_bytes_total");
   Alcotest.(check (list string)) "rejection carries no servers" []
     shed.P.Wizard_msg.servers;
   (* other clients have their own bucket: unaffected *)
@@ -4564,12 +4551,8 @@ let () =
           Alcotest.test_case "distributed mode" `Quick test_sim_distributed_mode;
           Alcotest.test_case "workload visible" `Quick
             test_sim_workload_visible_to_wizard;
-          Alcotest.test_case "TCP probe transport" `Quick
-            test_probe_tcp_transport;
           Alcotest.test_case "multi-group deployment" `Quick
             test_sim_multigroup;
-          Alcotest.test_case "TCP reports end-to-end" `Quick
-            test_sim_tcp_probe_transport;
           Alcotest.test_case "traffic stats" `Quick test_sim_traffic_stats;
           Alcotest.test_case "metrics end to end" `Quick
             test_sim_metrics_end_to_end;

@@ -1166,7 +1166,6 @@ let sys_push ~host =
         monitor =
           { Smart_core.Output.host = "mon"; port = Smart_proto.Ports.sysmon };
         iface = "lo";
-        transport = Smart_core.Probe.Udp;
       }
   in
   let report =

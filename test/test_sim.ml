@@ -204,12 +204,12 @@ let test_faults_fire_in_order () =
     [
       { Faults.at = 3.0; action = Faults.Restart_node "a" };
       { Faults.at = 1.0; action = Faults.Crash_node "a" };
-      { Faults.at = 2.0; action = Faults.Partition_link ("a", "b") };
+      { Faults.at = 2.0; action = Faults.Partition_host "a" };
     ];
   Alcotest.(check int) "none injected yet" 0 (injected ());
   Engine.run e ~until:2.5;
   Alcotest.(check (list string)) "time order"
-    [ "crash_node"; "partition_link" ]
+    [ "crash_node"; "partition_host" ]
     (List.rev !applied);
   Alcotest.(check int) "two injected" 2 (injected ());
   Engine.run e ~until:10.0;
