@@ -12,7 +12,9 @@ module Metrics = Smart_util.Metrics
 
 type probe_result = { delay : float; bandwidth : float }
 
-type prober = target:string -> probe_result option
+type probe = { sent_bytes : int; result : probe_result option }
+
+type prober = target:string -> probe
 
 type config = {
   monitor_name : string;
@@ -25,6 +27,7 @@ type t = {
   trace : Smart_util.Tracelog.t;
   probes_total : Metrics.Counter.t;
   probe_failures_total : Metrics.Counter.t;
+  probe_bytes_total : Metrics.Counter.t;
   rounds_total : Metrics.Counter.t;
   reachable : Metrics.Gauge.t;
 }
@@ -41,6 +44,10 @@ let create ?(metrics = Metrics.create ())
     probe_failures_total =
       Metrics.counter metrics ~help:"path probes that returned nothing"
         "netmon.probe_failures_total";
+    probe_bytes_total =
+      Metrics.counter metrics
+        ~help:"payload bytes the path probes sent, failed probes included"
+        "netmon.probe_bytes_total";
     rounds_total =
       Metrics.counter metrics ~help:"full probe_all rounds completed"
         "netmon.rounds_total";
@@ -65,7 +72,9 @@ let probe_all t ~now ~(prober : prober) =
         Fun.protect ~finally:(fun () ->
             Smart_util.Tracelog.finish t.trace probe_span)
         @@ fun () ->
-        match prober ~target with
+        let probe = prober ~target in
+        Metrics.Counter.add t.probe_bytes_total probe.sent_bytes;
+        match probe.result with
         | Some { delay; bandwidth } ->
           Some
             {

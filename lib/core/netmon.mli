@@ -5,8 +5,13 @@
     bytes/second. *)
 type probe_result = { delay : float; bandwidth : float }
 
+(** What probing one target cost and found: the payload bytes of every
+    datagram the prober sent, answered or not, and the measurement
+    ([None] when the probe failed). *)
+type probe = { sent_bytes : int; result : probe_result option }
+
 (** Injected measurement backend (one-way UDP stream in both drivers). *)
-type prober = target:string -> probe_result option
+type prober = target:string -> probe
 
 type config = {
   monitor_name : string;  (** name this monitor publishes records under *)

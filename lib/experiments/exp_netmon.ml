@@ -65,22 +65,30 @@ let run ?(trials = 8) () =
             { Smart_core.Netmon.monitor_name = name; targets }
             db
         in
+        (* three 56-byte pings, then [trials] 1600/2900-byte stream
+           pairs, each datagram sent whether or not one is answered *)
         let prober ~target =
           let dst = List.assoc target monitors in
           let delay =
-            Smart_measure.Rtt_probe.ping ~count:3 stack ~src:node ~dst ()
+            Smart_measure.Rtt_probe.ping ~count:3 ~size:56 stack ~src:node
+              ~dst ()
           in
           let bw =
-            Smart_measure.Udp_stream.measure ~trials stack ~src:node ~dst ()
+            Smart_measure.Udp_stream.measure ~s1:1600 ~s2:2900 ~trials stack
+              ~src:node ~dst ()
           in
-          match (delay, bw) with
-          | Some d, Some b ->
-            Some
-              {
-                Smart_core.Netmon.delay = d /. 2.0;
-                bandwidth = b.Smart_measure.Udp_stream.avg_bw;
-              }
-          | _ -> None
+          {
+            Smart_core.Netmon.sent_bytes = (3 * 56) + (trials * (1600 + 2900));
+            result =
+              (match (delay, bw) with
+              | Some d, Some b ->
+                Some
+                  {
+                    Smart_core.Netmon.delay = d /. 2.0;
+                    bandwidth = b.Smart_measure.Udp_stream.avg_bw;
+                  }
+              | _ -> None);
+          }
         in
         Smart_core.Netmon.probe_all netmon
           ~now:(Smart_host.Cluster.now c)

@@ -2,8 +2,8 @@
    reporting every 2 seconds.
 
    Network bandwidth is *measured*: the messages and payload bytes the
-   components' own counters ([probe.*], [transmitter.*], [wizard.*])
-   record over a 60-virtual-second window.  CPU and memory cannot be
+   components' own counters ([probe.*], [netmon.*], [transmitter.*],
+   [wizard.*]) record over a 60-virtual-second window.  CPU and memory cannot be
    measured inside a simulation, so they are modelled: CPU as a
    per-message processing cost, memory as a base footprint plus the live
    record set.  The model constants are calibrated to the thesis's
@@ -36,7 +36,7 @@ let run ?(duration = 60.0) () =
   in
   Smart_core.Simdriver.settle ~duration:2.0 d;
   let t0 = Smart_host.Cluster.now c in
-  let netmon_record = Smart_core.Simdriver.refresh_netmon ~trials:2 d in
+  ignore (Smart_core.Simdriver.refresh_netmon ~trials:2 d);
   (* a few client requests so the wizard row is non-trivial *)
   for _ = 1 to 5 do
     ignore
@@ -50,6 +50,7 @@ let run ?(duration = 60.0) () =
   in
   let probe_msgs = counter "probe.reports_total"
   and probe_bytes = counter "probe.report_bytes_total" in
+  let netmon_bytes = counter "netmon.probe_bytes_total" in
   let tx_msgs = counter "transmitter.pushes_total"
   and tx_bytes = counter "transmitter.bytes_total" in
   (* centralized mode: the request port sends nothing but replies *)
@@ -61,11 +62,6 @@ let run ?(duration = 60.0) () =
   let sys_db_bytes =
     Smart_core.Status_db.sys_count (Smart_core.Simdriver.db_wizard d)
     * Smart_proto.Records.sys_record_size
-  in
-  (* netmon probing bytes per round: two stream sizes x trials + pings *)
-  let netmon_bytes_per_round =
-    List.length netmon_record.Smart_proto.Records.entries
-    * (2 * ((1600 + 2900) + (3 * 56)))
   in
   let rows =
     [
@@ -87,7 +83,7 @@ let run ?(duration = 60.0) () =
         component = "Network Monitor";
         cpu_pct = 0.05;
         memory_bytes = base_footprint;
-        bandwidth_kBps = float_of_int netmon_bytes_per_round /. 1024.0 /. elapsed;
+        bandwidth_kBps = kBps netmon_bytes;
         paper = "<0.1% / 8 KB / 5.6 KBps";
       };
       {

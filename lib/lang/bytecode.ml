@@ -702,6 +702,101 @@ exception Verify of verify_error
 let vfail ~stmt ~pc fmt =
   Printf.ksprintf (fun reason -> raise (Verify { stmt; pc; reason })) fmt
 
+(* Operand checkers of the structural pass, one per operand kind.  They
+   are top-level functions of the instruction's position, so checking a
+   program builds no closure: [validate] runs on every compile, and
+   allocates nothing unless it fails. *)
+let check_reg p ~stmt ~pc r =
+  if r < 0 || r >= p.nregs then vfail ~stmt ~pc "register %d out of range" r
+
+let check_const p ~stmt ~pc i =
+  if i < 0 || i >= Array.length p.consts then
+    vfail ~stmt ~pc "constant index %d out of range" i
+
+let check_pool p ~stmt ~pc i =
+  if i < 0 || i >= Array.length p.pool then
+    vfail ~stmt ~pc "pool index %d out of range" i
+
+let check_temp p ~stmt ~pc t =
+  if t < 0 || t >= p.ntemps then vfail ~stmt ~pc "temp %d out of range" t
+
+let check_uparam ~stmt ~pc u =
+  if u < 0 || u >= uparam_count then vfail ~stmt ~pc "uparam %d out of range" u
+
+let check_column ~stmt ~pc c =
+  if c < 0 || c > col_sec_level then vfail ~stmt ~pc "column %d out of range" c
+
+let check_fn p ~stmt ~pc f =
+  if f < 0 || f >= Array.length p.fns then
+    vfail ~stmt ~pc "function index %d out of range" f
+
+let check_sub ~stmt ~pc s =
+  if s < 0 || s > 5 then vfail ~stmt ~pc "comparison sub-opcode %d" s
+
+(* The slice [pc, stop) of statement [stmt], one instruction at a time:
+   a known opcode, all of its operands inside the slice, each in range.
+   Returns [setus] plus the slice's SETU sites. *)
+let rec walk p ~stmt pc stop setus =
+  if pc >= stop then setus
+  else begin
+    let code = p.code in
+    let op = code.(pc) in
+    let width = op_width op in
+    if width = 0 then vfail ~stmt ~pc "bad opcode %d" op;
+    if pc + width > stop then vfail ~stmt ~pc "truncated instruction";
+    (match op with
+    | 0 ->
+      check_reg p ~stmt ~pc code.(pc + 1);
+      check_const p ~stmt ~pc code.(pc + 2)
+    | 1 ->
+      check_reg p ~stmt ~pc code.(pc + 1);
+      check_pool p ~stmt ~pc code.(pc + 2)
+    | 2 ->
+      check_reg p ~stmt ~pc code.(pc + 1);
+      check_column ~stmt ~pc code.(pc + 2);
+      check_pool p ~stmt ~pc code.(pc + 3)
+    | 3 -> check_reg p ~stmt ~pc code.(pc + 1)
+    | 4 | 5 | 6 | 7 | 8 | 12 | 13 ->
+      check_reg p ~stmt ~pc code.(pc + 1);
+      check_reg p ~stmt ~pc code.(pc + 2);
+      check_reg p ~stmt ~pc code.(pc + 3)
+    | 9 ->
+      check_reg p ~stmt ~pc code.(pc + 1);
+      check_reg p ~stmt ~pc code.(pc + 2)
+    | 10 ->
+      check_reg p ~stmt ~pc code.(pc + 1);
+      check_fn p ~stmt ~pc code.(pc + 2);
+      check_pool p ~stmt ~pc code.(pc + 3);
+      check_reg p ~stmt ~pc code.(pc + 4)
+    | 11 ->
+      check_reg p ~stmt ~pc code.(pc + 1);
+      check_sub ~stmt ~pc code.(pc + 2);
+      check_reg p ~stmt ~pc code.(pc + 3);
+      check_reg p ~stmt ~pc code.(pc + 4)
+    | 14 | 18 ->
+      check_reg p ~stmt ~pc code.(pc + 1);
+      check_temp p ~stmt ~pc code.(pc + 2);
+      check_pool p ~stmt ~pc code.(pc + 3)
+    | 15 ->
+      check_temp p ~stmt ~pc code.(pc + 1);
+      check_reg p ~stmt ~pc code.(pc + 2)
+    | 16 ->
+      check_reg p ~stmt ~pc code.(pc + 1);
+      check_uparam ~stmt ~pc code.(pc + 2);
+      check_pool p ~stmt ~pc code.(pc + 3)
+    | 17 ->
+      check_uparam ~stmt ~pc code.(pc + 1);
+      check_reg p ~stmt ~pc code.(pc + 2)
+    | 19 -> check_pool p ~stmt ~pc code.(pc + 1)
+    | _ (* 20, CMPC *) ->
+      check_reg p ~stmt ~pc code.(pc + 1);
+      check_sub ~stmt ~pc code.(pc + 2);
+      check_column ~stmt ~pc code.(pc + 3);
+      check_pool p ~stmt ~pc code.(pc + 4);
+      check_const p ~stmt ~pc code.(pc + 5));
+    walk p ~stmt (pc + width) stop (if op = 17 then setus + 1 else setus)
+  end
+
 (* Structural pass: every operand of every instruction in range for the
    program's declared sizes, comparison sub-opcodes in 0..5, statement
    arrays consistent, the uparam log sized for every SETU site and
@@ -710,91 +805,6 @@ let vfail ~stmt ~pc fmt =
    The interpreter trusts operands unconditionally (see [exec]); this
    walk, run once at compile time, is what earns that trust. *)
 let structural p =
-  let code = p.code in
-  let setus = ref 0 in
-  let check ~stmt ~pc =
-    let reg r =
-      if r < 0 || r >= p.nregs then vfail ~stmt ~pc "register %d out of range" r
-    in
-    let cidx i =
-      if i < 0 || i >= Array.length p.consts then
-        vfail ~stmt ~pc "constant index %d out of range" i
-    in
-    let pidx i =
-      if i < 0 || i >= Array.length p.pool then
-        vfail ~stmt ~pc "pool index %d out of range" i
-    in
-    let temp t =
-      if t < 0 || t >= p.ntemps then vfail ~stmt ~pc "temp %d out of range" t
-    in
-    let upar u =
-      if u < 0 || u >= uparam_count then
-        vfail ~stmt ~pc "uparam %d out of range" u
-    in
-    let col c =
-      if c < 0 || c > col_sec_level then
-        vfail ~stmt ~pc "column %d out of range" c
-    in
-    let fn f =
-      if f < 0 || f >= Array.length p.fns then
-        vfail ~stmt ~pc "function index %d out of range" f
-    in
-    let sub s =
-      if s < 0 || s > 5 then vfail ~stmt ~pc "comparison sub-opcode %d" s
-    in
-    (reg, cidx, pidx, temp, upar, col, fn, sub)
-  in
-  let rec walk ~stmt pc stop =
-    if pc >= stop then ()
-    else begin
-      let reg, cidx, pidx, temp, upar, col, fn, sub = check ~stmt ~pc in
-      let need n =
-        if pc + n > stop then vfail ~stmt ~pc "truncated instruction"
-      in
-      match code.(pc) with
-      | 0 -> need 3; reg code.(pc + 1); cidx code.(pc + 2); walk ~stmt (pc + 3) stop
-      | 1 -> need 3; reg code.(pc + 1); pidx code.(pc + 2); walk ~stmt (pc + 3) stop
-      | 2 ->
-        need 4; reg code.(pc + 1); col code.(pc + 2); pidx code.(pc + 3);
-        walk ~stmt (pc + 4) stop
-      | 3 -> need 2; reg code.(pc + 1); walk ~stmt (pc + 2) stop
-      | 4 | 5 | 6 | 7 | 8 ->
-        need 4; reg code.(pc + 1); reg code.(pc + 2); reg code.(pc + 3);
-        walk ~stmt (pc + 4) stop
-      | 9 -> need 3; reg code.(pc + 1); reg code.(pc + 2); walk ~stmt (pc + 3) stop
-      | 10 ->
-        need 5; reg code.(pc + 1); fn code.(pc + 2); pidx code.(pc + 3);
-        reg code.(pc + 4);
-        walk ~stmt (pc + 5) stop
-      | 11 ->
-        need 5; reg code.(pc + 1); sub code.(pc + 2); reg code.(pc + 3);
-        reg code.(pc + 4);
-        walk ~stmt (pc + 5) stop
-      | 12 | 13 ->
-        need 4; reg code.(pc + 1); reg code.(pc + 2); reg code.(pc + 3);
-        walk ~stmt (pc + 4) stop
-      | 14 ->
-        need 4; reg code.(pc + 1); temp code.(pc + 2); pidx code.(pc + 3);
-        walk ~stmt (pc + 4) stop
-      | 15 ->
-        need 3; temp code.(pc + 1); reg code.(pc + 2); walk ~stmt (pc + 3) stop
-      | 16 ->
-        need 4; reg code.(pc + 1); upar code.(pc + 2); pidx code.(pc + 3);
-        walk ~stmt (pc + 4) stop
-      | 17 ->
-        need 3; upar code.(pc + 1); reg code.(pc + 2); incr setus;
-        walk ~stmt (pc + 3) stop
-      | 18 ->
-        need 4; reg code.(pc + 1); temp code.(pc + 2); pidx code.(pc + 3);
-        walk ~stmt (pc + 4) stop
-      | 19 -> need 2; pidx code.(pc + 1); walk ~stmt (pc + 2) stop
-      | 20 ->
-        need 6; reg code.(pc + 1); sub code.(pc + 2); col code.(pc + 3);
-        pidx code.(pc + 4); cidx code.(pc + 5);
-        walk ~stmt (pc + 6) stop
-      | op -> vfail ~stmt ~pc "bad opcode %d" op
-    end
-  in
   let n = nstmts p in
   if
     Array.length p.stmt_stop <> n
@@ -803,13 +813,13 @@ let structural p =
     || Array.length p.stmt_logical <> n
     || Array.length p.stmt_order_by <> n
   then vfail ~stmt:(-1) ~pc:(-1) "ragged statement arrays";
+  let setus = ref 0 in
   for s = 0 to n - 1 do
     let start = p.stmt_start.(s) and stop = p.stmt_stop.(s) in
-    if start < 0 || stop < start || stop > Array.length code then
+    if start < 0 || stop < start || stop > Array.length p.code then
       vfail ~stmt:s ~pc:start "bad statement slice [%d, %d)" start stop;
-    let reg, _, _, _, _, _, _, _ = check ~stmt:s ~pc:start in
-    reg p.stmt_reg.(s);
-    walk ~stmt:s start stop
+    check_reg p ~stmt:s ~pc:start p.stmt_reg.(s);
+    setus := walk p ~stmt:s start stop !setus
   done;
   if !setus > p.nulog then
     vfail ~stmt:(-1) ~pc:(-1) "uparam log holds %d entries but code has %d SETU sites"

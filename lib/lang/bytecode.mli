@@ -177,8 +177,9 @@ val run_sweep :
   unit
 
 (** Check every operand of every instruction against the program's
-    declared sizes; raises [Invalid_argument] on the first violation.
-    The interpreter's unsafe accesses rely on this having passed. *)
+    declared sizes; raises [Invalid_argument] on the first violation,
+    naming the operand kind.  The interpreter's unsafe accesses rely on
+    this having passed.  Allocates nothing unless it raises. *)
 val validate : program -> unit
 
 (** Where {!verify} found its first violation: statement index and

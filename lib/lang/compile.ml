@@ -24,19 +24,21 @@
    statement; results are read out before the next statement runs), so
    [nregs] is the widest statement's need, not the program's. *)
 
+(* Constants, strings, functions and temps are few per program, so each
+   table is a list searched from its newest entry rather than a hash
+   table built per compile; an entry's index is its position counted
+   from the oldest, the order in which it was first seen. *)
 type emitter = {
   mutable code : int array;
   mutable len : int;
-  consts_tbl : (int64, int) Hashtbl.t;  (* keyed by bits: -0.0 /= 0.0, nan ok *)
   mutable consts_rev : float list;
   mutable nconsts : int;
-  pool_tbl : (string, int) Hashtbl.t;
   mutable pool_rev : string list;
   mutable npool : int;
-  fns_tbl : (string, int) Hashtbl.t;
+  mutable fn_names_rev : string list;
   mutable fns_rev : (float -> float) list;
   mutable nfns : int;
-  temps : (string, int) Hashtbl.t;
+  mutable temps_rev : string list;
   mutable ntemps : int;
   mutable reg : int;
   mutable nregs : int;
@@ -48,16 +50,14 @@ let create_emitter () =
   {
     code = Array.make 64 0;
     len = 0;
-    consts_tbl = Hashtbl.create 16;
     consts_rev = [];
     nconsts = 0;
-    pool_tbl = Hashtbl.create 16;
     pool_rev = [];
     npool = 0;
-    fns_tbl = Hashtbl.create 8;
+    fn_names_rev = [];
     fns_rev = [];
     nfns = 0;
-    temps = Hashtbl.create 8;
+    temps_rev = [];
     ntemps = 0;
     reg = 0;
     nregs = 0;
@@ -80,36 +80,59 @@ let emit3 e a b c = emit e a; emit e b; emit e c
 
 let emit4 e a b c d = emit e a; emit e b; emit e c; emit e d
 
+(* Index of [x] in a table of [n] entries listed newest first; -1 when
+   absent. *)
+let rec find equal x n = function
+  | [] -> -1
+  | y :: rest -> if equal y x then n - 1 else find equal x (n - 1) rest
+
+(* Constants are equal when their bits are: -0.0 is not 0.0, and a NaN
+   matches only its own bits.  Nothing is boxed. *)
+let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
 let const_idx e f =
-  let bits = Int64.bits_of_float f in
-  match Hashtbl.find_opt e.consts_tbl bits with
-  | Some i -> i
-  | None ->
+  let i = find same_bits f e.nconsts e.consts_rev in
+  if i >= 0 then i
+  else begin
     let i = e.nconsts in
-    Hashtbl.replace e.consts_tbl bits i;
     e.consts_rev <- f :: e.consts_rev;
     e.nconsts <- i + 1;
     i
+  end
 
 let pool_idx e s =
-  match Hashtbl.find_opt e.pool_tbl s with
-  | Some i -> i
-  | None ->
+  let i = find String.equal s e.npool e.pool_rev in
+  if i >= 0 then i
+  else begin
     let i = e.npool in
-    Hashtbl.replace e.pool_tbl s i;
     e.pool_rev <- s :: e.pool_rev;
     e.npool <- i + 1;
     i
+  end
 
 let fn_idx e name f =
-  match Hashtbl.find_opt e.fns_tbl name with
-  | Some i -> i
-  | None ->
+  let i = find String.equal name e.nfns e.fn_names_rev in
+  if i >= 0 then i
+  else begin
     let i = e.nfns in
-    Hashtbl.replace e.fns_tbl name i;
+    e.fn_names_rev <- name :: e.fn_names_rev;
     e.fns_rev <- f :: e.fns_rev;
     e.nfns <- i + 1;
     i
+  end
+
+let temp_slot e name = find String.equal name e.ntemps e.temps_rev
+
+(* A temp's slot, given at its first assignment site. *)
+let temp_idx e name =
+  let t = temp_slot e name in
+  if t >= 0 then t
+  else begin
+    let t = e.ntemps in
+    e.temps_rev <- name :: e.temps_rev;
+    e.ntemps <- t + 1;
+    t
+  end
 
 let alloc_reg e =
   let r = e.reg in
@@ -121,6 +144,20 @@ let alloc_reg e =
    compiler runs per request on the wizard's cold path and sprintf was a
    third of its profile.  Spellings must stay byte-identical to Eval's. *)
 let undefined_variable e name = pool_idx e ("undefined variable " ^ name)
+
+(* The message of a column read, by column id: built once here, not on
+   every LOAD and CMPC. *)
+let column_messages =
+  Array.init (Bytecode.col_sec_level + 1) (fun col ->
+      let name =
+        if col < Bytecode.sys_field_count then Bytecode.sys_fields.(col)
+        else if col = Bytecode.col_net_delay then "monitor_network_delay"
+        else if col = Bytecode.col_net_bw then "monitor_network_bw"
+        else "host_security_level"
+      in
+      "undefined variable " ^ name)
+
+let undefined_column e col = pool_idx e column_messages.(col)
 
 (* Compile-time type of the value a register will hold: most operators
    only produce numbers, so the NUMCHK guarding each arithmetic operand
@@ -212,17 +249,19 @@ and compile_var e name : int * static =
   else begin
     match Bytecode.column_of_var name with
     | Some col ->
-      emit4 e 2 r col (undefined_variable e name);
+      emit4 e 2 r col (undefined_column e col);
       (r, Snum)
     | None ->
-      (match Hashtbl.find_opt e.temps name with
-      | Some t ->
+      let t = temp_slot e name in
+      if t >= 0 then begin
         emit4 e 14 r t (undefined_variable e name);
         (r, Sother)
-      | None ->
+      end
+      else begin
         (* no assignment site precedes: Eval would miss at runtime *)
         emit2 e 19 (undefined_variable e name);
-        (r, Snum))
+        (r, Snum)
+      end
   end
 
 and compile_assign e name rhs : int * static =
@@ -245,16 +284,12 @@ and compile_assign e name rhs : int * static =
       match rhs with
       | Ast.Var candidate
         when (not (Vars.is_server_side candidate))
-             && not (Vars.is_user_side candidate) -> (
-        match Hashtbl.find_opt e.temps candidate with
-        | None ->
-          let r = alloc_reg e in
-          emit3 e 1 r (pool_idx e candidate);
-          (r, Sother)
-        | Some t ->
-          let r = alloc_reg e in
-          emit4 e 18 r t (pool_idx e candidate);
-          (r, Sother))
+             && not (Vars.is_user_side candidate) ->
+        let t = temp_slot e candidate in
+        let r = alloc_reg e in
+        if t < 0 then emit3 e 1 r (pool_idx e candidate)
+        else emit4 e 18 r t (pool_idx e candidate);
+        (r, Sother)
       | _ -> compile_expr e rhs
     in
     emit3 e 17 u (fst r);
@@ -264,16 +299,7 @@ and compile_assign e name rhs : int * static =
   end
   else begin
     let r = compile_expr e rhs in
-    let t =
-      match Hashtbl.find_opt e.temps name with
-      | Some t -> t
-      | None ->
-        let t = e.ntemps in
-        Hashtbl.replace e.temps name t;
-        e.ntemps <- t + 1;
-        t
-    in
-    emit3 e 15 t (fst r);
+    emit3 e 15 (temp_idx e name) (fst r);
     r
   end
 
@@ -293,28 +319,27 @@ let sub_of = function
   | Ast.Eq -> 4
   | Ast.Ne -> 5
 
-let fuse_stmt e (expr : Ast.expr) =
-  let cmpc op name f ~swapped =
-    match Bytecode.column_of_var name with
-    | None -> None
-    | Some col ->
-      let sub = if swapped then swap_sub (sub_of op) else sub_of op in
-      let r = alloc_reg e in
-      emit e 20;
-      emit e r;
-      emit e sub;
-      emit e col;
-      emit e (undefined_variable e name);
-      emit e (const_idx e f);
-      Some (r, Snum)
-  in
-  match expr with
-  | Ast.Cmp (op, Ast.Var name, Ast.Number f) -> cmpc op name f ~swapped:false
-  | Ast.Cmp (op, Ast.Number f, Ast.Var name) -> cmpc op name f ~swapped:true
-  | _ -> None
+let cmpc e col sub f =
+  let r = alloc_reg e in
+  emit e 20;
+  emit e r;
+  emit e sub;
+  emit e col;
+  emit e (undefined_column e col);
+  emit e (const_idx e f);
+  r
 
 let compile_stmt e (expr : Ast.expr) =
-  match fuse_stmt e expr with Some r -> r | None -> compile_expr e expr
+  match expr with
+  | Ast.Cmp (op, Ast.Var name, Ast.Number f) -> (
+    match Bytecode.column_of_var name with
+    | Some col -> cmpc e col (sub_of op) f
+    | None -> fst (compile_expr e expr))
+  | Ast.Cmp (op, Ast.Number f, Ast.Var name) -> (
+    match Bytecode.column_of_var name with
+    | Some col -> cmpc e col (swap_sub (sub_of op)) f
+    | None -> fst (compile_expr e expr))
+  | _ -> fst (compile_expr e expr)
 
 let is_order_by (st : Ast.statement) =
   match st.Ast.expr with
@@ -323,51 +348,56 @@ let is_order_by (st : Ast.statement) =
   | Ast.Logic _ | Ast.Call _ | Ast.Neg _ | Ast.Paren _ ->
     false
 
+let rec fill_rev a i = function
+  | [] -> ()
+  | x :: rest ->
+    a.(i) <- x;
+    fill_rev a (i - 1) rest
+
+(* The array of a table of [n] entries listed newest first. *)
+let array_of_rev n rev =
+  match rev with
+  | [] -> [||]
+  | newest :: _ ->
+    let a = Array.make n newest in
+    fill_rev a (n - 1) rev;
+    a
+
 let program (ast : Ast.program) : Bytecode.program =
   let e = create_emitter () in
-  let stmts =
-    List.map
-      (fun (st : Ast.statement) ->
-        e.reg <- 0;
-        let start = e.len in
-        let r, _ = compile_stmt e st.Ast.expr in
-        (start, e.len, r, st.Ast.line, Ast.is_logical st.Ast.expr,
-         is_order_by st))
-      ast
-  in
-  let n = List.length stmts in
-  let stmt_start = Array.make (max n 1) 0
-  and stmt_stop = Array.make (max n 1) 0
-  and stmt_reg = Array.make (max n 1) 0
-  and stmt_line = Array.make (max n 1) 0
-  and stmt_logical = Array.make (max n 1) false
-  and stmt_order_by = Array.make (max n 1) false in
+  let n = List.length ast in
+  let stmt_start = Array.make n 0
+  and stmt_stop = Array.make n 0
+  and stmt_reg = Array.make n 0
+  and stmt_line = Array.make n 0
+  and stmt_logical = Array.make n false
+  and stmt_order_by = Array.make n false in
   List.iteri
-    (fun i (start, stop, r, line, logical, ob) ->
-      stmt_start.(i) <- start;
-      stmt_stop.(i) <- stop;
-      stmt_reg.(i) <- r;
-      stmt_line.(i) <- line;
-      stmt_logical.(i) <- logical;
-      stmt_order_by.(i) <- ob)
-    stmts;
+    (fun i (st : Ast.statement) ->
+      e.reg <- 0;
+      stmt_start.(i) <- e.len;
+      stmt_reg.(i) <- compile_stmt e st.Ast.expr;
+      stmt_stop.(i) <- e.len;
+      stmt_line.(i) <- st.Ast.line;
+      stmt_logical.(i) <- Ast.is_logical st.Ast.expr;
+      stmt_order_by.(i) <- is_order_by st)
+    ast;
   {
     Bytecode.code = Array.sub e.code 0 e.len;
-    stmt_start = Array.sub stmt_start 0 n;
-    stmt_stop = Array.sub stmt_stop 0 n;
-    stmt_reg = Array.sub stmt_reg 0 n;
-    stmt_line = Array.sub stmt_line 0 n;
-    stmt_logical = Array.sub stmt_logical 0 n;
-    stmt_order_by = Array.sub stmt_order_by 0 n;
-    consts = Array.of_list (List.rev e.consts_rev);
-    pool = Array.of_list (List.rev e.pool_rev);
-    fns = Array.of_list (List.rev e.fns_rev);
+    stmt_start;
+    stmt_stop;
+    stmt_reg;
+    stmt_line;
+    stmt_logical;
+    stmt_order_by;
+    consts = array_of_rev e.nconsts e.consts_rev;
+    pool = array_of_rev e.npool e.pool_rev;
+    fns = array_of_rev e.nfns e.fns_rev;
     nregs = e.nregs;
     ntemps = e.ntemps;
     nulog = e.nulog;
     has_uparams = e.has_uparams;
-    has_order_by =
-      List.exists (fun (_, _, _, _, _, ob) -> ob) stmts;
+    has_order_by = Array.exists Fun.id stmt_order_by;
   }
 
 let program ast =

@@ -9,17 +9,16 @@
      && || > >= < <= == != = + - * / ^ ( )  operators
      \n                                     end of statement
 
-   One scanner serves both readers of a requirement.  [next] finds the
-   next token and records its kind, its source span and its position in
-   the scanner's mutable fields; it allocates nothing, except to decide
-   whether a name spelled with capitals folds and to build the message
-   of a lexical error.  [tokenize] turns each span into the parser's
-   [Token.located]; [Requirement.cache_key] copies the spans straight
-   into the canonical key, with no token list and no payload strings.
-   The wizard derives that key on every request, so the scanner is on
-   its warm path. *)
-
-type error = { line : int; col : int; message : string }
+   One scanner serves both readers of a requirement, and neither builds
+   a token list.  [next] finds the next token and records its kind, its
+   source span and its position in the scanner's mutable fields; it
+   allocates nothing, except to decide whether a name spelled with
+   capitals folds and to build the message of a lexical error.
+   [Parser] pulls one token at a time and copies a span only where the
+   tree keeps it; [Requirement.cache_key] copies the spans straight into
+   the canonical key.  The wizard derives that key on every request and
+   parses on every compile-cache miss, so the scanner is on both its
+   warm and its cold path. *)
 
 type kind = Number | Netaddr | Ident | Fixed of Token.t | Bad
 
@@ -201,22 +200,3 @@ let rec next sc =
     | '(' -> take sc 1 (Fixed Token.Lparen)
     | ')' -> take sc 1 (Fixed Token.Rparen)
     | c -> bad sc (Printf.sprintf "unexpected character %C" c)
-
-let error sc = { line = sc.tok_line; col = sc.tok_col; message = sc.message }
-
-let tokenize src =
-  let sc = scanner src in
-  let located token = { Token.token; line = sc.tok_line; col = sc.tok_col } in
-  let rec go acc =
-    match next sc with
-    | Bad -> Error (error sc)
-    | Fixed Token.Eof -> Ok (List.rev (located Token.Eof :: acc))
-    | Fixed token -> go (located token :: acc)
-    | Number -> go (located (Token.Number (float_of_string (text sc))) :: acc)
-    | Netaddr -> go (located (Token.Netaddr (text sc)) :: acc)
-    | Ident ->
-      let name = text sc in
-      let name = if sc.fold then String.lowercase_ascii name else name in
-      go (located (Token.Ident name) :: acc)
-  in
-  go []

@@ -1,11 +1,9 @@
 (** Lexer for the requirement meta-language (flex rules of Fig 4.1).
 
-    One allocation-free {!scanner} underlies both {!tokenize}, which
-    builds the parser's token list, and
-    {!Requirement.cache_key}, which renders the canonical key straight
-    from the scanned spans. *)
-
-type error = { line : int; col : int; message : string }
+    One allocation-free {!scanner} serves both readers of a requirement:
+    {!Parser.parse} pulls its tokens from {!next} one at a time, and
+    {!Requirement.cache_key} renders the canonical key straight from the
+    scanned spans.  Neither builds a token list. *)
 
 (** What {!next} found.  The token's bytes are
     [src.[start .. stop - 1]] of the {!scanner}. *)
@@ -17,7 +15,7 @@ type kind =
           word, and it stands for that word *)
   | Fixed of Token.t
       (** a token without payload: an operator, [Newline] or [Eof] *)
-  | Bad  (** a lexical error, described by {!error} *)
+  | Bad  (** a lexical error, at [tok_line] and [tok_col]; see [message] *)
 
 (** Scanning state over one source text.  {!next} overwrites the token
     fields ([start], [stop], [tok_line], [tok_col], [fold], [message])
@@ -42,7 +40,3 @@ val scanner : string -> scanner
     and to describe a lexical error.  After [Fixed Token.Eof] or [Bad]
     the scan is over. *)
 val next : scanner -> kind
-
-(** Tokenize a complete requirement text.  On success the list always
-    ends with [Token.Eof]. *)
-val tokenize : string -> (Token.located list, error) result

@@ -9,201 +9,197 @@
      * /
      unary -
      ^                     right-associative
-     atoms                 numbers, addresses, variables, f(x), (e)   *)
+     atoms                 numbers, addresses, variables, f(x), (e)
+
+   The parser reads the lexer's scanner directly, one token at a time:
+   no token list is built, and a token's text is copied only when it
+   becomes a name, an address or a number of the tree.  The binary
+   levels are one precedence-climbing loop.  An assignment [IDENT =]
+   needs one token more than the current one: [expr] reads the name,
+   and when no [=] follows, the name is the first atom of the
+   expression.  The wizard compiles every requirement its cache misses,
+   so the parser is on its cold path.
+
+   Errors unwind by a local exception.  The text's first lexical error
+   wins over any syntax error, as if the whole text were lexed before it
+   is parsed: a syntax error is reported only once the rest of the text
+   has lexed. *)
 
 type error = { line : int; col : int; message : string }
 
-type state = { mutable tokens : Token.located list }
+exception Failed of error
 
-let here st =
-  match st.tokens with
-  | t :: _ -> (t.Token.line, t.Token.col)
-  | [] -> (0, 0)
+(* The scanner, and the kind of its current token: never [Lexer.Bad],
+   which [advance] turns into the lexical error. *)
+type state = { sc : Lexer.scanner; mutable kind : Lexer.kind }
 
-let fail st message =
-  let line, col = here st in
-  Error { line; col; message }
+let lexical (sc : Lexer.scanner) =
+  let line = sc.Lexer.tok_line and col = sc.Lexer.tok_col in
+  raise (Failed { line; col; message = sc.Lexer.message })
 
-let peek st =
-  match st.tokens with
-  | t :: _ -> t.Token.token
-  | [] -> Token.Eof
+let advance st =
+  match Lexer.next st.sc with
+  | Lexer.Bad -> lexical st.sc
+  | kind -> st.kind <- kind
 
-let peek2 st =
-  match st.tokens with
-  | _ :: t :: _ -> t.Token.token
-  | _ -> Token.Eof
+let text (sc : Lexer.scanner) =
+  String.sub sc.Lexer.src sc.Lexer.start (sc.Lexer.stop - sc.Lexer.start)
 
-let skip st =
-  match st.tokens with
-  | _ :: rest -> st.tokens <- rest
-  | [] -> ()
+let number st = float_of_string (text st.sc)
 
-let ( let* ) r f = Result.bind r f
+(* The current name, in lowercase when it folds to a reserved word. *)
+let ident st =
+  let name = text st.sc in
+  if st.sc.Lexer.fold then String.lowercase_ascii name else name
 
-let expect st tok message =
-  if Token.equal (peek st) tok then begin
-    skip st;
-    Ok ()
-  end
-  else fail st message
+(* The current token, as error messages print it. *)
+let token st =
+  match st.kind with
+  | Lexer.Number -> Token.Number (number st)
+  | Lexer.Netaddr -> Token.Netaddr (text st.sc)
+  | Lexer.Ident -> Token.Ident (ident st)
+  | Lexer.Fixed t -> t
+  | Lexer.Bad -> assert false (* [advance] never leaves it current *)
 
-let rec parse_expr st =
-  (* assignment: IDENT '=' expr (not '==') *)
-  match (peek st, peek2 st) with
-  | Token.Ident name, Token.Assign ->
-    skip st;
-    skip st;
-    let* rhs = parse_expr st in
-    Ok (Ast.Assign (name, rhs))
-  | _ -> parse_or st
-
-and parse_or st =
-  let* lhs = parse_and st in
-  let rec loop acc =
-    match peek st with
-    | Token.Or ->
-      skip st;
-      let* rhs = parse_and st in
-      loop (Ast.Logic (Ast.Or, acc, rhs))
-    | _ -> Ok acc
+(* A syntax error at the current token, unless the rest of the text
+   holds a lexical error. *)
+let syntax st message =
+  let sc = st.sc in
+  let error = { line = sc.Lexer.tok_line; col = sc.Lexer.tok_col; message } in
+  let rec scan_rest () =
+    match Lexer.next sc with
+    | Lexer.Bad -> lexical sc
+    | Lexer.Fixed Token.Eof -> raise (Failed error)
+    | _ -> scan_rest ()
   in
-  loop lhs
+  match st.kind with
+  | Lexer.Fixed Token.Eof -> raise (Failed error)
+  | _ -> scan_rest ()
 
-and parse_and st =
-  let* lhs = parse_cmp st in
-  let rec loop acc =
-    match peek st with
-    | Token.And ->
-      skip st;
-      let* rhs = parse_cmp st in
-      loop (Ast.Logic (Ast.And, acc, rhs))
-    | _ -> Ok acc
-  in
-  loop lhs
+let unexpected st = syntax st (Fmt.str "unexpected token %a" Token.pp (token st))
 
-and parse_cmp st =
-  let* lhs = parse_add st in
-  let op_of = function
-    | Token.Lt -> Some Ast.Lt
-    | Token.Le -> Some Ast.Le
-    | Token.Gt -> Some Ast.Gt
-    | Token.Ge -> Some Ast.Ge
-    | Token.Eq -> Some Ast.Eq
-    | Token.Ne -> Some Ast.Ne
-    | _ -> None
-  in
-  let rec loop acc =
-    match op_of (peek st) with
-    | Some op ->
-      skip st;
-      let* rhs = parse_add st in
-      loop (Ast.Cmp (op, acc, rhs))
-    | None -> Ok acc
-  in
-  loop lhs
+let expect_rparen st message =
+  match st.kind with
+  | Lexer.Fixed Token.Rparen -> advance st
+  | _ -> syntax st message
 
-and parse_add st =
-  let* lhs = parse_mul st in
-  let rec loop acc =
-    match peek st with
-    | Token.Plus ->
-      skip st;
-      let* rhs = parse_mul st in
-      loop (Ast.Arith (Ast.Add, acc, rhs))
-    | Token.Minus ->
-      skip st;
-      let* rhs = parse_mul st in
-      loop (Ast.Arith (Ast.Sub, acc, rhs))
-    | _ -> Ok acc
-  in
-  loop lhs
+(* assignment: IDENT '=' expr (not '==') *)
+let rec expr st =
+  match st.kind with
+  | Lexer.Ident -> (
+    let name = ident st in
+    advance st;
+    match st.kind with
+    | Lexer.Fixed Token.Assign ->
+      advance st;
+      Ast.Assign (name, expr st)
+    | _ -> binary st 0 (power st (named st name)))
+  | _ -> binary st 0 (unary st)
 
-and parse_mul st =
-  let* lhs = parse_unary st in
-  let rec loop acc =
-    match peek st with
-    | Token.Star ->
-      skip st;
-      let* rhs = parse_unary st in
-      loop (Ast.Arith (Ast.Mul, acc, rhs))
-    | Token.Slash ->
-      skip st;
-      let* rhs = parse_unary st in
-      loop (Ast.Arith (Ast.Div, acc, rhs))
-    | _ -> Ok acc
-  in
-  loop lhs
+(* The operators binding tighter than level [min] that follow [lhs],
+   left-associative: || is level 1, && 2, comparisons 3, + - 4, * / 5. *)
+and binary st min lhs =
+  match st.kind with
+  | Lexer.Fixed Token.Or when min < 1 ->
+    binary st min (Ast.Logic (Ast.Or, lhs, operand st 1))
+  | Lexer.Fixed Token.And when min < 2 ->
+    binary st min (Ast.Logic (Ast.And, lhs, operand st 2))
+  | Lexer.Fixed Token.Lt when min < 3 ->
+    binary st min (Ast.Cmp (Ast.Lt, lhs, operand st 3))
+  | Lexer.Fixed Token.Le when min < 3 ->
+    binary st min (Ast.Cmp (Ast.Le, lhs, operand st 3))
+  | Lexer.Fixed Token.Gt when min < 3 ->
+    binary st min (Ast.Cmp (Ast.Gt, lhs, operand st 3))
+  | Lexer.Fixed Token.Ge when min < 3 ->
+    binary st min (Ast.Cmp (Ast.Ge, lhs, operand st 3))
+  | Lexer.Fixed Token.Eq when min < 3 ->
+    binary st min (Ast.Cmp (Ast.Eq, lhs, operand st 3))
+  | Lexer.Fixed Token.Ne when min < 3 ->
+    binary st min (Ast.Cmp (Ast.Ne, lhs, operand st 3))
+  | Lexer.Fixed Token.Plus when min < 4 ->
+    binary st min (Ast.Arith (Ast.Add, lhs, operand st 4))
+  | Lexer.Fixed Token.Minus when min < 4 ->
+    binary st min (Ast.Arith (Ast.Sub, lhs, operand st 4))
+  | Lexer.Fixed Token.Star when min < 5 ->
+    binary st min (Ast.Arith (Ast.Mul, lhs, operand st 5))
+  | Lexer.Fixed Token.Slash when min < 5 ->
+    binary st min (Ast.Arith (Ast.Div, lhs, operand st 5))
+  | _ -> lhs
 
-and parse_unary st =
-  match peek st with
-  | Token.Minus ->
-    skip st;
-    let* e = parse_unary st in
-    Ok (Ast.Neg e)
-  | _ -> parse_power st
+(* The right operand of the operator at the current token, of level
+   [level]. *)
+and operand st level =
+  advance st;
+  binary st level (unary st)
 
-and parse_power st =
-  let* base = parse_atom st in
-  match peek st with
-  | Token.Caret ->
-    skip st;
+and unary st =
+  match st.kind with
+  | Lexer.Fixed Token.Minus ->
+    advance st;
+    Ast.Neg (unary st)
+  | _ -> power st (atom st)
+
+and power st base =
+  match st.kind with
+  | Lexer.Fixed Token.Caret ->
+    advance st;
     (* right-associative, binds tighter than unary minus on the right *)
-    let* exponent = parse_unary st in
-    Ok (Ast.Arith (Ast.Pow, base, exponent))
-  | _ -> Ok base
+    Ast.Arith (Ast.Pow, base, unary st)
+  | _ -> base
 
-and parse_atom st =
-  match peek st with
-  | Token.Number f ->
-    skip st;
-    Ok (Ast.Number f)
-  | Token.Netaddr a ->
-    skip st;
-    Ok (Ast.Netaddr a)
-  | Token.Ident name ->
-    skip st;
-    if Token.equal (peek st) Token.Lparen then begin
-      skip st;
-      let* arg = parse_expr st in
-      let* () = expect st Token.Rparen "expected ')' after function argument" in
-      Ok (Ast.Call (name, arg))
-    end
-    else Ok (Ast.Var name)
-  | Token.Lparen ->
-    skip st;
-    let* e = parse_expr st in
-    let* () = expect st Token.Rparen "expected ')'" in
-    Ok (Ast.Paren e)
-  | tok -> fail st (Fmt.str "unexpected token %a" Token.pp tok)
+and atom st =
+  match st.kind with
+  | Lexer.Number ->
+    let f = number st in
+    advance st;
+    Ast.Number f
+  | Lexer.Netaddr ->
+    let a = text st.sc in
+    advance st;
+    Ast.Netaddr a
+  | Lexer.Ident ->
+    let name = ident st in
+    advance st;
+    named st name
+  | Lexer.Fixed Token.Lparen ->
+    advance st;
+    let e = expr st in
+    expect_rparen st "expected ')'";
+    Ast.Paren e
+  | _ -> unexpected st
+
+(* The atom a name just read begins: a call when '(' follows. *)
+and named st name =
+  match st.kind with
+  | Lexer.Fixed Token.Lparen ->
+    advance st;
+    let arg = expr st in
+    expect_rparen st "expected ')' after function argument";
+    Ast.Call (name, arg)
+  | _ -> Ast.Var name
 
 (* A program is a newline-separated list of statements. *)
-let parse_program tokens =
-  let st = { tokens } in
-  let rec statements acc =
-    match peek st with
-    | Token.Newline ->
-      skip st;
-      statements acc
-    | Token.Eof -> Ok (List.rev acc)
+let rec statements st acc =
+  match st.kind with
+  | Lexer.Fixed Token.Newline ->
+    advance st;
+    statements st acc
+  | Lexer.Fixed Token.Eof -> List.rev acc
+  | _ ->
+    let line = st.sc.Lexer.tok_line in
+    let expr = expr st in
+    (match st.kind with
+    | Lexer.Fixed Token.Newline -> advance st
+    | Lexer.Fixed Token.Eof -> ()
     | _ ->
-      let line, _ = here st in
-      let* expr = parse_expr st in
-      let* () =
-        match peek st with
-        | Token.Newline ->
-          skip st;
-          Ok ()
-        | Token.Eof -> Ok ()
-        | tok ->
-          fail st (Fmt.str "unexpected token %a after statement" Token.pp tok)
-      in
-      statements ({ Ast.line; expr } :: acc)
-  in
-  statements []
+      syntax st (Fmt.str "unexpected token %a after statement" Token.pp (token st)));
+    statements st ({ Ast.line; expr } :: acc)
 
 let parse src =
-  match Lexer.tokenize src with
-  | Error e ->
-    Error { line = e.Lexer.line; col = e.Lexer.col; message = e.Lexer.message }
-  | Ok tokens -> parse_program tokens
+  let st = { sc = Lexer.scanner src; kind = Lexer.Fixed Token.Eof } in
+  match
+    advance st;
+    statements st []
+  with
+  | program -> Ok program
+  | exception Failed e -> Error e

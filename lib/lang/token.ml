@@ -50,23 +50,3 @@ let pp ppf = function
   | Rparen -> Fmt.string ppf ")"
   | Newline -> Fmt.string ppf "\\n"
   | Eof -> Fmt.string ppf "<eof>"
-
-(* Structural equality with explicit per-payload comparators (Number
-   carries a float, so polymorphic [=] is off the table). *)
-let equal (a : t) (b : t) =
-  match (a, b) with
-  | Number x, Number y -> Float.equal x y
-  | Netaddr x, Netaddr y -> String.equal x y
-  | Ident x, Ident y -> String.equal x y
-  | And, And | Or, Or | Gt, Gt | Ge, Ge | Lt, Lt | Le, Le | Eq, Eq | Ne, Ne
-  | Assign, Assign | Plus, Plus | Minus, Minus | Star, Star | Slash, Slash
-  | Caret, Caret | Lparen, Lparen | Rparen, Rparen | Newline, Newline
-  | Eof, Eof ->
-    true
-  | ( ( Number _ | Netaddr _ | Ident _ | And | Or | Gt | Ge | Lt | Le | Eq | Ne
-      | Assign | Plus | Minus | Star | Slash | Caret | Lparen | Rparen
-      | Newline | Eof ),
-      _ ) ->
-    false
-
-type located = { token : t; line : int; col : int }

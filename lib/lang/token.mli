@@ -24,7 +24,3 @@ type t =
   | Eof
 
 val pp : Format.formatter -> t -> unit
-
-val equal : t -> t -> bool
-
-type located = { token : t; line : int; col : int }

@@ -26,8 +26,9 @@ let create book (config : config) =
   { config; book; netmon = role.parts.netmon; loop }
 
 (* RTT of one [size]-byte datagram against a probe daemon's echo
-   responder; [None] on timeout. *)
-let echo_rtt t ~target ~size ~timeout =
+   responder; [None] on timeout.  A datagram the socket took adds its
+   size to [sent]. *)
+let echo_rtt t ~sent ~target ~size ~timeout =
   match Addr_book.resolve t.book ~host:target ~port:Smart_proto.Ports.probe with
   | None -> None
   | Some to_ ->
@@ -38,29 +39,35 @@ let echo_rtt t ~target ~size ~timeout =
         let payload = String.make size 'p' in
         let sent_at = Unix.gettimeofday () in
         if not (Udp_io.send socket ~to_ payload) then None
-        else
+        else begin
+          sent := !sent + size;
           match Udp_io.recv_timeout socket ~timeout with
           | Some (_, _) -> Some (Unix.gettimeofday () -. sent_at)
-          | None -> None)
+          | None -> None
+        end)
 
 (* The one-way-UDP-stream estimate over real sockets: two echo probes of
    different sizes, B = (S2-S1)/(T2-T1). *)
 let socket_prober ?(timeout = 2.0) t ~target =
-  let delay = echo_rtt t ~target ~size:64 ~timeout in
-  let t1 = echo_rtt t ~target ~size:1600 ~timeout in
-  let t2 = echo_rtt t ~target ~size:2900 ~timeout in
-  match (delay, t1, t2) with
-  | Some d, Some t1, Some t2 when t2 > t1 ->
-    Some
-      {
-        Smart_core.Netmon.delay = d /. 2.0;
-        bandwidth = float_of_int (2900 - 1600) /. (t2 -. t1);
-      }
-  | Some d, _, _ ->
-    (* bandwidth indistinguishable (fast local path): report delay only
-       with a conservative bandwidth floor *)
-    Some { Smart_core.Netmon.delay = d /. 2.0; bandwidth = 0.0 }
-  | _ -> None
+  let sent = ref 0 in
+  let delay = echo_rtt t ~sent ~target ~size:64 ~timeout in
+  let t1 = echo_rtt t ~sent ~target ~size:1600 ~timeout in
+  let t2 = echo_rtt t ~sent ~target ~size:2900 ~timeout in
+  let result =
+    match (delay, t1, t2) with
+    | Some d, Some t1, Some t2 when t2 > t1 ->
+      Some
+        {
+          Smart_core.Netmon.delay = d /. 2.0;
+          bandwidth = float_of_int (2900 - 1600) /. (t2 -. t1);
+        }
+    | Some d, _, _ ->
+      (* bandwidth indistinguishable (fast local path): report delay only
+         with a conservative bandwidth floor *)
+      Some { Smart_core.Netmon.delay = d /. 2.0; bandwidth = 0.0 }
+    | _ -> None
+  in
+  { Smart_core.Netmon.sent_bytes = !sent; result }
 
 (* The echo probes run on the caller's thread, as one can wait out its
    timeout; the finished round crosses to the loop, which publishes it. *)

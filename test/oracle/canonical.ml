@@ -1,10 +1,11 @@
 (* Reference for [Requirement.cache_key]: the token-list key path the
    production scanner replaced, kept as it was.  The lexer below builds
-   a [Token.located] list (one [String.sub] per name and number, a
+   a [located] list (one [String.sub] per name and number, a
    [float_of_string] per literal); the canonical form renders that list
    back, each number by widening a [%.*f] precision until the float
    round-trips.  The production path must produce the same bytes on
-   every text that lexes, and this lexer the same tokens and errors.
+   every text that lexes, and the scanner the same tokens and errors.
+   [Token_parser] parses the same list.
 
    The lexer implements the flex rules of Fig 4.1:
 
@@ -18,6 +19,30 @@
      \n                                     end of statement *)
 
 open Smart_lang
+
+type located = { token : Token.t; line : int; col : int }
+
+(* Structural equality with explicit per-payload comparators (Number
+   carries a float, so polymorphic [=] is off the table). *)
+let token_equal (a : Token.t) (b : Token.t) =
+  match (a, b) with
+  | Token.Number x, Token.Number y -> Float.equal x y
+  | Token.Netaddr x, Token.Netaddr y -> String.equal x y
+  | Token.Ident x, Token.Ident y -> String.equal x y
+  | Token.And, Token.And | Token.Or, Token.Or | Token.Gt, Token.Gt
+  | Token.Ge, Token.Ge | Token.Lt, Token.Lt | Token.Le, Token.Le
+  | Token.Eq, Token.Eq | Token.Ne, Token.Ne | Token.Assign, Token.Assign
+  | Token.Plus, Token.Plus | Token.Minus, Token.Minus | Token.Star, Token.Star
+  | Token.Slash, Token.Slash | Token.Caret, Token.Caret
+  | Token.Lparen, Token.Lparen | Token.Rparen, Token.Rparen
+  | Token.Newline, Token.Newline | Token.Eof, Token.Eof ->
+    true
+  | ( ( Token.Number _ | Token.Netaddr _ | Token.Ident _ | Token.And | Token.Or
+      | Token.Gt | Token.Ge | Token.Lt | Token.Le | Token.Eq | Token.Ne
+      | Token.Assign | Token.Plus | Token.Minus | Token.Star | Token.Slash
+      | Token.Caret | Token.Lparen | Token.Rparen | Token.Newline | Token.Eof ),
+      _ ) ->
+    false
 
 type state = {
   src : string;
@@ -64,12 +89,12 @@ let lex_numeric st ~line ~col =
   let body = String.sub src start (st.pos - start) in
   let dots = !dots in
   if dots = 0 then
-    Ok { Token.token = Token.Number (float_of_string body); line; col }
+    Ok { token = Token.Number (float_of_string body); line; col }
   else if dots = 1 then
     match float_of_string_opt body with
-    | Some f -> Ok { Token.token = Token.Number f; line; col }
+    | Some f -> Ok { token = Token.Number f; line; col }
     | None ->
-      Error { Lexer.line; col; message = "malformed number " ^ body }
+      Error { Parser.line; col; message = "malformed number " ^ body }
   else if dots = 3 then begin
     (* dotted quad: each component must be numeric and non-empty *)
     let parts = String.split_on_char '.' body in
@@ -77,10 +102,10 @@ let lex_numeric st ~line ~col =
       List.for_all
         (fun p -> (not (String.equal p "")) && String.for_all is_digit p)
         parts
-    then Ok { Token.token = Token.Netaddr body; line; col }
-    else Error { Lexer.line; col; message = "malformed address " ^ body }
+    then Ok { token = Token.Netaddr body; line; col }
+    else Error { Parser.line; col; message = "malformed address " ^ body }
   end
-  else Error { Lexer.line; col; message = "malformed numeric token " ^ body }
+  else Error { Parser.line; col; message = "malformed numeric token " ^ body }
 
 (* Reserved words of the language: the server/monitor/user-side variable
    names, the builtin functions, and the [order_by] ranking temp. *)
@@ -117,35 +142,35 @@ let lex_word st ~line ~col =
   done;
   st.col <- st.col + (st.pos - start);
   let body = String.sub src start (st.pos - start) in
-  if !dotted then Ok { Token.token = Token.Netaddr body; line; col }
+  if !dotted then Ok { token = Token.Netaddr body; line; col }
   else if !dashed then
     Error
       {
-        Lexer.line;
+        Parser.line;
         col;
         message =
           Printf.sprintf
             "'%s': host names with '-' must be dotted or written as IPs"
             body;
       }
-  else if not !upper then Ok { Token.token = Token.Ident body; line; col }
+  else if not !upper then Ok { token = Token.Ident body; line; col }
   else
     let folded = String.lowercase_ascii body in
     let canonical = if is_reserved folded then folded else body in
-    Ok { Token.token = Token.Ident canonical; line; col }
+    Ok { token = Token.Ident canonical; line; col }
 
 let simple st ~line ~col tok =
   advance st;
-  Ok { Token.token = tok; line; col }
+  Ok { token = tok; line; col }
 
 let double st ~line ~col tok =
   advance st;
   advance st;
-  Ok { Token.token = tok; line; col }
+  Ok { token = tok; line; col }
 
 let rec next st =
   let line = st.line and col = st.col in
-  if at_end st then Ok { Token.token = Token.Eof; line; col }
+  if at_end st then Ok { token = Token.Eof; line; col }
   else
     match st.src.[st.pos] with
     | '#' ->
@@ -165,10 +190,10 @@ let rec next st =
     | c when is_alpha c -> lex_word st ~line ~col
     | '&' ->
       if peek2_is st '&' then double st ~line ~col Token.And
-      else Error { Lexer.line; col; message = "expected &&" }
+      else Error { Parser.line; col; message = "expected &&" }
     | '|' ->
       if peek2_is st '|' then double st ~line ~col Token.Or
-      else Error { Lexer.line; col; message = "expected ||" }
+      else Error { Parser.line; col; message = "expected ||" }
     | '>' ->
       if peek2_is st '=' then double st ~line ~col Token.Ge
       else simple st ~line ~col Token.Gt
@@ -180,7 +205,7 @@ let rec next st =
       else simple st ~line ~col Token.Assign
     | '!' ->
       if peek2_is st '=' then double st ~line ~col Token.Ne
-      else Error { Lexer.line; col; message = "expected !=" }
+      else Error { Parser.line; col; message = "expected !=" }
     | '+' -> simple st ~line ~col Token.Plus
     | '-' -> simple st ~line ~col Token.Minus
     | '*' -> simple st ~line ~col Token.Star
@@ -190,14 +215,14 @@ let rec next st =
     | ')' -> simple st ~line ~col Token.Rparen
     | c ->
       Error
-        { Lexer.line; col; message = Printf.sprintf "unexpected character %C" c }
+        { Parser.line; col; message = Printf.sprintf "unexpected character %C" c }
 
 let tokenize src =
   let st = { src; pos = 0; line = 1; col = 1 } in
   let rec go acc =
     match next st with
     | Error e -> Error e
-    | Ok ({ Token.token = Token.Eof; _ } as t) -> Ok (List.rev (t :: acc))
+    | Ok ({ token = Token.Eof; _ } as t) -> Ok (List.rev (t :: acc))
     | Ok t -> go (t :: acc)
   in
   go []
@@ -245,7 +270,7 @@ let cache_key src =
     let buf = Buffer.create (String.length src) in
     let line_has_content = ref false in
     List.iter
-      (fun { Token.token; _ } ->
+      (fun { token; _ } ->
         match token with
         | Token.Eof -> ()
         | Token.Newline ->

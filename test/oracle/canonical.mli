@@ -4,9 +4,16 @@
 
 open Smart_lang
 
+(** A token and the 1-based position of its first byte. *)
+type located = { token : Token.t; line : int; col : int }
+
+(** Token equality, numbers compared with [Float.equal]. *)
+val token_equal : Token.t -> Token.t -> bool
+
 (** The token-list lexer (flex rules of Fig 4.1): the tokens and errors
-    {!Smart_lang.Lexer.tokenize} must reproduce. *)
-val tokenize : string -> (Token.located list, Lexer.error) result
+    {!Smart_lang.Lexer.next} must reproduce, one at a time.  A list ends
+    with [Token.Eof]. *)
+val tokenize : string -> (located list, Parser.error) result
 
 (** The shortest [%.*f] rendering that parses back to the float; an
     infinity renders as 1 followed by 309 zeros. *)

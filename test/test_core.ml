@@ -598,8 +598,12 @@ let test_netmon_sequential_probing () =
   let order = ref [] in
   let prober ~target =
     order := target :: !order;
-    if target = "b" then None
-    else Some { C.Netmon.delay = 0.001; bandwidth = 1e6 }
+    {
+      C.Netmon.sent_bytes = 100;
+      result =
+        (if target = "b" then None
+         else Some { C.Netmon.delay = 0.001; bandwidth = 1e6 });
+    }
   in
   let record = C.Netmon.probe_all netmon ~now:5.0 ~prober in
   Alcotest.(check (list string)) "strict order" [ "a"; "b"; "c" ]
@@ -608,8 +612,26 @@ let test_netmon_sequential_probing () =
     (List.length record.P.Records.entries);
   Alcotest.(check int) "failures counted" 1
     (counter_value m "netmon.probe_failures_total");
+  Alcotest.(check int) "bytes counted, the failed probe's too" 300
+    (counter_value m "netmon.probe_bytes_total");
   Alcotest.(check bool) "published" true
     (C.Status_db.net_entry_for db ~target:"c" <> None)
+
+(* Table 5.2's network-monitor row reads this counter.  dalmatian probes
+   the other 10 machines of the icpp2005 deployment: three 56-byte pings
+   and [trials] pairs of 1600- and 2900-byte datagrams each, so
+   10 x (168 + 2 x 4500) = 91,680 bytes.  Its own host costs nothing. *)
+let test_netmon_probe_bytes () =
+  let c = Smart_host.Testbed.icpp2005 () in
+  let d =
+    C.Simdriver.deploy c ~monitor:"dalmatian" ~wizard_host:"dalmatian"
+      ~servers:Smart_host.Testbed.machine_names
+  in
+  let record = C.Simdriver.refresh_netmon ~trials:2 d in
+  Alcotest.(check int) "one entry per machine" 11
+    (List.length record.P.Records.entries);
+  Alcotest.(check int) "payload bytes probed" 91_680
+    (counter_value (C.Simdriver.metrics d) "netmon.probe_bytes_total")
 
 let test_secmon () =
   let db = C.Status_db.create () in
@@ -4442,6 +4464,8 @@ let () =
         [
           Alcotest.test_case "sequential probing" `Quick
             test_netmon_sequential_probing;
+          Alcotest.test_case "probe bytes of a round" `Quick
+            test_netmon_probe_bytes;
           Alcotest.test_case "secmon" `Quick test_secmon;
         ] );
       ( "transmitter/receiver",

@@ -7,9 +7,42 @@
 module L = Smart_lang
 module O = Smart_oracle
 
+(* A text's token list, read from the production scanner one
+   [Lexer.next] at a time, with its first lexical error as the parser
+   reports it.  Nothing in lib/ builds a token list; the lexer tests and
+   the token-list reference read this one. *)
+let tokenize src : (O.Canonical.located list, L.Parser.error) result =
+  let sc = L.Lexer.scanner src in
+  let text () =
+    String.sub sc.L.Lexer.src sc.L.Lexer.start (sc.L.Lexer.stop - sc.L.Lexer.start)
+  in
+  let located token =
+    { O.Canonical.token; line = sc.L.Lexer.tok_line; col = sc.L.Lexer.tok_col }
+  in
+  let rec go acc =
+    match L.Lexer.next sc with
+    | L.Lexer.Bad ->
+      Error
+        {
+          L.Parser.line = sc.L.Lexer.tok_line;
+          col = sc.L.Lexer.tok_col;
+          message = sc.L.Lexer.message;
+        }
+    | L.Lexer.Fixed L.Token.Eof -> Ok (List.rev (located L.Token.Eof :: acc))
+    | L.Lexer.Fixed token -> go (located token :: acc)
+    | L.Lexer.Number ->
+      go (located (L.Token.Number (float_of_string (text ()))) :: acc)
+    | L.Lexer.Netaddr -> go (located (L.Token.Netaddr (text ())) :: acc)
+    | L.Lexer.Ident ->
+      let name = text () in
+      let name = if sc.L.Lexer.fold then String.lowercase_ascii name else name in
+      go (located (L.Token.Ident name) :: acc)
+  in
+  go []
+
 let tokens_of src =
-  match L.Lexer.tokenize src with
-  | Ok toks -> List.map (fun t -> t.L.Token.token) toks
+  match tokenize src with
+  | Ok toks -> List.map (fun t -> t.O.Canonical.token) toks
   | Error e -> Alcotest.failf "lex error at %d:%d: %s" e.line e.col e.message
 
 let compile src =
@@ -54,7 +87,7 @@ let test_lex_netaddr_hostname () =
     = [ L.Token.Netaddr "titan-x.lab.net"; L.Token.Eof ])
 
 let test_lex_hyphen_identifier_rejected () =
-  match L.Lexer.tokenize "titan-x" with
+  match tokenize "titan-x" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "bare hyphenated identifier must not lex"
 
@@ -81,20 +114,20 @@ let test_lex_operators () =
         ])
 
 let test_lex_bad_ampersand () =
-  match L.Lexer.tokenize "a & b" with
-  | Error e -> Alcotest.(check int) "column of &" 3 e.L.Lexer.col
+  match tokenize "a & b" with
+  | Error e -> Alcotest.(check int) "column of &" 3 e.L.Parser.col
   | Ok _ -> Alcotest.fail "single & must not lex"
 
 let test_lex_malformed_quad () =
-  match L.Lexer.tokenize "1.2.3" with
+  match tokenize "1.2.3" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "1.2.3 is neither number nor address"
 
 let test_lex_positions () =
-  match L.Lexer.tokenize "a\n  b" with
+  match tokenize "a\n  b" with
   | Ok [ _a; _nl; b; _eof ] ->
-    Alcotest.(check int) "line" 2 b.L.Token.line;
-    Alcotest.(check int) "col" 3 b.L.Token.col
+    Alcotest.(check int) "line" 2 b.O.Canonical.line;
+    Alcotest.(check int) "col" 3 b.O.Canonical.col
   | Ok _ | Error _ -> Alcotest.fail "unexpected lex result"
 
 (* ------------------------------------------------------------------ *)
@@ -134,6 +167,23 @@ let test_parse_error_reported () =
   match L.Requirement.compile "1 + * 2\n" with
   | Error e -> Alcotest.(check int) "error line" 1 e.L.Requirement.line
   | Ok _ -> Alcotest.fail "must not parse"
+
+(* The first lexical error wins over an earlier syntax error, as when
+   the whole text was lexed before it was parsed. *)
+let test_parse_lexical_error_wins () =
+  let check name src ~line ~col ~message =
+    match L.Parser.parse src with
+    | Error e ->
+      Alcotest.(check (triple int int string))
+        name (line, col, message)
+        (e.L.Parser.line, e.L.Parser.col, e.L.Parser.message)
+    | Ok _ -> Alcotest.failf "%s: must not parse" name
+  in
+  check "syntax error, then a bad character" "1 + * 2\n$" ~line:2 ~col:1
+    ~message:"unexpected character '$'";
+  check "syntax error alone" "1 + * 2\n" ~line:1 ~col:5
+    ~message:"unexpected token *";
+  check "syntax error at the end" "(1 + 2" ~line:1 ~col:7 ~message:"expected ')'"
 
 let test_parse_unbalanced_paren () =
   match L.Requirement.compile "(1 + 2\n" with
@@ -348,7 +398,7 @@ let test_unbound_variables () =
 
 let test_edge_numbers () =
   check_eval "leading-zero decimal" 0.5 "0.5";
-  (match L.Lexer.tokenize ".5" with
+  (match tokenize ".5" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail ".5 must not lex (no leading digit)");
   check_eval "big product" (250.0 *. 1024.0 *. 1024.0) "250*1024*1024"
@@ -494,7 +544,7 @@ let test_canonical_compiles () =
 (* Canonical keys against the token-list reference
    ([Smart_oracle.Canonical]): byte-identical on every text that lexes,
    the text behind a NUL byte on every text that does not, and the same
-   tokens and errors from [Lexer.tokenize].  Texts are printed random
+   tokens and errors from [Lexer.next].  Texts are printed random
    expressions, or runs of fragments that reach every branch of the
    scanner and of the number rule: literals of up to 14, exactly 15,
    exactly 16 and 17 or more significant digits with leading and
@@ -563,21 +613,122 @@ let prop_cache_key_matches_reference =
       | Some reference -> String.equal key reference
       | None -> String.equal key ("\000" ^ src))
 
+let same_error (a : L.Parser.error) (b : L.Parser.error) =
+  a.line = b.line && a.col = b.col && String.equal a.message b.message
+
 let prop_tokenize_matches_reference =
   QCheck.Test.make ~name:"tokenize matches the token-list reference"
     ~count:1000 arbitrary_key_text (fun src ->
-      let same_error (a : L.Lexer.error) (b : L.Lexer.error) =
-        a.L.Lexer.line = b.L.Lexer.line
-        && a.L.Lexer.col = b.L.Lexer.col
-        && String.equal a.L.Lexer.message b.L.Lexer.message
+      let same_token (a : O.Canonical.located) (b : O.Canonical.located) =
+        O.Canonical.token_equal a.O.Canonical.token b.O.Canonical.token
+        && a.O.Canonical.line = b.O.Canonical.line
+        && a.O.Canonical.col = b.O.Canonical.col
       in
-      let same_token (a : L.Token.located) (b : L.Token.located) =
-        L.Token.equal a.L.Token.token b.L.Token.token
-        && a.L.Token.line = b.L.Token.line
-        && a.L.Token.col = b.L.Token.col
-      in
-      match (L.Lexer.tokenize src, O.Canonical.tokenize src) with
+      match (tokenize src, O.Canonical.tokenize src) with
       | Ok a, Ok b -> List.equal same_token a b
+      | Error a, Error b -> same_error a b
+      | Ok _, Error _ | Error _, Ok _ -> false)
+
+(* The parser against the token-list parser it replaced
+   ([Smart_oracle.Token_parser]): the same tree for every text that
+   parses, the same error (line, column and message) for every text
+   that does not.  Texts are lines of operands and operators drawn
+   without regard to the grammar, nested through parentheses, calls and
+   unary minus, so every precedence level meets every other, and
+   assignment turns up where the grammar allows it and where it does
+   not.  One text in two is then damaged: a fragment of the cache-key
+   generator, lexable or not, is spliced in or a token dropped, so
+   syntax errors meet later lexical ones. *)
+let rec expr_equal (a : L.Ast.expr) (b : L.Ast.expr) =
+  match (a, b) with
+  | L.Ast.Number x, L.Ast.Number y -> Float.equal x y
+  | L.Ast.Netaddr x, L.Ast.Netaddr y | L.Ast.Var x, L.Ast.Var y ->
+    String.equal x y
+  | L.Ast.Assign (x, e), L.Ast.Assign (y, f) | L.Ast.Call (x, e), L.Ast.Call (y, f)
+    ->
+    String.equal x y && expr_equal e f
+  | L.Ast.Arith (o, a1, a2), L.Ast.Arith (p, b1, b2) ->
+    o = p && expr_equal a1 b1 && expr_equal a2 b2
+  | L.Ast.Cmp (o, a1, a2), L.Ast.Cmp (p, b1, b2) ->
+    o = p && expr_equal a1 b1 && expr_equal a2 b2
+  | L.Ast.Logic (o, a1, a2), L.Ast.Logic (p, b1, b2) ->
+    o = p && expr_equal a1 b1 && expr_equal a2 b2
+  | L.Ast.Neg e, L.Ast.Neg f | L.Ast.Paren e, L.Ast.Paren f -> expr_equal e f
+  | ( ( L.Ast.Number _ | L.Ast.Netaddr _ | L.Ast.Var _ | L.Ast.Assign _
+      | L.Ast.Arith _ | L.Ast.Cmp _ | L.Ast.Logic _ | L.Ast.Call _
+      | L.Ast.Neg _ | L.Ast.Paren _ ),
+      _ ) ->
+    false
+
+let program_equal (a : L.Ast.program) (b : L.Ast.program) =
+  List.equal
+    (fun (x : L.Ast.statement) (y : L.Ast.statement) ->
+      x.line = y.line && expr_equal x.expr y.expr)
+    a b
+
+let parse_operands =
+  [|
+    "1"; "2.5"; "007"; "0."; "x"; "t1"; "host_cpu_free"; "HOST_Memory_Free";
+    "10.0.0.7"; "srv.example.org"; "order_by"; "user_preferred_host1"; "sqrt";
+  |]
+
+let parse_operators =
+  [| "||"; "&&"; "<"; "<="; ">"; ">="; "=="; "!="; "+"; "-"; "*"; "/"; "^"; "=" |]
+
+let gen_parse_expr =
+  QCheck.Gen.(
+    fix
+      (fun self depth ->
+        let operand =
+          if depth <= 0 then oneofa parse_operands
+          else
+            frequency
+              [
+                (6, oneofa parse_operands);
+                (1, map (fun e -> "(" ^ e ^ ")") (self (depth - 1)));
+                (1, map (fun e -> "log10(" ^ e ^ ")") (self (depth - 1)));
+                (1, map (fun e -> "-" ^ e) (self (depth - 1)));
+              ]
+        in
+        let* first = operand in
+        let* rest = list_size (int_range 0 4) (pair (oneofa parse_operators) operand) in
+        return
+          (String.concat " " (first :: List.concat_map (fun (o, a) -> [ o; a ]) rest)))
+      2)
+
+let gen_parse_text =
+  QCheck.Gen.(
+    let* lines =
+      list_size (int_range 1 4)
+        (frequency [ (8, gen_parse_expr); (1, return ""); (1, return "# note") ])
+    in
+    let text = String.concat "\n" lines in
+    let words = Array.of_list (String.split_on_char ' ' text) in
+    let* at = int_bound (Array.length words) in
+    let* damage =
+      frequency
+        [
+          (2, return `None);
+          (1, map (fun f -> `Insert f) (oneofl (key_fragments @ broken_fragments)));
+          (1, return `Drop);
+        ]
+    in
+    let words = Array.to_list words in
+    return
+      (String.concat " "
+         (match damage with
+         | `None -> words
+         | `Insert f ->
+           List.filteri (fun i _ -> i < at) words
+           @ (f :: List.filteri (fun i _ -> i >= at) words)
+         | `Drop -> List.filteri (fun i _ -> i <> at) words)))
+
+let prop_parse_matches_reference =
+  QCheck.Test.make ~name:"parse matches the token-list reference" ~count:2000
+    (QCheck.make ~print:String.escaped gen_parse_text)
+    (fun src ->
+      match (L.Parser.parse src, O.Token_parser.parse src) with
+      | Ok a, Ok b -> program_equal a b
       | Error a, Error b -> same_error a b
       | Ok _, Error _ | Error _, Ok _ -> false)
 
@@ -589,7 +740,7 @@ let prop_logic_flag_stable_under_parens =
 let prop_lexer_never_crashes =
   QCheck.Test.make ~name:"lexer totality on printable strings" ~count:500
     QCheck.(string_gen Gen.printable)
-    (fun s -> match L.Lexer.tokenize s with Ok _ | Error _ -> true)
+    (fun s -> match tokenize s with Ok _ | Error _ -> true)
 
 (* ------------------------------------------------------------------ *)
 (* Differential: bytecode interpreter vs the reference evaluator        *)
@@ -1094,6 +1245,129 @@ let test_verify_sweep_preconditions () =
       "user_preferred_host1 = alpha\nx = user_preferred_host1\n";
     ]
 
+(* [Bytecode.validate] on its own.  [verify] runs it before the dataflow
+   pass, which could mask a bounds check the structural walk lost, so
+   these go through [validate] alone and check that it names what it
+   refused. *)
+type operand = Reg | Const | Pool | Temp | Uparam | Column | Fn | Sub
+
+(* The operands after each opcode (the table in bytecode.ml). *)
+let operands = function
+  | 0 -> [ Reg; Const ]
+  | 1 -> [ Reg; Pool ]
+  | 2 -> [ Reg; Column; Pool ]
+  | 3 -> [ Reg ]
+  | 4 | 5 | 6 | 7 | 8 | 12 | 13 -> [ Reg; Reg; Reg ]
+  | 9 -> [ Reg; Reg ]
+  | 10 -> [ Reg; Fn; Pool; Reg ]
+  | 11 -> [ Reg; Sub; Reg; Reg ]
+  | 14 | 18 -> [ Reg; Temp; Pool ]
+  | 15 -> [ Temp; Reg ]
+  | 16 -> [ Reg; Uparam; Pool ]
+  | 17 -> [ Uparam; Reg ]
+  | 19 -> [ Pool ]
+  | 20 -> [ Reg; Sub; Column; Pool; Const ]
+  | op -> Alcotest.failf "opcode %d in a compiled program" op
+
+(* The first value past the operand's domain, and what [validate] calls
+   the operand. *)
+let past (p : L.Bytecode.program) = function
+  | Reg -> (p.nregs, "register")
+  | Const -> (Array.length p.consts, "constant index")
+  | Pool -> (Array.length p.pool, "pool index")
+  | Temp -> (p.ntemps, "temp")
+  | Uparam -> (List.length L.Vars.user_side, "uparam")
+  | Column -> (L.Bytecode.col_sec_level + 1, "column")
+  | Fn -> (Array.length p.fns, "function index")
+  | Sub -> (6, "comparison sub-opcode")
+
+(* Every operand cell of a program, with its kind. *)
+let operand_cells (p : L.Bytecode.program) =
+  let cells = ref [] in
+  Array.iteri
+    (fun s start ->
+      let pc = ref start in
+      while !pc < p.stmt_stop.(s) do
+        let kinds = operands p.code.(!pc) in
+        List.iteri (fun k kind -> cells := (!pc + 1 + k, kind) :: !cells) kinds;
+        pc := !pc + 1 + List.length kinds
+      done)
+    p.stmt_start;
+  Array.of_list (List.rev !cells)
+
+(* Programs for the property below: a random program behind one fused
+   [column CMP constant] statement, so the CMPC operands get smashed as
+   often as the others. *)
+let gen_validate_program =
+  QCheck.Gen.(
+    let* prog = gen_diff_program in
+    let* op = oneofl [ L.Ast.Lt; L.Ast.Le; L.Ast.Gt; L.Ast.Ge; L.Ast.Eq; L.Ast.Ne ] in
+    let* var = map (fun v -> L.Ast.Var v) (oneofa diff_vars) in
+    let* number = map (fun f -> L.Ast.Number (float_of_int f)) (int_range 0 4) in
+    let* swapped = bool in
+    let fused =
+      if swapped then L.Ast.Cmp (op, number, var) else L.Ast.Cmp (op, var, number)
+    in
+    return ({ L.Ast.line = 1; expr = fused } :: prog))
+
+let expect_invalid name ~says p =
+  match L.Bytecode.validate p with
+  | () -> QCheck.Test.fail_reportf "%s: validate accepted it" name
+  | exception Invalid_argument msg when contains msg says -> true
+  | exception Invalid_argument msg ->
+    QCheck.Test.fail_reportf "%s: refused for another reason: %s" name msg
+
+let prop_validate_names_smashed_operand =
+  QCheck.Test.make
+    ~name:"Bytecode.validate names an operand set past its domain" ~count:1000
+    (QCheck.make
+       ~print:(fun (prog, (i, below)) ->
+         Fmt.str "%s@.operand %d, %s" (O.Ast_text.program_to_string prog) i
+           (if below then "below" else "past"))
+       QCheck.Gen.(pair gen_validate_program (pair (int_bound 10_000) bool)))
+    (fun (prog_ast, (i, below)) ->
+      let p = L.Compile.program prog_ast in
+      let cells = operand_cells p in
+      let n = Array.length cells + L.Bytecode.nstmts p in
+      let i = i mod n in
+      if i < Array.length cells then begin
+        let cell, kind = cells.(i) in
+        let bound, word = past p kind in
+        let code = Array.copy p.code in
+        code.(cell) <- (if below then -1 else bound);
+        expect_invalid (Fmt.str "%s at cell %d" word cell) ~says:word
+          { p with code }
+      end
+      else begin
+        (* the statement's slice ends inside its last instruction *)
+        let s = i - Array.length cells in
+        let stmt_stop = Array.copy p.stmt_stop in
+        stmt_stop.(s) <- stmt_stop.(s) - 1;
+        expect_invalid
+          (Fmt.str "statement %d cut short" s)
+          ~says:"truncated instruction" { p with stmt_stop }
+      end)
+
+(* The whole-program judgments, which [Compile] never trips. *)
+let test_validate_whole_program () =
+  let check name ~says p =
+    match L.Bytecode.validate p with
+    | () -> Alcotest.failf "%s: validate accepted it" name
+    | exception Invalid_argument msg ->
+      if not (contains msg says) then
+        Alcotest.failf "%s: refused for another reason: %s" name msg
+  in
+  let setu = [| 0; 0; 0; 17; 0; 0 |] (* CONST r0; SETU u0 r0 *) in
+  check "ragged statement arrays" ~says:"ragged statement arrays"
+    { (mk_broken_prog [| 0; 0; 0 |]) with L.Bytecode.stmt_line = [||] };
+  check "slice past the code" ~says:"bad statement slice"
+    { (mk_broken_prog [| 0; 0; 0 |]) with L.Bytecode.stmt_stop = [| 4 |] };
+  check "SETU without has_uparams" ~says:"has_uparams is false"
+    (mk_broken_prog ~nulog:1 setu);
+  check "uparam log too small" ~says:"uparam log holds 0 entries"
+    (mk_broken_prog ~has_uparams:true setu);
+  L.Bytecode.validate (mk_broken_prog ~nulog:1 ~has_uparams:true setu)
+
 let () =
   Alcotest.run "smart_lang"
     [
@@ -1118,6 +1392,8 @@ let () =
           Alcotest.test_case "precedence" `Quick test_parse_precedence;
           Alcotest.test_case "builtin calls" `Quick test_parse_builtin_call;
           Alcotest.test_case "error position" `Quick test_parse_error_reported;
+          Alcotest.test_case "lexical error wins" `Quick
+            test_parse_lexical_error_wins;
           Alcotest.test_case "unbalanced paren" `Quick
             test_parse_unbalanced_paren;
           Alcotest.test_case "multi-line programs" `Quick test_parse_multiline;
@@ -1190,6 +1466,8 @@ let () =
             test_verify_rejects_handmade;
           Alcotest.test_case "sweep plan drops no traffic" `Quick
             test_verify_sweep_preconditions;
+          Alcotest.test_case "validate refuses whole-program faults" `Quick
+            test_validate_whole_program;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
@@ -1198,11 +1476,13 @@ let () =
             prop_canonical_fixpoint;
             prop_cache_key_matches_reference;
             prop_tokenize_matches_reference;
+            prop_parse_matches_reference;
             prop_logic_flag_stable_under_parens;
             prop_lexer_never_crashes;
             prop_bytecode_matches_eval;
             prop_sweep_matches_run;
             prop_verify_accepts_compiled;
             prop_verify_rejects_smashed;
+            prop_validate_names_smashed_operand;
           ] );
     ]
