@@ -8,10 +8,11 @@ build:
 test:
 	dune runtest
 
-# Wizard request-throughput and federated fan-out benchmarks (write
-# BENCH_wizard.json and BENCH_federation.json).
+# Wizard request-throughput benchmark and the session plane (write
+# BENCH_wizard.json and BENCH_sessions.json).  The federation path's
+# benchmark is the request ledger's fed_fanout workload (perfbench/).
 bench:
-	dune exec bench/main.exe -- wizard federation sessions
+	dune exec bench/main.exe -- wizard sessions
 
 # Static analysis over the typed trees (see ANALYSIS.md); exits
 # non-zero on any error not excused by lint.allow.  Needs the cmts,
@@ -48,9 +49,9 @@ ledger-pairs:
 doc: build
 	dune exec tools/smartlint/main.exe -- --root . --only doc
 
-# What CI runs: full build, the whole test tree, the wizard bench as a
-# smoke test of the request path, and the lint gate (plus `make doc`,
-# its own step).
+# What CI runs: full build, the whole test tree, the wizard and session
+# benches as a smoke test of the request path, and the lint gate (plus
+# `make doc`, its own step).
 check: build test bench lint
 
 clean:

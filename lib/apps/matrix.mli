@@ -1,15 +1,7 @@
-(** Dense square matrices and the blocked decomposition used by the
-    distributed multiplication program (Appendix C.1). *)
-
-(** An [n]×[n] matrix, row-major: entry [(row, col)] is
-    [data.((row * n) + col)]. *)
-type t = { n : int; data : float array }
-
-(** Entries uniform in [\[-1, 1)]. *)
-val random : rng:Smart_util.Prng.t -> int -> t
-
-(** Plain triple-loop product. *)
-val multiply : t -> t -> t
+(** The blocked decomposition used by the distributed multiplication
+    program (Appendix C.1): what each block task ships, returns and
+    computes.  The simulation moves these bytes and charges these
+    operations; it multiplies no matrix. *)
 
 type block = { index : int; row0 : int; col0 : int; rows : int; cols : int }
 

@@ -164,12 +164,12 @@ let note_digest t (d : Smart_proto.Digest.t) =
 (* Sketch plane                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Deployment-wide view of one metric: the merge of every shard's
-   latest sketch under that name.  Shards are folded in sorted-name
-   order — merge is commutative so the result is order-independent,
-   but the fold order being fixed keeps even the PRNG-state combination
+(* Deployment-wide request latency: the merge of every shard's latest
+   [latency_metric] sketch.  Shards are folded in sorted-name order —
+   merge is commutative so the result is order-independent, but the
+   fold order being fixed keeps even the PRNG-state combination
    reproducible. *)
-let merged_sketch t name =
+let merged_latency t =
   let shards =
     List.sort String.compare
       (Hashtbl.fold (fun shard _ acc -> shard :: acc) t.sketches [])
@@ -179,7 +179,7 @@ let merged_sketch t name =
       match Hashtbl.find_opt t.sketches shard with
       | None -> acc
       | Some entries ->
-        (match List.assoc_opt name entries with
+        (match List.assoc_opt latency_metric entries with
         | None -> acc
         | Some sk ->
           (match acc with
@@ -195,7 +195,7 @@ let note_sketches t (batch : Smart_proto.Sketch_msg.t) =
   Hashtbl.replace t.sketches batch.Smart_proto.Sketch_msg.shard
     batch.Smart_proto.Sketch_msg.entries;
   Metrics.Counter.incr t.sketch_updates_total;
-  (match merged_sketch t latency_metric with
+  (match merged_latency t with
   | Some m when Smart_util.Sketch.count m > 0 ->
     Metrics.Gauge.set t.fed_p50_gauge (Smart_util.Sketch.quantile m 0.5);
     Metrics.Gauge.set t.fed_p95_gauge (Smart_util.Sketch.quantile m 0.95);

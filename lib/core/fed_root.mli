@@ -58,22 +58,17 @@ val latency_metric : string
 
 (** Record a shard's sketch batch (wire the root receiver's
     {!Receiver.set_sketch_hook} here).  The latest batch per shard name
-    wins; every update re-merges {!latency_metric} across shards and
-    refreshes the [federation.fed_latency_p{50,95,99}_s] gauges, so a
-    [SMART-METRICS] scrape of the root always reads current
-    deployment-wide quantiles.  Counted in
+    wins; every update re-merges {!latency_metric} across shards (the
+    {!Smart_util.Sketch.merge} of each shard's latest sketch, folded in
+    sorted shard-name order) and refreshes the
+    [federation.fed_latency_p{50,95,99}_s] gauges, so a [SMART-METRICS]
+    scrape of the root always reads current deployment-wide quantiles,
+    each within the merged sketch's {!Smart_util.Sketch.err_weight} rank
+    error of the exact percentile over the union of all shards'
+    observations.  Counted in
     [federation.sketch_updates_total]; traced as a
     [federation.sketch_merge] instant. *)
 val note_sketches : t -> Smart_proto.Sketch_msg.t -> unit
-
-(** Deployment-wide view of one metric: the {!Smart_util.Sketch.merge}
-    of every shard's latest sketch under [name], folded in sorted
-    shard-name order (merge is commutative, so the order only fixes the
-    PRNG-state combination).  [None] when no shard has shipped one.
-    The merged quantile is within the merged sketch's
-    {!Smart_util.Sketch.err_weight} rank error of the exact percentile
-    over the union of all shards' observations. *)
-val merged_sketch : t -> string -> Smart_util.Sketch.t option
 
 (** Handle a client request datagram ({!Smart_proto.Wizard_msg.request})
     from [from] at driver time [now]: returns the subquery datagrams for

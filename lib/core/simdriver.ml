@@ -439,8 +439,7 @@ let settle ?(duration = 6.0) t =
    delay, then [trials] one-way UDP stream pairs of [stream_s1] and
    [stream_s2] bytes for the bandwidth.  Every datagram is sent whether
    or not an earlier one was answered, so the bytes a probe sends follow
-   from these sizes.  A target that is the monitor's own host costs
-   nothing. *)
+   from these sizes. *)
 let ping_count = 3
 
 let ping_size = 56
@@ -449,8 +448,32 @@ let stream_s1 = 1600
 
 let stream_s2 = 2900
 
+let path_probe ~trials stack ~src ~dst =
+  let delay =
+    Smart_measure.Rtt_probe.ping ~count:ping_count ~size:ping_size stack ~src
+      ~dst ()
+  in
+  let bw =
+    Smart_measure.Udp_stream.measure ~s1:stream_s1 ~s2:stream_s2 ~trials stack
+      ~src ~dst ()
+  in
+  {
+    Netmon.sent_bytes =
+      (ping_count * ping_size) + (trials * (stream_s1 + stream_s2));
+    result =
+      (match (delay, bw) with
+      | Some d, Some b ->
+        Some
+          {
+            Netmon.delay = d /. 2.0;
+            bandwidth = b.Smart_measure.Udp_stream.avg_bw;
+          }
+      | _ -> None);
+  }
+
+(* The monitor's probe of [target]: a name that does not resolve fails
+   and the monitor's own host costs nothing. *)
 let measure_path ?(trials = 4) t ~src_node ~target =
-  let stack = Smart_host.Cluster.stack t.cluster in
   match Smart_host.Cluster.resolve t.cluster target with
   | None -> { Netmon.sent_bytes = 0; result = None }
   | Some dst when dst = src_node ->
@@ -459,27 +482,7 @@ let measure_path ?(trials = 4) t ~src_node ~target =
       result = Some { Netmon.delay = 0.0; bandwidth = 4e9 /. 8.0 };
     }
   | Some dst ->
-    let delay =
-      Smart_measure.Rtt_probe.ping ~count:ping_count ~size:ping_size stack
-        ~src:src_node ~dst ()
-    in
-    let bw =
-      Smart_measure.Udp_stream.measure ~s1:stream_s1 ~s2:stream_s2 ~trials
-        stack ~src:src_node ~dst ()
-    in
-    {
-      Netmon.sent_bytes =
-        (ping_count * ping_size) + (trials * (stream_s1 + stream_s2));
-      result =
-        (match (delay, bw) with
-        | Some d, Some b ->
-          Some
-            {
-              Netmon.delay = d /. 2.0;
-              bandwidth = b.Smart_measure.Udp_stream.avg_bw;
-            }
-        | _ -> None);
-    }
+    path_probe ~trials (Smart_host.Cluster.stack t.cluster) ~src:src_node ~dst
 
 (* Sequentially refresh every group's network monitor using the one-way
    UDP stream method over the packet plane — one probe at a time across

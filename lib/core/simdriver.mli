@@ -80,6 +80,16 @@ val deploy_federation :
     databases fill. *)
 val settle : ?duration:float -> t -> unit
 
+(** [path_probe ~trials stack ~src ~dst] is the network monitor's probe
+    of one path (§3.3.3): three 56-byte pings for the delay (half their
+    median round trip), then [trials] one-way UDP stream pairs of 1600
+    and 2900 bytes for the bandwidth (the pairs' mean).  Every datagram
+    is sent whether or not an earlier one was answered, so [sent_bytes]
+    is [3 * 56 + trials * (1600 + 2900)]; the result is [None] when
+    either measurement got no answer.  Advances virtual time. *)
+val path_probe :
+  trials:int -> Smart_net.Netstack.t -> src:int -> dst:int -> Netmon.probe
+
 (** Sequential (delay, bandwidth) probing round of every group's network
     monitor, then an immediate push to the wizard side.  Advances
     virtual time.  Returns the first (local) group's record. *)

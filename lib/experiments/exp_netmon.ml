@@ -1,5 +1,6 @@
 (* Table 3.4: the network monitor mesh.  Three server-group monitors
-   probe one another sequentially; each publishes a (delay, bandwidth)
+   probe one another sequentially with the simulated monitor's own
+   prober ([Simdriver.path_probe]); each publishes a (delay, bandwidth)
    row per peer.  The three inter-group links are given distinct
    capacities and delays so the mesh is visibly asymmetric. *)
 
@@ -65,30 +66,9 @@ let run ?(trials = 8) () =
             { Smart_core.Netmon.monitor_name = name; targets }
             db
         in
-        (* three 56-byte pings, then [trials] 1600/2900-byte stream
-           pairs, each datagram sent whether or not one is answered *)
         let prober ~target =
-          let dst = List.assoc target monitors in
-          let delay =
-            Smart_measure.Rtt_probe.ping ~count:3 ~size:56 stack ~src:node
-              ~dst ()
-          in
-          let bw =
-            Smart_measure.Udp_stream.measure ~s1:1600 ~s2:2900 ~trials stack
-              ~src:node ~dst ()
-          in
-          {
-            Smart_core.Netmon.sent_bytes = (3 * 56) + (trials * (1600 + 2900));
-            result =
-              (match (delay, bw) with
-              | Some d, Some b ->
-                Some
-                  {
-                    Smart_core.Netmon.delay = d /. 2.0;
-                    bandwidth = b.Smart_measure.Udp_stream.avg_bw;
-                  }
-              | _ -> None);
-          }
+          Smart_core.Simdriver.path_probe ~trials stack ~src:node
+            ~dst:(List.assoc target monitors)
         in
         Smart_core.Netmon.probe_all netmon
           ~now:(Smart_host.Cluster.now c)

@@ -55,11 +55,6 @@ let decode_at order s ~pos =
     updated_at;
   }
 
-let decode_sys order s ~pos =
-  if pos < 0 || pos + sys_record_size > String.length s then
-    Error "sys_record: truncated"
-  else Ok (decode_at order s ~pos)
-
 (* A system record left in the bytes it arrived in.  The wizard-side
    mirror keeps pushed records this way: a row refresh reads the values
    straight from the frame payload, and only a reader asking for the

@@ -13,9 +13,6 @@ val sys_record_size : int
 
 val encode_sys : Endian.order -> sys_record -> string
 
-(** Decode one system record starting at [pos]. *)
-val decode_sys : Endian.order -> string -> pos:int -> (sys_record, string) result
-
 (** {2 System records held as their bytes}
 
     The wizard-side mirror keeps each pushed system record as a
@@ -30,8 +27,9 @@ type sys_wire = private { data : string; pos : int; order : Endian.order }
     raises [Invalid_argument] when it does not fit. *)
 val sys_wire : Endian.order -> string -> pos:int -> sys_wire
 
-(** The whole record: [decode_wire (sys_wire order s ~pos)] equals
-    [decode_sys order s ~pos]. *)
+(** The whole record: [decode_wire (sys_wire order (encode_sys order r)
+    ~pos:0)] is [r] when its host and address fit their fields (39 and
+    15 bytes, no NUL). *)
 val decode_wire : sys_wire -> sys_record
 
 (** Host name of the record at [pos] of [data]. *)

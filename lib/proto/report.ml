@@ -140,8 +140,6 @@ let decode s =
     Error (Printf.sprintf "report: unknown version tag %S" tag)
   | _ -> Error "report: malformed"
 
-let of_string s = Result.map fst (decode s)
-
 type source = Field of int | Sum of int * int
 
 (* The binding of the 22 server-side requirement variables as field

@@ -36,9 +36,6 @@ val to_string : ?trace:Smart_util.Tracelog.ctx -> t -> string
     ({!Smart_util.Tracelog.root} when the suffix is absent). *)
 val decode : string -> (t * Smart_util.Tracelog.ctx, string) result
 
-(** {!decode}, discarding the trace context. *)
-val of_string : string -> (t, string) result
-
 (** Number of numeric fields: every field but [host] and [ip]. *)
 val field_count : int
 

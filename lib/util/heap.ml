@@ -1,8 +1,8 @@
-(* Array-backed binary min-heap.  The event queue of the simulator and
-   the wizard's selection scratch sit on this, so [push]/[pop] are the
-   hot path: the three fields live in parallel arrays (the key column a
-   flat float array, so keys stay unboxed) and [push] allocates nothing
-   once the arrays have grown to working size. *)
+(* Array-backed binary min-heap.  The simulator's event queue sits on
+   this, so [push]/[pop] are the hot path: the three fields live in
+   parallel arrays (the key column a flat float array, so keys stay
+   unboxed) and [push] allocates nothing once the arrays have grown to
+   working size. *)
 
 type 'a t = {
   mutable keys : float array;
@@ -13,8 +13,6 @@ type 'a t = {
 }
 
 let create () = { keys = [||]; stamps = [||]; vals = [||]; size = 0; stamp = 0 }
-
-let is_empty t = t.size = 0
 
 (* [seed] fills the value slots of a fresh allocation (['a] has no
    default); only live slots are ever read back. *)

@@ -8,8 +8,6 @@ type 'a t
 (** Fresh empty heap. *)
 val create : unit -> 'a t
 
-val is_empty : 'a t -> bool
-
 (** [push t ~key v] inserts [v] with priority [key] (smaller pops first). *)
 val push : 'a t -> key:float -> 'a -> unit
 

@@ -1,49 +1,12 @@
-(* Tests for the application layer: matrix arithmetic and the block
-   decomposition, the distributed matmul simulation, and massd. *)
+(* Tests for the application layer: the matrix block decomposition, the
+   distributed matmul simulation, and massd. *)
 
 module A = Smart_apps
 module H = Smart_host
 
-let rng () = Smart_util.Prng.create ~seed:11
-
 (* ------------------------------------------------------------------ *)
 (* Matrix                                                               *)
 (* ------------------------------------------------------------------ *)
-
-let init n f =
-  { A.Matrix.n; data = Array.init (n * n) (fun i -> f ~row:(i / n) ~col:(i mod n)) }
-
-let get (m : A.Matrix.t) ~row ~col = m.data.((row * m.n) + col)
-
-let identity n = init n (fun ~row ~col -> if row = col then 1.0 else 0.0)
-
-let equal (a : A.Matrix.t) (b : A.Matrix.t) =
-  a.n = b.n && Array.for_all2 (fun x y -> Float.abs (x -. y) <= 1e-9) a.data b.data
-
-let test_matrix_identity () =
-  let m = A.Matrix.random ~rng:(rng ()) 20 in
-  let i = identity 20 in
-  Alcotest.(check bool) "M * I = M" true (equal (A.Matrix.multiply m i) m);
-  Alcotest.(check bool) "I * M = M" true (equal (A.Matrix.multiply i m) m)
-
-let test_matrix_known_product () =
-  let a = init 2 (fun ~row ~col -> float_of_int ((row * 2) + col + 1)) in
-  (* a = [1 2; 3 4]; a*a = [7 10; 15 22] *)
-  let c = A.Matrix.multiply a a in
-  Alcotest.(check (float 1e-12)) "c00" 7.0 (get c ~row:0 ~col:0);
-  Alcotest.(check (float 1e-12)) "c01" 10.0 (get c ~row:0 ~col:1);
-  Alcotest.(check (float 1e-12)) "c10" 15.0 (get c ~row:1 ~col:0);
-  Alcotest.(check (float 1e-12)) "c11" 22.0 (get c ~row:1 ~col:1)
-
-let test_matrix_size_mismatch () =
-  Alcotest.(check bool) "mismatch raises" true
-    (try
-       ignore
-         (A.Matrix.multiply
-            (A.Matrix.random ~rng:(rng ()) 2)
-            (A.Matrix.random ~rng:(rng ()) 3));
-       false
-     with Invalid_argument _ -> true)
 
 let test_blocks_cover_exactly () =
   List.iter
@@ -314,9 +277,6 @@ let () =
     [
       ( "matrix",
         [
-          Alcotest.test_case "identity" `Quick test_matrix_identity;
-          Alcotest.test_case "known product" `Quick test_matrix_known_product;
-          Alcotest.test_case "size mismatch" `Quick test_matrix_size_mismatch;
           Alcotest.test_case "blocks cover exactly" `Quick
             test_blocks_cover_exactly;
           Alcotest.test_case "task accounting" `Quick test_task_accounting;

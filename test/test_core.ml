@@ -514,7 +514,7 @@ let test_probe_first_tick () =
       Alcotest.(check string) "to monitor" "mon" dst.C.Output.host;
       Alcotest.(check int) "sysmon port" P.Ports.sysmon dst.C.Output.port;
       Alcotest.(check bool) "parseable" true
-        (Result.is_ok (P.Report.of_string data))
+        (Result.is_ok (P.Report.decode data))
     | _ -> Alcotest.fail "expected one UDP output")
   | Error e -> Alcotest.failf "tick failed: %s" e
 
@@ -1711,9 +1711,10 @@ let prop_pushed_columns_bit_exact =
       List.for_all
         (fun i ->
           let expected =
-            match P.Records.decode_sys order payload ~pos:(i * P.Records.sys_record_size) with
-            | Ok r -> r.P.Records.report
-            | Error e -> Alcotest.failf "decode: %s" e
+            (P.Records.decode_wire
+               (P.Records.sys_wire order payload
+                  ~pos:(i * P.Records.sys_record_size)))
+              .P.Records.report
           in
           (* hosts h0..h5 sort in push order, so record i is row i *)
           let row = i in
@@ -3668,10 +3669,24 @@ let shard_sketch_of ~seed values =
   List.iter (Sk.observe s) values;
   s
 
-(* The ISSUE acceptance pin: a root merging >= 4 shards answers p99 (and
-   the other served quantiles) within the merged sketch's rank-error
-   bound of the exact percentile over the union of all shards' streams,
-   and the [federation.fed_latency_*] gauges mirror the merged sketch. *)
+(* The root's served p50/p95/p99, and a sketch's quantiles at the same
+   ranks. *)
+let fed_latency_gauges m =
+  List.map
+    (fun q -> gauge_value m (Printf.sprintf "federation.fed_latency_p%d_s" q))
+    [ 50; 95; 99 ]
+
+let served_quantiles sketch =
+  List.map (Sk.quantile sketch) [ 0.5; 0.95; 0.99 ]
+
+let send_latency_sketch root shard sketch =
+  C.Fed_root.note_sketches root
+    { P.Sketch_msg.shard; entries = [ (C.Fed_root.latency_metric, sketch) ] }
+
+(* A root merging >= 4 shards serves p50/p95/p99 within the merged
+   sketch's rank-error bound of the exact percentile over the union of
+   all shards' streams: its [federation.fed_latency_*] gauges read the
+   quantiles of the batches' merge. *)
 let prop_fed_root_quantiles_track_union =
   QCheck.Test.make
     ~name:"root quantiles over four shards track the union"
@@ -3685,51 +3700,44 @@ let prop_fed_root_quantiles_track_union =
     (fun (xs, ys, zs, ws) ->
       let m = Smart_util.Metrics.create () in
       let root = sketch_root ~metrics:m [ "s1"; "s2"; "s3"; "s4" ] in
+      let sketches =
+        List.mapi (fun i values -> shard_sketch_of ~seed:(i + 1) values)
+          [ xs; ys; zs; ws ]
+      in
       List.iteri
-        (fun i values ->
-          C.Fed_root.note_sketches root
-            {
-              P.Sketch_msg.shard = Printf.sprintf "s%d" (i + 1);
-              entries =
-                [ (C.Fed_root.latency_metric,
-                   shard_sketch_of ~seed:(i + 1) values) ];
-            })
-        [ xs; ys; zs; ws ];
-      match C.Fed_root.merged_sketch root C.Fed_root.latency_metric with
-      | None -> false
-      | Some merged ->
-        let union = xs @ ys @ zs @ ws in
-        Sk.count merged = List.length union
-        && List.for_all (rank_within union merged) [ 0.5; 0.95; 0.99 ]
-        && Float.compare
-             (gauge_value m "federation.fed_latency_p99_s")
-             (Sk.quantile merged 0.99)
-           = 0
-        && Float.compare
-             (gauge_value m "federation.fed_latency_p50_s")
-             (Sk.quantile merged 0.5)
-           = 0)
+        (fun i sketch ->
+          send_latency_sketch root (Printf.sprintf "s%d" (i + 1)) sketch)
+        sketches;
+      let merged =
+        List.fold_left Sk.merge (List.hd sketches) (List.tl sketches)
+      in
+      let union = xs @ ys @ zs @ ws in
+      Sk.count merged = List.length union
+      && List.for_all (rank_within union merged) [ 0.5; 0.95; 0.99 ]
+      && List.for_all2
+           (fun g q -> Float.compare g q = 0)
+           (fed_latency_gauges m) (served_quantiles merged))
 
 let test_fed_root_latest_batch_wins () =
   let m = Smart_util.Metrics.create () in
   let root = sketch_root ~metrics:m [ "s1"; "s2" ] in
-  let batch shard values seed =
-    C.Fed_root.note_sketches root
-      {
-        P.Sketch_msg.shard;
-        entries = [ (C.Fed_root.latency_metric, shard_sketch_of ~seed values) ];
-      }
-  in
-  batch "s1" [ 1.0; 2.0; 3.0 ] 1;
-  batch "s2" [ 10.0 ] 2;
-  batch "s1" [ 4.0 ] 3;
-  (* the second s1 batch replaced the first: 1 + 1 observations *)
-  (match C.Fed_root.merged_sketch root C.Fed_root.latency_metric with
-  | Some merged ->
-    Alcotest.(check int) "latest batch per shard wins" 2 (Sk.count merged);
-    Alcotest.(check (float 1e-9)) "max from both shards" 10.0
-      (Sk.max_value merged)
-  | None -> Alcotest.fail "merged sketch missing");
+  let first = shard_sketch_of ~seed:1 [ 1.0; 2.0; 3.0 ] in
+  let s2 = shard_sketch_of ~seed:2 [ 10.0; 11.0 ] in
+  let second = shard_sketch_of ~seed:3 [ 4.0 ] in
+  send_latency_sketch root "s1" first;
+  send_latency_sketch root "s2" s2;
+  Alcotest.(check (list (float 0.0))) "gauges over {1, 2, 3, 10, 11}"
+    (served_quantiles (Sk.merge first s2))
+    (fed_latency_gauges m);
+  send_latency_sketch root "s1" second;
+  (* the second s1 batch replaced the first: the union is {4, 10, 11},
+     p50 10; keeping both s1 batches reads 3, counting the new one
+     twice reads 4 *)
+  Alcotest.(check (list (float 0.0))) "latest batch per shard wins"
+    (served_quantiles (Sk.merge second s2))
+    (fed_latency_gauges m);
+  Alcotest.(check (float 0.0)) "p50 of {4, 10, 11}" 10.0
+    (List.hd (fed_latency_gauges m));
   Alcotest.(check int) "updates metered" 3
     (counter_value m "federation.sketch_updates_total")
 

@@ -38,8 +38,8 @@ let sample_report =
 
 let test_report_roundtrip () =
   let s = P.Report.to_string sample_report in
-  match P.Report.of_string s with
-  | Ok r ->
+  match P.Report.decode s with
+  | Ok (r, _) ->
     Alcotest.(check string) "host" "helene" r.P.Report.host;
     Alcotest.(check string) "ip" "192.168.2.3" r.P.Report.ip;
     Alcotest.(check (float 1e-6)) "load1" 0.42 r.P.Report.load1;
@@ -55,7 +55,7 @@ let test_report_size_budget () =
 
 let test_report_bad_inputs () =
   let is_err s =
-    match P.Report.of_string s with Error _ -> true | Ok _ -> false
+    match P.Report.decode s with Error _ -> true | Ok _ -> false
   in
   Alcotest.(check bool) "empty" true (is_err "");
   Alcotest.(check bool) "wrong tag" true (is_err "XX|a|b|1");
@@ -92,14 +92,11 @@ let test_sys_record_roundtrip order =
   let s = P.Records.encode_sys order sys_record in
   Alcotest.(check int) "declared size" P.Records.sys_record_size
     (String.length s);
-  match P.Records.decode_sys order s ~pos:0 with
-  | Ok r ->
-    Alcotest.(check string) "host" "helene"
-      r.P.Records.report.P.Report.host;
-    Alcotest.(check (float 1e-9)) "timestamp" 123.456 r.P.Records.updated_at;
-    Alcotest.(check (float 1e-9)) "bogomips" 3394.76
-      r.P.Records.report.P.Report.bogomips
-  | Error e -> Alcotest.failf "decode failed: %s" e
+  let r = P.Records.decode_wire (P.Records.sys_wire order s ~pos:0) in
+  Alcotest.(check string) "host" "helene" r.P.Records.report.P.Report.host;
+  Alcotest.(check (float 1e-9)) "timestamp" 123.456 r.P.Records.updated_at;
+  Alcotest.(check (float 1e-9)) "bogomips" 3394.76
+    r.P.Records.report.P.Report.bogomips
 
 let test_sys_record_le () = test_sys_record_roundtrip P.Endian.Little
 let test_sys_record_be () = test_sys_record_roundtrip P.Endian.Big
@@ -107,20 +104,20 @@ let test_sys_record_be () = test_sys_record_roundtrip P.Endian.Big
 let test_sys_record_endian_mismatch () =
   (* §3.5.1: decoding with the wrong byte order yields garbage *)
   let s = P.Records.encode_sys P.Endian.Little sys_record in
-  match P.Records.decode_sys P.Endian.Big s ~pos:0 with
-  | Ok r ->
-    Alcotest.(check bool) "values scrambled" true
-      (Float.abs (r.P.Records.report.P.Report.bogomips -. 3394.76) > 1.0
-      || Float.is_nan r.P.Records.report.P.Report.bogomips)
-  | Error _ -> ()  (* also acceptable: mismatch detected *)
+  let r = P.Records.decode_wire (P.Records.sys_wire P.Endian.Big s ~pos:0) in
+  Alcotest.(check bool) "values scrambled" true
+    (Float.abs (r.P.Records.report.P.Report.bogomips -. 3394.76) > 1.0
+    || Float.is_nan r.P.Records.report.P.Report.bogomips)
 
 let test_sys_record_truncated () =
   let s = P.Records.encode_sys P.Endian.Little sys_record in
-  match
-    P.Records.decode_sys P.Endian.Little (String.sub s 0 10) ~pos:0
-  with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "truncated record must not decode"
+  let refused name data ~pos =
+    Alcotest.check_raises name (Invalid_argument "Records.sys_wire")
+      (fun () -> ignore (P.Records.sys_wire P.Endian.Little data ~pos))
+  in
+  refused "cut short" (String.sub s 0 10) ~pos:0;
+  refused "runs past the end" s ~pos:1;
+  refused "negative position" s ~pos:(-1)
 
 let test_sys_record_concatenation () =
   let s =
@@ -131,13 +128,12 @@ let test_sys_record_concatenation () =
           P.Records.report = { sample_report with P.Report.host = "phoebe" };
         }
   in
-  match
-    P.Records.decode_sys P.Endian.Little s ~pos:P.Records.sys_record_size
-  with
-  | Ok r ->
-    Alcotest.(check string) "second record" "phoebe"
-      r.P.Records.report.P.Report.host
-  | Error e -> Alcotest.failf "decode failed: %s" e
+  let r =
+    P.Records.decode_wire
+      (P.Records.sys_wire P.Endian.Little s ~pos:P.Records.sys_record_size)
+  in
+  Alcotest.(check string) "second record" "phoebe"
+    r.P.Records.report.P.Report.host
 
 let net_record =
   {
@@ -653,8 +649,8 @@ let prop_report_roundtrip =
           net_tpackets = v 20;
         }
       in
-      match P.Report.of_string (P.Report.to_string r) with
-      | Ok d ->
+      match P.Report.decode (P.Report.to_string r) with
+      | Ok (d, _) ->
         (* %.6g costs precision; require 6 significant digits *)
         Float.abs (d.P.Report.load1 -. r.P.Report.load1)
         <= Float.abs r.P.Report.load1 *. 1e-5 +. 1e-5
@@ -784,16 +780,12 @@ let test_report_trace_suffix () =
     Alcotest.(check int) "trace id" 0xDEAD c.Smart_util.Tracelog.trace_id;
     Alcotest.(check int) "span id" 0x42 c.Smart_util.Tracelog.span_id
   | Error e -> Alcotest.failf "traced decode failed: %s" e);
-  (match P.Report.decode untraced with
+  match P.Report.decode untraced with
   | Ok (r, c) ->
     Alcotest.(check string) "untraced host" "helene" r.P.Report.host;
     Alcotest.(check bool) "untraced ctx is root" true
       (Smart_util.Tracelog.is_root c)
-  | Error e -> Alcotest.failf "untraced decode failed: %s" e);
-  (* of_string is decode minus the context *)
-  match P.Report.of_string traced with
-  | Ok r -> Alcotest.(check string) "of_string strips suffix" "helene" r.P.Report.host
-  | Error e -> Alcotest.failf "of_string failed: %s" e
+  | Error e -> Alcotest.failf "untraced decode failed: %s" e
 
 let test_trace_msg_roundtrip () =
   Alcotest.(check string) "text request" "SMART-TRACE text"
@@ -845,9 +837,11 @@ let prop_sys_record_roundtrip_both_orders =
     (fun (big, ts) ->
       let order = if big then P.Endian.Big else P.Endian.Little in
       let r = { P.Records.report = sample_report; updated_at = ts } in
-      match P.Records.decode_sys order (P.Records.encode_sys order r) ~pos:0 with
-      | Ok d -> Float.abs (d.P.Records.updated_at -. ts) < 1e-9
-      | Error _ -> false)
+      let d =
+        P.Records.decode_wire
+          (P.Records.sys_wire order (P.Records.encode_sys order r) ~pos:0)
+      in
+      Float.abs (d.P.Records.updated_at -. ts) < 1e-9)
 
 (* ------------------------------------------------------------------ *)
 (* Federation: digests and root <-> shard messages                      *)
@@ -1289,9 +1283,9 @@ let wire_decoders =
     ( "report decode",
       P.Report.to_string ~trace:ctx sample_report,
       fun s -> ok_or_error (P.Report.decode s) );
-    ( "report of_string",
+    ( "report decode untraced",
       P.Report.to_string sample_report,
-      fun s -> ok_or_error (P.Report.of_string s) );
+      fun s -> ok_or_error (P.Report.decode s) );
     ( "metrics scrape",
       P.Metrics_msg.encode_request P.Metrics_msg.Json,
       fun s -> ignore (P.Metrics_msg.decode_request s : _ option) );
@@ -1307,7 +1301,12 @@ let wire_decoders =
       (fun order s -> ok_or_error (P.Sketch_msg.decode order s))
   @ ordered "sys record"
       (fun order -> P.Records.encode_sys order sys_record)
-      (fun order s -> ok_or_error (P.Records.decode_sys order s ~pos:0))
+      (fun order s ->
+        match P.Records.sys_wire order s ~pos:0 with
+        | w -> ignore (P.Records.decode_wire w : P.Records.sys_record)
+        | exception Invalid_argument _ ->
+          (* refused only when the record does not fit *)
+          assert (String.length s < P.Records.sys_record_size))
   @ ordered "net record"
       (fun order -> P.Records.encode_net order net_record)
       (fun order s -> ok_or_error (P.Records.decode_net order s))

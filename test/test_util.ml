@@ -90,7 +90,7 @@ let drain_heap h =
 
 let test_heap_basic () =
   let h = Smart_util.Heap.create () in
-  Alcotest.(check bool) "empty" true (Smart_util.Heap.is_empty h);
+  Alcotest.(check bool) "empty" true (Option.is_none (Smart_util.Heap.peek h));
   Smart_util.Heap.push h ~key:2.0 "b";
   Smart_util.Heap.push h ~key:1.0 "a";
   Smart_util.Heap.push h ~key:3.0 "c";

@@ -8,17 +8,18 @@
 # the source tree and built there; the working tree is built in place.
 # For each tree, in fresh directories, it runs the four determinism demos
 # (each runs one entry of lib/experiments/scenario.ml) at their CI seeds
-# (chaos 3, session_chaos 11, control 7, trace 7) and
-# `bench/main.exe tab5.2 tab5.3-5.6 tab5.7-5.9 ablation sessions` with
-# its wall-clock lines dropped.  Every file the base run leaves behind,
-# stdout and each demo's exit status included, is then compared with
-# `cmp` against the working tree's: one "same" or "DIFF" line per file,
-# exit status 1 on any difference.  Under each DIFF line, indented, a
-# bounded account of it: for a Chrome trace JSON the count of differing
-# events per span name and field (tools/trace_diff.py), for any other
-# file the first 20 lines of `diff`.  Not a CI gate: a change that
-# alters behaviour differs on purpose; this is the evidence for one that
-# must not.
+# (chaos 3, session_chaos 11, control 7, trace 7) and every seeded
+# section of bench/main.exe (each figure and table of the paper, the
+# ablations and the session plane; not `wizard`, which reads the wall
+# clock) with its wall-clock lines dropped.  Every file the base run
+# leaves behind, stdout and each demo's exit status included, is then
+# compared with `cmp` against the working tree's: one "same" or "DIFF"
+# line per file, exit status 1 on any difference.  Under each DIFF line,
+# indented, a bounded account of it: for a Chrome trace JSON the count of
+# differing events per span name and field (tools/trace_diff.py), for
+# any other file the first 20 lines of `diff`.  Not a CI gate: a change
+# that alters behaviour differs on purpose; this is the evidence for one
+# that must not.
 set -eu
 
 base=${1:?usage: tools/sim_identity.sh <rev>}
@@ -28,7 +29,8 @@ tmp=$(mktemp -d -t sim-identity.XXXXXX)
 trap 'rm -rf "$tmp"' EXIT INT TERM
 
 demos="chaos_demo:3 session_chaos_demo:11 control_demo:7 trace_demo:7"
-sections="tab5.2 tab5.3-5.6 tab5.7-5.9 ablation sessions"
+sections="fig3.3-3.5 fig3.6 tab3.3 tab3.4 tab4.1 tab5.2 fig5.2 tab5.3-5.6
+fig5.3 tab5.7-5.9 ablation sessions"
 targets="bench/main.exe"
 for d in $demos; do targets="$targets examples/${d%%:*}.exe"; done
 
