@@ -1,4 +1,5 @@
-.PHONY: all build test bench lint check doc clean sim-identity ledger-pairs
+.PHONY: all build test bench bench-check lint check doc clean sim-identity \
+  ledger-pairs
 
 all: build
 
@@ -8,11 +9,22 @@ build:
 test:
 	dune runtest
 
-# Wizard request-throughput benchmark and the session plane (write
-# BENCH_wizard.json and BENCH_sessions.json).  The federation path's
-# benchmark is the request ledger's fed_fanout workload (perfbench/).
+# Wizard request-throughput benchmark and the session plane: re-record
+# the committed BENCH_wizard.json and BENCH_sessions.json.  The
+# federation path's benchmark is the request ledger's fed_fanout
+# workload (perfbench/).
 bench:
 	dune exec bench/main.exe -- wizard sessions
+
+# The same two benches as a smoke test of the request path, run in
+# _build/bench so the committed files stay as they are, then compared
+# with them (tools/bench_diff.py): words within 2%; cache, push,
+# rebuild and lossy-plane counts and every session field exactly.
+BENCH_OUT = _build/bench
+bench-check: build
+	mkdir -p $(BENCH_OUT)
+	cd $(BENCH_OUT) && $(CURDIR)/_build/default/bench/main.exe wizard sessions
+	python3 tools/bench_diff.py $(BENCH_OUT)
 
 # Static analysis over the typed trees (see ANALYSIS.md); exits
 # non-zero on any error not excused by lint.allow.  Needs the cmts,
@@ -50,9 +62,10 @@ doc: build
 	dune exec tools/smartlint/main.exe -- --root . --only doc
 
 # What CI runs: full build, the whole test tree, the wizard and session
-# benches as a smoke test of the request path, and the lint gate (plus
-# `make doc`, its own step).
-check: build test bench lint
+# benches as a smoke test of the request path (out of the tree, diffed
+# with the committed files), and the lint gate (plus `make doc`, its
+# own step).
+check: build test bench-check lint
 
 clean:
 	dune clean

@@ -47,7 +47,8 @@ type t = {
   clock : unit -> float;
   trace : Smart_util.Tracelog.t;
   compile_cache :
-    (Smart_lang.Ast.program, Smart_lang.Requirement.compile_error) result
+    ( string,
+      (Smart_lang.Ast.program, Smart_lang.Requirement.compile_error) result )
     Smart_util.Lru.t;
   digests : (string, Smart_proto.Digest.t) Hashtbl.t;
   sketches : (string, (string * Smart_util.Sketch.t) list) Hashtbl.t;
@@ -305,10 +306,8 @@ let reply_now t ~parent ~at ~client ~client_seq ~servers ~degraded =
       rejected = false }
   in
   Smart_util.Tracelog.finish t.trace ?at span;
-  [
-    Output.udp ~host:client.Output.host ~port:client.Output.port
-      (Smart_proto.Wizard_msg.encode_reply reply);
-  ]
+  let data = Smart_proto.Wizard_msg.encode_reply reply in
+  [ Output.Udp { dst = client; data } ]
 
 (* Merge the collected shard replies and answer the client.  [partial]
    marks a deadline release; the reply is degraded when the fan-out was

@@ -83,7 +83,7 @@ let probe ?(control_loops = false) env (config : Probe.config) ~interval
   in
   (* the network monitor's echo responder *)
   let echo ~now:_ ~(from : Output.address) data =
-    [ Output.udp ~host:from.host ~port:from.port data ]
+    [ Output.Udp { dst = from; data } ]
   in
   let out = sink Smart_proto.Ports.probe in
   {

@@ -127,15 +127,18 @@ type t = {
   db : Status_db.t;
   pending : pending Queue.t;
   admission : admission option;
-  buckets : Smart_net.Shaper.t Smart_util.Lru.t;
+  buckets : (string, Smart_net.Shaper.t) Smart_util.Lru.t;
       (* per-client token buckets, keyed by the requester's host *)
   delayed : delayed Queue.t;
       (* admitted-late requests waiting for their tokens to accrue *)
   compile_cache :
-    (Smart_lang.Requirement.fast, Smart_lang.Requirement.compile_error) result
+    ( string,
+      (Smart_lang.Requirement.fast, Smart_lang.Requirement.compile_error)
+      result )
     Smart_util.Lru.t;
-  result_cache : (int * string list) Smart_util.Lru.t;
-      (* (generation, servers); stale when the generation moved *)
+  result_cache : (int * string, int * string list) Smart_util.Lru.t;
+      (* (wanted, canonical text) -> (generation, servers); stale when
+         the generation moved *)
   scratch : Selection.scratch;
   clock : unit -> float;  (* injected clock for the latency histogram *)
   staleness_threshold : float;
@@ -414,9 +417,9 @@ let reply_to t (request : Smart_proto.Wizard_msg.request) ~parent ~at ~from
   in
   let data = Smart_proto.Wizard_msg.encode_reply reply in
   Metrics.Counter.add t.reply_bytes_total (String.length data);
-  let outputs =
-    [ Output.udp ~host:from.Output.host ~port:from.Output.port data ]
-  in
+  (* addressed to [from] itself, so a daemon can tell a reply to the
+     datagram's sender from any other output *)
+  let outputs = [ Output.Udp { dst = from; data } ] in
   Smart_util.Tracelog.finish t.trace ?at span;
   outputs
 
@@ -444,7 +447,7 @@ let select_cached t ~parent ~source ~wanted =
   end
   else
     let ckey = Smart_lang.Requirement.cache_key source in
-    let key = string_of_int wanted ^ "\x00" ^ ckey in
+    let key = (wanted, ckey) in
     let generation = Status_db.generation t.db in
     match Smart_util.Lru.find t.result_cache key with
     | Some (g, servers) when g = generation ->
@@ -525,7 +528,7 @@ let reject t (request : Smart_proto.Wizard_msg.request) ~from =
       }
   in
   Metrics.Counter.add t.reply_bytes_total (String.length data);
-  [ Output.udp ~host:from.Output.host ~port:from.Output.port data ]
+  [ Output.Udp { dst = from; data } ]
 
 let bucket_for t (a : admission) key =
   match Smart_util.Lru.find t.buckets key with
@@ -613,12 +616,8 @@ let handle_subquery t ~from data =
         candidates;
       }
     in
-    let outputs =
-      [
-        Output.udp ~host:from.Output.host ~port:from.Output.port
-          (Smart_proto.Fed_msg.encode_reply reply);
-      ]
-    in
+    let data = Smart_proto.Fed_msg.encode_reply reply in
+    let outputs = [ Output.Udp { dst = from; data } ] in
     let finished = t.clock () in
     Smart_util.Tracelog.finish t.trace ~at:finished span;
     let elapsed = finished -. started in

@@ -50,7 +50,8 @@ let encode_request r =
     Endian.set_u32 order b ~pos:12 (r.trace.Smart_util.Tracelog.span_id land 0xFFFFFFFF)
   end;
   Bytes.blit_string r.requirement 0 b header (String.length r.requirement);
-  Bytes.to_string b
+  (* the bytes never escape: handing them over copies nothing *)
+  Bytes.unsafe_to_string b
 
 let decode_request s =
   if String.length s < 8 then Error "request: truncated"
@@ -133,26 +134,36 @@ let encode_reply r =
   write_names b 6 r.servers;
   Bytes.unsafe_to_string b
 
+(* The first problem in the [count] length-prefixed names from [pos], if
+   any: one pass that allocates nothing, so [names] below can build the
+   list front to back without a reversal. *)
+let rec check_names s pos count =
+  if count = 0 then None
+  else if pos >= String.length s then Some "reply: truncated server list"
+  else
+    let next = pos + 1 + Char.code s.[pos] in
+    if next > String.length s then Some "reply: truncated server entry"
+    else check_names s next (count - 1)
+
+let rec names s pos count =
+  if count = 0 then []
+  else
+    let len = Char.code s.[pos] in
+    String.sub s (pos + 1) len :: names s (pos + 1 + len) (count - 1)
+
 let decode_reply s =
   if String.length s < 6 then Error "reply: truncated"
   else begin
-    let seq = Endian.get_u32 order s ~pos:0 in
     let word = Endian.get_u16 order s ~pos:4 in
-    let degraded = word land degraded_flag <> 0 in
-    let rejected = word land rejected_flag <> 0 in
     let count = word land lnot (degraded_flag lor rejected_flag) in
-    let rec read pos n acc =
-      if n = 0 then Ok (List.rev acc)
-      else if pos >= String.length s then Error "reply: truncated server list"
-      else begin
-        let len = Char.code s.[pos] in
-        if pos + 1 + len > String.length s then
-          Error "reply: truncated server entry"
-        else
-          read (pos + 1 + len) (n - 1) (String.sub s (pos + 1) len :: acc)
-      end
-    in
-    match read 6 count [] with
-    | Ok servers -> Ok { seq; servers; degraded; rejected }
-    | Error _ as e -> e
+    match check_names s 6 count with
+    | Some problem -> Error problem
+    | None ->
+      Ok
+        {
+          seq = Endian.get_u32 order s ~pos:0;
+          servers = names s 6 count;
+          degraded = word land degraded_flag <> 0;
+          rejected = word land rejected_flag <> 0;
+        }
   end

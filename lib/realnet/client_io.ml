@@ -5,16 +5,43 @@
 
 type connected_server = { host : string; socket : Unix.file_descr }
 
+(* A call's retry schedule: the policy it passed ([backoff]) capped by
+   its [timeout], which caps each receive window, and its give-up
+   [budget], the sum of the capped nominal windows of its [retries + 1]
+   sends. *)
+type schedule = {
+  backoff : Smart_util.Backoff.policy;
+  timeout : float;
+  retries : int;
+  capped : Smart_util.Backoff.policy;
+  budget : float;
+}
+
+let schedule ~backoff ~timeout ~retries =
+  let capped =
+    {
+      backoff with
+      Smart_util.Backoff.max_delay =
+        Float.min backoff.Smart_util.Backoff.max_delay timeout;
+    }
+  in
+  let budget = ref 0.0 in
+  for attempt = 0 to retries do
+    budget := !budget +. Smart_util.Backoff.nominal capped ~attempt
+  done;
+  { backoff; timeout; retries; capped; budget = !budget }
+
 (* An endpoint: a bound UDP socket kept from call to call, a generator
    of its own, seeded once, for calls that pass no [?rng], and the
-   [Client] last built on it with the registry and generator it was
-   built with. *)
+   [Client] and schedule last built on it with what they were built
+   from. *)
 type endpoint = {
   udp : Udp_io.t;
   own_rng : Smart_util.Prng.t;
   mutable client : Smart_core.Client.t;
   mutable rng : Smart_util.Prng.t;
   mutable metrics : Smart_util.Metrics.t option;
+  mutable schedule : schedule;
 }
 
 (* The idle endpoints, last returned first: a call takes one, or binds a
@@ -31,9 +58,11 @@ let same_registry a b =
   | _ -> false
 
 (* An idle endpoint whose [Client] draws from [rng] (the endpoint's own
-   generator by default) and counts into [metrics]; the [Client] is
-   rebuilt only when either differs from the last call's. *)
-let borrow ?metrics ?rng () =
+   generator by default) and counts into [metrics], on the schedule of
+   [backoff] (compared physically), [timeout] and [retries]; the
+   [Client] and the schedule are rebuilt only when what they were built
+   from differs from the last call's. *)
+let borrow ?metrics ?rng ~backoff ~timeout ~retries () =
   Mutex.lock idle_lock;
   let taken =
     match !idle with
@@ -51,6 +80,13 @@ let borrow ?metrics ?rng () =
       ep.rng <- rng;
       ep.metrics <- metrics
     end;
+    let s = ep.schedule in
+    if
+      not
+        (backoff == s.backoff
+        && Float.equal timeout s.timeout
+        && retries = s.retries)
+    then ep.schedule <- schedule ~backoff ~timeout ~retries;
     ep
   | None ->
     let udp = Udp_io.bind_port 0 in
@@ -65,6 +101,7 @@ let borrow ?metrics ?rng () =
       client = Smart_core.Client.create ?metrics ~rng ();
       rng;
       metrics;
+      schedule = schedule ~backoff ~timeout ~retries;
     }
 
 let give_back ep =
@@ -72,63 +109,49 @@ let give_back ep =
   idle := ep :: !idle;
   Mutex.unlock idle_lock
 
-(* Discard whatever reached the endpoint while it was idle (a reply
-   after its call's deadline, a duplicate, junk): one zero-timeout
-   select when nothing did. *)
-let rec drain socket =
-  match Udp_io.recv_timeout socket ~timeout:0.0 with
-  | Some _ -> drain socket
-  | None -> ()
+(* Drive [exchange] from [step] on [udp] until it ends: send when asked,
+   wait for a reply until the step's time, and wake the exchange when
+   the time passes. *)
+let rec act udp ~wizard_addr exchange = function
+  | Smart_core.Client.Send time ->
+    ignore
+      (Udp_io.send udp ~to_:wizard_addr (Smart_core.Client.datagram exchange));
+    await udp ~wizard_addr exchange time
+  | Smart_core.Client.Wait time -> await udp ~wizard_addr exchange time
+  | Smart_core.Client.Done result -> result
+  | Smart_core.Client.Idle -> assert false  (* only after Done *)
+
+and await udp ~wizard_addr exchange time =
+  let now = Unix.gettimeofday () in
+  if now >= time then
+    act udp ~wizard_addr exchange (Smart_core.Client.wake exchange ~now)
+  else
+    match Udp_io.recv udp ~timeout:(time -. now) with
+    | None ->
+      act udp ~wizard_addr exchange
+        (Smart_core.Client.wake exchange ~now:(Unix.gettimeofday ()))
+    | Some data ->
+      (match Smart_core.Client.receive exchange data with
+      | Some result -> result
+      | None -> await udp ~wizard_addr exchange time)
 
 (* One request on [ep]: send, wait for the matching reply (the client
    library's exchange decides when to retransmit and when to give up). *)
-let exchange_on ep ~wizard_addr ~option ~timeout ~retries ~backoff ~wanted
-    ~requirement =
+let exchange_on ep ~wizard_addr ~option ~wanted ~requirement =
   let request =
     Smart_core.Client.make_request ep.client ~wanted ~option ~requirement
   in
-  (* [timeout] caps each receive window, so it caps the policy; the
-     give-up comes after the sum of the capped nominal windows *)
-  let policy =
-    {
-      backoff with
-      Smart_util.Backoff.max_delay =
-        Float.min backoff.Smart_util.Backoff.max_delay timeout;
-    }
-  in
-  let budget = ref 0.0 in
-  for attempt = 0 to retries do
-    budget := !budget +. Smart_util.Backoff.nominal policy ~attempt
-  done;
-  drain ep.udp;
+  (* whatever reached the endpoint while it was idle (a reply after its
+     call's deadline, a duplicate, junk) is not this call's *)
+  Udp_io.drain ep.udp;
   let now = Unix.gettimeofday () in
+  let { capped; budget; retries; _ } = ep.schedule in
   let exchange =
     Smart_core.Client.exchange ep.client request ~sends:(retries + 1)
-      ~backoff:(Smart_util.Backoff.create ~rng:ep.rng policy)
-      ~deadline:(now +. !budget)
+      ~backoff:(Smart_util.Backoff.create ~rng:ep.rng capped)
+      ~deadline:(now +. budget)
   in
-  let rec act = function
-    | Smart_core.Client.Send time ->
-      ignore
-        (Udp_io.send ep.udp ~to_:wizard_addr
-           (Smart_core.Client.datagram exchange));
-      await time
-    | Smart_core.Client.Wait time -> await time
-    | Smart_core.Client.Done result -> result
-    | Smart_core.Client.Idle -> assert false  (* only after Done *)
-  and await time =
-    let now = Unix.gettimeofday () in
-    if now >= time then act (Smart_core.Client.wake exchange ~now)
-    else
-      match Udp_io.recv_timeout ep.udp ~timeout:(time -. now) with
-      | None ->
-        act (Smart_core.Client.wake exchange ~now:(Unix.gettimeofday ()))
-      | Some (_, data) ->
-        (match Smart_core.Client.receive exchange data with
-        | Some result -> result
-        | None -> await time)
-  in
-  act (Smart_core.Client.wake exchange ~now)
+  act ep.udp ~wizard_addr exchange (Smart_core.Client.wake exchange ~now)
 
 (* The request on a borrowed endpoint, which goes back on the idle list
    whatever the call's result; an exception closes it instead. *)
@@ -141,11 +164,8 @@ let request_servers ?(option = Smart_proto.Wizard_msg.Accept_partial)
   with
   | None -> Error (Smart_core.Client.Malformed "unknown wizard host")
   | Some wizard_addr ->
-    let ep = borrow ?metrics ?rng () in
-    (match
-       exchange_on ep ~wizard_addr ~option ~timeout ~retries ~backoff ~wanted
-         ~requirement
-     with
+    let ep = borrow ?metrics ?rng ~backoff ~timeout ~retries () in
+    (match exchange_on ep ~wizard_addr ~option ~wanted ~requirement with
     | result ->
       give_back ep;
       result

@@ -16,17 +16,22 @@ type connected_server = { host : string; socket : Unix.file_descr }
 
     A call runs on an endpoint it borrows from a private idle list:
     a bound UDP socket, a generator of its own, seeded once, and the
-    {!Smart_core.Client} last built on it.  Sequence numbers come from
-    [rng], or from the endpoint's generator when it is absent, so
-    successive calls draw fresh ones.  The [Client] is rebuilt only when
-    a call passes a different [metrics] registry or [rng] (compared
-    physically) than the endpoint's last call, so a caller that passes
-    the same ones, or none, resolves its instruments once.  Before its
-    first send a call drains the endpoint without blocking: a late
-    reply, a duplicate or junk that reached it while idle is discarded,
-    and the call sees what a fresh socket would.  However the call ends,
-    the endpoint goes back on the list, unless an exception ends it,
-    which closes the socket.
+    {!Smart_core.Client} and retry schedule last built on it.  Sequence
+    numbers come from [rng], or from the endpoint's generator when it is
+    absent, so successive calls draw fresh ones.  The [Client] is
+    rebuilt only when a call passes a different [metrics] registry or
+    [rng] (compared physically) than the endpoint's last call, so a
+    caller that passes the same ones, or none, resolves its instruments
+    once; the schedule (the capped policy and the give-up budget) only
+    when [backoff] (compared physically), [timeout] or [retries]
+    differs.  Before its first send a call drains the endpoint without
+    blocking ({!Udp_io.drain}): a late reply, a duplicate or junk that
+    reached it while idle is discarded, and the call sees what a fresh
+    socket would.  It then waits with {!Udp_io.recv}, which reads no
+    sender: a signal that interrupts the wait does not end it, and the
+    call ends only at its reply, its verdict or its give-up.  However
+    the call ends, the endpoint goes back on the list, unless an
+    exception ends it, which closes the socket.
 
     A new endpoint is bound only when none is idle, so the list holds as
     many as calls were ever in flight at once: one for each caller

@@ -99,38 +99,44 @@ let install book ~host (role : _ Role.t) =
   in
   (* each sink's outputs leave from the socket of its port, or of the
      scrape port; a failed stream reports the time it gave up *)
-  let perform (sink : Role.sink) =
+  let hooks (sink : Role.sink) =
     let udp =
       match socket sink.sport with
       | Some udp -> udp
       | None -> Option.get (socket role.scrape_port)
     in
     match sink.transmitter with
-    | None -> fun outputs -> Perform.outputs book ~udp outputs
+    | None -> (udp, (fun ~data:_ -> ()), ignore)
     | Some transmitter ->
-      let on_stream_failure ~data =
-        Smart_core.Transmitter.note_send_failure transmitter
-          ~now:(Unix.gettimeofday ()) ~data
-      and on_stream_ok () = Smart_core.Transmitter.note_send_ok transmitter in
-      fun outputs ->
-        Perform.outputs book ~udp ~on_stream_failure ~on_stream_ok outputs
+      ( udp,
+        (fun ~data ->
+          Smart_core.Transmitter.note_send_failure transmitter
+            ~now:(Unix.gettimeofday ()) ~data),
+        fun () -> Smart_core.Transmitter.note_send_ok transmitter )
   in
+  (* a datagram's sender reaches its handler as [requester from], and a
+     reply addressed to that record goes back to [from] itself *)
   List.iter
     (fun ((port : Role.port), handle, socket) ->
-      let perform = perform port.sink in
+      let udp, on_stream_failure, on_stream_ok = hooks port.sink in
+      let answer ~now ~from data =
+        let requester = requester from in
+        Perform.replies book ~udp ~requester ~from ~on_stream_failure
+          ~on_stream_ok (handle ~now ~from:requester data)
+      in
       if port.number = role.scrape_port then
         Udp_io.serve loop socket (fun ~now ~from data ->
             match Role.scrape role data with
             | Some dump -> ignore (Udp_io.send socket ~to_:from dump)
-            | None -> perform (handle ~now ~from:(requester from) data))
-      else
-        Udp_io.serve loop socket (fun ~now ~from data ->
-            perform (handle ~now ~from:(requester from) data)))
+            | None -> answer ~now ~from data)
+      else Udp_io.serve loop socket answer)
     datagram_ports;
   List.iter
     (fun (timer : Role.timer) ->
-      let perform = perform timer.sink in
+      let udp, on_stream_failure, on_stream_ok = hooks timer.sink in
       Loop.every loop ~armed:timer.armed ~offset:timer.offset
-        ~period:timer.period (fun ~now -> perform (timer.fire ~now)))
+        ~period:timer.period (fun ~now ->
+          Perform.outputs ~on_stream_failure ~on_stream_ok book ~udp
+            (timer.fire ~now)))
     role.timers;
   (loop, book)

@@ -15,10 +15,13 @@ val env : unit -> Smart_core.Role.env
       the scrape port answers scrapes ({!Smart_core.Role.scrape}) from
       its own socket.  A stream port accepts TCP connections, each one
       stream tagged with its peer's [ip:port].
-    - Outputs resolve through [book] pinned to the role's peers
-      ({!Addr_book.pin}): on the loop a destination is one of those or
-      an IP literal, never a lookup.  UDP leaves from the sink's port's
-      socket (the scrape port's when it serves none).
+    - A datagram handler's reply, a [Udp] output addressed to the very
+      sender record the handler was given, goes back to the sockaddr
+      the datagram came from ({!Perform.replies}), with no trip through
+      names.  Every other output resolves through [book] pinned to the
+      role's peers ({!Addr_book.pin}): on the loop a destination is one
+      of those or an IP literal, never a lookup.  UDP leaves from the
+      sink's port's socket (the scrape port's when it serves none).
     - Timers keep their offsets and order, without jitter.
 
     Raises [Failure] when a peer does not resolve, and

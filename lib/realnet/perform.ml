@@ -60,17 +60,33 @@ let send_stream sockaddr data =
           write 0
         with Unix.Unix_error (_, _, _) -> false)
 
+(* A UDP output addressed to [requester] itself (physically: the record
+   a datagram handler was given) goes back to [from], the sockaddr the
+   datagram came from, with no trip through the book; any other
+   destination resolves through it.  Direct recursion, so a batch builds
+   no closure. *)
+let rec replies book ~udp ~requester ~from ~on_stream_failure ~on_stream_ok =
+  function
+  | [] -> ()
+  | out :: rest ->
+    (match out with
+    | Smart_core.Output.Udp { dst; data } when dst == requester ->
+      ignore (Udp_io.send udp ~to_:from data)
+    | Smart_core.Output.Udp { dst; data } ->
+      (match Addr_book.resolve book ~host:dst.host ~port:dst.port with
+      | Some to_ -> ignore (Udp_io.send udp ~to_ data)
+      | None -> ())
+    | Smart_core.Output.Stream { dst; data } ->
+      (match Addr_book.resolve book ~host:dst.host ~port:dst.port with
+      | Some sockaddr when send_stream sockaddr data -> on_stream_ok ()
+      | Some _ | None -> on_stream_failure ~data));
+    replies book ~udp ~requester ~from ~on_stream_failure ~on_stream_ok rest
+
+(* The requester of a batch no datagram caused: no component holds it,
+   so no output is addressed to it. *)
+let nobody = { Smart_core.Output.host = ""; port = 0 }
+
 let outputs ?(on_stream_failure = fun ~data:_ -> ()) ?(on_stream_ok = ignore)
-    book ~(udp : Udp_io.t) outs =
-  let resolve { Smart_core.Output.host; port } =
-    Addr_book.resolve book ~host ~port
-  in
-  List.iter
-    (function
-      | Smart_core.Output.Udp { dst; data } ->
-        Option.iter (fun to_ -> ignore (Udp_io.send udp ~to_ data)) (resolve dst)
-      | Smart_core.Output.Stream { dst; data } ->
-        (match resolve dst with
-        | Some sockaddr when send_stream sockaddr data -> on_stream_ok ()
-        | Some _ | None -> on_stream_failure ~data))
-    outs
+    book ~udp outs =
+  replies book ~udp ~requester:nobody ~from:(Unix.ADDR_UNIX "")
+    ~on_stream_failure ~on_stream_ok outs

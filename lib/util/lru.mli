@@ -1,16 +1,18 @@
-(** Bounded least-recently-used map with string keys.  O(1) find/add;
-    inserting into a full cache evicts the least recently used entry.
-    A zero-capacity cache accepts nothing (every [find] misses), which
-    callers use to disable caching without a separate code path. *)
+(** Bounded least-recently-used map.  O(1) find/add; inserting into a
+    full cache evicts the least recently used entry.  Keys are compared
+    structurally and hashed with [Hashtbl.hash].  A zero-capacity cache
+    accepts nothing (every [find] misses), which callers use to disable
+    caching without a separate code path. *)
 
-type 'a t
+type ('k, 'v) t
 
-val create : capacity:int -> 'a t
+val create : capacity:int -> ('k, 'v) t
 
-(** Lookup; a hit promotes the entry to most-recently-used. *)
-val find : 'a t -> string -> 'a option
+(** Lookup; a hit promotes the entry to most-recently-used, allocating
+    nothing but the returned option. *)
+val find : ('k, 'v) t -> 'k -> 'v option
 
 (** Insert or replace; either way the entry becomes most-recently-used. *)
-val add : 'a t -> string -> 'a -> unit
+val add : ('k, 'v) t -> 'k -> 'v -> unit
 
-val capacity : 'a t -> int
+val capacity : ('k, 'v) t -> int

@@ -1,36 +1,41 @@
 (* Deterministic splittable PRNG (splitmix64).  The simulator must give
    bit-identical runs across OCaml releases, so we do not rely on the
-   stdlib [Random] implementation. *)
+   stdlib [Random] implementation.
 
-type t = { mutable state : int64 }
+   The 64-bit counter lives unboxed in 8 bytes: a mutable [int64] field
+   would box a fresh counter on every draw.  The step and the float draw
+   are inlined into their callers, so a draw that returns an [int] or a
+   [bool] allocates nothing. *)
+
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create ~seed = { state = Int64.of_int seed }
+let of_state state =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 state;
+  t
 
-let copy t = { state = t.state }
+let create ~seed = of_state (Int64.of_int seed)
 
-let state t = t.state
+let copy = Bytes.copy
 
-let of_state state = { state }
+let state t = Bytes.get_int64_ne t 0
 
 (* Core splitmix64 step: advance the counter and scramble it. *)
-let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  let z = t.state in
+let[@inline] next_int64 t =
+  let z = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let split t =
-  let seed = Int64.to_int (next_int64 t) in
-  { state = Int64.of_int seed }
+let split t = create ~seed:(Int64.to_int (next_int64 t))
 
-let bits53 t = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11)
-
-let float t ~bound =
+let[@inline] float t ~bound =
   assert (bound >= 0.0);
-  bits53 t /. 9007199254740992.0 *. bound
+  Int64.to_float (Int64.shift_right_logical (next_int64 t) 11)
+  /. 9007199254740992.0 *. bound
 
 (* Uniform integer in [0, bound) without modulo bias for the bound sizes we
    use (bound <= 2^53 always in this project). *)

@@ -628,6 +628,43 @@ let prop_request_roundtrip =
       | Ok d -> d = r
       | Error _ -> false)
 
+(* The reversal-free reply decoder against the list-reversing oracle it
+   replaced: valid replies, every truncation, counts raised past the
+   names present, and arbitrary bytes give the same [Ok] reply or the
+   same [Error] string. *)
+let prop_reply_decode_matches_oracle =
+  QCheck.Test.make ~name:"reply decode matches the list-reversing oracle"
+    ~count:500
+    QCheck.(
+      quad (int_bound 0x3FFFFFFF)
+        (list_of_size
+           Gen.(int_range 0 P.Ports.max_reply_servers)
+           (string_gen_of_size Gen.(int_range 0 20) Gen.printable))
+        (pair bool bool)
+        (pair (int_range 0 2) small_nat))
+    (fun (seq, servers, (degraded, rejected), (shape, cut)) ->
+      let wire =
+        P.Wizard_msg.encode_reply { P.Wizard_msg.seq; servers; degraded; rejected }
+      in
+      let s =
+        match shape with
+        | 0 -> wire
+        | 1 -> String.sub wire 0 (cut mod (String.length wire + 1))
+        | _ ->
+          (* the count word raised by 1-5, the flags kept *)
+          let b = Bytes.of_string wire in
+          let word = Bytes.get_uint16_be b 4 in
+          let count = (word land 0x3FFF) + 1 + (cut mod 5) in
+          Bytes.set_uint16_be b 4 (word land 0xC000 lor (count land 0x3FFF));
+          Bytes.to_string b
+      in
+      P.Wizard_msg.decode_reply s = Smart_oracle.Wizard_reply.decode s)
+
+let prop_reply_decode_garbage_matches_oracle =
+  QCheck.Test.make ~name:"reply decode of any bytes matches the oracle"
+    ~count:500 QCheck.string (fun s ->
+      P.Wizard_msg.decode_reply s = Smart_oracle.Wizard_reply.decode s)
+
 let prop_report_roundtrip =
   QCheck.Test.make ~name:"report survives format/parse for random values"
     ~count:300
@@ -1456,6 +1493,8 @@ let () =
             prop_frame_split_anywhere;
             prop_frame_resync_recovers;
             prop_request_roundtrip;
+            prop_reply_decode_matches_oracle;
+            prop_reply_decode_garbage_matches_oracle;
             prop_report_roundtrip;
             prop_sys_record_roundtrip_both_orders;
             prop_traced_request_roundtrip;

@@ -763,6 +763,59 @@ let lone_wizard ?admission () =
   in
   (book, wizard)
 
+(* A signal that interrupts a wait does not end it.  With SIGALRM
+   caught every 50 ms, a 0.3 s receive on an idle socket waits out its
+   window, and a call to a stand-in wizard that never answers ends in
+   [Timeout] instead of raising [EINTR] (which closed the call's
+   endpoint).  The 10 ms slack absorbs [select]'s truncation of its
+   timeout to whole microseconds.  It runs before any daemon thread
+   starts, so every signal lands on this thread; the timer and the
+   signal's disposition are restored afterwards. *)
+let test_wait_survives_signals () =
+  let alarms = ref 0 in
+  let previous =
+    Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> incr alarms))
+  in
+  let every period = { Unix.it_interval = period; it_value = period } in
+  ignore (Unix.setitimer Unix.ITIMER_REAL (every 0.05));
+  let socket = R.Udp_io.bind_port 0 in
+  let book, wizard = stand_in_wizard () in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Unix.setitimer Unix.ITIMER_REAL (every 0.0));
+      Sys.set_signal Sys.sigalrm previous;
+      R.Udp_io.stop socket;
+      R.Udp_io.stop wizard)
+    (fun () ->
+      let waited f =
+        let t0 = Unix.gettimeofday () in
+        let result = f () in
+        (result, Unix.gettimeofday () -. t0)
+      in
+      let got, elapsed =
+        waited (fun () -> R.Udp_io.recv_timeout socket ~timeout:0.3)
+      in
+      Alcotest.(check bool) "nothing received" true (got = None);
+      Alcotest.(check bool)
+        (Printf.sprintf "receive waited out its window (%.3f s)" elapsed)
+        true (elapsed >= 0.29);
+      let result, elapsed =
+        waited (fun () ->
+            call_stand_in ~timeout:0.3 ~retries:0
+              ~backoff:(Smart_util.Backoff.policy ~base:0.3 ~jitter:0.0 ())
+              book)
+      in
+      (match result with
+      | Error Smart_core.Client.Timeout -> ()
+      | Ok _ -> Alcotest.fail "a silent wizard answered"
+      | Error e -> Alcotest.failf "call: %a" Smart_core.Client.pp_error e);
+      Alcotest.(check bool)
+        (Printf.sprintf "call waited out its budget (%.3f s)" elapsed)
+        true (elapsed >= 0.29);
+      Alcotest.(check bool)
+        (Printf.sprintf "signals arrived meanwhile (%d)" !alarms)
+        true (!alarms >= 6))
+
 (* Admission buckets key on the requester's IP address: with one token
    per requester and practically no refill, a second request from
    127.0.0.1 is shed while 127.0.0.2 still gets its first one through.
@@ -817,6 +870,85 @@ let test_admission_per_requester_ip () =
       Alcotest.(check bool) "127.0.0.1 again rejected" true
         (rejected "127.0.0.1");
       Alcotest.(check bool) "127.0.0.2 admitted" false (rejected "127.0.0.2"))
+
+(* The words one smart-socket call allocates once the path is warm: a
+   wizard daemon on 127.0.0.1 answering from its result cache, and a
+   client whose endpoint, [Client] and retry schedule are kept between
+   calls.  [Gc.minor_words] counts the domain's minor allocation, so the
+   figure holds both threads: the client, [Udp_io], the daemon's loop
+   and dispatch, the wizard's cache hit and the reply.  Bound: 246 words
+   per call, the 234.2 this path measures plus 5%.  Before the path lost
+   its glue (closures per batch and per call, the reply's trip through
+   the address book, the sender sockaddr, the boxed generator state, the
+   concatenated result key) it measured 354.8, 44% over the bound. *)
+let call_words_bound = 246.0
+
+let test_call_allocation_bound () =
+  let book, wizard = lone_wizard () in
+  let report i =
+    {
+      Smart_proto.Report.host = Printf.sprintf "srv%d" i;
+      ip = Printf.sprintf "10.0.0.%d" (i + 1);
+      load1 = 0.1 *. float_of_int i;
+      load5 = 0.0;
+      load15 = 0.0;
+      cpu_user = 0.0;
+      cpu_nice = 0.0;
+      cpu_system = 0.0;
+      cpu_free = 1.0 -. (0.1 *. float_of_int i);
+      bogomips = 1000.0;
+      mem_total = 256.0;
+      mem_used = 0.0;
+      mem_free = 128.0;
+      mem_buffers = 0.0;
+      mem_cached = 0.0;
+      disk_rreq = 0.0;
+      disk_rblocks = 0.0;
+      disk_wreq = 0.0;
+      disk_wblocks = 0.0;
+      net_rbytes = 0.0;
+      net_rpackets = 0.0;
+      net_tbytes = 0.0;
+      net_tpackets = 0.0;
+    }
+  in
+  for i = 0 to 7 do
+    Smart_core.Status_db.update_sys (R.Wizard_daemon.db wizard)
+      { Smart_proto.Records.report = report i; updated_at = 0.0 }
+  done;
+  let texts =
+    [| "host_cpu_free > 0.2\n"; "host_memory_total > 1\n";
+       "host_cpu_free > 0.5\nhost_memory_free > 64\n" |]
+  in
+  let rng = Smart_util.Prng.create ~seed:7
+  and metrics = Smart_util.Metrics.create () in
+  let call i =
+    match
+      R.Client_io.request_servers ~rng ~metrics book ~wizard_host:"wiz"
+        ~wanted:(1 + (i mod 4))
+        ~requirement:texts.(i mod Array.length texts) ()
+    with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "call %d: %a" i Smart_core.Client.pp_error e
+  in
+  R.Wizard_daemon.start wizard;
+  Fun.protect
+    ~finally:(fun () -> R.Wizard_daemon.stop wizard)
+    (fun () ->
+      for i = 0 to 199 do
+        call i
+      done;
+      let calls = 2000 in
+      let before = Gc.minor_words () in
+      for i = 0 to calls - 1 do
+        call i
+      done;
+      let per_call = (Gc.minor_words () -. before) /. float_of_int calls in
+      Alcotest.(check bool)
+        (Printf.sprintf "%.1f words per call, bound %.0f" per_call
+           call_words_bound)
+        true
+        (per_call <= call_words_bound))
 
 (* One daemon of each kind answers the SMART-METRICS magic on its
    existing socket (wizard request port, transmitter pull port, probe
@@ -1537,6 +1669,8 @@ let () =
           Alcotest.test_case "service protocol" `Quick test_service_protocol;
           Alcotest.test_case "udp io round trip" `Quick test_udp_io_roundtrip;
           Alcotest.test_case "udp io timeout" `Quick test_udp_io_recv_timeout;
+          Alcotest.test_case "waits survive signals" `Quick
+            test_wait_survives_signals;
           Alcotest.test_case "service stop twice" `Quick test_service_stop_twice;
         ] );
       ( "integration",
@@ -1566,6 +1700,8 @@ let () =
             test_calls_draw_fresh_sequence_numbers;
           Alcotest.test_case "admission per requester ip" `Slow
             test_admission_per_requester_ip;
+          Alcotest.test_case "call allocation bounded" `Slow
+            test_call_allocation_bound;
           Alcotest.test_case "metrics scrape" `Slow test_metrics_scrape_real;
           Alcotest.test_case "trace scrape" `Slow test_trace_scrape_real;
           Alcotest.test_case "hosts on distinct addresses" `Slow

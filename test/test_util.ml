@@ -76,6 +76,82 @@ let test_prng_shuffle_permutation () =
   Alcotest.(check (array int)) "permutation" arr sorted;
   Alcotest.(check (array int)) "input untouched" (Array.init 50 Fun.id) arr
 
+(* The production generator against the boxed-counter oracle it
+   replaced: one script of draws, copies, splits and state round trips
+   run on both, every result compared bit for bit. *)
+type prng_op =
+  | Int of int
+  | Float of float
+  | Bool
+  | Gaussian
+  | Range
+  | Split
+  | Copy
+  | Restate
+
+let prng_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map (fun bound -> Int bound) (int_range 1 0x3FFFFFFF));
+        (2, map (fun bound -> Float bound) (float_range 0.0 1e6));
+        (2, return Bool);
+        (1, return Gaussian);
+        (1, return Range);
+        (1, return Split);
+        (1, return Copy);
+        (1, return Restate);
+      ])
+
+let prop_prng_matches_oracle =
+  let module P = Smart_util.Prng in
+  let module O = Smart_oracle.Prng in
+  let same_float a b =
+    Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+  in
+  let same p o = Int64.equal (P.state p) (O.state o) in
+  let rec run p o = function
+    | [] -> same p o
+    | op :: rest ->
+      let ok, p, o =
+        match op with
+        | Int bound -> (P.int p ~bound = O.int o ~bound, p, o)
+        | Float bound ->
+          (same_float (P.float p ~bound) (O.float o ~bound), p, o)
+        | Bool -> (Bool.equal (P.bool p) (O.bool o), p, o)
+        | Gaussian ->
+          ( same_float
+              (P.gaussian p ~mu:1.5 ~sigma:2.0)
+              (O.gaussian o ~mu:1.5 ~sigma:2.0),
+            p,
+            o )
+        | Range ->
+          ( same_float
+              (P.range p ~lo:(-3.0) ~hi:7.0)
+              (O.range o ~lo:(-3.0) ~hi:7.0),
+            p,
+            o )
+        | Split ->
+          (* the parent advances, the script goes on with the child *)
+          let p' = P.split p and o' = O.split o in
+          (same p o && same p' o', p', o')
+        | Copy ->
+          (* the copy draws the original's next value and leaves it be *)
+          let before = P.state p in
+          let p' = P.copy p and o' = O.copy o in
+          ( P.int p' ~bound:1000 = O.int o' ~bound:1000
+            && Int64.equal before (P.state p),
+            p,
+            o )
+        | Restate -> (true, P.of_state (P.state p), O.of_state (O.state o))
+      in
+      ok && run p o rest
+  in
+  QCheck.Test.make ~name:"prng streams match the boxed-counter oracle"
+    ~count:300
+    QCheck.(pair int (list_of_size Gen.(int_range 0 64) (make prng_op)))
+    (fun (seed, ops) -> run (P.create ~seed) (O.create ~seed) ops)
+
 (* ------------------------------------------------------------------ *)
 (* Heap                                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -903,7 +979,7 @@ let prop_sketch_sort_matches_stdlib =
         | _ -> false))
 
 let qsuite = List.map QCheck_alcotest.to_alcotest
-    [ prop_heap_sorted; prop_heap_length; prop_percentile_bounds;
+    [ prop_prng_matches_oracle; prop_heap_sorted; prop_heap_length; prop_percentile_bounds;
       prop_crc32_detects_byte_flips;
       prop_sketch_merge_commutes; prop_sketch_merge_associates;
       prop_sketch_merge_identity; prop_sketch_merge_matches_union;

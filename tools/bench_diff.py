@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Compare fresh bench results with the committed copies.
+"""Compare fresh bench results with the committed files.
 
-    python3 tools/bench_diff.py COMMITTED_DIR
+    python3 tools/bench_diff.py FRESH_DIR
 
-Run from the repository root after `bench/main.exe -- wizard sessions`
-has rewritten BENCH_wizard.json and BENCH_sessions.json; COMMITTED_DIR
-holds the copies taken before the bench overwrote them.  Only fields
-the host cannot change are compared:
+Run from the repository root.  FRESH_DIR holds the BENCH_wizard.json and
+BENCH_sessions.json that `bench/main.exe -- wizard sessions` wrote when
+run there (`make check` runs it in _build/bench, so the committed files
+at the root stay as they are).  Only fields the host cannot change are
+compared:
 
 - BENCH_wizard.json: the words fields (minor plus direct-major words)
   within 2% of the committed value; the cache, push-generation, rebuild
@@ -89,12 +90,12 @@ def diff_sessions(committed, fresh, problems):
 def main():
     if len(sys.argv) != 2:
         sys.exit(__doc__)
-    committed_dir = sys.argv[1]
+    fresh_dir = sys.argv[1]
     problems = []
-    diff_wizard(load(committed_dir, "BENCH_wizard.json"),
-                load(".", "BENCH_wizard.json"), problems)
-    diff_sessions(load(committed_dir, "BENCH_sessions.json"),
-                  load(".", "BENCH_sessions.json"), problems)
+    diff_wizard(load(".", "BENCH_wizard.json"),
+                load(fresh_dir, "BENCH_wizard.json"), problems)
+    diff_sessions(load(".", "BENCH_sessions.json"),
+                  load(fresh_dir, "BENCH_sessions.json"), problems)
     for p in problems:
         print(p)
     if problems:
